@@ -46,7 +46,7 @@ type benchResult struct {
 	P95Ms      float64 `json:"p95Ms"`
 	P99Ms      float64 `json:"p99Ms"`
 
-	// Sharded-tier view (all omitted against a single-node server): shard
+	// Fleet view (a single-node server reports shards: 1): shard
 	// count, each shard's router-side RPC QPS and latency quantiles, and
 	// the resilience counters (hedged duplicates, retried RPC faults,
 	// per-shard timeouts, exhausted-ladder failures) plus the engine's

@@ -165,10 +165,9 @@ func main() {
 		fmt.Printf("hot-vertex cache: budget %s%s, %d layers cached per vertex\n",
 			*cacheBudget, scope, m.Cfg.Layers+1)
 	}
-	if fl := engine.Fleet(); fl != nil {
-		fmt.Printf("sharded tier: %d shards x %d replicas (%s placement), bounds %v, rpc timeout %v\n",
-			fl.Size(), fl.Replicas(), fl.Placement(), fl.Bounds(), *shardTmo)
-	}
+	fl := engine.Fleet()
+	fmt.Printf("sharded tier: %d shards x %d replicas (%s placement), bounds %v, rpc timeout %v\n",
+		fl.Size(), fl.Replicas(), fl.Placement(), fl.Bounds(), *shardTmo)
 	if *cacheWarm > 0 {
 		st := engine.Stats()
 		fmt.Printf("cache warm-up: top %d vertices pre-admitted (%d entries, %d bytes resident)\n",
@@ -246,12 +245,9 @@ func cacheSummary(st serve.Snapshot) string {
 		100*st.CacheHitRate, st.CacheBytesResident, st.CacheEntries)
 }
 
-// shardSummary renders the sharded-tier tail of the drain line ("" in
-// single-node mode, so existing log scrapes keep matching).
+// shardSummary renders the fleet tail of the drain line (a single node is
+// shards=1).
 func shardSummary(st serve.Snapshot) string {
-	if st.Shards == 0 {
-		return ""
-	}
 	return fmt.Sprintf(" shards=%d shard-in-flight=%d hedges=%d retries=%d timeouts=%d shard-failures=%d",
 		st.Shards, st.ShardInFlight, st.ShardHedges, st.ShardRetries, st.ShardTimeouts, st.ShardFailures)
 }

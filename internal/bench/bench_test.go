@@ -8,6 +8,30 @@ import (
 
 func quickCfg() Config { return Config{Quick: true, Seed: 1, Epochs: 10} }
 
+// quickTables memoises each experiment's quickCfg run: every test in this
+// file asks for the same deterministic table, and the experiments are the
+// whole cost of the package (tests here never run in parallel).
+var quickTables = map[string]*Table{}
+
+// quickTable returns experiment id's table under quickCfg, running it on
+// first use.
+func quickTable(t *testing.T, id string) *Table {
+	t.Helper()
+	if tb, ok := quickTables[id]; ok {
+		return tb
+	}
+	e, err := Find(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := e.Run(quickCfg())
+	if err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	quickTables[id] = tb
+	return tb
+}
+
 // cell parses a numeric table cell.
 func cell(t *testing.T, s string) float64 {
 	t.Helper()
@@ -21,25 +45,24 @@ func cell(t *testing.T, s string) float64 {
 
 func TestAllExperimentsRun(t *testing.T) {
 	for _, e := range Experiments() {
-		tb, err := e.Run(quickCfg())
-		if err != nil {
-			t.Fatalf("%s: %v", e.ID, err)
-		}
-		if tb.ID != e.ID {
-			t.Fatalf("experiment %s returned table %s", e.ID, tb.ID)
-		}
-		if len(tb.Rows) == 0 {
-			t.Fatalf("%s: empty table", e.ID)
-		}
-		if len(tb.Header) == 0 {
-			t.Fatalf("%s: missing header", e.ID)
-		}
-		// every row has at most header width (ragged short rows allowed)
-		for _, r := range tb.Rows {
-			if len(r) > len(tb.Header) {
-				t.Fatalf("%s: row wider than header: %v", e.ID, r)
+		t.Run(e.ID, func(t *testing.T) {
+			tb := quickTable(t, e.ID)
+			if tb.ID != e.ID {
+				t.Fatalf("experiment %s returned table %s", e.ID, tb.ID)
 			}
-		}
+			if len(tb.Rows) == 0 {
+				t.Fatalf("%s: empty table", e.ID)
+			}
+			if len(tb.Header) == 0 {
+				t.Fatalf("%s: missing header", e.ID)
+			}
+			// every row has at most header width (ragged short rows allowed)
+			for _, r := range tb.Rows {
+				if len(r) > len(tb.Header) {
+					t.Fatalf("%s: row wider than header: %v", e.ID, r)
+				}
+			}
+		})
 	}
 }
 
@@ -67,10 +90,7 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestFig13ShapeWiseGraphWins(t *testing.T) {
-	tb, err := Fig13(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quickTable(t, "fig13")
 	// quick mode runs RGCN only; WiseGraph must beat the best baseline
 	// on every dataset (the paper's complex-model claim).
 	for _, r := range tb.Rows {
@@ -85,10 +105,7 @@ func TestFig13ShapeWiseGraphWins(t *testing.T) {
 }
 
 func TestFig13OOMPattern(t *testing.T) {
-	tb, err := Fig13(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quickTable(t, "fig13")
 	// tensor-centric must OOM on the paper-scale dense graphs (PR, RE)
 	// for RGCN while WiseGraph never does.
 	oomSeen := false
@@ -108,10 +125,7 @@ func TestFig13OOMPattern(t *testing.T) {
 }
 
 func TestTable2ShapeWiseGraphBest(t *testing.T) {
-	tb, err := Table2(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quickTable(t, "table2")
 	for _, r := range tb.Rows {
 		wise := cell(t, r[5])
 		for i := 1; i <= 4; i++ {
@@ -126,10 +140,7 @@ func TestTable2ShapeWiseGraphBest(t *testing.T) {
 }
 
 func TestFig3aShapeGapGrowsWithComplexity(t *testing.T) {
-	tb, err := Fig3a(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quickTable(t, "fig3a")
 	// relative gap (optimal / vertex-centric) must grow Addition → MHA → MLP
 	var gaps []float64
 	for _, r := range tb.Rows {
@@ -143,10 +154,7 @@ func TestFig3aShapeGapGrowsWithComplexity(t *testing.T) {
 }
 
 func TestFig3bShapeNeuralMinority(t *testing.T) {
-	tb, err := Fig3b(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quickTable(t, "fig3b")
 	for _, r := range tb.Rows {
 		if v := cell(t, r[1]); v >= 50 {
 			t.Fatalf("%s: neural fraction %v%%, want < 50%% (paper: < 40%%)", r[0], v)
@@ -155,10 +163,7 @@ func TestFig3bShapeNeuralMinority(t *testing.T) {
 }
 
 func TestFig18ShapeBatchedPeak(t *testing.T) {
-	tb, err := Fig18(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quickTable(t, "fig18")
 	// For each model: K=1 must be far below the best K, and INF (when
 	// present) below the best K too (the crossover shape of Figure 18).
 	best := map[string]float64{}
@@ -187,10 +192,7 @@ func TestFig18ShapeBatchedPeak(t *testing.T) {
 }
 
 func TestFig14AccuracyParity(t *testing.T) {
-	tb, err := Fig14(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quickTable(t, "fig14")
 	for _, r := range tb.Rows {
 		if d := cell(t, r[4]); d > 0.01 || d < -0.01 {
 			t.Fatalf("%s/%s: accuracy delta %v exceeds 1%%", r[0], r[1], d)
@@ -199,10 +201,7 @@ func TestFig14AccuracyParity(t *testing.T) {
 }
 
 func TestFig16ThroughputMonotone(t *testing.T) {
-	tb, err := Fig16(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quickTable(t, "fig16")
 	last := map[string]float64{}
 	final := map[string]float64{}
 	dgl := map[string]float64{}

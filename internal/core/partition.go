@@ -162,7 +162,8 @@ var partitionerPool = sync.Pool{New: func() any { return NewPartitioner() }}
 // The implementation is the multi-core linear-time engine in
 // partitioner.go (stable LSD radix sort, epoch-stamped unique trackers,
 // segmented scan with exact seam stitching); its output is byte-identical
-// to PartitionGraphReference for every plan and worker count.
+// to the sequential specification in reference_test.go for every plan and
+// worker count.
 func PartitionGraph(g *graph.Graph, plan GraphPlan, statAttrs []Attr) *Partition {
 	pt := partitionerPool.Get().(*Partitioner)
 	p := pt.Partition(g, plan, statAttrs)

@@ -27,8 +27,9 @@ import (
 // a task start, the greedy process — which is memoryless from any task
 // start — is provably identical from there on, so the rest of the
 // segment's local boundaries and unique counts are adopted wholesale.
-// The result is byte-identical to PartitionGraphReference for every plan
-// and worker count (see partition_parity_test.go).
+// The result is byte-identical to the sequential specification the tests
+// keep (PartitionGraphReference in reference_test.go) for every plan and
+// worker count (see partition_parity_test.go).
 //
 // All scratch ([]int32 columns, radix histograms, stamp arrays) comes from
 // internal/tensor's int32 recycle pool. A Partitioner retains it between

@@ -1,8 +1,9 @@
 // Package serve is the online inference subsystem: it loads a checkpointed
 // model plus its graph, freezes an inference context (CSR, one-shot-tuned
-// joint plan reused across every request, per-worker partitioners and
-// RNGs), and answers node-classification queries through the gTask
-// execution path.
+// joint plan reused across every request) and answers node-classification
+// queries through the gTask execution path. The forward itself lives in
+// internal/shard: every engine serves through a shard.Fleet, and
+// single-node serving is the fleet of one in-process shard.
 //
 // The core is a dynamic micro-batcher: concurrent requests are coalesced —
 // up to a size cap or a fill deadline, whichever comes first — into one
@@ -23,10 +24,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"wisegraph/internal/core"
 	"wisegraph/internal/dataset"
 	"wisegraph/internal/device"
-	"wisegraph/internal/exec"
 	"wisegraph/internal/fault"
 	"wisegraph/internal/graph"
 	"wisegraph/internal/hotcache"
@@ -49,8 +48,9 @@ var (
 
 // Options tune the engine. Zero values pick serving defaults.
 type Options struct {
-	// Workers is the number of forward-pass workers, each with its own
-	// model replica, RNG, partitioner and execution context (default 2).
+	// Workers is the number of micro-batches in flight at once (default
+	// 2); every in-process shard node holds as many model replicas,
+	// partitioners and execution contexts.
 	Workers int
 	// BatchCap is the most requests one micro-batch coalesces (default 16).
 	BatchCap int
@@ -100,11 +100,11 @@ type Options struct {
 	// request is accepted; 0 disables warm-up. Warm-up changes first-
 	// request latency only — cached rows are bitwise-equal to computed.
 	CacheWarm int
-	// Shards > 1 serves through the sharded tier (internal/shard): the
-	// CSR and feature rows split into contiguous per-shard ranges, a
-	// router fans each micro-batch's frontier out to the owners, and
-	// CacheBudget becomes a PER-SHARD budget (each simulated node brings
-	// its own RAM). Logits stay bitwise-identical to single-node serving.
+	// Shards is the span count of the serving fleet (default 1, a single
+	// node): the CSR and feature rows split into contiguous per-shard
+	// ranges, a router fans each micro-batch's frontier out to the
+	// owners, and CacheBudget is a PER-SHARD budget (each simulated node
+	// brings its own RAM). Logits are bitwise-identical at any count.
 	Shards int
 	// Replicas serves each shard span with R interchangeable nodes
 	// (default 1 = unreplicated): the router fails over and hedges reads
@@ -124,7 +124,7 @@ type Options struct {
 	// daemon address per shard. Non-empty addresses override Shards (the
 	// shard count is the address count), each daemon is handshaken with
 	// the full fleet configuration at startup, and logits stay bitwise-
-	// identical to single-node serving. Cache budgets live daemon-side
+	// identical to in-process serving. Cache budgets live daemon-side
 	// (each daemon sizes its own cache from its own flags), but CacheWarm
 	// still warms those caches through the fleet. Reload is rejected over
 	// TCP: daemons own their checkpoints.
@@ -262,23 +262,19 @@ type request struct {
 type Engine struct {
 	ds    *dataset.Dataset
 	csr   *graph.CSR
-	model *nn.Model // parameter source for worker replicas
+	model *nn.Model // parameter source the fleet's shard replicas re-sync from
 	plan  *joint.Result
 	opts  Options
 
-	// cache is the hot-vertex embedding cache (nil when disabled).
-	// modelMu orders Reload's parameter swap against workers re-syncing
-	// their replicas; modelVersion makes (params, version) reads atomic —
-	// a worker syncs under RLock and then tags every cache operation of
-	// its batches with the version its replica actually holds.
-	cache        *hotcache.Cache
+	// modelMu orders Reload's parameter swap against batches: a worker
+	// holds the read lock across a whole micro-batch, so every shard RPC
+	// of the batch carries one model version and shard replicas re-sync
+	// from model only while Reload's writer is excluded.
 	modelMu      sync.RWMutex
 	modelVersion atomic.Uint64
 
-	// fleet is the sharded serving tier (nil when Shards <= 1). In
-	// sharded mode e.cache is nil — each shard owns its range's cache —
-	// and workers route forwards through the fleet instead of running
-	// them on their own replicas.
+	// fleet runs every forward: the shards own the model replicas, the
+	// partitioners, the simulated devices and the hot-vertex caches.
 	fleet *shard.Fleet
 
 	// admitMu orders admission against the drain flip: Predict admits
@@ -297,10 +293,6 @@ type Engine struct {
 	stats    *Stats
 	drained  chan struct{} // closed when workers have fully exited
 
-	// devs are the workers' simulated devices, retained so /metrics can
-	// aggregate the timing model's per-kernel counters across the pool.
-	devs []*device.Device
-
 	// testHookBatchStart, when non-nil, runs before each micro-batch
 	// executes. Tests use it to stall or pace workers deterministically
 	// (overload is impossible to provoke reliably by timing alone on a
@@ -308,10 +300,11 @@ type Engine struct {
 	testHookBatchStart func()
 }
 
-// NewEngine freezes an inference context over ds and model and starts the
-// batcher plus the worker pool. The model is not used directly after this
-// call: each worker owns a replica (parameters copied, activation caches
-// private) so concurrent forwards never share mutable state.
+// NewEngine freezes an inference context over ds and model, builds the
+// serving fleet and starts the batcher plus the worker pool. The model is
+// not used directly after this call: each shard worker state owns a
+// replica (parameters copied, activation caches private) so concurrent
+// forwards never share mutable state.
 func NewEngine(ds *dataset.Dataset, model *nn.Model, opts Options) (*Engine, error) {
 	if model.Cfg.InDim != ds.Dim() {
 		return nil, fmt.Errorf("serve: model expects %d input features, dataset has %d", model.Cfg.InDim, ds.Dim())
@@ -334,10 +327,6 @@ func NewEngine(ds *dataset.Dataset, model *nn.Model, opts Options) (*Engine, err
 		stats:   newStats(opts.BatchCap),
 		drained: make(chan struct{}),
 	}
-	sharded := opts.Shards > 1 || opts.Replicas > 1 || len(opts.ShardAddrs) > 0
-	if !sharded {
-		e.cache = hotcache.New(hotcache.Config{Budget: opts.CacheBudget, Shards: opts.CacheShards})
-	}
 	e.plan = opts.Plan
 	if e.plan == nil {
 		e.plan = e.tunePlan()
@@ -350,62 +339,48 @@ func NewEngine(ds *dataset.Dataset, model *nn.Model, opts Options) (*Engine, err
 	} else if err := eng.Probe(model.Cfg.Kind, e.plan.GraphPlan); err != nil {
 		return nil, err
 	}
-	if sharded {
-		pl, err := shard.ParsePlacement(opts.ShardPlacement)
-		if err != nil {
-			return nil, err
-		}
-		cfg := shard.Config{
-			Shards:      opts.Shards,
-			Replicas:    opts.Replicas,
-			Placement:   pl,
-			Workers:     opts.Workers,
-			Fanouts:     opts.Fanouts,
-			Seed:        opts.Seed,
-			Engine:      opts.Engine,
-			Spec:        opts.Spec,
-			CacheBudget: opts.CacheBudget,
-			CacheShards: opts.CacheShards,
-			Timeout:     opts.ShardTimeout,
-		}
-		if len(opts.ShardAddrs) > 0 {
-			e.fleet, err = shard.NewRemoteFleet(e.csr, ds.Features, ds.Graph.NumTypes, model, e.plan, cfg, opts.ShardAddrs)
-		} else {
-			e.fleet, err = shard.NewFleet(e.csr, ds.Features, ds.Graph.NumTypes, model, e.plan, cfg)
-		}
-		if err != nil {
-			return nil, err
-		}
+	pl, err := shard.ParsePlacement(opts.ShardPlacement)
+	if err != nil {
+		return nil, err
+	}
+	cfg := shard.Config{
+		Shards:      opts.Shards,
+		Replicas:    opts.Replicas,
+		Placement:   pl,
+		Workers:     opts.Workers,
+		Fanouts:     opts.Fanouts,
+		Seed:        opts.Seed,
+		Engine:      opts.Engine,
+		Spec:        opts.Spec,
+		CacheBudget: opts.CacheBudget,
+		CacheShards: opts.CacheShards,
+		Timeout:     opts.ShardTimeout,
+	}
+	if len(opts.ShardAddrs) > 0 {
+		e.fleet, err = shard.NewRemoteFleet(e.csr, ds.Features, ds.Graph.NumTypes, model, e.plan, cfg, opts.ShardAddrs)
+	} else {
+		e.fleet, err = shard.NewFleet(e.csr, ds.Features, ds.Graph.NumTypes, model, e.plan, cfg)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if opts.CacheWarm > 0 {
 		if err := e.warmCache(); err != nil {
-			if e.fleet != nil {
-				e.fleet.Close()
-			}
+			e.fleet.Close()
 			return nil, fmt.Errorf("serve: cache warm-up: %w", err)
 		}
 	}
 	go e.batcher()
 	for w := 0; w < opts.Workers; w++ {
-		replica, err := e.newReplica()
-		if err != nil {
-			return nil, err
-		}
-		dev := device.New(*opts.Spec)
-		e.devs = append(e.devs, dev)
 		e.workerWG.Add(1)
-		ectx := exec.NewCtx(dev)
-		ectx.Engine = opts.Engine
-		go e.worker(w, replica, ectx)
+		go e.worker()
 	}
 	go func() {
 		e.workerWG.Wait()
-		// Workers gone → no caller can dispatch another shard RPC; drain
-		// the fleet's worker pools before declaring the engine drained so
-		// the in-flight = 0 invariant holds fleet-wide at shutdown.
-		if e.fleet != nil {
-			e.fleet.Close()
-		}
+		// Workers gone → no caller can issue another shard RPC; drain the
+		// fleet before declaring the engine drained so the in-flight = 0
+		// invariant holds fleet-wide at shutdown.
+		e.fleet.Close()
 		close(e.drained)
 	}()
 	return e, nil
@@ -436,18 +411,6 @@ func (e *Engine) tunePlan() *joint.Result {
 	hidden := e.model.Cfg.Hidden
 	return joint.Search(sub.Graph, e.model.Cfg.Kind, hidden, hidden, e.model.Cfg.NumTypes,
 		joint.Options{Spec: *e.opts.Spec})
-}
-
-// newReplica stamps out a private copy of the model for one worker.
-func (e *Engine) newReplica() (*nn.Model, error) {
-	replica, err := nn.NewModel(e.model.Cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := replica.CopyParamsFrom(e.model); err != nil {
-		return nil, err
-	}
-	return replica, nil
 }
 
 // Predict answers a node-classification query for the given parent-graph
@@ -533,59 +496,29 @@ func (e *Engine) cancel(r *request, err error) {
 	e.inflight.Add(-1)
 }
 
-// worker executes micro-batches with per-worker state: a model replica,
-// a reusable partitioner, and a simulated-device context. Nothing mutable
-// is shared between workers, so the pool scales without locks on the
-// compute path. Before each batch the worker re-syncs its replica if a
-// Reload published new parameters; the version it syncs to tags every
-// cache operation of the batch, so a mid-batch reload can neither serve
-// this replica stale rows nor admit its rows into the refreshed cache.
-func (e *Engine) worker(id int, replica *nn.Model, ectx *exec.Ctx) {
+// worker executes micro-batches. It holds the model read-lock across each
+// whole batch so every shard RPC of the batch carries one coherent
+// version: the version tags every cache operation, so a reload can
+// neither serve the batch stale rows nor admit its rows into the
+// refreshed cache.
+func (e *Engine) worker() {
 	defer e.workerWG.Done()
-	pt := core.NewPartitioner()
-	defer pt.Release()
-	var wver uint64 // replicas are stamped from version 0 at construction
 	for batch := range e.batches {
-		if e.fleet != nil {
-			// Sharded: hold the model read-lock across the whole batch so
-			// every shard RPC carries one coherent version — shard workers
-			// re-sync their replicas from the shared source on a version
-			// change, which is only safe while Reload's writer is excluded.
-			e.modelMu.RLock()
-			e.runBatch(batch, replica, e.modelVersion.Load(), pt, ectx)
-			e.modelMu.RUnlock()
-			continue
-		}
-		if e.modelVersion.Load() != wver {
-			e.modelMu.RLock()
-			wver = e.modelVersion.Load()
-			err := replica.CopyParamsFrom(e.model)
-			e.modelMu.RUnlock()
-			if err != nil {
-				// Impossible unless Reload's architecture check is broken;
-				// fail the batch loudly rather than serve half-old params.
-				for _, r := range batch {
-					e.cancel(r, fmt.Errorf("serve: replica re-sync failed: %w", err))
-				}
-				continue
-			}
-		}
-		e.runBatch(batch, replica, wver, pt, ectx)
+		e.modelMu.RLock()
+		e.runBatch(batch, e.modelVersion.Load())
+		e.modelMu.RUnlock()
 	}
 }
 
 // Reload swaps in newly trained parameters for the same architecture:
-// the shared parameter source is updated under the model lock, the model
-// version is bumped and the hot-vertex cache flushed to it inside the
-// same critical section. Workers re-sync under the read lock, so none
-// can adopt (and tag cache reads with) version N until the flush has
-// completed — otherwise a Get(N) during the sweep window could hit a
-// not-yet-cleared row computed under the old parameters. In-flight
-// batches on old replicas keep serving the old parameters coherently —
-// their cache reads and writes carry the old version and are rejected
-// from the moment the version is published.
+// under the model write lock — which waits out every in-flight batch and
+// holds new ones back — the shared parameter source is updated, the model
+// version bumped and every shard's hot-vertex cache flushed to it. The
+// next batch carries the new version, which is what makes each shard
+// replica re-sync before it computes, and no cache probe tagged with the
+// new version can race the flush.
 func (e *Engine) Reload(m *nn.Model) error {
-	if e.fleet != nil && e.fleet.Remote() {
+	if e.fleet.Remote() {
 		// Remote shards hold their own copy of the checkpoint, validated
 		// against the router's by parameter hash at handshake; swapping
 		// the router's copy alone would break bitwise parity. Roll the
@@ -596,23 +529,18 @@ func (e *Engine) Reload(m *nn.Model) error {
 		return fmt.Errorf("serve: reload across architectures: %+v vs %+v", m.Cfg, e.model.Cfg)
 	}
 	e.modelMu.Lock()
+	defer e.modelMu.Unlock()
 	if err := e.model.CopyParamsFrom(m); err != nil {
-		e.modelMu.Unlock()
 		return err
 	}
-	ver := e.modelVersion.Add(1)
-	e.cache.InvalidateTo(ver)
-	if e.fleet != nil {
-		e.fleet.InvalidateTo(ver)
-	}
-	e.modelMu.Unlock()
+	e.fleet.InvalidateTo(e.modelVersion.Add(1))
 	return nil
 }
 
 // runBatch is one coalesced forward pass: dedupe seeds across requests,
-// run the leveled deterministic forward (probing the hot-vertex cache at
-// every layer boundary), and demultiplex logits rows back to each caller.
-func (e *Engine) runBatch(batch []*request, replica *nn.Model, ver uint64, pt *core.Partitioner, ectx *exec.Ctx) {
+// run the fleet's leveled deterministic forward under model version ver,
+// and demultiplex logits rows back to each caller.
+func (e *Engine) runBatch(batch []*request, ver uint64) {
 	if h := e.testHookBatchStart; h != nil {
 		h()
 	}
@@ -631,7 +559,7 @@ func (e *Engine) runBatch(batch []*request, replica *nn.Model, ver uint64, pt *c
 		return
 	}
 	e.stats.recordBatch(len(live))
-	e.execBatch(live, replica, ver, pt, ectx, true)
+	e.execBatch(live, ver, true)
 }
 
 // execBatch executes one micro-batch over live requests. When the batch
@@ -639,25 +567,24 @@ func (e *Engine) runBatch(batch []*request, replica *nn.Model, ver uint64, pt *c
 // the BatchTimeout budget, or the forward pass itself erroring — it
 // degrades gracefully: one retry at half batch size (fresh fault draws)
 // while mayRetry holds, after which the requests are failed.
-func (e *Engine) execBatch(live []*request, replica *nn.Model, ver uint64, pt *core.Partitioner, ectx *exec.Ctx, mayRetry bool) {
+func (e *Engine) execBatch(live []*request, ver uint64, mayRetry bool) {
 	if f := fault.Check(fault.SiteServeBatch); f != nil {
 		if f.Kind == fault.KindLatency {
 			if f.Delay >= e.opts.BatchTimeout {
 				e.stats.batchTimeouts.Add(1)
-				e.failBatch(live, replica, ver, pt, ectx, mayRetry,
+				e.failBatch(live, ver, mayRetry,
 					fmt.Errorf("serve: batch overran %v budget: %w", e.opts.BatchTimeout, f.Err()))
 				return
 			}
 			time.Sleep(f.Delay)
 		} else {
 			e.stats.batchFaults.Add(1)
-			e.failBatch(live, replica, ver, pt, ectx, mayRetry, f.Err())
+			e.failBatch(live, ver, mayRetry, f.Err())
 			return
 		}
 	}
 
 	batchID := obs.NewID()
-	ectx.TraceID = batchID // exec stages are recorded inside RunModelLayer
 	spBatch := obs.Begin(obs.StageBatch, batchID)
 
 	// Dedupe seeds across the batch, remembering each request's nodes.
@@ -679,20 +606,11 @@ func (e *Engine) execBatch(live []*request, replica *nn.Model, ver uint64, pt *c
 	// The sample span opens here, at the boundary, and is handed into the
 	// forward so the call transition itself stays inside a span (the trace
 	// must decompose the batch with no systematic gaps).
-	var (
-		logits *tensor.Tensor
-		rowOf  map[int32]int32
-		err    error
-	)
-	if e.fleet != nil {
-		logits, rowOf, err = e.fleet.Forward(batchID, ver, seeds, obs.Begin(obs.StageSample, batchID))
-	} else {
-		logits, rowOf, err = e.forwardLeveled(batchID, ver, seeds, replica, pt, ectx, obs.Begin(obs.StageSample, batchID))
-	}
+	logits, rowOf, err := e.fleet.Forward(batchID, ver, seeds, obs.Begin(obs.StageSample, batchID))
 	if err != nil {
 		spBatch.End()
 		e.stats.batchFaults.Add(1)
-		e.failBatch(live, replica, ver, pt, ectx, mayRetry, fmt.Errorf("serve: forward failed: %w", err))
+		e.failBatch(live, ver, mayRetry, fmt.Errorf("serve: forward failed: %w", err))
 		return
 	}
 
@@ -721,13 +639,13 @@ func (e *Engine) execBatch(live []*request, replica *nn.Model, ver uint64, pt *c
 // degradation path: a fault that poisons a big coalesced batch should not
 // fail every rider when smaller batches would have succeeded. Out of
 // budget, every request is completed with the failure.
-func (e *Engine) failBatch(live []*request, replica *nn.Model, ver uint64, pt *core.Partitioner, ectx *exec.Ctx, mayRetry bool, err error) {
+func (e *Engine) failBatch(live []*request, ver uint64, mayRetry bool, err error) {
 	if mayRetry {
 		e.stats.degraded.Add(1)
 		mid := (len(live) + 1) / 2
-		e.execBatch(live[:mid], replica, ver, pt, ectx, false)
+		e.execBatch(live[:mid], ver, false)
 		if mid < len(live) {
-			e.execBatch(live[mid:], replica, ver, pt, ectx, false)
+			e.execBatch(live[mid:], ver, false)
 		}
 		return
 	}
@@ -801,14 +719,12 @@ func (e *Engine) Stats() Snapshot {
 		snap.CacheEntries = cs.Entries
 		snap.CacheCapacityBytes = cs.Capacity
 	}
-	if e.fleet != nil {
-		snap.Shards = e.fleet.Size()
-		snap.ShardReplicas = e.fleet.Replicas()
-		snap.ShardPlacement = e.fleet.Placement().String()
-		snap.PerShard = e.fleet.Stats()
-		snap.ShardRetries, snap.ShardHedges, snap.ShardTimeouts, snap.ShardFailures = e.fleet.Resilience()
-		snap.ShardInFlight = e.fleet.InFlight()
-	}
+	snap.Shards = e.fleet.Size()
+	snap.ShardReplicas = e.fleet.Replicas()
+	snap.ShardPlacement = e.fleet.Placement().String()
+	snap.PerShard = e.fleet.Stats()
+	snap.ShardRetries, snap.ShardHedges, snap.ShardTimeouts, snap.ShardFailures = e.fleet.Resilience()
+	snap.ShardInFlight = e.fleet.InFlight()
 	dev, _ := e.DeviceStats()
 	snap.DeviceFLOPs = dev.FLOPs
 	if snap.Completed > 0 {
@@ -817,24 +733,21 @@ func (e *Engine) Stats() Snapshot {
 	return snap
 }
 
-// Cache exposes the hot-vertex cache (nil when disabled, and nil in
-// sharded mode — each shard owns its range's cache); tests and the
-// metrics endpoint read its counters.
-func (e *Engine) Cache() *hotcache.Cache { return e.cache }
+// Cache exposes the hot-vertex cache of a one-node in-process fleet (nil
+// when disabled, and nil on any larger or remote fleet — each shard owns
+// its range's cache); tests and the benchmark read its counters.
+func (e *Engine) Cache() *hotcache.Cache { return e.fleet.Cache() }
 
-// Fleet exposes the sharded serving tier (nil in single-node mode).
+// Fleet exposes the serving fleet.
 func (e *Engine) Fleet() *shard.Fleet { return e.fleet }
 
-// cacheStats returns the caching accounting in effect: the single-node
-// cache's, or the per-shard caches aggregated fleet-wide.
+// cacheStats returns the caching accounting in effect, aggregated across
+// the in-process shards' caches. Remote shards size and report their own.
 func (e *Engine) cacheStats() (hotcache.Stats, bool) {
-	switch {
-	case e.cache != nil:
-		return e.cache.Snapshot(), true
-	case e.fleet != nil && !e.fleet.Remote() && e.opts.CacheBudget > 0:
-		return e.fleet.CacheStats(), true
+	if e.fleet.Remote() || e.opts.CacheBudget <= 0 {
+		return hotcache.Stats{}, false
 	}
-	return hotcache.Stats{}, false
+	return e.fleet.CacheStats(), true
 }
 
 // engineName is the resolved execution-engine name ("" means blocked).

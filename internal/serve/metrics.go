@@ -170,7 +170,7 @@ type Snapshot struct {
 	DeviceFLOPs     float64 `json:"deviceFLOPs"`
 	FLOPsPerRequest float64 `json:"flopsPerRequest"`
 
-	// Sharded serving tier (all absent/zero in single-node mode). The
+	// The serving fleet (a single node is 1 shard × 1 replica). The
 	// cache fields above aggregate the per-shard caches fleet-wide;
 	// PerShard carries the per-shard breakdown including each shard's
 	// router-side RPC QPS and latency quantiles.
@@ -233,7 +233,7 @@ func (s *Stats) snapshot(inFlight int64, queueDepth int) Snapshot {
 // WriteMetrics writes the full Prometheus text exposition for this
 // engine: the serving counters, the request-latency and batch-size
 // histograms, the per-stage timing histograms from the observability
-// layer, and the per-kernel counters aggregated across the worker pool's
+// layer, and the per-kernel counters aggregated across the fleet's
 // simulated devices.
 func (e *Engine) WriteMetrics(w io.Writer) error {
 	s := e.stats
@@ -254,8 +254,8 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 	p.Gauge("wisegraph_serve_recent_qps", "", s.qps.Recent(time.Now().Unix(), up))
 	p.Histogram("wisegraph_serve_latency_seconds", "", &s.latency)
 
-	// Hot-vertex cache accounting (only exported when the cache is on;
-	// in sharded mode these aggregate the per-shard caches).
+	// Hot-vertex cache accounting (only exported when the cache is on),
+	// aggregated across the in-process shards' caches.
 	if cs, ok := e.cacheStats(); ok {
 		p.Counter("wisegraph_serve_cache_hits_total", "", float64(cs.Hits))
 		p.Counter("wisegraph_serve_cache_misses_total", "", float64(cs.Misses))
@@ -268,30 +268,28 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 		p.Gauge("wisegraph_serve_cache_capacity_bytes", "", float64(cs.Capacity))
 	}
 
-	// Sharded-tier accounting: per-shard RPC traffic, resilience counters
-	// and cache residency, labeled by shard id.
-	if e.fleet != nil {
-		p.Gauge("wisegraph_serve_shards", "", float64(e.fleet.Size()))
-		for _, ss := range e.fleet.Stats() {
-			l := `shard="` + strconv.Itoa(ss.ID) + `"`
-			p.Counter("wisegraph_shard_rpcs_total", l, float64(ss.RPCs))
-			p.Counter("wisegraph_shard_computes_total", l, float64(ss.Computes))
-			p.Counter("wisegraph_shard_retries_total", l, float64(ss.Retries))
-			p.Counter("wisegraph_shard_hedges_total", l, float64(ss.Hedges))
-			p.Counter("wisegraph_shard_timeouts_total", l, float64(ss.Timeouts))
-			p.Counter("wisegraph_shard_failures_total", l, float64(ss.Failures))
-			p.Counter("wisegraph_shard_bytes_in_total", l, float64(ss.BytesIn))
-			p.Counter("wisegraph_shard_bytes_out_total", l, float64(ss.BytesOut))
-			p.Gauge("wisegraph_shard_in_flight", l, float64(ss.InFlight))
-			p.Counter("wisegraph_shard_cache_hits_total", l, float64(ss.CacheHits))
-			p.Counter("wisegraph_shard_cache_misses_total", l, float64(ss.CacheMisses))
-			p.Gauge("wisegraph_shard_cache_bytes_resident", l, float64(ss.CacheBytes))
-			for _, rs := range ss.Replicas {
-				rl := l + `,replica="` + strconv.Itoa(rs.Replica) + `"`
-				p.Gauge("wisegraph_shard_replica_health", rl, rs.Health)
-				p.Counter("wisegraph_shard_replica_wins_total", rl, float64(rs.Wins))
-				p.Counter("wisegraph_shard_replica_fails_total", rl, float64(rs.Fails))
-			}
+	// Fleet accounting: per-shard RPC traffic, resilience counters and
+	// cache residency, labeled by shard id.
+	p.Gauge("wisegraph_serve_shards", "", float64(e.fleet.Size()))
+	for _, ss := range e.fleet.Stats() {
+		l := `shard="` + strconv.Itoa(ss.ID) + `"`
+		p.Counter("wisegraph_shard_rpcs_total", l, float64(ss.RPCs))
+		p.Counter("wisegraph_shard_computes_total", l, float64(ss.Computes))
+		p.Counter("wisegraph_shard_retries_total", l, float64(ss.Retries))
+		p.Counter("wisegraph_shard_hedges_total", l, float64(ss.Hedges))
+		p.Counter("wisegraph_shard_timeouts_total", l, float64(ss.Timeouts))
+		p.Counter("wisegraph_shard_failures_total", l, float64(ss.Failures))
+		p.Counter("wisegraph_shard_bytes_in_total", l, float64(ss.BytesIn))
+		p.Counter("wisegraph_shard_bytes_out_total", l, float64(ss.BytesOut))
+		p.Gauge("wisegraph_shard_in_flight", l, float64(ss.InFlight))
+		p.Counter("wisegraph_shard_cache_hits_total", l, float64(ss.CacheHits))
+		p.Counter("wisegraph_shard_cache_misses_total", l, float64(ss.CacheMisses))
+		p.Gauge("wisegraph_shard_cache_bytes_resident", l, float64(ss.CacheBytes))
+		for _, rs := range ss.Replicas {
+			rl := l + `,replica="` + strconv.Itoa(rs.Replica) + `"`
+			p.Gauge("wisegraph_shard_replica_health", rl, rs.Health)
+			p.Counter("wisegraph_shard_replica_wins_total", rl, float64(rs.Wins))
+			p.Counter("wisegraph_shard_replica_fails_total", rl, float64(rs.Fails))
 		}
 	}
 
@@ -353,17 +351,13 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 	return p.Err()
 }
 
-// DeviceStats aggregates the simulated-device accounting across the
-// worker pool — plus, in sharded mode, across every shard worker's
-// device, where the fleet's compute actually runs.
+// DeviceStats aggregates the simulated-device accounting across every
+// in-process shard worker's device, where the compute runs (a remote
+// fleet's devices live in the daemons).
 func (e *Engine) DeviceStats() (device.Stats, map[string]device.KernelStats) {
 	total := device.Stats{ByCategory: map[string]float64{}}
 	kernels := map[string]device.KernelStats{}
-	devs := e.devs
-	if e.fleet != nil {
-		devs = append(append([]*device.Device(nil), devs...), e.fleet.Devices()...)
-	}
-	for _, d := range devs {
+	for _, d := range e.fleet.Devices() {
 		st := d.Stats()
 		total.SimSeconds += st.SimSeconds
 		total.Kernels += st.Kernels

@@ -8,9 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"wisegraph/internal/core"
-	"wisegraph/internal/device"
-	"wisegraph/internal/exec"
 	"wisegraph/internal/nn"
 	"wisegraph/internal/obs"
 )
@@ -212,15 +209,8 @@ func TestDemuxPropertyCrossRequestDedup(t *testing.T) {
 		}
 		reqs = append(reqs, probe)
 
-		// Private worker state, same construction as Engine.worker.
-		replica, err := e.newReplica()
-		if err != nil {
-			t.Fatal(err)
-		}
-		pt := core.NewPartitioner()
 		e.inflight.Add(int64(len(reqs))) // runBatch decrements via finish
-		e.runBatch(reqs, replica, 0, pt, exec.NewCtx(device.New(device.A100())))
-		pt.Release()
+		e.runBatch(reqs, 0)
 
 		want := map[int32][]float32{}
 		pres := <-probe.done

@@ -1,0 +1,126 @@
+package serve
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"wisegraph/internal/core"
+	"wisegraph/internal/dataset"
+	"wisegraph/internal/device"
+	"wisegraph/internal/exec"
+	"wisegraph/internal/graph"
+	"wisegraph/internal/joint"
+	"wisegraph/internal/kernels"
+	"wisegraph/internal/nn"
+	"wisegraph/internal/tensor"
+	"wisegraph/internal/train"
+)
+
+// perVertexRef is the serving forward written straight from its
+// definition, one vertex at a time: f(v, 0) is v's feature row; f(v, l) is
+// layer l-1 run over the block that holds v and its DetSample'd in-edges
+// alone, fed with f(·, l-1), through ReLU unless l is the last level. It
+// shares nothing with the fleet — no level sets, no cross-target dedup,
+// no cache, no spans, no RPC — which is what makes it an oracle for it.
+type perVertexRef struct {
+	ds      *dataset.Dataset
+	csr     *graph.CSR
+	model   *nn.Model
+	plan    *joint.Result
+	fanouts []int
+	seed    uint64
+	pt      *core.Partitioner
+	ectx    *exec.Ctx // blocked engine, whatever the engine under test
+}
+
+func (r *perVertexRef) row(t *testing.T, v int32, l int) []float32 {
+	if l == 0 {
+		return r.ds.Features.Row(int(v))
+	}
+	L := r.model.Cfg.Layers
+	slots := graph.DetSample(nil, r.csr, v, r.fanouts[L-l], r.seed)
+	// The block's local id space: the target and its sources in ascending
+	// parent order, the canonical order every sort key must see.
+	in := []int32{v}
+	for _, s := range slots {
+		in = append(in, r.csr.Col[s])
+	}
+	slices.Sort(in)
+	in = slices.Compact(in)
+	local := func(p int32) int32 { i, _ := slices.BinarySearch(in, p); return int32(i) }
+
+	g := &graph.Graph{NumVertices: len(in), NumTypes: 1}
+	for _, s := range slots {
+		g.Src = append(g.Src, local(r.csr.Col[s]))
+		g.Dst = append(g.Dst, local(v))
+		if r.csr.EType != nil {
+			g.Type = append(g.Type, r.csr.EType[s])
+			g.NumTypes = r.ds.Graph.NumTypes
+		}
+	}
+	x := tensor.New(len(in), r.model.LayerDims()[l-1])
+	for i, p := range in {
+		copy(x.Row(i), r.row(t, p, l-1))
+	}
+	out, err := kernels.RunModelLayer(r.ectx, nn.NewGraphCtx(g), r.model, l-1, x,
+		train.ReusePlanWith(r.pt, r.plan, g), r.plan.OpPlan)
+	if err != nil {
+		t.Fatalf("reference layer %d for vertex %d: %v", l-1, v, err)
+	}
+	row := slices.Clone(out.Row(int(local(v))))
+	if l < L {
+		for j, y := range row {
+			if !(y > 0) {
+				row[j] = 0
+			}
+		}
+	}
+	return row
+}
+
+// TestForwardMatchesPerVertexReference holds the one serving forward to an
+// implementation that is not itself: engine logits must be bitwise-equal
+// to the per-vertex definition for an untyped and a typed model, on every
+// execution engine, through one shard and through two.
+func TestForwardMatchesPerVertexReference(t *testing.T) {
+	const v = 60
+	nodes := []int32{0, 7, 7, 30, 44, 59}
+	for _, kind := range []nn.ModelKind{nn.SAGE, nn.RGCN} {
+		numTypes := 1
+		if kind == nn.RGCN {
+			numTypes = 2
+		}
+		ds := testDataset(t, v, 300, 12, 5, numTypes, 11)
+		m := testModel(t, ds, kind)
+		// One frozen plan for the reference and every engine under test:
+		// the plan fixes the summation order.
+		plan := testEngine(t, ds, m, Options{Workers: 1, Seed: 9}).Plan()
+		pt := core.NewPartitioner()
+		t.Cleanup(pt.Release)
+		ref := &perVertexRef{
+			ds: ds, csr: ds.Graph.BuildCSRByDst(), model: m, plan: plan,
+			fanouts: []int{3, 2}, seed: 9, pt: pt,
+			ectx: exec.NewCtx(device.New(device.A100())),
+		}
+		for _, engine := range kernels.EngineNames() {
+			for _, shards := range []int{1, 2} {
+				t.Run(fmt.Sprintf("%v/%s/shards=%d", kind, engine, shards), func(t *testing.T) {
+					e := testEngine(t, ds, m, Options{
+						Shards: shards, Workers: 2, Engine: engine, Seed: 9,
+						Fanouts: ref.fanouts, Plan: plan,
+					})
+					got := predictLogits(t, e, nodes)
+					for i, n := range nodes {
+						want := ref.row(t, n, m.Cfg.Layers)
+						for k := range want {
+							if got[i][k] != want[k] {
+								t.Fatalf("node %d logit %d: engine %v != per-vertex reference %v", n, k, got[i][k], want[k])
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}

@@ -3,22 +3,18 @@ package serve
 import (
 	"sort"
 
-	"wisegraph/internal/core"
-	"wisegraph/internal/device"
-	"wisegraph/internal/exec"
-	"wisegraph/internal/nn"
 	"wisegraph/internal/obs"
 	"wisegraph/internal/tensor"
 )
 
-// warmCache pre-populates the hot-vertex cache before the first request
+// warmCache pre-populates the hot-vertex caches before the first request
 // is admitted: it runs warm-up forwards over the CacheWarm top-in-degree
 // vertices (the frequency-independent prior for what Zipf-ish traffic
 // will hit, and exactly what the cache's degree-amplified admission score
 // favors), so every level's rows for those subtrees are computed once at
 // startup instead of on the first unlucky requests. Runs synchronously in
-// NewEngine — in sharded mode through the fleet, so each shard warms the
-// rows of its own range.
+// NewEngine, through the fleet, so each shard warms the rows of its own
+// range.
 func (e *Engine) warmCache() error {
 	k := e.opts.CacheWarm
 	v := e.ds.Graph.NumVertices
@@ -30,39 +26,13 @@ func (e *Engine) warmCache() error {
 	}
 	hot := e.hottestVertices(k)
 	ver := e.modelVersion.Load()
-
-	// Single-node warm-up needs private forward state (workers have not
-	// started yet); the sharded fleet computes on its own worker pools.
-	var (
-		replica *nn.Model
-		pt      *core.Partitioner
-		ectx    *exec.Ctx
-	)
-	if e.fleet == nil {
-		var err error
-		if replica, err = e.newReplica(); err != nil {
-			return err
-		}
-		pt = core.NewPartitioner()
-		defer pt.Release()
-		ectx = exec.NewCtx(device.New(*e.opts.Spec))
-		ectx.Engine = e.opts.Engine
-	}
 	for lo := 0; lo < len(hot); lo += e.opts.MaxNodes {
 		hi := lo + e.opts.MaxNodes
 		if hi > len(hot) {
 			hi = len(hot)
 		}
 		batchID := obs.NewID()
-		var (
-			logits *tensor.Tensor
-			err    error
-		)
-		if e.fleet != nil {
-			logits, _, err = e.fleet.Forward(batchID, ver, hot[lo:hi], obs.Begin(obs.StageSample, batchID))
-		} else {
-			logits, _, err = e.forwardLeveled(batchID, ver, hot[lo:hi], replica, pt, ectx, obs.Begin(obs.StageSample, batchID))
-		}
+		logits, _, err := e.fleet.Forward(batchID, ver, hot[lo:hi], obs.Begin(obs.StageSample, batchID))
 		if err != nil {
 			return err
 		}

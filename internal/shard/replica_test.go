@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"wisegraph/internal/fault"
+	"wisegraph/internal/obs"
 )
 
 // The replica battery: assignment grouping, the failover/hedge ladder
@@ -106,7 +107,7 @@ func TestReplicaFailoverDemotes(t *testing.T) {
 	f := fakeFleet(t, dead, live)
 
 	for i := 0; i < 10; i++ {
-		if _, err := f.callExpand(0, &ExpandArgs{Level: 0, Dim: 1, Verts: []int32{1}}); err != nil {
+		if _, err := f.callExpand(context.Background(), 0, &ExpandArgs{Level: 0, Dim: 1, Verts: []int32{1}}); err != nil {
 			t.Fatalf("call %d surfaced %v despite a healthy replica", i, err)
 		}
 	}
@@ -141,7 +142,7 @@ func TestReplicaHealthRecovers(t *testing.T) {
 	flappy.transErr.Store(true)
 	f := fakeFleet(t, flappy, live)
 
-	if _, err := f.callExpand(0, &ExpandArgs{Level: 0, Dim: 1, Verts: []int32{1}}); err != nil {
+	if _, err := f.callExpand(context.Background(), 0, &ExpandArgs{Level: 0, Dim: 1, Verts: []int32{1}}); err != nil {
 		t.Fatalf("callExpand: %v", err)
 	}
 	h := f.health[0][0]
@@ -171,7 +172,7 @@ func TestReplicaHedgeOnStraggler(t *testing.T) {
 
 	start := time.Now()
 	for i := 0; i < 6; i++ {
-		if _, err := f.callExpand(0, &ExpandArgs{Level: 0, Dim: 1, Verts: []int32{1}}); err != nil {
+		if _, err := f.callExpand(context.Background(), 0, &ExpandArgs{Level: 0, Dim: 1, Verts: []int32{1}}); err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
@@ -198,7 +199,7 @@ func TestReplicaAppErrorNotRetriedNotDemoted(t *testing.T) {
 	b.appErr.Store(true)
 	f := fakeFleet(t, a, b)
 
-	_, err := f.callExpand(0, &ExpandArgs{Level: 0, Dim: 1, Verts: []int32{7}})
+	_, err := f.callExpand(context.Background(), 0, &ExpandArgs{Level: 0, Dim: 1, Verts: []int32{7}})
 	if err == nil || !strings.Contains(err.Error(), "outside owned range") {
 		t.Fatalf("error = %v, want the application error", err)
 	}
@@ -207,6 +208,93 @@ func TestReplicaAppErrorNotRetriedNotDemoted(t *testing.T) {
 	}
 	if ha, hb := f.Health(0, 0), f.Health(0, 1); ha != 1 || hb != 1 {
 		t.Fatalf("app error demoted health to %v/%v", ha, hb)
+	}
+}
+
+// mangleConn answers through a real shard and then damages the reply the
+// way a buggy or hostile daemon could: the wire decoder accepts any
+// well-framed reply, so only the router can tell it does not answer the
+// request.
+type mangleConn struct {
+	Conn
+	calls   atomic.Uint64
+	expand  func(a *ExpandArgs, r *ExpandReply)
+	compute func(r *ComputeReply)
+}
+
+func (c *mangleConn) Expand(ctx context.Context, a *ExpandArgs) (*ExpandReply, error) {
+	c.calls.Add(1)
+	r, err := c.Conn.Expand(ctx, a)
+	if err == nil && c.expand != nil {
+		c.expand(a, r)
+	}
+	return r, err
+}
+
+func (c *mangleConn) Compute(ctx context.Context, a *ComputeArgs) (*ComputeReply, error) {
+	c.calls.Add(1)
+	r, err := c.Conn.Compute(ctx, a)
+	if err == nil && c.compute != nil {
+		c.compute(r)
+	}
+	return r, err
+}
+
+// TestMalformedReplyNotRetriedNotDemoted: a reply whose shape does not
+// answer its request — short Hit, Rows or Srcs, a source id outside
+// [0,V), short Compute rows — used to panic the router on an index or be
+// computed from a zero row. It must surface as a permanent application
+// error after exactly the calls a healthy forward makes up to that point:
+// nothing retried, no replica demoted, one failure booked.
+func TestMalformedReplyNotRetriedNotDemoted(t *testing.T) {
+	g := testGraph(t, 100, 600, 6)
+	atLevel := func(level int, f func(r *ExpandReply)) func(*ExpandArgs, *ExpandReply) {
+		return func(a *ExpandArgs, r *ExpandReply) {
+			if a.Level == level {
+				f(r)
+			}
+		}
+	}
+	cases := []struct {
+		name    string
+		calls   uint64 // RPCs issued up to and including the bad reply
+		expand  func(*ExpandArgs, *ExpandReply)
+		compute func(*ComputeReply)
+	}{
+		{"short-hit", 1, atLevel(2, func(r *ExpandReply) { r.Hit = r.Hit[:len(r.Hit)-1] }), nil},
+		{"short-rows", 1, atLevel(2, func(r *ExpandReply) { r.Rows = r.Rows[:len(r.Rows)-1] }), nil},
+		{"long-rows", 3, atLevel(0, func(r *ExpandReply) { r.Rows = append(r.Rows, 0) }), nil},
+		{"short-srcs", 2, atLevel(1, func(r *ExpandReply) { r.Srcs = r.Srcs[:len(r.Srcs)-1] }), nil},
+		{"no-srcs", 1, atLevel(2, func(r *ExpandReply) { r.Srcs = nil }), nil},
+		{"source-past-v", 1, atLevel(2, func(r *ExpandReply) { r.Srcs[0] = []int32{100} }), nil},
+		{"source-negative", 1, atLevel(2, func(r *ExpandReply) { r.Srcs[0] = []int32{-1} }), nil},
+		{"short-compute-rows", 4, nil, func(r *ComputeReply) { r.Rows = r.Rows[:len(r.Rows)-1] }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := testFleet(t, g, 1, 1, 0)
+			bad := &mangleConn{Conn: f.conns[0][0], expand: tc.expand, compute: tc.compute}
+			f.conns[0][0] = bad
+			id := obs.NewID()
+			_, _, err := f.Forward(id, 0, []int32{0, 13, 50, 99}, obs.Begin(obs.StageSample, id))
+			if err == nil || !strings.Contains(err.Error(), "malformed reply") {
+				t.Fatalf("Forward error = %v, want a malformed-reply error", err)
+			}
+			var te *TransportError
+			if errors.As(err, &te) {
+				t.Fatalf("malformed reply surfaced as retryable transport error %v", err)
+			}
+			if n := bad.calls.Load(); n != tc.calls {
+				t.Fatalf("%d RPCs issued, want %d — the bad reply was retried", n, tc.calls)
+			}
+			retries, _, _, failures := f.Resilience()
+			if retries != 0 || failures != 1 {
+				t.Fatalf("retries=%d failures=%d, want 0 and 1", retries, failures)
+			}
+			if h := f.Health(0, 0); h != 1 {
+				t.Fatalf("malformed reply demoted replica health to %v", h)
+			}
+		})
 	}
 }
 

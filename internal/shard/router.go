@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -22,7 +23,7 @@ import (
 )
 
 // Config sizes a fleet. The serve engine fills it from its own resolved
-// options so sharded and single-node serving share every knob.
+// options.
 type Config struct {
 	// Shards is the span count — how many contiguous vertex ranges the
 	// graph splits into (min 1).
@@ -35,12 +36,12 @@ type Config struct {
 	Replicas int
 	// Placement picks the boundary policy (see Boundaries).
 	Placement Placement
-	// Workers is the per-shard RPC worker pool size.
+	// Workers is how many RPCs each shard node runs at once.
 	Workers int
 	// Fanouts are the per-layer sampling fan-outs, Seed the deterministic
 	// sampler key, Engine the execution engine, Spec the simulated device
-	// — all identical to the single-node serve options, which is what the
-	// bitwise-parity guarantee rests on.
+	// — identical on every node, which is what the bitwise-parity
+	// guarantee rests on.
 	Fanouts []int
 	Seed    uint64
 	Engine  string
@@ -232,9 +233,8 @@ type Fleet struct {
 }
 
 // NewFleet splits csr's vertex space across cfg.Shards spans, each served
-// by cfg.Replicas in-process shard nodes, and starts every shard's worker
-// pool. ntypes is the parent graph's edge-type count (shard-rebuilt
-// blocks must declare it exactly as the single-node forward does).
+// by cfg.Replicas in-process shard nodes. ntypes is the parent graph's
+// edge-type count (every shard-rebuilt block declares it).
 func NewFleet(csr *graph.CSR, feats *tensor.Tensor, ntypes int, src *nn.Model, plan *joint.Result, cfg Config) (*Fleet, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Fanouts) != src.Cfg.Layers {
@@ -349,9 +349,9 @@ func NewRemoteFleet(csr *graph.CSR, feats *tensor.Tensor, ntypes int, src *nn.Mo
 // Remote reports whether the shards live in separate processes.
 func (f *Fleet) Remote() bool { return len(f.shards) == 0 && len(f.conns) > 0 }
 
-// Close drains every in-process shard's worker pool and drops every
-// remote connection. Callers must guarantee no Forward is in flight or
-// will be issued again.
+// Close drains every in-process shard (waiting out RPCs still running,
+// such as abandoned hedged losers) and drops every remote connection.
+// Callers must guarantee no Forward is in flight or will be issued again.
 func (f *Fleet) Close() {
 	for _, group := range f.shards {
 		for _, s := range group {
@@ -403,6 +403,16 @@ func (f *Fleet) InvalidateTo(ver uint64) {
 			s.cache.InvalidateTo(ver)
 		}
 	}
+}
+
+// Cache returns the node's hot-vertex cache when the fleet is one
+// in-process node (1 shard × 1 replica), nil otherwise (and nil when that
+// node's cache is disabled).
+func (f *Fleet) Cache() *hotcache.Cache {
+	if len(f.shards) == 1 && len(f.shards[0]) == 1 {
+		return f.shards[0][0].cache
+	}
+	return nil
 }
 
 // CacheStats aggregates the per-shard caches into one fleet-wide view
@@ -506,9 +516,9 @@ func (f *Fleet) Resilience() (retries, hedges, timeouts, failures uint64) {
 // first with scores quantized to eighths, so equally healthy replicas
 // stay interchangeable and the rotation counter spreads load across them
 // instead of hammering replica 0. The counter is PER SPAN: spans issue
-// their calls in near-lockstep (one goroutine per owned span, every
-// level), so a fleet-global counter would hand every span the same
-// parity forever and one replica of each span would never see traffic.
+// their calls in near-lockstep (one call per owning span, every level),
+// so a fleet-global counter would hand every span the same parity
+// forever and one replica of each span would never see traffic.
 func (f *Fleet) replicaOrder(s int) []int {
 	n := len(f.conns[s])
 	if n == 1 {
@@ -547,20 +557,20 @@ func (f *Fleet) observe(s, r int, err error) {
 // launched replica fails over to the next immediately. First success
 // wins — the shared context is canceled so losers stop waiting (the TCP
 // transport frees the window slot and later drops the stale reply by
-// reqid; the in-process transport abandons the reply wait). Only when
-// every replica has failed does an error surface to the retry ladder
-// above. With one replica this collapses to a plain call — no timer, no
-// extra goroutine handoff cost beyond one.
+// reqid; an in-process loser stops waiting for a worker, or runs to the
+// end unheard). Only when every replica has failed does an error surface
+// to the retry ladder above. With one replica this collapses to a plain
+// call on the caller's goroutine — no timer, no goroutine.
 //
 // issue returns only the winning attempt's value: byte accounting and
 // row splicing upstream see exactly one reply per successful call, never
 // a loser's — that is the fix for the double-booked Expand bytes the
 // old shared-reply capture allowed under timeout retries.
-func (f *Fleet) issue(s int, do func(context.Context, Conn) (any, error)) (any, error) {
+func (f *Fleet) issue(ctx context.Context, s int, do func(context.Context, Conn) (any, error)) (any, error) {
 	order := f.replicaOrder(s)
 	conns := f.conns[s]
 	if len(order) == 1 {
-		v, err := do(context.Background(), conns[order[0]])
+		v, err := do(ctx, conns[order[0]])
 		f.observe(s, order[0], err)
 		if err != nil {
 			f.noteTimeout(s, err)
@@ -568,7 +578,9 @@ func (f *Fleet) issue(s int, do func(context.Context, Conn) (any, error)) (any, 
 		return v, err
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
+	// Attempts run on goroutines of their own, so the caller's stage track
+	// stays behind.
+	ctx, cancel := context.WithCancel(obs.WithTrack(ctx, nil))
 	defer cancel()
 	type result struct {
 		r   int
@@ -648,7 +660,7 @@ func (f *Fleet) noteTimeout(s int, err error) {
 // application error from the shard is deterministic (ownership or
 // protocol violation) and surfaces immediately instead of burning
 // retries.
-func (f *Fleet) call(s int, do func(context.Context, Conn) (any, error)) (any, error) {
+func (f *Fleet) call(ctx context.Context, s int, do func(context.Context, Conn) (any, error)) (any, error) {
 	st := f.stats[s]
 	st.rpcs.Add(1)
 	t0 := time.Now()
@@ -681,7 +693,7 @@ func (f *Fleet) call(s int, do func(context.Context, Conn) (any, error)) (any, e
 			flt = &fault.Fault{Site: flt.Site, Kind: fault.KindError, Seq: flt.Seq}
 		}
 		if flt == nil {
-			v, err := f.issue(s, do)
+			v, err := f.issue(ctx, s, do)
 			if err == nil {
 				return v, nil
 			}
@@ -713,8 +725,8 @@ func (f *Fleet) call(s int, do func(context.Context, Conn) (any, error)) (any, e
 // callExpand runs one Expand through the full ladder and returns ONLY the
 // winning attempt's reply — concurrent hedged losers never leak a reply
 // out, so the caller books request/reply bytes exactly once per call.
-func (f *Fleet) callExpand(s int, args *ExpandArgs) (*ExpandReply, error) {
-	v, err := f.call(s, func(ctx context.Context, c Conn) (any, error) {
+func (f *Fleet) callExpand(ctx context.Context, s int, args *ExpandArgs) (*ExpandReply, error) {
+	v, err := f.call(ctx, s, func(ctx context.Context, c Conn) (any, error) {
 		rep, err := c.Expand(ctx, args)
 		return rep, err
 	})
@@ -725,8 +737,8 @@ func (f *Fleet) callExpand(s int, args *ExpandArgs) (*ExpandReply, error) {
 }
 
 // callCompute is callExpand's Compute twin.
-func (f *Fleet) callCompute(s int, args *ComputeArgs) (*ComputeReply, error) {
-	v, err := f.call(s, func(ctx context.Context, c Conn) (any, error) {
+func (f *Fleet) callCompute(ctx context.Context, s int, args *ComputeArgs) (*ComputeReply, error) {
+	v, err := f.call(ctx, s, func(ctx context.Context, c Conn) (any, error) {
 		rep, err := c.Compute(ctx, args)
 		return rep, err
 	})
@@ -764,63 +776,94 @@ func (f *Fleet) spansOf(verts []int32) []ownerSpan {
 
 // rlevel is the router's view of one activation level: the sorted vertex
 // set, hit flags, per-miss sampled sources, and the level's flat rows.
+// hit, srcs and rows are filled by expandLevel.
 type rlevel struct {
 	verts []int32
-	idx   map[int32]int32
 	hit   []bool
 	srcs  [][]int32
 	rows  []float32
 	miss  int
 }
 
-func newRLevel(verts []int32, dim int) *rlevel {
+func newRLevel(verts []int32) *rlevel {
 	vs := append([]int32(nil), verts...)
-	sort.Slice(vs, func(a, b int) bool { return vs[a] < vs[b] })
-	rl := &rlevel{
-		verts: vs,
-		idx:   make(map[int32]int32, len(vs)),
-		hit:   make([]bool, len(vs)),
-		srcs:  make([][]int32, len(vs)),
-		rows:  make([]float32, len(vs)*dim),
-	}
-	for i, v := range vs {
-		rl.idx[v] = int32(i)
-	}
-	return rl
+	slices.Sort(vs)
+	return &rlevel{verts: vs}
 }
 
-// Forward computes logits for the deduped seed set through the fleet:
-// the same top-down probe/expand then bottom-up per-layer execution as
-// the single-node leveled forward, with every owned span resolved by its
-// shard. Returns the logits over the sorted seed space plus the parent-id
-// → row map, exactly like serve's forwardLeveled — rows are bitwise-
-// identical to single-node serving because every shard rebuilds its
-// blocks with the same deterministic sampler, canonical edge order,
-// frozen plan and engine accumulators (and every replica of a span is
-// the same pure function, so failover never changes a bit).
+// indexOf maps each vertex of a sorted level to its row.
+func indexOf(verts []int32) map[int32]int32 {
+	idx := make(map[int32]int32, len(verts))
+	for i, v := range verts {
+		idx[v] = int32(i)
+	}
+	return idx
+}
+
+// Forward is the leveled deterministic forward: it computes logits for
+// the deduped seed set and returns them over the sorted seed space plus
+// the parent-id → row map.
 //
-// sp is the caller's already-open sample-stage span; it stays open across
-// the whole top-down phase (shard-side cache and exec spans record under
-// the same batch trace id).
+// A micro-batch runs as a stack of per-layer blocks instead of one flat
+// unioned subgraph: level 0 holds gathered input features, level l the
+// post-activation outputs of layer l-1, and block l aggregates level l-1
+// rows into level l targets over deterministically sampled edges
+// (graph.DetSample, keyed by (Config.Seed, vertex, fan-out) alone). That
+// makes every row a pure function f(v, l) of the vertex, the level, the
+// frozen seed, the graph and the model parameters — independent of batch
+// composition, shard count, replica, engine and worker count — which is
+// the property that makes the hot-vertex cache sound: a hit returns
+// exactly the bytes a miss would recompute, so cache size can change
+// performance but never output bits.
+//
+// Bitwise invariance additionally needs the per-destination float
+// summation order inside a block to be canonical. Every Compute's input
+// set is sorted by parent id and each target's edges are emitted
+// contiguously in DetSample order, so every sort key the partitioner can
+// use (dst id, src id, edge id, edge type, dst degree — EnumeratePlans
+// never sorts by source degree, the only composition-dependent attribute)
+// induces the same per-destination edge order in every batch and on every
+// shard; the stable radix sort and the engines' seam-preserving
+// accumulators do the rest.
+//
+// Top-down, each level's owned spans are probed and expanded by their
+// shards — a cached interior vertex prunes its entire sampled subtree,
+// and a fully cached frontier short-circuits with no Compute RPC at all;
+// bottom-up, one Compute per owning span runs each layer with misses.
+// ver gates every cache probe and admission so a concurrent checkpoint
+// reload can neither serve stale rows nor be poisoned by them.
+//
+// sp is the caller's already-open sample-stage span, begun right at the
+// batch's demux/sample boundary so call-entry overhead is attributed to
+// sampling, not left in an unspanned gap. Forward continues it as the
+// batch's stage track.
 func (f *Fleet) Forward(batchID, ver uint64, seeds []int32, sp obs.Span) (*tensor.Tensor, map[int32]int32, error) {
 	dims := f.src.LayerDims()
 	L := len(dims) - 1
 	sets := make([]*rlevel, L+1)
+	tr := obs.ContinueTrack(sp, obs.StageSample, batchID)
+	defer tr.End()
+	fw := &forward{Fleet: f, batch: batchID, ver: ver, inline: obs.WithTrack(context.Background(), tr)}
 
-	// Top-down: each level's owned spans expand in parallel on their
-	// shards — cache probes shard-side, so a fully cached frontier
-	// short-circuits right here and no Compute RPC is ever issued.
+	var rowOf map[int32]int32
 	cur := seeds
 	for l := L; l >= 0; l-- {
-		rl := newRLevel(cur, dims[l])
+		rl := newRLevel(cur)
 		sets[l] = rl
-		if err := f.expandLevel(batchID, ver, l, dims[l], rl); err != nil {
-			sp.End()
+		if l == L {
+			rowOf = indexOf(rl.verts)
+		}
+		if l == 0 {
+			// The feature gather and everything after it is data movement.
+			tr.To(obs.StageCollective)
+		}
+		if err := fw.expandLevel(l, dims[l], rl); err != nil {
 			return nil, nil, err
 		}
 		if l == 0 {
 			break
 		}
+		tr.To(obs.StageSample)
 		var next []int32
 		seen := make(map[int32]struct{}, rl.miss*(f.cfg.Fanouts[L-l]+1))
 		for i, v := range rl.verts {
@@ -841,64 +884,56 @@ func (f *Fleet) Forward(batchID, ver uint64, seeds []int32, sp obs.Span) (*tenso
 		}
 		cur = next
 	}
-	sp.End()
 
-	// Bottom-up: one Compute fan-out per layer with misses, each shard
-	// running its owned targets over shipped lower-level rows.
 	for l := 1; l <= L; l++ {
-		rl := sets[l]
-		if rl.miss == 0 {
+		if sets[l].miss == 0 {
 			continue
 		}
-		csp := obs.Begin(obs.StageCollective, batchID)
-		err := f.computeLevel(batchID, ver, l, dims[l-1], dims[l], rl, sets[l-1])
-		csp.End()
-		if err != nil {
+		tr.To(obs.StageCollective)
+		if err := fw.computeLevel(l, dims[l-1], dims[l], sets[l], sets[l-1]); err != nil {
 			return nil, nil, err
 		}
 	}
-
-	top := sets[L]
-	out := tensor.Get(len(top.verts), dims[L])
-	copy(out.Data(), top.rows)
-	return out, top.idx, nil
+	return tensor.FromSlice(sets[L].rows, len(sets[L].verts), dims[L]), rowOf, nil
 }
 
-// expandLevel fans one level's sorted vertex set out to its owners: hits
-// come back as rows, misses as sampled source lists (level 0 misses come
-// back as gathered feature rows, so level 0 always resolves fully).
-func (f *Fleet) expandLevel(batchID, ver uint64, level, dim int, rl *rlevel) error {
-	spans := f.spansOf(rl.verts)
-	errs := make([]error, len(spans))
+// forward is the router-side state of one Forward call.
+type forward struct {
+	*Fleet
+	batch, ver uint64
+	// inline carries the batch's stage track. The router's goroutine is
+	// inside exactly one stage span from entry to return, so the batch's
+	// trace decomposes with no gap: while the router waits on a fanned-out
+	// or remote level the open span is its own; a level with one owning
+	// span is called under inline, which hands the track to an in-process
+	// shard for the length of the call.
+	inline context.Context
+}
+
+// ctx is the context a level with n owning spans issues its RPCs under.
+func (fw *forward) ctx(n int) context.Context {
+	if n == 1 {
+		return fw.inline
+	}
+	return context.Background()
+}
+
+// fanOut runs do(0) … do(n-1), one call per owning span, and returns the
+// first error. A level with one owning span — always at one shard, common
+// at N — runs on the caller's goroutine; only a real fan-out pays for
+// goroutines.
+func fanOut(n int, do func(i int) error) error {
+	if n == 1 {
+		return do(0)
+	}
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i, os := range spans {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func(i int, os ownerSpan) {
+		go func(i int) {
 			defer wg.Done()
-			args := &ExpandArgs{
-				Batch: batchID, Ver: ver, Level: level, Dim: dim,
-				Verts: rl.verts[os.lo:os.hi],
-			}
-			rep, err := f.callExpand(os.shard, args)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			st := f.stats[os.shard]
-			// Exact encoded frame sizes, whatever the transport — the TCP
-			// path puts exactly these bytes on the wire. Booked once per
-			// call from the winning reply: hedged or retried losers never
-			// reach this line.
-			st.bytesOut.Add(uint64(wire.SizeExpandArgs(args)))
-			st.bytesIn.Add(uint64(wire.SizeExpandReply(rep)))
-			copy(rl.rows[os.lo*dim:os.hi*dim], rep.Rows)
-			for k := os.lo; k < os.hi; k++ {
-				rl.hit[k] = rep.Hit[k-os.lo]
-				if level > 0 && !rl.hit[k] {
-					rl.srcs[k] = rep.Srcs[k-os.lo]
-				}
-			}
-		}(i, os)
+			errs[i] = do(i)
+		}(i)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -906,88 +941,181 @@ func (f *Fleet) expandLevel(batchID, ver uint64, level, dim int, rl *rlevel) err
 			return err
 		}
 	}
-	for i := range rl.verts {
-		if !rl.hit[i] {
-			rl.miss++
+	return nil
+}
+
+// badReply reports a reply whose shape does not answer its request. It is
+// a property of the reply, not of the transport: the ladder has already
+// accepted the call, so nothing is retried and no replica is demoted.
+func (f *Fleet) badReply(s int, format string, args ...any) error {
+	f.stats[s].failures.Add(1)
+	return fmt.Errorf("shard %d: malformed reply: %s", s, fmt.Sprintf(format, args...))
+}
+
+// expandLevel fans one level's sorted vertex set out to its owners: hits
+// come back as rows, misses as sampled source lists (level 0 misses come
+// back as gathered feature rows, so level 0 always resolves fully). A
+// level with a single owner adopts the reply's slices as its own; several
+// owners' replies are spliced into freshly allocated ones.
+func (fw *forward) expandLevel(level, dim int, rl *rlevel) error {
+	spans := fw.spansOf(rl.verts)
+	if len(spans) > 1 {
+		rl.hit = make([]bool, len(rl.verts))
+		rl.rows = make([]float32, len(rl.verts)*dim)
+		if level > 0 {
+			rl.srcs = make([][]int32, len(rl.verts))
 		}
 	}
+	ctx := fw.ctx(len(spans))
+	nv := fw.bounds[len(fw.bounds)-1]
+	err := fanOut(len(spans), func(i int) error {
+		os := spans[i]
+		args := &ExpandArgs{
+			Batch: fw.batch, Ver: fw.ver, Level: level, Dim: dim,
+			Verts: rl.verts[os.lo:os.hi],
+		}
+		rep, err := fw.callExpand(ctx, os.shard, args)
+		if err != nil {
+			return err
+		}
+		// A reply cannot be checked against its request by the wire
+		// decoder, so it is checked here, before anything indexes it.
+		n := os.hi - os.lo
+		switch {
+		case len(rep.Hit) != n || len(rep.Rows) != n*dim:
+			return fw.badReply(os.shard, "%d hit flags and %d row elements for %d vertices × dim %d",
+				len(rep.Hit), len(rep.Rows), n, dim)
+		case level > 0 && len(rep.Srcs) != n:
+			return fw.badReply(os.shard, "%d source lists for %d vertices", len(rep.Srcs), n)
+		}
+		for _, srcs := range rep.Srcs {
+			for _, src := range srcs {
+				if src < 0 || src >= nv {
+					return fw.badReply(os.shard, "source %d outside [0,%d)", src, nv)
+				}
+			}
+		}
+		st := fw.stats[os.shard]
+		// Exact encoded frame sizes, whatever the transport — the TCP
+		// path puts exactly these bytes on the wire. Booked once per
+		// call from the winning reply: hedged or retried losers never
+		// reach this line.
+		st.bytesOut.Add(uint64(wire.SizeExpandArgs(args)))
+		st.bytesIn.Add(uint64(wire.SizeExpandReply(rep)))
+		if len(spans) == 1 {
+			rl.hit, rl.rows, rl.srcs = rep.Hit, rep.Rows, rep.Srcs
+			return nil
+		}
+		copy(rl.hit[os.lo:os.hi], rep.Hit)
+		copy(rl.rows[os.lo*dim:os.hi*dim], rep.Rows)
+		if level > 0 {
+			copy(rl.srcs[os.lo:os.hi], rep.Srcs)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
 	// Level 0 misses came back gathered; nothing below remains to compute.
-	if level == 0 {
-		rl.miss = 0
+	if level > 0 {
+		for _, h := range rl.hit {
+			if !h {
+				rl.miss++
+			}
+		}
 	}
 	return nil
 }
 
 // computeLevel runs layer level-1 for the level's misses: per owning
-// shard, ship the deduplicated lower-level input set (each target plus
-// its sampled sources) with its rows, and splice the computed target rows
-// back into the level.
-func (f *Fleet) computeLevel(batchID, ver uint64, level, inDim, outDim int, rl, prev *rlevel) error {
-	spans := f.spansOf(rl.verts)
-	errs := make([]error, len(spans))
-	var wg sync.WaitGroup
-	for i, os := range spans {
-		// Owned miss targets, ascending (span order is ascending already).
-		var targets []int32
-		for k := os.lo; k < os.hi; k++ {
-			if !rl.hit[k] {
-				targets = append(targets, rl.verts[k])
+// shard, ship the lower-level input set (each target plus its sampled
+// sources, sorted and deduplicated) with its rows, and take the computed
+// target rows back into the level. The shard rebuilds its block in the
+// input set's ascending-parent-order local space, which induces the same
+// per-destination accumulation order whatever the span layout.
+func (fw *forward) computeLevel(level, inDim, outDim int, rl, prev *rlevel) error {
+	type job struct {
+		ownerSpan
+		targets []int32 // owned miss targets, ascending
+	}
+	var jobs []job
+	for _, os := range fw.spansOf(rl.verts) {
+		targets := rl.verts[os.lo:os.hi]
+		if rl.miss < len(rl.verts) {
+			targets = nil
+			for k := os.lo; k < os.hi; k++ {
+				if !rl.hit[k] {
+					targets = append(targets, rl.verts[k])
+				}
 			}
 		}
-		if len(targets) == 0 {
-			continue
+		if len(targets) > 0 {
+			jobs = append(jobs, job{os, targets})
 		}
-		wg.Add(1)
-		go func(i int, os ownerSpan, targets []int32) {
-			defer wg.Done()
-			// The input set: every target and its sampled sources, sorted
-			// and deduplicated — the shard rebuilds its block in this
-			// ascending-parent-order local space, which induces the same
-			// per-destination accumulation order as the single-node block.
-			seen := make(map[int32]struct{}, len(targets)*4)
-			var in []int32
+	}
+	// The level below is exactly the union of every miss's input set, so a
+	// sole job's input set is the level below itself, shipped as it stands;
+	// several jobs each gather their own subset.
+	var prevIdx map[int32]int32
+	if len(jobs) > 1 {
+		prevIdx = indexOf(prev.verts)
+	}
+	ctx := fw.ctx(len(jobs))
+	return fanOut(len(jobs), func(i int) error {
+		j := jobs[i]
+		in, rows := prev.verts, prev.rows
+		if prevIdx != nil {
+			seen := make(map[int32]struct{}, len(j.targets)*4)
+			in = nil
 			add := func(v int32) {
 				if _, ok := seen[v]; !ok {
 					seen[v] = struct{}{}
 					in = append(in, v)
 				}
 			}
-			for _, v := range targets {
-				add(v)
-				for _, s := range rl.srcs[rl.idx[v]] {
-					add(s)
+			for k := j.lo; k < j.hi; k++ {
+				if !rl.hit[k] {
+					add(rl.verts[k])
+					for _, src := range rl.srcs[k] {
+						add(src)
+					}
 				}
 			}
-			sort.Slice(in, func(a, b int) bool { return in[a] < in[b] })
-			rows := make([]float32, len(in)*inDim)
-			for j, v := range in {
-				copy(rows[j*inDim:(j+1)*inDim], prev.rows[int(prev.idx[v])*inDim:int(prev.idx[v]+1)*inDim])
+			slices.Sort(in)
+			rows = make([]float32, len(in)*inDim)
+			for n, v := range in {
+				p := int(prevIdx[v])
+				copy(rows[n*inDim:(n+1)*inDim], prev.rows[p*inDim:(p+1)*inDim])
 			}
-			args := &ComputeArgs{
-				Batch: batchID, Ver: ver, Level: level,
-				InDim: inDim, OutDim: outDim,
-				Verts: targets, In: in, Rows: rows,
-			}
-			rep, err := f.callCompute(os.shard, args)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			st := f.stats[os.shard]
-			st.computes.Add(1)
-			st.bytesOut.Add(uint64(wire.SizeComputeArgs(args)))
-			st.bytesIn.Add(uint64(wire.SizeComputeReply(rep)))
-			for j, v := range targets {
-				k := int(rl.idx[v])
-				copy(rl.rows[k*outDim:(k+1)*outDim], rep.Rows[j*outDim:(j+1)*outDim])
-			}
-		}(i, os, targets)
-	}
-	wg.Wait()
-	for _, err := range errs {
+		}
+		args := &ComputeArgs{
+			Batch: fw.batch, Ver: fw.ver, Level: level,
+			InDim: inDim, OutDim: outDim,
+			Verts: j.targets, In: in, Rows: rows,
+		}
+		rep, err := fw.callCompute(ctx, j.shard, args)
 		if err != nil {
 			return err
 		}
-	}
-	return nil
+		if len(rep.Rows) != len(j.targets)*outDim {
+			return fw.badReply(j.shard, "%d row elements for %d targets × dim %d",
+				len(rep.Rows), len(j.targets), outDim)
+		}
+		st := fw.stats[j.shard]
+		st.computes.Add(1)
+		st.bytesOut.Add(uint64(wire.SizeComputeArgs(args)))
+		st.bytesIn.Add(uint64(wire.SizeComputeReply(rep)))
+		if len(j.targets) == len(rl.verts) {
+			rl.rows = rep.Rows // every row of the level was computed here
+			return nil
+		}
+		n := 0
+		for k := j.lo; k < j.hi; k++ {
+			if !rl.hit[k] {
+				copy(rl.rows[k*outDim:(k+1)*outDim], rep.Rows[n*outDim:(n+1)*outDim])
+				n++
+			}
+		}
+		return nil
+	})
 }

@@ -2,18 +2,18 @@ package shard
 
 import (
 	"context"
-	"fmt"
 
 	"wisegraph/internal/shard/wire"
 )
 
 // The RPC surface between the router and one shard. The interface is
 // deliberately transport-shaped — plain-old-data requests in, plain-old-
-// data replies out, no shared mutable state, every row crossing it copied
-// — and there are two transports behind it: the Shard itself (in-process,
-// requests cross a channel into the worker pool) and tcpConn (the
-// internal/shard/wire binary protocol over a socket, shards running as
-// separate processes). The router never knows which it holds.
+// data replies out, no shared mutable state: a request's slices are only
+// read by the shard, a reply's slices belong to the caller — and there
+// are two transports behind it: the Shard itself (in-process, a direct
+// call) and tcpConn (the internal/shard/wire binary protocol over a
+// socket, shards running as separate processes). Numerics never depend
+// on which the router holds.
 //
 // Both calls are idempotent pure functions of (request, model version):
 // Expand and Compute derive everything from the shard's frozen graph
@@ -39,8 +39,8 @@ type (
 // Conn is one shard's RPC endpoint as the router sees it. The context
 // carries hedged-read cancellation: when another replica answers first,
 // the router cancels the losers, and a transport may use that to stop
-// waiting (the in-process transport abandons the wait; the TCP transport
-// additionally frees its in-flight window slot — the late reply is
+// waiting (the in-process transport gives up waiting for a free worker;
+// the TCP transport frees its in-flight window slot — the late reply is
 // dropped by the demux).
 type Conn interface {
 	// Expand probes the shard's per-layer cache for the given owned
@@ -51,66 +51,23 @@ type Conn interface {
 	Compute(ctx context.Context, args *ComputeArgs) (*ComputeReply, error)
 }
 
-// Expand implements Conn in-process: the request crosses a channel into
-// the shard's worker pool and the reply comes back on a per-call channel.
+// Expand implements Conn in-process: the call runs on the caller's
+// goroutine, on a worker state checked out for its duration.
 func (s *Shard) Expand(ctx context.Context, args *ExpandArgs) (*ExpandReply, error) {
-	rep, err := s.dispatch(ctx, call{expand: args})
-	return rep.expand, err
+	w, err := s.checkout(ctx, args.Ver)
+	if err != nil {
+		return nil, err
+	}
+	defer s.checkin(w)
+	return s.handleExpand(ctx, w, args)
 }
 
 // Compute implements Conn in-process.
 func (s *Shard) Compute(ctx context.Context, args *ComputeArgs) (*ComputeReply, error) {
-	rep, err := s.dispatch(ctx, call{compute: args})
-	return rep.compute, err
-}
-
-// call is one queued RPC with its reply channel.
-type call struct {
-	expand  *ExpandArgs
-	compute *ComputeArgs
-	reply   chan reply
-}
-
-type reply struct {
-	expand  *ExpandReply
-	compute *ComputeReply
-	err     error
-}
-
-// dispatch enqueues the call for the shard's worker pool and blocks for
-// the reply, tracking the shard-side in-flight count from admission to
-// completion (the fleet-wide drain invariant reads it).
-//
-// Shutdown is signalled through s.closed ONLY — reqCh is never closed, so
-// an abandoned hedged straggler that dispatches concurrently with Close
-// can never hit a send-on-closed-channel panic; it either loses the
-// admission select and returns a draining error, or wins it and is
-// resolved below. The drain invariant's answer for such stragglers is
-// explicit: once Close has begun, a dispatch that has not yet received
-// its reply resolves to a draining error (a worker that already picked
-// the call up may still complete it — the result lands in the buffered
-// reply channel and is discarded, which is safe because both RPC kinds
-// are idempotent and side-effect-free beyond the shard's own cache).
-// A canceled context (a hedged read lost to a faster replica) abandons
-// the call at either select; a worker that already picked it up still
-// completes it into the buffered reply channel, which is discarded.
-func (s *Shard) dispatch(ctx context.Context, c call) (reply, error) {
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-	c.reply = make(chan reply, 1)
-	select {
-	case s.reqCh <- c:
-	case <-s.closed:
-		return reply{}, fmt.Errorf("shard %d: draining", s.id)
-	case <-ctx.Done():
-		return reply{}, ctx.Err()
+	w, err := s.checkout(ctx, args.Ver)
+	if err != nil {
+		return nil, err
 	}
-	select {
-	case r := <-c.reply:
-		return r, r.err
-	case <-s.closed:
-		return reply{}, fmt.Errorf("shard %d: draining", s.id)
-	case <-ctx.Done():
-		return reply{}, ctx.Err()
-	}
+	defer s.checkin(w)
+	return s.handleCompute(ctx, w, args)
 }

@@ -1,21 +1,22 @@
-// Package shard is the sharded serving tier: the frozen CSR and feature
-// rows are split into contiguous vertex ranges, each owned by one node (a
+// Package shard is the serving forward: the frozen CSR and feature rows
+// are split into contiguous vertex ranges, each owned by one node (a
 // Shard) with its own model replicas, execution contexts and per-layer
 // hot-vertex cache, and a router (Fleet) fans every micro-batch's sampled
 // frontier out to the owners, collects the partial per-layer embeddings
-// and aggregates them through the same leveled deterministic forward
-// single-node serving uses — so sharded logits are bitwise-identical to
-// single-node at any shard count, engine and worker count. Shards run
-// either in-process (the Fleet owns them) or as separate wisegraph-shard
-// processes reached over the internal/shard/wire TCP protocol; slow or
-// failed shards are absorbed by a retry/hedge/timeout ladder at the
-// shard.rpc fault site, mirroring the distributed trainer's exchange
-// ladder.
+// and aggregates them level by level. It is the only leveled forward in
+// the repository — single-node serving is a fleet of one in-process
+// shard — and its logits are bitwise-identical at any shard count,
+// replica count, engine and worker count. Shards run either in-process
+// (the Fleet owns them and calls them directly) or as separate
+// wisegraph-shard processes reached over the internal/shard/wire TCP
+// protocol; slow or failed shards are absorbed by a retry/hedge/timeout
+// ladder at the shard.rpc fault site, mirroring the distributed trainer's
+// exchange ladder.
 package shard
 
 import (
+	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"wisegraph/internal/core"
@@ -26,19 +27,21 @@ import (
 	"wisegraph/internal/joint"
 	"wisegraph/internal/kernels"
 	"wisegraph/internal/nn"
+	"wisegraph/internal/obs"
 	"wisegraph/internal/tensor"
 	"wisegraph/internal/train"
 )
 
 // Shard owns the contiguous vertex range [lo, hi): the CSR rows (in-
-// edges) and feature rows of those vertices, a worker pool of model
-// replicas that serves Expand/Compute RPCs, and the range's per-layer
-// hot-vertex cache. In-process the underlying CSR and feature arrays are
-// shared memory and the shard touches only its owned range; in a
-// wisegraph-shard daemon they are the process's own copy. Every RPC
-// validates ownership and shape so a routing bug — or a malformed
-// deserialized request — surfaces as an error instead of silently
-// reading another node's data or copying garbage rows.
+// edges) and feature rows of those vertices, a free list of worker states
+// (model replica, partitioner, execution context) that Expand/Compute
+// RPCs check out, and the range's per-layer hot-vertex cache. In-process
+// the underlying CSR and feature arrays are shared memory and the shard
+// touches only its owned range; in a wisegraph-shard daemon they are the
+// process's own copy. Every RPC validates ownership and shape so a
+// routing bug — or a malformed deserialized request — surfaces as an
+// error instead of silently reading another node's data or copying
+// garbage rows.
 type Shard struct {
 	id     int
 	lo, hi int32
@@ -52,14 +55,14 @@ type Shard struct {
 	fan    []int
 	seed   uint64
 	plan   *joint.Result
-	engine string
 	src    *nn.Model
 
 	cache *hotcache.Cache
 
-	reqCh    chan call
+	// free holds every worker state not serving an RPC; its capacity is
+	// the worker count, so a checkin never blocks.
+	free     chan *shardWorker
 	closed   chan struct{}
-	wg       sync.WaitGroup
 	inflight atomic.Int64
 	devs     []*device.Device
 }
@@ -69,12 +72,11 @@ type Shard struct {
 // flags (worker pool, cache RAM), plus the fleet-coherence knobs the
 // router's Hello dictates (fan-outs, sampler seed, engine).
 type NodeConfig struct {
-	// Workers is the RPC worker pool size (min 1).
+	// Workers is how many RPCs the node runs at once (min 1).
 	Workers int
 	// Fanouts are the per-layer sampling fan-outs, Seed the deterministic
 	// sampler key, Engine the execution engine — identical across the
-	// fleet and the single-node reference, which is what the bitwise-
-	// parity guarantee rests on.
+	// fleet, which is what the bitwise-parity guarantee rests on.
 	Fanouts []int
 	Seed    uint64
 	Engine  string
@@ -85,19 +87,18 @@ type NodeConfig struct {
 	CacheShards int
 }
 
-// shardWorker is one RPC-serving goroutine's private compute state.
+// shardWorker is the private compute state one RPC runs on.
 type shardWorker struct {
 	replica *nn.Model
 	ver     uint64
 	pt      *core.Partitioner
 	ectx    *exec.Ctx
+	slots   []int32 // DetSample scratch
 }
 
 // NewShard builds one shard node over its owned slice of the frozen
-// (graph, features, model, plan) and starts its worker pool. Replicas are
-// stamped out before any goroutine starts so construction errors surface
-// synchronously. Callers outside a Fleet (the wisegraph-shard daemon)
-// must Close it themselves.
+// (graph, features, model, plan). Callers outside a Fleet (the
+// wisegraph-shard daemon) must Close it themselves.
 func NewShard(id int, lo, hi int32, csr *graph.CSR, feats *tensor.Tensor, ntypes int,
 	src *nn.Model, plan *joint.Result, cfg NodeConfig) (*Shard, error) {
 	if cfg.Workers < 1 {
@@ -121,14 +122,12 @@ func NewShard(id int, lo, hi int32, csr *graph.CSR, feats *tensor.Tensor, ntypes
 		fan:    cfg.Fanouts,
 		seed:   cfg.Seed,
 		plan:   plan,
-		engine: cfg.Engine,
 		src:    src,
 		cache:  hotcache.New(hotcache.Config{Budget: cfg.CacheBudget, Shards: cfg.CacheShards}),
-		reqCh:  make(chan call, cfg.Workers),
+		free:   make(chan *shardWorker, cfg.Workers),
 		closed: make(chan struct{}),
 	}
-	workers := make([]*shardWorker, cfg.Workers)
-	for i := range workers {
+	for i := 0; i < cfg.Workers; i++ {
 		replica, err := nn.NewModel(src.Cfg)
 		if err != nil {
 			return nil, err
@@ -140,11 +139,7 @@ func NewShard(id int, lo, hi int32, csr *graph.CSR, feats *tensor.Tensor, ntypes
 		s.devs = append(s.devs, dev)
 		ectx := exec.NewCtx(dev)
 		ectx.Engine = cfg.Engine
-		workers[i] = &shardWorker{replica: replica, pt: core.NewPartitioner(), ectx: ectx}
-	}
-	for _, w := range workers {
-		s.wg.Add(1)
-		go s.serve(w)
+		s.free <- &shardWorker{replica: replica, pt: core.NewPartitioner(), ectx: ectx}
 	}
 	return s, nil
 }
@@ -162,69 +157,50 @@ func newShard(id int, lo, hi int32, f *Fleet) (*Shard, error) {
 	})
 }
 
-// serve is one worker's RPC loop. Before each call the worker re-syncs
-// its replica if the request carries a newer model version; the caller
-// (the router, under the serve engine's model read-lock) guarantees no
-// reload runs concurrently, so all RPCs of one batch see one coherent
-// parameter set. Shutdown arrives via s.closed only; once it fires the
-// worker answers anything still queued with a draining error (admitted
-// calls are always answered, never computed past the close) and exits.
-func (s *Shard) serve(w *shardWorker) {
-	defer s.wg.Done()
-	defer w.pt.Release()
-	for {
-		select {
-		case c := <-s.reqCh:
-			s.handle(w, c)
-		case <-s.closed:
-			for {
-				select {
-				case c := <-s.reqCh:
-					c.reply <- reply{err: fmt.Errorf("shard %d: draining", s.id)}
-				default:
-					return
-				}
+// checkout takes a worker state off the free list for one RPC, counting
+// the RPC in flight from here to checkin (the fleet-wide drain invariant
+// reads the count). The worker's replica is re-synced when the request
+// carries a model version it has not seen; the caller (the router, under
+// the serve engine's model read-lock) guarantees no reload runs
+// concurrently, so all RPCs of one batch see one coherent parameter set.
+// A closed shard answers with a draining error; a canceled context (a
+// hedged read lost to a faster replica) gives up the wait.
+func (s *Shard) checkout(ctx context.Context, ver uint64) (*shardWorker, error) {
+	s.inflight.Add(1)
+	select {
+	case w := <-s.free:
+		if ver != w.ver {
+			if err := w.replica.CopyParamsFrom(s.src); err != nil {
+				s.checkin(w)
+				return nil, fmt.Errorf("shard %d: replica re-sync: %w", s.id, err)
 			}
+			w.ver = ver
 		}
+		return w, nil
+	case <-s.closed:
+		s.inflight.Add(-1)
+		return nil, fmt.Errorf("shard %d: draining", s.id)
+	case <-ctx.Done():
+		s.inflight.Add(-1)
+		return nil, ctx.Err()
 	}
 }
 
-// handle runs one admitted call on this worker.
-func (s *Shard) handle(w *shardWorker, c call) {
-	var (
-		ver uint64
-		r   reply
-	)
-	if c.expand != nil {
-		ver = c.expand.Ver
-	} else {
-		ver = c.compute.Ver
-	}
-	if ver != w.ver {
-		if err := w.replica.CopyParamsFrom(s.src); err != nil {
-			c.reply <- reply{err: fmt.Errorf("shard %d: replica re-sync: %w", s.id, err)}
-			return
-		}
-		w.ver = ver
-	}
-	if c.expand != nil {
-		r.expand, r.err = s.handleExpand(c.expand)
-	} else {
-		r.compute, r.err = s.handleCompute(w, c.compute)
-	}
-	c.reply <- r
+func (s *Shard) checkin(w *shardWorker) {
+	s.inflight.Add(-1)
+	s.free <- w
 }
 
-// Close stops the worker pool: the closed channel is the only shutdown
-// signal (reqCh stays open forever, so a concurrent dispatch can never
-// panic on a closed send), workers answer anything still queued with a
-// draining error and exit, and Close returns once all have. Safe to call
-// exactly once; the router calls it once no well-behaved caller will
-// dispatch again, and any abandoned hedged straggler that still does gets
-// the draining error dispatch documents.
+// Close drains the node: an RPC still waiting for a worker gets a
+// draining error, and Close returns once every worker state is back on
+// the free list — every RPC that got one has been answered. After that
+// the list stays empty, so any later RPC is refused. Safe to call exactly
+// once.
 func (s *Shard) Close() {
 	close(s.closed)
-	s.wg.Wait()
+	for i := 0; i < cap(s.free); i++ {
+		(<-s.free).pt.Release()
+	}
 }
 
 // InFlight returns the shard's admitted-but-unanswered RPC count — the
@@ -256,8 +232,18 @@ func (s *Shard) degree(v int32) int32 { return s.csr.RowPtr[v+1] - s.csr.RowPtr[
 // handleExpand resolves one level's owned span: cache probes for every
 // vertex, deterministic frontier sampling for the misses. At level 0 the
 // shard also gathers its owned feature rows for the misses (and admits
-// them), so input features never need a second round trip.
-func (s *Shard) handleExpand(a *ExpandArgs) (*ExpandReply, error) {
+// them), so input features never need a second round trip. The handler's
+// stages go on the caller's track when ctx carries one, so an inline
+// caller's trace decomposes with no gap across the call.
+func (s *Shard) handleExpand(ctx context.Context, w *shardWorker, a *ExpandArgs) (*ExpandReply, error) {
+	// Level 0 is data movement (the feature gather); above it the work is
+	// sampling.
+	stage := obs.StageSample
+	if a.Level == 0 {
+		stage = obs.StageCollective
+	}
+	tr := obs.Enter(ctx, stage, a.Batch)
+	defer tr.Leave()
 	if a.Level < 0 || a.Level >= len(s.dims) {
 		return nil, fmt.Errorf("shard %d: expand level %d outside [0,%d]", s.id, a.Level, s.layers)
 	}
@@ -277,27 +263,41 @@ func (s *Shard) handleExpand(a *ExpandArgs) (*ExpandReply, error) {
 		Hit:  make([]bool, len(a.Verts)),
 		Rows: make([]float32, len(a.Verts)*a.Dim),
 	}
-	if a.Level > 0 {
-		r.Srcs = make([][]int32, len(a.Verts))
+	row := func(i int) []float32 { return r.Rows[i*a.Dim : (i+1)*a.Dim] }
+	if s.cache != nil {
+		tr.To(obs.StageCache)
+		for i, v := range a.Verts {
+			r.Hit[i] = s.cache.Get(a.Ver, a.Level, v, row(i))
+		}
+		tr.To(stage)
 	}
-	fan := 0
-	if a.Level > 0 {
-		fan = s.fan[s.layers-a.Level]
+	if a.Level == 0 {
+		for i, v := range a.Verts {
+			if !r.Hit[i] {
+				copy(row(i), s.feats.Row(int(v)))
+			}
+		}
+		if s.cache != nil {
+			tr.To(obs.StageCache)
+			for i, v := range a.Verts {
+				if !r.Hit[i] {
+					s.cache.Put(a.Ver, 0, v, s.degree(v), row(i))
+				}
+			}
+		}
+		return r, nil
 	}
+	// A cached interior vertex prunes its entire sampled subtree from the
+	// batch: only the misses are sampled.
+	r.Srcs = make([][]int32, len(a.Verts))
+	fan := s.fan[s.layers-a.Level]
 	for i, v := range a.Verts {
-		row := r.Rows[i*a.Dim : (i+1)*a.Dim]
-		if s.cache.Get(a.Ver, a.Level, v, row) {
-			r.Hit[i] = true
+		if r.Hit[i] {
 			continue
 		}
-		if a.Level == 0 {
-			copy(row, s.feats.Row(int(v)))
-			s.cache.Put(a.Ver, 0, v, s.degree(v), row)
-			continue
-		}
-		slots := graph.DetSample(nil, s.csr, v, fan, s.seed)
-		srcs := make([]int32, len(slots))
-		for j, slot := range slots {
+		w.slots = graph.DetSample(w.slots[:0], s.csr, v, fan, s.seed)
+		srcs := make([]int32, len(w.slots))
+		for j, slot := range w.slots {
 			srcs[j] = s.csr.Col[slot]
 		}
 		r.Srcs[i] = srcs
@@ -306,13 +306,17 @@ func (s *Shard) handleExpand(a *ExpandArgs) (*ExpandReply, error) {
 }
 
 // handleCompute runs layer Level-1 for the shard's owned miss targets:
-// it rebuilds each target's sampled block edges (same deterministic
-// sampler, same canonical ascending-target/contiguous-sample edge order
-// the bitwise-parity argument relies on) over the shipped input rows,
-// executes the layer under the frozen joint plan with the shard's
+// it rebuilds each target's sampled block edges over the shipped input
+// rows — targets in ascending parent order, each one's edges contiguous
+// in DetSample order, in the input set's (sorted-parent-order) local id
+// space: the canonical edge stream the bitwise-parity argument relies on
+// — executes the layer under the frozen joint plan with the shard's
 // engine, applies the between-layer activation, and admits the fresh
-// rows into the shard's cache.
-func (s *Shard) handleCompute(w *shardWorker, a *ComputeArgs) (*ComputeReply, error) {
+// rows into the shard's cache. The input rows are read in place, never
+// copied or modified.
+func (s *Shard) handleCompute(ctx context.Context, w *shardWorker, a *ComputeArgs) (*ComputeReply, error) {
+	tr := obs.Enter(ctx, obs.StagePartition, a.Batch)
+	defer tr.Leave()
 	if a.Level < 1 || a.Level > s.layers {
 		return nil, fmt.Errorf("shard %d: compute level %d outside [1,%d]", s.id, a.Level, s.layers)
 	}
@@ -327,10 +331,7 @@ func (s *Shard) handleCompute(w *shardWorker, a *ComputeArgs) (*ComputeReply, er
 		return nil, fmt.Errorf("shard %d: %d input rows elements for %d vertices × dim %d",
 			s.id, len(a.Rows), len(a.In), a.InDim)
 	}
-	idx := make(map[int32]int32, len(a.In))
-	for i, v := range a.In {
-		idx[v] = int32(i)
-	}
+	idx := indexOf(a.In)
 	fan := s.fan[s.layers-a.Level]
 	g := &graph.Graph{NumVertices: len(a.In), NumTypes: s.ntypes}
 	for _, v := range a.Verts {
@@ -338,7 +339,8 @@ func (s *Shard) handleCompute(w *shardWorker, a *ComputeArgs) (*ComputeReply, er
 		if !ok {
 			return nil, fmt.Errorf("shard %d: target %d missing from input set", s.id, v)
 		}
-		for _, slot := range graph.DetSample(nil, s.csr, v, fan, s.seed) {
+		w.slots = graph.DetSample(w.slots[:0], s.csr, v, fan, s.seed)
+		for _, slot := range w.slots {
 			src, ok := idx[s.csr.Col[slot]]
 			if !ok {
 				return nil, fmt.Errorf("shard %d: source %d of target %d missing from input set",
@@ -355,18 +357,21 @@ func (s *Shard) handleCompute(w *shardWorker, a *ComputeArgs) (*ComputeReply, er
 		g.NumTypes = 1
 	}
 
-	x := tensor.Get(len(a.In), a.InDim)
-	copy(x.Data(), a.Rows)
 	part := train.ReusePlanWith(w.pt, s.plan, g)
 	gc := nn.NewGraphCtx(g)
+	x := tensor.FromSlice(a.Rows, len(a.In), a.InDim)
 	w.ectx.TraceID = a.Batch
+	tr.End() // RunModelLayer records the exec span itself
 	out, err := kernels.RunModelLayer(w.ectx, gc, w.replica, a.Level-1, x, part, s.plan.OpPlan)
-	tensor.Put(x)
+	tr.To(obs.StageCollective)
 	if err != nil {
 		return nil, err
 	}
 	defer tensor.Put(out)
 
+	// Splice the target rows out, applying the between-layer activation
+	// exactly as kernels.RunModel does (ReLU after every layer but the
+	// last, elementwise v > 0 ? v : 0).
 	r := &ComputeReply{Rows: make([]float32, len(a.Verts)*a.OutDim)}
 	relu := a.Level < s.layers
 	for i, v := range a.Verts {
@@ -383,7 +388,12 @@ func (s *Shard) handleCompute(w *shardWorker, a *ComputeArgs) (*ComputeReply, er
 		} else {
 			copy(dst, src)
 		}
-		s.cache.Put(a.Ver, a.Level, v, s.degree(v), dst)
+	}
+	if s.cache != nil {
+		tr.To(obs.StageCache)
+		for i, v := range a.Verts {
+			s.cache.Put(a.Ver, a.Level, v, s.degree(v), r.Rows[i*a.OutDim:(i+1)*a.OutDim])
+		}
 	}
 	return r, nil
 }

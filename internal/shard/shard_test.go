@@ -166,7 +166,7 @@ func TestCallLadderExhaustion(t *testing.T) {
 		Seed:  1,
 		Sites: map[string]fault.SiteConfig{fault.SiteShardRPC: {ErrorRate: 1}},
 	}, func() {
-		_, err := f.call(0, func(context.Context, Conn) (any, error) {
+		_, err := f.call(context.Background(), 0, func(context.Context, Conn) (any, error) {
 			t.Fatal("do ran despite 100% error rate")
 			return nil, nil
 		})
@@ -194,7 +194,7 @@ func TestCallLadderHedge(t *testing.T) {
 	}, func() {
 		ran := false
 		start := time.Now()
-		if _, err := f.call(0, func(context.Context, Conn) (any, error) { ran = true; return nil, nil }); err != nil {
+		if _, err := f.call(context.Background(), 0, func(context.Context, Conn) (any, error) { ran = true; return nil, nil }); err != nil {
 			t.Fatalf("hedged call failed: %v", err)
 		}
 		// Both the first draw and the hedge's re-draw straggle ([10,30)ms
@@ -227,7 +227,7 @@ func TestCallLadderTimeout(t *testing.T) {
 	}, func() {
 		start := time.Now()
 		for i := 0; i < 20; i++ {
-			if _, err := f.call(0, func(context.Context, Conn) (any, error) { return nil, nil }); err != nil {
+			if _, err := f.call(context.Background(), 0, func(context.Context, Conn) (any, error) { return nil, nil }); err != nil {
 				t.Fatalf("call %d failed: %v", i, err)
 			}
 		}

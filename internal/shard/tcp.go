@@ -21,7 +21,7 @@ import (
 
 // The TCP transport: tcpConn implements Conn over the internal/shard/wire
 // protocol against a wisegraph-shard daemon, and Server is the daemon
-// side, feeding decoded frames into the Shard worker pool. Each
+// side, running decoded frames on its Shard. Each
 // connection opens with a Hello carrying the full fleet configuration;
 // the daemon is passive and interchangeable — it learns its shard
 // identity (including its replica id), owned range, sampler seed, engine
@@ -505,7 +505,7 @@ func (sv *Server) Serve(ln net.Listener) error {
 
 // Close stops serving: marks the server closed, closes every live
 // connection (in-flight handlers see a broken write and unwind), waits
-// for the handlers, then drains the shard's worker pool. The caller
+// for the handlers, then drains the shard. The caller
 // closes the listener.
 func (sv *Server) Close() {
 	sv.mu.Lock()

@@ -12,8 +12,8 @@ echo "== go build ./..."
 go build ./...
 
 echo "== go test -race ./..."
-# internal/bench runs ~37s without the race detector; the ~15-20x race
-# multiplier on a one-core box puts it at go test's default 10m
+# internal/bench runs ~24s without the race detector; the ~15-20x race
+# multiplier on a one-core box puts it near go test's default 10m
 # per-package timeout, so give the full race pass explicit headroom.
 go test -race -timeout 30m ./...
 
@@ -59,29 +59,19 @@ awk '
   }' "${TMPDIR:-/tmp}/engine_bench.txt"
 echo "engine smoke OK"
 
-# The serving engine's concurrency machinery (admission lock, micro-batch
-# coalescing, drain protocol, lock-free metrics) is exercised by a
-# dedicated suite that must stay clean under the race detector at both
-# scheduler extremes.
-SERVE='Concurrent|Shed|Drain|Parity|Canceled'
-echo "== serving concurrency under -race (GOMAXPROCS=1)"
-GOMAXPROCS=1 go test -race -count=1 -run "$SERVE" ./internal/serve/
-echo "== serving concurrency under -race (GOMAXPROCS=$NPROC)"
-GOMAXPROCS="$NPROC" go test -race -count=1 -run "$SERVE" ./internal/serve/
-
-# The hot-vertex cache: the cache package's own suite (admission scoring,
-# eviction, version gating, concurrent churn) plus the serving-side
-# cached-vs-uncached bitwise parity, reload invalidation and cache chaos
-# tests, under the race detector at both scheduler extremes. Cached
-# logits must be bit-identical to uncached at any cache size, engine and
-# worker count — the cache is a performance knob, never a numerics knob.
-CACHE='Cache'
-echo "== hot-vertex cache under -race (GOMAXPROCS=1)"
-GOMAXPROCS=1 go test -race -count=1 ./internal/hotcache/
-GOMAXPROCS=1 go test -race -count=1 -run "$CACHE" ./internal/serve/
-echo "== hot-vertex cache under -race (GOMAXPROCS=$NPROC)"
-GOMAXPROCS="$NPROC" go test -race -count=1 ./internal/hotcache/
-GOMAXPROCS="$NPROC" go test -race -count=1 -run "$CACHE" ./internal/serve/
+# Serving is one forward — the serve engine's admission/batching/drain
+# machinery over the shard fleet's leveled forward and the shards'
+# hot-vertex caches — so its suites run together, whole, under the race
+# detector at both scheduler extremes: the serving concurrency and chaos
+# drain tests, the bitwise parity matrices (shards x replicas x engines x
+# workers, cached vs uncached, per-vertex reference), reload coherence,
+# placement/ownership/reply validation, the hedged RPC ladder and the TCP
+# transport, and the cache package's own suite.
+for procs in 1 "$NPROC"; do
+  echo "== serving, fleet and hot-vertex cache under -race (GOMAXPROCS=$procs)"
+  GOMAXPROCS="$procs" go test -race -count=1 \
+    ./internal/serve/ ./internal/shard/... ./internal/hotcache/
+done
 
 # Cached-path performance smoke (benchstat-style, min of 5): under
 # Zipf-1.2 skew the warmed cached path must beat — or at worst stay
@@ -99,19 +89,6 @@ awk '
     if (cmin > 1.10 * umin) { print "FAIL: cached path regressed >10% vs uncached at zipf 1.2"; exit 1 }
   }' "${TMPDIR:-/tmp}/cache_bench.txt"
 echo "cache smoke OK"
-
-# The sharded serving tier: placement boundaries, ownership validation,
-# the hedged RPC ladder, and the fleet-wide guarantees — bitwise parity
-# against single-node across shard counts/engines/workers, cache warm-up,
-# reload coherence and the chaos drain invariant — under the race
-# detector at both scheduler extremes.
-SHARD='Sharded|CacheWarm'
-echo "== sharded tier under -race (GOMAXPROCS=1)"
-GOMAXPROCS=1 go test -race -count=1 ./internal/shard/
-GOMAXPROCS=1 go test -race -count=1 -run "$SHARD" ./internal/serve/
-echo "== sharded tier under -race (GOMAXPROCS=$NPROC)"
-GOMAXPROCS="$NPROC" go test -race -count=1 ./internal/shard/
-GOMAXPROCS="$NPROC" go test -race -count=1 -run "$SHARD" ./internal/serve/
 
 # The observability layer's lock-free tracer and histograms are written to
 # by every pipeline stage concurrently; its suite must stay clean under
