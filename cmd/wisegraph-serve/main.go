@@ -69,7 +69,7 @@ func main() {
 		cacheWarm   = flag.Int("cache-warm", 0, "pre-admit the top-K highest-in-degree vertices per layer at startup (0 disables)")
 		shards      = flag.Int("shards", 1, "serve through N in-process shards behind a fan-out router (>1 enables the sharded tier; cache budget becomes per-shard)")
 		placement   = flag.String("placement", "", "shard boundary policy: vertex|edge|cost (default edge)")
-		shardTmo    = flag.Duration("shard-timeout", 250*time.Millisecond, "per-shard-RPC deadline (modeled stragglers at/past it are retried)")
+		shardTmo    = flag.Duration("shard-timeout", 250*time.Millisecond, "per-shard-RPC deadline (an attempt with no reply by then is a timeout and is retried; replica hedges fire at a quarter of it)")
 		shardAddrs  = flag.String("shard-addrs", "", "comma-separated wisegraph-shard daemon addresses: serve through remote TCP shards, one per address (overrides -shards; daemons must be started with the same dataset/checkpoint flags)")
 		replicas    = flag.Int("replicas", 1, "replicas per shard span: reads fail over and hedge across them (with -shard-addrs, the list groups into R-way replica sets, all replicas of span 0 first)")
 	)

@@ -11,6 +11,7 @@ import (
 	"wisegraph/internal/graph"
 	"wisegraph/internal/nn"
 	"wisegraph/internal/obs"
+	"wisegraph/internal/retry"
 	"wisegraph/internal/tensor"
 )
 
@@ -50,9 +51,7 @@ type Engine struct {
 	mu        sync.Mutex
 	commBytes float64
 
-	// resilience accounting for the exchange path (see fetchWithRetry)
-	retries atomic.Uint64 // failed fetch attempts that were retried
-	hedges  atomic.Uint64 // straggling fetches abandoned for a re-issue
+	retries atomic.Uint64 // peer fetches re-issued after a failed attempt
 }
 
 // NewEngine partitions g's vertices into c.N contiguous blocks and
@@ -178,28 +177,26 @@ func (e *Engine) Unshard(parts []*tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// Retry ladder for the exchange path. A peer fetch gets exchangeAttempts
-// tries; failed attempts back off exponentially from backoffBase with
-// deterministic jitter, and a fetch the injector marks as straggling
-// longer than hedgeAfter is abandoned and re-issued immediately (the
-// hedge) instead of being waited out — safe because fetches are
-// idempotent row copies.
-const (
-	exchangeAttempts = 5
-	backoffBase      = 100 * time.Microsecond
-	hedgeAfter       = time.Millisecond
-)
+// Resilience reports how many peer fetches the exchange path re-issued
+// after a failed attempt.
+func (e *Engine) Resilience() (retries uint64) { return e.retries.Load() }
 
-// Resilience reports the exchange path's retry and hedge counts.
-func (e *Engine) Resilience() (retries, hedges uint64) {
-	return e.retries.Load(), e.hedges.Load()
-}
-
-// fetchPeer copies device d's remote needs from peer p's block into recv
-// and returns the bytes moved. It is idempotent: a retried or hedged
-// fetch overwrites the same keys with the same rows, which is what makes
-// the resilience ladder numerics-preserving.
-func (e *Engine) fetchPeer(d, p int, src *tensor.Tensor, recv map[int32][]float32) float64 {
+// fetchPeer is one attempt at copying device d's remote needs from peer
+// p's block into recv, accounting the bytes moved when it succeeds. It is
+// the simulated link, and so the dist.exchange fault site: an injected
+// error loses the request before a row moves, a latency fault really
+// holds the transfer up for its spike, and injected corruption fails the
+// integrity check after the rows have landed. The copy is idempotent — a
+// re-issued fetch overwrites the same keys with the same rows — which is
+// what makes the retry ladder numerics-preserving.
+func (e *Engine) fetchPeer(d, p int, src *tensor.Tensor, recv map[int32][]float32) error {
+	flt := fault.Check(fault.SiteExchange)
+	if flt != nil {
+		if flt.Kind == fault.KindError {
+			return flt.Err()
+		}
+		time.Sleep(flt.Delay) // zero unless the fault is a straggle
+	}
 	lo := e.blockStart[p]
 	f := src.RowSize()
 	var vol float64
@@ -212,59 +209,19 @@ func (e *Engine) fetchPeer(d, p int, src *tensor.Tensor, recv map[int32][]float3
 		copy(row, src.Row(int(v-lo)))
 		vol += float64(f) * 4
 	}
-	return vol
-}
-
-// fetchWithRetry runs one peer fetch under the fault injector's
-// dist.exchange site: injected errors and detected corruption are retried
-// with exponential backoff plus jitter, short straggles are waited out,
-// and long straggles are hedged (abandoned and re-issued). Bounded: after
-// exchangeAttempts failed attempts the error surfaces to the caller.
-func (e *Engine) fetchWithRetry(d, p int, src *tensor.Tensor, recv map[int32][]float32) error {
-	backoff := backoffBase
-	for attempt := 0; attempt < exchangeAttempts; attempt++ {
-		f := fault.Check(fault.SiteExchange)
-		if f != nil && f.Kind == fault.KindLatency {
-			if f.Delay >= hedgeAfter {
-				// Hedge: don't wait out the straggler — re-issue at once.
-				// The abandoned attempt costs nothing here because the
-				// simulated transfer never started computing.
-				e.hedges.Add(1)
-				f = fault.Check(fault.SiteExchange)
-			} else {
-				time.Sleep(f.Delay)
-				f = nil
-			}
-		}
-		if f != nil && f.Kind == fault.KindLatency {
-			// The hedge itself straggles: wait it out, it still succeeds.
-			time.Sleep(f.Delay)
-			f = nil
-		}
-		if f == nil {
-			e.account(e.fetchPeer(d, p, src, recv))
-			return nil
-		}
-		// Injected error or corruption-detected: back off and retry.
-		e.retries.Add(1)
-		if attempt < exchangeAttempts-1 {
-			jitter := time.Duration(uint64(backoff) * (f.Seq%128 + 128) / 256)
-			time.Sleep(jitter)
-			backoff *= 2
-		} else {
-			return fmt.Errorf("dist: exchange fetch dev%d<-dev%d failed after %d attempts: %w",
-				d, p, exchangeAttempts, f.Err())
-		}
+	if flt != nil && flt.Kind == fault.KindCorrupt {
+		return flt.Err()
 	}
+	e.account(vol)
 	return nil
 }
 
 // exchange performs the all-to-all feature fetch: device d receives the
 // rows of its remote needs from their owners. Returns, per device, a map
 // from global vertex id to the received row (backed by remote tensors'
-// copies). Accounts the deduplicated communication volume. Per-peer
-// fetches run through the retry/hedge ladder; the error is non-nil only
-// when a fetch exhausted its attempts under fault injection.
+// copies). Each per-peer fetch runs through the shared retry ladder
+// (internal/retry); the error is non-nil only when a fetch exhausted its
+// attempts under fault injection.
 func (e *Engine) exchange(parts []*tensor.Tensor) ([]map[int32][]float32, error) {
 	sp := obs.Begin(obs.StageCollective, obs.NewID())
 	defer sp.End()
@@ -278,8 +235,15 @@ func (e *Engine) exchange(parts []*tensor.Tensor) ([]map[int32][]float32, error)
 			defer wg.Done()
 			recv := map[int32][]float32{}
 			for p := 0; p < n; p++ {
-				if err := e.fetchWithRetry(d, p, parts[p], recv); err != nil {
-					errs[d] = err
+				// The device pair keys the jitter: concurrent fetchers differ in d.
+				err := retry.Do(uint64(d*n+p), fault.IsInjected, func(attempt int) error {
+					if attempt > 0 {
+						e.retries.Add(1)
+					}
+					return e.fetchPeer(d, p, parts[p], recv)
+				})
+				if err != nil {
+					errs[d] = fmt.Errorf("dist: exchange fetch dev%d<-dev%d %w", d, p, err)
 					return
 				}
 			}

@@ -10,7 +10,7 @@
 // produce identical per-site fault sequences regardless of goroutine
 // scheduling (concurrent callers race only for sequence numbers, never
 // for the decision attached to each number). That is what lets the test
-// battery assert that retries, hedges and checkpoint recovery reproduce
+// battery assert that retries, failover and checkpoint recovery reproduce
 // unfaulted numerics bit-for-bit.
 //
 // The disabled fast path is one atomic pointer load, so instrumented hot
@@ -18,6 +18,7 @@
 package fault
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -32,7 +33,7 @@ const (
 	// SiteDeviceLaunch fires per simulated kernel launch (internal/device).
 	SiteDeviceLaunch = "device.launch"
 	// SiteExchange fires per peer fetch attempt in the distributed halo
-	// exchange (internal/dist.Engine.exchange).
+	// exchange, at the simulated link (internal/dist.Engine.fetchPeer).
 	SiteExchange = "dist.exchange"
 	// SiteServeBatch fires per micro-batch forward attempt
 	// (internal/serve.runBatch).
@@ -41,8 +42,8 @@ const (
 	SiteCheckpoint = "nn.checkpoint"
 	// SiteTrainStep fires per training epoch/step (internal/train).
 	SiteTrainStep = "train.step"
-	// SiteShardRPC fires per router→shard RPC attempt in the sharded
-	// serving tier (internal/shard.Fleet).
+	// SiteShardRPC fires per router→shard RPC attempt, at the transport
+	// (the Conn decorator internal/shard.faultConn).
 	SiteShardRPC = "shard.rpc"
 )
 
@@ -97,17 +98,8 @@ func (e *InjectedError) Error() string {
 // IsInjected reports whether err (anywhere in its chain) came from the
 // injector — tests and accounting use it to tell chaos from real bugs.
 func IsInjected(err error) bool {
-	for err != nil {
-		if _, ok := err.(*InjectedError); ok {
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
+	var ie *InjectedError
+	return errors.As(err, &ie)
 }
 
 // SiteConfig sets the per-draw fault probabilities for one site. Rates

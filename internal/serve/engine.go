@@ -116,9 +116,9 @@ type Options struct {
 	// ShardPlacement picks the shard boundary policy: "vertex", "edge"
 	// (default) or "cost" — see internal/shard.ParsePlacement.
 	ShardPlacement string
-	// ShardTimeout is the per-RPC deadline in the sharded tier: a modeled
-	// straggler at or beyond it counts as a shard timeout and is retried
-	// (default 250ms).
+	// ShardTimeout is the per-RPC deadline in the sharded tier (default
+	// 250ms): an attempt with no reply by then is a counted shard timeout
+	// and is retried; replica hedges fire at a quarter of it.
 	ShardTimeout time.Duration
 	// ShardAddrs routes the sharded tier over TCP: one wisegraph-shard
 	// daemon address per shard. Non-empty addresses override Shards (the

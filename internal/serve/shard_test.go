@@ -178,10 +178,10 @@ func TestCacheWarmValidation(t *testing.T) {
 }
 
 // TestShardedChaosFleetDrain drives the fleet under injected shard.rpc
-// faults — errors, and stragglers split by the tight ShardTimeout into
-// hedges and timeouts — and proves the fleet-wide drain invariant: every
-// admitted request answered exactly once, router in-flight AND every
-// shard's in-flight at zero after shutdown.
+// faults — errors, and stragglers the tight ShardTimeout splits into
+// ones waited out and real timeouts — and proves the fleet-wide drain
+// invariant: every admitted request answered exactly once, router
+// in-flight AND every shard's in-flight at zero after shutdown.
 func TestShardedChaosFleetDrain(t *testing.T) {
 	const vertices = 80
 	ds := testDataset(t, vertices, 320, 10, 4, 1, 31)

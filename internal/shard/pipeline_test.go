@@ -44,6 +44,13 @@ func TestPipelinedOutOfOrder(t *testing.T) {
 		t.Fatalf("listen: %v", err)
 	}
 	defer ln.Close()
+	// Closed when the test body returns, i.e. once both callers hold their
+	// replies: the peer keeps its socket open until then. Closing it right
+	// behind the last write raced the client: the demux fails the connection
+	// on EOF, and a waiter that finds its reply and that failure both ready
+	// may report the failure.
+	release := make(chan struct{})
+	defer close(release)
 
 	// The scripted peer: accept one connection, OK the Hello, read BOTH
 	// requests before answering either, then reply in reverse arrival
@@ -79,6 +86,7 @@ func TestPipelinedOutOfOrder(t *testing.T) {
 			rep := &wire.ExpandReply{Hit: []bool{true}, Rows: []float32{float32(reqs[i].vert)}}
 			nc.Write(wire.AppendExpandReply(nil, reqs[i].id, rep))
 		}
+		<-release
 	}()
 
 	// Handshake directly — the scripted peer validates nothing.

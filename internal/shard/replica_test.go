@@ -163,29 +163,46 @@ func TestReplicaHealthRecovers(t *testing.T) {
 }
 
 // TestReplicaHedgeOnStraggler: a straggling leader is hedged after
-// Timeout/4 — the fast replica's answer wins and the call never waits
-// out the straggle.
+// Timeout/4 — the fast replica's answer wins and no call waits out the
+// straggle — whether the straggler is a slow replica or an injected
+// shard.rpc latency fault at replica 0's transport. (With one replica
+// there is nobody to hedge to: TestCallLadderTimeout pins hedges == 0.)
 func TestReplicaHedgeOnStraggler(t *testing.T) {
-	slow := &fakeConn{delay: 2 * time.Second}
-	fast := &fakeConn{}
-	f := fakeFleet(t, slow, fast)
-
-	start := time.Now()
-	for i := 0; i < 6; i++ {
-		if _, err := f.callExpand(context.Background(), 0, &ExpandArgs{Level: 0, Dim: 1, Verts: []int32{1}}); err != nil {
-			t.Fatalf("call %d: %v", i, err)
-		}
-	}
-	// Rotation starts roughly half the calls on the straggler; each such
-	// call pays one hedge delay (25ms), never the 2s straggle.
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("6 calls took %v — a straggler was waited out instead of hedged", elapsed)
-	}
-	if _, hedges, _, failures := f.Resilience(); hedges == 0 || failures != 0 {
-		t.Fatalf("hedges=%d failures=%d, want >0 hedges and 0 failures", hedges, failures)
-	}
-	if fast.calls.Load() == 0 {
-		t.Fatal("fast replica never hedged in")
+	const spike = 2 * time.Second
+	for _, tc := range []struct {
+		name string
+		slow Conn
+	}{
+		{"slow-replica", &fakeConn{delay: spike}},
+		{"injected-latency", &faultConn{Conn: &fakeConn{}, addr: "fake", timeout: 100 * time.Millisecond}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fast := &fakeConn{}
+			f := fakeFleet(t, tc.slow, fast)
+			fault.WithSchedule(&fault.Schedule{
+				Seed:  1,
+				Sites: map[string]fault.SiteConfig{fault.SiteShardRPC: {LatencyRate: 1, Delay: 2 * spike}},
+			}, func() {
+				start := time.Now()
+				for i := 0; i < 6; i++ {
+					if _, err := f.callExpand(context.Background(), 0, &ExpandArgs{Level: 0, Dim: 1, Verts: []int32{1}}); err != nil {
+						t.Fatalf("call %d: %v", i, err)
+					}
+				}
+				// Rotation starts roughly half the calls on the straggler; each
+				// such call pays one hedge delay (25ms), and all six together
+				// finish inside one spike.
+				if elapsed := time.Since(start); elapsed > spike/2 {
+					t.Fatalf("6 calls took %v — a straggler was waited out instead of hedged", elapsed)
+				}
+			})
+			if _, hedges, _, failures := f.Resilience(); hedges == 0 || failures != 0 {
+				t.Fatalf("hedges=%d failures=%d, want >0 hedges and 0 failures", hedges, failures)
+			}
+			if fast.calls.Load() == 0 {
+				t.Fatal("fast replica never hedged in")
+			}
+		})
 	}
 }
 
@@ -317,8 +334,7 @@ func TestByteAccountingTimeoutRetry(t *testing.T) {
 		t.Fatalf("clean run booked bytesIn=%d bytesOut=%d", wantIn, wantOut)
 	}
 
-	faulted := testFleet(t, g, 2, 2, 0)
-	faulted.cfg.Timeout = time.Millisecond
+	faulted := testFleetCfg(t, g, Config{Shards: 2, Workers: 2, Timeout: time.Millisecond})
 	var got []float32
 	fault.WithSchedule(&fault.Schedule{
 		Seed: 1,

@@ -12,12 +12,12 @@ import (
 	"time"
 
 	"wisegraph/internal/device"
-	"wisegraph/internal/fault"
 	"wisegraph/internal/graph"
 	"wisegraph/internal/hotcache"
 	"wisegraph/internal/joint"
 	"wisegraph/internal/nn"
 	"wisegraph/internal/obs"
+	"wisegraph/internal/retry"
 	"wisegraph/internal/shard/wire"
 	"wisegraph/internal/tensor"
 )
@@ -52,9 +52,9 @@ type Config struct {
 	// hold a hot set no single node can.
 	CacheBudget int64
 	CacheShards int
-	// Timeout is the per-RPC deadline: a modeled straggle at or beyond it
-	// counts as a timeout and takes the retry path (default 250ms). The
-	// replica hedge delay derives from it (Timeout/4).
+	// Timeout is the per-RPC deadline (default 250ms): an attempt with no
+	// reply by then ends in TransportError{Timeout: true} and is retried.
+	// The replica hedge delay derives from it (Timeout/4).
 	Timeout time.Duration
 }
 
@@ -77,24 +77,6 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-// Retry ladder for router→shard RPCs, mirroring the distributed trainer's
-// exchange ladder: rpcAttempts tries per call, exponential backoff from
-// rpcBackoffBase with deterministic jitter on injected errors/corruption,
-// and a straggle past rpcHedgeAfter is abandoned for an immediate hedged
-// re-issue (safe: both RPCs are idempotent pure functions of the request
-// and model version). A straggle at or past the configured Timeout is a
-// timeout — counted separately and retried.
-//
-// With replicas the ladder gains a layer underneath: each attempt is a
-// hedged issue across the span's replica set (healthiest first, a real
-// wall-clock hedge after Timeout/4, immediate failover on error), so the
-// outer retries only fire when EVERY replica of a span failed.
-const (
-	rpcAttempts    = 5
-	rpcBackoffBase = 100 * time.Microsecond
-	rpcHedgeAfter  = time.Millisecond
-)
 
 // Per-replica health scoring: a score in (healthFloor, 1], recovered
 // multiplicatively toward 1 on success and halved on transport failure.
@@ -148,7 +130,17 @@ func (h *replicaHealth) bad() {
 	}
 }
 
-// shardStats is the router-side accounting for one span.
+// shardStats is the router-side accounting for one span. The resilience
+// counters mean one thing each, whether the cause was real or injected:
+//
+//   - retries: an RPC re-issued after a failed attempt — failover to the
+//     span's next replica, or the next round of the retry ladder.
+//   - hedges: a speculative issue to another replica while an earlier
+//     attempt is still pending. Never fires with one replica.
+//   - timeouts: attempts that ended in a transport deadline
+//     (TransportError.Timeout).
+//   - failures: calls that exhausted the ladder or hit a permanent
+//     application or malformed-reply error.
 type shardStats struct {
 	rot      atomic.Uint64 // rotation spreading load across equal-health replicas
 	rpcs     atomic.Uint64
@@ -214,8 +206,7 @@ type Stats struct {
 //
 // Everything replica-shaped is indexed [span][replica]: conns[s][r] is
 // replica r of span s, health[s][r] its routing score. Unreplicated
-// fleets are the R=1 degenerate case — no hedge timers, no failover, the
-// exact pre-replication behavior.
+// fleets are the R=1 degenerate case — no hedge timers, no failover.
 type Fleet struct {
 	cfg    Config
 	csr    *graph.CSR
@@ -226,7 +217,8 @@ type Fleet struct {
 
 	bounds []int32
 	shards [][]*Shard // nil for a remote fleet
-	conns  [][]Conn
+	remote []*tcpConn // nil for an in-process fleet
+	conns  [][]Conn   // every endpoint behind its faultConn
 	health [][]*replicaHealth
 	stats  []*shardStats
 	start  time.Time
@@ -257,7 +249,7 @@ func NewFleet(csr *graph.CSR, feats *tensor.Tensor, ntypes int, src *nn.Model, p
 				return nil, err
 			}
 			group = append(group, s)
-			conns = append(conns, s)
+			conns = append(conns, &faultConn{Conn: s, addr: fmt.Sprintf("%d/%d", i, r), timeout: cfg.Timeout})
 			hs = append(hs, newReplicaHealth())
 		}
 		f.shards = append(f.shards, group)
@@ -332,11 +324,11 @@ func NewRemoteFleet(csr *graph.CSR, feats *tensor.Tensor, ntypes int, src *nn.Mo
 			}
 			c, err := newTCPConn(addr, h, cfg.Timeout)
 			if err != nil {
-				f.conns = append(f.conns, conns)
 				f.Close()
 				return nil, err
 			}
-			conns = append(conns, c)
+			f.remote = append(f.remote, c)
+			conns = append(conns, &faultConn{Conn: c, addr: addr, timeout: cfg.Timeout})
 			hs = append(hs, newReplicaHealth())
 		}
 		f.conns = append(f.conns, conns)
@@ -347,7 +339,7 @@ func NewRemoteFleet(csr *graph.CSR, feats *tensor.Tensor, ntypes int, src *nn.Mo
 }
 
 // Remote reports whether the shards live in separate processes.
-func (f *Fleet) Remote() bool { return len(f.shards) == 0 && len(f.conns) > 0 }
+func (f *Fleet) Remote() bool { return len(f.remote) > 0 }
 
 // Close drains every in-process shard (waiting out RPCs still running,
 // such as abandoned hedged losers) and drops every remote connection.
@@ -358,12 +350,8 @@ func (f *Fleet) Close() {
 			s.Close()
 		}
 	}
-	for _, group := range f.conns {
-		for _, c := range group {
-			if tc, ok := c.(*tcpConn); ok {
-				tc.close()
-			}
-		}
+	for _, c := range f.remote {
+		c.close()
 	}
 }
 
@@ -534,20 +522,23 @@ func (f *Fleet) replicaOrder(s int) []int {
 	return order
 }
 
-// observe feeds one attempt's outcome into the replica's health score.
+// observe feeds one attempt's outcome into the replica's health score
+// and books a transport deadline against the span's timeout counter.
 // Only transport errors demote: an application error from the shard
 // (ownership or protocol violation) is a deterministic property of the
 // request — every replica would answer it identically, so it says
 // nothing about this replica's availability.
 func (f *Fleet) observe(s, r int, err error) {
 	h := f.health[s][r]
-	if err == nil {
-		h.good()
-		return
-	}
 	var te *TransportError
-	if errors.As(err, &te) {
+	switch {
+	case err == nil:
+		h.good()
+	case errors.As(err, &te):
 		h.bad()
+		if te.Timeout {
+			f.stats[s].timeouts.Add(1)
+		}
 	}
 }
 
@@ -561,20 +552,12 @@ func (f *Fleet) observe(s, r int, err error) {
 // end unheard). Only when every replica has failed does an error surface
 // to the retry ladder above. With one replica this collapses to a plain
 // call on the caller's goroutine — no timer, no goroutine.
-//
-// issue returns only the winning attempt's value: byte accounting and
-// row splicing upstream see exactly one reply per successful call, never
-// a loser's — that is the fix for the double-booked Expand bytes the
-// old shared-reply capture allowed under timeout retries.
-func (f *Fleet) issue(ctx context.Context, s int, do func(context.Context, Conn) (any, error)) (any, error) {
+func issue[R any](ctx context.Context, f *Fleet, s int, do func(context.Context, Conn) (*R, error)) (*R, error) {
 	order := f.replicaOrder(s)
 	conns := f.conns[s]
 	if len(order) == 1 {
 		v, err := do(ctx, conns[order[0]])
 		f.observe(s, order[0], err)
-		if err != nil {
-			f.noteTimeout(s, err)
-		}
 		return v, err
 	}
 
@@ -584,7 +567,7 @@ func (f *Fleet) issue(ctx context.Context, s int, do func(context.Context, Conn)
 	defer cancel()
 	type result struct {
 		r   int
-		v   any
+		v   *R
 		err error
 	}
 	ch := make(chan result, len(order))
@@ -617,9 +600,7 @@ func (f *Fleet) issue(ctx context.Context, s int, do func(context.Context, Conn)
 			if res.err == nil {
 				return res.v, nil
 			}
-			f.noteTimeout(s, res.err)
-			var te *TransportError
-			if errors.As(res.err, &te) {
+			if isTransport(res.err) {
 				transErr = res.err
 			} else if appErr == nil {
 				appErr = res.err
@@ -643,109 +624,49 @@ func (f *Fleet) issue(ctx context.Context, s int, do func(context.Context, Conn)
 	}
 }
 
-// noteTimeout books a transport timeout against the span's counter.
-func (f *Fleet) noteTimeout(s int, err error) {
+// isTransport is the ladder's retryable predicate: a TransportError (dial
+// failure, broken stream, deadline — real or from faultConn) is worth
+// another attempt because both RPC kinds are idempotent; an application
+// error is a deterministic property of the request and surfaces at once.
+func isTransport(err error) bool {
 	var te *TransportError
-	if errors.As(err, &te) && te.Timeout {
-		f.stats[s].timeouts.Add(1)
-	}
+	return errors.As(err, &te)
 }
 
-// call runs one RPC through the shard.rpc fault site and the retry/hedge/
-// timeout ladder, returning the winning attempt's reply. do must be
-// idempotent (both RPC kinds are). Two error classes come back from an
-// issue: a TransportError (dial failure, broken stream, deadline on the
-// TCP transport) is retryable — the conn redials and the RPC re-issues
-// under the same ladder that absorbs injected faults — while an
-// application error from the shard is deterministic (ownership or
-// protocol violation) and surfaces immediately instead of burning
-// retries.
-func (f *Fleet) call(ctx context.Context, s int, do func(context.Context, Conn) (any, error)) (any, error) {
+// call runs one RPC through the retry ladder — retry.Attempts rounds of
+// issue, backing off between them — and returns the winning attempt's
+// reply. do must be idempotent (both RPC kinds are). A later round fires
+// only when every replica of the span failed the one before.
+func call[R any](ctx context.Context, f *Fleet, s int, do func(context.Context, Conn) (*R, error)) (*R, error) {
 	st := f.stats[s]
-	st.rpcs.Add(1)
+	seq := st.rpcs.Add(1) // also the jitter key: distinct per concurrent call
 	t0 := time.Now()
 	defer func() { st.lat.Observe(time.Since(t0)) }()
-	backoff := rpcBackoffBase
-	for attempt := 0; attempt < rpcAttempts; attempt++ {
-		flt := fault.Check(fault.SiteShardRPC)
-		if flt != nil && flt.Kind == fault.KindLatency && flt.Delay < f.cfg.Timeout {
-			if flt.Delay >= rpcHedgeAfter {
-				// Hedge: abandon the straggler and re-issue immediately.
-				// The abandoned attempt costs nothing — the simulated RPC
-				// never reached the shard.
-				st.hedges.Add(1)
-				flt = fault.Check(fault.SiteShardRPC)
-				if flt != nil && flt.Kind == fault.KindLatency && flt.Delay < f.cfg.Timeout {
-					// The hedge straggles too (short of the deadline):
-					// wait it out, it still succeeds.
-					time.Sleep(flt.Delay)
-					flt = nil
-				}
-			} else {
-				time.Sleep(flt.Delay)
-				flt = nil
-			}
-		}
-		if flt != nil && flt.Kind == fault.KindLatency {
-			// A modeled straggle at or past the per-RPC deadline: the
-			// router gives up on this attempt without sleeping it out.
-			st.timeouts.Add(1)
-			flt = &fault.Fault{Site: flt.Site, Kind: fault.KindError, Seq: flt.Seq}
-		}
-		if flt == nil {
-			v, err := f.issue(ctx, s, do)
-			if err == nil {
-				return v, nil
-			}
-			var te *TransportError
-			if errors.As(err, &te) && attempt < rpcAttempts-1 {
-				st.retries.Add(1)
-				time.Sleep(backoff)
-				backoff *= 2
-				continue
-			}
-			st.failures.Add(1)
-			return nil, err
-		}
-		// Injected error, corruption, or timeout: back off and retry.
-		if attempt < rpcAttempts-1 {
+	var v *R
+	err := retry.Do(seq, isTransport, func(round int) (err error) {
+		if round > 0 {
 			st.retries.Add(1)
-			jitter := time.Duration(uint64(backoff) * (flt.Seq%128 + 128) / 256)
-			time.Sleep(jitter)
-			backoff *= 2
-		} else {
-			st.failures.Add(1)
-			return nil, fmt.Errorf("shard: rpc to shard %d failed after %d attempts: %w",
-				s, rpcAttempts, flt.Err())
 		}
+		v, err = issue(ctx, f, s, do)
+		return err
+	})
+	if err != nil {
+		st.failures.Add(1)
+		return nil, err
 	}
-	return nil, nil
+	return v, nil
 }
 
 // callExpand runs one Expand through the full ladder and returns ONLY the
 // winning attempt's reply — concurrent hedged losers never leak a reply
 // out, so the caller books request/reply bytes exactly once per call.
 func (f *Fleet) callExpand(ctx context.Context, s int, args *ExpandArgs) (*ExpandReply, error) {
-	v, err := f.call(ctx, s, func(ctx context.Context, c Conn) (any, error) {
-		rep, err := c.Expand(ctx, args)
-		return rep, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*ExpandReply), nil
+	return call(ctx, f, s, func(ctx context.Context, c Conn) (*ExpandReply, error) { return c.Expand(ctx, args) })
 }
 
 // callCompute is callExpand's Compute twin.
 func (f *Fleet) callCompute(ctx context.Context, s int, args *ComputeArgs) (*ComputeReply, error) {
-	v, err := f.call(ctx, s, func(ctx context.Context, c Conn) (any, error) {
-		rep, err := c.Compute(ctx, args)
-		return rep, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*ComputeReply), nil
+	return call(ctx, f, s, func(ctx context.Context, c Conn) (*ComputeReply, error) { return c.Compute(ctx, args) })
 }
 
 // ownerSpan is one shard's contiguous slice of a sorted vertex list.

@@ -9,9 +9,9 @@
 // replica count, engine and worker count. Shards run either in-process
 // (the Fleet owns them and calls them directly) or as separate
 // wisegraph-shard processes reached over the internal/shard/wire TCP
-// protocol; slow or failed shards are absorbed by a retry/hedge/timeout
-// ladder at the shard.rpc fault site, mirroring the distributed trainer's
-// exchange ladder.
+// protocol. Slow or failed shards are absorbed by one ladder (per-RPC
+// timeout, replica failover and hedging, internal/retry's backoff); the
+// shard.rpc fault site sits below it, at the transport (faultConn).
 package shard
 
 import (

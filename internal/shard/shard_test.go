@@ -11,6 +11,7 @@ import (
 	"wisegraph/internal/joint"
 	"wisegraph/internal/nn"
 	"wisegraph/internal/obs"
+	"wisegraph/internal/retry"
 	"wisegraph/internal/tensor"
 )
 
@@ -31,6 +32,12 @@ func testGraph(t *testing.T, v, edges int, seed uint64) *graph.Graph {
 
 func testFleet(t *testing.T, g *graph.Graph, shards, workers int, budget int64) *Fleet {
 	t.Helper()
+	return testFleetCfg(t, g, Config{Shards: shards, Workers: workers, CacheBudget: budget})
+}
+
+// testFleetCfg fills in the fan-outs and sampler seed every test shares.
+func testFleetCfg(t *testing.T, g *graph.Graph, cfg Config) *Fleet {
+	t.Helper()
 	const dim, classes = 8, 3
 	csr := g.BuildCSRByDst()
 	feats := tensor.New(g.NumVertices, dim)
@@ -47,10 +54,8 @@ func testFleet(t *testing.T, g *graph.Graph, shards, workers int, budget int64) 
 		t.Fatalf("NewModel: %v", err)
 	}
 	plan := joint.Search(g, m.Cfg.Kind, m.Cfg.Hidden, m.Cfg.Hidden, m.Cfg.NumTypes, joint.Options{})
-	f, err := NewFleet(csr, feats, g.NumTypes, m, plan, Config{
-		Shards: shards, Workers: workers, Fanouts: []int{4, 4}, Seed: 3,
-		CacheBudget: budget,
-	})
+	cfg.Fanouts, cfg.Seed = []int{4, 4}, 3
+	f, err := NewFleet(csr, feats, g.NumTypes, m, plan, cfg)
 	if err != nil {
 		t.Fatalf("NewFleet: %v", err)
 	}
@@ -158,89 +163,94 @@ func TestSpansOf(t *testing.T) {
 	}
 }
 
+// expandOwned issues one level-0 Expand for a vertex span 0 owns through
+// the whole ladder — faultConn, issue, call — the way Forward does.
+func expandOwned(f *Fleet) error {
+	_, err := f.callExpand(context.Background(), 0, &ExpandArgs{Level: 0, Dim: 8, Verts: []int32{0}})
+	return err
+}
+
 // TestCallLadderExhaustion: a 100% error rate burns all attempts, counts
-// every retry, and surfaces the injected error as a failure.
+// every retry, and surfaces the injected error — as the transport error
+// the conn reported — as a failure. A lost request never reaches the
+// shard.
 func TestCallLadderExhaustion(t *testing.T) {
 	f := testFleet(t, testGraph(t, 50, 200, 4), 2, 1, 0)
+	fc := f.conns[0][0].(*faultConn)
+	inner := &mangleConn{Conn: fc.Conn}
+	fc.Conn = inner
 	fault.WithSchedule(&fault.Schedule{
 		Seed:  1,
 		Sites: map[string]fault.SiteConfig{fault.SiteShardRPC: {ErrorRate: 1}},
 	}, func() {
-		_, err := f.call(context.Background(), 0, func(context.Context, Conn) (any, error) {
-			t.Fatal("do ran despite 100% error rate")
-			return nil, nil
-		})
-		if err == nil || !fault.IsInjected(err) {
-			t.Fatalf("exhausted call error = %v, want injected", err)
+		err := expandOwned(f)
+		if err == nil || !fault.IsInjected(err) || !isTransport(err) {
+			t.Fatalf("exhausted call error = %v, want an injected transport error", err)
 		}
 	})
+	if n := inner.calls.Load(); n != 0 {
+		t.Fatalf("inner conn reached %d times despite 100%% request loss", n)
+	}
 	retries, _, _, failures := f.Resilience()
-	if retries != rpcAttempts-1 || failures != 1 {
-		t.Fatalf("retries=%d failures=%d, want %d/1", retries, failures, rpcAttempts-1)
+	if retries != retry.Attempts-1 || failures != 1 {
+		t.Fatalf("retries=%d failures=%d, want %d/1", retries, failures, retry.Attempts-1)
 	}
 }
 
-// TestCallLadderHedge: a straggler past the hedge threshold (but short of
-// the timeout) is abandoned for a hedged re-issue that succeeds without
-// sleeping out the straggle.
-func TestCallLadderHedge(t *testing.T) {
-	f := testFleet(t, testGraph(t, 50, 200, 4), 2, 1, 0)
-	f.cfg.Timeout = time.Second
-	fault.WithSchedule(&fault.Schedule{
-		Seed: 1,
-		Sites: map[string]fault.SiteConfig{
-			fault.SiteShardRPC: {LatencyRate: 1, Delay: 20 * time.Millisecond},
-		},
-	}, func() {
-		ran := false
-		start := time.Now()
-		if _, err := f.call(context.Background(), 0, func(context.Context, Conn) (any, error) { ran = true; return nil, nil }); err != nil {
-			t.Fatalf("hedged call failed: %v", err)
-		}
-		// Both the first draw and the hedge's re-draw straggle ([10,30)ms
-		// jitter); the hedge is re-issued immediately and the second
-		// straggle is waited out — so one spike elapses, not two.
-		if elapsed := time.Since(start); elapsed > 45*time.Millisecond {
-			t.Fatalf("hedged call took %v — straggler waited out instead of hedged", elapsed)
-		}
-		if !ran {
-			t.Fatal("hedged call never ran")
-		}
-	})
-	_, hedges, _, _ := f.Resilience()
-	if hedges == 0 {
-		t.Fatal("no hedge recorded")
-	}
-}
-
-// TestCallLadderTimeout: a modeled straggle at or past the per-RPC
-// deadline is a timeout — counted, not slept through — and the retry
-// succeeds on a clean draw.
+// TestCallLadderTimeout: an injected straggle is really waited for, under
+// a real timer. At or past the per-RPC deadline the timer fires at the
+// deadline — the spike is not slept out — and the attempt is a counted,
+// retried timeout; short of the deadline the call just takes that long
+// and no timeout is booked. One replica, so nothing is ever hedged.
 func TestCallLadderTimeout(t *testing.T) {
-	f := testFleet(t, testGraph(t, 50, 200, 4), 2, 1, 0)
-	f.cfg.Timeout = time.Millisecond
-	fault.WithSchedule(&fault.Schedule{
-		Seed: 1,
-		Sites: map[string]fault.SiteConfig{
-			fault.SiteShardRPC: {LatencyRate: 0.5, Delay: 500 * time.Millisecond},
-		},
-	}, func() {
-		start := time.Now()
-		for i := 0; i < 20; i++ {
-			if _, err := f.call(context.Background(), 0, func(context.Context, Conn) (any, error) { return nil, nil }); err != nil {
-				t.Fatalf("call %d failed: %v", i, err)
+	for _, tc := range []struct {
+		name           string
+		timeout, spike time.Duration
+		wantTimeouts   bool
+	}{
+		{"past-deadline", time.Millisecond, 500 * time.Millisecond, true},
+		{"short-of-deadline", time.Second, 4 * time.Millisecond, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := testFleetCfg(t, testGraph(t, 50, 200, 4), Config{Shards: 2, Timeout: tc.timeout})
+			var elapsed time.Duration
+			var spikes uint64
+			fault.WithSchedule(&fault.Schedule{
+				Seed: 1,
+				Sites: map[string]fault.SiteConfig{
+					fault.SiteShardRPC: {LatencyRate: 0.5, Delay: tc.spike},
+				},
+			}, func() {
+				start := time.Now()
+				for i := 0; i < 20; i++ {
+					if err := expandOwned(f); err != nil {
+						t.Fatalf("call %d failed: %v", i, err)
+					}
+				}
+				elapsed = time.Since(start)
+				spikes = fault.Snapshot()[fault.SiteShardRPC].Latencies
+			})
+			_, hedges, timeouts, failures := f.Resilience()
+			if hedges != 0 || failures != 0 {
+				t.Fatalf("hedges=%d failures=%d on a 1-replica fleet under retryable stragglers, want 0/0", hedges, failures)
 			}
-		}
-		if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
-			t.Fatalf("20 calls took %v — a timed-out straggle was slept out", elapsed)
-		}
-	})
-	_, _, timeouts, failures := f.Resilience()
-	if timeouts == 0 {
-		t.Fatal("no timeout recorded at 50% straggle rate past the deadline")
-	}
-	if failures != 0 {
-		t.Fatalf("%d failures despite retryable timeouts", failures)
+			// Every spike is jittered into [½, 1½)× the configured delay.
+			if tc.wantTimeouts {
+				if timeouts != spikes || spikes == 0 {
+					t.Fatalf("%d timeouts for %d injected over-deadline straggles", timeouts, spikes)
+				}
+				if elapsed >= tc.spike/2 {
+					t.Fatalf("20 calls took %v — a timed-out straggle was slept out", elapsed)
+				}
+			} else {
+				if timeouts != 0 {
+					t.Fatalf("%d timeouts booked though no timer reached the deadline", timeouts)
+				}
+				if floor := time.Duration(spikes) * tc.spike / 2; spikes == 0 || elapsed < floor {
+					t.Fatalf("20 calls with %d straggles took %v, want at least %v — the spikes were not really waited for", spikes, elapsed, floor)
+				}
+			}
+		})
 	}
 }
 

@@ -50,6 +50,12 @@ const connWindow = 32
 // loop, which stops reading — TCP back-pressure does the rest).
 const serverWindow = 64
 
+// helloTimeout bounds the daemon's wait for a new connection's Hello, so
+// a peer that connects and says nothing cannot pin a goroutine and a
+// socket until the daemon exits. It covers the handshake only: an
+// admitted connection may idle forever.
+const helloTimeout = 10 * time.Second
+
 // ParamSum hashes a model's parameter bits with FNV-1a. Router and
 // daemon must arrive at the same sum or the handshake fails: bitwise
 // logit parity is impossible without bitwise parameter parity.
@@ -431,6 +437,8 @@ type Server struct {
 	model  *nn.Model
 	cfg    NodeConfig // node-local budget: Workers, Spec, CacheBudget/Shards
 
+	helloWait time.Duration // helloTimeout; a field so its test need not wait that long
+
 	stats serverStats
 
 	mu        sync.Mutex
@@ -448,7 +456,8 @@ type Server struct {
 func NewServer(csr *graph.CSR, feats *tensor.Tensor, ntypes int, model *nn.Model, cfg NodeConfig) *Server {
 	return &Server{
 		csr: csr, feats: feats, ntypes: ntypes, model: model, cfg: cfg,
-		conns: make(map[net.Conn]struct{}),
+		helloWait: helloTimeout,
+		conns:     make(map[net.Conn]struct{}),
 	}
 }
 
@@ -552,9 +561,10 @@ func (sv *Server) serveConn(nc net.Conn) {
 		return true
 	}
 
+	nc.SetReadDeadline(time.Now().Add(sv.helloWait))
 	t, _, payload, err := wire.ReadFrame(br)
 	if err != nil {
-		return
+		return // a silent or broken peer; nothing to answer
 	}
 	if t != wire.MsgHello {
 		send(wire.AppendError(nil, 0, fmt.Sprintf("first frame is %v, want Hello", t)))
@@ -568,6 +578,7 @@ func (sv *Server) serveConn(nc net.Conn) {
 	if !send(wire.AppendHelloOK(nil)) {
 		return
 	}
+	nc.SetReadDeadline(time.Time{})
 
 	// Handlers in flight on THIS connection; bounded by the window, and
 	// all joined before the connection drops so no handler ever writes to

@@ -2,12 +2,17 @@ package shard
 
 import (
 	"context"
+	"errors"
+	"io"
 	"net"
+	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"wisegraph/internal/fault"
 	"wisegraph/internal/graph"
 	"wisegraph/internal/joint"
 	"wisegraph/internal/nn"
@@ -59,7 +64,12 @@ func newTestNode(t *testing.T, v, edges int, seed uint64) *testNode {
 // boundary (the cross-process path is covered in internal/serve).
 func startDaemon(t *testing.T, n *testNode, model *nn.Model) string {
 	t.Helper()
-	sv := NewServer(n.csr, n.feats, n.g.NumTypes, model, NodeConfig{Workers: 2})
+	return serve(t, NewServer(n.csr, n.feats, n.g.NumTypes, model, NodeConfig{Workers: 2}))
+}
+
+// serve puts sv on a fresh localhost listener until the test ends.
+func serve(t *testing.T, sv *Server) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -198,7 +208,7 @@ func TestTCPReconnect(t *testing.T) {
 	// Sever the live stream out from under the endpoint; the next calls
 	// must redial (either eagerly, after the demux notices, or through a
 	// TransportError retry if they raced the failure detection).
-	tc := remote.conns[0][0].(*tcpConn)
+	tc := remote.remote[0]
 	tc.mu.Lock()
 	pc := tc.live
 	tc.mu.Unlock()
@@ -289,5 +299,153 @@ func TestDispatchCloseRace(t *testing.T) {
 		if got := s.InFlight(); got != 0 {
 			t.Fatalf("iteration %d: %d RPCs still in flight after Close+drain", i, got)
 		}
+	}
+}
+
+// TestHelloDeadline: a peer that connects and never sends its Hello used
+// to hold a daemon goroutine and socket forever. The server must hang up
+// on it once the handshake deadline passes and forget the connection —
+// while a connection that did handshake may idle past that deadline and
+// still be served on the same stream.
+func TestHelloDeadline(t *testing.T) {
+	n := newTestNode(t, 40, 200, 2)
+	sv := NewServer(n.csr, n.feats, n.g.NumTypes, n.model, NodeConfig{Workers: 2})
+	sv.helloWait = 50 * time.Millisecond
+	addr := serve(t, sv)
+
+	silent, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer silent.Close()
+	silent.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := silent.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("silent peer's read = %v, want EOF from the server hanging up", err)
+	}
+	sv.mu.Lock()
+	tracked := len(sv.conns)
+	sv.mu.Unlock()
+	if tracked != 0 || sv.InFlight() != 0 {
+		t.Fatalf("%d connections tracked, %d RPCs in flight after the silent peer was dropped", tracked, sv.InFlight())
+	}
+
+	c, err := newTCPConn(addr, validHello(t, n), time.Second)
+	if err != nil {
+		t.Fatalf("newTCPConn: %v", err)
+	}
+	defer c.close()
+	c.mu.Lock()
+	admitted := c.live
+	c.mu.Unlock()
+	time.Sleep(3 * sv.helloWait) // outwait the deadline the handshake must have cleared
+	if _, err := c.Expand(context.Background(), &ExpandArgs{Level: 0, Dim: 8, Verts: []int32{1}}); err != nil {
+		t.Fatalf("Expand on an admitted connection idle past the Hello deadline: %v", err)
+	}
+	c.mu.Lock()
+	still := c.live
+	c.mu.Unlock()
+	if still != admitted {
+		t.Fatal("the admitted connection was dropped and redialed — the Hello deadline outlived the handshake")
+	}
+}
+
+// daemonRPCs reads wisegraph_shard_rpcs_total (both types) off a daemon's
+// /metrics page.
+func daemonRPCs(t *testing.T, sv *Server) (total float64) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	sv.WriteMetrics(rec)
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if strings.HasPrefix(line, "wisegraph_shard_rpcs_total{") {
+			v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+			if err != nil {
+				t.Fatalf("metrics line %q: %v", line, err)
+			}
+			total += v
+		}
+	}
+	return total
+}
+
+// TestTCPFaultedForwardMatchesClean runs the one ladder over real sockets
+// under a shard.rpc schedule of lost requests, corrupted replies and
+// stragglers on both sides of the deadline. Faults change timing, never
+// numbers: logits and the router's byte totals must equal the clean
+// run's, nothing may surface as a failure — and because the faults sit at
+// the transport, the discarded attempts really reached the daemons, which
+// therefore served strictly more RPCs than the clean run needed.
+func TestTCPFaultedForwardMatchesClean(t *testing.T) {
+	n := newTestNode(t, 100, 600, 6)
+	seeds := []int32{0, 13, 50, 99}
+	type outcome struct {
+		logits    []float32
+		in, out   uint64
+		daemon    float64
+		resilient [4]uint64 // retries, hedges, timeouts, failures
+	}
+	run := func(sched *fault.Schedule) (o outcome) {
+		svs := make([]*Server, 2)
+		addrs := make([]string, len(svs))
+		for i := range svs {
+			svs[i] = NewServer(n.csr, n.feats, n.g.NumTypes, n.model, NodeConfig{Workers: 2})
+			addrs[i] = serve(t, svs[i])
+		}
+		cfg := fleetConfig()
+		cfg.Timeout = 40 * time.Millisecond
+		remote, err := NewRemoteFleet(n.csr, n.feats, n.g.NumTypes, n.model, n.plan, cfg, addrs)
+		if err != nil {
+			t.Fatalf("NewRemoteFleet: %v", err)
+		}
+		defer remote.Close()
+		fault.WithSchedule(sched, func() {
+			for round := 0; round < 4; round++ {
+				o.logits = append(o.logits, forwardData(t, remote, seeds)...)
+			}
+			if sched != nil {
+				c := fault.Snapshot()[fault.SiteShardRPC]
+				if c.Errors == 0 || c.Corrupts == 0 || c.Latencies == 0 {
+					t.Fatalf("schedule fired %d errors / %d corruptions / %d stragglers; the run proves nothing", c.Errors, c.Corrupts, c.Latencies)
+				}
+			}
+		})
+		for _, st := range remote.Stats() {
+			o.in += st.BytesIn
+			o.out += st.BytesOut
+		}
+		for _, sv := range svs {
+			o.daemon += daemonRPCs(t, sv)
+		}
+		o.resilient[0], o.resilient[1], o.resilient[2], o.resilient[3] = remote.Resilience()
+		return o
+	}
+
+	clean := run(nil)
+	// Spikes are jittered into [20ms, 60ms) around the 40ms deadline, so
+	// some are waited out and some time out.
+	faulted := run(&fault.Schedule{
+		Seed: 39,
+		Sites: map[string]fault.SiteConfig{
+			fault.SiteShardRPC: {ErrorRate: 0.08, CorruptRate: 0.08, LatencyRate: 0.08, Delay: 40 * time.Millisecond},
+		},
+	})
+
+	if clean.resilient != [4]uint64{} {
+		t.Fatalf("clean run booked retries/hedges/timeouts/failures %v — the decorator is not a pass-through", clean.resilient)
+	}
+	for i := range clean.logits {
+		if faulted.logits[i] != clean.logits[i] {
+			t.Fatalf("logits[%d] = %v under faults, want %v", i, faulted.logits[i], clean.logits[i])
+		}
+	}
+	if faulted.in != clean.in || faulted.out != clean.out {
+		t.Fatalf("faulted run booked in=%d out=%d, clean run in=%d out=%d — a discarded attempt was booked",
+			faulted.in, faulted.out, clean.in, clean.out)
+	}
+	if r := faulted.resilient; r[0] == 0 || r[1] != 0 || r[2] == 0 || r[3] != 0 {
+		t.Fatalf("retries/hedges/timeouts/failures = %v, want retries and timeouts, no hedge at R=1, no failure", r)
+	}
+	if faulted.daemon <= clean.daemon {
+		t.Fatalf("daemons served %v RPCs under faults, %v clean — corrupted and timed-out attempts never reached them",
+			faulted.daemon, clean.daemon)
 	}
 }

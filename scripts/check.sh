@@ -65,7 +65,8 @@ echo "engine smoke OK"
 # detector at both scheduler extremes: the serving concurrency and chaos
 # drain tests, the bitwise parity matrices (shards x replicas x engines x
 # workers, cached vs uncached, per-vertex reference), reload coherence,
-# placement/ownership/reply validation, the hedged RPC ladder and the TCP
+# placement/ownership/reply validation, the one RPC ladder (faults injected
+# at the conn, in-process and over sockets) and the TCP
 # transport, and the cache package's own suite.
 for procs in 1 "$NPROC"; do
   echo "== serving, fleet and hot-vertex cache under -race (GOMAXPROCS=$procs)"
@@ -98,19 +99,19 @@ GOMAXPROCS=1 go test -race -count=1 ./internal/obs/
 echo "== observability under -race (GOMAXPROCS=$NPROC)"
 GOMAXPROCS="$NPROC" go test -race -count=1 ./internal/obs/
 
-# The fault-injection and resilience battery: deterministic injector,
-# distributed parity under straggler/error schedules, serving chaos drain
+# The fault-injection and resilience battery: deterministic injector, the
+# shared retry policy, distributed parity under straggler/error schedules, serving chaos drain
 # invariants, auto-checkpoint recovery, dense gradient checks. The
 # bit-identical claims must hold under the race detector at both
 # scheduler extremes — concurrency may reorder fault draws but never
 # change numerics or leak a request.
-FAULTS='Fault|Chaos|Resilient|GradCheck|ParityAcross|Store|Injected|Schedule|Sequence|Rates|Jitter|Exhaustion'
+FAULTS='Fault|Chaos|Resilient|GradCheck|ParityAcross|Store|Injected|Schedule|Sequence|Rates|Jitter|Exhaustion|Retry'
 echo "== fault/resilience battery under -race (GOMAXPROCS=1)"
 GOMAXPROCS=1 go test -race -count=1 -run "$FAULTS" \
-  ./internal/fault/ ./internal/dist/ ./internal/serve/ ./internal/train/ ./internal/nn/
+  ./internal/fault/ ./internal/retry/ ./internal/dist/ ./internal/serve/ ./internal/train/ ./internal/nn/
 echo "== fault/resilience battery under -race (GOMAXPROCS=$NPROC)"
 GOMAXPROCS="$NPROC" go test -race -count=1 -run "$FAULTS" \
-  ./internal/fault/ ./internal/dist/ ./internal/serve/ ./internal/train/ ./internal/nn/
+  ./internal/fault/ ./internal/retry/ ./internal/dist/ ./internal/serve/ ./internal/train/ ./internal/nn/
 
 # Fuzz smokes: a short budget on every fuzz target. Checkpoint decoding
 # must never panic on mutated bytes; CSR construction must preserve the
