@@ -287,10 +287,7 @@ func (e *Engine) aggregate(parts []*tensor.Tensor, recv []map[int32][]float32, w
 				} else {
 					row = recv[d][src]
 				}
-				w := invDeg[ei]
-				for j, v := range row {
-					or[j] += w * v
-				}
+				tensor.AxpyRow(or, invDeg[ei], row)
 			}
 			if fused {
 				ptr, edges := e.aggPtr[d], e.aggEdges[d]
@@ -434,7 +431,6 @@ func (e *Engine) GCNBackward(layer *nn.GCNLayer, xParts, dOutParts []*tensor.Ten
 			for _, ei := range e.devEdges[d] {
 				src := e.G.Src[ei]
 				dst := e.G.Dst[ei]
-				w := invDeg[ei]
 				dor := dOutParts[d].Row(int(dst - lo))
 				var target []float32
 				if e.Owner(src) == d {
@@ -446,9 +442,7 @@ func (e *Engine) GCNBackward(layer *nn.GCNLayer, xParts, dOutParts []*tensor.Ten
 						rem[src] = target
 					}
 				}
-				for j, v := range dor {
-					target[j] += w * v
-				}
+				tensor.AxpyRow(target, invDeg[ei], dor)
 			}
 			dXW[d] = local
 			remote[d] = rem
@@ -461,9 +455,7 @@ func (e *Engine) GCNBackward(layer *nn.GCNLayer, xParts, dOutParts []*tensor.Ten
 			owner := e.Owner(v)
 			lo := e.blockStart[owner]
 			target := dXW[owner].Row(int(v - lo))
-			for j, x := range row {
-				target[j] += x
-			}
+			tensor.AddRow(target, row)
 			e.account(float64(len(row)) * 4)
 		}
 	}

@@ -59,7 +59,6 @@ func (e *Engine) SAGEBackward(layer *nn.SAGELayer, xParts, dOutParts []*tensor.T
 			for _, ei := range e.devEdges[d] {
 				src := e.G.Src[ei]
 				dst := e.G.Dst[ei]
-				w := invDeg[ei]
 				dor := dAgg[d].Row(int(dst - lo))
 				var target []float32
 				if e.Owner(src) == d {
@@ -71,9 +70,7 @@ func (e *Engine) SAGEBackward(layer *nn.SAGELayer, xParts, dOutParts []*tensor.T
 						rem[src] = target
 					}
 				}
-				for j, v := range dor {
-					target[j] += w * v
-				}
+				tensor.AxpyRow(target, invDeg[ei], dor)
 			}
 			remote[d] = rem
 		}(d)
@@ -84,9 +81,7 @@ func (e *Engine) SAGEBackward(layer *nn.SAGELayer, xParts, dOutParts []*tensor.T
 			owner := e.Owner(v)
 			lo := e.blockStart[owner]
 			target := dx[owner].Row(int(v - lo))
-			for j, x := range row {
-				target[j] += x
-			}
+			tensor.AddRow(target, row)
 			e.account(float64(len(row)) * 4)
 		}
 	}
@@ -172,11 +167,8 @@ func (e *Engine) GATForward(layer *nn.GATLayer, xParts []*tensor.Tensor) ([]*ten
 						sum += scores[i]
 					}
 					for i, ei := range edges {
-						a := float32(scores[i] / sum)
 						zr := srcRow(e.G.Src[ei])
-						for dd := 0; dd < dh; dd++ {
-							orow[h*dh+dd] += a * zr[h*dh+dd]
-						}
+						tensor.AxpyRow(orow[h*dh:(h+1)*dh], float32(scores[i]/sum), zr[h*dh:(h+1)*dh])
 					}
 				}
 			}

@@ -75,11 +75,7 @@ func (e *Engine) GCNForwardTP(layer *nn.GCNLayer, colParts []*tensor.Tensor) []*
 			for p := 0; p < n; p++ {
 				part := partials[p]
 				for r := 0; r < rows; r++ {
-					src := part.Row(int(lo) + r)
-					dst := acc.Row(r)
-					for j, v := range src {
-						dst[j] += v
-					}
+					tensor.AddRow(acc.Row(r), part.Row(int(lo)+r))
 				}
 				if p != d {
 					vol += float64(rows*fp) * 4

@@ -109,12 +109,7 @@ func computeLayer(gc *nn.GraphCtx, layer nn.Layer, x *tensor.Tensor, part *core.
 		out := tensor.Get(g.NumVertices, l.OutDim())
 		forEachTaskEdge(part, func(e int32) {
 			src, dst := g.Src[e], g.Dst[e]
-			w := invDeg(e)
-			xr := xw.Row(int(src))
-			or := out.Row(int(dst))
-			for j, v := range xr {
-				or[j] += w * v
-			}
+			tensor.AxpyRow(out.Row(int(dst)), invDeg(e), xw.Row(int(src)))
 		})
 		tensor.AddBias(out, l.B.Value)
 		return out, nil
@@ -124,12 +119,7 @@ func computeLayer(gc *nn.GraphCtx, layer nn.Layer, x *tensor.Tensor, part *core.
 		defer tensor.Put(agg)
 		forEachTaskEdge(part, func(e int32) {
 			src, dst := g.Src[e], g.Dst[e]
-			w := invDeg(e)
-			xr := x.Row(int(src))
-			or := agg.Row(int(dst))
-			for j, v := range xr {
-				or[j] += w * v
-			}
+			tensor.AxpyRow(agg.Row(int(dst)), invDeg(e), x.Row(int(src)))
 		})
 		out := tensor.MatMul(tensor.Get(x.Dim(0), l.OutDim()), x, l.WSelf.Value)
 		tensor.MatMulAcc(out, agg, l.WNeigh.Value)
@@ -187,11 +177,7 @@ func computeRGCN(g *graphT, l *nn.RGCNLayer, x *tensor.Tensor, part *core.Partit
 			}
 			for i, e := range edges {
 				pr := prod.Data()[(int(mSrc[i])*len(uTyp)+int(mTyp[i]))*outDim : (int(mSrc[i])*len(uTyp)+int(mTyp[i])+1)*outDim]
-				w := invDeg(e)
-				or := out.Row(int(g.Dst[e]))
-				for j, v := range pr {
-					or[j] += w * v
-				}
+				tensor.AxpyRow(out.Row(int(g.Dst[e])), invDeg(e), pr)
 			}
 			tensor.Put(prod)
 		} else {
@@ -199,11 +185,7 @@ func computeRGCN(g *graphT, l *nn.RGCNLayer, x *tensor.Tensor, part *core.Partit
 				tv := g.EdgeType(int(e))
 				w := tensor.FromSlice(l.W.Value.Data()[int(tv)*in*outDim:(int(tv)+1)*in*outDim], in, outDim)
 				tensor.VecMat(msg, x.Row(int(g.Src[e])), w)
-				we := invDeg(e)
-				or := out.Row(int(g.Dst[e]))
-				for j, v := range msg {
-					or[j] += we * v
-				}
+				tensor.AxpyRow(out.Row(int(g.Dst[e])), invDeg(e), msg)
 			}
 		}
 	}
@@ -306,10 +288,7 @@ func computeGAT(gc *nn.GraphCtx, l *nn.GATLayer, x *tensor.Tensor, part *core.Pa
 			if su[h] == 0 {
 				continue
 			}
-			a := sr[h] / su[h]
-			for d := 0; d < dh; d++ {
-				or[h*dh+d] += a * zr[h*dh+d]
-			}
+			tensor.AxpyRow(or[h*dh:(h+1)*dh], sr[h]/su[h], zr[h*dh:(h+1)*dh])
 		}
 	})
 	tensor.AddBias(out, l.B.Value)
@@ -345,8 +324,8 @@ func computeLSTM(g *graphT, l *nn.SAGELSTMLayer, x *tensor.Tensor, part *core.Pa
 			for _, e := range run {
 				xr := x.Row(int(g.Src[e]))
 				copy(zbuf, l.Bg.Value.Data())
-				mulAccRow(zbuf, xr, l.Wx.Value)
-				mulAccRow(zbuf, h, l.Wh.Value)
+				tensor.VecMatAcc(zbuf, xr, l.Wx.Value)
+				tensor.VecMatAcc(zbuf, h, l.Wh.Value)
 				for k := 0; k < hd; k++ {
 					ig := sigm(zbuf[k])
 					fg := sigm(zbuf[hd+k])
@@ -371,16 +350,3 @@ func computeLSTM(g *graphT, l *nn.SAGELSTMLayer, x *tensor.Tensor, part *core.Pa
 type graphT = graph.Graph
 
 func sigm(x float32) float32 { return float32(1 / (1 + math.Exp(-float64(x)))) }
-
-func mulAccRow(z, x []float32, w *tensor.Tensor) {
-	n := w.Dim(1)
-	for p, xv := range x {
-		if xv == 0 {
-			continue
-		}
-		wr := w.Data()[p*n : (p+1)*n]
-		for j, wv := range wr {
-			z[j] += xv * wv
-		}
-	}
-}

@@ -117,23 +117,6 @@ func singleRunPerDst(part *core.Partition, dst []int32, v int) bool {
 	return ok
 }
 
-// vecMatAcc accumulates dst += a·w for one row vector a, walking k in
-// ascending order and skipping zero activations — the exact element-order
-// contract of tensor.MatMulAcc's inner loop, so a per-row call is
-// bitwise-identical to the blocked whole-matrix call.
-func vecMatAcc(dst, a []float32, w *tensor.Tensor) {
-	n := w.Dim(1)
-	for k, av := range a {
-		if av == 0 {
-			continue
-		}
-		wr := w.Data()[k*n : (k+1)*n]
-		for j, wv := range wr {
-			dst[j] += av * wv
-		}
-	}
-}
-
 // computeLayerFused is the streaming computation over gTasks. Every branch
 // is bitwise-equal to computeLayer: a run-local accumulator that loads the
 // current output row, adds contributions in task-edge order and stores the
@@ -152,10 +135,7 @@ func computeLayerFused(gc *nn.GraphCtx, layer nn.Layer, x *tensor.Tensor, part *
 			or := out.Row(int(d))
 			copy(acc, or)
 			for _, e := range run {
-				w := invDeg(e)
-				for j, v := range xw.Row(int(g.Src[e])) {
-					acc[j] += w * v
-				}
+				tensor.AxpyRow(acc, invDeg(e), xw.Row(int(g.Src[e])))
 			}
 			copy(or, acc)
 		})
@@ -174,12 +154,9 @@ func computeLayerFused(gc *nn.GraphCtx, layer nn.Layer, x *tensor.Tensor, part *
 					acc[j] = 0
 				}
 				for _, e := range run {
-					w := invDeg(e)
-					for j, v := range x.Row(int(g.Src[e])) {
-						acc[j] += w * v
-					}
+					tensor.AxpyRow(acc, invDeg(e), x.Row(int(g.Src[e])))
 				}
-				vecMatAcc(out.Row(int(d)), acc, l.WNeigh.Value)
+				tensor.VecMatAcc(out.Row(int(d)), acc, l.WNeigh.Value)
 			})
 		} else {
 			// A destination's edges fragment across runs: partial means
@@ -193,10 +170,7 @@ func computeLayerFused(gc *nn.GraphCtx, layer nn.Layer, x *tensor.Tensor, part *
 				ar := agg.Row(int(d))
 				copy(acc, ar)
 				for _, e := range run {
-					w := invDeg(e)
-					for j, v := range x.Row(int(g.Src[e])) {
-						acc[j] += w * v
-					}
+					tensor.AxpyRow(acc, invDeg(e), x.Row(int(g.Src[e])))
 				}
 				copy(ar, acc)
 			})
@@ -256,10 +230,7 @@ func computeRGCNFused(g *graphT, l *nn.RGCNLayer, x *tensor.Tensor, part *core.P
 				copy(acc, or)
 				for k := i; k < j; k++ {
 					pr := prod.Data()[(int(mSrc[k])*len(uTyp)+int(mTyp[k]))*outDim : (int(mSrc[k])*len(uTyp)+int(mTyp[k])+1)*outDim]
-					w := invDeg(edges[k])
-					for jj, v := range pr {
-						acc[jj] += w * v
-					}
+					tensor.AxpyRow(acc, invDeg(edges[k]), pr)
 				}
 				copy(or, acc)
 				i = j
@@ -279,10 +250,7 @@ func computeRGCNFused(g *graphT, l *nn.RGCNLayer, x *tensor.Tensor, part *core.P
 					tv := g.EdgeType(int(e))
 					w := tensor.FromSlice(l.W.Value.Data()[int(tv)*in*outDim:(int(tv)+1)*in*outDim], in, outDim)
 					tensor.VecMat(msg, x.Row(int(g.Src[e])), w)
-					we := invDeg(e)
-					for jj, v := range msg {
-						acc[jj] += we * v
-					}
+					tensor.AxpyRow(acc, invDeg(e), msg)
 				}
 				copy(or, acc)
 				i = j
@@ -319,10 +287,7 @@ func computeGATFused(gc *nn.GraphCtx, l *nn.GATLayer, x *tensor.Tensor, part *co
 				if su[h] == 0 {
 					continue
 				}
-				a := sr[h] / su[h]
-				for dd := 0; dd < dh; dd++ {
-					acc[h*dh+dd] += a * zr[h*dh+dd]
-				}
+				tensor.AxpyRow(acc[h*dh:(h+1)*dh], sr[h]/su[h], zr[h*dh:(h+1)*dh])
 			}
 		}
 		copy(or, acc)

@@ -49,33 +49,12 @@ func fusedSegSpMM(out, x *tensor.Tensor, ptr, slots, col []int32, w []float32, b
 			if slots != nil {
 				s = slots[k]
 			}
-			we := w[s]
-			xr := x.Row(int(col[s]))
-			for j, v := range xr {
-				or[j] += we * v
-			}
+			tensor.AxpyRow(or, w[s], x.Row(int(col[s])))
 		}
 		for j := range b {
 			or[j] += b[j]
 		}
 	})
-}
-
-// vecMatAccRow accumulates dst += a·w for one row vector a, walking k in
-// ascending order and skipping zero activations — the element-order
-// contract of tensor.MatMulAcc's inner loop, so a per-row call is
-// bitwise-identical to the blocked whole-matrix call.
-func vecMatAccRow(dst, a []float32, w *tensor.Tensor) {
-	n := w.Dim(1)
-	for k, av := range a {
-		if av == 0 {
-			continue
-		}
-		wr := w.Data()[k*n : (k+1)*n]
-		for j, wv := range wr {
-			dst[j] += av * wv
-		}
-	}
 }
 
 // fusedSAGEForward fuses SAGE's aggregate → transform → bias chain per
@@ -91,14 +70,10 @@ func fusedSAGEForward(out, agg, x *tensor.Tensor, gc *GraphCtx, wNeigh, bias *te
 			ar[j] = 0
 		}
 		for s := gc.CSR.RowPtr[v]; s < gc.CSR.RowPtr[v+1]; s++ {
-			we := gc.InvDeg[s]
-			xr := x.Row(int(gc.SrcByDst[s]))
-			for j, xv := range xr {
-				ar[j] += we * xv
-			}
+			tensor.AxpyRow(ar, gc.InvDeg[s], x.Row(int(gc.SrcByDst[s])))
 		}
 		or := out.Row(v)
-		vecMatAccRow(or, ar, wNeigh)
+		tensor.VecMatAcc(or, ar, wNeigh)
 		for j := range or {
 			or[j] += b[j]
 		}
@@ -130,10 +105,7 @@ func fusedRGCNType(out, x *tensor.Tensor, te *TypeEdges, w *tensor.Tensor) {
 			or := out.Row(int(d))
 			for k := i; k < j; k++ {
 				tensor.VecMat(msg, x.Row(int(te.Src[k])), w)
-				we := te.W[k]
-				for jj, v := range msg {
-					or[jj] += we * v
-				}
+				tensor.AxpyRow(or, te.W[k], msg)
 			}
 			i = j
 		}

@@ -86,18 +86,19 @@ func FuzzCheckpointLoad(f *testing.F) {
 }
 
 // modelScalars overestimates the scalar parameter count a config implies,
-// in int64 so absurd dims can't overflow the guard.
-func modelScalars(cfg Config) int64 {
-	width := int64(cfg.InDim) + int64(cfg.Hidden)*int64(cfg.Layers) + int64(cfg.OutDim)
-	mult := int64(1)
+// in float64: the product of five fuzzed dims wraps an int64 (Hidden 3M x
+// 48 layers x 48 heads x 12k types read as small and allocated 36 TB).
+func modelScalars(cfg Config) float64 {
+	width := float64(cfg.InDim) + float64(cfg.Hidden)*float64(cfg.Layers) + float64(cfg.OutDim)
+	mult := 1.0
 	if cfg.NumTypes > 1 {
-		mult = int64(cfg.NumTypes)
+		mult = float64(cfg.NumTypes)
 	}
 	if cfg.Heads > 1 {
-		mult *= int64(cfg.Heads)
+		mult *= float64(cfg.Heads)
 	}
 	// SAGE-LSTM allocates 4 gate matrices per layer; 8 covers every kind.
-	return width * (int64(cfg.Hidden) + 1) * mult * 8
+	return width * (float64(cfg.Hidden) + 1) * mult * 8
 }
 
 // FuzzConfigRoundTrip checks that any config block the reader accepts is

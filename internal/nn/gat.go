@@ -117,10 +117,7 @@ func (l *GATLayer) Forward(gc *GraphCtx, x *tensor.Tensor) *tensor.Tensor {
 			zr := l.z.Row(int(gc.SrcByDst[s]))
 			ar := l.alpha.Row(int(s))
 			for h := 0; h < l.heads; h++ {
-				a := ar[h]
-				for d := 0; d < l.dh; d++ {
-					orow[h*l.dh+d] += a * zr[h*l.dh+d]
-				}
+				tensor.AxpyRow(orow[h*l.dh:(h+1)*l.dh], ar[h], zr[h*l.dh:(h+1)*l.dh])
 			}
 		}
 	})
@@ -194,10 +191,7 @@ func (l *GATLayer) forwardFused(gc *GraphCtx, x *tensor.Tensor) *tensor.Tensor {
 			zr := l.z.Row(int(gc.SrcByDst[s]))
 			ar := l.alpha.Row(s)
 			for h := 0; h < l.heads; h++ {
-				a := ar[h]
-				for d := 0; d < l.dh; d++ {
-					orow[h*l.dh+d] += a * zr[h*l.dh+d]
-				}
+				tensor.AxpyRow(orow[h*l.dh:(h+1)*l.dh], ar[h], zr[h*l.dh:(h+1)*l.dh])
 			}
 		}
 		for j := range orow {

@@ -89,8 +89,8 @@ func (l *SAGELSTMLayer) Forward(gc *GraphCtx, x *tensor.Tensor) *tensor.Tensor {
 			xr := x.Row(int(gc.SrcByDst[s]))
 			// z = x·Wx + h·Wh + bg
 			copy(z, l.Bg.Value.Data())
-			mulAccVec(z, xr, l.Wx.Value)
-			mulAccVec(z, h, l.Wh.Value)
+			tensor.VecMatAcc(z, xr, l.Wx.Value)
+			tensor.VecMatAcc(z, h, l.Wh.Value)
 			g := l.gates.Row(s)
 			for j := 0; j < hd; j++ {
 				i := sigmoid32(z[j])
@@ -110,20 +110,6 @@ func (l *SAGELSTMLayer) Forward(gc *GraphCtx, x *tensor.Tensor) *tensor.Tensor {
 	tensor.MatMulAcc(l.out, l.hFinal, l.WNeigh.Value)
 	tensor.AddBias(l.out, l.B.Value)
 	return l.out
-}
-
-// mulAccVec computes z += x·W for row vector x and 2-D W.
-func mulAccVec(z, x []float32, w *tensor.Tensor) {
-	n := w.Dim(1)
-	for p, xv := range x {
-		if xv == 0 {
-			continue
-		}
-		wr := w.Data()[p*n : (p+1)*n]
-		for j, wv := range wr {
-			z[j] += xv * wv
-		}
-	}
 }
 
 // Backward implements Layer (full BPTT through every vertex's neighbor
@@ -202,10 +188,7 @@ func outerAcc(g *tensor.Tensor, a, b []float32) {
 		if av == 0 {
 			continue
 		}
-		row := gd[p*n : (p+1)*n]
-		for j, bv := range b {
-			row[j] += av * bv
-		}
+		tensor.AxpyRow(gd[p*n:(p+1)*n], av, b)
 	}
 }
 

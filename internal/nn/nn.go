@@ -111,14 +111,9 @@ func edgeSpMMOne(out, x *tensor.Tensor, src, dst []int32, w []float32, e, rs int
 	xo := x.Data()[int(src[e])*rs : (int(src[e])+1)*rs]
 	oo := out.Data()[d*rs : (d+1)*rs]
 	if w == nil {
-		for j, v := range xo {
-			oo[j] += v
-		}
+		tensor.AddRow(oo, xo)
 	} else {
-		we := w[e]
-		for j, v := range xo {
-			oo[j] += we * v
-		}
+		tensor.AxpyRow(oo, w[e], xo)
 	}
 }
 

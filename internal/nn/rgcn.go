@@ -90,12 +90,7 @@ func (l *RGCNLayer) Forward(gc *GraphCtx, x *tensor.Tensor) *tensor.Tensor {
 		msg := tensor.MatMul(tensor.Get(len(te.Src), l.OutDim()), xt, l.typeWeight(t))
 		// scatter with normalization: out[dst] += w · msg
 		for i := range te.Src {
-			mrow := msg.Row(i)
-			orow := out.Row(int(te.Dst[i]))
-			we := te.W[i]
-			for j, v := range mrow {
-				orow[j] += we * v
-			}
+			tensor.AxpyRow(out.Row(int(te.Dst[i])), te.W[i], msg.Row(i))
 		}
 		tensor.Put(msg)
 	}
@@ -139,11 +134,7 @@ func (l *RGCNLayer) Backward(gc *GraphCtx, dOut *tensor.Tensor) *tensor.Tensor {
 		tensor.Put(xtT)
 		dXt := tensor.MatMulTransB(tensor.Get(len(te.Src), l.InDim()), dMsg, l.typeWeight(t))
 		for i := range te.Src {
-			srow := dXt.Row(i)
-			xrow := dx.Row(int(te.Src[i]))
-			for j, v := range srow {
-				xrow[j] += v
-			}
+			tensor.AddRow(dx.Row(int(te.Src[i])), dXt.Row(i))
 		}
 		tensor.Put(dXt)
 		tensor.Put(dMsg)

@@ -90,12 +90,7 @@ func (l *RGCNBasisLayer) Forward(gc *GraphCtx, x *tensor.Tensor) *tensor.Tensor 
 		wt := tensor.FromSlice(l.weights.Row(t), in, out)
 		msg := tensor.MatMul(nil, xt, wt)
 		for i, s := range slots {
-			mrow := msg.Row(i)
-			orow := res.Row(int(gc.DstByDst[s]))
-			we := gc.InvDeg[s]
-			for j, v := range mrow {
-				orow[j] += we * v
-			}
+			tensor.AxpyRow(res.Row(int(gc.DstByDst[s])), gc.InvDeg[s], msg.Row(i))
 		}
 	}
 	tensor.AddBias(res, l.B.Value)
@@ -130,11 +125,7 @@ func (l *RGCNBasisLayer) Backward(gc *GraphCtx, dOut *tensor.Tensor) *tensor.Ten
 		wt := tensor.FromSlice(l.weights.Row(t), in, out)
 		dXt := tensor.MatMulTransB(nil, dMsg, wt)
 		for i, s := range slots {
-			srow := dXt.Row(i)
-			xrow := dx.Row(int(gc.SrcByDst[s]))
-			for j, v := range srow {
-				xrow[j] += v
-			}
+			tensor.AddRow(dx.Row(int(gc.SrcByDst[s])), dXt.Row(i))
 		}
 	}
 	// W = comb · flatBasis ⇒ dComb += dW · flatBasisᵀ ; dBasis += combᵀ · dW

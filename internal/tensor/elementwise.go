@@ -60,9 +60,7 @@ func Scale(dst, a *Tensor, s float32) *Tensor {
 func AXPY(dst *Tensor, s float32, a *Tensor) {
 	checkSame(dst, a, "AXPY")
 	parallel.ForRange(len(a.data), ewGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst.data[i] += s * a.data[i]
-		}
+		AxpyRow(dst.data[lo:hi], s, a.data[lo:hi])
 	})
 }
 

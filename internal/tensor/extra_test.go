@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -196,6 +197,46 @@ func TestEnsurePanicsOnWrongShape(t *testing.T) {
 		}
 	}()
 	MatMul(New(3, 3), New(2, 2), New(2, 2))
+}
+
+// Behind the assembly kernel a mis-shaped operand is an out-of-bounds
+// write, not a bounds panic: every matmul entry point must reject it
+// before any row reaches the kernel.
+func TestMatMulVariantsPanicOnWrongShape(t *testing.T) {
+	for name, call := range map[string]func(){
+		"MatMulAcc small dst":      func() { MatMulAcc(New(2, 2), New(3, 4), New(4, 5)) },
+		"MatMulAcc 1-D dst":        func() { MatMulAcc(New(15), New(3, 4), New(4, 5)) },
+		"MatMulAcc 1-D a":          func() { MatMulAcc(nil, New(4), New(4, 5)) },
+		"MatMulAcc 3-D b":          func() { MatMulAcc(nil, New(3, 4), New(4, 5, 2)) },
+		"MatMulAcc inner":          func() { MatMulAcc(nil, New(3, 4), New(5, 5)) },
+		"MatMulTransA 3-D a":       func() { MatMulTransA(nil, New(4, 3, 2), New(4, 5)) },
+		"MatMulTransB 3-D b":       func() { MatMulTransB(nil, New(3, 4), New(5, 4, 2)) },
+		"BatchedMatMul small dst":  func() { BatchedMatMul(New(2, 3, 4), New(2, 3, 4), New(2, 4, 5)) },
+		"BatchedMatMul 2-D dst":    func() { BatchedMatMul(New(6, 5), New(2, 3, 4), New(2, 4, 5)) },
+		"BatchedMatMul batch dims": func() { BatchedMatMul(nil, New(2, 3, 4), New(3, 4, 5)) },
+		"VecMat short dst":         func() { VecMat(make([]float32, 4), make([]float32, 4), New(4, 5)) },
+		"VecMatAcc short x":        func() { VecMatAcc(make([]float32, 5), make([]float32, 3), New(4, 5)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s must panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
+func TestVecMatChecksBeforeClearing(t *testing.T) {
+	dst := []float32{1, 2, 3, 4}
+	func() {
+		defer func() { recover() }()
+		VecMat(dst, make([]float32, 4), New(4, 5))
+	}()
+	if !slices.Equal(dst, []float32{1, 2, 3, 4}) {
+		t.Fatalf("mis-shaped VecMat changed dst to %v before panicking", dst)
+	}
 }
 
 func TestEnsureLikePanicsOnWrongLength(t *testing.T) {

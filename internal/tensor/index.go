@@ -60,11 +60,7 @@ func ScatterAddRowsBinned(dst, src *Tensor, idx []int32, bins *Bins) {
 	parallel.For(bins.NumShards(), 1, func(s int) {
 		for _, i := range bins.Shard(s) {
 			ix := int(idx[i])
-			d := dst.data[ix*rs : (ix+1)*rs]
-			sr := src.data[int(i)*rs : (int(i)+1)*rs]
-			for j, v := range sr {
-				d[j] += v
-			}
+			AddRow(dst.data[ix*rs:(ix+1)*rs], src.data[int(i)*rs:(int(i)+1)*rs])
 		}
 	})
 }
@@ -73,11 +69,7 @@ func ScatterAddRowsBinned(dst, src *Tensor, idx []int32, bins *Bins) {
 // input fast path.
 func scatterAddSeq(dst, src []float32, idx []int32, rs int) {
 	for i, ix := range idx {
-		d := dst[int(ix)*rs : (int(ix)+1)*rs]
-		s := src[i*rs : (i+1)*rs]
-		for j, v := range s {
-			d[j] += v
-		}
+		AddRow(dst[int(ix)*rs:(int(ix)+1)*rs], src[i*rs:(i+1)*rs])
 	}
 }
 
@@ -97,10 +89,7 @@ func SegmentSum(dst, src *Tensor, offsets []int32) *Tensor {
 			out[j] = 0
 		}
 		for r := offsets[s]; r < offsets[s+1]; r++ {
-			row := src.data[int(r)*rs : (int(r)+1)*rs]
-			for j, v := range row {
-				out[j] += v
-			}
+			AddRow(out, src.data[int(r)*rs:(int(r)+1)*rs])
 		}
 	})
 	return dst
@@ -161,11 +150,7 @@ func Scatter2DAdd(dst, src *Tensor, ri, ci []int32) {
 	if shards <= 1 || len(ri) < 1024 {
 		for i := range ri {
 			off := (int(ri[i])*c + int(ci[i])) * inner
-			s := src.data[i*inner : (i+1)*inner]
-			d := dst.data[off : off+inner]
-			for j, v := range s {
-				d[j] += v
-			}
+			AddRow(dst.data[off:off+inner], src.data[i*inner:(i+1)*inner])
 		}
 		return
 	}
@@ -179,11 +164,7 @@ func Scatter2DAdd(dst, src *Tensor, ri, ci []int32) {
 	parallel.For(bins.NumShards(), 1, func(s int) {
 		for _, i := range bins.Shard(s) {
 			off := int(buckets[i]) * inner
-			sr := src.data[int(i)*inner : (int(i)+1)*inner]
-			d := dst.data[off : off+inner]
-			for j, v := range sr {
-				d[j] += v
-			}
+			AddRow(dst.data[off:off+inner], src.data[int(i)*inner:(int(i)+1)*inner])
 		}
 	})
 	binsPool.Put(bins)

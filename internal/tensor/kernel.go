@@ -1,0 +1,85 @@
+package tensor
+
+import "fmt"
+
+// The one vector kernel. Every dense and aggregation loop in the repo is
+// some arrangement of dst[j] += a*x[j] over a float32 row; AxpyRow is
+// that statement and mulAddRow is the matmul row built on it. On amd64
+// with AVX2 both run in assembly (kernel_amd64.s); everywhere else they
+// run the generic loops below, which are also the test oracle. The two
+// paths are bitwise-equal: one rounding for the multiply, one for the
+// add, no fused multiply-add on any platform (see axpyGeneric).
+
+// AxpyRow computes dst[j] += a*x[j] for every j < len(x). It never skips
+// a == 0: 0·Inf must still poison dst and a -0 in dst must still become
+// +0, as in the scalar loop it replaces.
+func AxpyRow(dst []float32, a float32, x []float32) {
+	if len(dst) < len(x) {
+		panic(fmt.Sprintf("tensor: AxpyRow dst[%d] shorter than x[%d]", len(dst), len(x)))
+	}
+	if useAVX2 {
+		axpyAVX2(dst, a, x)
+		return
+	}
+	axpyGeneric(dst, a, x)
+}
+
+// AddRow computes dst[j] += x[j] for every j < len(x). 1·x is exact for
+// every float32, so this is AxpyRow with a == 1 bit for bit.
+func AddRow(dst, x []float32) { AxpyRow(dst, 1, x) }
+
+// VecMatAcc accumulates dst += x × B for a row vector x [K] and B [K,N],
+// walking k in ascending order and skipping zero activations — the
+// element-order contract of one MatMulAcc output row, so a per-row call
+// is bitwise-identical to the whole-matrix call.
+func VecMatAcc(dst, x []float32, b *Tensor) {
+	checkVecMat(dst, x, b)
+	mulAddRow(dst, x, b.data, 0, len(x), len(dst), true)
+}
+
+// checkVecMat panics unless x [K] × B [K,N] fits dst [N]; VecMat runs it
+// before it zeroes dst, so a mis-shaped call leaves the caller's buffer alone.
+func checkVecMat(dst, x []float32, b *Tensor) {
+	if b.Dims() != 2 || len(x) != b.Dim(0) || len(dst) != b.Dim(1) {
+		panic(fmt.Sprintf("tensor: VecMat shapes x[%d] B%v dst[%d]", len(x), b.Shape(), len(dst)))
+	}
+}
+
+// mulAddRow computes ci[j] += Σ_p ai[p]·b[p*n+j] over p in [p0,p1) for
+// one output row, p ascending for every j. With skipZero, terms whose
+// ai[p] is ±0 are not added at all (MatMul's sparse-activation contract).
+// The slice lengths are asserted here so that no caller can hand the
+// assembly kernel a short row.
+func mulAddRow(ci, ai, b []float32, p0, p1, n int, skipZero bool) {
+	if p0 < 0 || n < 0 || len(ci) < n || len(ai) < p1 || len(b) < p1*n {
+		panic(fmt.Sprintf("tensor: mulAddRow c[%d] a[%d] b[%d] for p in [%d,%d), n=%d", len(ci), len(ai), len(b), p0, p1, n))
+	}
+	if useAVX2 {
+		mulAddRowAVX2(ci, ai, b, p0, p1, n, skipZero)
+		return
+	}
+	mulAddRowGeneric(ci, ai, b, p0, p1, n, skipZero)
+}
+
+// axpyGeneric is the portable AXPY and the oracle the assembly is tested
+// against. The explicit float32 conversion rounds the product before the
+// add: the Go spec forbids fusing across it, so arm64, ppc64, s390x and
+// GOAMD64=v3 builds — where the compiler would otherwise emit an FMA —
+// produce the same bits as the mul+add assembly.
+func axpyGeneric(dst []float32, a float32, x []float32) {
+	dst = dst[:len(x)]
+	for j, v := range x {
+		dst[j] += float32(a * v)
+	}
+}
+
+// mulAddRowGeneric is the portable mulAddRow.
+func mulAddRowGeneric(ci, ai, b []float32, p0, p1, n int, skipZero bool) {
+	for p := p0; p < p1; p++ {
+		av := ai[p]
+		if av == 0 && skipZero {
+			continue
+		}
+		axpyGeneric(ci, av, b[p*n:(p+1)*n])
+	}
+}

@@ -1,0 +1,14 @@
+package tensor
+
+// useAVX2 is decided once from CPUID/XGETBV; there is no switch to set it.
+var useAVX2 = cpuHasAVX2()
+
+// Implemented in kernel_amd64.s.
+
+func cpuHasAVX2() bool
+
+//go:noescape
+func axpyAVX2(dst []float32, a float32, x []float32)
+
+//go:noescape
+func mulAddRowAVX2(ci, ai, b []float32, p0, p1, n int, skipZero bool)

@@ -1,0 +1,13 @@
+//go:build !amd64
+
+package tensor
+
+// No assembly kernel on this architecture: the generic loops always run
+// and the compiler drops the calls below as dead code.
+const useAVX2 = false
+
+func axpyAVX2(dst []float32, a float32, x []float32) { panic("tensor: no assembly kernel") }
+
+func mulAddRowAVX2(ci, ai, b []float32, p0, p1, n int, skipZero bool) {
+	panic("tensor: no assembly kernel")
+}

@@ -1,0 +1,276 @@
+package tensor
+
+import (
+	"encoding/binary"
+	"math"
+	"testing"
+)
+
+// Exact-parity tests for the vector kernel: whatever path AxpyRow/mulAddRow
+// dispatch to (the AVX2 assembly on amd64) must produce the same bits as
+// the scalar loops it replaced, for every row width, alignment, k range
+// and float class. NaN payloads are unspecified: NaN matches NaN.
+
+// kernelWidths covers every tile of the row kernel: the scalar-width
+// tails 1..7, the 8/16/32-wide tiles and their tails, the 64-wide tile
+// alone, repeated, and with every remainder class after it.
+func kernelWidths() []int {
+	var ns []int
+	for n := 1; n <= 70; n++ {
+		ns = append(ns, n)
+	}
+	return append(ns, 127, 128, 129, 256, 1024)
+}
+
+// kernelVals fills n values starting at an odd element offset into their
+// backing array, so vector loads and stores are never 32-byte aligned by
+// luck. About a tenth of the values are ±0 (the zero-skip); with special
+// set, denormals, ±Inf and near-overflow magnitudes are mixed in too.
+func kernelVals(rng *RNG, n int, special bool) []float32 {
+	off := 1 + 2*rng.Intn(4)
+	v := make([]float32, off+n)[off:]
+	for i := range v {
+		c := rng.Intn(20)
+		switch {
+		case c == 0:
+			v[i] = 0
+		case c == 1:
+			v[i] = float32(math.Copysign(0, -1))
+		case special && c == 2:
+			v[i] = math.Float32frombits(uint32(1 + rng.Intn(1<<23-1))) // denormal
+		case special && c == 3:
+			v[i] = -math.Float32frombits(uint32(1 + rng.Intn(1<<23-1)))
+		case special && c == 4:
+			v[i] = float32(math.Inf(1 - 2*rng.Intn(2)))
+		case special && c == 5:
+			v[i] = (1 + rng.Float32()) * 1e38 * float32(1-2*rng.Intn(2))
+		default:
+			v[i] = 2*rng.Float32() - 1
+		}
+	}
+	return v
+}
+
+func sameBits(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: len %d, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if math.Float32bits(g) != math.Float32bits(w) && !(g != g && w != w) {
+			t.Fatalf("%s: [%d] = %v (%#08x), scalar reference %v (%#08x)",
+				what, i, g, math.Float32bits(g), w, math.Float32bits(w))
+		}
+	}
+}
+
+// refMatMul is the scalar i-p-j loop every matmul variant ran before the
+// row kernel, kept as the test reference: c[i,j] += a[i,p]·b[p,j], p
+// ascending, one rounding per multiply and one per add.
+func refMatMul(c, a, b []float32, m, k, n int, skipZero bool) {
+	for i := 0; i < m; i++ {
+		for p := 0; p < k; p++ {
+			av := a[i*k+p]
+			if av == 0 && skipZero {
+				continue
+			}
+			for j := 0; j < n; j++ {
+				c[i*n+j] += float32(av * b[p*n+j])
+			}
+		}
+	}
+}
+
+// refMatMulTransB is the scalar dot loop MatMulTransB ran before it packed
+// B: a running sum from +0 in p order, zero A elements included.
+func refMatMulTransB(c, a, b []float32, m, k, n int) {
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var s float32
+			for p := 0; p < k; p++ {
+				s += float32(a[i*k+p] * b[j*k+p])
+			}
+			c[i*n+j] = s
+		}
+	}
+}
+
+func TestAxpyBitwiseEqualScalar(t *testing.T) {
+	rng := NewRNG(1601)
+	for _, n := range kernelWidths() {
+		for _, special := range []bool{false, true} {
+			x := kernelVals(rng, n, special)
+			a := kernelVals(rng, 8, special)
+			for _, av := range append(a, 1) {
+				// dst is longer than x: the tail must stay untouched.
+				got := kernelVals(rng, n+9, special)
+				want := append([]float32(nil), got...)
+				AxpyRow(got, av, x)
+				axpyGeneric(want, av, x)
+				sameBits(t, "axpy", got, want)
+			}
+		}
+	}
+	// AddRow is the plain row add, bit for bit.
+	x, got := kernelVals(rng, 77, true), kernelVals(rng, 77, true)
+	want := append([]float32(nil), got...)
+	for j, v := range x {
+		want[j] += v
+	}
+	AddRow(got, x)
+	sameBits(t, "AddRow", got, want)
+}
+
+func TestMulAddRowBitwiseEqualScalar(t *testing.T) {
+	rng := NewRNG(1602)
+	for _, n := range kernelWidths() {
+		for round := 0; round < 4; round++ {
+			special, skip := round&1 != 0, round&2 != 0
+			k := 1 + rng.Intn(40)
+			p0 := rng.Intn(k)
+			p1 := p0 + rng.Intn(k-p0+1) // p1 == p0: the empty range
+			ai := kernelVals(rng, k, special)
+			b := kernelVals(rng, k*n, special)
+			got := kernelVals(rng, n+9, special)
+			want := append([]float32(nil), got...)
+			mulAddRow(got, ai, b, p0, p1, n, skip)
+			mulAddRowGeneric(want, ai, b, p0, p1, n, skip)
+			sameBits(t, "mulAddRow", got, want)
+		}
+	}
+}
+
+func TestMulAddRowPanicsOnShortSlices(t *testing.T) {
+	for name, call := range map[string]func(){
+		"ci":  func() { mulAddRow(make([]float32, 7), make([]float32, 4), make([]float32, 32), 0, 4, 8, true) },
+		"ai":  func() { mulAddRow(make([]float32, 8), make([]float32, 3), make([]float32, 32), 0, 4, 8, true) },
+		"b":   func() { mulAddRow(make([]float32, 8), make([]float32, 4), make([]float32, 31), 0, 4, 8, true) },
+		"p0":  func() { mulAddRow(make([]float32, 8), make([]float32, 4), make([]float32, 32), -1, 4, 8, true) },
+		"dst": func() { AxpyRow(make([]float32, 7), 1, make([]float32, 8)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("short %s must panic before reaching the kernel", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
+func TestMatMulVariantsBitwiseEqualScalar(t *testing.T) {
+	rng := NewRNG(1603)
+	type shape struct{ m, k, n int }
+	shapes := []shape{
+		{48, 300, 256}, {20, 70, 1024}, {33, 1100, 65}, // K-panel path
+	}
+	for _, n := range []int{1, 3, 7, 8, 9, 15, 16, 17, 31, 33, 40, 63, 64, 65, 70, 127, 129} {
+		shapes = append(shapes, shape{1 + rng.Intn(20), 1 + rng.Intn(50), n})
+	}
+	if s := shapes[2]; s.k*s.n <= matmulPanel || matmulPanel/s.n >= s.k {
+		t.Fatal("test sizes no longer trigger the blocked path")
+	}
+	for si, s := range shapes {
+		m, k, n := s.m, s.k, s.n
+		special := si%2 == 1
+		a := FromSlice(kernelVals(rng, m*k, special), m, k)
+		b := FromSlice(kernelVals(rng, k*n, special), k, n)
+		for _, workers := range []int{1, 4} {
+			withWorkers(t, workers, func() {
+				want := make([]float32, m*n)
+				refMatMul(want, a.data, b.data, m, k, n, true)
+				sameBits(t, "MatMul", MatMul(nil, a, b).data, want)
+
+				acc := FromSlice(kernelVals(rng, m*n, special), m, n)
+				want = append([]float32(nil), acc.data...)
+				refMatMul(want, a.data, b.data, m, k, n, true)
+				sameBits(t, "MatMulAcc", MatMulAcc(acc, a, b).data, want)
+
+				// Bᵀ·: b read as [n,k]ᵀ needs an [n,k] operand.
+				bt := FromSlice(kernelVals(rng, n*k, special), n, k)
+				want = make([]float32, m*n)
+				refMatMulTransB(want, a.data, bt.data, m, k, n)
+				sameBits(t, "MatMulTransB", MatMulTransB(nil, a, bt).data, want)
+
+				// Aᵀ·: a [m,k] read as [k', m'] with k' = m, m' = k.
+				c := FromSlice(kernelVals(rng, m*n, special), m, n)
+				want = make([]float32, k*n)
+				refMatMul(want, Transpose2D(nil, a).data, c.data, k, m, n, true)
+				sameBits(t, "MatMulTransA", MatMulTransA(nil, a, c).data, want)
+			})
+		}
+
+		x := a.Row(0)
+		want := make([]float32, n)
+		refMatMul(want, x, b.data, 1, k, n, true)
+		got := kernelVals(rng, n, special) // VecMat overwrites
+		VecMat(got, x, b)
+		sameBits(t, "VecMat", got, want)
+		acc := kernelVals(rng, n, special)
+		want = append([]float32(nil), acc...)
+		refMatMul(want, x, b.data, 1, k, n, true)
+		VecMatAcc(acc, x, b)
+		sameBits(t, "VecMatAcc", acc, want)
+	}
+}
+
+func TestBatchedMatMulBitwiseEqualScalar(t *testing.T) {
+	rng := NewRNG(1604)
+	for _, n := range []int{1, 7, 8, 33, 64, 70, 129} {
+		bs, m, k := 1+rng.Intn(5), 1+rng.Intn(6), 1+rng.Intn(30)
+		a := FromSlice(kernelVals(rng, bs*m*k, n%2 == 1), bs, m, k)
+		b := FromSlice(kernelVals(rng, bs*k*n, n%2 == 1), bs, k, n)
+		want := make([]float32, bs*m*n)
+		for i := 0; i < bs; i++ {
+			refMatMul(want[i*m*n:(i+1)*m*n], a.data[i*m*k:(i+1)*m*k], b.data[i*k*n:(i+1)*k*n], m, k, n, true)
+		}
+		dst := FromSlice(kernelVals(rng, bs*m*n, false), bs, m, n) // overwritten
+		sameBits(t, "BatchedMatMul", BatchedMatMul(dst, a, b).data, want)
+	}
+}
+
+// FuzzMulAddRow lets the fuzzer choose the floats themselves (any bit
+// pattern, NaNs included), the row width, the k sub-range, the alignment
+// and the skip flag.
+func FuzzMulAddRow(f *testing.F) {
+	seed := make([]byte, 4*200)
+	rng := NewRNG(1605)
+	for i := range seed {
+		seed[i] = byte(rng.Intn(256))
+	}
+	f.Add(seed, uint8(7), uint8(0), uint8(255), uint8(1), true)
+	f.Add(seed, uint8(64), uint8(1), uint8(2), uint8(3), false)
+	f.Add(seed[:4*90], uint8(40), uint8(0), uint8(9), uint8(0), true)
+	f.Fuzz(func(t *testing.T, data []byte, width, lo, hi, off uint8, skip bool) {
+		n := 1 + int(width)%130
+		vals := make([]float32, len(data)/4)
+		for i := range vals {
+			vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
+		}
+		k := (len(vals) - n) / (n + 1)
+		if k < 1 {
+			return
+		}
+		// Copy each operand to its own odd-offset backing array.
+		place := func(src []float32) []float32 {
+			o := int(off) % 8
+			return append(make([]float32, o, o+len(src)), src...)[o:]
+		}
+		got := place(vals[:n])
+		ai := place(vals[n : n+k])
+		b := place(vals[n+k : n+k+k*n])
+		p0 := int(lo) % k
+		p1 := p0 + int(hi)%(k-p0+1)
+		want := append([]float32(nil), got...)
+		mulAddRow(got, ai, b, p0, p1, n, skip)
+		mulAddRowGeneric(want, ai, b, p0, p1, n, skip)
+		sameBits(t, "mulAddRow", got, want)
+
+		got, want = place(vals[:n]), append([]float32(nil), vals[:n]...)
+		AxpyRow(got, ai[0], b[:n])
+		axpyGeneric(want, ai[0], b[:n])
+		sameBits(t, "axpy", got, want)
+	})
+}

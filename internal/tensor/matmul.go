@@ -2,40 +2,45 @@ package tensor
 
 import (
 	"fmt"
+	"sync"
 
 	"wisegraph/internal/parallel"
 )
 
 // MatMul computes C = A × B for 2-D tensors A [M,K] and B [K,N], writing
 // into dst [M,N] (allocated if nil) and returning it. The multiply is
-// parallelized over row blocks; inner loops are written k-outer so the
-// compiler vectorizes the N-dimension AXPY.
+// parallelized over row blocks; each output row is one mulAddRow call,
+// which vectorizes over N and walks K in ascending order, skipping zero
+// activations.
 func MatMul(dst, a, b *Tensor) *Tensor {
-	if a.Dims() != 2 || b.Dims() != 2 {
-		panic(fmt.Sprintf("tensor: MatMul needs 2-D operands, got %v × %v", a.Shape(), b.Shape()))
-	}
-	m, k := a.Dim(0), a.Dim(1)
-	k2, n := b.Dim(0), b.Dim(1)
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul inner dimensions %d vs %d", k, k2))
-	}
+	m, k, n := matmulDims("MatMul", a, b)
 	dst = ensure(dst, m, n)
-	matmulInto(dst.data, a.data, b.data, m, k, n, true)
+	matmulInto(dst.data, a.data, b.data, m, k, n, true, true)
 	return dst
 }
 
 // MatMulAcc computes dst += A × B without zeroing dst first.
 func MatMulAcc(dst, a, b *Tensor) *Tensor {
-	m, k := a.Dim(0), a.Dim(1)
-	n := b.Dim(1)
-	if b.Dim(0) != k {
-		panic(fmt.Sprintf("tensor: MatMulAcc inner dimensions %d vs %d", k, b.Dim(0)))
-	}
-	if dst == nil {
-		dst = New(m, n)
-	}
-	matmulInto(dst.data, a.data, b.data, m, k, n, false)
+	m, k, n := matmulDims("MatMulAcc", a, b)
+	dst = ensure(dst, m, n)
+	matmulInto(dst.data, a.data, b.data, m, k, n, false, true)
 	return dst
+}
+
+// check2D panics unless both operands are matrices.
+func check2D(op string, a, b *Tensor) {
+	if a.Dims() != 2 || b.Dims() != 2 {
+		panic(fmt.Sprintf("tensor: %s needs 2-D operands, got %v × %v", op, a.Shape(), b.Shape()))
+	}
+}
+
+// matmulDims checks A [M,K] × B [K,N] and returns (M, K, N).
+func matmulDims(op string, a, b *Tensor) (m, k, n int) {
+	check2D(op, a, b)
+	if a.Dim(1) != b.Dim(0) {
+		panic(fmt.Sprintf("tensor: %s inner dimensions %d vs %d", op, a.Dim(1), b.Dim(0)))
+	}
+	return a.Dim(0), a.Dim(1), b.Dim(1)
 }
 
 // matmulPanel is the number of B elements kept hot per K-panel in the
@@ -43,6 +48,7 @@ func MatMulAcc(dst, a, b *Tensor) *Tensor {
 const matmulPanel = 1 << 16
 
 // matmulInto computes c (+)= a×b with a [m,k], b [k,n], c [m,n] flat.
+// skipZero is mulAddRow's: terms with a zero A element are not added.
 //
 // When B exceeds the panel budget the K dimension is processed in
 // cache-blocked panels: each panel of B rows is swept across a block of
@@ -50,13 +56,13 @@ const matmulPanel = 1 << 16
 // block instead of once per output row. Blocking only re-orders the
 // (i, panel) iteration — within one output element the k-summation order
 // is unchanged, so results are bitwise identical to the unblocked loop.
-func matmulInto(c, a, b []float32, m, k, n int, zero bool) {
+func matmulInto(c, a, b []float32, m, k, n int, zero, skipZero bool) {
 	grain := 1
 	if m > 0 {
 		// target ~64k multiply-adds per task
 		grain = 1 + 65536/(k*n+1)
 	}
-	kc := 0 // K-panel height; 0 means unblocked
+	kc := k // K-panel height; k means unblocked
 	if k*n > matmulPanel && n > 0 {
 		kc = matmulPanel / n
 		if kc < 8 {
@@ -67,96 +73,70 @@ func matmulInto(c, a, b []float32, m, k, n int, zero bool) {
 		}
 	}
 	parallel.ForRange(m, grain, func(lo, hi int) {
-		if kc == 0 || kc >= k {
-			for i := lo; i < hi; i++ {
-				mulAddRow(c[i*n:(i+1)*n], a[i*k:(i+1)*k], b, 0, k, n, zero)
-			}
-			return
+		if zero {
+			clear(c[lo*n : hi*n])
 		}
 		for p0 := 0; p0 < k; p0 += kc {
-			p1 := p0 + kc
-			if p1 > k {
-				p1 = k
-			}
+			p1 := min(p0+kc, k)
 			for i := lo; i < hi; i++ {
-				mulAddRow(c[i*n:(i+1)*n], a[i*k:(i+1)*k], b, p0, p1, n, zero && p0 == 0)
+				mulAddRow(c[i*n:(i+1)*n], a[i*k:(i+1)*k], b, p0, p1, n, skipZero)
 			}
 		}
 	})
 }
 
-// mulAddRow computes ci (+)= ai[p0:p1] × b[p0:p1, :] for one output row.
-func mulAddRow(ci, ai, b []float32, p0, p1, n int, zero bool) {
-	if zero {
-		for j := range ci {
-			ci[j] = 0
-		}
+// transposePool recycles the transposed operand panels of MatMulTransA
+// and MatMulTransB. The same *[]float32 travels Get → Put, so a call
+// allocates nothing once the panel has grown to size.
+var transposePool = sync.Pool{New: func() any { return new([]float32) }}
+
+// transposed returns a pooled copy of the [m,n] matrix src laid out as
+// [n,m]; hand the pointer back to transposePool when done.
+func transposed(src []float32, m, n int) *[]float32 {
+	p := transposePool.Get().(*[]float32)
+	if cap(*p) < m*n {
+		*p = make([]float32, m*n)
 	}
-	for p := p0; p < p1; p++ {
-		av := ai[p]
-		if av == 0 {
-			continue
-		}
-		bp := b[p*n : (p+1)*n]
-		for j, bv := range bp {
-			ci[j] += av * bv
-		}
-	}
+	*p = (*p)[:m*n]
+	transposeInto(*p, src, m, n)
+	return p
 }
 
 // MatMulTransB computes C = A × Bᵀ for A [M,K], B [N,K] into dst [M,N].
+// Each C[i,j] is a dot product summed in p order from +0. Vector lanes
+// along p would re-associate that sum, so B is transposed into a pooled
+// [K,N] panel and the row kernel vectorizes over j instead, leaving every
+// element's p order intact. No zero-skip here: the dot loop this replaces
+// added 0·b terms, and 0·Inf must still produce NaN.
 func MatMulTransB(dst, a, b *Tensor) *Tensor {
+	check2D("MatMulTransB", a, b)
 	m, k := a.Dim(0), a.Dim(1)
 	n, k2 := b.Dim(0), b.Dim(1)
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMulTransB inner dimensions %d vs %d", k, k2))
 	}
 	dst = ensure(dst, m, n)
-	grain := 1 + 65536/(k*n+1)
-	parallel.ForRange(m, grain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ai := a.data[i*k : (i+1)*k]
-			ci := dst.data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				bj := b.data[j*k : (j+1)*k]
-				var s float32
-				for p, av := range ai {
-					s += av * bj[p]
-				}
-				ci[j] = s
-			}
-		}
-	})
+	bt := transposed(b.data, n, k)
+	matmulInto(dst.data, a.data, *bt, m, k, n, true, false)
+	transposePool.Put(bt)
 	return dst
 }
 
 // MatMulTransA computes C = Aᵀ × B for A [K,M], B [K,N] into dst [M,N].
-// This is the shape needed for weight gradients (Xᵀ·dY).
+// This is the shape needed for weight gradients (Xᵀ·dY). A is transposed
+// into a pooled [M,K] panel so each output row reads its A elements
+// contiguously; the k order and the zero-skip are MatMul's.
 func MatMulTransA(dst, a, b *Tensor) *Tensor {
+	check2D("MatMulTransA", a, b)
 	k, m := a.Dim(0), a.Dim(1)
 	k2, n := b.Dim(0), b.Dim(1)
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMulTransA leading dimensions %d vs %d", k, k2))
 	}
 	dst = ensure(dst, m, n)
-	dst.Zero()
-	// Parallelize over output rows (columns of A) to avoid write races.
-	grain := 1 + 65536/(k*n+1)
-	parallel.ForRange(m, grain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ci := dst.data[i*n : (i+1)*n]
-			for p := 0; p < k; p++ {
-				av := a.data[p*m+i]
-				if av == 0 {
-					continue
-				}
-				bp := b.data[p*n : (p+1)*n]
-				for j, bv := range bp {
-					ci[j] += av * bv
-				}
-			}
-		}
-	})
+	at := transposed(a.data, k, m)
+	matmulInto(dst.data, *at, b.data, m, k, n, true, true)
+	transposePool.Put(at)
 	return dst
 }
 
@@ -164,23 +144,9 @@ func MatMulTransA(dst, a, b *Tensor) *Tensor {
 // It is the edge-by-edge "micro-kernel without batched data" path from the
 // paper's Figure 10(b).
 func VecMat(dst []float32, x []float32, b *Tensor) {
-	k, n := b.Dim(0), b.Dim(1)
-	if len(x) != k || len(dst) != n {
-		panic(fmt.Sprintf("tensor: VecMat shapes x[%d] B%v dst[%d]", len(x), b.Shape(), len(dst)))
-	}
-	for j := range dst {
-		dst[j] = 0
-	}
-	for p := 0; p < k; p++ {
-		av := x[p]
-		if av == 0 {
-			continue
-		}
-		bp := b.data[p*n : (p+1)*n]
-		for j, bv := range bp {
-			dst[j] += av * bv
-		}
-	}
+	checkVecMat(dst, x, b)
+	clear(dst)
+	mulAddRow(dst, x, b.data, 0, len(x), len(dst), true)
 }
 
 // BatchedMatMul computes C[i] = A[i] × B[i] for A [B,M,K], B [B,K,N] into
@@ -193,27 +159,16 @@ func BatchedMatMul(dst, a, b *Tensor) *Tensor {
 	n := b.Dim(2)
 	if dst == nil {
 		dst = New(bs, m, n)
+	} else if dst.Dims() != 3 || dst.Dim(0) != bs || dst.Dim(1) != m || dst.Dim(2) != n {
+		panic(fmt.Sprintf("tensor: destination shape %v, want [%d %d %d]", dst.Shape(), bs, m, n))
 	}
 	parallel.For(bs, 1, func(i int) {
 		as := a.data[i*m*k : (i+1)*m*k]
 		bsl := b.data[i*k*n : (i+1)*k*n]
 		cs := dst.data[i*m*n : (i+1)*m*n]
+		clear(cs)
 		for r := 0; r < m; r++ {
-			cr := cs[r*n : (r+1)*n]
-			for j := range cr {
-				cr[j] = 0
-			}
-			ar := as[r*k : (r+1)*k]
-			for p := 0; p < k; p++ {
-				av := ar[p]
-				if av == 0 {
-					continue
-				}
-				bp := bsl[p*n : (p+1)*n]
-				for j, bv := range bp {
-					cr[j] += av * bv
-				}
-			}
+			mulAddRow(cs[r*n:(r+1)*n], as[r*k:(r+1)*k], bsl, 0, k, n, true)
 		}
 	})
 	return dst
@@ -223,14 +178,27 @@ func BatchedMatMul(dst, a, b *Tensor) *Tensor {
 func Transpose2D(dst, a *Tensor) *Tensor {
 	m, n := a.Dim(0), a.Dim(1)
 	dst = ensure(dst, n, m)
-	parallel.ForRange(m, 64, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			for j := 0; j < n; j++ {
-				dst.data[j*m+i] = a.data[i*n+j]
-			}
-		}
-	})
+	transposeInto(dst.data, a.data, m, n)
 	return dst
+}
+
+// transposeInto writes the [m,n] matrix src into dst as [n,m]. Weight-
+// sized matrices are transposed inline: handing them to the pool costs
+// more (a closure and a job per call) than the copy itself.
+func transposeInto(dst, src []float32, m, n int) {
+	if m*n <= matmulPanel {
+		transposeRows(dst, src, m, n, 0, m)
+		return
+	}
+	parallel.ForRange(m, 64, func(lo, hi int) { transposeRows(dst, src, m, n, lo, hi) })
+}
+
+func transposeRows(dst, src []float32, m, n, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		for j := 0; j < n; j++ {
+			dst[j*m+i] = src[i*n+j]
+		}
+	}
 }
 
 // ensure returns dst if it already has the given 2-D shape, else a new

@@ -11,6 +11,13 @@ go vet ./...
 echo "== go build ./..."
 go build ./...
 
+# The vector kernel is assembly on amd64 only; every other platform runs
+# the generic loops in internal/tensor/kernel.go. Cross-vet and cross-build
+# one of them so that path keeps compiling.
+echo "== GOARCH=arm64 go vet + go build (generic kernel path)"
+GOOS=linux GOARCH=arm64 go vet ./...
+GOOS=linux GOARCH=arm64 go build ./...
+
 echo "== go test -race ./..."
 # internal/bench runs ~24s without the race detector; the ~15-20x race
 # multiplier on a one-core box puts it near go test's default 10m
@@ -125,6 +132,9 @@ go test ./internal/graph/ -run '^$' -fuzz '^FuzzCSRBuild$' -fuzztime=5s >/dev/nu
 # must echo its id on re-encode, and no hostile length/reqid combination
 # may panic or allocate unboundedly.
 go test ./internal/shard/wire/ -run '^$' -fuzz '^FuzzDecode$' -fuzztime=5s >/dev/null
+# The assembly row kernel must match the scalar loop bit for bit on any
+# floats, row width, k range and alignment the fuzzer can build.
+go test ./internal/tensor/ -run '^$' -fuzz '^FuzzMulAddRow$' -fuzztime=5s >/dev/null
 echo "fuzz smokes OK"
 
 # End-to-end serving smoke test: train a tiny checkpoint, serve it over
