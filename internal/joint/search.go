@@ -55,10 +55,12 @@ type Result struct {
 var statAttrs = []core.Attr{core.AttrSrcID, core.AttrDstID, core.AttrEdgeType, core.AttrDstDegree}
 
 // LayerTime models one layer's execution: the shared dense kernels plus
-// the fused gTask kernel under the given schedule.
+// the fused gTask kernel under the given schedule. The dense kernels are
+// charged as on a full graph (all v rows are destinations); they are the
+// same for every plan a search compares, so no ranking depends on them.
 func LayerTime(spec device.Spec, sh kernels.LayerShape, v int, sched Schedule) float64 {
 	t := 0.0
-	for _, k := range kernels.DenseKernels(sh, v) {
+	for _, k := range kernels.DenseKernels(sh, v, v) {
 		t += spec.LaunchOverhead + spec.Time(k)
 	}
 	t += spec.LaunchOverhead + sched.Makespan(spec.NumUnits)

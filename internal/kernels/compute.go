@@ -30,10 +30,13 @@ func RunModel(ctx *exec.Ctx, gc *nn.GraphCtx, m *nn.Model, x *tensor.Tensor, par
 	}
 	sp := obs.Begin(obs.StageExec, ctx.TraceID)
 	defer sp.End()
+	// On a full graph every vertex is a destination.
+	all := allRows(gc.NumVertices())
+	defer tensor.PutI32(all)
 	cur := x
 	for li, layer := range m.Layers() {
 		sh := LayerShape{Kind: m.Cfg.Kind, F: layer.InDim(), Fp: layer.OutDim(), Types: m.Cfg.NumTypes}
-		out, err := eng.RunLayer(ctx, gc, layer, sh, cur, part, plan)
+		out, err := eng.RunLayer(ctx, gc, layer, sh, cur, all, part, plan)
 		if err != nil {
 			return nil, err
 		}
@@ -56,15 +59,17 @@ func RunModel(ctx *exec.Ctx, gc *nn.GraphCtx, m *nn.Model, x *tensor.Tensor, par
 	return cur, nil
 }
 
-// RunModelLayer executes exactly one layer of the model through the
-// engine selected by ctx.Engine — the layer-boundary entry the serving
-// tier's leveled forward uses so it can splice cached embedding rows in
-// between layers. No activation is applied: the caller owns the ReLU (and
-// must match RunModel's placement — after every layer but the last) so
-// cached rows and freshly computed rows go through identical math. The
+// RunModelLayerRows executes exactly one layer of the model through the
+// engine selected by ctx.Engine and returns the rows of dsts (strictly
+// ascending local ids, see Engine.RunLayer) as a compact [len(dsts),F']
+// tensor — the layer-boundary entry the serving tier's leveled forward
+// uses: a sampled block's targets are its only destinations, so only their
+// rows are transformed. No activation is applied: the caller owns the ReLU
+// (and must match RunModel's placement — after every layer but the last)
+// so cached rows and freshly computed rows go through identical math. The
 // span accounting mirrors RunModel: the call is recorded under StageExec
 // against ctx.TraceID.
-func RunModelLayer(ctx *exec.Ctx, gc *nn.GraphCtx, m *nn.Model, li int, x *tensor.Tensor, part *core.Partition, plan Plan) (*tensor.Tensor, error) {
+func RunModelLayerRows(ctx *exec.Ctx, gc *nn.GraphCtx, m *nn.Model, li int, x *tensor.Tensor, dsts []int32, part *core.Partition, plan Plan) (*tensor.Tensor, error) {
 	sp := obs.Begin(obs.StageExec, ctx.TraceID)
 	defer sp.End()
 	eng, err := Select(ctx.Engine)
@@ -80,8 +85,60 @@ func RunModelLayer(ctx *exec.Ctx, gc *nn.GraphCtx, m *nn.Model, li int, x *tenso
 	}
 	layer := layers[li]
 	sh := LayerShape{Kind: m.Cfg.Kind, F: layer.InDim(), Fp: layer.OutDim(), Types: m.Cfg.NumTypes}
-	return eng.RunLayer(ctx, gc, layer, sh, x, part, plan)
+	return eng.RunLayer(ctx, gc, layer, sh, x, dsts, part, plan)
 }
+
+// RunModelLayer is RunModelLayerRows with every vertex of the block as a
+// destination: the output has one row per input row.
+func RunModelLayer(ctx *exec.Ctx, gc *nn.GraphCtx, m *nn.Model, li int, x *tensor.Tensor, part *core.Partition, plan Plan) (*tensor.Tensor, error) {
+	all := allRows(gc.NumVertices())
+	defer tensor.PutI32(all)
+	return RunModelLayerRows(ctx, gc, m, li, x, all, part, plan)
+}
+
+// allRows returns the identity row set 0..n-1 in pooled storage.
+func allRows(n int) []int32 {
+	ids := tensor.GetI32(n)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	return ids
+}
+
+// rowSet is the destination row set of one layer execution: ids are the
+// local vertex ids whose output rows are produced, and at[ids[i]] == i
+// places vertex ids[i] in the compact output. Entries of at for other
+// vertices are never read: newRowSet has checked that no edge ends there.
+type rowSet struct {
+	ids []int32
+	at  []int32
+}
+
+// newRowSet checks that dsts is strictly ascending inside the block and
+// that every edge of g ends in it (the in-degrees of the set sum to the
+// edge count exactly when none ends elsewhere). Release the set when the
+// layer is done.
+func newRowSet(g *graphT, dsts []int32) (rowSet, error) {
+	inDeg := g.InDegrees()
+	prev, edges := int32(-1), 0
+	for _, d := range dsts {
+		if d <= prev || int(d) >= g.NumVertices {
+			return rowSet{}, fmt.Errorf("kernels: destination rows must be strictly ascending ids in [0,%d), got %d after %d", g.NumVertices, d, prev)
+		}
+		edges += int(inDeg[d])
+		prev = d
+	}
+	if edges != g.NumEdges() {
+		return rowSet{}, fmt.Errorf("kernels: %d of %d edges end outside the %d destination rows", g.NumEdges()-edges, g.NumEdges(), len(dsts))
+	}
+	at := tensor.GetI32(g.NumVertices)
+	for i, d := range dsts {
+		at[d] = int32(i)
+	}
+	return rowSet{ids: dsts, at: at}, nil
+}
+
+func (rs rowSet) release() { tensor.PutI32(rs.at) }
 
 // invDegOf returns the mean-normalization weight of an edge (1/in-degree
 // of its destination, 0 for isolated destinations).
@@ -99,41 +156,46 @@ func invDegOf(g *graphT) func(int32) float32 {
 // computeLayer is the blocked-engine computation over gTasks: separate
 // gather, transform and scatter-add passes with per-edge read-modify-write
 // accumulation.
-func computeLayer(gc *nn.GraphCtx, layer nn.Layer, x *tensor.Tensor, part *core.Partition, plan Plan) (*tensor.Tensor, error) {
+func computeLayer(gc *nn.GraphCtx, layer nn.Layer, x *tensor.Tensor, dsts []int32, part *core.Partition, plan Plan) (*tensor.Tensor, error) {
 	g := gc.G
+	rs, err := newRowSet(g, dsts)
+	if err != nil {
+		return nil, err
+	}
+	defer rs.release()
 	invDeg := invDegOf(g)
 	switch l := layer.(type) {
 	case *nn.GCNLayer:
-		xw := tensor.MatMul(tensor.Get(x.Dim(0), l.OutDim()), x, l.W.Value)
+		xw := tensor.MatMulAcc(tensor.Get(x.Dim(0), l.OutDim()), x, l.W.Value)
 		defer tensor.Put(xw)
-		out := tensor.Get(g.NumVertices, l.OutDim())
+		out := tensor.Get(len(dsts), l.OutDim())
 		forEachTaskEdge(part, func(e int32) {
 			src, dst := g.Src[e], g.Dst[e]
-			tensor.AxpyRow(out.Row(int(dst)), invDeg(e), xw.Row(int(src)))
+			tensor.AxpyRow(out.Row(int(rs.at[dst])), invDeg(e), xw.Row(int(src)))
 		})
 		tensor.AddBias(out, l.B.Value)
 		return out, nil
 
 	case *nn.SAGELayer:
-		agg := tensor.Get(g.NumVertices, l.InDim())
+		agg := tensor.Get(len(dsts), l.InDim())
 		defer tensor.Put(agg)
 		forEachTaskEdge(part, func(e int32) {
 			src, dst := g.Src[e], g.Dst[e]
-			tensor.AxpyRow(agg.Row(int(dst)), invDeg(e), x.Row(int(src)))
+			tensor.AxpyRow(agg.Row(int(rs.at[dst])), invDeg(e), x.Row(int(src)))
 		})
-		out := tensor.MatMul(tensor.Get(x.Dim(0), l.OutDim()), x, l.WSelf.Value)
+		out := tensor.MatMulRowsAcc(tensor.Get(len(dsts), l.OutDim()), x, dsts, l.WSelf.Value)
 		tensor.MatMulAcc(out, agg, l.WNeigh.Value)
 		tensor.AddBias(out, l.B.Value)
 		return out, nil
 
 	case *nn.RGCNLayer:
-		return computeRGCN(g, l, x, part, plan, invDeg)
+		return computeRGCN(g, l, x, rs, part, plan, invDeg)
 
 	case *nn.GATLayer:
-		return computeGAT(gc, l, x, part)
+		return computeGAT(gc, l, x, rs, part)
 
 	case *nn.SAGELSTMLayer:
-		return computeLSTM(g, l, x, part)
+		return computeLSTM(g, l, x, rs, part)
 	}
 	return nil, fmt.Errorf("kernels: unsupported layer type %T", layer)
 }
@@ -149,9 +211,9 @@ func forEachTaskEdge(part *core.Partition, fn func(e int32)) {
 
 // computeRGCN runs the RGCN aggregation per task, with the dedup'd
 // outer-product micro-kernel (paper Figure 10c) when the plan asks for it.
-func computeRGCN(g *graphT, l *nn.RGCNLayer, x *tensor.Tensor, part *core.Partition, plan Plan, invDeg func(int32) float32) (*tensor.Tensor, error) {
+func computeRGCN(g *graphT, l *nn.RGCNLayer, x *tensor.Tensor, rs rowSet, part *core.Partition, plan Plan, invDeg func(int32) float32) (*tensor.Tensor, error) {
 	in, outDim := l.InDim(), l.OutDim()
-	out := tensor.MatMul(tensor.Get(x.Dim(0), outDim), x, l.WSelf.Value)
+	out := tensor.MatMulRowsAcc(tensor.Get(len(rs.ids), outDim), x, rs.ids, l.WSelf.Value)
 	msg := make([]float32, outDim)
 	for ti := 0; ti < part.NumTasks(); ti++ {
 		edges := part.TaskEdges(ti)
@@ -177,7 +239,7 @@ func computeRGCN(g *graphT, l *nn.RGCNLayer, x *tensor.Tensor, part *core.Partit
 			}
 			for i, e := range edges {
 				pr := prod.Data()[(int(mSrc[i])*len(uTyp)+int(mTyp[i]))*outDim : (int(mSrc[i])*len(uTyp)+int(mTyp[i])+1)*outDim]
-				tensor.AxpyRow(out.Row(int(g.Dst[e])), invDeg(e), pr)
+				tensor.AxpyRow(out.Row(int(rs.at[g.Dst[e]])), invDeg(e), pr)
 			}
 			tensor.Put(prod)
 		} else {
@@ -185,7 +247,7 @@ func computeRGCN(g *graphT, l *nn.RGCNLayer, x *tensor.Tensor, part *core.Partit
 				tv := g.EdgeType(int(e))
 				w := tensor.FromSlice(l.W.Value.Data()[int(tv)*in*outDim:(int(tv)+1)*in*outDim], in, outDim)
 				tensor.VecMat(msg, x.Row(int(g.Src[e])), w)
-				tensor.AxpyRow(out.Row(int(g.Dst[e])), invDeg(e), msg)
+				tensor.AxpyRow(out.Row(int(rs.at[g.Dst[e]])), invDeg(e), msg)
 			}
 		}
 	}
@@ -194,41 +256,48 @@ func computeRGCN(g *graphT, l *nn.RGCNLayer, x *tensor.Tensor, part *core.Partit
 }
 
 // gatScores runs the GAT phases shared by every engine: the dense Z
-// transform, attention projections, per-edge leaky-ReLU scores, and the
-// per-(dst,head) stable softmax. The softmax runs over the whole edge set
-// (three passes) so normalization is exact regardless of how tasks split
-// a destination's in-edges. It returns Z, the normalized score numerators
-// and the per-destination sums; the caller owns all three (tensor.Put).
-func gatScores(gc *nn.GraphCtx, l *nn.GATLayer, x *tensor.Tensor, part *core.Partition) (z, score, sum *tensor.Tensor) {
+// transform and left projection over every input row (any of them may be
+// an edge source), the right projection over the destination rows,
+// per-edge leaky-ReLU scores, and the per-(dst,head) stable softmax. The
+// softmax runs over the whole edge set (three passes) so normalization is
+// exact regardless of how tasks split a destination's in-edges. It returns
+// Z [V,F'], the normalized score numerators [E,heads] and the
+// per-destination sums [len(rs.ids),heads]; the caller owns all three
+// (tensor.Put).
+func gatScores(gc *nn.GraphCtx, l *nn.GATLayer, x *tensor.Tensor, rs rowSet, part *core.Partition) (z, score, sum *tensor.Tensor) {
 	g := gc.G
 	heads := l.Heads()
 	dh := l.OutDim() / heads
-	z = tensor.MatMul(tensor.Get(x.Dim(0), l.OutDim()), x, l.W.Value)
-	v := g.NumVertices
-	// projections
+	z = tensor.MatMulAcc(tensor.Get(x.Dim(0), l.OutDim()), x, l.W.Value)
+	v, nd := g.NumVertices, len(rs.ids)
+	// project writes one attention score per head of z's row vi.
+	project := func(dst []float32, a *tensor.Tensor, vi int) {
+		zr := z.Row(vi)
+		for h := 0; h < heads; h++ {
+			ar := a.Row(h)
+			var s float32
+			for d := 0; d < dh; d++ {
+				s += ar[d] * zr[h*dh+d]
+			}
+			dst[h] = s
+		}
+	}
 	pl := tensor.Get(v, heads)
-	pr := tensor.Get(v, heads)
+	pr := tensor.Get(nd, heads)
 	defer tensor.Put(pl)
 	defer tensor.Put(pr)
 	for vi := 0; vi < v; vi++ {
-		zr := z.Row(vi)
-		plr, prr := pl.Row(vi), pr.Row(vi)
-		for h := 0; h < heads; h++ {
-			alr, arr := l.AL.Value.Row(h), l.AR.Value.Row(h)
-			var sl, sr float32
-			for d := 0; d < dh; d++ {
-				sl += alr[d] * zr[h*dh+d]
-				sr += arr[d] * zr[h*dh+d]
-			}
-			plr[h], prr[h] = sl, sr
-		}
+		project(pl.Row(vi), l.AL.Value, vi)
+	}
+	for i, d := range rs.ids {
+		project(pr.Row(i), l.AR.Value, int(d))
 	}
 	e := g.NumEdges()
 	score = tensor.Get(e, heads)
 	forEachTaskEdge(part, func(ei int32) {
 		sr := score.Row(int(ei))
 		plr := pl.Row(int(g.Src[ei]))
-		prr := pr.Row(int(g.Dst[ei]))
+		prr := pr.Row(int(rs.at[g.Dst[ei]]))
 		for h := 0; h < heads; h++ {
 			s := plr[h] + prr[h]
 			if s < 0 {
@@ -238,13 +307,13 @@ func gatScores(gc *nn.GraphCtx, l *nn.GATLayer, x *tensor.Tensor, part *core.Par
 		}
 	})
 	// per-dst stable softmax over the whole edge set (three passes)
-	maxS := tensor.Get(v, heads)
+	maxS := tensor.Get(nd, heads)
 	defer tensor.Put(maxS)
 	for i, d := 0, maxS.Data(); i < len(d); i++ {
 		d[i] = float32(math.Inf(-1))
 	}
 	for ei := 0; ei < e; ei++ {
-		mr := maxS.Row(int(g.Dst[ei]))
+		mr := maxS.Row(int(rs.at[g.Dst[ei]]))
 		sr := score.Row(ei)
 		for h := 0; h < heads; h++ {
 			if sr[h] > mr[h] {
@@ -252,9 +321,9 @@ func gatScores(gc *nn.GraphCtx, l *nn.GATLayer, x *tensor.Tensor, part *core.Par
 			}
 		}
 	}
-	sum = tensor.Get(v, heads)
+	sum = tensor.Get(nd, heads)
 	for ei := 0; ei < e; ei++ {
-		d := int(g.Dst[ei])
+		d := int(rs.at[g.Dst[ei]])
 		sr := score.Row(ei)
 		mr := maxS.Row(d)
 		zr := sum.Row(d)
@@ -269,17 +338,17 @@ func gatScores(gc *nn.GraphCtx, l *nn.GATLayer, x *tensor.Tensor, part *core.Par
 
 // computeGAT is the blocked GAT path: shared score/softmax phases, then a
 // per-edge read-modify-write aggregation over the tasks.
-func computeGAT(gc *nn.GraphCtx, l *nn.GATLayer, x *tensor.Tensor, part *core.Partition) (*tensor.Tensor, error) {
+func computeGAT(gc *nn.GraphCtx, l *nn.GATLayer, x *tensor.Tensor, rs rowSet, part *core.Partition) (*tensor.Tensor, error) {
 	g := gc.G
 	heads := l.Heads()
 	dh := l.OutDim() / heads
-	z, score, sum := gatScores(gc, l, x, part)
+	z, score, sum := gatScores(gc, l, x, rs, part)
 	defer tensor.Put(z)
 	defer tensor.Put(score)
 	defer tensor.Put(sum)
-	out := tensor.Get(g.NumVertices, l.OutDim())
+	out := tensor.Get(len(rs.ids), l.OutDim())
 	forEachTaskEdge(part, func(ei int32) {
-		src, dst := int(g.Src[ei]), int(g.Dst[ei])
+		src, dst := int(g.Src[ei]), int(rs.at[g.Dst[ei]])
 		sr := score.Row(int(ei))
 		zr := z.Row(src)
 		or := out.Row(dst)
@@ -298,10 +367,9 @@ func computeGAT(gc *nn.GraphCtx, l *nn.GATLayer, x *tensor.Tensor, part *core.Pa
 // computeLSTM runs the per-destination recurrences task by task. The
 // validity filter guarantees each destination's edges are contiguous in
 // one task and in original (CSR-equivalent) order.
-func computeLSTM(g *graphT, l *nn.SAGELSTMLayer, x *tensor.Tensor, part *core.Partition) (*tensor.Tensor, error) {
+func computeLSTM(g *graphT, l *nn.SAGELSTMLayer, x *tensor.Tensor, rs rowSet, part *core.Partition) (*tensor.Tensor, error) {
 	hd := l.OutDim()
-	f := l.InDim()
-	hFinal := tensor.Get(g.NumVertices, hd)
+	hFinal := tensor.Get(len(rs.ids), hd)
 	defer tensor.Put(hFinal)
 	h := make([]float32, hd)
 	c := make([]float32, hd)
@@ -335,12 +403,11 @@ func computeLSTM(g *graphT, l *nn.SAGELSTMLayer, x *tensor.Tensor, part *core.Pa
 					h[k] = og * float32(math.Tanh(float64(c[k])))
 				}
 			}
-			copy(hFinal.Row(int(dst)), h)
+			copy(hFinal.Row(int(rs.at[dst])), h)
 			i = j
 		}
 	}
-	_ = f
-	out := tensor.MatMul(tensor.Get(x.Dim(0), hd), x, l.WSelf.Value)
+	out := tensor.MatMulRowsAcc(tensor.Get(len(rs.ids), hd), x, rs.ids, l.WSelf.Value)
 	tensor.MatMulAcc(out, hFinal, l.WNeigh.Value)
 	tensor.AddBias(out, l.B.Value)
 	return out, nil

@@ -34,8 +34,27 @@ type Engine interface {
 	// graph partition plan. A nil error is a commitment: RunLayer must
 	// then produce output bitwise-equal to the blocked engine.
 	Probe(kind nn.ModelKind, plan core.GraphPlan) error
-	// RunLayer accounts and (when ctx.Compute) computes one layer.
-	RunLayer(ctx *exec.Ctx, gc *nn.GraphCtx, layer nn.Layer, sh LayerShape, x *tensor.Tensor, part *core.Partition, plan Plan) (*tensor.Tensor, error)
+	// RunLayer accounts and (when ctx.Compute) computes one layer over the
+	// block gc with input rows x [V,F], producing the rows of dsts — local
+	// vertex ids, strictly ascending — as a compact [len(dsts),F'] tensor
+	// in that order. Work is split by who reads it:
+	//
+	//   - destination-side work runs over dsts only: the self and
+	//     neighbour transforms of SAGE, RGCN and SAGE-LSTM, the
+	//     aggregation and output buffers, GAT's right projection, softmax
+	//     maxima and sums, the bias;
+	//   - source-side transforms that any edge source may need stay over
+	//     all V input rows: GCN's X·W, GAT's Z and left projection.
+	//
+	// Either way each output element sees the operations of the all-rows
+	// execution in the same order, so row i is bitwise-equal to row
+	// dsts[i] of the execution with dsts = 0..V-1 — which is how full-
+	// graph callers run. Ids are the block's own (ascending parent order),
+	// never renumbered targets-first: the partition sorts edges by local
+	// id, so renumbering would make a destination's summation order depend
+	// on what else is in the batch. Every edge must end in dsts; one that
+	// does not is an error, not a dropped contribution.
+	RunLayer(ctx *exec.Ctx, gc *nn.GraphCtx, layer nn.Layer, sh LayerShape, x *tensor.Tensor, dsts []int32, part *core.Partition, plan Plan) (*tensor.Tensor, error)
 	// LayerBytes returns the engine's modeled global-memory traffic for
 	// one layer's aggregation path (the fused gTask kernel; the shared
 	// dense transforms are identical across engines and excluded).
@@ -140,9 +159,9 @@ func (blockedEngine) LayerBytes(sh LayerShape, part *core.Partition, plan Plan) 
 	return blockedLayerBytes(sh, part, plan)
 }
 
-func (blockedEngine) RunLayer(ctx *exec.Ctx, gc *nn.GraphCtx, layer nn.Layer, sh LayerShape, x *tensor.Tensor, part *core.Partition, plan Plan) (*tensor.Tensor, error) {
+func (blockedEngine) RunLayer(ctx *exec.Ctx, gc *nn.GraphCtx, layer nn.Layer, sh LayerShape, x *tensor.Tensor, dsts []int32, part *core.Partition, plan Plan) (*tensor.Tensor, error) {
 	// Shared dense transforms.
-	for _, k := range DenseKernels(sh, gc.NumVertices()) {
+	for _, k := range DenseKernels(sh, gc.NumVertices(), len(dsts)) {
 		ctx.Launch(k, nil)
 	}
 	// Fused gTask kernel: one launch, tasks as work items.
@@ -161,7 +180,7 @@ func (blockedEngine) RunLayer(ctx *exec.Ctx, gc *nn.GraphCtx, layer nn.Layer, sh
 	if !ctx.Compute {
 		return nil, nil
 	}
-	return computeLayer(gc, layer, x, part, plan)
+	return computeLayer(gc, layer, x, dsts, part, plan)
 }
 
 // deviceEngine runs blocked numerics but accounts the composed program
@@ -182,8 +201,8 @@ func (deviceEngine) LayerBytes(sh LayerShape, part *core.Partition, plan Plan) f
 	return composedLayerBytes(sh, part, plan)
 }
 
-func (deviceEngine) RunLayer(ctx *exec.Ctx, gc *nn.GraphCtx, layer nn.Layer, sh LayerShape, x *tensor.Tensor, part *core.Partition, plan Plan) (*tensor.Tensor, error) {
-	for _, k := range DenseKernels(sh, gc.NumVertices()) {
+func (deviceEngine) RunLayer(ctx *exec.Ctx, gc *nn.GraphCtx, layer nn.Layer, sh LayerShape, x *tensor.Tensor, dsts []int32, part *core.Partition, plan Plan) (*tensor.Tensor, error) {
+	for _, k := range DenseKernels(sh, gc.NumVertices(), len(dsts)) {
 		ctx.Launch(k, nil)
 	}
 	prog := Compose(sh, plan)
@@ -219,5 +238,5 @@ func (deviceEngine) RunLayer(ctx *exec.Ctx, gc *nn.GraphCtx, layer nn.Layer, sh 
 	if !ctx.Compute {
 		return nil, nil
 	}
-	return computeLayer(gc, layer, x, part, plan)
+	return computeLayer(gc, layer, x, dsts, part, plan)
 }

@@ -36,8 +36,8 @@ func (fusedEngine) LayerBytes(sh LayerShape, part *core.Partition, plan Plan) fl
 	return total
 }
 
-func (fusedEngine) RunLayer(ctx *exec.Ctx, gc *nn.GraphCtx, layer nn.Layer, sh LayerShape, x *tensor.Tensor, part *core.Partition, plan Plan) (*tensor.Tensor, error) {
-	for _, k := range DenseKernels(sh, gc.NumVertices()) {
+func (fusedEngine) RunLayer(ctx *exec.Ctx, gc *nn.GraphCtx, layer nn.Layer, sh LayerShape, x *tensor.Tensor, dsts []int32, part *core.Partition, plan Plan) (*tensor.Tensor, error) {
+	for _, k := range DenseKernels(sh, gc.NumVertices(), len(dsts)) {
 		ctx.Launch(k, nil)
 	}
 	// One streaming kernel per layer. Arithmetic work is unchanged from
@@ -63,7 +63,7 @@ func (fusedEngine) RunLayer(ctx *exec.Ctx, gc *nn.GraphCtx, layer nn.Layer, sh L
 	if !ctx.Compute {
 		return nil, nil
 	}
-	return computeLayerFused(gc, layer, x, part, plan)
+	return computeLayerFused(gc, layer, x, dsts, part, plan)
 }
 
 // taskRuns counts the maximal same-destination edge runs in one task — the
@@ -102,17 +102,17 @@ func forEachTaskRun(part *core.Partition, dst []int32, fn func(d int32, run []in
 
 // singleRunPerDst reports whether every destination's edges form exactly
 // one run across the whole partition — the condition under which SAGE's
-// neighbor mean never needs the [V,F] aggregation buffer at all (each
+// neighbor mean never needs the [D,F] aggregation buffer at all (each
 // accumulator is complete when its run ends, so it can flow straight into
 // the dense transform).
-func singleRunPerDst(part *core.Partition, dst []int32, v int) bool {
-	seen := make([]bool, v)
+func singleRunPerDst(part *core.Partition, dst []int32, rs rowSet) bool {
+	seen := make([]bool, len(rs.ids))
 	ok := true
 	forEachTaskRun(part, dst, func(d int32, _ []int32) {
-		if seen[d] {
+		if seen[rs.at[d]] {
 			ok = false
 		}
-		seen[d] = true
+		seen[rs.at[d]] = true
 	})
 	return ok
 }
@@ -122,17 +122,22 @@ func singleRunPerDst(part *core.Partition, dst []int32, v int) bool {
 // current output row, adds contributions in task-edge order and stores the
 // row back performs the identical additions in the identical order as the
 // blocked per-edge read-modify-write.
-func computeLayerFused(gc *nn.GraphCtx, layer nn.Layer, x *tensor.Tensor, part *core.Partition, plan Plan) (*tensor.Tensor, error) {
+func computeLayerFused(gc *nn.GraphCtx, layer nn.Layer, x *tensor.Tensor, dsts []int32, part *core.Partition, plan Plan) (*tensor.Tensor, error) {
 	g := gc.G
+	rs, err := newRowSet(g, dsts)
+	if err != nil {
+		return nil, err
+	}
+	defer rs.release()
 	invDeg := invDegOf(g)
 	switch l := layer.(type) {
 	case *nn.GCNLayer:
-		xw := tensor.MatMul(tensor.Get(x.Dim(0), l.OutDim()), x, l.W.Value)
+		xw := tensor.MatMulAcc(tensor.Get(x.Dim(0), l.OutDim()), x, l.W.Value)
 		defer tensor.Put(xw)
-		out := tensor.Get(g.NumVertices, l.OutDim())
+		out := tensor.Get(len(dsts), l.OutDim())
 		acc := make([]float32, l.OutDim())
 		forEachTaskRun(part, g.Dst, func(d int32, run []int32) {
-			or := out.Row(int(d))
+			or := out.Row(int(rs.at[d]))
 			copy(acc, or)
 			for _, e := range run {
 				tensor.AxpyRow(acc, invDeg(e), xw.Row(int(g.Src[e])))
@@ -143,9 +148,9 @@ func computeLayerFused(gc *nn.GraphCtx, layer nn.Layer, x *tensor.Tensor, part *
 		return out, nil
 
 	case *nn.SAGELayer:
-		out := tensor.MatMul(tensor.Get(x.Dim(0), l.OutDim()), x, l.WSelf.Value)
+		out := tensor.MatMulRowsAcc(tensor.Get(len(dsts), l.OutDim()), x, dsts, l.WSelf.Value)
 		acc := make([]float32, l.InDim())
-		if singleRunPerDst(part, g.Dst, g.NumVertices) {
+		if singleRunPerDst(part, g.Dst, rs) {
 			// Zero-materialization fast path: the neighbor mean lives
 			// only in the accumulator and feeds the dense transform the
 			// moment its run completes.
@@ -156,18 +161,18 @@ func computeLayerFused(gc *nn.GraphCtx, layer nn.Layer, x *tensor.Tensor, part *
 				for _, e := range run {
 					tensor.AxpyRow(acc, invDeg(e), x.Row(int(g.Src[e])))
 				}
-				tensor.VecMatAcc(out.Row(int(d)), acc, l.WNeigh.Value)
+				tensor.VecMatAcc(out.Row(int(rs.at[d])), acc, l.WNeigh.Value)
 			})
 		} else {
 			// A destination's edges fragment across runs: partial means
 			// must meet in memory before the dense transform (the partial
 			// products Σ₁·W + Σ₂·W would not be bitwise (Σ₁+Σ₂)·W), so
-			// keep the [V,F] buffer but stream each run through the
+			// keep the [D,F] buffer but stream each run through the
 			// accumulator.
-			agg := tensor.Get(g.NumVertices, l.InDim())
+			agg := tensor.Get(len(dsts), l.InDim())
 			defer tensor.Put(agg)
 			forEachTaskRun(part, g.Dst, func(d int32, run []int32) {
-				ar := agg.Row(int(d))
+				ar := agg.Row(int(rs.at[d]))
 				copy(acc, ar)
 				for _, e := range run {
 					tensor.AxpyRow(acc, invDeg(e), x.Row(int(g.Src[e])))
@@ -180,15 +185,15 @@ func computeLayerFused(gc *nn.GraphCtx, layer nn.Layer, x *tensor.Tensor, part *
 		return out, nil
 
 	case *nn.RGCNLayer:
-		return computeRGCNFused(g, l, x, part, plan, invDeg)
+		return computeRGCNFused(g, l, x, rs, part, plan, invDeg)
 
 	case *nn.GATLayer:
-		return computeGATFused(gc, l, x, part)
+		return computeGATFused(gc, l, x, rs, part)
 
 	case *nn.SAGELSTMLayer:
 		// The recurrence already streams one source row per step and
 		// holds (h, c) in registers; there is nothing left to fuse.
-		return computeLSTM(g, l, x, part)
+		return computeLSTM(g, l, x, rs, part)
 	}
 	return nil, fmt.Errorf("kernels: unsupported layer type %T", layer)
 }
@@ -196,9 +201,9 @@ func computeLayerFused(gc *nn.GraphCtx, layer nn.Layer, x *tensor.Tensor, part *
 // computeRGCNFused keeps the dedup'd outer-product micro-kernel (the
 // duplicated-data DFG transformation must survive fusion) but streams the
 // scatter through run accumulators instead of per-edge read-modify-writes.
-func computeRGCNFused(g *graphT, l *nn.RGCNLayer, x *tensor.Tensor, part *core.Partition, plan Plan, invDeg func(int32) float32) (*tensor.Tensor, error) {
+func computeRGCNFused(g *graphT, l *nn.RGCNLayer, x *tensor.Tensor, rs rowSet, part *core.Partition, plan Plan, invDeg func(int32) float32) (*tensor.Tensor, error) {
 	in, outDim := l.InDim(), l.OutDim()
-	out := tensor.MatMul(tensor.Get(x.Dim(0), outDim), x, l.WSelf.Value)
+	out := tensor.MatMulRowsAcc(tensor.Get(len(rs.ids), outDim), x, rs.ids, l.WSelf.Value)
 	acc := make([]float32, outDim)
 	msg := make([]float32, outDim)
 	for ti := 0; ti < part.NumTasks(); ti++ {
@@ -226,7 +231,7 @@ func computeRGCNFused(g *graphT, l *nn.RGCNLayer, x *tensor.Tensor, part *core.P
 				for j < len(edges) && g.Dst[edges[j]] == d {
 					j++
 				}
-				or := out.Row(int(d))
+				or := out.Row(int(rs.at[d]))
 				copy(acc, or)
 				for k := i; k < j; k++ {
 					pr := prod.Data()[(int(mSrc[k])*len(uTyp)+int(mTyp[k]))*outDim : (int(mSrc[k])*len(uTyp)+int(mTyp[k])+1)*outDim]
@@ -243,7 +248,7 @@ func computeRGCNFused(g *graphT, l *nn.RGCNLayer, x *tensor.Tensor, part *core.P
 				for j < len(edges) && g.Dst[edges[j]] == d {
 					j++
 				}
-				or := out.Row(int(d))
+				or := out.Row(int(rs.at[d]))
 				copy(acc, or)
 				for k := i; k < j; k++ {
 					e := edges[k]
@@ -266,20 +271,20 @@ func computeRGCNFused(g *graphT, l *nn.RGCNLayer, x *tensor.Tensor, part *core.P
 // splits) and streams only the weighted aggregation through run
 // accumulators. The per-head attention coefficients stay materialized in
 // [E,heads] — heads ≪ F', so this is not the traffic the fusion targets.
-func computeGATFused(gc *nn.GraphCtx, l *nn.GATLayer, x *tensor.Tensor, part *core.Partition) (*tensor.Tensor, error) {
+func computeGATFused(gc *nn.GraphCtx, l *nn.GATLayer, x *tensor.Tensor, rs rowSet, part *core.Partition) (*tensor.Tensor, error) {
 	g := gc.G
 	heads := l.Heads()
 	dh := l.OutDim() / heads
-	z, score, sum := gatScores(gc, l, x, part)
+	z, score, sum := gatScores(gc, l, x, rs, part)
 	defer tensor.Put(z)
 	defer tensor.Put(score)
 	defer tensor.Put(sum)
-	out := tensor.Get(g.NumVertices, l.OutDim())
+	out := tensor.Get(len(rs.ids), l.OutDim())
 	acc := make([]float32, l.OutDim())
 	forEachTaskRun(part, g.Dst, func(d int32, run []int32) {
-		or := out.Row(int(d))
+		or := out.Row(int(rs.at[d]))
 		copy(acc, or)
-		su := sum.Row(int(d))
+		su := sum.Row(int(rs.at[d]))
 		for _, ei := range run {
 			sr := score.Row(int(ei))
 			zr := z.Row(int(g.Src[ei]))

@@ -121,13 +121,17 @@ func CostPartition(spec device.Spec, p *core.Partition, sh LayerShape, plan Plan
 }
 
 // DenseKernels returns the per-layer dense kernels WiseGraph launches
-// outside the fused gTask kernel (the shared transforms: XW for GCN,
-// self/neigh weights, GAT projections). These run on tensor cores at full
-// efficiency for every strategy.
-func DenseKernels(sh LayerShape, v int) []device.Kernel {
+// outside the fused gTask kernel, for a layer over v input rows that
+// produces d destination rows (d == v on a full graph). Source-side
+// transforms, which every edge source needs, are charged v rows (GCN's XW,
+// GAT's Z and left projection); destination-side ones are charged d rows
+// (the self and neighbour weights of SAGE, RGCN and SAGE-LSTM, GAT's right
+// projection). These run on tensor cores at full efficiency for every
+// strategy.
+func DenseKernels(sh LayerShape, v, d int) []device.Kernel {
 	f := float64(sh.F)
 	fp := float64(sh.Fp)
-	vf := float64(v)
+	vf, df := float64(v), float64(d)
 	mm := func(name string, m, k, n float64) device.Kernel {
 		return device.Kernel{Name: name, Cat: device.CatNeural, TensorCore: true,
 			FLOPs: 2 * m * k * n, Bytes: (m*k + k*n + m*n) * fb}
@@ -136,16 +140,17 @@ func DenseKernels(sh LayerShape, v int) []device.Kernel {
 	case nn.GCN:
 		return []device.Kernel{mm("gcn.xw", vf, f, fp)}
 	case nn.SAGE:
-		return []device.Kernel{mm("sage.self", vf, f, fp), mm("sage.neigh", vf, f, fp)}
+		return []device.Kernel{mm("sage.self", df, f, fp), mm("sage.neigh", df, f, fp)}
 	case nn.RGCN:
-		return []device.Kernel{mm("rgcn.self", vf, f, fp)}
+		return []device.Kernel{mm("rgcn.self", df, f, fp)}
 	case nn.GAT:
-		return []device.Kernel{
-			mm("gat.z", vf, f, fp),
-			mm("gat.proj", vf, fp, 2),
-		}
+		// One pass over Z: a left score per input row, a right score per
+		// destination row, two attention vectors.
+		proj := device.Kernel{Name: "gat.proj", Cat: device.CatNeural, TensorCore: true,
+			FLOPs: 2 * (vf + df) * fp, Bytes: (vf*fp + 2*fp + vf + df) * fb}
+		return []device.Kernel{mm("gat.z", vf, f, fp), proj}
 	case nn.SAGELSTM:
-		return []device.Kernel{mm("lstm.self", vf, f, fp), mm("lstm.neigh", vf, fp, fp)}
+		return []device.Kernel{mm("lstm.self", df, f, fp), mm("lstm.neigh", df, fp, fp)}
 	}
 	return nil
 }

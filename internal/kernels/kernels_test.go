@@ -170,7 +170,7 @@ func TestGTaskFusedLaunchesOneKernelPerLayerPlusDense(t *testing.T) {
 
 func TestDenseKernelsPerModel(t *testing.T) {
 	for kind := nn.ModelKind(0); kind < nn.NumModels; kind++ {
-		ks := DenseKernels(LayerShape{Kind: kind, F: 16, Fp: 8}, 100)
+		ks := DenseKernels(LayerShape{Kind: kind, F: 16, Fp: 8}, 100, 100)
 		if len(ks) == 0 {
 			t.Fatalf("%v: no dense kernels", kind)
 		}

@@ -87,7 +87,7 @@ func (l *RGCNLayer) Forward(gc *GraphCtx, x *tensor.Tensor) *tensor.Tensor {
 		}
 		xt := tensor.GatherRows(tensor.Get(len(te.Src), l.InDim()), x, te.Src)
 		l.gathered[t] = xt
-		msg := tensor.MatMul(tensor.Get(len(te.Src), l.OutDim()), xt, l.typeWeight(t))
+		msg := tensor.MatMulAcc(tensor.Get(len(te.Src), l.OutDim()), xt, l.typeWeight(t))
 		// scatter with normalization: out[dst] += w · msg
 		for i := range te.Src {
 			tensor.AxpyRow(out.Row(int(te.Dst[i])), te.W[i], msg.Row(i))

@@ -39,7 +39,7 @@ func (t *Track) To(stage Stage) {
 
 // End closes the open span, if any. The next To reopens the track; until
 // then the time is somebody else's to record (a callee that begins its
-// own spans, such as kernels.RunModelLayer).
+// own spans, such as kernels.RunModelLayerRows).
 func (t *Track) End() {
 	if t.open {
 		t.sp.End()

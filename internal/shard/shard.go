@@ -94,6 +94,11 @@ type shardWorker struct {
 	pt      *core.Partitioner
 	ectx    *exec.Ctx
 	slots   []int32 // DetSample scratch
+	// local[v] is vertex v's row in the ComputeArgs.In that last held it.
+	// An entry is current only if In[local[v]] == v (see localOf), so the
+	// table is written per call but never cleared.
+	local []int32
+	dsts  []int32 // the targets' local ids, reused across calls
 }
 
 // NewShard builds one shard node over its owned slice of the frozen
@@ -139,7 +144,8 @@ func NewShard(id int, lo, hi int32, csr *graph.CSR, feats *tensor.Tensor, ntypes
 		s.devs = append(s.devs, dev)
 		ectx := exec.NewCtx(dev)
 		ectx.Engine = cfg.Engine
-		s.free <- &shardWorker{replica: replica, pt: core.NewPartitioner(), ectx: ectx}
+		s.free <- &shardWorker{replica: replica, pt: core.NewPartitioner(), ectx: ectx,
+			local: make([]int32, len(csr.RowPtr)-1)}
 	}
 	return s, nil
 }
@@ -305,15 +311,38 @@ func (s *Shard) handleExpand(ctx context.Context, w *shardWorker, a *ExpandArgs)
 	return r, nil
 }
 
+// index validates in — strictly ascending vertex ids, which is what makes
+// a vertex's row in it a canonical local id — and records each vertex's
+// row for localOf.
+func (w *shardWorker) index(in []int32) error {
+	prev := int32(-1)
+	for i, v := range in {
+		if v <= prev || int(v) >= len(w.local) {
+			return fmt.Errorf("input set must be strictly ascending ids in [0,%d), got %d after %d", len(w.local), v, prev)
+		}
+		w.local[v] = int32(i)
+		prev = v
+	}
+	return nil
+}
+
+// localOf returns v's row in the indexed input set in, or false when v is
+// not in it.
+func (w *shardWorker) localOf(in []int32, v int32) (int32, bool) {
+	i := w.local[v]
+	return i, int(i) < len(in) && in[i] == v
+}
+
 // handleCompute runs layer Level-1 for the shard's owned miss targets:
 // it rebuilds each target's sampled block edges over the shipped input
 // rows — targets in ascending parent order, each one's edges contiguous
 // in DetSample order, in the input set's (sorted-parent-order) local id
-// space: the canonical edge stream the bitwise-parity argument relies on
-// — executes the layer under the frozen joint plan with the shard's
-// engine, applies the between-layer activation, and admits the fresh
-// rows into the shard's cache. The input rows are read in place, never
-// copied or modified.
+// space: the canonical edge stream the bitwise-parity argument relies on,
+// which is why In and Verts are rejected unless strictly ascending —
+// executes the layer for the target rows only under the frozen joint plan
+// with the shard's engine, applies the between-layer activation, and
+// admits the fresh rows into the shard's cache. The input rows are read in
+// place, never copied or modified.
 func (s *Shard) handleCompute(ctx context.Context, w *shardWorker, a *ComputeArgs) (*ComputeReply, error) {
 	tr := obs.Enter(ctx, obs.StagePartition, a.Batch)
 	defer tr.Leave()
@@ -331,17 +360,24 @@ func (s *Shard) handleCompute(ctx context.Context, w *shardWorker, a *ComputeArg
 		return nil, fmt.Errorf("shard %d: %d input rows elements for %d vertices × dim %d",
 			s.id, len(a.Rows), len(a.In), a.InDim)
 	}
-	idx := indexOf(a.In)
+	if err := w.index(a.In); err != nil {
+		return nil, fmt.Errorf("shard %d: %w", s.id, err)
+	}
 	fan := s.fan[s.layers-a.Level]
 	g := &graph.Graph{NumVertices: len(a.In), NumTypes: s.ntypes}
-	for _, v := range a.Verts {
-		d, ok := idx[v]
+	w.dsts = w.dsts[:0]
+	for i, v := range a.Verts {
+		if i > 0 && v <= a.Verts[i-1] {
+			return nil, fmt.Errorf("shard %d: targets must be strictly ascending, got %d after %d", s.id, v, a.Verts[i-1])
+		}
+		d, ok := w.localOf(a.In, v)
 		if !ok {
 			return nil, fmt.Errorf("shard %d: target %d missing from input set", s.id, v)
 		}
+		w.dsts = append(w.dsts, d)
 		w.slots = graph.DetSample(w.slots[:0], s.csr, v, fan, s.seed)
 		for _, slot := range w.slots {
-			src, ok := idx[s.csr.Col[slot]]
+			src, ok := w.localOf(a.In, s.csr.Col[slot])
 			if !ok {
 				return nil, fmt.Errorf("shard %d: source %d of target %d missing from input set",
 					s.id, s.csr.Col[slot], v)
@@ -361,33 +397,22 @@ func (s *Shard) handleCompute(ctx context.Context, w *shardWorker, a *ComputeArg
 	gc := nn.NewGraphCtx(g)
 	x := tensor.FromSlice(a.Rows, len(a.In), a.InDim)
 	w.ectx.TraceID = a.Batch
-	tr.End() // RunModelLayer records the exec span itself
-	out, err := kernels.RunModelLayer(w.ectx, gc, w.replica, a.Level-1, x, part, s.plan.OpPlan)
+	tr.End() // RunModelLayerRows records the exec span itself
+	out, err := kernels.RunModelLayerRows(w.ectx, gc, w.replica, a.Level-1, x, w.dsts, part, s.plan.OpPlan)
 	tr.To(obs.StageCollective)
 	if err != nil {
 		return nil, err
 	}
 	defer tensor.Put(out)
 
-	// Splice the target rows out, applying the between-layer activation
-	// exactly as kernels.RunModel does (ReLU after every layer but the
-	// last, elementwise v > 0 ? v : 0).
+	// The targets are the layer's destination rows, so out is the reply
+	// but for the between-layer activation, placed exactly as
+	// kernels.RunModel places it: ReLU after every layer but the last.
 	r := &ComputeReply{Rows: make([]float32, len(a.Verts)*a.OutDim)}
-	relu := a.Level < s.layers
-	for i, v := range a.Verts {
-		src := out.Row(int(idx[v]))
-		dst := r.Rows[i*a.OutDim : (i+1)*a.OutDim]
-		if relu {
-			for j, x := range src {
-				if x > 0 {
-					dst[j] = x
-				} else {
-					dst[j] = 0
-				}
-			}
-		} else {
-			copy(dst, src)
-		}
+	if a.Level < s.layers {
+		tensor.ReLU(tensor.FromSlice(r.Rows, out.Shape()...), out)
+	} else {
+		copy(r.Rows, out.Data())
 	}
 	if s.cache != nil {
 		tr.To(obs.StageCache)

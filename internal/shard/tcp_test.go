@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -447,5 +448,96 @@ func TestTCPFaultedForwardMatchesClean(t *testing.T) {
 	if faulted.daemon <= clean.daemon {
 		t.Fatalf("daemons served %v RPCs under faults, %v clean — corrupted and timed-out attempts never reached them",
 			faulted.daemon, clean.daemon)
+	}
+}
+
+// TestComputeRejectsUnorderedSets: a vertex's row in ComputeArgs.In is its
+// local id, and the per-destination summation order — the numbers, not the
+// timing — follows from In and Verts being strictly ascending. A request
+// that breaks either, or names an input id outside the graph, must be an
+// application error over the in-process conn and over a TCP daemon alike,
+// leave the connection healthy, and leave the next valid reply unchanged.
+func TestComputeRejectsUnorderedSets(t *testing.T) {
+	n := newTestNode(t, 100, 600, 6)
+	addr := startDaemon(t, n, n.model)
+	remote, err := NewRemoteFleet(n.csr, n.feats, n.g.NumTypes, n.model, n.plan, fleetConfig(), []string{addr})
+	if err != nil {
+		t.Fatalf("NewRemoteFleet: %v", err)
+	}
+	t.Cleanup(remote.Close)
+	local, err := NewFleet(n.csr, n.feats, n.g.NumTypes, n.model, n.plan, fleetConfig())
+	if err != nil {
+		t.Fatalf("NewFleet: %v", err)
+	}
+	t.Cleanup(local.Close)
+
+	// A valid level-1 request: two targets plus their sampled sources.
+	cfg := fleetConfig()
+	verts := []int32{1, 2}
+	in := append([]int32(nil), verts...)
+	for _, v := range verts {
+		for _, slot := range graph.DetSample(nil, n.csr, v, cfg.Fanouts[1], cfg.Seed) {
+			in = append(in, n.csr.Col[slot])
+		}
+	}
+	slices.Sort(in)
+	in = slices.Compact(in)
+	if len(in) < 3 {
+		t.Fatalf("input set %v too small to permute", in)
+	}
+	rows := make([]float32, len(in)*8)
+	rng := tensor.NewRNG(11)
+	for i := range rows {
+		rows[i] = rng.Float32()
+	}
+	args := func(verts, in []int32) *ComputeArgs {
+		return &ComputeArgs{Level: 1, InDim: 8, OutDim: 8, Verts: verts, In: in, Rows: rows[:len(in)*8]}
+	}
+	last := len(in) - 1
+	swapped := slices.Clone(in)
+	swapped[last-1], swapped[last] = swapped[last], swapped[last-1]
+	repeated := slices.Clone(in)
+	repeated[last] = repeated[last-1]
+	beyond := slices.Clone(in)
+	beyond[last] = int32(n.g.NumVertices)
+	negative := slices.Clone(in)
+	negative[0] = -1
+
+	ctx := context.Background()
+	for _, c := range []struct {
+		name string
+		conn Conn
+	}{{"in-process", local.conns[0][0]}, {"tcp", remote.conns[0][0]}} {
+		want, err := c.conn.Compute(ctx, args(verts, in))
+		if err != nil {
+			t.Fatalf("%s: valid request: %v", c.name, err)
+		}
+		for _, bad := range []struct {
+			name, want string
+			args       *ComputeArgs
+		}{
+			{"unsorted In", "input set must be strictly ascending", args(verts, swapped)},
+			{"repeated In", "input set must be strictly ascending", args(verts, repeated)},
+			{"In beyond the graph", "input set must be strictly ascending", args(verts, beyond)},
+			{"negative In", "input set must be strictly ascending", args(verts, negative)},
+			{"unsorted Verts", "targets must be strictly ascending", args([]int32{2, 1}, in)},
+			{"repeated Verts", "targets must be strictly ascending", args([]int32{1, 1}, in)},
+		} {
+			_, err := c.conn.Compute(ctx, bad.args)
+			if err == nil || !strings.Contains(err.Error(), bad.want) {
+				t.Fatalf("%s: %s: err = %v, want %q", c.name, bad.name, err, bad.want)
+			}
+			var te *TransportError
+			if errors.As(err, &te) {
+				t.Fatalf("%s: %s: rejection surfaced as a transport error: %v", c.name, bad.name, err)
+			}
+		}
+		got, err := c.conn.Compute(ctx, args(verts, in))
+		if err != nil {
+			t.Fatalf("%s: valid request after rejections: %v", c.name, err)
+		}
+		if !slices.Equal(got.Rows, want.Rows) {
+			t.Fatalf("%s: reply changed after rejected requests", c.name)
+		}
 	}
 }

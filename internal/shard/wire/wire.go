@@ -129,10 +129,15 @@ type ExpandReply struct {
 // ComputeArgs asks a shard to run layer Level-1 for its owned miss
 // targets. In is the ascending deduplicated level-(Level-1) vertex set
 // the targets' blocks read (each target plus its sampled sources), and
-// Rows their rows, flat [len(In)×InDim]. The shard re-derives each
-// target's sampled slots with the same deterministic sampler the
-// expansion used, so edge types and canonical per-target edge order come
-// from its own CSR slice rather than riding the wire.
+// Rows their rows, flat [len(In)×InDim]; Verts, the targets, are ascending
+// and deduplicated too and every one of them is in In. Both orderings are
+// enforced, not assumed: a vertex's position in In is its local id in the
+// block, which fixes every destination's summation order, so the shard
+// rejects an In or Verts that is not strictly ascending (or an In id
+// outside the graph) instead of computing different numbers from it. The
+// shard re-derives each target's sampled slots with the same deterministic
+// sampler the expansion used, so edge types and canonical per-target edge
+// order come from its own CSR slice rather than riding the wire.
 type ComputeArgs struct {
 	Batch  uint64
 	Ver    uint64

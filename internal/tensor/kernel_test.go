@@ -188,6 +188,19 @@ func TestMatMulVariantsBitwiseEqualScalar(t *testing.T) {
 				refMatMul(want, a.data, b.data, m, k, n, true)
 				sameBits(t, "MatMulAcc", MatMulAcc(acc, a, b).data, want)
 
+				// A gathered row set (repeats allowed, any order): row i is
+				// the reference's row rows[i].
+				rows := make([]int32, 1+rng.Intn(2*m))
+				ga := make([]float32, 0, len(rows)*k)
+				for i := range rows {
+					rows[i] = int32(rng.Intn(m))
+					ga = append(ga, a.Row(int(rows[i]))...)
+				}
+				racc := FromSlice(kernelVals(rng, len(rows)*n, special), len(rows), n)
+				want = append([]float32(nil), racc.data...)
+				refMatMul(want, ga, b.data, len(rows), k, n, true)
+				sameBits(t, "MatMulRowsAcc", MatMulRowsAcc(racc, a, rows, b).data, want)
+
 				// Bᵀ·: b read as [n,k]ᵀ needs an [n,k] operand.
 				bt := FromSlice(kernelVals(rng, n*k, special), n, k)
 				want = make([]float32, m*n)
@@ -213,6 +226,20 @@ func TestMatMulVariantsBitwiseEqualScalar(t *testing.T) {
 		refMatMul(want, x, b.data, 1, k, n, true)
 		VecMatAcc(acc, x, b)
 		sameBits(t, "VecMatAcc", acc, want)
+	}
+}
+
+func TestMatMulRowsAccPanicsOnRowOutsideA(t *testing.T) {
+	a, b := New(3, 4), New(4, 2)
+	for _, rows := range [][]int32{{0, 3}, {-1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("rows %v accepted for a 3-row A", rows)
+				}
+			}()
+			MatMulRowsAcc(New(len(rows), 2), a, rows, b)
+		}()
 	}
 }
 

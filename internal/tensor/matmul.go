@@ -15,7 +15,7 @@ import (
 func MatMul(dst, a, b *Tensor) *Tensor {
 	m, k, n := matmulDims("MatMul", a, b)
 	dst = ensure(dst, m, n)
-	matmulInto(dst.data, a.data, b.data, m, k, n, true, true)
+	matmulInto(dst.data, a.data, nil, b.data, m, k, n, true, true)
 	return dst
 }
 
@@ -23,7 +23,24 @@ func MatMul(dst, a, b *Tensor) *Tensor {
 func MatMulAcc(dst, a, b *Tensor) *Tensor {
 	m, k, n := matmulDims("MatMulAcc", a, b)
 	dst = ensure(dst, m, n)
-	matmulInto(dst.data, a.data, b.data, m, k, n, false, true)
+	matmulInto(dst.data, a.data, nil, b.data, m, k, n, false, true)
+	return dst
+}
+
+// MatMulRowsAcc computes dst[i] += A[rows[i]] × B for A [M,K], B [K,N]
+// and dst [len(rows),N]: MatMulAcc over a gathered row set without
+// materializing the gather. Every output row is the mulAddRow sequence
+// MatMulAcc runs for the same A row, so row i is bitwise-equal to row
+// rows[i] of the whole-matrix product.
+func MatMulRowsAcc(dst, a *Tensor, rows []int32, b *Tensor) *Tensor {
+	m, k, n := matmulDims("MatMulRowsAcc", a, b)
+	for i, r := range rows {
+		if r < 0 || int(r) >= m {
+			panic(fmt.Sprintf("tensor: MatMulRowsAcc rows[%d] = %d outside [0,%d)", i, r, m))
+		}
+	}
+	dst = ensure(dst, len(rows), n)
+	matmulInto(dst.data, a.data, rows, b.data, len(rows), k, n, false, true)
 	return dst
 }
 
@@ -48,6 +65,7 @@ func matmulDims(op string, a, b *Tensor) (m, k, n int) {
 const matmulPanel = 1 << 16
 
 // matmulInto computes c (+)= a×b with a [m,k], b [k,n], c [m,n] flat.
+// With rows non-nil, output row i reads a's row rows[i] instead of row i.
 // skipZero is mulAddRow's: terms with a zero A element are not added.
 //
 // When B exceeds the panel budget the K dimension is processed in
@@ -56,7 +74,7 @@ const matmulPanel = 1 << 16
 // block instead of once per output row. Blocking only re-orders the
 // (i, panel) iteration — within one output element the k-summation order
 // is unchanged, so results are bitwise identical to the unblocked loop.
-func matmulInto(c, a, b []float32, m, k, n int, zero, skipZero bool) {
+func matmulInto(c, a []float32, rows []int32, b []float32, m, k, n int, zero, skipZero bool) {
 	grain := 1
 	if m > 0 {
 		// target ~64k multiply-adds per task
@@ -79,7 +97,11 @@ func matmulInto(c, a, b []float32, m, k, n int, zero, skipZero bool) {
 		for p0 := 0; p0 < k; p0 += kc {
 			p1 := min(p0+kc, k)
 			for i := lo; i < hi; i++ {
-				mulAddRow(c[i*n:(i+1)*n], a[i*k:(i+1)*k], b, p0, p1, n, skipZero)
+				r := i
+				if rows != nil {
+					r = int(rows[i])
+				}
+				mulAddRow(c[i*n:(i+1)*n], a[r*k:(r+1)*k], b, p0, p1, n, skipZero)
 			}
 		}
 	})
@@ -117,7 +139,7 @@ func MatMulTransB(dst, a, b *Tensor) *Tensor {
 	}
 	dst = ensure(dst, m, n)
 	bt := transposed(b.data, n, k)
-	matmulInto(dst.data, a.data, *bt, m, k, n, true, false)
+	matmulInto(dst.data, a.data, nil, *bt, m, k, n, true, false)
 	transposePool.Put(bt)
 	return dst
 }
@@ -135,7 +157,7 @@ func MatMulTransA(dst, a, b *Tensor) *Tensor {
 	}
 	dst = ensure(dst, m, n)
 	at := transposed(a.data, k, m)
-	matmulInto(dst.data, *at, b.data, m, k, n, true, true)
+	matmulInto(dst.data, *at, nil, b.data, m, k, n, true, true)
 	transposePool.Put(at)
 	return dst
 }

@@ -29,7 +29,11 @@ var storagePool [poolBuckets]sync.Pool
 func bucketFor(n int) int { return bits.Len(uint(n - 1)) }
 
 // Get returns a zero-filled tensor of the given shape, reusing recycled
-// storage when available. Pair with Put to recycle.
+// storage when available. Pair with Put to recycle. The zero fill (+0 in
+// every element) is part of the contract: accumulating callers — MatMulAcc,
+// MatMulRowsAcc, VecMatAcc, AxpyRow and ScatterAddRows into a fresh Get —
+// start their sums from it and must not clear again, while overwriting
+// callers (MatMul, ReLU, GatherRows as dst) need not rely on it.
 func Get(shape ...int) *Tensor {
 	n := 1
 	for _, d := range shape {

@@ -18,11 +18,17 @@ echo "== GOARCH=arm64 go vet + go build (generic kernel path)"
 GOOS=linux GOARCH=arm64 go vet ./...
 GOOS=linux GOARCH=arm64 go build ./...
 
-echo "== go test -race ./..."
+echo "== go test -race ./... (all but ./benchmark)"
 # internal/bench runs ~24s without the race detector; the ~15-20x race
 # multiplier on a one-core box puts it near go test's default 10m
 # per-package timeout, so give the full race pass explicit headroom.
-go test -race -timeout 30m ./...
+# ./benchmark stays out of the race pass: its tests smoke the workloads,
+# which drive serve, shard and train — packages this pass and the batteries
+# below already run under -race — and cost ~50 s here for no new coverage.
+go test -race -timeout 30m $(go list ./... | grep -v '/benchmark$')
+
+echo "== go test ./benchmark"
+go test -count=1 ./benchmark
 
 # The parallel execution substrate (radix/stamped partitioner, segmented
 # scans, concurrent joint search) must be byte-identical to the sequential
