@@ -40,6 +40,7 @@ func NeighborSample(g *Graph, csr *CSR, seeds []int32, fanouts []int, rng *tenso
 	sub := &Graph{NumTypes: g.NumTypes}
 	var edgeParent []int32
 	frontier := append([]int32(nil), seeds...)
+	var pick []int32
 	for _, fan := range fanouts {
 		nextFrontier := make([]int32, 0, len(frontier)*fan)
 		seen := make(map[int32]struct{}, len(frontier)*fan)
@@ -53,9 +54,9 @@ func NeighborSample(g *Graph, csr *CSR, seeds []int32, fanouts []int, rng *tenso
 			if take == 0 {
 				continue
 			}
-			pick := samplePositions(deg, take, rng)
+			pick = samplePositions(pick[:0], deg, take, rng)
 			for _, p := range pick {
-				slot := lo + int32(p)
+				slot := lo + p
 				src := csr.Col[slot]
 				ls, ld := intern(src), intern(v)
 				sub.Src = append(sub.Src, ls)
@@ -96,6 +97,10 @@ func DetSample(dst []int32, csr *CSR, v int32, fan int, seed uint64) []int32 {
 	if take == 0 {
 		return dst
 	}
+	if cap(dst)-len(dst) < take {
+		// One allocation for a nil dst, not one per doubling.
+		dst = append(make([]int32, 0, len(dst)+take), dst...)
+	}
 	if take == deg {
 		// Full neighborhood: no draw needed, slots in CSR order.
 		for s := lo; s < hi; s++ {
@@ -103,9 +108,12 @@ func DetSample(dst []int32, csr *CSR, v int32, fan int, seed uint64) []int32 {
 		}
 		return dst
 	}
-	rng := tensor.NewRNG(mix3(seed, uint64(v), uint64(fan)))
-	for _, p := range samplePositions(deg, take, rng) {
-		dst = append(dst, lo+int32(p))
+	var rng tensor.RNG // on the stack; SetState seeds it as NewRNG would
+	rng.SetState(mix3(seed, uint64(v), uint64(fan)))
+	n := len(dst)
+	dst = samplePositions(dst, deg, take, &rng)
+	for i := n; i < len(dst); i++ {
+		dst[i] += lo
 	}
 	return dst
 }
@@ -122,26 +130,51 @@ func mix3(seed, v, fan uint64) uint64 {
 	return h
 }
 
-// samplePositions returns take distinct positions in [0, n). For small
-// oversampling ratios it uses partial Fisher–Yates; when take == n it
-// returns everything.
-func samplePositions(n, take int, rng *tensor.RNG) []int {
+// sampleTable is how many displaced shuffle entries samplePositions keeps
+// on the stack; a larger take falls back to the heap.
+const sampleTable = 32
+
+// samplePositions appends take distinct positions in [0, n) to dst: the
+// head of a partial Fisher–Yates shuffle of 0…n-1, drawing rng.Intn(n-i)
+// for i = 0…take-1. The shuffled array is never built. Before step i only
+// the entries an earlier swap moved differ from their index, at most i of
+// them, so they are kept in a small table searched linearly and the cost
+// is O(take²) whatever n is — a hub of degree 5 000 costs what a vertex of
+// degree 11 does. With take >= n it appends everything, in order.
+func samplePositions(dst []int32, n, take int, rng *tensor.RNG) []int32 {
 	if take >= n {
-		out := make([]int, n)
-		for i := range out {
-			out[i] = i
+		for i := 0; i < n; i++ {
+			dst = append(dst, int32(i))
 		}
-		return out
+		return dst
 	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+	// at[k] holds val[k] instead of its own index.
+	var atBuf, valBuf [sampleTable]int32
+	at, val := atBuf[:0], valBuf[:0]
+	if take > sampleTable {
+		at, val = make([]int32, 0, take), make([]int32, 0, take)
 	}
 	for i := 0; i < take; i++ {
 		j := i + rng.Intn(n-i)
-		idx[i], idx[j] = idx[j], idx[i]
+		vi, vj, jk := int32(i), int32(j), -1
+		for k, p := range at {
+			if p == int32(i) {
+				vi = val[k]
+			}
+			if p == int32(j) {
+				vj, jk = val[k], k
+			}
+		}
+		// Swap entries i and j; i is final and never read again.
+		dst = append(dst, vj)
+		switch {
+		case jk >= 0:
+			val[jk] = vi
+		case j != i:
+			at, val = append(at, int32(j)), append(val, vi)
+		}
 	}
-	return idx[:take]
+	return dst
 }
 
 // GatherFeatures copies parent-graph vertex features into a tensor aligned

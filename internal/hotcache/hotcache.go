@@ -1,11 +1,15 @@
 // Package hotcache is the serving tier's per-layer hot-vertex embedding
 // cache: a memory-bounded, sharded map from (layer level, vertex id) to
-// one embedding row — gathered input features at level 0, post-activation
-// layer outputs above — with popularity-aware admission instead of plain
-// LRU. Under Zipf-skewed serving traffic a small set of vertices accounts
-// for most fan-out work, and reusing their rows across requests removes
-// whole subtrees from sampling, partitioning and the gTask forward
-// (CaPGNN's joint feature/embedding caching; BGL's hot-data admission).
+// one computed embedding row — the post-activation output of layer
+// level-1, so levels start at 1 — with popularity-aware admission instead
+// of plain LRU. There is no level 0: an input feature row already sits in
+// its shard's feature matrix, a cached copy would prune nothing and would
+// only crowd out the rows that do (CaPGNN never caches what a partition
+// already holds, for the same reason). Under Zipf-skewed serving traffic a
+// small set of vertices accounts for most fan-out work, and reusing their
+// rows across requests removes whole subtrees from sampling, partitioning
+// and the gTask forward (CaPGNN's embedding caching; BGL's hot-data
+// admission).
 //
 // Admission is scored, not recency-ordered: a candidate enters only if
 // score = (1+frequency) · (1+log2(1+degree)) · (1+level) beats a sampled

@@ -53,7 +53,9 @@ type Engine interface {
 	// never renumbered targets-first: the partition sorts edges by local
 	// id, so renumbering would make a destination's summation order depend
 	// on what else is in the batch. Every edge must end in dsts; one that
-	// does not is an error, not a dropped contribution.
+	// does not is an error, not a dropped contribution. Of gc an engine
+	// reads the edge list gc.G and the vertex count, nothing derived: the
+	// serving path passes a context with only G set.
 	RunLayer(ctx *exec.Ctx, gc *nn.GraphCtx, layer nn.Layer, sh LayerShape, x *tensor.Tensor, dsts []int32, part *core.Partition, plan Plan) (*tensor.Tensor, error)
 	// LayerBytes returns the engine's modeled global-memory traffic for
 	// one layer's aggregation path (the fused gTask kernel; the shared

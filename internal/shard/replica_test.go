@@ -272,24 +272,28 @@ func TestMalformedReplyNotRetriedNotDemoted(t *testing.T) {
 			}
 		}
 	}
+	// Span 0's conn is the mangled one. At one shard no level-0 Expand is
+	// ever issued, so the halo case runs on two.
 	cases := []struct {
 		name    string
-		calls   uint64 // RPCs issued up to and including the bad reply
+		shards  int
+		calls   uint64 // RPCs issued to span 0 up to and including the bad reply
 		expand  func(*ExpandArgs, *ExpandReply)
 		compute func(*ComputeReply)
 	}{
-		{"short-hit", 1, atLevel(2, func(r *ExpandReply) { r.Hit = r.Hit[:len(r.Hit)-1] }), nil},
-		{"short-rows", 1, atLevel(2, func(r *ExpandReply) { r.Rows = r.Rows[:len(r.Rows)-1] }), nil},
-		{"long-rows", 3, atLevel(0, func(r *ExpandReply) { r.Rows = append(r.Rows, 0) }), nil},
-		{"short-srcs", 2, atLevel(1, func(r *ExpandReply) { r.Srcs = r.Srcs[:len(r.Srcs)-1] }), nil},
-		{"no-srcs", 1, atLevel(2, func(r *ExpandReply) { r.Srcs = nil }), nil},
-		{"source-past-v", 1, atLevel(2, func(r *ExpandReply) { r.Srcs[0] = []int32{100} }), nil},
-		{"source-negative", 1, atLevel(2, func(r *ExpandReply) { r.Srcs[0] = []int32{-1} }), nil},
-		{"short-compute-rows", 4, nil, func(r *ComputeReply) { r.Rows = r.Rows[:len(r.Rows)-1] }},
+		{"short-hit", 1, 1, atLevel(2, func(r *ExpandReply) { r.Hit = r.Hit[:len(r.Hit)-1] }), nil},
+		{"short-rows", 1, 1, atLevel(2, func(r *ExpandReply) { r.Rows = r.Rows[:len(r.Rows)-1] }), nil},
+		{"long-rows", 1, 2, atLevel(1, func(r *ExpandReply) { r.Rows = append(r.Rows, 0) }), nil},
+		{"long-halo-rows", 2, 3, atLevel(0, func(r *ExpandReply) { r.Rows = append(r.Rows, 0) }), nil},
+		{"short-srcs", 1, 2, atLevel(1, func(r *ExpandReply) { r.Srcs = r.Srcs[:len(r.Srcs)-1] }), nil},
+		{"no-srcs", 1, 1, atLevel(2, func(r *ExpandReply) { r.Srcs = nil }), nil},
+		{"source-past-v", 1, 1, atLevel(2, func(r *ExpandReply) { r.Srcs[0] = []int32{100} }), nil},
+		{"source-negative", 1, 1, atLevel(2, func(r *ExpandReply) { r.Srcs[0] = []int32{-1} }), nil},
+		{"short-compute-rows", 1, 3, nil, func(r *ComputeReply) { r.Rows = r.Rows[:len(r.Rows)-1] }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			f := testFleet(t, g, 1, 1, 0)
+			f := testFleet(t, g, tc.shards, 1, 0)
 			bad := &mangleConn{Conn: f.conns[0][0], expand: tc.expand, compute: tc.compute}
 			f.conns[0][0] = bad
 			id := obs.NewID()

@@ -697,7 +697,8 @@ func (f *Fleet) spansOf(verts []int32) []ownerSpan {
 
 // rlevel is the router's view of one activation level: the sorted vertex
 // set, hit flags, per-miss sampled sources, and the level's flat rows.
-// hit, srcs and rows are filled by expandLevel.
+// hit, srcs and rows are filled by expandLevel. Level 0 is its vertex set
+// and nothing else: feature rows stay on the shard that owns them.
 type rlevel struct {
 	verts []int32
 	hit   []bool
@@ -726,7 +727,7 @@ func indexOf(verts []int32) map[int32]int32 {
 // the parent-id → row map.
 //
 // A micro-batch runs as a stack of per-layer blocks instead of one flat
-// unioned subgraph: level 0 holds gathered input features, level l the
+// unioned subgraph: level 0 is the input features, level l the
 // post-activation outputs of layer l-1, and block l aggregates level l-1
 // rows into level l targets over deterministically sampled edges
 // (graph.DetSample, keyed by (Config.Seed, vertex, fan-out) alone). That
@@ -751,8 +752,12 @@ func indexOf(verts []int32) map[int32]int32 {
 // shards — a cached interior vertex prunes its entire sampled subtree,
 // and a fully cached frontier short-circuits with no Compute RPC at all;
 // bottom-up, one Compute per owning span runs each layer with misses.
-// ver gates every cache probe and admission so a concurrent checkpoint
-// reload can neither serve stale rows nor be poisoned by them.
+// Level 0 is never expanded: the router only names its vertices, the
+// level-1 Compute reads the rows its shard owns out of its own feature
+// matrix, and just the halo — rows a block reads across a shard boundary
+// — is fetched from the owner and shipped (computeLevel). ver gates every
+// cache probe and admission so a concurrent checkpoint reload can neither
+// serve stale rows nor be poisoned by them.
 //
 // sp is the caller's already-open sample-stage span, begun right at the
 // batch's demux/sample boundary so call-entry overhead is attributed to
@@ -768,21 +773,14 @@ func (f *Fleet) Forward(batchID, ver uint64, seeds []int32, sp obs.Span) (*tenso
 
 	var rowOf map[int32]int32
 	cur := seeds
-	for l := L; l >= 0; l-- {
+	for l := L; l >= 1; l-- {
 		rl := newRLevel(cur)
 		sets[l] = rl
 		if l == L {
 			rowOf = indexOf(rl.verts)
 		}
-		if l == 0 {
-			// The feature gather and everything after it is data movement.
-			tr.To(obs.StageCollective)
-		}
 		if err := fw.expandLevel(l, dims[l], rl); err != nil {
 			return nil, nil, err
-		}
-		if l == 0 {
-			break
 		}
 		tr.To(obs.StageSample)
 		var next []int32
@@ -805,6 +803,7 @@ func (f *Fleet) Forward(batchID, ver uint64, seeds []int32, sp obs.Span) (*tenso
 		}
 		cur = next
 	}
+	sets[0] = newRLevel(cur)
 
 	for l := 1; l <= L; l++ {
 		if sets[l].miss == 0 {
@@ -874,16 +873,16 @@ func (f *Fleet) badReply(s int, format string, args ...any) error {
 }
 
 // expandLevel fans one level's sorted vertex set out to its owners: hits
-// come back as rows, misses as sampled source lists (level 0 misses come
-// back as gathered feature rows, so level 0 always resolves fully). A
+// come back as rows, misses as sampled source lists. Level 0 — a halo
+// fetch — has neither: every vertex comes back as its feature row. A
 // level with a single owner adopts the reply's slices as its own; several
 // owners' replies are spliced into freshly allocated ones.
 func (fw *forward) expandLevel(level, dim int, rl *rlevel) error {
 	spans := fw.spansOf(rl.verts)
 	if len(spans) > 1 {
-		rl.hit = make([]bool, len(rl.verts))
 		rl.rows = make([]float32, len(rl.verts)*dim)
 		if level > 0 {
+			rl.hit = make([]bool, len(rl.verts))
 			rl.srcs = make([][]int32, len(rl.verts))
 		}
 	}
@@ -903,11 +902,11 @@ func (fw *forward) expandLevel(level, dim int, rl *rlevel) error {
 		// decoder, so it is checked here, before anything indexes it.
 		n := os.hi - os.lo
 		switch {
-		case len(rep.Hit) != n || len(rep.Rows) != n*dim:
-			return fw.badReply(os.shard, "%d hit flags and %d row elements for %d vertices × dim %d",
-				len(rep.Hit), len(rep.Rows), n, dim)
-		case level > 0 && len(rep.Srcs) != n:
-			return fw.badReply(os.shard, "%d source lists for %d vertices", len(rep.Srcs), n)
+		case len(rep.Rows) != n*dim:
+			return fw.badReply(os.shard, "%d row elements for %d vertices × dim %d", len(rep.Rows), n, dim)
+		case level > 0 && (len(rep.Hit) != n || len(rep.Srcs) != n):
+			return fw.badReply(os.shard, "%d hit flags and %d source lists for %d vertices",
+				len(rep.Hit), len(rep.Srcs), n)
 		}
 		for _, srcs := range rep.Srcs {
 			for _, src := range srcs {
@@ -927,9 +926,9 @@ func (fw *forward) expandLevel(level, dim int, rl *rlevel) error {
 			rl.hit, rl.rows, rl.srcs = rep.Hit, rep.Rows, rep.Srcs
 			return nil
 		}
-		copy(rl.hit[os.lo:os.hi], rep.Hit)
 		copy(rl.rows[os.lo*dim:os.hi*dim], rep.Rows)
 		if level > 0 {
+			copy(rl.hit[os.lo:os.hi], rep.Hit)
 			copy(rl.srcs[os.lo:os.hi], rep.Srcs)
 		}
 		return nil
@@ -937,15 +936,43 @@ func (fw *forward) expandLevel(level, dim int, rl *rlevel) error {
 	if err != nil {
 		return err
 	}
-	// Level 0 misses came back gathered; nothing below remains to compute.
-	if level > 0 {
-		for _, h := range rl.hit {
-			if !h {
-				rl.miss++
-			}
+	for _, h := range rl.hit {
+		if !h {
+			rl.miss++
 		}
 	}
 	return nil
+}
+
+// gatherRows returns the rows of in[:a] and in[b:] — in an ascending
+// subset of src's vertices, in[a:b] the run the receiver reads in place —
+// flat in that order. The whole of src is its rows as they stand.
+func gatherRows(src *rlevel, in []int32, a, b, dim int) []float32 {
+	n := len(in) - (b - a)
+	if n == len(src.verts) {
+		return src.rows
+	}
+	rows := make([]float32, 0, n*dim)
+	p := 0
+	for _, run := range [2][]int32{in[:a], in[b:]} {
+		for _, v := range run {
+			for src.verts[p] != v {
+				p++
+			}
+			rows = append(rows, src.rows[p*dim:(p+1)*dim]...)
+		}
+	}
+	return rows
+}
+
+// ownedRun returns the index range [a, b) of the ascending ids in that fall
+// in [lo, hi). A shard's range is contiguous, so what it owns of an input
+// set is one run of it and the halo is what is left around the run — the
+// one fact the router's and the shard's side of a level-1 request share.
+func ownedRun(in []int32, lo, hi int32) (a, b int) {
+	a, _ = slices.BinarySearch(in, lo)
+	b, _ = slices.BinarySearch(in, hi)
+	return a, b
 }
 
 // computeLevel runs layer level-1 for the level's misses: per owning
@@ -954,10 +981,20 @@ func (fw *forward) expandLevel(level, dim int, rl *rlevel) error {
 // target rows back into the level. The shard rebuilds its block in the
 // input set's ascending-parent-order local space, which induces the same
 // per-destination accumulation order whatever the span layout.
+//
+// At level 1 the rows below are features, which the shard that owns them
+// reads in place: a job's request carries rows for its halo only, fetched
+// here from their owners by one level-0 Expand per owner — and by none
+// when every job owns all it reads, as a one-shard fleet's always does.
 func (fw *forward) computeLevel(level, inDim, outDim int, rl, prev *rlevel) error {
 	type job struct {
 		ownerSpan
 		targets []int32 // owned miss targets, ascending
+		// Level 1 only: the feature ids the targets' blocks read, ascending,
+		// and the run in[a:b] of them the shard owns. Above level 1 the
+		// input set is derived inside the fan-out and all of it is shipped.
+		in   []int32
+		a, b int
 	}
 	var jobs []job
 	for _, os := range fw.spansOf(rl.verts) {
@@ -971,48 +1008,65 @@ func (fw *forward) computeLevel(level, inDim, outDim int, rl, prev *rlevel) erro
 			}
 		}
 		if len(targets) > 0 {
-			jobs = append(jobs, job{os, targets})
+			jobs = append(jobs, job{ownerSpan: os, targets: targets})
 		}
 	}
 	// The level below is exactly the union of every miss's input set, so a
-	// sole job's input set is the level below itself, shipped as it stands;
-	// several jobs each gather their own subset.
-	var prevIdx map[int32]int32
-	if len(jobs) > 1 {
-		prevIdx = indexOf(prev.verts)
+	// sole job's input set is the level below itself; several jobs each
+	// collect their own subset.
+	below := prev.verts
+	inputSet := func(j job) []int32 {
+		if len(jobs) == 1 {
+			return below
+		}
+		seen := make(map[int32]struct{}, len(j.targets)*4)
+		var in []int32
+		add := func(v int32) {
+			if _, ok := seen[v]; !ok {
+				seen[v] = struct{}{}
+				in = append(in, v)
+			}
+		}
+		for k := j.lo; k < j.hi; k++ {
+			if !rl.hit[k] {
+				add(rl.verts[k])
+				for _, src := range rl.srcs[k] {
+					add(src)
+				}
+			}
+		}
+		slices.Sort(in)
+		return in
+	}
+	if level == 1 {
+		// prev becomes the union of the halos with their rows, so the jobs
+		// below draw on it exactly as a higher level draws on the level
+		// beneath it.
+		var halo []int32
+		for i := range jobs {
+			j := &jobs[i]
+			j.in = inputSet(*j)
+			j.a, j.b = ownedRun(j.in, fw.bounds[j.shard], fw.bounds[j.shard+1])
+			halo = append(append(halo, j.in[:j.a]...), j.in[j.b:]...)
+		}
+		slices.Sort(halo)
+		prev = &rlevel{verts: slices.Compact(halo)}
+		if len(prev.verts) > 0 {
+			if err := fw.expandLevel(0, inDim, prev); err != nil {
+				return err
+			}
+		}
 	}
 	ctx := fw.ctx(len(jobs))
 	return fanOut(len(jobs), func(i int) error {
 		j := jobs[i]
-		in, rows := prev.verts, prev.rows
-		if prevIdx != nil {
-			seen := make(map[int32]struct{}, len(j.targets)*4)
-			in = nil
-			add := func(v int32) {
-				if _, ok := seen[v]; !ok {
-					seen[v] = struct{}{}
-					in = append(in, v)
-				}
-			}
-			for k := j.lo; k < j.hi; k++ {
-				if !rl.hit[k] {
-					add(rl.verts[k])
-					for _, src := range rl.srcs[k] {
-						add(src)
-					}
-				}
-			}
-			slices.Sort(in)
-			rows = make([]float32, len(in)*inDim)
-			for n, v := range in {
-				p := int(prevIdx[v])
-				copy(rows[n*inDim:(n+1)*inDim], prev.rows[p*inDim:(p+1)*inDim])
-			}
+		if level > 1 {
+			j.in = inputSet(j)
 		}
 		args := &ComputeArgs{
 			Batch: fw.batch, Ver: fw.ver, Level: level,
 			InDim: inDim, OutDim: outDim,
-			Verts: j.targets, In: in, Rows: rows,
+			Verts: j.targets, In: j.in, Rows: gatherRows(prev, j.in, j.a, j.b, inDim),
 		}
 		rep, err := fw.callCompute(ctx, j.shard, args)
 		if err != nil {

@@ -17,7 +17,8 @@ import (
 //
 // Both calls are idempotent pure functions of (request, model version):
 // Expand and Compute derive everything from the shard's frozen graph
-// slice, the deterministic sampler and the shipped input rows. That is
+// slice and feature rows, the deterministic sampler and the shipped input
+// rows. That is
 // what makes the router's hedging ladder numerics-preserving — a hedged
 // duplicate computes exactly the bytes the abandoned attempt would have —
 // and what makes retrying a broken connection on the TCP transport safe.
@@ -44,10 +45,12 @@ type (
 // dropped by the demux).
 type Conn interface {
 	// Expand probes the shard's per-layer cache for the given owned
-	// vertices and samples the in-frontier of the misses.
+	// vertices and samples the in-frontier of the misses; at level 0 it
+	// returns their feature rows.
 	Expand(ctx context.Context, args *ExpandArgs) (*ExpandReply, error)
 	// Compute runs one model layer for the given owned target vertices
-	// over shipped lower-level input rows.
+	// over shipped lower-level input rows — at level 1, over the shard's
+	// own feature rows plus the shipped halo.
 	Compute(ctx context.Context, args *ComputeArgs) (*ComputeReply, error)
 }
 

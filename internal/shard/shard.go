@@ -35,7 +35,8 @@ import (
 // Shard owns the contiguous vertex range [lo, hi): the CSR rows (in-
 // edges) and feature rows of those vertices, a free list of worker states
 // (model replica, partitioner, execution context) that Expand/Compute
-// RPCs check out, and the range's per-layer hot-vertex cache. In-process
+// RPCs check out, and the range's hot-vertex cache of computed rows
+// (levels ≥ 1; the feature matrix is the level-0 store). In-process
 // the underlying CSR and feature arrays are shared memory and the shard
 // touches only its owned range; in a wisegraph-shard daemon they are the
 // process's own copy. Every RPC validates ownership and shape so a
@@ -99,6 +100,12 @@ type shardWorker struct {
 	// table is written per call but never cleared.
 	local []int32
 	dsts  []int32 // the targets' local ids, reused across calls
+	// The edge arrays of the block a Compute rebuilds, reused across calls
+	// (the Graph itself is per call: it caches what it derives from them).
+	src, dst, typ []int32
+	// x is the level-1 input buffer (see gatherInput). It is never zeroed:
+	// every row a call reads is overwritten by that call first.
+	x []float32
 }
 
 // NewShard builds one shard node over its owned slice of the frozen
@@ -235,12 +242,14 @@ func (s *Shard) checkOwned(verts []int32) error {
 
 func (s *Shard) degree(v int32) int32 { return s.csr.RowPtr[v+1] - s.csr.RowPtr[v] }
 
-// handleExpand resolves one level's owned span: cache probes for every
-// vertex, deterministic frontier sampling for the misses. At level 0 the
-// shard also gathers its owned feature rows for the misses (and admits
-// them), so input features never need a second round trip. The handler's
-// stages go on the caller's track when ctx carries one, so an inline
-// caller's trace decomposes with no gap across the call.
+// handleExpand resolves one level's owned span. At levels ≥ 1 that is a
+// cache probe for every vertex and deterministic frontier sampling for the
+// misses. Level 0 is a plain lookup — the reply is the owned feature rows,
+// with no hit flags and nothing cached: the feature matrix already holds
+// them — and the router asks for it only on behalf of another shard's
+// level-1 block (its halo). The handler's stages go on the caller's track
+// when ctx carries one, so an inline caller's trace decomposes with no gap
+// across the call.
 func (s *Shard) handleExpand(ctx context.Context, w *shardWorker, a *ExpandArgs) (*ExpandReply, error) {
 	// Level 0 is data movement (the feature gather); above it the work is
 	// sampling.
@@ -265,33 +274,20 @@ func (s *Shard) handleExpand(ctx context.Context, w *shardWorker, a *ExpandArgs)
 	if err := s.checkOwned(a.Verts); err != nil {
 		return nil, err
 	}
-	r := &ExpandReply{
-		Hit:  make([]bool, len(a.Verts)),
-		Rows: make([]float32, len(a.Verts)*a.Dim),
+	r := &ExpandReply{Rows: make([]float32, len(a.Verts)*a.Dim)}
+	if a.Level == 0 {
+		for i, v := range a.Verts {
+			copy(r.Rows[i*a.Dim:(i+1)*a.Dim], s.feats.Row(int(v)))
+		}
+		return r, nil
 	}
-	row := func(i int) []float32 { return r.Rows[i*a.Dim : (i+1)*a.Dim] }
+	r.Hit = make([]bool, len(a.Verts))
 	if s.cache != nil {
 		tr.To(obs.StageCache)
 		for i, v := range a.Verts {
-			r.Hit[i] = s.cache.Get(a.Ver, a.Level, v, row(i))
+			r.Hit[i] = s.cache.Get(a.Ver, a.Level, v, r.Rows[i*a.Dim:(i+1)*a.Dim])
 		}
 		tr.To(stage)
-	}
-	if a.Level == 0 {
-		for i, v := range a.Verts {
-			if !r.Hit[i] {
-				copy(row(i), s.feats.Row(int(v)))
-			}
-		}
-		if s.cache != nil {
-			tr.To(obs.StageCache)
-			for i, v := range a.Verts {
-				if !r.Hit[i] {
-					s.cache.Put(a.Ver, 0, v, s.degree(v), row(i))
-				}
-			}
-		}
-		return r, nil
 	}
 	// A cached interior vertex prunes its entire sampled subtree from the
 	// batch: only the misses are sampled.
@@ -333,16 +329,42 @@ func (w *shardWorker) localOf(in []int32, v int32) (int32, bool) {
 	return i, int(i) < len(in) && in[i] == v
 }
 
+// gatherInput assembles a level-1 block's [len(in), dim] input in the
+// worker's buffer: the rows of the ids this shard owns (ownedRun) are read
+// out of the feature matrix, and halo — the rows of every other id, in
+// in's order — is split around that run. The result is byte for byte the
+// input the router would have shipped whole.
+func (s *Shard) gatherInput(w *shardWorker, in []int32, halo []float32, dim int) ([]float32, error) {
+	lo, hi := ownedRun(in, s.lo, s.hi)
+	if n := len(in) - (hi - lo); len(halo) != n*dim {
+		return nil, fmt.Errorf("shard %d: %d halo row elements for %d input vertices outside [%d,%d) × dim %d",
+			s.id, len(halo), n, s.lo, s.hi, dim)
+	}
+	if n := len(in) * dim; cap(w.x) < n {
+		w.x = make([]float32, n)
+	}
+	x := w.x[:len(in)*dim]
+	copy(x, halo[:lo*dim])
+	for i := lo; i < hi; i++ {
+		copy(x[i*dim:(i+1)*dim], s.feats.Row(int(in[i])))
+	}
+	copy(x[hi*dim:], halo[lo*dim:])
+	return x, nil
+}
+
 // handleCompute runs layer Level-1 for the shard's owned miss targets:
-// it rebuilds each target's sampled block edges over the shipped input
-// rows — targets in ascending parent order, each one's edges contiguous
+// it rebuilds each target's sampled block edges over the input rows —
+// targets in ascending parent order, each one's edges contiguous
 // in DetSample order, in the input set's (sorted-parent-order) local id
 // space: the canonical edge stream the bitwise-parity argument relies on,
 // which is why In and Verts are rejected unless strictly ascending —
 // executes the layer for the target rows only under the frozen joint plan
 // with the shard's engine, applies the between-layer activation, and
-// admits the fresh rows into the shard's cache. The input rows are read in
-// place, never copied or modified.
+// admits the fresh rows into the shard's cache. Above level 1 the input
+// rows all ride the request and are read in place, never copied or
+// modified; at level 1 the request carries only the halo and the shard
+// gathers the rows it owns itself (gatherInput), which needs no state
+// from the batch — any replica can serve it.
 func (s *Shard) handleCompute(ctx context.Context, w *shardWorker, a *ComputeArgs) (*ComputeReply, error) {
 	tr := obs.Enter(ctx, obs.StagePartition, a.Batch)
 	defer tr.Leave()
@@ -356,16 +378,25 @@ func (s *Shard) handleCompute(ctx context.Context, w *shardWorker, a *ComputeArg
 	if err := s.checkOwned(a.Verts); err != nil {
 		return nil, err
 	}
-	if len(a.Rows) != len(a.In)*a.InDim {
-		return nil, fmt.Errorf("shard %d: %d input rows elements for %d vertices × dim %d",
-			s.id, len(a.Rows), len(a.In), a.InDim)
-	}
 	if err := w.index(a.In); err != nil {
 		return nil, fmt.Errorf("shard %d: %w", s.id, err)
 	}
+	rows := a.Rows
+	if a.Level == 1 {
+		// The gather stands in for the router's level-0 round trip, so it
+		// is booked as the data movement that was.
+		tr.To(obs.StageCollective)
+		var err error
+		if rows, err = s.gatherInput(w, a.In, a.Rows, a.InDim); err != nil {
+			return nil, err
+		}
+		tr.To(obs.StagePartition)
+	} else if len(rows) != len(a.In)*a.InDim {
+		return nil, fmt.Errorf("shard %d: %d input rows elements for %d vertices × dim %d",
+			s.id, len(rows), len(a.In), a.InDim)
+	}
 	fan := s.fan[s.layers-a.Level]
-	g := &graph.Graph{NumVertices: len(a.In), NumTypes: s.ntypes}
-	w.dsts = w.dsts[:0]
+	w.src, w.dst, w.typ, w.dsts = w.src[:0], w.dst[:0], w.typ[:0], w.dsts[:0]
 	for i, v := range a.Verts {
 		if i > 0 && v <= a.Verts[i-1] {
 			return nil, fmt.Errorf("shard %d: targets must be strictly ascending, got %d after %d", s.id, v, a.Verts[i-1])
@@ -382,20 +413,24 @@ func (s *Shard) handleCompute(ctx context.Context, w *shardWorker, a *ComputeArg
 				return nil, fmt.Errorf("shard %d: source %d of target %d missing from input set",
 					s.id, s.csr.Col[slot], v)
 			}
-			g.Src = append(g.Src, src)
-			g.Dst = append(g.Dst, d)
+			w.src = append(w.src, src)
+			w.dst = append(w.dst, d)
 			if s.typed {
-				g.Type = append(g.Type, s.csr.EType[slot])
+				w.typ = append(w.typ, s.csr.EType[slot])
 			}
 		}
 	}
-	if g.Type == nil {
-		g.NumTypes = 1
+	g := &graph.Graph{NumVertices: len(a.In), NumTypes: 1, Src: w.src, Dst: w.dst}
+	if len(w.typ) > 0 {
+		g.NumTypes, g.Type = s.ntypes, w.typ
 	}
 
 	part := train.ReusePlanWith(w.pt, s.plan, g)
-	gc := nn.NewGraphCtx(g)
-	x := tensor.FromSlice(a.Rows, len(a.In), a.InDim)
+	// The engines read the block's edge list and vertex count and nothing
+	// else of the context, so the by-destination CSR nn.NewGraphCtx would
+	// build per call is left out.
+	gc := &nn.GraphCtx{G: g}
+	x := tensor.FromSlice(rows, len(a.In), a.InDim)
 	w.ectx.TraceID = a.Batch
 	tr.End() // RunModelLayerRows records the exec span itself
 	out, err := kernels.RunModelLayerRows(w.ectx, gc, w.replica, a.Level-1, x, w.dsts, part, s.plan.OpPlan)

@@ -627,7 +627,7 @@ func (sv *Server) handle(s *Shard, t wire.MsgType, reqid uint32, payload []byte)
 			sv.stats.errors.Add(1)
 			return wire.AppendError(nil, reqid, err.Error())
 		}
-		return wire.AppendExpandReply(nil, reqid, rep)
+		return wire.AppendExpandReply(make([]byte, 0, wire.SizeExpandReply(rep)), reqid, rep)
 	default: // wire.MsgCompute — serveConn admits nothing else
 		args, err := wire.DecodeComputeArgs(payload)
 		if err != nil {
@@ -641,7 +641,7 @@ func (sv *Server) handle(s *Shard, t wire.MsgType, reqid uint32, payload []byte)
 			sv.stats.errors.Add(1)
 			return wire.AppendError(nil, reqid, err.Error())
 		}
-		return wire.AppendComputeReply(nil, reqid, rep)
+		return wire.AppendComputeReply(make([]byte, 0, wire.SizeComputeReply(rep)), reqid, rep)
 	}
 }
 

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http/httptest"
@@ -100,7 +101,7 @@ func forwardData(t *testing.T, f *Fleet, seeds []int32) []float32 {
 }
 
 // TestTCPForwardMatchesInProcess drives the full RPC protocol over real
-// sockets — Hello handshake, Expand/Expand level-0 gather, Compute — and
+// sockets — Hello handshake, Expand, the level-0 halo fetch, Compute — and
 // demands bitwise-equal logits against the in-process fleet at 1, 2 and
 // 4 remote shards.
 func TestTCPForwardMatchesInProcess(t *testing.T) {
@@ -163,12 +164,17 @@ func TestTCPHelloRejection(t *testing.T) {
 		t.Fatalf("wrong error for parameter mismatch: %v", err)
 	}
 
+	// Version 2 — the protocol before level-1 requests carried halo rows
+	// only — is as foreign as one not invented yet: a mixed fleet is
+	// refused here, not one mis-sized RPC at a time.
 	addr = startDaemon(t, n, n.model)
-	bad := &wire.Hello{Proto: wire.ProtoVersion + 41}
-	if _, err := newTCPConn(addr, bad, time.Second); err == nil {
-		t.Fatal("unknown protocol version accepted")
-	} else if !strings.Contains(err.Error(), "protocol") {
-		t.Fatalf("wrong error for protocol mismatch: %v", err)
+	for _, proto := range []uint32{2, wire.ProtoVersion + 41} {
+		want := fmt.Sprintf("protocol %d, this node speaks %d", proto, wire.ProtoVersion)
+		if _, err := newTCPConn(addr, &wire.Hello{Proto: proto}, time.Second); err == nil {
+			t.Fatalf("protocol version %d accepted", proto)
+		} else if !strings.Contains(err.Error(), "hello rejected") || !strings.Contains(err.Error(), want) {
+			t.Fatalf("wrong error for protocol %d: %v, want %q", proto, err, want)
+		}
 	}
 
 	planBytes, err := n.plan.MarshalPlan()
@@ -471,12 +477,13 @@ func TestComputeRejectsUnorderedSets(t *testing.T) {
 	}
 	t.Cleanup(local.Close)
 
-	// A valid level-1 request: two targets plus their sampled sources.
+	// A valid level-2 request (above level 1 every input row rides the
+	// request): two targets plus their sampled sources.
 	cfg := fleetConfig()
 	verts := []int32{1, 2}
 	in := append([]int32(nil), verts...)
 	for _, v := range verts {
-		for _, slot := range graph.DetSample(nil, n.csr, v, cfg.Fanouts[1], cfg.Seed) {
+		for _, slot := range graph.DetSample(nil, n.csr, v, cfg.Fanouts[0], cfg.Seed) {
 			in = append(in, n.csr.Col[slot])
 		}
 	}
@@ -491,7 +498,7 @@ func TestComputeRejectsUnorderedSets(t *testing.T) {
 		rows[i] = rng.Float32()
 	}
 	args := func(verts, in []int32) *ComputeArgs {
-		return &ComputeArgs{Level: 1, InDim: 8, OutDim: 8, Verts: verts, In: in, Rows: rows[:len(in)*8]}
+		return &ComputeArgs{Level: 2, InDim: 8, OutDim: 3, Verts: verts, In: in, Rows: rows[:len(in)*8]}
 	}
 	last := len(in) - 1
 	swapped := slices.Clone(in)

@@ -39,8 +39,11 @@ import (
 // ProtoVersion is bumped on any incompatible codec or handshake change;
 // a shard rejects a Hello whose version it does not speak. Version 2
 // added the per-frame request id (pipelined connections) and the
-// replica fields in the Hello.
-const ProtoVersion = 2
+// replica fields in the Hello. Version 3 changed what level 0 means on
+// the same frames: an Expand at level 0 is a plain feature-row lookup, and
+// a Compute at level 1 carries rows for the halo only (see ComputeArgs),
+// so a version-2 peer would mis-size every level-1 request.
+const ProtoVersion = 3
 
 // MaxFrame bounds one frame (type byte + reqid + payload). A length
 // prefix past it is a protocol violation, rejected before allocating
@@ -106,7 +109,9 @@ var (
 
 // ExpandArgs asks a shard to resolve one level's owned vertex span:
 // which rows are cached (returned inline), and what the deterministic
-// sampler's in-frontier is for the rest.
+// sampler's in-frontier is for the rest. At level 0 it asks for the
+// vertices' feature rows; the router sends that only for a halo — ids some
+// other shard's level-1 block reads.
 type ExpandArgs struct {
 	Batch uint64 // trace id, threads obs spans through shard compute
 	Ver   uint64 // model version the caller's batch is coherent at
@@ -116,10 +121,11 @@ type ExpandArgs struct {
 }
 
 // ExpandReply carries, per requested vertex: a hit flag plus the cached
-// row, or (levels ≥ 1) the sampled source ids of the miss. Rows is flat
-// [len(Verts)×Dim]; only hit rows are meaningful — except at level 0,
-// where the shard gathers its owned feature rows so misses come back
-// filled too and no second round trip is needed.
+// row, or the sampled source ids of the miss. Rows is flat
+// [len(Verts)×Dim]; only hit rows are meaningful. Level 0 has no hit
+// semantics — a feature row is not cached anywhere, the feature matrix of
+// the shard that owns it is where it lives — so its reply is every
+// requested row in Rows, with Hit and Srcs empty.
 type ExpandReply struct {
 	Hit  []bool
 	Rows []float32
@@ -130,7 +136,12 @@ type ExpandReply struct {
 // targets. In is the ascending deduplicated level-(Level-1) vertex set
 // the targets' blocks read (each target plus its sampled sources), and
 // Rows their rows, flat [len(In)×InDim]; Verts, the targets, are ascending
-// and deduplicated too and every one of them is in In. Both orderings are
+// and deduplicated too and every one of them is in In. At Level 1 the
+// rows are features, and Rows carries them only for the halo — the ids of
+// In outside the shard's owned range, in In's order, flat [halo×InDim]:
+// the shard reads the rows it owns out of its own feature matrix, so a
+// request is still a pure function of its arguments and any replica can
+// serve it. Either length is enforced. Both orderings are
 // enforced, not assumed: a vertex's position in In is its local id in the
 // block, which fixes every destination's summation order, so the shard
 // rejects an In or Verts that is not strictly ascending (or an In id

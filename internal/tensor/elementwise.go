@@ -82,13 +82,7 @@ func AddBias(a, b *Tensor) {
 func ReLU(dst, a *Tensor) *Tensor {
 	dst = ensureLike(dst, a)
 	parallel.ForRange(len(a.data), ewGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if v := a.data[i]; v > 0 {
-				dst.data[i] = v
-			} else {
-				dst.data[i] = 0
-			}
-		}
+		reluRow(dst.data[lo:hi], a.data[lo:hi])
 	})
 	return dst
 }
@@ -98,13 +92,7 @@ func ReLUGrad(dst, grad, a *Tensor) *Tensor {
 	checkSame(grad, a, "ReLUGrad")
 	dst = ensureLike(dst, a)
 	parallel.ForRange(len(a.data), ewGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if a.data[i] > 0 {
-				dst.data[i] = grad.data[i]
-			} else {
-				dst.data[i] = 0
-			}
-		}
+		reluGradRow(dst.data[lo:hi], grad.data[lo:hi], a.data[lo:hi])
 	})
 	return dst
 }

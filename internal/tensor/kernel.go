@@ -61,6 +61,58 @@ func mulAddRow(ci, ai, b []float32, p0, p1, n int, skipZero bool) {
 	mulAddRowGeneric(ci, ai, b, p0, p1, n, skipZero)
 }
 
+// reluRow computes dst[j] = max(x[j], 0) for every j < len(x), without a
+// branch per element: activations change sign at random, which a
+// predictor cannot learn. NaN and -0 both give +0, as in the scalar test
+// it replaces (reluGeneric).
+func reluRow(dst, x []float32) {
+	if len(dst) < len(x) {
+		panic(fmt.Sprintf("tensor: reluRow dst[%d] shorter than x[%d]", len(dst), len(x)))
+	}
+	if useAVX2 {
+		reluAVX2(dst, x)
+		return
+	}
+	reluGeneric(dst, x)
+}
+
+// reluGradRow computes dst[j] = grad[j] where a[j] > 0, else +0, for every
+// j < len(a).
+func reluGradRow(dst, grad, a []float32) {
+	if len(dst) < len(a) || len(grad) < len(a) {
+		panic(fmt.Sprintf("tensor: reluGradRow dst[%d] grad[%d] shorter than a[%d]", len(dst), len(grad), len(a)))
+	}
+	if useAVX2 {
+		reluGradAVX2(dst, grad, a)
+		return
+	}
+	reluGradGeneric(dst, grad, a)
+}
+
+// reluGeneric is the portable ReLU row and the oracle for the assembly.
+func reluGeneric(dst, x []float32) {
+	dst = dst[:len(x)]
+	for j, v := range x {
+		if v > 0 {
+			dst[j] = v
+		} else {
+			dst[j] = 0
+		}
+	}
+}
+
+// reluGradGeneric is the portable ReLU gradient row.
+func reluGradGeneric(dst, grad, a []float32) {
+	dst, grad = dst[:len(a)], grad[:len(a)]
+	for j, v := range a {
+		if v > 0 {
+			dst[j] = grad[j]
+		} else {
+			dst[j] = 0
+		}
+	}
+}
+
 // axpyGeneric is the portable AXPY and the oracle the assembly is tested
 // against. The explicit float32 conversion rounds the product before the
 // add: the Go spec forbids fusing across it, so arm64, ppc64, s390x and

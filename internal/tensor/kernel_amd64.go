@@ -12,3 +12,9 @@ func axpyAVX2(dst []float32, a float32, x []float32)
 
 //go:noescape
 func mulAddRowAVX2(ci, ai, b []float32, p0, p1, n int, skipZero bool)
+
+//go:noescape
+func reluAVX2(dst, x []float32)
+
+//go:noescape
+func reluGradAVX2(dst, grad, a []float32)

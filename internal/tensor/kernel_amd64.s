@@ -1,4 +1,5 @@
-// The one vector kernel: dst[j] += a*x[j] over float32 rows, AVX2.
+// The one vector kernel: dst[j] += a*x[j] over float32 rows, AVX2 — and,
+// beside it, the ReLU row and its gradient mask.
 //
 // Every product is a VMULPS followed by a separate VADDPS — never a fused
 // multiply-add — so each lane performs exactly the two IEEE-754 roundings
@@ -110,6 +111,113 @@ axpytail:
 	VMASKMOVPS Y0, Y9, (DI)
 
 axpydone:
+	VZEROUPPER
+	RET
+
+// func reluAVX2(dst, x []float32)
+//
+// dst[j] = max(x[j], 0) for j < len(x). VMAXPS returns its second source
+// when the first is not greater — and when either is NaN or both are
+// zeros — so with x first and +0 second, NaN and -0 both give +0, as the
+// scalar `if v > 0 { v } else { 0 }` does. The caller guarantees
+// len(dst) >= len(x).
+TEXT ·reluAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst_base+0(FP), DI
+	MOVQ x_base+24(FP), SI
+	MOVQ x_len+32(FP), CX
+	VXORPS Y8, Y8, Y8
+
+	CMPQ CX, $32
+	JLT  relu8
+	PCALIGN $32
+relu32loop:
+	VMOVUPS 0(SI), Y0
+	VMOVUPS 32(SI), Y1
+	VMOVUPS 64(SI), Y2
+	VMOVUPS 96(SI), Y3
+	VMAXPS  Y8, Y0, Y0
+	VMAXPS  Y8, Y1, Y1
+	VMAXPS  Y8, Y2, Y2
+	VMAXPS  Y8, Y3, Y3
+	VMOVUPS Y0, 0(DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ    $128, SI
+	ADDQ    $128, DI
+	SUBQ    $32, CX
+	CMPQ    CX, $32
+	JGE     relu32loop
+
+relu8:
+	CMPQ CX, $8
+	JLT  relutail
+relu8loop:
+	VMOVUPS 0(SI), Y0
+	VMAXPS  Y8, Y0, Y0
+	VMOVUPS Y0, 0(DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $8, CX
+	CMPQ    CX, $8
+	JGE     relu8loop
+
+relutail:
+	TESTQ CX, CX
+	JZ    reludone
+	LEAQ  tailMask<>+32(SB), AX
+	SHLQ  $2, CX
+	SUBQ  CX, AX
+	VMOVDQU    (AX), Y9
+	VMASKMOVPS (SI), Y9, Y0
+	VMAXPS     Y8, Y0, Y0
+	VMASKMOVPS Y0, Y9, (DI)
+
+reludone:
+	VZEROUPPER
+	RET
+
+// func reluGradAVX2(dst, grad, a []float32)
+//
+// dst[j] = grad[j] where a[j] > 0, else +0, for j < len(a): the ordered
+// compare 0 < a[j] (false for NaN and ±0) is an all-ones or all-zeros lane
+// mask, ANDed onto grad's bits. The caller guarantees len(dst) >= len(a)
+// and len(grad) >= len(a).
+TEXT ·reluGradAVX2(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ grad_base+24(FP), DX
+	MOVQ a_base+48(FP), SI
+	MOVQ a_len+56(FP), CX
+	VXORPS Y8, Y8, Y8
+
+	CMPQ CX, $8
+	JLT  gradtail
+	PCALIGN $32
+grad8loop:
+	VCMPPS  $0x11, 0(SI), Y8, Y0 // LT_OQ: 0 < a
+	VANDPS  0(DX), Y0, Y0
+	VMOVUPS Y0, 0(DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, DI
+	SUBQ    $8, CX
+	CMPQ    CX, $8
+	JGE     grad8loop
+
+gradtail:
+	TESTQ CX, CX
+	JZ    graddone
+	LEAQ  tailMask<>+32(SB), AX
+	SHLQ  $2, CX
+	SUBQ  CX, AX
+	VMOVDQU    (AX), Y9
+	VMASKMOVPS (SI), Y9, Y1
+	VMASKMOVPS (DX), Y9, Y2
+	VCMPPS     $0x11, Y1, Y8, Y0
+	VANDPS     Y2, Y0, Y0
+	VMASKMOVPS Y0, Y9, (DI)
+
+graddone:
 	VZEROUPPER
 	RET
 

@@ -11,3 +11,7 @@ func axpyAVX2(dst []float32, a float32, x []float32) { panic("tensor: no assembl
 func mulAddRowAVX2(ci, ai, b []float32, p0, p1, n int, skipZero bool) {
 	panic("tensor: no assembly kernel")
 }
+
+func reluAVX2(dst, x []float32) { panic("tensor: no assembly kernel") }
+
+func reluGradAVX2(dst, grad, a []float32) { panic("tensor: no assembly kernel") }

@@ -148,6 +148,10 @@ func TestMulAddRowPanicsOnShortSlices(t *testing.T) {
 		"b":   func() { mulAddRow(make([]float32, 8), make([]float32, 4), make([]float32, 31), 0, 4, 8, true) },
 		"p0":  func() { mulAddRow(make([]float32, 8), make([]float32, 4), make([]float32, 32), -1, 4, 8, true) },
 		"dst": func() { AxpyRow(make([]float32, 7), 1, make([]float32, 8)) },
+
+		"relu dst":      func() { reluRow(make([]float32, 8), make([]float32, 9)) },
+		"reluGrad dst":  func() { reluGradRow(make([]float32, 8), make([]float32, 9), make([]float32, 9)) },
+		"reluGrad grad": func() { reluGradRow(make([]float32, 9), make([]float32, 8), make([]float32, 9)) },
 	} {
 		func() {
 			defer func() {
@@ -256,6 +260,97 @@ func TestBatchedMatMulBitwiseEqualScalar(t *testing.T) {
 		dst := FromSlice(kernelVals(rng, bs*m*n, false), bs, m, n) // overwritten
 		sameBits(t, "BatchedMatMul", BatchedMatMul(dst, a, b).data, want)
 	}
+}
+
+// reluVals is kernelVals plus NaNs of both signs, quiet and signalling.
+func reluVals(rng *RNG, n int) []float32 {
+	v := kernelVals(rng, n, true)
+	for i := range v {
+		if rng.Intn(12) == 0 {
+			v[i] = math.Float32frombits(uint32(rng.Intn(2))<<31 | 0x7f800000 | uint32(1+rng.Intn(1<<23-1)))
+		}
+	}
+	return v
+}
+
+// exactBits is sameBits without the NaN allowance: ReLU never computes, it
+// selects, so even a NaN's payload must match.
+func exactBits(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	for i := range want {
+		if g, w := math.Float32bits(got[i]), math.Float32bits(want[i]); g != w {
+			t.Fatalf("%s: [%d] = %#08x, scalar reference %#08x", what, i, g, w)
+		}
+	}
+}
+
+// checkReLU runs both ReLU rows against their scalar loops, with each
+// destination longer than the input so the tail must stay untouched, and
+// in place.
+func checkReLU(t *testing.T, x, grad, fill []float32) {
+	t.Helper()
+	n := len(x)
+	got, want := append([]float32(nil), fill...), append([]float32(nil), fill...)
+	reluRow(got, x)
+	reluGeneric(want, x)
+	exactBits(t, "relu", got, want)
+	for j, v := range got[:n] {
+		if v != v || math.Signbit(float64(v)) {
+			t.Fatalf("relu: [%d] = %v (%#08x) from %#08x, want a non-negative number", j, v, math.Float32bits(v), math.Float32bits(x[j]))
+		}
+	}
+	inPlace := append([]float32(nil), x...)
+	reluRow(inPlace, inPlace)
+	exactBits(t, "relu in place", inPlace, want[:n])
+
+	got, want = append([]float32(nil), fill...), append([]float32(nil), fill...)
+	reluGradRow(got, grad, x)
+	reluGradGeneric(want, grad, x)
+	exactBits(t, "reluGrad", got, want)
+}
+
+func TestReLUBitwiseEqualScalar(t *testing.T) {
+	rng := NewRNG(1606)
+	for _, n := range kernelWidths() {
+		for round := 0; round < 4; round++ {
+			checkReLU(t, reluVals(rng, n), reluVals(rng, n), reluVals(rng, n+9))
+		}
+	}
+	// The tensor entry points are the same rows.
+	a, g := FromSlice(reluVals(rng, 3*43), 3, 43), FromSlice(reluVals(rng, 3*43), 3, 43)
+	want := make([]float32, a.Len())
+	reluGeneric(want, a.data)
+	exactBits(t, "ReLU", ReLU(nil, a).data, want)
+	reluGradGeneric(want, g.data, a.data)
+	exactBits(t, "ReLUGrad", ReLUGrad(nil, g, a).data, want)
+}
+
+// FuzzReLU lets the fuzzer choose the bit patterns, the width and the
+// alignment.
+func FuzzReLU(f *testing.F) {
+	seed := make([]byte, 4*300)
+	rng := NewRNG(1607)
+	for i := range seed {
+		seed[i] = byte(rng.Intn(256))
+	}
+	f.Add(seed, uint8(7), uint8(1))
+	f.Add(seed, uint8(64), uint8(3))
+	f.Add(seed[:4*30], uint8(9), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, width, off uint8) {
+		n := 1 + int(width)%130
+		if len(data)/4 < 3*n+9 {
+			return
+		}
+		vals := make([]float32, len(data)/4)
+		for i := range vals {
+			vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
+		}
+		place := func(src []float32) []float32 {
+			o := int(off) % 8
+			return append(make([]float32, o, o+len(src)), src...)[o:]
+		}
+		checkReLU(t, place(vals[:n]), place(vals[n:2*n]), place(vals[2*n:3*n+9]))
+	})
 }
 
 // FuzzMulAddRow lets the fuzzer choose the floats themselves (any bit

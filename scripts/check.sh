@@ -138,9 +138,10 @@ go test ./internal/graph/ -run '^$' -fuzz '^FuzzCSRBuild$' -fuzztime=5s >/dev/nu
 # must echo its id on re-encode, and no hostile length/reqid combination
 # may panic or allocate unboundedly.
 go test ./internal/shard/wire/ -run '^$' -fuzz '^FuzzDecode$' -fuzztime=5s >/dev/null
-# The assembly row kernel must match the scalar loop bit for bit on any
+# The assembly row kernels must match the scalar loops bit for bit on any
 # floats, row width, k range and alignment the fuzzer can build.
 go test ./internal/tensor/ -run '^$' -fuzz '^FuzzMulAddRow$' -fuzztime=5s >/dev/null
+go test ./internal/tensor/ -run '^$' -fuzz '^FuzzReLU$' -fuzztime=5s >/dev/null
 echo "fuzz smokes OK"
 
 # End-to-end serving smoke test: train a tiny checkpoint, serve it over
@@ -214,16 +215,21 @@ echo "serve smoke OK"
 # capacity-bound 1MiB per-shard cache, 4 shards must beat a single shard
 # by more than 1.5x QPS. On this one-core box there is no parallel
 # speedup to be had — the win is aggregate cache capacity (the per-node
-# RAM the per-shard budget models): the hot working set at this shape is
-# ~4MB, so one shard's 1MiB thrashes (~35% hit rate) while 4x1MiB holds
-# it (~88%). 2-shard rides along as the intermediate point and must land
-# between the two. -batch-delay is dropped to 100us so throughput is
-# compute-bound rather than pinned to the micro-batch fill deadline.
+# RAM the per-shard budget models): one shard's 1MiB holds part of the
+# hot working set of computed rows (~62% hit rate) while 4x1MiB holds
+# nearly all of it (~99%), so most requests end at a top-level hit. 2-shard
+# rides along as the intermediate point and must land between the two.
+# -batch-cap equals the 8 closed-loop clients, so a batch leaves when the
+# last of them has asked and throughput is compute-bound rather than pinned
+# to the micro-batch fill deadline: a batch that cannot fill waits the
+# deadline out, and a sub-millisecond timer on an otherwise idle process
+# sleeps ~1.1ms here whatever -batch-delay says — a ceiling of ~7k qps
+# that hid most of the difference between the fleets.
 echo "== sharded Zipf scaling smoke (1/2/4 shards, 1MiB per-shard cache)"
 for s in 1 2 4; do
   "$SMOKE/wisegraph-serve" -dataset AR -scale 100 -hidden 128 -fanout 15,15,15 \
     -loadgen 8 -loadgen-zipf 1.2 -loadgen-duration 3s -batch-delay 100us \
-    -cache-budget 1MiB -shards "$s" >"$SMOKE/shard$s.log" 2>&1 \
+    -batch-cap 8 -cache-budget 1MiB -shards "$s" >"$SMOKE/shard$s.log" 2>&1 \
     || { echo "FAIL: $s-shard loadgen exited non-zero"; cat "$SMOKE/shard$s.log"; exit 1; }
   grep -q 'drained: in-flight=0' "$SMOKE/shard$s.log" \
     || { echo "FAIL: $s-shard drain left requests in flight"; cat "$SMOKE/shard$s.log"; exit 1; }
