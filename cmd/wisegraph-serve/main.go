@@ -23,7 +23,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -31,7 +30,6 @@ import (
 	"wisegraph"
 	"wisegraph/internal/fault"
 	"wisegraph/internal/joint"
-	"wisegraph/internal/nn"
 	"wisegraph/internal/obs"
 	"wisegraph/internal/serve"
 )
@@ -62,7 +60,6 @@ func main() {
 		traceRing   = flag.Int("trace-ring", obs.DefaultRingSize, "span ring-buffer capacity for /debug/trace (0 disables tracing)")
 		pprofFlag   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		faultSpec   = flag.String("fault-spec", "", "deterministic fault-injection schedule, e.g. seed=42;serve.batch:error=0.05,latency=0.1,delay=2ms")
-		batchTmo    = flag.Duration("batch-timeout", 500*time.Millisecond, "per-micro-batch execution budget (governs injected stragglers)")
 		engineName  = flag.String("engine", "blocked", "execution engine: blocked|fused|device (bitwise-identical; fused streams the SpMM)")
 		cacheBudget = flag.String("cache-budget", "0", "hot-vertex embedding cache budget, e.g. 64MiB (0 disables; pure performance knob — cached logits are bitwise-identical)")
 		cacheShards = flag.Int("cache-shards", 0, "cache lock-stripe count (default 8)")
@@ -96,14 +93,14 @@ func main() {
 	fmt.Printf("dataset %s: %v (scale 1/%d), %d classes, dim %d\n",
 		*dsName, ds.Graph, ds.Scale, ds.Classes(), ds.Dim())
 
-	m, err := loadModel(ds, *checkpoint, *model, *hidden, *layers, *seed)
+	m, err := wisegraph.LoadModel(os.Stdout, ds, *checkpoint, *model, *hidden, *layers, *seed)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("model %v: %d-%d-%d x%d layers, %d params\n",
 		m.Cfg.Kind, m.Cfg.InDim, m.Cfg.Hidden, m.Cfg.OutDim, m.Cfg.Layers, m.NumParams())
 
-	budget, err := parseBytes(*cacheBudget)
+	budget, err := wisegraph.ParseBytes(*cacheBudget)
 	if err != nil {
 		fatal(fmt.Errorf("-cache-budget: %w", err))
 	}
@@ -113,7 +110,6 @@ func main() {
 		BatchDelay:     *batchDelay,
 		QueueDepth:     *queueDepth,
 		Deadline:       *deadline,
-		BatchTimeout:   *batchTmo,
 		Engine:         *engineName,
 		Seed:           *seed,
 		CacheBudget:    budget,
@@ -132,7 +128,7 @@ func main() {
 		}
 	}
 	if *fanout != "" {
-		opts.Fanouts, err = parseFanouts(*fanout)
+		opts.Fanouts, err = wisegraph.ParseFanouts(*fanout)
 		if err != nil {
 			fatal(err)
 		}
@@ -250,90 +246,6 @@ func cacheSummary(st serve.Snapshot) string {
 func shardSummary(st serve.Snapshot) string {
 	return fmt.Sprintf(" shards=%d shard-in-flight=%d hedges=%d retries=%d timeouts=%d shard-failures=%d",
 		st.Shards, st.ShardInFlight, st.ShardHedges, st.ShardRetries, st.ShardTimeouts, st.ShardFailures)
-}
-
-// parseBytes parses a byte size with an optional binary suffix:
-// "1048576", "64KiB"/"64kb", "512MiB"/"512m", "2GiB"/"2g".
-func parseBytes(s string) (int64, error) {
-	t := strings.TrimSpace(strings.ToLower(s))
-	mult := int64(1)
-	for _, u := range []struct {
-		suffix string
-		mult   int64
-	}{
-		{"kib", 1 << 10}, {"kb", 1 << 10}, {"k", 1 << 10},
-		{"mib", 1 << 20}, {"mb", 1 << 20}, {"m", 1 << 20},
-		{"gib", 1 << 30}, {"gb", 1 << 30}, {"g", 1 << 30},
-	} {
-		if strings.HasSuffix(t, u.suffix) {
-			t, mult = strings.TrimSuffix(t, u.suffix), u.mult
-			break
-		}
-	}
-	v, err := strconv.ParseInt(strings.TrimSpace(t), 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad byte size %q", s)
-	}
-	return v * mult, nil
-}
-
-// loadModel builds the model to serve: from a v2 checkpoint alone, from a
-// v1 checkpoint plus architecture flags, or (no checkpoint) freshly
-// initialized weights — useful for smoke tests and load rigs.
-func loadModel(ds *wisegraph.Dataset, path, kindName string, hidden, layers int, seed uint64) (*nn.Model, error) {
-	if path == "" {
-		kind, err := wisegraph.ParseModel(kindName)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Println("warning: no -checkpoint given; serving untrained weights")
-		return nn.NewModel(nn.Config{
-			Kind: kind, InDim: ds.Dim(), Hidden: hidden, OutDim: ds.Classes(),
-			Layers: layers, NumTypes: ds.Graph.NumTypes, Seed: seed,
-		})
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if m, err := nn.LoadModelFromCheckpoint(f); err == nil {
-		fmt.Printf("restored v2 checkpoint %s\n", path)
-		return m, nil
-	}
-	// v1 fallback: architecture from flags.
-	if _, err := f.Seek(0, 0); err != nil {
-		return nil, err
-	}
-	kind, err := wisegraph.ParseModel(kindName)
-	if err != nil {
-		return nil, err
-	}
-	m, err := nn.NewModel(nn.Config{
-		Kind: kind, InDim: ds.Dim(), Hidden: hidden, OutDim: ds.Classes(),
-		Layers: layers, NumTypes: ds.Graph.NumTypes, Seed: seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := m.LoadCheckpoint(f); err != nil {
-		return nil, fmt.Errorf("loading %s (tried v2 and v1+flags): %w", path, err)
-	}
-	fmt.Printf("restored v1 checkpoint %s (architecture from flags)\n", path)
-	return m, nil
-}
-
-func parseFanouts(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad fanout %q", p)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 func fatal(err error) {

@@ -30,12 +30,9 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 
 	"wisegraph"
-	"wisegraph/internal/nn"
 	"wisegraph/internal/shard"
 )
 
@@ -66,7 +63,7 @@ func main() {
 	fmt.Printf("dataset %s: %v (scale 1/%d), %d classes, dim %d\n",
 		*dsName, ds.Graph, ds.Scale, ds.Classes(), ds.Dim())
 
-	m, err := loadModel(ds, *checkpoint, *model, *hidden, *layers, *seed)
+	m, err := wisegraph.LoadModel(os.Stdout, ds, *checkpoint, *model, *hidden, *layers, *seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -74,7 +71,7 @@ func main() {
 		m.Cfg.Kind, m.Cfg.InDim, m.Cfg.Hidden, m.Cfg.OutDim, m.Cfg.Layers,
 		m.NumParams(), shard.ParamSum(m))
 
-	budget, err := parseBytes(*cacheBudget)
+	budget, err := wisegraph.ParseBytes(*cacheBudget)
 	if err != nil {
 		fatal(fmt.Errorf("-cache-budget: %w", err))
 	}
@@ -128,75 +125,6 @@ func main() {
 		}
 	}
 	fmt.Println(line)
-}
-
-// parseBytes parses a byte size with an optional binary suffix, exactly
-// as wisegraph-serve spells it: "1048576", "64KiB"/"64kb", "512m", "2g".
-func parseBytes(s string) (int64, error) {
-	t := strings.TrimSpace(strings.ToLower(s))
-	mult := int64(1)
-	for _, u := range []struct {
-		suffix string
-		mult   int64
-	}{
-		{"kib", 1 << 10}, {"kb", 1 << 10}, {"k", 1 << 10},
-		{"mib", 1 << 20}, {"mb", 1 << 20}, {"m", 1 << 20},
-		{"gib", 1 << 30}, {"gb", 1 << 30}, {"g", 1 << 30},
-	} {
-		if strings.HasSuffix(t, u.suffix) {
-			t, mult = strings.TrimSuffix(t, u.suffix), u.mult
-			break
-		}
-	}
-	v, err := strconv.ParseInt(strings.TrimSpace(t), 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad byte size %q", s)
-	}
-	return v * mult, nil
-}
-
-// loadModel mirrors wisegraph-serve's checkpoint loading so both ends of
-// the wire reconstruct bitwise-identical parameters from the same flags.
-func loadModel(ds *wisegraph.Dataset, path, kindName string, hidden, layers int, seed uint64) (*nn.Model, error) {
-	if path == "" {
-		kind, err := wisegraph.ParseModel(kindName)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Println("warning: no -checkpoint given; serving untrained weights")
-		return nn.NewModel(nn.Config{
-			Kind: kind, InDim: ds.Dim(), Hidden: hidden, OutDim: ds.Classes(),
-			Layers: layers, NumTypes: ds.Graph.NumTypes, Seed: seed,
-		})
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if m, err := nn.LoadModelFromCheckpoint(f); err == nil {
-		fmt.Printf("restored v2 checkpoint %s\n", path)
-		return m, nil
-	}
-	if _, err := f.Seek(0, 0); err != nil {
-		return nil, err
-	}
-	kind, err := wisegraph.ParseModel(kindName)
-	if err != nil {
-		return nil, err
-	}
-	m, err := nn.NewModel(nn.Config{
-		Kind: kind, InDim: ds.Dim(), Hidden: hidden, OutDim: ds.Classes(),
-		Layers: layers, NumTypes: ds.Graph.NumTypes, Seed: seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := m.LoadCheckpoint(f); err != nil {
-		return nil, fmt.Errorf("loading %s (tried v2 and v1+flags): %w", path, err)
-	}
-	fmt.Printf("restored v1 checkpoint %s (architecture from flags)\n", path)
-	return m, nil
 }
 
 func fatal(err error) {

@@ -12,11 +12,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"wisegraph"
 	"wisegraph/internal/fault"
+	"wisegraph/internal/kernels"
 	"wisegraph/internal/obs"
 	"wisegraph/internal/train"
 )
@@ -43,12 +42,15 @@ func main() {
 		loadModel = flag.String("load-model", "", "alias for -load-checkpoint")
 		traceOut  = flag.String("trace", "", "write phase spans as Chrome trace-event JSON (open in chrome://tracing or Perfetto)")
 		faultSpec = flag.String("fault-spec", "", "deterministic fault-injection schedule, e.g. seed=42;train.step:error=0.05;nn.checkpoint:error=0.01")
-		engine    = flag.String("engine", "blocked", "execution engine: blocked|fused|device (fused streams the SpMM without per-edge intermediates; all are bitwise-identical)")
+		engine    = flag.String("engine", "blocked", "gTask execution engine for the -tune parity evaluation: blocked|fused|device (bitwise-identical; training itself has one dataflow)")
 		autoCkpt  = flag.String("auto-checkpoint", "", "train-state file for periodic auto-checkpoint and fault recovery (full-graph mode)")
 		ckptEvery = flag.Int("checkpoint-every", 5, "epochs between auto-checkpoints")
 		resume    = flag.Bool("resume", false, "resume from -auto-checkpoint when the file exists")
 	)
 	flag.Parse()
+	if _, err := kernels.Select(*engine); err != nil {
+		fatal(err)
+	}
 	if *faultSpec != "" {
 		sched, err := fault.Parse(*faultSpec)
 		if err != nil {
@@ -87,15 +89,12 @@ func main() {
 	cfg := wisegraph.ModelConfig{Kind: kind, Hidden: *hidden, Layers: *layers, Seed: *seed}
 
 	if *sampled {
-		fans, err := parseFanouts(*fanout)
+		fans, err := wisegraph.ParseFanouts(*fanout)
 		if err != nil {
 			fatal(err)
 		}
 		tr, err := wisegraph.NewSampledTrainer(ds, cfg, *lr, fans, *batch, *seed)
 		if err != nil {
-			fatal(err)
-		}
-		if err := tr.UseEngine(*engine); err != nil {
 			fatal(err)
 		}
 		if *loadCkpt != "" {
@@ -225,19 +224,6 @@ func restoreCheckpoint(m *wisegraph.Model, path string) {
 	}
 	f.Close()
 	fmt.Printf("restored checkpoint %s\n", path)
-}
-
-func parseFanouts(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad fanout %q", p)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 func fatal(err error) {

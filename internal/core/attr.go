@@ -144,21 +144,6 @@ func (r *AttrReader) Value(a Attr, e int) int32 {
 	}
 }
 
-// Cardinality returns the number of distinct values attribute a can take
-// on this graph (used by the cost model to bound uniqueness).
-func (r *AttrReader) Cardinality(a Attr) int {
-	switch a {
-	case AttrEdgeID:
-		return r.g.NumEdges()
-	case AttrSrcID, AttrDstID:
-		return r.g.NumVertices
-	case AttrEdgeType:
-		return r.g.NumTypes
-	default:
-		return r.g.NumVertices // degree values are bounded by V
-	}
-}
-
 // ParseAttr resolves an attribute name (as produced by Attr.String).
 func ParseAttr(name string) (Attr, error) {
 	for a := Attr(0); a < NumAttrs; a++ {

@@ -18,33 +18,11 @@ type Env struct {
 	Sizes map[string]int
 }
 
-// allocator abstracts where intermediate tensors come from: the heap
-// (Eval) or a caller-owned arena (EvalArena).
-type allocator interface {
-	Get(shape ...int) *tensor.Tensor
-}
-
-type heapAlloc struct{}
-
-func (heapAlloc) Get(shape ...int) *tensor.Tensor { return tensor.New(shape...) }
-
 // Eval interprets the DFG over env and returns the output tensor. It is
 // the reference executor used to check that transformed DFGs are
 // equivalent to the originals; the production kernels in internal/kernels
 // fuse these steps.
 func (g *Graph) Eval(env *Env) (*tensor.Tensor, error) {
-	return g.evalWith(env, heapAlloc{})
-}
-
-// EvalArena is Eval with every intermediate (including the returned
-// output) allocated from ar. Repeated evaluations that Reset the arena
-// between calls run allocation-free in steady state. The result is
-// invalidated by the next ar.Reset; copy it first if it must survive.
-func (g *Graph) EvalArena(env *Env, ar *tensor.Arena) (*tensor.Tensor, error) {
-	return g.evalWith(env, ar)
-}
-
-func (g *Graph) evalWith(env *Env, alloc allocator) (*tensor.Tensor, error) {
 	if g.Output == nil {
 		return nil, fmt.Errorf("dfg: no output designated")
 	}
@@ -59,7 +37,7 @@ func (g *Graph) evalWith(env *Env, alloc allocator) (*tensor.Tensor, error) {
 				return nil, err
 			}
 		}
-		v, err := evalNode(n, vals, env, alloc)
+		v, err := evalNode(n, vals, env)
 		if err != nil {
 			return nil, fmt.Errorf("dfg: node %d (%v): %w", n.ID, n.Kind, err)
 		}
@@ -69,7 +47,7 @@ func (g *Graph) evalWith(env *Env, alloc allocator) (*tensor.Tensor, error) {
 	return eval(g.Output)
 }
 
-func evalNode(n *Node, vals map[*Node]*tensor.Tensor, env *Env, alloc allocator) (*tensor.Tensor, error) {
+func evalNode(n *Node, vals map[*Node]*tensor.Tensor, env *Env) (*tensor.Tensor, error) {
 	in := func(i int) *tensor.Tensor { return vals[n.Inputs[i]] }
 	switch n.Kind {
 	case OpInput:
@@ -83,7 +61,7 @@ func evalNode(n *Node, vals map[*Node]*tensor.Tensor, env *Env, alloc allocator)
 		if !ok {
 			return nil, fmt.Errorf("unbound index %q", n.IdxKey)
 		}
-		out := tensor.GatherRows(alloc.Get(len(idx), in(0).RowSize()), in(0), idx)
+		out := tensor.GatherRows(tensor.New(len(idx), in(0).RowSize()), in(0), idx)
 		return out.Reshape(append([]int{len(idx)}, n.Cols...)...), nil
 	case OpIndex2D:
 		ri, ok := env.Indices[n.IdxKey]
@@ -99,7 +77,7 @@ func evalNode(n *Node, vals map[*Node]*tensor.Tensor, env *Env, alloc allocator)
 			return nil, fmt.Errorf("gather2d source %v has an empty leading dimension", src.Shape())
 		}
 		inner := src.Len() / (src.Dim(0) * src.Dim(1))
-		out := tensor.Gather2D(alloc.Get(len(ri), inner), src, ri, ci)
+		out := tensor.Gather2D(tensor.New(len(ri), inner), src, ri, ci)
 		return out.Reshape(append([]int{len(ri)}, n.Cols...)...), nil
 	case OpIndexAdd:
 		idx, ok := env.Indices[n.IdxKey]
@@ -112,20 +90,20 @@ func evalNode(n *Node, vals map[*Node]*tensor.Tensor, env *Env, alloc allocator)
 		}
 		src := in(0)
 		shape := append([]int{rows}, src.Shape()[1:]...)
-		out := alloc.Get(shape...)
+		out := tensor.New(shape...)
 		tensor.ScatterAddRows(out, src, idx)
 		return out, nil
 	case OpLinear:
 		x, w := in(0), in(1)
 		x2 := x.Reshape(x.Rows(), -1)
 		w2 := w.Reshape(w.Dim(w.Dims()-2), w.Dim(w.Dims()-1))
-		return tensor.MatMul(alloc.Get(x2.Dim(0), w2.Dim(1)), x2, w2), nil
+		return tensor.MatMul(tensor.New(x2.Dim(0), w2.Dim(1)), x2, w2), nil
 	case OpBMM:
 		x, w := in(0), in(1)
 		r := x.Rows()
 		f := x.RowSize()
 		fp := w.Dim(w.Dims() - 1)
-		out := tensor.BatchedMatMul(alloc.Get(r, 1, fp), x.Reshape(r, 1, f), w.Reshape(r, f, fp))
+		out := tensor.BatchedMatMul(tensor.New(r, 1, fp), x.Reshape(r, 1, f), w.Reshape(r, f, fp))
 		return out.Reshape(r, fp), nil
 	case OpOuterMM:
 		x, w := in(0), in(1)
@@ -133,8 +111,8 @@ func evalNode(n *Node, vals map[*Node]*tensor.Tensor, env *Env, alloc allocator)
 		f := x.RowSize()
 		nW := w.Dim(0)
 		fp := w.Dim(w.Dims() - 1)
-		out := alloc.Get(m, nW, fp)
-		prod := alloc.Get(m, fp)
+		out := tensor.New(m, nW, fp)
+		prod := tensor.New(m, fp)
 		for j := 0; j < nW; j++ {
 			wj := tensor.FromSlice(w.Data()[j*f*fp:(j+1)*f*fp], f, fp)
 			tensor.MatMul(prod, x.Reshape(m, f), wj)
@@ -144,17 +122,17 @@ func evalNode(n *Node, vals map[*Node]*tensor.Tensor, env *Env, alloc allocator)
 		}
 		return out, nil
 	case OpEWAdd:
-		return tensor.Add(alloc.Get(in(0).Shape()...), in(0), in(1)), nil
+		return tensor.Add(tensor.New(in(0).Shape()...), in(0), in(1)), nil
 	case OpEWMul:
-		return tensor.Mul(alloc.Get(in(0).Shape()...), in(0), in(1)), nil
+		return tensor.Mul(tensor.New(in(0).Shape()...), in(0), in(1)), nil
 	case OpReLU:
-		return tensor.ReLU(alloc.Get(in(0).Shape()...), in(0)), nil
+		return tensor.ReLU(tensor.New(in(0).Shape()...), in(0)), nil
 	case OpLeakyReLU:
-		return tensor.LeakyReLU(alloc.Get(in(0).Shape()...), in(0), n.Slope), nil
+		return tensor.LeakyReLU(tensor.New(in(0).Shape()...), in(0), n.Slope), nil
 	case OpTanh:
-		return tensor.Tanh(alloc.Get(in(0).Shape()...), in(0)), nil
+		return tensor.Tanh(tensor.New(in(0).Shape()...), in(0)), nil
 	case OpSigmoid:
-		return tensor.Sigmoid(alloc.Get(in(0).Shape()...), in(0)), nil
+		return tensor.Sigmoid(tensor.New(in(0).Shape()...), in(0)), nil
 	default:
 		return nil, fmt.Errorf("unknown op kind %v", n.Kind)
 	}

@@ -35,18 +35,6 @@ type Engine struct {
 	// d needs from p (deduplicated — the paper's communication volume).
 	remoteNeeds [][][]int32
 
-	// exec selects the aggregation dataflow: ExecBlocked walks devEdges
-	// with a read-modify-write per edge, ExecFused streams each output row
-	// exactly once through aggPtr/aggEdges (built lazily below).
-	exec nn.Exec
-	// aggPtr[d]/aggEdges[d] group devEdges[d] by local destination row,
-	// stably — within a row, edges keep their devEdges order, so the
-	// floating-point accumulation order per row (the only order that
-	// affects bits) is identical to the blocked walk.
-	aggOnce  sync.Once
-	aggPtr   [][]int32
-	aggEdges [][]int32
-
 	// accounting
 	mu        sync.Mutex
 	commBytes float64
@@ -86,41 +74,6 @@ func NewEngine(c Cluster, g *graph.Graph) *Engine {
 		}
 	}
 	return e
-}
-
-// UseExec selects the aggregation dataflow for subsequent forward passes
-// (nn.ExecFused streams destination rows; the default walks edges). Both
-// produce bit-identical outputs — see TestDistAggregateBlockedVsFused.
-func (e *Engine) UseExec(x nn.Exec) { e.exec = x }
-
-// buildAggIndex groups each device's in-edges by local destination row
-// with a counting sort that preserves devEdges order within a row.
-func (e *Engine) buildAggIndex() {
-	e.aggOnce.Do(func() {
-		n := e.C.N
-		e.aggPtr = make([][]int32, n)
-		e.aggEdges = make([][]int32, n)
-		for d := 0; d < n; d++ {
-			lo, hi := e.Block(d)
-			rows := int(hi - lo)
-			ptr := make([]int32, rows+1)
-			for _, ei := range e.devEdges[d] {
-				ptr[e.G.Dst[ei]-lo+1]++
-			}
-			for r := 0; r < rows; r++ {
-				ptr[r+1] += ptr[r]
-			}
-			edges := make([]int32, len(e.devEdges[d]))
-			next := append([]int32(nil), ptr[:rows]...)
-			for _, ei := range e.devEdges[d] {
-				r := e.G.Dst[ei] - lo
-				edges[next[r]] = ei
-				next[r]++
-			}
-			e.aggPtr[d] = ptr
-			e.aggEdges[d] = edges
-		}
-	})
 }
 
 // Owner returns the device owning vertex v.
@@ -261,16 +214,9 @@ func (e *Engine) exchange(parts []*tensor.Tensor) ([]map[int32][]float32, error)
 
 // aggregate runs the normalized sum aggregation out[dst] += w·in[src] on
 // every device over its own in-edges, resolving local rows directly and
-// remote rows from the exchanged table. Under nn.ExecFused each output row
-// is streamed exactly once (all its contributions arrive consecutively via
-// the grouped index) instead of being re-read and re-written per edge; the
-// per-row accumulation order is unchanged, so the bits are too.
+// remote rows from the exchanged table.
 func (e *Engine) aggregate(parts []*tensor.Tensor, recv []map[int32][]float32, width int, invDeg []float32) []*tensor.Tensor {
 	n := e.C.N
-	fused := e.exec == nn.ExecFused
-	if fused {
-		e.buildAggIndex()
-	}
 	out := make([]*tensor.Tensor, n)
 	var wg sync.WaitGroup
 	wg.Add(n)
@@ -279,7 +225,7 @@ func (e *Engine) aggregate(parts []*tensor.Tensor, recv []map[int32][]float32, w
 			defer wg.Done()
 			lo, hi := e.Block(d)
 			agg := tensor.New(int(hi-lo), width)
-			addEdge := func(ei int32, or []float32) {
+			for _, ei := range e.devEdges[d] {
 				src := e.G.Src[ei]
 				var row []float32
 				if sd := e.Owner(src); sd == d {
@@ -287,20 +233,7 @@ func (e *Engine) aggregate(parts []*tensor.Tensor, recv []map[int32][]float32, w
 				} else {
 					row = recv[d][src]
 				}
-				tensor.AxpyRow(or, invDeg[ei], row)
-			}
-			if fused {
-				ptr, edges := e.aggPtr[d], e.aggEdges[d]
-				for r := 0; r < int(hi-lo); r++ {
-					or := agg.Row(r)
-					for k := ptr[r]; k < ptr[r+1]; k++ {
-						addEdge(edges[k], or)
-					}
-				}
-			} else {
-				for _, ei := range e.devEdges[d] {
-					addEdge(ei, agg.Row(int(e.G.Dst[ei]-lo)))
-				}
+				tensor.AxpyRow(agg.Row(int(e.G.Dst[ei]-lo)), invDeg[ei], row)
 			}
 			out[d] = agg
 		}(d)

@@ -87,9 +87,6 @@ func (l *GATLayer) project(dst, z *tensor.Tensor, a *Param) *tensor.Tensor {
 
 // Forward implements Layer.
 func (l *GATLayer) Forward(gc *GraphCtx, x *tensor.Tensor) *tensor.Tensor {
-	if gc.ExecKind() == ExecFused {
-		return l.forwardFused(gc, x)
-	}
 	l.x = x
 	l.z = tensor.MatMul(buf2(l.z, x.Dim(0), l.OutDim()), x, l.W.Value)
 	l.pl = l.project(l.pl, l.z, l.AL)
@@ -122,82 +119,6 @@ func (l *GATLayer) Forward(gc *GraphCtx, x *tensor.Tensor) *tensor.Tensor {
 		}
 	})
 	tensor.AddBias(out, l.B.Value)
-	return out
-}
-
-// forwardFused runs scores, leaky ReLU, softmax, aggregation and bias as
-// one parallel pass per destination segment instead of five full sweeps
-// over the [E,heads] buffers. Every per-element operation — including the
-// float64 softmax accumulation and the 1/sum scaling — replicates the
-// blocked phases exactly, and slots of different destinations never
-// interact, so scores/alpha caches and the output are bitwise-identical
-// to the blocked forward at every worker count. The [E,heads] attention
-// caches stay materialized (the backward pass consumes them; heads ≪ F',
-// so they are not the traffic fusion targets).
-func (l *GATLayer) forwardFused(gc *GraphCtx, x *tensor.Tensor) *tensor.Tensor {
-	l.x = x
-	l.z = tensor.MatMul(buf2(l.z, x.Dim(0), l.OutDim()), x, l.W.Value)
-	l.pl = l.project(l.pl, l.z, l.AL)
-	l.pr = l.project(l.pr, l.z, l.AR)
-	e := gc.NumEdges()
-	l.scores = buf2(l.scores, e, l.heads)
-	l.alpha = buf2(l.alpha, e, l.heads)
-	out := buf2(l.out, gc.NumVertices(), l.OutDim())
-	l.out = out
-	b := l.B.Value.Data()
-	parallel.For(gc.NumVertices(), 16, func(v int) {
-		lo, hi := int(gc.CSR.RowPtr[v]), int(gc.CSR.RowPtr[v+1])
-		prr := l.pr.Row(v)
-		for s := lo; s < hi; s++ {
-			sr := l.scores.Row(s)
-			ar := l.alpha.Row(s)
-			plr := l.pl.Row(int(gc.SrcByDst[s]))
-			for h := 0; h < l.heads; h++ {
-				sv := plr[h] + prr[h]
-				sr[h] = sv
-				// leaky ReLU, matching tensor.LeakyReLU bit for bit
-				if sv > 0 {
-					ar[h] = sv
-				} else {
-					ar[h] = l.slope * sv
-				}
-			}
-		}
-		if lo < hi {
-			for h := 0; h < l.heads; h++ {
-				maxv := l.alpha.At(lo, h)
-				for s := lo + 1; s < hi; s++ {
-					if xv := l.alpha.At(s, h); xv > maxv {
-						maxv = xv
-					}
-				}
-				var sum float64
-				for s := lo; s < hi; s++ {
-					ev := math.Exp(float64(l.alpha.At(s, h) - maxv))
-					l.alpha.Set(float32(ev), s, h)
-					sum += ev
-				}
-				inv := float32(1 / sum)
-				for s := lo; s < hi; s++ {
-					l.alpha.Set(l.alpha.At(s, h)*inv, s, h)
-				}
-			}
-		}
-		orow := out.Row(v)
-		for j := range orow {
-			orow[j] = 0
-		}
-		for s := lo; s < hi; s++ {
-			zr := l.z.Row(int(gc.SrcByDst[s]))
-			ar := l.alpha.Row(s)
-			for h := 0; h < l.heads; h++ {
-				tensor.AxpyRow(orow[h*l.dh:(h+1)*l.dh], ar[h], zr[h*l.dh:(h+1)*l.dh])
-			}
-		}
-		for j := range orow {
-			orow[j] += b[j]
-		}
-	})
 	return out
 }
 

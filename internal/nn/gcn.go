@@ -34,11 +34,6 @@ func (l *GCNLayer) Forward(gc *GraphCtx, x *tensor.Tensor) *tensor.Tensor {
 	l.x = x
 	l.xw = tensor.MatMul(buf2(l.xw, x.Dim(0), l.OutDim()), x, l.W.Value)
 	l.out = buf2(l.out, gc.NumVertices(), l.OutDim())
-	if gc.ExecKind() == ExecFused {
-		// One streaming pass per row: aggregate + bias fused.
-		fusedSegSpMM(l.out, l.xw, gc.CSR.RowPtr, nil, gc.SrcByDst, gc.InvDeg, l.B.Value, false)
-		return l.out
-	}
 	l.out.Zero()
 	EdgeSpMMBins(l.out, l.xw, gc.SrcByDst, gc.DstByDst, gc.InvDeg, gc.BinsByDst())
 	tensor.AddBias(l.out, l.B.Value)
@@ -51,13 +46,8 @@ func (l *GCNLayer) Backward(gc *GraphCtx, dOut *tensor.Tensor) *tensor.Tensor {
 	accumBiasGrad(l.B.Grad, dOut)
 	// transpose aggregation: dXW[src] += w_e · dOut[dst]
 	l.dXW = buf2(l.dXW, l.xw.Dim(0), l.xw.Dim(1))
-	if gc.ExecKind() == ExecFused {
-		ptr, slots := gc.BySrc()
-		fusedSegSpMM(l.dXW, dOut, ptr, slots, gc.DstByDst, gc.InvDeg, nil, false)
-	} else {
-		l.dXW.Zero()
-		EdgeSpMMBins(l.dXW, dOut, gc.DstByDst, gc.SrcByDst, gc.InvDeg, gc.BinsBySrc())
-	}
+	l.dXW.Zero()
+	EdgeSpMMBins(l.dXW, dOut, gc.DstByDst, gc.SrcByDst, gc.InvDeg, gc.BinsBySrc())
 	l.xT = tensor.Transpose2D(buf2(l.xT, l.x.Dim(1), l.x.Dim(0)), l.x)
 	tensor.MatMulAcc(l.W.Grad, l.xT, l.dXW)
 	l.dX = tensor.MatMulTransB(buf2(l.dX, l.dXW.Dim(0), l.W.Value.Dim(0)), l.dXW, l.W.Value)
@@ -114,12 +104,6 @@ func (l *SAGELayer) Forward(gc *GraphCtx, x *tensor.Tensor) *tensor.Tensor {
 	l.x = x
 	l.agg = buf2(l.agg, gc.NumVertices(), l.InDim())
 	l.out = tensor.MatMul(buf2(l.out, x.Dim(0), l.OutDim()), x, l.WSelf.Value)
-	if gc.ExecKind() == ExecFused {
-		// Aggregate, neighbor transform and bias in one pass per row;
-		// agg is still populated identically for the backward pass.
-		fusedSAGEForward(l.out, l.agg, x, gc, l.WNeigh.Value, l.B.Value)
-		return l.out
-	}
 	l.agg.Zero()
 	EdgeSpMMBins(l.agg, x, gc.SrcByDst, gc.DstByDst, gc.InvDeg, gc.BinsByDst())
 	tensor.MatMulAcc(l.out, l.agg, l.WNeigh.Value)
@@ -137,11 +121,6 @@ func (l *SAGELayer) Backward(gc *GraphCtx, dOut *tensor.Tensor) *tensor.Tensor {
 	l.dx = tensor.MatMulTransB(buf2(l.dx, dOut.Dim(0), l.WSelf.Value.Dim(0)), dOut, l.WSelf.Value)
 	l.dAgg = tensor.MatMulTransB(buf2(l.dAgg, dOut.Dim(0), l.WNeigh.Value.Dim(0)), dOut, l.WNeigh.Value)
 	// transpose mean aggregation back to sources
-	if gc.ExecKind() == ExecFused {
-		ptr, slots := gc.BySrc()
-		fusedSegSpMM(l.dx, l.dAgg, ptr, slots, gc.DstByDst, gc.InvDeg, nil, true)
-	} else {
-		EdgeSpMMBins(l.dx, l.dAgg, gc.DstByDst, gc.SrcByDst, gc.InvDeg, gc.BinsBySrc())
-	}
+	EdgeSpMMBins(l.dx, l.dAgg, gc.DstByDst, gc.SrcByDst, gc.InvDeg, gc.BinsBySrc())
 	return l.dx
 }

@@ -37,68 +37,6 @@ type GraphCtx struct {
 	// typeEdges caches the per-relation edge arrays RGCN gathers from
 	// (lazily built; the underlying CSR never changes).
 	typeEdges []TypeEdges
-
-	// exec selects the layer execution path (see Exec).
-	exec Exec
-
-	// srcPtr/srcSlots are the lazily built transpose adjacency: CSR slot
-	// ids grouped by source vertex (slot-ascending within each source).
-	// The fused backward streams this index instead of scatter-adding
-	// per edge.
-	srcPtr, srcSlots []int32
-}
-
-// Exec selects how layers execute their sparse aggregations.
-type Exec int
-
-const (
-	// ExecBlocked is the reference dataflow: zero the output, per-edge
-	// scatter-add (EdgeSpMMBins), then a separate bias pass.
-	ExecBlocked Exec = iota
-	// ExecFused streams each output row's CSR segment once, accumulating
-	// gather, transform and bias into the row in a single pass without
-	// per-edge intermediates. Bitwise-identical to ExecBlocked.
-	ExecFused
-)
-
-// String names the execution path.
-func (e Exec) String() string {
-	if e == ExecFused {
-		return "fused"
-	}
-	return "blocked"
-}
-
-// SetExec switches the execution path for all layers run over this
-// context. Like the cached bins, this is not safe to flip concurrently
-// with a running forward/backward.
-func (gc *GraphCtx) SetExec(e Exec) { gc.exec = e }
-
-// ExecKind reports the selected execution path.
-func (gc *GraphCtx) ExecKind() Exec { return gc.exec }
-
-// BySrc returns (building on first use) the transpose adjacency: ptr has
-// NumVertices+1 entries and slots lists CSR slot ids grouped by source
-// vertex, slot-ascending within each source. Because the blocked backward
-// also applies a source's contributions in ascending slot order (bins are
-// sharded by source and processed in slot order), streaming this index
-// per source row is bitwise-identical to the scatter.
-func (gc *GraphCtx) BySrc() (ptr, slots []int32) {
-	if gc.srcPtr == nil {
-		v := gc.NumVertices()
-		counts := make([]int32, v)
-		for _, s := range gc.SrcByDst {
-			counts[s]++
-		}
-		gc.srcPtr = tensor.CountsToOffsets(counts)
-		next := append([]int32(nil), gc.srcPtr[:v]...)
-		gc.srcSlots = make([]int32, len(gc.SrcByDst))
-		for s, src := range gc.SrcByDst {
-			gc.srcSlots[next[src]] = int32(s)
-			next[src]++
-		}
-	}
-	return gc.srcPtr, gc.srcSlots
 }
 
 // TypeEdges holds one relation's edges as parallel arrays: endpoints plus

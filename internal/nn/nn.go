@@ -117,20 +117,6 @@ func edgeSpMMOne(out, x *tensor.Tensor, src, dst []int32, w []float32, e, rs int
 	}
 }
 
-// InvDegreeWeights returns per-edge weights 1/in-degree(dst), the
-// mean-aggregation normalization used by SAGE and (as random-walk
-// normalization) GCN.
-func InvDegreeWeights(dst []int32, inDeg []int32) []float32 {
-	w := make([]float32, len(dst))
-	for e, d := range dst {
-		deg := inDeg[d]
-		if deg > 0 {
-			w[e] = 1 / float32(deg)
-		}
-	}
-	return w
-}
-
 // Param is a trainable tensor with its gradient and Adam state.
 type Param struct {
 	Name  string

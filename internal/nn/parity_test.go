@@ -21,18 +21,19 @@ func parityWorkers(t *testing.T, n int, fn func()) {
 }
 
 // powerLawGraphCtx builds a hub-skewed test graph shaped like the
-// benchmark workload (many edges landing on few destinations).
-func powerLawGraphCtx(v, e int, seed uint64) (*GraphCtx, *gen.Result) {
+// benchmark workload (many edges landing on few destinations), with
+// types edge types (0 = untyped; RGCN needs them, the others ignore them).
+func powerLawGraphCtx(v, e, types int, seed uint64) (*GraphCtx, *gen.Result) {
 	res := gen.Generate(gen.Config{
 		NumVertices: v, NumEdges: e,
-		Kind: gen.PowerLaw, Skew: 1.0,
+		Kind: gen.PowerLaw, Skew: 1.0, NumTypes: types,
 		NumBlocks: 5, Homophily: 0.8, Seed: seed,
 	})
 	return NewGraphCtx(res.Graph), res
 }
 
 func TestEdgeSpMMBinsBitwiseEqualSeq(t *testing.T) {
-	gc, _ := powerLawGraphCtx(300, 4000, 7)
+	gc, _ := powerLawGraphCtx(300, 4000, 0, 7)
 	rng := tensor.NewRNG(71)
 	x := tensor.Uniform(tensor.New(gc.NumVertices(), 19), rng, -1, 1)
 
@@ -69,12 +70,13 @@ func TestEdgeSpMMBinsBitwiseEqualSeq(t *testing.T) {
 	}
 }
 
-// TestTrainStepBitwiseAcrossWorkerCounts trains the same model twice —
-// once sequentially, once with the worker pool, binned scatter and blocked
-// matmul active — and requires bit-identical losses and logits. Buffer
-// reuse across the three iterations is exercised in both runs.
+// TestTrainStepBitwiseAcrossWorkerCounts trains each of the five models
+// twice on a typed graph — once sequentially, once with the worker pool,
+// binned scatter and blocked matmul active — and requires bit-identical
+// losses and logits (forward + backward + Adam, dropout on). Buffer reuse
+// across the three iterations is exercised in both runs.
 func TestTrainStepBitwiseAcrossWorkerCounts(t *testing.T) {
-	gc, res := powerLawGraphCtx(400, 6000, 9)
+	gc, res := powerLawGraphCtx(400, 6000, 3, 9)
 	rng := tensor.NewRNG(72)
 	x := tensor.Uniform(tensor.New(gc.NumVertices(), 23), rng, -1, 1)
 	labels := make([]int32, gc.NumVertices())
@@ -90,7 +92,7 @@ func TestTrainStepBitwiseAcrossWorkerCounts(t *testing.T) {
 		parityWorkers(t, workers, func() {
 			m, err := NewModel(Config{
 				Kind: kind, InDim: 23, Hidden: 48, OutDim: 5, Layers: 3,
-				Dropout: 0.3, Seed: 13,
+				Heads: 2, NumTypes: 3, Dropout: 0.3, Seed: 13,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -106,7 +108,7 @@ func TestTrainStepBitwiseAcrossWorkerCounts(t *testing.T) {
 		return losses, logits
 	}
 
-	for _, kind := range []ModelKind{GCN, SAGE} {
+	for kind := ModelKind(0); kind < NumModels; kind++ {
 		seqLoss, seqLogits := run(1, kind)
 		parLoss, parLogits := run(8, kind)
 		for i := range seqLoss {
@@ -129,7 +131,7 @@ func TestTrainStepBitwiseAcrossWorkerCounts(t *testing.T) {
 // on one model instance: with sticky buffers, any missing Zero() or stale
 // aliasing would change the result between calls.
 func TestForwardStableUnderBufferReuse(t *testing.T) {
-	gc, _ := powerLawGraphCtx(200, 2500, 11)
+	gc, _ := powerLawGraphCtx(200, 2500, 0, 11)
 	rng := tensor.NewRNG(73)
 	x := tensor.Uniform(tensor.New(gc.NumVertices(), 16), rng, -1, 1)
 	resT := gen.Generate(gen.Config{

@@ -72,17 +72,9 @@ func (l *RGCNLayer) Forward(gc *GraphCtx, x *tensor.Tensor) *tensor.Tensor {
 	}
 	l.out = tensor.MatMul(buf2(l.out, x.Dim(0), l.OutDim()), x, l.WSelf.Value)
 	out := l.out
-	fused := gc.ExecKind() == ExecFused
 	for t := 0; t < l.numTypes; t++ {
 		te := gc.TypeEdgeArrays(t)
 		if len(te.Src) == 0 {
-			continue
-		}
-		if fused {
-			// Stream edges straight from x into the output rows: no
-			// [Et,in] gather and no [Et,out] message materialization.
-			// The backward pass regathers transiently (see Backward).
-			fusedRGCNType(out, x, te, l.typeWeight(t))
 			continue
 		}
 		xt := tensor.GatherRows(tensor.Get(len(te.Src), l.InDim()), x, te.Src)
@@ -122,13 +114,6 @@ func (l *RGCNLayer) Backward(gc *GraphCtx, dOut *tensor.Tensor) *tensor.Tensor {
 		}
 		// dW[t] += xtᵀ · dMsg ; dX[src] += dMsg · W[t]ᵀ
 		xt := l.gathered[t]
-		if xt == nil {
-			// Fused forward skipped the [Et,in] materialization; gather
-			// transiently for the gradient matmuls (GatherRows copies
-			// bits, so gradients are identical to the blocked path) and
-			// release it below with the same Put.
-			xt = tensor.GatherRows(tensor.Get(len(te.Src), l.InDim()), l.x, te.Src)
-		}
 		xtT := tensor.Transpose2D(tensor.Get(xt.Dim(1), xt.Dim(0)), xt)
 		tensor.MatMulAcc(l.typeWeightGrad(t), xtT, dMsg)
 		tensor.Put(xtT)

@@ -183,7 +183,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative-max-nodes", Options{MaxNodes: -2}, false},
 		{"negative-batch-delay", Options{BatchDelay: -time.Second}, false},
 		{"negative-deadline", Options{Deadline: -time.Second}, false},
-		{"negative-batch-timeout", Options{BatchTimeout: -time.Second}, false},
 		{"negative-cache-budget", Options{CacheBudget: -1}, false},
 		{"negative-cache-shards", Options{CacheShards: -8}, false},
 		{"fanouts-length-mismatch", Options{Fanouts: []int{10}}, false},

@@ -64,12 +64,6 @@ type Options struct {
 	// Deadline is the default per-request deadline applied when the
 	// caller's context has none (default 2s).
 	Deadline time.Duration
-	// BatchTimeout is the per-micro-batch execution budget (default
-	// 500ms). The forward pass itself is not preemptible, so the budget
-	// governs the modeled stragglers the fault injector produces: an
-	// injected latency spike at or beyond it counts as a batch timeout
-	// and takes the degradation path instead of being slept through.
-	BatchTimeout time.Duration
 	// MaxNodes bounds the node count of a single request (default 256).
 	MaxNodes int
 	// Fanouts are the neighbor-sampling fan-outs, one per model layer
@@ -144,9 +138,9 @@ func (o Options) Validate(layers int) error {
 		return fmt.Errorf("serve: negative queue depth %d", o.QueueDepth)
 	case o.MaxNodes < 0:
 		return fmt.Errorf("serve: negative per-request node cap %d", o.MaxNodes)
-	case o.BatchDelay < 0 || o.Deadline < 0 || o.BatchTimeout < 0:
-		return fmt.Errorf("serve: negative duration option (delay %v, deadline %v, batch timeout %v)",
-			o.BatchDelay, o.Deadline, o.BatchTimeout)
+	case o.BatchDelay < 0 || o.Deadline < 0:
+		return fmt.Errorf("serve: negative duration option (delay %v, deadline %v)",
+			o.BatchDelay, o.Deadline)
 	case o.CacheBudget < 0:
 		return fmt.Errorf("serve: negative cache budget %d bytes", o.CacheBudget)
 	case o.CacheShards < 0:
@@ -205,9 +199,6 @@ func (o Options) withDefaults(layers int) Options {
 	}
 	if o.Deadline <= 0 {
 		o.Deadline = 2 * time.Second
-	}
-	if o.BatchTimeout <= 0 {
-		o.BatchTimeout = 500 * time.Millisecond
 	}
 	if o.MaxNodes <= 0 {
 		o.MaxNodes = 256
@@ -562,26 +553,17 @@ func (e *Engine) runBatch(batch []*request, ver uint64) {
 	e.execBatch(live, ver, true)
 }
 
-// execBatch executes one micro-batch over live requests. When the batch
-// fails — an injected serve.batch fault, a modeled straggler overrunning
-// the BatchTimeout budget, or the forward pass itself erroring — it
-// degrades gracefully: one retry at half batch size (fresh fault draws)
-// while mayRetry holds, after which the requests are failed.
+// execBatch executes one micro-batch over live requests. An injected
+// serve.batch latency fault is waited out — a straggler changes timing,
+// never the outcome. When the batch fails — an injected error or
+// corruption, or the forward pass itself erroring — it degrades
+// gracefully: one retry at half batch size (fresh fault draws) while
+// mayRetry holds, after which the requests are failed.
 func (e *Engine) execBatch(live []*request, ver uint64, mayRetry bool) {
-	if f := fault.Check(fault.SiteServeBatch); f != nil {
-		if f.Kind == fault.KindLatency {
-			if f.Delay >= e.opts.BatchTimeout {
-				e.stats.batchTimeouts.Add(1)
-				e.failBatch(live, ver, mayRetry,
-					fmt.Errorf("serve: batch overran %v budget: %w", e.opts.BatchTimeout, f.Err()))
-				return
-			}
-			time.Sleep(f.Delay)
-		} else {
-			e.stats.batchFaults.Add(1)
-			e.failBatch(live, ver, mayRetry, f.Err())
-			return
-		}
+	if err := fault.CheckErr(fault.SiteServeBatch); err != nil {
+		e.stats.batchFaults.Add(1)
+		e.failBatch(live, ver, mayRetry, err)
+		return
 	}
 
 	batchID := obs.NewID()

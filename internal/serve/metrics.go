@@ -86,9 +86,8 @@ type Stats struct {
 	batches   atomic.Uint64
 
 	// resilience counters (fault-injection aware)
-	batchFaults   atomic.Uint64 // batches failed by a fault or forward error
-	batchTimeouts atomic.Uint64 // batches whose modeled straggler overran BatchTimeout
-	degraded      atomic.Uint64 // graceful-degradation retries at half batch size
+	batchFaults atomic.Uint64 // batches failed by a fault or forward error
+	degraded    atomic.Uint64 // graceful-degradation retries at half batch size
 
 	// batchSizes[n] counts micro-batches that coalesced n requests
 	// (index 0 unused; len = BatchCap+1).
@@ -137,7 +136,6 @@ type Snapshot struct {
 	QueueDepth       int            `json:"queueDepth"`
 	Batches          uint64         `json:"batches"`
 	BatchFaults      uint64         `json:"batchFaults"`
-	BatchTimeouts    uint64         `json:"batchTimeouts"`
 	DegradedRetries  uint64         `json:"degradedRetries"`
 	AvgBatchSize     float64        `json:"avgBatchSize"`
 	BatchSizeDist    map[int]uint64 `json:"batchSizeDist"`
@@ -217,7 +215,6 @@ func (s *Stats) snapshot(inFlight int64, queueDepth int) Snapshot {
 		QueueDepth:       queueDepth,
 		Batches:          batches,
 		BatchFaults:      s.batchFaults.Load(),
-		BatchTimeouts:    s.batchTimeouts.Load(),
 		DegradedRetries:  s.degraded.Load(),
 		AvgBatchSize:     avg,
 		BatchSizeDist:    dist,
@@ -246,7 +243,6 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 	p.Counter("wisegraph_serve_rejected_draining_total", "", float64(s.rejected.Load()))
 	p.Counter("wisegraph_serve_batches_total", "", float64(s.batches.Load()))
 	p.Counter("wisegraph_serve_batch_faults_total", "", float64(s.batchFaults.Load()))
-	p.Counter("wisegraph_serve_batch_timeouts_total", "", float64(s.batchTimeouts.Load()))
 	p.Counter("wisegraph_serve_degraded_retries_total", "", float64(s.degraded.Load()))
 	p.Gauge("wisegraph_serve_in_flight", "", float64(e.inflight.Load()))
 	p.Gauge("wisegraph_serve_queue_depth", "", float64(len(e.queue)))

@@ -7,16 +7,10 @@ import (
 
 // Buffer pooling. Training runs the same DFG every iteration, so every
 // intermediate tensor it allocates has the same shape as last iteration's
-// — the allocator work and GC pressure are pure overhead. Two reuse
-// mechanisms cover the callers:
-//
-//   - Get/Put: a process-wide, size-bucketed recycle pool (sync.Pool
-//     backed). Concurrency-safe; the storage survives between users, so
-//     Get zero-fills before handing a tensor out.
-//   - Arena: a single-owner free list that also recycles the Tensor
-//     structs and shape slices themselves, reaching zero allocations in
-//     steady state. Not concurrency-safe; intended for one evaluator
-//     (e.g. a DFG interpretation) that Resets between iterations.
+// — the allocator work and GC pressure are pure overhead. Get/Put is a
+// process-wide, size-bucketed recycle pool (sync.Pool backed).
+// Concurrency-safe; the storage survives between users, so Get zero-fills
+// before handing a tensor out.
 //
 // Pooled storage is always a power-of-two capacity so a bucket index is
 // recoverable from cap() alone.
@@ -87,72 +81,6 @@ func putStorage(d []float32) {
 	}
 	s := d[:0]
 	storagePool[b].Put(&s)
-}
-
-// Arena allocates tensors whose lifetime ends together: Get hands out
-// zeroed tensors, Reset reclaims every one of them (structs included) for
-// the next round. The zero value is ready to use. Not safe for concurrent
-// use, and tensors obtained from an arena must not escape a Reset — that
-// includes views created with Reshape.
-type Arena struct {
-	free [poolBuckets][]*Tensor
-	used []*Tensor
-}
-
-// Get returns a zero-filled tensor of the given shape owned by the arena.
-func (a *Arena) Get(shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		if d < 0 {
-			panic("tensor: negative dimension in Arena.Get")
-		}
-		n *= d
-	}
-	if n == 0 {
-		t := New(shape...)
-		a.used = append(a.used, t)
-		return t
-	}
-	b := bucketFor(n)
-	var t *Tensor
-	if b < poolBuckets {
-		if fl := a.free[b]; len(fl) > 0 {
-			t = fl[len(fl)-1]
-			a.free[b] = fl[:len(fl)-1]
-		}
-	}
-	if t == nil {
-		t = &Tensor{data: getStorage(n)}
-	} else {
-		t.data = t.data[:cap(t.data)][:n]
-		for i := range t.data {
-			t.data[i] = 0
-		}
-	}
-	if cap(t.shape) >= len(shape) {
-		t.shape = t.shape[:len(shape)]
-		copy(t.shape, shape)
-	} else {
-		t.shape = append([]int(nil), shape...)
-	}
-	a.used = append(a.used, t)
-	return t
-}
-
-// Reset reclaims every tensor Get handed out since the last Reset. All of
-// them become invalid; copy anything that must survive first.
-func (a *Arena) Reset() {
-	for i, t := range a.used {
-		a.used[i] = nil
-		c := cap(t.data)
-		if c == 0 || c&(c-1) != 0 {
-			continue
-		}
-		if b := bits.Len(uint(c)) - 1; b < poolBuckets {
-			a.free[b] = append(a.free[b], t)
-		}
-	}
-	a.used = a.used[:0]
 }
 
 // i32BucketPool recycles []int32 scratch with the same power-of-two bucketing

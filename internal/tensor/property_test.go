@@ -172,30 +172,6 @@ func TestGetPutRoundTrip(t *testing.T) {
 	Put(z)
 }
 
-func TestArenaReuseAndReset(t *testing.T) {
-	var ar Arena
-	a := ar.Get(3, 4)
-	b := ar.Get(8)
-	a.Data()[0] = 1
-	b.Data()[0] = 2
-	ar.Reset()
-	c := ar.Get(3, 4)
-	for i, v := range c.Data() {
-		if v != 0 {
-			t.Fatalf("arena reuse not zeroed at %d: %v", i, v)
-		}
-	}
-	if c != a {
-		t.Fatal("arena must recycle the Tensor struct for a same-bucket request")
-	}
-	// shape can change across Reset as long as the bucket fits
-	ar.Reset()
-	d := ar.Get(12) // 12 ≤ 16 = bucket of 3*4
-	if d.Len() != 12 {
-		t.Fatalf("arena reshaped length %d", d.Len())
-	}
-}
-
 func TestGather2DEmptySourcePanics(t *testing.T) {
 	defer func() {
 		r := recover()

@@ -39,21 +39,14 @@ type FullGraph struct {
 	engine string // execution engine for the gTask path ("" = blocked)
 }
 
-// UseEngine selects the execution engine (see kernels.EngineNames) for
-// both the training layers and the gTask evaluation path. The "fused"
-// engine switches the nn layers to their streaming dataflow, which is
-// bitwise-identical to the blocked one; "device" trains with blocked
-// numerics but evaluates with per-stage kernel accounting.
+// UseEngine selects the kernels.Engine (see kernels.EngineNames) that
+// GTaskTestAccuracy's gTask forward runs on. Training itself has one
+// dataflow and does not depend on it.
 func (t *FullGraph) UseEngine(name string) error {
 	if _, err := kernels.Select(name); err != nil {
 		return err
 	}
 	t.engine = name
-	if name == "fused" {
-		t.GC.SetExec(nn.ExecFused)
-	} else {
-		t.GC.SetExec(nn.ExecBlocked)
-	}
 	return nil
 }
 
@@ -163,22 +156,6 @@ type Sampled struct {
 	rng    *tensor.RNG
 	cursor int
 	mask   []int32 // reused seed-mask buffer
-	exec   nn.Exec // layer dataflow for per-batch subgraph contexts
-}
-
-// UseEngine selects the execution engine for mini-batch training. Only
-// "fused" changes the layer dataflow (bitwise-identically); "device"
-// trains with blocked numerics like the default.
-func (s *Sampled) UseEngine(name string) error {
-	if _, err := kernels.Select(name); err != nil {
-		return err
-	}
-	if name == "fused" {
-		s.exec = nn.ExecFused
-	} else {
-		s.exec = nn.ExecBlocked
-	}
-	return nil
 }
 
 // NewSampled builds a sampled-graph trainer with the paper's 20-15-10
@@ -227,7 +204,6 @@ func (s *Sampled) Iteration() float64 {
 	sub := s.NextBatch()
 	sp.End()
 	gc := nn.NewGraphCtx(sub.Graph)
-	gc.SetExec(s.exec)
 	sp = obs.Begin(obs.StageCollective, id)
 	x := sub.GatherFeatures(s.DS.Features)
 	labels := sub.GatherLabels(s.DS.Labels)

@@ -18,8 +18,12 @@
 package wisegraph
 
 import (
+	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"strconv"
+	"strings"
 
 	"wisegraph/internal/bench"
 	"wisegraph/internal/core"
@@ -85,6 +89,92 @@ type Model = nn.Model
 // `wisegraph-train -save-checkpoint`).
 func LoadModelFromCheckpoint(r io.Reader) (*Model, error) {
 	return nn.LoadModelFromCheckpoint(r)
+}
+
+// LoadModel builds the model a daemon serves over ds: from a v2 checkpoint
+// alone, from a v1 checkpoint plus the architecture arguments, or (empty
+// path) freshly initialized weights — useful for smoke tests and load
+// rigs. One line saying which of the three happened is written to log.
+func LoadModel(log io.Writer, ds *Dataset, path, kindName string, hidden, layers int, seed uint64) (*Model, error) {
+	fromArgs := func() (*Model, error) {
+		kind, err := ParseModel(kindName)
+		if err != nil {
+			return nil, err
+		}
+		return nn.NewModel(ModelConfig{
+			Kind: kind, InDim: ds.Dim(), Hidden: hidden, OutDim: ds.Classes(),
+			Layers: layers, NumTypes: ds.Graph.NumTypes, Seed: seed,
+		})
+	}
+	if path == "" {
+		m, err := fromArgs()
+		if err == nil {
+			fmt.Fprintln(log, "warning: no -checkpoint given; serving untrained weights")
+		}
+		return m, err
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	if m, err := LoadModelFromCheckpoint(f); err == nil {
+		fmt.Fprintf(log, "restored v2 checkpoint %s\n", path)
+		return m, nil
+	}
+	// v1 fallback: architecture from the arguments.
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return nil, err
+	}
+	m, err := fromArgs()
+	if err != nil {
+		return nil, err
+	}
+	if err := m.LoadCheckpoint(f); err != nil {
+		return nil, fmt.Errorf("loading %s (tried v2 and v1+flags): %w", path, err)
+	}
+	fmt.Fprintf(log, "restored v1 checkpoint %s (architecture from flags)\n", path)
+	return m, nil
+}
+
+// ParseBytes parses a byte size with an optional binary suffix:
+// "1048576", "64KiB"/"64kb", "512MiB"/"512m", "2GiB"/"2g".
+func ParseBytes(s string) (int64, error) {
+	t := strings.TrimSpace(strings.ToLower(s))
+	mult := int64(1)
+	for _, u := range []struct {
+		suffix string
+		mult   int64
+	}{
+		{"kib", 1 << 10}, {"kb", 1 << 10}, {"k", 1 << 10},
+		{"mib", 1 << 20}, {"mb", 1 << 20}, {"m", 1 << 20},
+		{"gib", 1 << 30}, {"gb", 1 << 30}, {"g", 1 << 30},
+	} {
+		if strings.HasSuffix(t, u.suffix) {
+			t, mult = strings.TrimSuffix(t, u.suffix), u.mult
+			break
+		}
+	}
+	v, err := strconv.ParseInt(strings.TrimSpace(t), 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad byte size %q", s)
+	}
+	return v * mult, nil
+}
+
+// ParseFanouts parses comma-separated per-layer sampling fan-outs
+// ("20,15,10"); every entry must be a positive integer.
+func ParseFanouts(s string) ([]int, error) {
+	parts := strings.Split(s, ",")
+	out := make([]int, 0, len(parts))
+	for _, p := range parts {
+		v, err := strconv.Atoi(strings.TrimSpace(p))
+		if err != nil || v < 1 {
+			return nil, fmt.Errorf("bad fanout %q", p)
+		}
+		out = append(out, v)
+	}
+	return out, nil
 }
 
 // Trainer trains a model on a full graph.

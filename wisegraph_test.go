@@ -1,6 +1,10 @@
 package wisegraph
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -79,5 +83,132 @@ func TestPublicAPICluster(t *testing.T) {
 	c := NewCluster(4)
 	if c.N != 4 || c.Link.Bandwidth <= 0 {
 		t.Fatalf("cluster misconfigured: %+v", c)
+	}
+}
+
+// TestLoadModel covers the three ways a daemon gets its model — a v2
+// checkpoint alone, a v1 checkpoint plus architecture arguments, no
+// checkpoint — and the error for a file that is neither.
+func TestLoadModel(t *testing.T) {
+	ds, err := LoadDataset("AR", DatasetOptions{Scale: 800, FeatureDim: 16, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved, err := NewTrainer(ds, ModelConfig{Kind: SAGE, Hidden: 16, Layers: 2, Seed: 5}, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v2 bytes.Buffer
+	if err := saved.Model.SaveCheckpoint(&v2); err != nil {
+		t.Fatal(err)
+	}
+	// A v1 file is a v2 file with version 1 and without the 44-byte
+	// Config block that follows the 8-byte header.
+	v1 := append([]byte{}, v2.Bytes()[:4]...)
+	v1 = append(v1, 1, 0, 0, 0)
+	v1 = append(v1, v2.Bytes()[8+44:]...)
+	dir := t.TempDir()
+	write := func(name string, data []byte) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+
+	for _, tc := range []struct {
+		name, path, kind string
+		hidden, layers   int
+		wantLog, wantErr string
+		savedWeights     bool
+	}{
+		// The architecture arguments are wrong on purpose: a v2 file
+		// carries its own.
+		{name: "v2-alone", path: write("v2.ckpt", v2.Bytes()), kind: "GCN", hidden: 8, layers: 1,
+			wantLog: "restored v2 checkpoint", savedWeights: true},
+		{name: "v1-plus-flags", path: write("v1.ckpt", v1), kind: "SAGE", hidden: 16, layers: 2,
+			wantLog: "restored v1 checkpoint", savedWeights: true},
+		{name: "no-checkpoint", kind: "SAGE", hidden: 16, layers: 2,
+			wantLog: "warning: no -checkpoint given; serving untrained weights"},
+		{name: "corrupt", path: write("junk.ckpt", []byte("not a checkpoint at all")), kind: "SAGE", hidden: 16, layers: 2,
+			wantErr: "tried v2 and v1+flags"},
+		{name: "missing-file", path: filepath.Join(dir, "absent.ckpt"), kind: "SAGE", hidden: 16, layers: 2,
+			wantErr: "absent.ckpt"},
+		{name: "unknown-model", kind: "MLP", hidden: 16, layers: 2, wantErr: "MLP"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var log bytes.Buffer
+			m, err := LoadModel(&log, ds, tc.path, tc.kind, tc.hidden, tc.layers, 9)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("error %v, want one naming %q", err, tc.wantErr)
+				}
+				if log.Len() != 0 {
+					t.Fatalf("a failed load logged %q", log.String())
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(log.String(), tc.wantLog) {
+				t.Fatalf("log %q, want %q", log.String(), tc.wantLog)
+			}
+			if m.Cfg.Kind != SAGE || m.Cfg.Hidden != 16 || m.Cfg.Layers != 2 || m.Cfg.InDim != ds.Dim() || m.Cfg.OutDim != ds.Classes() {
+				t.Fatalf("model config %+v", m.Cfg)
+			}
+			same := true
+			for i, p := range m.Params() {
+				same = same && reflect.DeepEqual(p.Value.Data(), saved.Model.Params()[i].Value.Data())
+			}
+			if same != tc.savedWeights {
+				t.Fatalf("weights equal the saved model's: %v, want %v", same, tc.savedWeights)
+			}
+		})
+	}
+}
+
+func TestParseBytes(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want int64
+		ok   bool
+	}{
+		{"0", 0, true},
+		{"1048576", 1 << 20, true},
+		{"64KiB", 64 << 10, true},
+		{"64kb", 64 << 10, true},
+		{"64k", 64 << 10, true},
+		{" 512 MiB ", 512 << 20, true},
+		{"2g", 2 << 30, true},
+		{"junk", 0, false},
+		{"", 0, false},
+		{"MiB", 0, false},
+		{"1.5g", 0, false},
+	} {
+		got, err := ParseBytes(tc.in)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParseBytes(%q) = %d, %v; want %d, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		}
+	}
+}
+
+func TestParseFanouts(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want []int
+	}{
+		{"10,10,10", []int{10, 10, 10}},
+		{" 20, 15 ,10", []int{20, 15, 10}},
+		{"0", nil},
+		{"a", nil},
+		{"10,,10", nil},
+		{"-3", nil},
+		{"", nil},
+	} {
+		got, err := ParseFanouts(tc.in)
+		if (err == nil) != (tc.want != nil) || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("ParseFanouts(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
 	}
 }
