@@ -183,8 +183,7 @@ func BenchmarkGTaskForward(b *testing.B) {
 // BenchmarkEngineForward compares the execution engines on the real
 // forward numerics at the bandwidth-bound shape (F=64): ns/op, allocs/op,
 // and the engine's modeled bytes-moved per forward. Sub-benchmark names
-// carry the engine label so benchstat can diff blocked vs fused per model
-// (scripts/check.sh runs that comparison as a regression smoke).
+// carry the engine label so benchstat can diff blocked vs fused per model.
 func BenchmarkEngineForward(b *testing.B) {
 	ds, err := LoadDataset("AR", DatasetOptions{Scale: 400, FeatureDim: 64, Seed: 6})
 	if err != nil {

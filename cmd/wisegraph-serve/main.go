@@ -40,10 +40,10 @@ func main() {
 		scale       = flag.Int("scale", 0, "dataset scale divisor override (must match training)")
 		seed        = flag.Uint64("seed", 1, "dataset seed (must match training)")
 		noise       = flag.Float64("noise", 0.8, "feature noise (must match training)")
-		checkpoint  = flag.String("checkpoint", "", "model checkpoint to serve (v2 embeds the config; v1 needs -model/-hidden/-layers)")
-		model       = flag.String("model", "SAGE", "model kind for v1 checkpoints or untrained serving")
-		hidden      = flag.Int("hidden", 64, "hidden dim for v1 checkpoints or untrained serving")
-		layers      = flag.Int("layers", 3, "layer count for v1 checkpoints or untrained serving")
+		checkpoint  = flag.String("checkpoint", "", "model checkpoint to serve (embeds the model config; -model/-hidden/-layers are ignored)")
+		model       = flag.String("model", "SAGE", "model kind for untrained serving (no -checkpoint; a checkpoint carries its own)")
+		hidden      = flag.Int("hidden", 64, "hidden dim for untrained serving (no -checkpoint)")
+		layers      = flag.Int("layers", 3, "layer count for untrained serving (no -checkpoint)")
 		planPath    = flag.String("plan", "", "pre-tuned execution plan JSON (default: one-shot tune at startup)")
 		addr        = flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
 		workers     = flag.Int("workers", 2, "forward-pass workers")
@@ -62,7 +62,6 @@ func main() {
 		faultSpec   = flag.String("fault-spec", "", "deterministic fault-injection schedule, e.g. seed=42;serve.batch:error=0.05,latency=0.1,delay=2ms")
 		engineName  = flag.String("engine", "blocked", "execution engine: blocked|fused|device (bitwise-identical; fused streams the SpMM)")
 		cacheBudget = flag.String("cache-budget", "0", "hot-vertex embedding cache budget, e.g. 64MiB (0 disables; pure performance knob — cached logits are bitwise-identical)")
-		cacheShards = flag.Int("cache-shards", 0, "cache lock-stripe count (default 8)")
 		cacheWarm   = flag.Int("cache-warm", 0, "pre-admit the top-K highest-in-degree vertices per layer at startup (0 disables)")
 		shards      = flag.Int("shards", 1, "serve through N in-process shards behind a fan-out router (>1 enables the sharded tier; cache budget becomes per-shard)")
 		placement   = flag.String("placement", "", "shard boundary policy: vertex|edge|cost (default edge)")
@@ -113,7 +112,6 @@ func main() {
 		Engine:         *engineName,
 		Seed:           *seed,
 		CacheBudget:    budget,
-		CacheShards:    *cacheShards,
 		CacheWarm:      *cacheWarm,
 		Shards:         *shards,
 		Replicas:       *replicas,

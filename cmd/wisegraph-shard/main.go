@@ -43,14 +43,13 @@ func main() {
 		seed        = flag.Uint64("seed", 1, "dataset seed (must match the router)")
 		noise       = flag.Float64("noise", 0.8, "feature noise (must match the router)")
 		checkpoint  = flag.String("checkpoint", "", "model checkpoint (must be the same file the router serves)")
-		model       = flag.String("model", "SAGE", "model kind for v1 checkpoints or untrained serving")
-		hidden      = flag.Int("hidden", 64, "hidden dim for v1 checkpoints or untrained serving")
-		layers      = flag.Int("layers", 3, "layer count for v1 checkpoints or untrained serving")
+		model       = flag.String("model", "SAGE", "model kind for untrained serving (no -checkpoint; a checkpoint carries its own)")
+		hidden      = flag.Int("hidden", 64, "hidden dim for untrained serving (no -checkpoint)")
+		layers      = flag.Int("layers", 3, "layer count for untrained serving (no -checkpoint)")
 		addr        = flag.String("addr", "127.0.0.1:0", "listen address (use :0 for an ephemeral port)")
 		metricsAddr = flag.String("metrics-addr", "", "HTTP listen address for /metrics and /healthz (empty disables)")
 		workers     = flag.Int("workers", 2, "RPC worker pool size (this node's compute budget)")
 		cacheBudget = flag.String("cache-budget", "0", "this node's hot-vertex cache budget, e.g. 64MiB (0 disables)")
-		cacheShards = flag.Int("cache-shards", 0, "cache lock-stripe count (default 8)")
 	)
 	flag.Parse()
 
@@ -78,7 +77,6 @@ func main() {
 	sv := shard.NewServer(ds.Graph.BuildCSRByDst(), ds.Features, ds.Graph.NumTypes, m, shard.NodeConfig{
 		Workers:     *workers,
 		CacheBudget: budget,
-		CacheShards: *cacheShards,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

@@ -38,8 +38,6 @@ func main() {
 		savePlan  = flag.String("save-plan", "", "write the tuned execution plan as JSON (implies -tune)")
 		saveCkpt  = flag.String("save-checkpoint", "", "write a model checkpoint after training (v2: embeds the model config, consumable by wisegraph-serve)")
 		loadCkpt  = flag.String("load-checkpoint", "", "restore a model checkpoint before training")
-		saveModel = flag.String("save-model", "", "alias for -save-checkpoint")
-		loadModel = flag.String("load-model", "", "alias for -load-checkpoint")
 		traceOut  = flag.String("trace", "", "write phase spans as Chrome trace-event JSON (open in chrome://tracing or Perfetto)")
 		faultSpec = flag.String("fault-spec", "", "deterministic fault-injection schedule, e.g. seed=42;train.step:error=0.05;nn.checkpoint:error=0.01")
 		engine    = flag.String("engine", "blocked", "gTask execution engine for the -tune parity evaluation: blocked|fused|device (bitwise-identical; training itself has one dataflow)")
@@ -65,12 +63,6 @@ func main() {
 	}
 	if *savePlan != "" {
 		*tune = true
-	}
-	if *saveCkpt == "" {
-		*saveCkpt = *saveModel
-	}
-	if *loadCkpt == "" {
-		*loadCkpt = *loadModel
 	}
 
 	kind, err := wisegraph.ParseModel(*model)

@@ -21,11 +21,8 @@ import (
 // engine.go); the numeric output is computed by the engine (not delegated
 // to the reference), so tests can verify the gTask machinery end to end.
 func RunModel(ctx *exec.Ctx, gc *nn.GraphCtx, m *nn.Model, x *tensor.Tensor, part *core.Partition, plan Plan) (*tensor.Tensor, error) {
-	eng, err := Select(ctx.Engine)
+	eng, err := selectFor(ctx.Engine, m.Cfg.Kind, part.Plan)
 	if err != nil {
-		return nil, err
-	}
-	if err := eng.Probe(m.Cfg.Kind, part.Plan); err != nil {
 		return nil, err
 	}
 	sp := obs.Begin(obs.StageExec, ctx.TraceID)
@@ -72,11 +69,8 @@ func RunModel(ctx *exec.Ctx, gc *nn.GraphCtx, m *nn.Model, x *tensor.Tensor, par
 func RunModelLayerRows(ctx *exec.Ctx, gc *nn.GraphCtx, m *nn.Model, li int, x *tensor.Tensor, dsts []int32, part *core.Partition, plan Plan) (*tensor.Tensor, error) {
 	sp := obs.Begin(obs.StageExec, ctx.TraceID)
 	defer sp.End()
-	eng, err := Select(ctx.Engine)
+	eng, err := selectFor(ctx.Engine, m.Cfg.Kind, part.Plan)
 	if err != nil {
-		return nil, err
-	}
-	if err := eng.Probe(m.Cfg.Kind, part.Plan); err != nil {
 		return nil, err
 	}
 	layers := m.Layers()
@@ -94,6 +88,17 @@ func RunModelLayer(ctx *exec.Ctx, gc *nn.GraphCtx, m *nn.Model, li int, x *tenso
 	all := allRows(gc.NumVertices())
 	defer tensor.PutI32(all)
 	return RunModelLayerRows(ctx, gc, m, li, x, all, part, plan)
+}
+
+// selectFor resolves the engine and rejects a graph plan that cannot
+// execute the model (ValidPlanFor): every engine runs every model under
+// every valid plan.
+func selectFor(name string, kind nn.ModelKind, plan core.GraphPlan) (Engine, error) {
+	eng, err := Select(name)
+	if err == nil && !ValidPlanFor(kind, plan) {
+		err = fmt.Errorf("kernels: plan %v cannot execute %v", plan, kind)
+	}
+	return eng, err
 }
 
 // allRows returns the identity row set 0..n-1 in pooled storage.
@@ -153,10 +158,103 @@ func invDegOf(g *graphT) func(int32) float32 {
 	}
 }
 
-// computeLayer is the blocked-engine computation over gTasks: separate
-// gather, transform and scatter-add passes with per-edge read-modify-write
-// accumulation.
-func computeLayer(gc *nn.GraphCtx, layer nn.Layer, x *tensor.Tensor, dsts []int32, part *core.Partition, plan Plan) (*tensor.Tensor, error) {
+// walk is an engine's traversal template: how the edges of a task reach
+// the destination rows of out. The model bodies in computeLayer supply the
+// per-edge feature computation as add(acc, k, e) — add edge e, the k-th of
+// its task, into acc — and never see which form runs:
+//
+//   - the edge walk (runs false) is the reference per-edge read-modify-
+//     write: acc is the destination's row of out itself;
+//   - the run walk (runs true) stages each maximal same-destination run in
+//     an accumulator: load the row, add the run in task-edge order, store
+//     the row — one load + store per run instead of one per edge.
+//
+// Both issue the identical additions in the identical order, so every
+// output bit agrees for every graph plan, operation plan and worker count.
+type walk struct {
+	runs bool
+	out  *tensor.Tensor
+	rs   rowSet
+	dst  []int32
+	acc  []float32 // one row of out wide; run walk only
+}
+
+func newWalk(runs bool, out *tensor.Tensor, rs rowSet, dst []int32) walk {
+	w := walk{runs: runs, out: out, rs: rs, dst: dst}
+	if runs {
+		w.acc = make([]float32, out.Dim(1))
+	}
+	return w
+}
+
+// task walks one task's edges.
+func (w walk) task(edges []int32, add func(acc []float32, k int, e int32)) {
+	if !w.runs {
+		for k, e := range edges {
+			add(w.out.Row(int(w.rs.at[w.dst[e]])), k, e)
+		}
+		return
+	}
+	taskRuns(w.dst, edges, func(d int32, i, j int) {
+		row := w.out.Row(int(w.rs.at[d]))
+		copy(w.acc, row)
+		for k := i; k < j; k++ {
+			add(w.acc, k, edges[k])
+		}
+		copy(row, w.acc)
+	})
+}
+
+// tasks walks every task of the partition in order.
+func (w walk) tasks(part *core.Partition, add func(acc []float32, k int, e int32)) {
+	for ti := 0; ti < part.NumTasks(); ti++ {
+		w.task(part.TaskEdges(ti), add)
+	}
+}
+
+// taskRuns splits one task's edges into maximal same-destination runs
+// (consecutive task edges sharing a dst) — the run walk's streaming
+// granularity — calls fn, when set, with each run edges[i:j] in task order,
+// and returns how many there are.
+func taskRuns(dst, edges []int32, fn func(d int32, i, j int)) int {
+	runs := 0
+	for i := 0; i < len(edges); runs++ {
+		d := dst[edges[i]]
+		j := i + 1
+		for j < len(edges) && dst[edges[j]] == d {
+			j++
+		}
+		if fn != nil {
+			fn(d, i, j)
+		}
+		i = j
+	}
+	return runs
+}
+
+// singleRunPerDst reports whether every destination's edges form exactly
+// one run across the whole partition — the condition under which SAGE's
+// neighbor mean never needs the [D,F] aggregation buffer at all (each
+// accumulator is complete when its run ends, so it can flow straight into
+// the dense transform).
+func singleRunPerDst(part *core.Partition, dst []int32, rs rowSet) bool {
+	seen := make([]bool, len(rs.ids))
+	ok := true
+	for ti := 0; ti < part.NumTasks(); ti++ {
+		taskRuns(dst, part.TaskEdges(ti), func(d int32, _, _ int) {
+			if seen[rs.at[d]] {
+				ok = false
+			}
+			seen[rs.at[d]] = true
+		})
+	}
+	return ok
+}
+
+// computeLayer is the one gTask body of every model: the dense transforms,
+// then each task's edges handed to the engine's walk (runs selects it, see
+// walk) with the model's per-edge computation.
+func computeLayer(gc *nn.GraphCtx, layer nn.Layer, x *tensor.Tensor, dsts []int32, part *core.Partition, plan Plan, runs bool) (*tensor.Tensor, error) {
 	g := gc.G
 	rs, err := newRowSet(g, dsts)
 	if err != nil {
@@ -169,93 +267,105 @@ func computeLayer(gc *nn.GraphCtx, layer nn.Layer, x *tensor.Tensor, dsts []int3
 		xw := tensor.MatMulAcc(tensor.Get(x.Dim(0), l.OutDim()), x, l.W.Value)
 		defer tensor.Put(xw)
 		out := tensor.Get(len(dsts), l.OutDim())
-		forEachTaskEdge(part, func(e int32) {
-			src, dst := g.Src[e], g.Dst[e]
-			tensor.AxpyRow(out.Row(int(rs.at[dst])), invDeg(e), xw.Row(int(src)))
+		newWalk(runs, out, rs, g.Dst).tasks(part, func(acc []float32, _ int, e int32) {
+			tensor.AxpyRow(acc, invDeg(e), xw.Row(int(g.Src[e])))
 		})
 		tensor.AddBias(out, l.B.Value)
 		return out, nil
 
 	case *nn.SAGELayer:
-		agg := tensor.Get(len(dsts), l.InDim())
-		defer tensor.Put(agg)
-		forEachTaskEdge(part, func(e int32) {
-			src, dst := g.Src[e], g.Dst[e]
-			tensor.AxpyRow(agg.Row(int(rs.at[dst])), invDeg(e), x.Row(int(src)))
-		})
 		out := tensor.MatMulRowsAcc(tensor.Get(len(dsts), l.OutDim()), x, dsts, l.WSelf.Value)
-		tensor.MatMulAcc(out, agg, l.WNeigh.Value)
+		mean := func(acc []float32, _ int, e int32) {
+			tensor.AxpyRow(acc, invDeg(e), x.Row(int(g.Src[e])))
+		}
+		if runs && singleRunPerDst(part, g.Dst, rs) {
+			// Zero-materialization path: the neighbor mean lives only in
+			// the accumulator and feeds the dense transform the moment its
+			// run completes.
+			acc := make([]float32, l.InDim())
+			for ti := 0; ti < part.NumTasks(); ti++ {
+				edges := part.TaskEdges(ti)
+				taskRuns(g.Dst, edges, func(d int32, i, j int) {
+					clear(acc)
+					for k := i; k < j; k++ {
+						mean(acc, k, edges[k])
+					}
+					tensor.VecMatAcc(out.Row(int(rs.at[d])), acc, l.WNeigh.Value)
+				})
+			}
+		} else {
+			// A destination's edges may fragment across runs: partial means
+			// must meet in memory before the dense transform (the partial
+			// products Σ₁·W + Σ₂·W would not be bitwise (Σ₁+Σ₂)·W).
+			agg := tensor.Get(len(dsts), l.InDim())
+			defer tensor.Put(agg)
+			newWalk(runs, agg, rs, g.Dst).tasks(part, mean)
+			tensor.MatMulAcc(out, agg, l.WNeigh.Value)
+		}
 		tensor.AddBias(out, l.B.Value)
 		return out, nil
 
 	case *nn.RGCNLayer:
-		return computeRGCN(g, l, x, rs, part, plan, invDeg)
+		return computeRGCN(g, l, x, rs, part, plan, invDeg, runs), nil
 
 	case *nn.GATLayer:
-		return computeGAT(gc, l, x, rs, part)
+		return computeGAT(g, l, x, rs, part, runs), nil
 
 	case *nn.SAGELSTMLayer:
-		return computeLSTM(g, l, x, rs, part)
+		// The recurrence streams one source row per step and holds (h, c)
+		// in registers under every engine: there is no scatter to walk.
+		return computeLSTM(g, l, x, rs, part), nil
 	}
 	return nil, fmt.Errorf("kernels: unsupported layer type %T", layer)
 }
 
-// forEachTaskEdge visits every edge task by task.
-func forEachTaskEdge(part *core.Partition, fn func(e int32)) {
-	for ti := 0; ti < part.NumTasks(); ti++ {
-		for _, e := range part.TaskEdges(ti) {
-			fn(e)
-		}
-	}
-}
-
 // computeRGCN runs the RGCN aggregation per task, with the dedup'd
 // outer-product micro-kernel (paper Figure 10c) when the plan asks for it.
-func computeRGCN(g *graphT, l *nn.RGCNLayer, x *tensor.Tensor, rs rowSet, part *core.Partition, plan Plan, invDeg func(int32) float32) (*tensor.Tensor, error) {
+func computeRGCN(g *graphT, l *nn.RGCNLayer, x *tensor.Tensor, rs rowSet, part *core.Partition, plan Plan, invDeg func(int32) float32, runs bool) *tensor.Tensor {
 	in, outDim := l.InDim(), l.OutDim()
+	weight := func(tv int32) *tensor.Tensor {
+		return tensor.FromSlice(l.W.Value.Data()[int(tv)*in*outDim:(int(tv)+1)*in*outDim], in, outDim)
+	}
 	out := tensor.MatMulRowsAcc(tensor.Get(len(rs.ids), outDim), x, rs.ids, l.WSelf.Value)
+	w := newWalk(runs, out, rs, g.Dst)
 	msg := make([]float32, outDim)
+	perEdge := func(acc []float32, _ int, e int32) {
+		tensor.VecMat(msg, x.Row(int(g.Src[e])), weight(g.EdgeType(int(e))))
+		tensor.AxpyRow(acc, invDeg(e), msg)
+	}
 	for ti := 0; ti < part.NumTasks(); ti++ {
 		edges := part.TaskEdges(ti)
-		if plan.Dedup {
-			// unique-value extraction on src and type, then the
-			// outer-product compute + 2-D indexing.
-			srcs := make([]int32, len(edges))
-			typs := make([]int32, len(edges))
-			for i, e := range edges {
-				srcs[i] = g.Src[e]
-				typs[i] = g.EdgeType(int(e))
-			}
-			uSrc, mSrc := dfg.UniqueExtract(srcs)
-			uTyp, mTyp := dfg.UniqueExtract(typs)
-			// pair products [m, n, outDim]
-			prod := tensor.Get(len(uSrc), len(uTyp), outDim)
-			for i, sv := range uSrc {
-				xr := x.Row(int(sv))
-				for j, tv := range uTyp {
-					w := tensor.FromSlice(l.W.Value.Data()[int(tv)*in*outDim:(int(tv)+1)*in*outDim], in, outDim)
-					tensor.VecMat(prod.Data()[(i*len(uTyp)+j)*outDim:(i*len(uTyp)+j+1)*outDim], xr, w)
-				}
-			}
-			for i, e := range edges {
-				pr := prod.Data()[(int(mSrc[i])*len(uTyp)+int(mTyp[i]))*outDim : (int(mSrc[i])*len(uTyp)+int(mTyp[i])+1)*outDim]
-				tensor.AxpyRow(out.Row(int(rs.at[g.Dst[e]])), invDeg(e), pr)
-			}
-			tensor.Put(prod)
-		} else {
-			for _, e := range edges {
-				tv := g.EdgeType(int(e))
-				w := tensor.FromSlice(l.W.Value.Data()[int(tv)*in*outDim:(int(tv)+1)*in*outDim], in, outDim)
-				tensor.VecMat(msg, x.Row(int(g.Src[e])), w)
-				tensor.AxpyRow(out.Row(int(rs.at[g.Dst[e]])), invDeg(e), msg)
+		if !plan.Dedup {
+			w.task(edges, perEdge)
+			continue
+		}
+		// unique-value extraction on src and type, then the outer-product
+		// compute + 2-D indexing.
+		srcs := make([]int32, len(edges))
+		typs := make([]int32, len(edges))
+		for i, e := range edges {
+			srcs[i] = g.Src[e]
+			typs[i] = g.EdgeType(int(e))
+		}
+		uSrc, mSrc := dfg.UniqueExtract(srcs)
+		uTyp, mTyp := dfg.UniqueExtract(typs)
+		// pair products: row i*len(uTyp)+j is x[uSrc[i]] · W[uTyp[j]]
+		prod := tensor.Get(len(uSrc)*len(uTyp), outDim)
+		for i, sv := range uSrc {
+			for j, tv := range uTyp {
+				tensor.VecMat(prod.Row(i*len(uTyp)+j), x.Row(int(sv)), weight(tv))
 			}
 		}
+		w.task(edges, func(acc []float32, k int, e int32) {
+			tensor.AxpyRow(acc, invDeg(e), prod.Row(int(mSrc[k])*len(uTyp)+int(mTyp[k])))
+		})
+		tensor.Put(prod)
 	}
 	tensor.AddBias(out, l.B.Value)
-	return out, nil
+	return out
 }
 
-// gatScores runs the GAT phases shared by every engine: the dense Z
+// gatScores runs the GAT phases ahead of the aggregation: the dense Z
 // transform and left projection over every input row (any of them may be
 // an edge source), the right projection over the destination rows,
 // per-edge leaky-ReLU scores, and the per-(dst,head) stable softmax. The
@@ -264,8 +374,7 @@ func computeRGCN(g *graphT, l *nn.RGCNLayer, x *tensor.Tensor, rs rowSet, part *
 // Z [V,F'], the normalized score numerators [E,heads] and the
 // per-destination sums [len(rs.ids),heads]; the caller owns all three
 // (tensor.Put).
-func gatScores(gc *nn.GraphCtx, l *nn.GATLayer, x *tensor.Tensor, rs rowSet, part *core.Partition) (z, score, sum *tensor.Tensor) {
-	g := gc.G
+func gatScores(g *graphT, l *nn.GATLayer, x *tensor.Tensor, rs rowSet) (z, score, sum *tensor.Tensor) {
 	heads := l.Heads()
 	dh := l.OutDim() / heads
 	z = tensor.MatMulAcc(tensor.Get(x.Dim(0), l.OutDim()), x, l.W.Value)
@@ -294,8 +403,8 @@ func gatScores(gc *nn.GraphCtx, l *nn.GATLayer, x *tensor.Tensor, rs rowSet, par
 	}
 	e := g.NumEdges()
 	score = tensor.Get(e, heads)
-	forEachTaskEdge(part, func(ei int32) {
-		sr := score.Row(int(ei))
+	for ei := 0; ei < e; ei++ {
+		sr := score.Row(ei)
 		plr := pl.Row(int(g.Src[ei]))
 		prr := pr.Row(int(rs.at[g.Dst[ei]]))
 		for h := 0; h < heads; h++ {
@@ -305,7 +414,7 @@ func gatScores(gc *nn.GraphCtx, l *nn.GATLayer, x *tensor.Tensor, rs rowSet, par
 			}
 			sr[h] = s
 		}
-	})
+	}
 	// per-dst stable softmax over the whole edge set (three passes)
 	maxS := tensor.Get(nd, heads)
 	defer tensor.Put(maxS)
@@ -336,38 +445,37 @@ func gatScores(gc *nn.GraphCtx, l *nn.GATLayer, x *tensor.Tensor, rs rowSet, par
 	return z, score, sum
 }
 
-// computeGAT is the blocked GAT path: shared score/softmax phases, then a
-// per-edge read-modify-write aggregation over the tasks.
-func computeGAT(gc *nn.GraphCtx, l *nn.GATLayer, x *tensor.Tensor, rs rowSet, part *core.Partition) (*tensor.Tensor, error) {
-	g := gc.G
+// computeGAT runs the score/softmax phases (normalization is global per
+// destination regardless of task splits) and walks only the weighted
+// aggregation. The per-head attention coefficients stay materialized in
+// [E,heads] — heads ≪ F', so this is not traffic a walk can save.
+func computeGAT(g *graphT, l *nn.GATLayer, x *tensor.Tensor, rs rowSet, part *core.Partition, runs bool) *tensor.Tensor {
 	heads := l.Heads()
 	dh := l.OutDim() / heads
-	z, score, sum := gatScores(gc, l, x, rs, part)
+	z, score, sum := gatScores(g, l, x, rs)
 	defer tensor.Put(z)
 	defer tensor.Put(score)
 	defer tensor.Put(sum)
 	out := tensor.Get(len(rs.ids), l.OutDim())
-	forEachTaskEdge(part, func(ei int32) {
-		src, dst := int(g.Src[ei]), int(rs.at[g.Dst[ei]])
+	newWalk(runs, out, rs, g.Dst).tasks(part, func(acc []float32, _ int, ei int32) {
 		sr := score.Row(int(ei))
-		zr := z.Row(src)
-		or := out.Row(dst)
-		su := sum.Row(dst)
+		zr := z.Row(int(g.Src[ei]))
+		su := sum.Row(int(rs.at[g.Dst[ei]]))
 		for h := 0; h < heads; h++ {
 			if su[h] == 0 {
 				continue
 			}
-			tensor.AxpyRow(or[h*dh:(h+1)*dh], sr[h]/su[h], zr[h*dh:(h+1)*dh])
+			tensor.AxpyRow(acc[h*dh:(h+1)*dh], sr[h]/su[h], zr[h*dh:(h+1)*dh])
 		}
 	})
 	tensor.AddBias(out, l.B.Value)
-	return out, nil
+	return out
 }
 
 // computeLSTM runs the per-destination recurrences task by task. The
 // validity filter guarantees each destination's edges are contiguous in
 // one task and in original (CSR-equivalent) order.
-func computeLSTM(g *graphT, l *nn.SAGELSTMLayer, x *tensor.Tensor, rs rowSet, part *core.Partition) (*tensor.Tensor, error) {
+func computeLSTM(g *graphT, l *nn.SAGELSTMLayer, x *tensor.Tensor, rs rowSet, part *core.Partition) *tensor.Tensor {
 	hd := l.OutDim()
 	hFinal := tensor.Get(len(rs.ids), hd)
 	defer tensor.Put(hFinal)
@@ -376,13 +484,7 @@ func computeLSTM(g *graphT, l *nn.SAGELSTMLayer, x *tensor.Tensor, rs rowSet, pa
 	zbuf := make([]float32, 4*hd)
 	for ti := 0; ti < part.NumTasks(); ti++ {
 		edges := part.TaskEdges(ti)
-		i := 0
-		for i < len(edges) {
-			dst := g.Dst[edges[i]]
-			j := i
-			for j < len(edges) && g.Dst[edges[j]] == dst {
-				j++
-			}
+		taskRuns(g.Dst, edges, func(dst int32, i, j int) {
 			// run the LSTM over edges[i:j] in ascending edge order
 			run := append([]int32(nil), edges[i:j]...)
 			slices.Sort(run)
@@ -404,13 +506,12 @@ func computeLSTM(g *graphT, l *nn.SAGELSTMLayer, x *tensor.Tensor, rs rowSet, pa
 				}
 			}
 			copy(hFinal.Row(int(rs.at[dst])), h)
-			i = j
-		}
+		})
 	}
 	out := tensor.MatMulRowsAcc(tensor.Get(len(rs.ids), hd), x, rs.ids, l.WSelf.Value)
 	tensor.MatMulAcc(out, hFinal, l.WNeigh.Value)
 	tensor.AddBias(out, l.B.Value)
-	return out, nil
+	return out
 }
 
 // graphT aliases the graph type to keep signatures short.

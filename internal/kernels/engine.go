@@ -12,102 +12,195 @@ import (
 )
 
 // Engine is one strategy for executing a GNN layer over the gTasks of a
-// graph partition. All engines are bitwise-identical in their numeric
-// output — they differ only in dataflow (how many times each operand
-// crosses memory) and in the kernels they account against the simulated
-// device:
+// graph partition: a walk (how a task's edges reach the destination rows,
+// see walk) plus an accounting (which kernels the layer is charged as on
+// the simulated device). Every model has one body (computeLayer) and all
+// engines are bitwise-identical in their numeric output. Engines come from
+// Select (the zero value runs nothing):
 //
-//   - "blocked": the reference gather → matmul → scatter-add passes, one
-//     cost-model kernel per layer (the historical path).
-//   - "fused": streams each destination run exactly once — source rows are
-//     gathered, multiplied and accumulated into a register-resident
-//     destination accumulator without materializing the per-edge [E,F']
-//     intermediate.
-//   - "device": blocked numerics, but every micro-kernel stage of the
-//     composed program (micro.go) is launched as its own named kernel so
+//   - "blocked": the reference edge walk — one read-modify-write of the
+//     destination row per edge — accounted as the composed program's one
+//     fused cost-model kernel per layer.
+//   - "fused": the run walk — each destination run is staged in a register-
+//     resident accumulator, one row load + store per run — accounted as one
+//     streaming kernel priced by that traffic.
+//   - "device": the edge walk, but every micro-kernel stage of the composed
+//     program (micro.go) is launched as its own named kernel so
 //     device.KernelStats exposes a per-stage breakdown that can be checked
 //     against the fused engine's bytes-moved model.
-type Engine interface {
-	// Name is the stable identifier used by -engine flags and benchmarks.
-	Name() string
-	// Probe reports whether the engine can execute the model under the
-	// graph partition plan. A nil error is a commitment: RunLayer must
-	// then produce output bitwise-equal to the blocked engine.
-	Probe(kind nn.ModelKind, plan core.GraphPlan) error
-	// RunLayer accounts and (when ctx.Compute) computes one layer over the
-	// block gc with input rows x [V,F], producing the rows of dsts — local
-	// vertex ids, strictly ascending — as a compact [len(dsts),F'] tensor
-	// in that order. Work is split by who reads it:
-	//
-	//   - destination-side work runs over dsts only: the self and
-	//     neighbour transforms of SAGE, RGCN and SAGE-LSTM, the
-	//     aggregation and output buffers, GAT's right projection, softmax
-	//     maxima and sums, the bias;
-	//   - source-side transforms that any edge source may need stay over
-	//     all V input rows: GCN's X·W, GAT's Z and left projection.
-	//
-	// Either way each output element sees the operations of the all-rows
-	// execution in the same order, so row i is bitwise-equal to row
-	// dsts[i] of the execution with dsts = 0..V-1 — which is how full-
-	// graph callers run. Ids are the block's own (ascending parent order),
-	// never renumbered targets-first: the partition sorts edges by local
-	// id, so renumbering would make a destination's summation order depend
-	// on what else is in the batch. Every edge must end in dsts; one that
-	// does not is an error, not a dropped contribution. Of gc an engine
-	// reads the edge list gc.G and the vertex count, nothing derived: the
-	// serving path passes a context with only G set.
-	RunLayer(ctx *exec.Ctx, gc *nn.GraphCtx, layer nn.Layer, sh LayerShape, x *tensor.Tensor, dsts []int32, part *core.Partition, plan Plan) (*tensor.Tensor, error)
-	// LayerBytes returns the engine's modeled global-memory traffic for
-	// one layer's aggregation path (the fused gTask kernel; the shared
-	// dense transforms are identical across engines and excluded).
-	LayerBytes(sh LayerShape, part *core.Partition, plan Plan) float64
+type Engine struct {
+	name string
+	runs bool
+	// account launches the layer's gTask kernel(s) on ctx's device.
+	account func(ctx *exec.Ctx, t pricedTasks)
+	// taskBytes models the global-memory traffic of task ti under this
+	// engine's dataflow.
+	taskBytes func(t pricedTasks, ti int) float64
 }
 
+var engines = []Engine{
+	{name: "blocked", account: oneKernel("gtask.fused", composedTaskBytes), taskBytes: blockedTaskBytes},
+	{name: "fused", runs: true, account: oneKernel("gtask.stream", fusedTaskBytes), taskBytes: fusedTaskBytes},
+	{name: "device", account: stageKernels, taskBytes: composedTaskBytes},
+}
+
+// Name is the stable identifier used by -engine flags and benchmarks.
+func (e Engine) Name() string { return e.name }
+
 // EngineNames lists the selectable engines in stable order.
-func EngineNames() []string { return []string{"blocked", "fused", "device"} }
+func EngineNames() []string {
+	names := make([]string, len(engines))
+	for i, e := range engines {
+		names[i] = e.name
+	}
+	return names
+}
 
 // Select resolves an engine by name; "" selects the blocked reference.
 func Select(name string) (Engine, error) {
-	switch name {
-	case "", "blocked":
-		return blockedEngine{}, nil
-	case "fused":
-		return fusedEngine{}, nil
-	case "device":
-		return deviceEngine{}, nil
+	if name == "" {
+		return engines[0], nil
 	}
-	return nil, fmt.Errorf("kernels: unknown engine %q (have %s)", name, strings.Join(EngineNames(), "|"))
+	for _, e := range engines {
+		if e.name == name {
+			return e, nil
+		}
+	}
+	return Engine{}, fmt.Errorf("kernels: unknown engine %q (have %s)", name, strings.Join(EngineNames(), "|"))
 }
 
-// probePlan is the shared capability check: every engine handles every
-// model, subject to the plan-validity rules of ValidPlanFor.
-func probePlan(kind nn.ModelKind, plan core.GraphPlan) error {
-	if !ValidPlanFor(kind, plan) {
-		return fmt.Errorf("kernels: plan %v cannot execute %v", plan, kind)
-	}
-	return nil
+// pricedTasks is what pricing a layer's gTasks takes, built once per call:
+// the program composed for the shape and operation plan, and every task's
+// statistics.
+type pricedTasks struct {
+	sh    LayerShape
+	plan  Plan
+	prog  Program
+	part  *core.Partition
+	stats []TaskStatsOf
 }
 
-// composedLayerBytes sums the composed program's modeled traffic over the
-// partition's tasks — the cost model's prediction for the paper's target
-// fused kernel (what the device engine accounts stage by stage).
-func composedLayerBytes(sh LayerShape, part *core.Partition, plan Plan) float64 {
-	prog := Compose(sh, plan)
+func priceTasks(sh LayerShape, part *core.Partition, plan Plan) pricedTasks {
+	t := pricedTasks{sh: sh, plan: plan, prog: Compose(sh, plan), part: part, stats: make([]TaskStatsOf, part.NumTasks())}
+	for ti := range t.stats {
+		t.stats[ti] = StatsOf(part, ti)
+	}
+	return t
+}
+
+// LayerBytes returns the engine's modeled global-memory traffic for one
+// layer's aggregation path (the gTask kernel; the shared dense transforms
+// are identical across engines and excluded).
+func (e Engine) LayerBytes(sh LayerShape, part *core.Partition, plan Plan) float64 {
+	t := priceTasks(sh, part, plan)
 	var total float64
-	for ti := 0; ti < part.NumTasks(); ti++ {
-		_, b := prog.Totals(StatsOf(part, ti))
-		total += b
+	for ti := range t.stats {
+		total += e.taskBytes(t, ti)
 	}
 	return total
 }
 
-// blockedTaskBytes models the traffic of computeLayer's actual dataflow
-// for one task: separate gather → transform → scatter passes where every
+// RunLayer accounts and (when ctx.Compute) computes one layer over the
+// block gc with input rows x [V,F], producing the rows of dsts — local
+// vertex ids, strictly ascending — as a compact [len(dsts),F'] tensor in
+// that order. Work is split by who reads it:
+//
+//   - destination-side work runs over dsts only: the self and neighbour
+//     transforms of SAGE, RGCN and SAGE-LSTM, the aggregation and output
+//     buffers, GAT's right projection, softmax maxima and sums, the bias;
+//   - source-side transforms that any edge source may need stay over all V
+//     input rows: GCN's X·W, GAT's Z and left projection.
+//
+// Either way each output element sees the operations of the all-rows
+// execution in the same order, so row i is bitwise-equal to row dsts[i] of
+// the execution with dsts = 0..V-1 — which is how full-graph callers run.
+// Ids are the block's own (ascending parent order), never renumbered
+// targets-first: the partition sorts edges by local id, so renumbering
+// would make a destination's summation order depend on what else is in the
+// batch. Every edge must end in dsts; one that does not is an error, not a
+// dropped contribution. Of gc an engine reads the edge list gc.G and the
+// vertex count, nothing derived: the serving path passes a context with
+// only G set.
+func (e Engine) RunLayer(ctx *exec.Ctx, gc *nn.GraphCtx, layer nn.Layer, sh LayerShape, x *tensor.Tensor, dsts []int32, part *core.Partition, plan Plan) (*tensor.Tensor, error) {
+	// Shared dense transforms, then the gTask kernel(s). The arithmetic is
+	// the same under every engine; only the traffic model and the launch
+	// granularity differ.
+	for _, k := range DenseKernels(sh, gc.NumVertices(), len(dsts)) {
+		ctx.Launch(k, nil)
+	}
+	e.account(ctx, priceTasks(sh, part, plan))
+	if !ctx.Compute {
+		return nil, nil
+	}
+	return computeLayer(gc, layer, x, dsts, part, plan, e.runs)
+}
+
+// oneKernel accounts the layer as a single launch whose work items are the
+// tasks: each does the composed program's arithmetic and moves bytes(t, ti).
+func oneKernel(name string, bytes func(t pricedTasks, ti int) float64) func(*exec.Ctx, pricedTasks) {
+	return func(ctx *exec.Ctx, t pricedTasks) {
+		times := make([]float64, len(t.stats))
+		var flops, total float64
+		for ti, st := range t.stats {
+			tf, _ := t.prog.Totals(st)
+			tb := bytes(t, ti)
+			flops += tf
+			total += tb
+			times[ti] = perUnit(ctx.Dev.Spec, tf, tb, t.prog.TC(st))
+		}
+		ctx.Launch(device.Kernel{
+			Name: name, Cat: device.CatNeural,
+			FLOPs: flops, Bytes: total, UnitTimes: times,
+		}, nil)
+	}
+}
+
+// stageKernels accounts the composed program stage by stage: each
+// micro-kernel (load-src, load-ids, accumulate, store-edge, ...) is launched
+// as its own kernel named "gtask.<stage>", with per-task unit times, so the
+// cost model's stage-level predictions land in device.KernelStats where they
+// can be diffed against the fused engine's bytes-moved claims.
+func stageKernels(ctx *exec.Ctx, t pricedTasks) {
+	for _, s := range t.prog.Stages {
+		var flops, bytes float64
+		times := make([]float64, len(t.stats))
+		for ti, st := range t.stats {
+			var sf, sb float64
+			if s.FLOPs != nil {
+				sf = s.FLOPs(st)
+			}
+			if s.Elems != nil {
+				sb = s.Elems(st) * fb
+			}
+			flops += sf
+			bytes += sb
+			times[ti] = perUnit(ctx.Dev.Spec, sf, sb, s.Kind == StageCompute && t.prog.TC(st))
+		}
+		cat := device.CatIndexing
+		if s.Kind == StageCompute || s.Kind == StageReduce {
+			cat = device.CatNeural
+		}
+		ctx.Launch(device.Kernel{
+			Name: "gtask." + s.Name, Cat: cat,
+			FLOPs: flops, Bytes: bytes, UnitTimes: times,
+		}, nil)
+	}
+}
+
+// composedTaskBytes is the composed program's modeled traffic for one task
+// — the cost model's prediction for the paper's target fused kernel.
+func composedTaskBytes(t pricedTasks, ti int) float64 {
+	_, b := t.prog.Totals(t.stats[ti])
+	return b
+}
+
+// blockedTaskBytes models the traffic of the edge walk for one task: every
 // edge costs a source-row read plus a destination-row read-modify-write
 // (three row crossings per edge), RGCN's edge-by-edge path refetches the
 // type weight per edge, and the dedup'd path materializes the pair-
 // product buffer it then re-reads per edge.
-func blockedTaskBytes(sh LayerShape, st TaskStatsOf, plan Plan) float64 {
+func blockedTaskBytes(t pricedTasks, ti int) float64 {
+	sh, st, plan := t.sh, t.stats[ti], t.plan
 	f, fp := float64(sh.F), float64(sh.Fp)
 	e := float64(st.Edges)
 	switch sh.Kind {
@@ -132,113 +225,43 @@ func blockedTaskBytes(sh LayerShape, st TaskStatsOf, plan Plan) float64 {
 		return (3*e*fp + 4*e) * fb
 	case nn.SAGELSTM:
 		// the recurrence streams identically under every engine
-		_, b := Compose(sh, plan).Totals(st)
-		return b
+		return composedTaskBytes(t, ti)
 	}
 	return 0
 }
 
-// blockedLayerBytes sums blockedTaskBytes over the partition.
-func blockedLayerBytes(sh LayerShape, part *core.Partition, plan Plan) float64 {
-	var total float64
-	for ti := 0; ti < part.NumTasks(); ti++ {
-		total += blockedTaskBytes(sh, StatsOf(part, ti), plan)
-	}
-	return total
-}
-
-// blockedEngine is the reference path: separate gather, matmul and
-// scatter-add passes accounted as one fused cost-model kernel per layer.
-type blockedEngine struct{}
-
-func (blockedEngine) Name() string { return "blocked" }
-
-func (blockedEngine) Probe(kind nn.ModelKind, plan core.GraphPlan) error {
-	return probePlan(kind, plan)
-}
-
-func (blockedEngine) LayerBytes(sh LayerShape, part *core.Partition, plan Plan) float64 {
-	return blockedLayerBytes(sh, part, plan)
-}
-
-func (blockedEngine) RunLayer(ctx *exec.Ctx, gc *nn.GraphCtx, layer nn.Layer, sh LayerShape, x *tensor.Tensor, dsts []int32, part *core.Partition, plan Plan) (*tensor.Tensor, error) {
-	// Shared dense transforms.
-	for _, k := range DenseKernels(sh, gc.NumVertices(), len(dsts)) {
-		ctx.Launch(k, nil)
-	}
-	// Fused gTask kernel: one launch, tasks as work items.
-	costs := CostPartition(ctx.Dev.Spec, part, sh, plan)
-	times := make([]float64, len(costs))
-	var flops, bytes float64
-	for i, c := range costs {
-		times[i] = c.Seconds
-		flops += c.FLOPs
-		bytes += c.Bytes
-	}
-	ctx.Launch(device.Kernel{
-		Name: "gtask.fused", Cat: device.CatNeural,
-		FLOPs: flops, Bytes: bytes, UnitTimes: times,
-	}, nil)
-	if !ctx.Compute {
-		return nil, nil
-	}
-	return computeLayer(gc, layer, x, dsts, part, plan)
-}
-
-// deviceEngine runs blocked numerics but accounts the composed program
-// stage by stage: each micro-kernel (load-src, load-ids, accumulate,
-// store-edge, ...) is launched as its own kernel named "gtask.<stage>",
-// with per-task unit times, so the cost model's stage-level predictions
-// land in device.KernelStats where they can be diffed against the fused
-// engine's bytes-moved claims.
-type deviceEngine struct{}
-
-func (deviceEngine) Name() string { return "device" }
-
-func (deviceEngine) Probe(kind nn.ModelKind, plan core.GraphPlan) error {
-	return probePlan(kind, plan)
-}
-
-func (deviceEngine) LayerBytes(sh LayerShape, part *core.Partition, plan Plan) float64 {
-	return composedLayerBytes(sh, part, plan)
-}
-
-func (deviceEngine) RunLayer(ctx *exec.Ctx, gc *nn.GraphCtx, layer nn.Layer, sh LayerShape, x *tensor.Tensor, dsts []int32, part *core.Partition, plan Plan) (*tensor.Tensor, error) {
-	for _, k := range DenseKernels(sh, gc.NumVertices(), len(dsts)) {
-		ctx.Launch(k, nil)
-	}
-	prog := Compose(sh, plan)
-	n := part.NumTasks()
-	stats := make([]TaskStatsOf, n)
-	for ti := range stats {
-		stats[ti] = StatsOf(part, ti)
-	}
-	for _, s := range prog.Stages {
-		var flops, bytes float64
-		times := make([]float64, n)
-		for ti, st := range stats {
-			var sf, sb float64
-			if s.FLOPs != nil {
-				sf = s.FLOPs(st)
-			}
-			if s.Elems != nil {
-				sb = s.Elems(st) * fb
-			}
-			flops += sf
-			bytes += sb
-			times[ti] = perUnit(ctx.Dev.Spec, sf, sb, s.Kind == StageCompute && prog.TC(st))
+// fusedTaskBytes models the run walk's global-memory traffic for one
+// task: source rows cross once per edge, the index arrays once, each
+// destination run costs one accumulator load + store (instead of a
+// read-modify-write per edge), and weights stay resident across the task —
+// no per-edge [e,F'] store/reload and no per-edge weight refetch.
+func fusedTaskBytes(t pricedTasks, ti int) float64 {
+	sh, st, plan := t.sh, t.stats[ti], t.plan
+	f, fp := float64(sh.F), float64(sh.Fp)
+	e := float64(st.Edges)
+	r := float64(taskRuns(t.part.Graph.Dst, t.part.TaskEdges(ti), nil))
+	switch sh.Kind {
+	case nn.GCN, nn.SAGE:
+		w := fp
+		if sh.Kind == nn.SAGE {
+			w = f
 		}
-		cat := device.CatIndexing
-		if s.Kind == StageCompute || s.Kind == StageReduce {
-			cat = device.CatNeural
+		return (e*w + e + 2*r*w) * fb
+	case nn.RGCN:
+		if plan.Dedup {
+			// pair products written once, re-read per edge through the
+			// dedup maps; run accumulators replace per-edge rmw
+			pairs := float64(st.UniqSrc) * float64(st.UniqType)
+			return (float64(st.UniqSrc)*f + float64(st.UniqType)*f*fp +
+				pairs*fp + e*fp + 2*e + 2*r*fp) * fb
 		}
-		ctx.Launch(device.Kernel{
-			Name: "gtask." + s.Name, Cat: cat,
-			FLOPs: flops, Bytes: bytes, UnitTimes: times,
-		}, nil)
+		return (e*f + float64(st.UniqType)*f*fp + e + 2*r*fp) * fb
+	case nn.GAT:
+		return (e*fp + 4*e + 2*r*fp) * fb
+	case nn.SAGELSTM:
+		// Identical execution to blocked (see computeLayer), so identical
+		// traffic.
+		return composedTaskBytes(t, ti)
 	}
-	if !ctx.Compute {
-		return nil, nil
-	}
-	return computeLayer(gc, layer, x, dsts, part, plan)
+	return 0
 }

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,22 +14,122 @@ import (
 	"wisegraph/internal/tensor"
 )
 
+func engineNamed(t *testing.T, name string) Engine {
+	t.Helper()
+	eng, err := Select(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// TestSelectEngine pins the engine table: the three names, which walk each
+// one runs, and the gTask kernels it launches per layer.
 func TestSelectEngine(t *testing.T) {
-	for _, name := range append([]string{""}, EngineNames()...) {
-		eng, err := Select(name)
-		if err != nil {
-			t.Fatalf("Select(%q): %v", name, err)
+	gc, m, x := setup(t, nn.GCN)
+	part := core.PartitionGraph(gc.G, core.VertexCentric(), allAttrs())
+	op := Plan{Batched: true}
+	layer := m.Layers()[0]
+	sh := LayerShape{Kind: nn.GCN, F: layer.InDim(), Fp: layer.OutDim()}
+	var stages []string
+	for _, s := range Compose(sh, op).Stages {
+		stages = append(stages, "gtask."+s.Name)
+	}
+	for _, c := range []struct {
+		name, want string
+		runs       bool
+		kernels    []string
+	}{
+		{"", "blocked", false, []string{"gtask.fused"}},
+		{"blocked", "blocked", false, []string{"gtask.fused"}},
+		{"fused", "fused", true, []string{"gtask.stream"}},
+		{"device", "device", false, stages},
+	} {
+		eng := engineNamed(t, c.name)
+		if eng.Name() != c.want || eng.runs != c.runs {
+			t.Fatalf("Select(%q) = %q runs=%v, want %q runs=%v", c.name, eng.Name(), eng.runs, c.want, c.runs)
 		}
-		want := name
-		if want == "" {
-			want = "blocked"
+		ctx := exec.NewCtx(device.New(device.A100()))
+		ctx.Compute = false
+		if _, err := eng.RunLayer(ctx, gc, layer, sh, x, nil, part, op); err != nil {
+			t.Fatal(err)
 		}
-		if eng.Name() != want {
-			t.Fatalf("Select(%q).Name() = %q", name, eng.Name())
+		var got []string
+		for name, ks := range ctx.Dev.KernelStats() {
+			if strings.HasPrefix(name, "gtask.") {
+				if ks.Launches != 1 {
+					t.Fatalf("%s: %s launched %d times in one layer", c.want, name, ks.Launches)
+				}
+				got = append(got, name)
+			}
 		}
+		want := append([]string(nil), c.kernels...)
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s launches %v, want %v", c.want, got, want)
+		}
+	}
+	if got := EngineNames(); !slices.Equal(got, []string{"blocked", "fused", "device"}) {
+		t.Fatalf("EngineNames() = %v", got)
 	}
 	if _, err := Select("warp"); err == nil || !strings.Contains(err.Error(), "unknown engine") {
 		t.Fatalf("Select(warp) = %v, want unknown-engine error", err)
+	}
+}
+
+// TestRunWalkAddsInEdgeWalkOrder checks the bitwise claim at the seam: for
+// every model's plans, and one that provably fragments a destination
+// across runs, the run walk hands add the (k, e) sequence of the edge walk,
+// and every destination row receives the same edges in the same order —
+// add folds each edge into its row with an order-sensitive hash, so two
+// rows agree exactly when their sequences do.
+func TestRunWalkAddsInEdgeWalkOrder(t *testing.T) {
+	type call struct {
+		k int
+		e int32
+	}
+	for kind := nn.ModelKind(0); kind < nn.NumModels; kind++ {
+		gc, _, _ := setup(t, kind)
+		g := gc.G
+		all := allRows(g.NumVertices)
+		rs, err := newRowSet(g, all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Edge-id chunks cut through destinations whatever the sort key.
+		fragmenting := core.GraphPlan{Name: "edge-id-chunks", Restrictions: []core.Restriction{{Attr: core.AttrEdgeID, Kind: core.Exact, Limit: 7}}}
+		sawFragmented := false
+		for _, gp := range append(plansFor(kind), fragmenting) {
+			part := core.PartitionGraph(g, gp, allAttrs())
+			sawFragmented = sawFragmented || !singleRunPerDst(part, g.Dst, rs)
+			walked := func(runs bool) ([]call, *tensor.Tensor) {
+				var calls []call
+				out := tensor.New(g.NumVertices, 2)
+				newWalk(runs, out, rs, g.Dst).tasks(part, func(acc []float32, k int, e int32) {
+					calls = append(calls, call{k, e})
+					acc[0] = float32((int(acc[0])*31 + int(e) + 1) % 65521)
+					acc[1]++
+				})
+				return calls, out
+			}
+			wantCalls, want := walked(false)
+			gotCalls, got := walked(true)
+			if len(wantCalls) != g.NumEdges() {
+				t.Fatalf("%v plan %v: edge walk made %d calls for %d edges", kind, gp, len(wantCalls), g.NumEdges())
+			}
+			if !slices.Equal(gotCalls, wantCalls) {
+				t.Fatalf("%v plan %v: run walk's (k, e) sequence differs from the edge walk's", kind, gp)
+			}
+			if !slices.Equal(got.Data(), want.Data()) {
+				t.Fatalf("%v plan %v: some destination row received a different edge sequence", kind, gp)
+			}
+		}
+		if !sawFragmented {
+			t.Fatalf("%v: no plan split a destination across runs", kind)
+		}
+		rs.release()
+		tensor.PutI32(all)
 	}
 }
 
@@ -137,8 +238,8 @@ func TestFusedEngineMovesFewerBytes(t *testing.T) {
 		for _, gp := range plansFor(kind) {
 			part := core.PartitionGraph(gc.G, gp, allAttrs())
 			for _, op := range opPlans {
-				fusedB := fusedEngine{}.LayerBytes(sh, part, op)
-				blockedB := blockedEngine{}.LayerBytes(sh, part, op)
+				fusedB := engineNamed(t, "fused").LayerBytes(sh, part, op)
+				blockedB := engineNamed(t, "blocked").LayerBytes(sh, part, op)
 				if fusedB > blockedB {
 					t.Fatalf("%v plan %v op %+v: fused %.0f B > blocked %.0f B", kind, gp, op, fusedB, blockedB)
 				}
@@ -146,8 +247,8 @@ func TestFusedEngineMovesFewerBytes(t *testing.T) {
 		}
 		for _, gp := range []core.GraphPlan{core.VertexCentric(), core.WholeGraph()} {
 			part := core.PartitionGraph(gc.G, gp, allAttrs())
-			fusedB := fusedEngine{}.LayerBytes(sh, part, Plan{Batched: true})
-			blockedB := blockedEngine{}.LayerBytes(sh, part, Plan{Batched: true})
+			fusedB := engineNamed(t, "fused").LayerBytes(sh, part, Plan{Batched: true})
+			blockedB := engineNamed(t, "blocked").LayerBytes(sh, part, Plan{Batched: true})
 			if fusedB >= blockedB {
 				t.Fatalf("%v plan %v: fused %.0f B, want < blocked %.0f B", kind, gp, fusedB, blockedB)
 			}
@@ -174,7 +275,7 @@ func TestDeviceEnginePerStageKernels(t *testing.T) {
 	stageNames := map[string]bool{}
 	for _, layer := range m.Layers() {
 		sh := LayerShape{Kind: nn.RGCN, F: layer.InDim(), Fp: layer.OutDim(), Types: m.Cfg.NumTypes}
-		wantBytes += deviceEngine{}.LayerBytes(sh, part, op)
+		wantBytes += engineNamed(t, "device").LayerBytes(sh, part, op)
 		for _, s := range Compose(sh, op).Stages {
 			stageNames["gtask."+s.Name] = true
 		}
@@ -219,7 +320,7 @@ func TestFusedEngineKernelAccounting(t *testing.T) {
 	var wantBytes float64
 	for _, layer := range m.Layers() {
 		sh := LayerShape{Kind: nn.GCN, F: layer.InDim(), Fp: layer.OutDim(), Types: m.Cfg.NumTypes}
-		wantBytes += fusedEngine{}.LayerBytes(sh, part, op)
+		wantBytes += engineNamed(t, "fused").LayerBytes(sh, part, op)
 	}
 	if math.Abs(ks.Bytes-wantBytes) > 1e-6*wantBytes {
 		t.Fatalf("gtask.stream bytes %.0f, LayerBytes model %.0f", ks.Bytes, wantBytes)

@@ -101,21 +101,27 @@ func StatsOf(p *core.Partition, ti int) TaskStatsOf {
 // data the unique-loading + shared-compute ones, and their absence the
 // edge-by-edge fallback.
 func CostTask(spec device.Spec, sh LayerShape, st TaskStatsOf, plan Plan) TaskCost {
-	prog := Compose(sh, plan)
-	flops, bytes := prog.Totals(st)
+	return Compose(sh, plan).cost(spec, st)
+}
+
+// cost prices one task under the composed program.
+func (p Program) cost(spec device.Spec, st TaskStatsOf) TaskCost {
+	flops, bytes := p.Totals(st)
 	return TaskCost{
 		Edges:   st.Edges,
 		FLOPs:   flops,
 		Bytes:   bytes,
-		Seconds: perUnit(spec, flops, bytes, prog.TC(st)),
+		Seconds: perUnit(spec, flops, bytes, p.TC(st)),
 	}
 }
 
-// CostPartition prices every task of a partition.
+// CostPartition prices every task of a partition with the program composed
+// once for the layer.
 func CostPartition(spec device.Spec, p *core.Partition, sh LayerShape, plan Plan) []TaskCost {
+	prog := Compose(sh, plan)
 	out := make([]TaskCost, p.NumTasks())
 	for ti := range out {
-		out[ti] = CostTask(spec, sh, StatsOf(p, ti), plan)
+		out[ti] = prog.cost(spec, StatsOf(p, ti))
 	}
 	return out
 }

@@ -9,17 +9,13 @@ import (
 	"wisegraph/internal/fault"
 )
 
-// checkpoint format: magic, version, then (v2) the model Config, then the
-// parameter count and per parameter: name length+bytes, dim count, dims,
-// float32 payload (all little endian).
-//
-// v1 checkpoints carry no Config: the loader needs an out-of-band model
-// of the right architecture. v2 embeds the Config in the header so a
-// server can reconstruct the model from the artifact alone
-// (LoadModelFromCheckpoint); v1 files remain readable by LoadCheckpoint.
+// checkpoint format: magic, version, the model Config, then the parameter
+// count and per parameter: name length+bytes, dim count, dims, float32
+// payload (all little endian). The Config in the header lets a server
+// reconstruct the model from the artifact alone (LoadModelFromCheckpoint).
+// Version 1, which carried no Config, is no longer read.
 const (
 	ckptMagic     = 0x57534721 // "WSG!"
-	ckptVersionV1 = 1
 	ckptVersion   = 2
 	ckptMaxName   = 1024
 	ckptMaxDims   = 8
@@ -89,7 +85,7 @@ func writeConfig(w io.Writer, cfg Config) error {
 	return binary.Write(w, binary.LittleEndian, cfg.Seed)
 }
 
-// readConfig deserializes and sanity-checks a v2 Config block. The bounds
+// readConfig deserializes and sanity-checks the Config block. The bounds
 // reject corrupt headers before they turn into huge allocations.
 func readConfig(r io.Reader) (Config, error) {
 	var fields [7]uint32
@@ -134,56 +130,31 @@ func readConfig(r io.Reader) (Config, error) {
 	return cfg, nil
 }
 
-// readHeader consumes magic+version and, for v2, the Config block. ok
-// reports whether a config was present (v2).
-func readHeader(r io.Reader) (cfg Config, version uint32, ok bool, err error) {
+// readHeader consumes magic+version and the Config block.
+func readHeader(r io.Reader) (Config, error) {
 	if err := fault.CheckErr(fault.SiteCheckpoint); err != nil {
-		return Config{}, 0, false, fmt.Errorf("nn: checkpoint load: %w", err)
+		return Config{}, fmt.Errorf("nn: checkpoint load: %w", err)
 	}
 	var hdr [2]uint32
 	if err := binary.Read(r, binary.LittleEndian, &hdr); err != nil {
-		return Config{}, 0, false, fmt.Errorf("nn: reading checkpoint header: %w", err)
+		return Config{}, fmt.Errorf("nn: reading checkpoint header: %w", err)
 	}
 	if hdr[0] != ckptMagic {
-		return Config{}, 0, false, fmt.Errorf("nn: not a checkpoint (magic %#x)", hdr[0])
+		return Config{}, fmt.Errorf("nn: not a checkpoint (magic %#x)", hdr[0])
 	}
-	switch hdr[1] {
-	case ckptVersionV1:
-		return Config{}, hdr[1], false, nil
-	case ckptVersion:
-		cfg, err := readConfig(r)
-		if err != nil {
-			return Config{}, 0, false, err
-		}
-		return cfg, hdr[1], true, nil
-	default:
-		return Config{}, 0, false, fmt.Errorf("nn: unsupported checkpoint version %d", hdr[1])
+	if hdr[1] != ckptVersion {
+		return Config{}, fmt.Errorf("nn: unsupported checkpoint version %d", hdr[1])
 	}
+	return readConfig(r)
 }
 
-// ReadCheckpointConfig reads the model Config embedded in a v2 checkpoint.
-// It fails on v1 checkpoints (which predate embedded configs).
-func ReadCheckpointConfig(r io.Reader) (Config, error) {
-	cfg, version, ok, err := readHeader(r)
-	if err != nil {
-		return Config{}, err
-	}
-	if !ok {
-		return Config{}, fmt.Errorf("nn: checkpoint version %d predates embedded configs; pass the model config explicitly", version)
-	}
-	return cfg, nil
-}
-
-// LoadModelFromCheckpoint reconstructs a model from a v2 checkpoint alone:
-// it reads the embedded Config, builds the architecture, and restores the
+// LoadModelFromCheckpoint reconstructs a model from a checkpoint alone: it
+// reads the embedded Config, builds the architecture, and restores the
 // parameter values.
 func LoadModelFromCheckpoint(r io.Reader) (*Model, error) {
-	cfg, _, ok, err := readHeader(r)
+	cfg, err := readHeader(r)
 	if err != nil {
 		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("nn: checkpoint predates embedded configs; build the model and use LoadCheckpoint")
 	}
 	m, err := NewModel(cfg)
 	if err != nil {
@@ -197,25 +168,22 @@ func LoadModelFromCheckpoint(r io.Reader) (*Model, error) {
 
 // LoadCheckpoint restores parameter values from r. The model must have
 // the same architecture (parameter order, names and shapes) as the one
-// that saved the checkpoint. Both v1 and v2 checkpoints are accepted; for
-// v2 the embedded config's structural fields are checked first so
-// mismatches fail with an architecture-level error instead of a
-// parameter-shape one.
+// that saved the checkpoint. The embedded config's structural fields are
+// checked first so mismatches fail with an architecture-level error
+// instead of a parameter-shape one.
 func (m *Model) LoadCheckpoint(r io.Reader) error {
-	cfg, _, ok, err := readHeader(r)
+	cfg, err := readHeader(r)
 	if err != nil {
 		return err
 	}
-	if ok {
-		if cfg.Kind != m.Cfg.Kind {
-			return fmt.Errorf("nn: checkpoint is a %v model, this model is %v", cfg.Kind, m.Cfg.Kind)
-		}
-		if cfg.InDim != m.Cfg.InDim || cfg.Hidden != m.Cfg.Hidden ||
-			cfg.OutDim != m.Cfg.OutDim || cfg.Layers != m.Cfg.Layers {
-			return fmt.Errorf("nn: checkpoint architecture %d-%d-%d x%d vs model %d-%d-%d x%d",
-				cfg.InDim, cfg.Hidden, cfg.OutDim, cfg.Layers,
-				m.Cfg.InDim, m.Cfg.Hidden, m.Cfg.OutDim, m.Cfg.Layers)
-		}
+	if cfg.Kind != m.Cfg.Kind {
+		return fmt.Errorf("nn: checkpoint is a %v model, this model is %v", cfg.Kind, m.Cfg.Kind)
+	}
+	if cfg.InDim != m.Cfg.InDim || cfg.Hidden != m.Cfg.Hidden ||
+		cfg.OutDim != m.Cfg.OutDim || cfg.Layers != m.Cfg.Layers {
+		return fmt.Errorf("nn: checkpoint architecture %d-%d-%d x%d vs model %d-%d-%d x%d",
+			cfg.InDim, cfg.Hidden, cfg.OutDim, cfg.Layers,
+			m.Cfg.InDim, m.Cfg.Hidden, m.Cfg.OutDim, m.Cfg.Layers)
 	}
 	return m.loadParams(r)
 }

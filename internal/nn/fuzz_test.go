@@ -16,8 +16,8 @@ func fuzzModel(tb testing.TB) *Model {
 	return m
 }
 
-// FuzzCheckpointLoad hammers every checkpoint decoder (v1 and v2 headers,
-// embedded configs, parameter records, train states) with mutated bytes:
+// FuzzCheckpointLoad hammers every checkpoint decoder (headers, embedded
+// configs, parameter records, train states) with mutated bytes:
 // any input must either load cleanly or fail with an error — never panic,
 // never allocate absurdly, and never leave non-finite values in a model
 // it claims to have loaded.
@@ -60,7 +60,7 @@ func FuzzCheckpointLoad(f *testing.F) {
 		// Mutated configs can carry dims that are individually legal but
 		// jointly allocate gigabytes; the decoder is exercised for every
 		// input, model construction only for sanely-sized architectures.
-		if cfg, err := ReadCheckpointConfig(bytes.NewReader(data)); err == nil && modelScalars(cfg) <= 1<<22 {
+		if cfg, err := readHeader(bytes.NewReader(data)); err == nil && modelScalars(cfg) <= 1<<22 {
 			if m2, err := LoadModelFromCheckpoint(bytes.NewReader(data)); err == nil {
 				for _, p := range m2.Params() {
 					for _, v := range p.Value.Data() {
@@ -71,7 +71,7 @@ func FuzzCheckpointLoad(f *testing.F) {
 				}
 			}
 		}
-		// Fixed-architecture path (v1 checkpoints and mismatch handling).
+		// Fixed-architecture path (mismatch handling).
 		m3 := fuzzModel(t)
 		_ = m3.LoadCheckpoint(bytes.NewReader(data))
 		// Train-state path (optimizer moments, RNG stream, extra words).

@@ -184,11 +184,10 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative-batch-delay", Options{BatchDelay: -time.Second}, false},
 		{"negative-deadline", Options{Deadline: -time.Second}, false},
 		{"negative-cache-budget", Options{CacheBudget: -1}, false},
-		{"negative-cache-shards", Options{CacheShards: -8}, false},
 		{"fanouts-length-mismatch", Options{Fanouts: []int{10}}, false},
 		{"zero-fanout", Options{Fanouts: []int{10, 0}}, false},
 		{"valid-fanouts", Options{Fanouts: []int{10, 5}}, true},
-		{"valid-cache", Options{CacheBudget: 1 << 20, CacheShards: 4}, true},
+		{"valid-cache", Options{CacheBudget: 1 << 20}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

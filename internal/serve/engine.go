@@ -87,8 +87,6 @@ type Options struct {
 	// (level, vertex) and is invalidated wholesale on Reload. It changes
 	// performance only: cached logits are bitwise-equal to uncached.
 	CacheBudget int64
-	// CacheShards is the cache's lock-stripe count (default 8).
-	CacheShards int
 	// CacheWarm pre-admits up to K top-in-degree vertices per layer at
 	// startup by running warm-up forwards over them before the first
 	// request is accepted; 0 disables warm-up. Warm-up changes first-
@@ -143,8 +141,6 @@ func (o Options) Validate(layers int) error {
 			o.BatchDelay, o.Deadline)
 	case o.CacheBudget < 0:
 		return fmt.Errorf("serve: negative cache budget %d bytes", o.CacheBudget)
-	case o.CacheShards < 0:
-		return fmt.Errorf("serve: negative cache shard count %d", o.CacheShards)
 	case o.CacheBudget > 0 && layers <= 0:
 		return fmt.Errorf("serve: cache enabled (budget %d) but model has no layers to cache", o.CacheBudget)
 	case o.CacheWarm < 0:
@@ -325,9 +321,7 @@ func NewEngine(ds *dataset.Dataset, model *nn.Model, opts Options) (*Engine, err
 	if !kernels.ValidPlanFor(model.Cfg.Kind, e.plan.GraphPlan) {
 		return nil, fmt.Errorf("serve: plan %v cannot execute %v", e.plan.GraphPlan, model.Cfg.Kind)
 	}
-	if eng, err := kernels.Select(opts.Engine); err != nil {
-		return nil, err
-	} else if err := eng.Probe(model.Cfg.Kind, e.plan.GraphPlan); err != nil {
+	if _, err := kernels.Select(opts.Engine); err != nil {
 		return nil, err
 	}
 	pl, err := shard.ParsePlacement(opts.ShardPlacement)
@@ -344,7 +338,6 @@ func NewEngine(ds *dataset.Dataset, model *nn.Model, opts Options) (*Engine, err
 		Engine:      opts.Engine,
 		Spec:        opts.Spec,
 		CacheBudget: opts.CacheBudget,
-		CacheShards: opts.CacheShards,
 		Timeout:     opts.ShardTimeout,
 	}
 	if len(opts.ShardAddrs) > 0 {

@@ -51,7 +51,6 @@ type Config struct {
 	// with the shard count — the aggregate-capacity win that lets a fleet
 	// hold a hot set no single node can.
 	CacheBudget int64
-	CacheShards int
 	// Timeout is the per-RPC deadline (default 250ms): an attempt with no
 	// reply by then ends in TransportError{Timeout: true} and is retried.
 	// The replica hedge delay derives from it (Timeout/4).

@@ -83,9 +83,8 @@ type NodeConfig struct {
 	Engine  string
 	// Spec is the simulated device (default A100).
 	Spec *device.Spec
-	// CacheBudget / CacheShards size this node's hot-vertex cache.
+	// CacheBudget sizes this node's hot-vertex cache.
 	CacheBudget int64
-	CacheShards int
 }
 
 // shardWorker is the private compute state one RPC runs on.
@@ -135,7 +134,7 @@ func NewShard(id int, lo, hi int32, csr *graph.CSR, feats *tensor.Tensor, ntypes
 		seed:   cfg.Seed,
 		plan:   plan,
 		src:    src,
-		cache:  hotcache.New(hotcache.Config{Budget: cfg.CacheBudget, Shards: cfg.CacheShards}),
+		cache:  hotcache.New(hotcache.Config{Budget: cfg.CacheBudget}),
 		free:   make(chan *shardWorker, cfg.Workers),
 		closed: make(chan struct{}),
 	}
@@ -166,7 +165,6 @@ func newShard(id int, lo, hi int32, f *Fleet) (*Shard, error) {
 		Engine:      f.cfg.Engine,
 		Spec:        f.cfg.Spec,
 		CacheBudget: f.cfg.CacheBudget,
-		CacheShards: f.cfg.CacheShards,
 	})
 }
 

@@ -64,23 +64,6 @@ run_filtered "parity/determinism" 'Parity|Determin|Reuse|Concurrent' \
 run_filtered "cross-engine parity" 'Engine' \
   ./internal/kernels/ ./internal/dist/ ./internal/serve/ ./internal/train/
 
-# Blocked-vs-fused performance smoke (benchstat-style, min of 5): on the
-# bandwidth-bound GCN F=64 shape the fused engine must not regress more
-# than 10% against blocked. The deterministic bytes-moved win is asserted
-# by TestFusedEngineMovesFewerBytes above; this guards wall-clock.
-echo "== blocked-vs-fused benchmark smoke (GCN F=64, min of 5)"
-go test -run '^$' -bench 'BenchmarkEngineForward/model=GCN/F=64/engine=(blocked|fused)$' \
-  -benchtime 3x -count 5 . >"${TMPDIR:-/tmp}/engine_bench.txt"
-awk '
-  /engine=blocked/ { if (bmin == 0 || $3 < bmin) bmin = $3 }
-  /engine=fused/   { if (fmin == 0 || $3 < fmin) fmin = $3 }
-  END {
-    if (bmin == 0 || fmin == 0) { print "FAIL: benchmark produced no samples"; exit 1 }
-    printf "blocked min %.0f ns/op, fused min %.0f ns/op (ratio %.3f)\n", bmin, fmin, fmin / bmin
-    if (fmin > 1.10 * bmin) { print "FAIL: fused regressed >10% vs blocked"; exit 1 }
-  }' "${TMPDIR:-/tmp}/engine_bench.txt"
-echo "engine smoke OK"
-
 # Serving is one forward — the serve engine's admission/batching/drain
 # machinery over the shard fleet's leveled forward and the shards'
 # hot-vertex caches — so its suites run together, whole, under the race
@@ -154,9 +137,15 @@ echo "fuzz smokes OK"
 # graceful drain left zero requests in flight.
 echo "== serve smoke test (train -> serve -> bench -> drain)"
 SMOKE=".smoke"
-SERVE_PID=""
+# Every process the smokes below put in the background is recorded here,
+# so a failure at any line leaves no server, shard daemon, load client or
+# trainer running once $SMOKE is gone.
+BG_PIDS=()
 cleanup() {
-  [ -n "$SERVE_PID" ] && kill "$SERVE_PID" 2>/dev/null || true
+  if [ "${#BG_PIDS[@]}" -gt 0 ]; then
+    kill "${BG_PIDS[@]}" 2>/dev/null || true
+    wait 2>/dev/null || true
+  fi
   rm -rf "$SMOKE"
 }
 trap cleanup EXIT
@@ -169,6 +158,7 @@ grep -q '"traceEvents"' "$SMOKE/train.trace" \
 "$SMOKE/wisegraph-serve" -dataset AR -scale 400 -checkpoint "$SMOKE/model.ckpt" \
   -addr 127.0.0.1:0 -cache-budget 16MiB >"$SMOKE/serve.log" 2>&1 &
 SERVE_PID=$!
+BG_PIDS+=("$!")
 ADDR=""
 for _ in $(seq 1 100); do
   ADDR="$(sed -n 's#.*listening on http://##p' "$SMOKE/serve.log")"
@@ -206,7 +196,6 @@ curl -sf "http://$ADDR/debug/trace" | grep -q '"traceEvents"' \
 echo "metrics scrape OK"
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || { echo "FAIL: serve exited non-zero"; cat "$SMOKE/serve.log"; exit 1; }
-SERVE_PID=""
 grep -q 'drained: in-flight=0' "$SMOKE/serve.log" \
   || { echo "FAIL: drain left requests in flight"; cat "$SMOKE/serve.log"; exit 1; }
 # Zipf-1.2 load against a 16MiB cache must actually hit: the drain line
@@ -263,6 +252,7 @@ for i in 1 2; do
   "$SMOKE/wisegraph-shard" -dataset AR -scale 400 -checkpoint "$SMOKE/model.ckpt" \
     -addr 127.0.0.1:0 >"$SMOKE/tcpshard$i.log" 2>&1 &
   SHARD_PIDS+=($!)
+  BG_PIDS+=("$!")
 done
 for i in 1 2; do
   A=""
@@ -278,6 +268,7 @@ done
   -addr 127.0.0.1:0 -shard-addrs "${SHARD_ADDRS[0]},${SHARD_ADDRS[1]}" \
   >"$SMOKE/tcprouter.log" 2>&1 &
 SERVE_PID=$!
+BG_PIDS+=("$!")
 ADDR=""
 for _ in $(seq 1 100); do
   ADDR="$(sed -n 's#.*listening on http://##p' "$SMOKE/tcprouter.log")"
@@ -288,6 +279,7 @@ done
 "$SMOKE/wisegraph-serve" -dataset AR -scale 400 -checkpoint "$SMOKE/model.ckpt" \
   -addr 127.0.0.1:0 >"$SMOKE/tcpref.log" 2>&1 &
 REF_PID=$!
+BG_PIDS+=("$!")
 REF_ADDR=""
 for _ in $(seq 1 100); do
   REF_ADDR="$(sed -n 's#.*listening on http://##p' "$SMOKE/tcpref.log")"
@@ -306,7 +298,6 @@ kill -TERM "$REF_PID" && wait "$REF_PID" \
   || { echo "FAIL: reference serve exited non-zero"; cat "$SMOKE/tcpref.log"; exit 1; }
 kill -TERM "$SERVE_PID" && wait "$SERVE_PID" \
   || { echo "FAIL: TCP router exited non-zero"; cat "$SMOKE/tcprouter.log"; exit 1; }
-SERVE_PID=""
 grep -q 'drained: in-flight=0' "$SMOKE/tcprouter.log" \
   || { echo "FAIL: TCP router drain left requests in flight"; cat "$SMOKE/tcprouter.log"; exit 1; }
 for i in 1 2; do
@@ -331,6 +322,7 @@ for i in 1 2 3 4; do
   "$SMOKE/wisegraph-shard" -dataset AR -scale 400 -checkpoint "$SMOKE/model.ckpt" \
     -addr 127.0.0.1:0 -metrics-addr 127.0.0.1:0 >"$SMOKE/rshard$i.log" 2>&1 &
   RSHARD_PIDS+=($!)
+  BG_PIDS+=("$!")
 done
 for i in 1 2 3 4; do
   A=""
@@ -347,6 +339,7 @@ done
   -shard-addrs "${RSHARD_ADDRS[0]},${RSHARD_ADDRS[1]},${RSHARD_ADDRS[2]},${RSHARD_ADDRS[3]}" \
   >"$SMOKE/rrouter.log" 2>&1 &
 SERVE_PID=$!
+BG_PIDS+=("$!")
 ADDR=""
 for _ in $(seq 1 100); do
   ADDR="$(sed -n 's#.*listening on http://##p' "$SMOKE/rrouter.log")"
@@ -361,6 +354,7 @@ PRE_LOGITS="$(logits_of "$ADDR")"
 "$SMOKE/wgserve-bench" -url "http://$ADDR" -clients 8 -duration 2s -zipf 1.2 \
   >"$SMOKE/rbench.txt" 2>&1 &
 BENCH_PID=$!
+BG_PIDS+=("$!")
 sleep 0.7
 kill -9 "${RSHARD_PIDS[1]}" 2>/dev/null || true  # span 0, replica 1
 wait "$BENCH_PID" \
@@ -402,7 +396,6 @@ curl -sf "http://$MADDR/healthz" | grep -q ok \
   || { echo "FAIL: survivor /healthz not ok"; exit 1; }
 kill -TERM "$SERVE_PID" && wait "$SERVE_PID" \
   || { echo "FAIL: replica router exited non-zero"; cat "$SMOKE/rrouter.log"; exit 1; }
-SERVE_PID=""
 grep -q 'drained: in-flight=0' "$SMOKE/rrouter.log" \
   || { echo "FAIL: replica router drain left requests in flight"; cat "$SMOKE/rrouter.log"; exit 1; }
 for i in 1 3 4; do  # daemon 2 was SIGKILLed
@@ -431,6 +424,7 @@ TRAIN_ARGS=(-dataset AR -scale 400 -epochs 8 -hidden 16 -layers 2)
   -fault-spec 'seed=1;train.step:latency=1,delay=200ms' \
   >"$SMOKE/killed.log" 2>&1 &
 TRAIN_PID=$!
+BG_PIDS+=("$!")
 sleep 0.6
 kill -9 "$TRAIN_PID" 2>/dev/null || true
 wait "$TRAIN_PID" 2>/dev/null || true

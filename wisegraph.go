@@ -91,23 +91,21 @@ func LoadModelFromCheckpoint(r io.Reader) (*Model, error) {
 	return nn.LoadModelFromCheckpoint(r)
 }
 
-// LoadModel builds the model a daemon serves over ds: from a v2 checkpoint
-// alone, from a v1 checkpoint plus the architecture arguments, or (empty
-// path) freshly initialized weights — useful for smoke tests and load
-// rigs. One line saying which of the three happened is written to log.
+// LoadModel builds the model a daemon serves over ds: from a checkpoint
+// alone (it carries its own architecture; the arguments are ignored), or
+// (empty path) freshly initialized weights of the architecture the
+// arguments name — useful for smoke tests and load rigs. One line saying
+// which of the two happened is written to log.
 func LoadModel(log io.Writer, ds *Dataset, path, kindName string, hidden, layers int, seed uint64) (*Model, error) {
-	fromArgs := func() (*Model, error) {
+	if path == "" {
 		kind, err := ParseModel(kindName)
 		if err != nil {
 			return nil, err
 		}
-		return nn.NewModel(ModelConfig{
+		m, err := nn.NewModel(ModelConfig{
 			Kind: kind, InDim: ds.Dim(), Hidden: hidden, OutDim: ds.Classes(),
 			Layers: layers, NumTypes: ds.Graph.NumTypes, Seed: seed,
 		})
-	}
-	if path == "" {
-		m, err := fromArgs()
 		if err == nil {
 			fmt.Fprintln(log, "warning: no -checkpoint given; serving untrained weights")
 		}
@@ -118,22 +116,11 @@ func LoadModel(log io.Writer, ds *Dataset, path, kindName string, hidden, layers
 		return nil, err
 	}
 	defer f.Close()
-	if m, err := LoadModelFromCheckpoint(f); err == nil {
-		fmt.Fprintf(log, "restored v2 checkpoint %s\n", path)
-		return m, nil
-	}
-	// v1 fallback: architecture from the arguments.
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	m, err := fromArgs()
+	m, err := LoadModelFromCheckpoint(f)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("loading %s: %w", path, err)
 	}
-	if err := m.LoadCheckpoint(f); err != nil {
-		return nil, fmt.Errorf("loading %s (tried v2 and v1+flags): %w", path, err)
-	}
-	fmt.Fprintf(log, "restored v1 checkpoint %s (architecture from flags)\n", path)
+	fmt.Fprintf(log, "restored v2 checkpoint %s\n", path)
 	return m, nil
 }
 

@@ -86,9 +86,9 @@ func TestPublicAPICluster(t *testing.T) {
 	}
 }
 
-// TestLoadModel covers the three ways a daemon gets its model — a v2
-// checkpoint alone, a v1 checkpoint plus architecture arguments, no
-// checkpoint — and the error for a file that is neither.
+// TestLoadModel covers the two ways a daemon gets its model — a v2
+// checkpoint alone, or no checkpoint — and the error for a file that is
+// not a v2 checkpoint, which is the checkpoint reader's own.
 func TestLoadModel(t *testing.T) {
 	ds, err := LoadDataset("AR", DatasetOptions{Scale: 800, FeatureDim: 16, Seed: 1})
 	if err != nil {
@@ -107,6 +107,9 @@ func TestLoadModel(t *testing.T) {
 	v1 := append([]byte{}, v2.Bytes()[:4]...)
 	v1 = append(v1, 1, 0, 0, 0)
 	v1 = append(v1, v2.Bytes()[8+44:]...)
+	// Model kind, the first Config field, set to one that does not exist.
+	badKind := append([]byte{}, v2.Bytes()...)
+	badKind[8] = 0xee
 	dir := t.TempDir()
 	write := func(name string, data []byte) string {
 		path := filepath.Join(dir, name)
@@ -127,11 +130,14 @@ func TestLoadModel(t *testing.T) {
 		{name: "v2-alone", path: write("v2.ckpt", v2.Bytes()), kind: "GCN", hidden: 8, layers: 1,
 			wantLog: "restored v2 checkpoint", savedWeights: true},
 		{name: "v1-plus-flags", path: write("v1.ckpt", v1), kind: "SAGE", hidden: 16, layers: 2,
-			wantLog: "restored v1 checkpoint", savedWeights: true},
+			wantErr: "unsupported checkpoint version 1"},
 		{name: "no-checkpoint", kind: "SAGE", hidden: 16, layers: 2,
 			wantLog: "warning: no -checkpoint given; serving untrained weights"},
 		{name: "corrupt", path: write("junk.ckpt", []byte("not a checkpoint at all")), kind: "SAGE", hidden: 16, layers: 2,
-			wantErr: "tried v2 and v1+flags"},
+			wantErr: "junk.ckpt: nn: not a checkpoint"},
+		// The checkpoint's own error, not one from a second parse.
+		{name: "v2-corrupt-config", path: write("badkind.ckpt", badKind), kind: "SAGE", hidden: 16, layers: 2,
+			wantErr: "unknown model kind 238"},
 		{name: "missing-file", path: filepath.Join(dir, "absent.ckpt"), kind: "SAGE", hidden: 16, layers: 2,
 			wantErr: "absent.ckpt"},
 		{name: "unknown-model", kind: "MLP", hidden: 16, layers: 2, wantErr: "MLP"},
