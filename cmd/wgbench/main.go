@@ -23,7 +23,6 @@ import (
 
 	"wisegraph/internal/bench"
 	"wisegraph/internal/kernels"
-	"wisegraph/internal/parallel"
 )
 
 // benchResult is the BENCH_<id>.json schema: the table plus the run
@@ -56,7 +55,6 @@ func main() {
 		csvDir  = flag.String("csv", "", "directory to write CSV results into")
 		jsonDir = flag.String("json", "", "directory to write BENCH_<id>.json results into")
 		quick   = flag.Bool("quick", false, "shrink sweeps for a fast smoke run")
-		workers = flag.Int("workers", 0, "CPU worker cap for parallel phases (0 = GOMAXPROCS)")
 		engine  = flag.String("engine", "", "execution engine for experiments that run real numerics: blocked|fused|device (default blocked)")
 	)
 	flag.Parse()
@@ -64,10 +62,6 @@ func main() {
 	if _, err := kernels.Select(*engine); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-
-	if *workers > 0 {
-		parallel.SetMaxWorkers(*workers)
 	}
 
 	if *list {

@@ -159,11 +159,9 @@ var partitionerPool = sync.Pool{New: func() any { return NewPartitioner() }}
 // attributes the pattern analysis wants); restricted attributes are always
 // included.
 //
-// The implementation is the multi-core linear-time engine in
-// partitioner.go (stable LSD radix sort, epoch-stamped unique trackers,
-// segmented scan with exact seam stitching); its output is byte-identical
-// to the sequential specification in reference_test.go for every plan and
-// worker count.
+// The implementation is the linear-time engine in partitioner.go (stable
+// LSD radix sort, epoch-stamped unique trackers); its output is
+// byte-identical to the specification in reference_test.go for every plan.
 func PartitionGraph(g *graph.Graph, plan GraphPlan, statAttrs []Attr) *Partition {
 	pt := partitionerPool.Get().(*Partitioner)
 	p := pt.Partition(g, plan, statAttrs)

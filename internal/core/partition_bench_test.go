@@ -42,9 +42,7 @@ var benchStatAttrs = []Attr{AttrSrcID, AttrDstID, AttrEdgeType, AttrDstDegree}
 
 // BenchmarkPartitionGraph compares the retained sequential reference
 // (comparator sort + hash-map trackers) against the optimized engine
-// (radix sort + stamped trackers + segmented scan). Run with
-// -cpu 1,N to see the worker scaling of the optimized path; the
-// reference is single-threaded by construction.
+// (radix sort + stamped trackers).
 func BenchmarkPartitionGraph(b *testing.B) {
 	g := benchGraph()
 	g.InDegrees() // warm degree caches outside the timed region

@@ -5,12 +5,7 @@ import (
 
 	"wisegraph/internal/graph"
 	"wisegraph/internal/graph/gen"
-	"wisegraph/internal/parallel"
 )
-
-// parityWorkerCounts covers the sequential path (1), the smallest
-// parallel split (2), an odd split (3), and oversubscription (8).
-var parityWorkerCounts = []int{1, 2, 3, 8}
 
 func parityGraphs(tb testing.TB) map[string]*graph.Graph {
 	gs := map[string]*graph.Graph{
@@ -20,8 +15,7 @@ func parityGraphs(tb testing.TB) map[string]*graph.Graph {
 			Src: []int32{2}, Dst: []int32{0},
 		},
 		"paper": paperGraph(),
-		// Large enough to cross the segmented-scan and parallel-radix
-		// thresholds (segMinEdges = 1<<14) with multiple segments.
+		// Large enough for 16-bit radix digits (radixSmallLimit = 1<<14).
 		"power-law": gen.Generate(gen.Config{
 			NumVertices: 4000, NumEdges: 40000, Kind: gen.PowerLaw, Skew: 0.9, Seed: 7,
 		}).Graph,
@@ -90,23 +84,18 @@ func head(xs []int32) []int32 {
 }
 
 // TestPartitionParityWithReference checks that the optimized partitioner
-// (radix sort + stamped trackers + segmented scan) is byte-identical to
-// the retained sequential reference for every plan in the default plan
-// space, across graph shapes and worker counts.
+// (radix sort + stamped trackers) is byte-identical to the retained
+// reference for every plan in the default plan space, across graph shapes.
 func TestPartitionParityWithReference(t *testing.T) {
-	defer parallel.SetMaxWorkers(parallel.MaxWorkers())
 	stat := []Attr{AttrSrcID, AttrDstID, AttrEdgeType, AttrDstDegree}
 	for name, g := range parityGraphs(t) {
 		for _, plan := range parityPlans(g) {
 			want := PartitionGraphReference(g, plan, stat)
-			for _, w := range parityWorkerCounts {
-				parallel.SetMaxWorkers(w)
-				got := PartitionGraph(g, plan, stat)
-				label := name + "/" + plan.String()
-				comparePartitions(t, label, want, got)
-				if err := got.Validate(); err != nil {
-					t.Fatalf("%s (workers=%d): %v", label, w, err)
-				}
+			got := PartitionGraph(g, plan, stat)
+			label := name + "/" + plan.String()
+			comparePartitions(t, label, want, got)
+			if err := got.Validate(); err != nil {
+				t.Fatalf("%s: %v", label, err)
 			}
 		}
 	}
@@ -117,8 +106,6 @@ func TestPartitionParityWithReference(t *testing.T) {
 // generation counters carry across calls, and checks every call still
 // matches the reference.
 func TestPartitionerReuseIsDeterministic(t *testing.T) {
-	defer parallel.SetMaxWorkers(parallel.MaxWorkers())
-	parallel.SetMaxWorkers(4)
 	stat := []Attr{AttrSrcID, AttrDstID, AttrEdgeType, AttrDstDegree}
 	gs := parityGraphs(t)
 	pt := NewPartitioner()

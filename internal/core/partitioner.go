@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"wisegraph/internal/graph"
-	"wisegraph/internal/parallel"
 	"wisegraph/internal/tensor"
 )
 
@@ -13,23 +12,18 @@ import (
 //
 //   - the comparator sort.SliceStable over key columns becomes a stable
 //     LSD radix sort over the precomputed int32 columns (8- or 16-bit
-//     digits, histogram passes parallelized over fixed edge segments);
+//     digits);
 //   - the per-edge map[int32]struct{} unique trackers become epoch-stamped
 //     dense arrays: attribute values are bounded (ids by V or E, types by
 //     NumTypes, degrees by the max degree), so membership is one array
 //     read against a generation counter and "clear" is gen++.
 //
-// The greedy scan itself is split across workers on fixed segments of the
-// sorted order. Each worker scans its segment as if a task started at its
-// first position; a sequential stitch pass then repairs the seams exactly:
-// it re-scans the open task crossing each seam and, as soon as one of its
-// task closes lands on a position the segment's local scan also treated as
-// a task start, the greedy process — which is memoryless from any task
-// start — is provably identical from there on, so the rest of the
-// segment's local boundaries and unique counts are adopted wholesale.
-// The result is byte-identical to the sequential specification the tests
-// keep (PartitionGraphReference in reference_test.go) for every plan and
-// worker count (see partition_parity_test.go).
+// The pass itself is sequential: one radix sort, one greedy scan. The
+// parallelism is its callers' — joint.Search over candidate plans, the
+// sampled-training pipeline and the serving workers over subgraphs — each
+// with a Partitioner of its own. The result is byte-identical to the
+// sequential specification the tests keep (PartitionGraphReference in
+// reference_test.go) for every plan (see partition_parity_test.go).
 //
 // All scratch ([]int32 columns, radix histograms, stamp arrays) comes from
 // internal/tensor's int32 recycle pool. A Partitioner retains it between
@@ -42,7 +36,7 @@ import (
 type Partitioner struct {
 	cols [][]int32 // sort-key value columns
 	tmp  []int32   // radix ping-pong buffer
-	hist []int32   // radix histograms (per-segment concatenated)
+	hist []int32   // radix histogram
 
 	// Persistent stamp arrays with monotonically increasing generations:
 	// a value is "in the current task" iff stamps[v] == gen. Generations
@@ -83,11 +77,9 @@ func (pt *Partitioner) Partition(g *graph.Graph, plan GraphPlan, statAttrs []Att
 	key := sortKey(plan)
 
 	order := make([]int32, e)
-	parallel.ForRange(e, 1<<15, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			order[i] = int32(i)
-		}
-	})
+	for i := range order {
+		order[i] = int32(i)
+	}
 
 	// Materialize key columns once (they feed both the sort and the scan)
 	// and radix-sort the identity order into the plan's edge order.
@@ -100,12 +92,9 @@ func (pt *Partitioner) Partition(g *graph.Graph, plan GraphPlan, statAttrs []Att
 				pt.cols = append(pt.cols, tensor.GetI32(e))
 			}
 			col := pt.cols[i]
-			attr := a
-			parallel.ForRange(e, 1<<14, func(lo, hi int) {
-				for ei := lo; ei < hi; ei++ {
-					col[ei] = reader.Value(attr, ei)
-				}
-			})
+			for ei := range col {
+				col[ei] = reader.Value(a, ei)
+			}
 			colOf[a] = col
 		}
 		pt.radixSort(order, pt.cols[:len(key)])
@@ -205,21 +194,7 @@ const (
 	radixBitsLarge  = 16
 	radixBitsSmall  = 8
 	radixSmallLimit = 1 << 14 // below this, 8-bit digits beat histogram cost
-	segMinEdges     = 1 << 14 // minimum edges per parallel segment
 )
-
-// segmentsFor picks a fixed segment count for e items: bounded by the
-// worker cap and by a minimum per-segment size.
-func segmentsFor(e int) int {
-	s := parallel.MaxWorkers()
-	if m := e / segMinEdges; m < s {
-		s = m
-	}
-	if s < 1 {
-		s = 1
-	}
-	return s
-}
 
 // radixSort stably sorts order by the concatenated columns (first column
 // most significant; ties keep the current — identity — order, matching
@@ -251,70 +226,26 @@ func (pt *Partitioner) radixSort(order []int32, cols [][]int32) {
 }
 
 // countingPass scatters src into dst ordered stably by the digit
-// (col[x]>>shift)&(radix-1). Large inputs histogram and scatter in
-// parallel over fixed segments; the per-(segment, digit) slot ranges are
-// disjoint and ordered segment-major, so the output is identical to the
-// sequential pass for any worker count.
+// (col[x]>>shift)&(radix-1).
 func (pt *Partitioner) countingPass(src, dst, col []int32, shift uint, radix int) {
-	e := len(src)
 	mask := int32(radix - 1)
-	segs := segmentsFor(e)
-	if segs <= 1 {
-		pt.hist = growI32(pt.hist, radix)
-		hist := pt.hist
-		clear(hist)
-		for _, x := range src {
-			hist[(col[x]>>shift)&mask]++
-		}
-		run := int32(0)
-		for d := range hist {
-			c := hist[d]
-			hist[d] = run
-			run += c
-		}
-		for _, x := range src {
-			d := (col[x] >> shift) & mask
-			dst[hist[d]] = x
-			hist[d]++
-		}
-		return
-	}
-	per := (e + segs - 1) / segs
-	segs = (e + per - 1) / per // re-derive so the last segment is non-empty
-	pt.hist = growI32(pt.hist, segs*radix)
+	pt.hist = growI32(pt.hist, radix)
 	hist := pt.hist
 	clear(hist)
-	parallel.For(segs, 1, func(s int) {
-		h := hist[s*radix : (s+1)*radix]
-		lo, hi := s*per, (s+1)*per
-		if hi > e {
-			hi = e
-		}
-		for _, x := range src[lo:hi] {
-			h[(col[x]>>shift)&mask]++
-		}
-	})
-	run := int32(0)
-	for d := 0; d < radix; d++ {
-		for s := 0; s < segs; s++ {
-			i := s*radix + d
-			c := hist[i]
-			hist[i] = run
-			run += c
-		}
+	for _, x := range src {
+		hist[(col[x]>>shift)&mask]++
 	}
-	parallel.For(segs, 1, func(s int) {
-		h := hist[s*radix : (s+1)*radix]
-		lo, hi := s*per, (s+1)*per
-		if hi > e {
-			hi = e
-		}
-		for _, x := range src[lo:hi] {
-			d := (col[x] >> shift) & mask
-			dst[h[d]] = x
-			h[d]++
-		}
-	})
+	run := int32(0)
+	for d := range hist {
+		c := hist[d]
+		hist[d] = run
+		run += c
+	}
+	for _, x := range src {
+		d := (col[x] >> shift) & mask
+		dst[hist[d]] = x
+		hist[d]++
+	}
 }
 
 // ---- greedy scan ----
@@ -337,7 +268,7 @@ func (t *scanTrack) value(reader *AttrReader, edge int32) int32 {
 	return reader.Value(t.attr, int(edge))
 }
 
-// scanState is one scanner's tracker set (a worker's or the stitcher's).
+// scanState is the scan's tracker set.
 type scanState struct {
 	tracks []scanTrack
 }
@@ -386,49 +317,10 @@ func (st *scanState) add(reader *AttrReader, edge int32) {
 	}
 }
 
-// segOut collects one segment's locally closed tasks: boundary positions
-// plus, per tracker, the closed task's unique count.
-type segOut struct {
-	closes []int32
-	uniq   [][]int32
-}
-
-func newSegOut(tracks int) *segOut {
-	return &segOut{uniq: make([][]int32, tracks)}
-}
-
-func (o *segOut) close(st *scanState, pos int32) {
-	o.closes = append(o.closes, pos)
-	for i := range st.tracks {
-		o.uniq[i] = append(o.uniq[i], st.tracks[i].count)
-	}
-}
-
-// scanSegment runs the greedy scan over positions [lo, hi) of order,
-// assuming a task starts at lo with st freshly reset. forceEnd closes the
-// trailing task at hi (used by the final segment, where hi is the edge
-// count — mirroring the reference's unconditional final close).
-func scanSegment(st *scanState, reader *AttrReader, order []int32, lo, hi int, forceEnd bool, out *segOut) {
-	st.newTask()
-	start := lo
-	for pos := lo; pos < hi; pos++ {
-		edge := order[pos]
-		if pos > start && st.violates(reader, edge) {
-			out.close(st, int32(pos))
-			st.newTask()
-			start = pos
-		}
-		st.add(reader, edge)
-	}
-	if forceEnd && hi > start {
-		out.close(st, int32(hi))
-	}
-}
-
-// stitchState builds a scanState over the Partitioner's persistent stamp
+// newScanState builds a scanState over the Partitioner's persistent stamp
 // buffers, growing them (zero-filled) as needed and continuing their
 // generation counters.
-func (pt *Partitioner) stitchState(cfgs []trackCfg, e int) *scanState {
+func (pt *Partitioner) newScanState(cfgs []trackCfg, e int) *scanState {
 	st := &scanState{tracks: make([]scanTrack, len(cfgs))}
 	for i, c := range cfgs {
 		t := &st.tracks[i]
@@ -460,8 +352,8 @@ func (pt *Partitioner) stitchState(cfgs []trackCfg, e int) *scanState {
 	return st
 }
 
-// saveGens persists the stitch state's generations back to the
-// Partitioner so the next call continues (never reuses) them.
+// saveGens persists the scan state's generations back to the Partitioner
+// so the next call continues (never reuses) them.
 func (pt *Partitioner) saveGens(st *scanState) {
 	for i := range st.tracks {
 		if t := &st.tracks[i]; !t.isCount {
@@ -470,34 +362,16 @@ func (pt *Partitioner) saveGens(st *scanState) {
 	}
 }
 
-// newWorkerState builds a transient scanState with pooled (zero-filled)
-// stamp buffers; release returns them.
-func newWorkerState(cfgs []trackCfg) *scanState {
-	st := &scanState{tracks: make([]scanTrack, len(cfgs))}
-	for i, c := range cfgs {
-		t := &st.tracks[i]
-		t.attr, t.limit, t.col = c.attr, c.limit, c.col
-		if c.attr == AttrEdgeID {
-			t.isCount = true
-			continue
-		}
-		t.stamps = tensor.GetI32(c.bound)
-	}
-	return st
-}
-
-func (st *scanState) release() {
-	for i := range st.tracks {
-		if t := &st.tracks[i]; !t.isCount {
-			tensor.PutI32(t.stamps)
-			t.stamps = nil
-		}
-	}
-}
-
-// scan produces the task offsets ([0, ..., e]) and per-tracker unique
-// counts for the sorted order. e must be > 0.
+// scan runs the greedy scan over the sorted order and returns the task
+// offsets ([0, ..., e]) and per-tracker unique counts: a task closes at
+// the first edge that would exceed an Exact limit, and the last task
+// closes at e. e must be > 0.
 func (pt *Partitioner) scan(reader *AttrReader, order []int32, cfgs []trackCfg, e int) ([]int32, [][]int32) {
+	st := pt.newScanState(cfgs, e)
+	defer pt.saveGens(st)
+	st.newTask()
+	uniq := make([][]int32, len(cfgs))
+
 	anyExact := false
 	for _, c := range cfgs {
 		if c.limit > 0 {
@@ -507,168 +381,41 @@ func (pt *Partitioner) scan(reader *AttrReader, order []int32, cfgs []trackCfg, 
 	}
 	if !anyExact {
 		// No Exact restriction ⇒ a single task holding every edge; the
-		// per-attribute stats are global distinct counts, computed with
-		// one stamp pass per tracker (trackers run concurrently).
-		st := pt.stitchState(cfgs, e)
-		st.newTask()
-		parallel.For(len(st.tracks), 1, func(i int) {
+		// per-attribute stats are global distinct counts, one stamp pass
+		// per tracker in edge-id order.
+		for i := range st.tracks {
 			t := &st.tracks[i]
 			if t.isCount {
 				t.count = int32(e)
-				return
-			}
-			for ei := 0; ei < e; ei++ {
-				var v int32
-				if t.col != nil {
-					v = t.col[ei]
-				} else {
-					v = reader.Value(t.attr, ei)
-				}
-				if t.stamps[v] != t.gen {
-					t.stamps[v] = t.gen
-					t.count++
-				}
-			}
-		})
-		uniq := make([][]int32, len(cfgs))
-		for i := range uniq {
-			uniq[i] = []int32{st.tracks[i].count}
-		}
-		pt.saveGens(st)
-		return []int32{0, int32(e)}, uniq
-	}
-
-	segs := segmentsFor(e)
-	if segs <= 1 {
-		st := pt.stitchState(cfgs, e)
-		out := newSegOut(len(cfgs))
-		scanSegment(st, reader, order, 0, e, true, out)
-		pt.saveGens(st)
-		offsets := make([]int32, 0, len(out.closes)+1)
-		offsets = append(offsets, 0)
-		offsets = append(offsets, out.closes...)
-		return offsets, out.uniq
-	}
-
-	per := (e + segs - 1) / segs
-	segs = (e + per - 1) / per // last segment must be non-empty
-	outs := make([]*segOut, segs)
-	parallel.For(segs, 1, func(s int) {
-		lo, hi := s*per, (s+1)*per
-		if hi > e {
-			hi = e
-		}
-		st := newWorkerState(cfgs)
-		out := newSegOut(len(cfgs))
-		scanSegment(st, reader, order, lo, hi, s == segs-1, out)
-		st.release()
-		outs[s] = out
-	})
-	return pt.stitch(reader, order, cfgs, outs, per, e)
-}
-
-// stitch repairs segment seams sequentially and assembles the global
-// offsets and unique counts. A segment whose start coincides with the
-// current task start is adopted wholesale; otherwise the open task is
-// re-scanned until one of its closes lands on a position the segment's
-// local scan treated as a task start — from a shared task start the
-// greedy process is deterministic, so the segment's remaining local
-// results are exact and adopted without re-scanning.
-func (pt *Partitioner) stitch(reader *AttrReader, order []int32, cfgs []trackCfg, outs []*segOut, per, e int) ([]int32, [][]int32) {
-	st := pt.stitchState(cfgs, e)
-	offsets := []int32{0}
-	uniq := make([][]int32, len(cfgs))
-	for i := range uniq {
-		uniq[i] = []int32{}
-	}
-	adopt := func(out *segOut, from int) {
-		offsets = append(offsets, out.closes[from:]...)
-		for i := range uniq {
-			uniq[i] = append(uniq[i], out.uniq[i][from:]...)
-		}
-	}
-	closeGlobal := func(pos int32) {
-		offsets = append(offsets, pos)
-		for i := range uniq {
-			uniq[i] = append(uniq[i], st.tracks[i].count)
-		}
-	}
-
-	segs := len(outs)
-	cur := 0 // start position of the current open task
-	for s := 0; s < segs; s++ {
-		lo, hi := s*per, (s+1)*per
-		if hi > e {
-			hi = e
-		}
-		out := outs[s]
-		if cur == lo {
-			// Aligned: the local scan's assumption held exactly.
-			adopt(out, 0)
-			if n := len(out.closes); n > 0 {
-				cur = int(out.closes[n-1])
-			}
-			continue
-		}
-		// Re-scan the open task from cur; hand off to the local results at
-		// the first close that matches a local task start.
-		st.newTask()
-		start := cur
-		resynced := false
-		for pos := cur; pos < hi; pos++ {
-			edge := order[pos]
-			if pos > start && st.violates(reader, edge) {
-				p := int32(pos)
-				closeGlobal(p)
-				st.newTask()
-				start = pos
-				if pos >= lo {
-					if idx := adoptIndex(out, p, int32(lo)); idx >= 0 {
-						adopt(out, idx)
-						if len(out.closes) > idx {
-							cur = int(out.closes[len(out.closes)-1])
-						} else {
-							cur = pos
-						}
-						resynced = true
-						break
+			} else {
+				for ei := int32(0); ei < int32(e); ei++ {
+					if v := t.value(reader, ei); t.stamps[v] != t.gen {
+						t.stamps[v] = t.gen
+						t.count++
 					}
 				}
 			}
-			st.add(reader, edge)
+			uniq[i] = []int32{t.count}
 		}
-		if !resynced {
-			if s == segs-1 && hi > start {
-				closeGlobal(int32(hi))
-				start = hi
-			}
-			cur = start
-		}
+		return []int32{0, int32(e)}, uniq
 	}
-	pt.saveGens(st)
-	return offsets, uniq
-}
 
-// adoptIndex returns the index into out.closes from which the segment's
-// local results may be adopted after the stitcher closed a task at p, or
-// -1 if p is not a local task start. Local task starts are the segment's
-// first position lo (the local scan's assumption) and every local close.
-func adoptIndex(out *segOut, p, lo int32) int {
-	if p == lo {
-		return 0
-	}
-	n := len(out.closes)
-	i, j := 0, n
-	for i < j {
-		h := (i + j) / 2
-		if out.closes[h] < p {
-			i = h + 1
-		} else {
-			j = h
+	offsets := []int32{0}
+	closeTask := func(pos int) {
+		offsets = append(offsets, int32(pos))
+		for i := range st.tracks {
+			uniq[i] = append(uniq[i], st.tracks[i].count)
 		}
 	}
-	if i < n && out.closes[i] == p {
-		return i + 1
+	start := 0
+	for pos, edge := range order {
+		if pos > start && st.violates(reader, edge) {
+			closeTask(pos)
+			st.newTask()
+			start = pos
+		}
+		st.add(reader, edge)
 	}
-	return -1
+	closeTask(e)
+	return offsets, uniq
 }

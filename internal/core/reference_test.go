@@ -9,8 +9,8 @@ import (
 // PartitionGraphReference is the retained sequential implementation of
 // PartitionGraph: comparator-based stable sort over the key columns and
 // hash-map unique trackers. It is the semantic specification the
-// optimized partitioner (radix sort + epoch-stamped dense trackers +
-// segmented scan, see partitioner.go) must reproduce byte-for-byte; the
+// optimized partitioner (radix sort + epoch-stamped dense trackers, see
+// partitioner.go) must reproduce byte-for-byte; the
 // parity property suite and the before/after benchmarks run it, nothing
 // on the hot path does.
 func PartitionGraphReference(g *graph.Graph, plan GraphPlan, statAttrs []Attr) *Partition {

@@ -7,9 +7,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-
-	"wisegraph/internal/parallel"
-	"wisegraph/internal/tensor"
 )
 
 // Graph is a directed multigraph in COO form. Edges point src → dst;
@@ -88,47 +85,11 @@ func (g *Graph) OutDegrees() []int32 {
 	return g.outDeg
 }
 
-// parallelThreshold is the edge count below which the preprocessing
-// passes stay sequential: segmented counting needs a per-worker count
-// array of V int32s, which only pays off on large graphs.
-const parallelThreshold = 1 << 15
-
-// countEndpoints histograms ids (all in [0, v)) into a fresh array. Large
-// inputs count per-worker segments into scratch arrays and merge; the
-// merge sums fixed per-segment slots, so the result is independent of the
-// worker count.
+// countEndpoints histograms ids (all in [0, v)) into a fresh array.
 func countEndpoints(ids []int32, v int) []int32 {
 	d := make([]int32, v)
-	segs := parallel.Workers(len(ids), parallelThreshold)
-	if len(ids) < parallelThreshold || segs <= 1 {
-		for _, x := range ids {
-			d[x]++
-		}
-		return d
-	}
-	locals := make([][]int32, segs)
-	per := (len(ids) + segs - 1) / segs
-	parallel.For(segs, 1, func(s int) {
-		lo := s * per
-		hi := lo + per
-		if hi > len(ids) {
-			hi = len(ids)
-		}
-		loc := tensor.GetI32(v)
-		for _, x := range ids[lo:hi] {
-			loc[x]++
-		}
-		locals[s] = loc
-	})
-	parallel.ForRange(v, 1<<14, func(lo, hi int) {
-		for _, loc := range locals {
-			for i := lo; i < hi; i++ {
-				d[i] += loc[i]
-			}
-		}
-	})
-	for _, loc := range locals {
-		tensor.PutI32(loc)
+	for _, x := range ids {
+		d[x]++
 	}
 	return d
 }
@@ -167,10 +128,7 @@ type CSR struct {
 }
 
 // BuildCSRByDst groups edges by destination via counting sort: O(V+E),
-// stable in original edge order within each destination. Large graphs
-// run the count and scatter passes across workers on fixed edge
-// segments; per-(segment, destination) slot ranges are disjoint, so the
-// output is byte-identical to the sequential pass for any worker count.
+// stable in original edge order within each destination.
 func (g *Graph) BuildCSRByDst() *CSR {
 	e := len(g.Src)
 	col := make([]int32, e)
@@ -179,84 +137,20 @@ func (g *Graph) BuildCSRByDst() *CSR {
 	if g.Type != nil {
 		et = make([]int32, e)
 	}
-	segs := parallel.Workers(e, parallelThreshold)
-	if e < parallelThreshold || segs <= 1 {
-		deg := g.InDegrees()
-		rowPtr := make([]int32, g.NumVertices+1)
-		for v, d := range deg {
-			rowPtr[v+1] = rowPtr[v] + d
-		}
-		next := append([]int32(nil), rowPtr[:g.NumVertices]...)
-		for i := range g.Src {
-			d := g.Dst[i]
-			slot := next[d]
-			next[d]++
-			col[slot] = g.Src[i]
-			eid[slot] = int32(i)
-			if et != nil {
-				et[slot] = g.Type[i]
-			}
-		}
-		return &CSR{RowPtr: rowPtr, Col: col, EType: et, EdgeID: eid}
+	rowPtr := make([]int32, g.NumVertices+1)
+	for v, d := range g.InDegrees() {
+		rowPtr[v+1] = rowPtr[v] + d
 	}
-
-	v := g.NumVertices
-	per := (e + segs - 1) / segs
-	// Per-segment destination histograms.
-	counts := make([][]int32, segs)
-	parallel.For(segs, 1, func(s int) {
-		lo := s * per
-		hi := lo + per
-		if hi > e {
-			hi = e
+	next := append([]int32(nil), rowPtr[:g.NumVertices]...)
+	for i := range g.Src {
+		d := g.Dst[i]
+		slot := next[d]
+		next[d]++
+		col[slot] = g.Src[i]
+		eid[slot] = int32(i)
+		if et != nil {
+			et[slot] = g.Type[i]
 		}
-		loc := tensor.GetI32(v)
-		for _, d := range g.Dst[lo:hi] {
-			loc[d]++
-		}
-		counts[s] = loc
-	})
-	// Row pointers from the summed histograms, then per-segment start
-	// slots: segment s writes destination d at counts[s][d] (rewritten in
-	// place from count to cursor), giving original edge order within d.
-	rowPtr := make([]int32, v+1)
-	for d := 0; d < v; d++ {
-		total := int32(0)
-		for _, loc := range counts {
-			total += loc[d]
-		}
-		rowPtr[d+1] = rowPtr[d] + total
-	}
-	parallel.ForRange(v, 1<<14, func(dlo, dhi int) {
-		for d := dlo; d < dhi; d++ {
-			run := rowPtr[d]
-			for _, loc := range counts {
-				c := loc[d]
-				loc[d] = run
-				run += c
-			}
-		}
-	})
-	parallel.For(segs, 1, func(s int) {
-		lo := s * per
-		hi := lo + per
-		if hi > e {
-			hi = e
-		}
-		cur := counts[s]
-		for i := lo; i < hi; i++ {
-			d := g.Dst[i]
-			slot := cur[d]
-			cur[d]++
-			col[slot] = g.Src[i]
-			eid[slot] = int32(i)
-			if et != nil {
-				et[slot] = g.Type[i]
-			}
-		}
-	})
-	for _, loc := range counts {
-		tensor.PutI32(loc)
 	}
 	return &CSR{RowPtr: rowPtr, Col: col, EType: et, EdgeID: eid}
 }

@@ -5,12 +5,10 @@ import (
 	"sync"
 	"testing"
 
-	"wisegraph/internal/parallel"
 	"wisegraph/internal/tensor"
 )
 
-// randomGraph builds a typed random graph big enough to cross the
-// parallel-preprocessing threshold.
+// randomGraph builds a typed random graph.
 func randomGraph(v, e int, seed uint64) *Graph {
 	rng := tensor.NewRNG(seed)
 	g := &Graph{NumVertices: v, NumTypes: 4}
@@ -53,41 +51,6 @@ func TestDegreeCachesConcurrent(t *testing.T) {
 	for i := 3; i < len(results); i += 2 {
 		if !reflect.DeepEqual(results[i], results[1]) {
 			t.Fatal("concurrent OutDegrees calls disagreed")
-		}
-	}
-}
-
-// TestPreprocessParityAcrossWorkers checks that the parallel degree-count
-// and CSR-build paths produce byte-identical results for any worker
-// count (including the sequential path at 1 worker).
-func TestPreprocessParityAcrossWorkers(t *testing.T) {
-	defer parallel.SetMaxWorkers(parallel.MaxWorkers())
-	// 70000 edges crosses parallelThreshold (1<<15) with several segments.
-	for _, gr := range []*Graph{
-		randomGraph(2000, 70000, 2),
-		randomGraph(50, 40000, 3), // heavy collision load per vertex
-		{NumVertices: 3, NumTypes: 1, Src: []int32{0, 1}, Dst: []int32{2, 2}},
-	} {
-		parallel.SetMaxWorkers(1)
-		wantIn := append([]int32(nil), gr.InDegrees()...)
-		wantOut := append([]int32(nil), gr.OutDegrees()...)
-		wantCSR := gr.BuildCSRByDst()
-		for _, w := range []int{2, 3, 8} {
-			parallel.SetMaxWorkers(w)
-			gr.invalidateCaches()
-			if !reflect.DeepEqual(gr.InDegrees(), wantIn) {
-				t.Fatalf("workers=%d: InDegrees diverged", w)
-			}
-			if !reflect.DeepEqual(gr.OutDegrees(), wantOut) {
-				t.Fatalf("workers=%d: OutDegrees diverged", w)
-			}
-			csr := gr.BuildCSRByDst()
-			if !reflect.DeepEqual(csr.RowPtr, wantCSR.RowPtr) ||
-				!reflect.DeepEqual(csr.Col, wantCSR.Col) ||
-				!reflect.DeepEqual(csr.EType, wantCSR.EType) ||
-				!reflect.DeepEqual(csr.EdgeID, wantCSR.EdgeID) {
-				t.Fatalf("workers=%d: CSR diverged", w)
-			}
 		}
 	}
 }

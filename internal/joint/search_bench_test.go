@@ -8,7 +8,6 @@ import (
 	"wisegraph/internal/device"
 	"wisegraph/internal/graph/gen"
 	"wisegraph/internal/nn"
-	"wisegraph/internal/parallel"
 )
 
 // BenchmarkJointSearch measures a full three-stage search on a typed
@@ -26,11 +25,11 @@ func BenchmarkJointSearch(b *testing.B) {
 	if n := runtime.NumCPU(); n > 1 {
 		workers = append(workers, n)
 	}
-	defer parallel.SetMaxWorkers(parallel.MaxWorkers())
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, kind := range []nn.ModelKind{nn.RGCN, nn.GCN} {
 		for _, w := range workers {
 			b.Run(fmt.Sprintf("%v/workers=%d", kind, w), func(b *testing.B) {
-				parallel.SetMaxWorkers(w)
+				runtime.GOMAXPROCS(w)
 				for i := 0; i < b.N; i++ {
 					Search(g, kind, 64, 64, 4, Options{Spec: device.A100()})
 				}

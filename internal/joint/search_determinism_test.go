@@ -2,11 +2,11 @@ package joint
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"wisegraph/internal/device"
 	"wisegraph/internal/nn"
-	"wisegraph/internal/parallel"
 )
 
 // TestSearchDeterministicAcrossWorkerCounts runs the same search under
@@ -14,13 +14,13 @@ import (
 // candidate evaluation is concurrent, but the replay that builds the
 // trace, incumbent and counters is sequential in enumeration order.
 func TestSearchDeterministicAcrossWorkerCounts(t *testing.T) {
-	defer parallel.SetMaxWorkers(parallel.MaxWorkers())
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	g := skewedGraph(9)
 	for _, kind := range []nn.ModelKind{nn.RGCN, nn.GCN, nn.SAGELSTM} {
-		parallel.SetMaxWorkers(1)
+		runtime.GOMAXPROCS(1)
 		want := Search(g, kind, 32, 32, 4, Options{Spec: device.A100()})
 		for _, w := range []int{2, 4, 8} {
-			parallel.SetMaxWorkers(w)
+			runtime.GOMAXPROCS(w)
 			got := Search(g, kind, 32, 32, 4, Options{Spec: device.A100()})
 			if got.GraphPlan.String() != want.GraphPlan.String() {
 				t.Fatalf("%v workers=%d: plan %v, want %v", kind, w, got.GraphPlan, want.GraphPlan)

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -10,7 +11,6 @@ import (
 	"wisegraph/internal/device"
 	"wisegraph/internal/exec"
 	"wisegraph/internal/nn"
-	"wisegraph/internal/parallel"
 	"wisegraph/internal/tensor"
 )
 
@@ -137,8 +137,8 @@ func TestRunWalkAddsInEdgeWalkOrder(t *testing.T) {
 // count and returns a private copy of the logits.
 func runEngine(t *testing.T, engine string, workers int, gc *nn.GraphCtx, m *nn.Model, x *tensor.Tensor, part *core.Partition, op Plan) []float32 {
 	t.Helper()
-	old := parallel.SetMaxWorkers(workers)
-	defer parallel.SetMaxWorkers(old)
+	old := runtime.GOMAXPROCS(workers)
+	defer runtime.GOMAXPROCS(old)
 	ctx := exec.NewCtx(device.New(device.A100()))
 	ctx.Engine = engine
 	got, err := RunModel(ctx, gc, m, x, part, op)

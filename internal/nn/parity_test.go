@@ -2,10 +2,10 @@ package nn
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"wisegraph/internal/graph/gen"
-	"wisegraph/internal/parallel"
 	"wisegraph/internal/tensor"
 )
 
@@ -15,8 +15,8 @@ import (
 
 func parityWorkers(t *testing.T, n int, fn func()) {
 	t.Helper()
-	old := parallel.SetMaxWorkers(n)
-	defer parallel.SetMaxWorkers(old)
+	old := runtime.GOMAXPROCS(n)
+	defer runtime.GOMAXPROCS(old)
 	fn()
 }
 

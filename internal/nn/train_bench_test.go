@@ -1,10 +1,10 @@
 package nn
 
 import (
+	"runtime"
 	"testing"
 
 	"wisegraph/internal/graph/gen"
-	"wisegraph/internal/parallel"
 	"wisegraph/internal/tensor"
 )
 
@@ -14,8 +14,8 @@ import (
 // pooling work: steady-state training should approach zero allocations
 // per iteration. Numbers recorded in EXPERIMENTS.md.
 func BenchmarkTrainStep(b *testing.B) {
-	old := benchSetWorkers(4)
-	b.Cleanup(func() { benchSetWorkers(old) })
+	old := runtime.GOMAXPROCS(4)
+	b.Cleanup(func() { runtime.GOMAXPROCS(old) })
 	res := gen.Generate(gen.Config{
 		NumVertices: 2000, NumEdges: 30000,
 		Kind: gen.PowerLaw, Skew: 1.0,
@@ -50,8 +50,4 @@ func BenchmarkTrainStep(b *testing.B) {
 			}
 		})
 	}
-}
-
-func benchSetWorkers(n int) int {
-	return parallel.SetMaxWorkers(n)
 }

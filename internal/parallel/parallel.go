@@ -7,32 +7,13 @@
 // of small parallel regions pays no spawn cost on any of them.
 package parallel
 
-import (
-	"runtime"
-	"sync/atomic"
-)
+import "runtime"
 
-// maxWorkers is the target number of workers used by For/ForRange,
-// accessed atomically so tests and the bench harness can pin it for
-// reproducible scaling curves while other goroutines run loops.
-var maxWorkers atomic.Int64
-
-func init() {
-	maxWorkers.Store(int64(runtime.GOMAXPROCS(0)))
-}
-
-// MaxWorkers returns the current worker-count cap.
-func MaxWorkers() int { return int(maxWorkers.Load()) }
-
-// SetMaxWorkers sets the worker-count cap (clamped to ≥ 1) and returns
-// the previous value. Safe for concurrent use; loops already in flight
-// keep the worker count they started with.
-func SetMaxWorkers(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	return int(maxWorkers.Swap(int64(n)))
-}
+// MaxWorkers returns the worker count a loop may use: the number of Ps
+// the runtime schedules goroutines on, read when the loop starts. The
+// runtime owns the number (GOMAXPROCS, by environment or by call), so a
+// process that narrows itself is narrow here too.
+func MaxWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // For runs fn(i) for every i in [0, n) across up to MaxWorkers workers.
 // grain is the minimum number of iterations per task; use a larger grain
@@ -58,19 +39,12 @@ func ForRange(n, grain int, fn func(lo, hi int)) {
 	if grain < 1 {
 		grain = 1
 	}
-	workers := MaxWorkers()
-	if workers < 1 {
-		workers = 1
-	}
-	chunks := (n + grain - 1) / grain
-	if chunks < workers {
-		workers = chunks
-	}
+	workers := Workers(n, grain)
 	if workers == 1 {
 		fn(0, n)
 		return
 	}
-	runOnPool(n, grain, chunks, workers-1, fn)
+	runOnPool(n, grain, (n+grain-1)/grain, workers-1, fn)
 }
 
 // Workers reports the effective worker count For would use for n
@@ -83,9 +57,6 @@ func Workers(n, grain int) int {
 		grain = 1
 	}
 	w := MaxWorkers()
-	if w < 1 {
-		w = 1
-	}
 	chunks := (n + grain - 1) / grain
 	if chunks < w {
 		w = chunks

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -32,9 +33,16 @@ func TestForRangeCoversExactly(t *testing.T) {
 	}
 }
 
+// pinProcs sets GOMAXPROCS — the one owner of the worker count — for the
+// rest of the test and restores it on exit.
+func pinProcs(t *testing.T, n int) {
+	t.Helper()
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
 func TestForRangeSingleWorkerPath(t *testing.T) {
-	old := SetMaxWorkers(1)
-	defer SetMaxWorkers(old)
+	pinProcs(t, 1)
 	sum := 0 // no atomics needed: single worker
 	ForRange(100, 10, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -75,9 +83,39 @@ func TestPropParallelSum(t *testing.T) {
 	}
 }
 
+// The worker count is the runtime's, read when the loop starts: a process
+// that narrows itself to one P after package init (the benchmark does, in
+// main) must get the sequential path — one call over the whole range, no
+// pool job — and not an init-time snapshot of the box's vCPU count.
+func TestWidthFollowsGOMAXPROCS(t *testing.T) {
+	pinProcs(t, 4)
+	if w := Workers(1<<20, 1); w != 4 {
+		t.Fatalf("GOMAXPROCS=4: Workers = %d, want 4", w)
+	}
+	runtime.GOMAXPROCS(1)
+	if w := Workers(1<<20, 1); w != 1 {
+		t.Fatalf("GOMAXPROCS=1: Workers = %d, want 1", w)
+	}
+	queued := len(pool.tasks)
+	calls := 0
+	ForRange(1<<20, 1, func(lo, hi int) {
+		calls++
+		if lo != 0 || hi != 1<<20 {
+			t.Errorf("chunk [%d,%d), want the whole range", lo, hi)
+		}
+		// Idle helpers may still be draining jobs of earlier loops, so the
+		// queue can shrink; a one-worker loop must not grow it.
+		if n := len(pool.tasks); n > queued {
+			t.Errorf("%d pool jobs queued during a one-worker loop, was %d before it", n, queued)
+		}
+	})
+	if calls != 1 {
+		t.Fatalf("fn called %d times, want 1", calls)
+	}
+}
+
 func TestForRangeMultiWorkerPath(t *testing.T) {
-	old := SetMaxWorkers(4)
-	defer SetMaxWorkers(old)
+	pinProcs(t, 4)
 	n := 997
 	var total int64
 	seen := make([]int32, n)

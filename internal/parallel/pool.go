@@ -46,7 +46,7 @@ func (j *job) run() {
 }
 
 // poolCap bounds the number of pool goroutines. Idle workers cost only a
-// blocked goroutine, but a runaway SetMaxWorkers should not spawn
+// blocked goroutine, but a runaway GOMAXPROCS should not spawn
 // unboundedly.
 const poolCap = 256
 

@@ -9,8 +9,7 @@ import (
 // Nested parallel loops must complete (chunk-counted completion means the
 // caller is self-sufficient even if every pool worker is busy).
 func TestNestedForRange(t *testing.T) {
-	old := SetMaxWorkers(4)
-	defer SetMaxWorkers(old)
+	pinProcs(t, 4)
 	const outer, inner = 37, 53
 	var total int64
 	For(outer, 1, func(i int) {
@@ -25,8 +24,7 @@ func TestNestedForRange(t *testing.T) {
 
 // Deeply nested loops from many concurrent callers must not deadlock.
 func TestConcurrentCallersWithNesting(t *testing.T) {
-	old := SetMaxWorkers(3)
-	defer SetMaxWorkers(old)
+	pinProcs(t, 3)
 	var wg sync.WaitGroup
 	var total int64
 	for g := 0; g < 8; g++ {
@@ -46,43 +44,10 @@ func TestConcurrentCallersWithNesting(t *testing.T) {
 	}
 }
 
-// SetMaxWorkers must be safe to call while loops are running (the race
-// detector verifies no torn reads).
-func TestSetMaxWorkersConcurrent(t *testing.T) {
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 1; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-				SetMaxWorkers(1 + i%8)
-			}
-		}
-	}()
-	var total int64
-	for rep := 0; rep < 50; rep++ {
-		For(200, 3, func(i int) { atomic.AddInt64(&total, 1) })
-	}
-	close(stop)
-	wg.Wait()
-	if total != 50*200 {
-		t.Fatalf("ran %d of %d bodies", total, 50*200)
-	}
-	if SetMaxWorkers(4) < 1 {
-		t.Fatal("MaxWorkers fell below 1")
-	}
-	SetMaxWorkers(MaxWorkers())
-}
-
 // The pool must respect grain boundaries and cover every index exactly
 // once under a worker count far above GOMAXPROCS.
 func TestManyWorkersOversubscribed(t *testing.T) {
-	old := SetMaxWorkers(64)
-	defer SetMaxWorkers(old)
+	pinProcs(t, 64)
 	n := 10007
 	seen := make([]int32, n)
 	ForRange(n, 11, func(lo, hi int) {

@@ -2,9 +2,8 @@ package tensor
 
 import (
 	"math"
+	"runtime"
 	"testing"
-
-	"wisegraph/internal/parallel"
 )
 
 // Allocation-tracking benchmarks for the hot-path kernels. The workloads
@@ -17,8 +16,8 @@ import (
 // the parallel code paths run even on single-core CI machines.
 func benchWorkers(b *testing.B, n int) {
 	b.Helper()
-	old := setWorkersForTest(n)
-	b.Cleanup(func() { setWorkersForTest(old) })
+	old := runtime.GOMAXPROCS(n)
+	b.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }
 
 // powerLawIdx draws n destination indices in [0, rows) with a power-law
@@ -92,8 +91,4 @@ func BenchmarkSegmentSum(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		SegmentSum(dst, src, offsets)
 	}
-}
-
-func setWorkersForTest(n int) int {
-	return parallel.SetMaxWorkers(n)
 }

@@ -67,14 +67,14 @@ func BinRows(reuse *Bins, idx []int32, rows, shards int) *Bins {
 	for s := 0; s < shards; s++ {
 		counts[s+1] += counts[s]
 	}
-	next := getInt32(shards)
+	next := GetI32(shards)
 	copy(next, counts[:shards])
 	for i, ix := range idx {
 		s := ix / per
 		b.order[next[s]] = int32(i)
 		next[s]++
 	}
-	putInt32(next)
+	PutI32(next)
 	return b
 }
 
@@ -85,23 +85,6 @@ func growInt32(s []int32, n int) []int32 {
 		return s[:n]
 	}
 	return make([]int32, n)
-}
-
-// int32Pool recycles scratch index slices across scatter calls so the
-// binned path allocates nothing in steady state.
-var int32Pool = sync.Pool{New: func() any { s := make([]int32, 0, 1024); return &s }}
-
-func getInt32(n int) []int32 {
-	p := int32Pool.Get().(*[]int32)
-	if cap(*p) < n {
-		*p = make([]int32, n)
-	}
-	return (*p)[:n]
-}
-
-func putInt32(s []int32) {
-	s = s[:0]
-	int32Pool.Put(&s)
 }
 
 // binsPool recycles whole Bins values for scatter calls that cannot keep

@@ -231,8 +231,8 @@ func CrossEntropy(logits *Tensor, labels []int32, mask []int32, grad *Tensor) fl
 	}
 	inv := float32(1) / float32(len(rows))
 	var loss float64
-	probs := getFloat32(c)
-	defer putFloat32(probs)
+	probs := getStorage(c)
+	defer putStorage(probs)
 	for _, ri := range rows {
 		row := logits.data[int(ri)*c : (int(ri)+1)*c]
 		softmaxInto(probs, row)

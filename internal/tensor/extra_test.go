@@ -2,19 +2,18 @@ package tensor
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
-
-	"wisegraph/internal/parallel"
 )
 
 // withWorkers forces a worker count so the parallel code paths execute
 // even on single-core machines.
 func withWorkers(t *testing.T, n int, fn func()) {
 	t.Helper()
-	old := parallel.SetMaxWorkers(n)
-	defer parallel.SetMaxWorkers(old)
+	old := runtime.GOMAXPROCS(n)
+	defer runtime.GOMAXPROCS(old)
 	fn()
 }
 

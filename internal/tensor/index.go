@@ -155,7 +155,7 @@ func Scatter2DAdd(dst, src *Tensor, ri, ci []int32) {
 		return
 	}
 	// Flatten (row, col) into bucket ids, then bin as 1-D destinations.
-	buckets := getInt32(len(ri))
+	buckets := GetI32(len(ri))
 	for i := range ri {
 		buckets[i] = ri[i]*int32(c) + ci[i]
 	}
@@ -168,7 +168,7 @@ func Scatter2DAdd(dst, src *Tensor, ri, ci []int32) {
 		}
 	})
 	binsPool.Put(bins)
-	putInt32(buckets)
+	PutI32(buckets)
 }
 
 // CountsToOffsets converts per-segment counts into an offsets array of

@@ -122,19 +122,3 @@ func PutI32(s []int32) {
 	d := s[:0]
 	i32BucketPool[b].Put(&d)
 }
-
-// float32Pool recycles small scratch slices (softmax probabilities etc.).
-var float32Pool = sync.Pool{New: func() any { s := make([]float32, 0, 256); return &s }}
-
-func getFloat32(n int) []float32 {
-	p := float32Pool.Get().(*[]float32)
-	if cap(*p) < n {
-		*p = make([]float32, n)
-	}
-	return (*p)[:n]
-}
-
-func putFloat32(s []float32) {
-	s = s[:0]
-	float32Pool.Put(&s)
-}

@@ -75,7 +75,10 @@ func (r *RNG) Fork(stream uint64) *RNG {
 func Uniform(t *Tensor, rng *RNG, lo, hi float32) *Tensor {
 	span := hi - lo
 	for i := range t.data {
-		t.data[i] = lo + span*rng.Float32()
+		// The conversion rounds the product before the add, so arm64 cannot
+		// fuse the two into one FMADD and initial weights are the same bits
+		// on every architecture (as in kernel.go).
+		t.data[i] = lo + float32(span*rng.Float32())
 	}
 	return t
 }

@@ -54,7 +54,6 @@ func NewPipeline(s *Sampled, plan *joint.Result, workers, depth int) *Pipeline {
 		p.Close()
 		return p
 	}
-	csr := s.DS.Graph.BuildCSRByDst()
 	for w := 0; w < workers; w++ {
 		p.wg.Add(1)
 		go func(w int) {
@@ -71,7 +70,7 @@ func NewPipeline(s *Sampled, plan *joint.Result, workers, depth int) *Pipeline {
 				}
 				id := obs.NewID()
 				sp := obs.Begin(obs.StageSample, id)
-				sub := graph.NeighborSample(s.DS.Graph, csr, seeds, s.Fanouts, rng)
+				sub := graph.NeighborSample(s.DS.Graph, s.csr, seeds, s.Fanouts, rng)
 				sp.End()
 				sp = obs.Begin(obs.StagePartition, id)
 				part := ReusePlanWith(pt, plan, sub.Graph)

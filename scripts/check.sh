@@ -17,6 +17,17 @@ go build ./...
 echo "== GOARCH=arm64 go vet + go build (generic kernel path)"
 GOOS=linux GOARCH=arm64 go vet ./...
 GOOS=linux GOARCH=arm64 go build ./...
+# Initial weights must be the same bits on every architecture (shard.ParamSum
+# compares them at the Hello handshake), so arm64 must not fuse the multiply
+# and the add of tensor.Uniform into one FMADD.
+UNIFORM_ASM="${TMPDIR:-/tmp}/uniform_arm64.s"
+GOOS=linux GOARCH=arm64 go build -gcflags=-S ./internal/tensor 2>&1 |
+  awk '/^wisegraph\/internal\/tensor\.Uniform STEXT/ { on = 1 } on && / STEXT / && !/tensor\.Uniform STEXT/ { on = 0 } on' \
+  >"$UNIFORM_ASM"
+[ -s "$UNIFORM_ASM" ] || { echo "FAIL: no arm64 listing of tensor.Uniform"; exit 1; }
+if grep -E 'FN?MADD|FN?MSUB' "$UNIFORM_ASM"; then
+  echo "FAIL: arm64 fuses a multiply-add in tensor.Uniform"; exit 1
+fi
 
 echo "== go test -race ./... (all but ./benchmark)"
 # internal/bench runs ~24s without the race detector; the ~15-20x race
@@ -30,30 +41,28 @@ go test -race -timeout 30m $(go list ./... | grep -v '/benchmark$')
 echo "== go test ./benchmark"
 go test -count=1 ./benchmark
 
-NPROC="$(getconf _NPROCESSORS_ONLN)"
+# The race pass above ran every suite at the box's own width; the steps
+# below re-run the scheduling-sensitive ones at the other extreme, one P.
 
 # run_filtered LABEL REGEX PKG...: go test -race -run REGEX over the
-# packages at both scheduler extremes. go test exits 0 with "[no tests to
-# run]" when a package matches nothing, so a renamed or deleted test would
-# silently drop out of the step; here a listed package that runs nothing
-# fails it.
+# packages at GOMAXPROCS=1. go test exits 0 with "[no tests to run]" when
+# a package matches nothing, so a renamed or deleted test would silently
+# drop out of the step; here a listed package that runs nothing fails it.
 run_filtered() {
-  local label="$1" regex="$2" procs log="${TMPDIR:-/tmp}/filtered_tests.txt"
+  local label="$1" regex="$2" log="${TMPDIR:-/tmp}/filtered_tests.txt"
   shift 2
-  for procs in 1 "$NPROC"; do
-    echo "== $label under -race (GOMAXPROCS=$procs)"
-    GOMAXPROCS="$procs" go test -race -count=1 -run "$regex" "$@" 2>&1 | tee "$log"
-    if grep -qF '[no tests to run]' "$log"; then
-      echo "FAIL: -run '$regex' matches no test in the package(s) above"
-      return 1
-    fi
-  done
+  echo "== $label under -race (GOMAXPROCS=1)"
+  GOMAXPROCS=1 go test -race -count=1 -run "$regex" "$@" 2>&1 | tee "$log"
+  if grep -qF '[no tests to run]' "$log"; then
+    echo "FAIL: -run '$regex' matches no test in the package(s) above"
+    return 1
+  fi
 }
 
-# The parallel execution substrate (radix/stamped partitioner, segmented
-# scans, concurrent joint search) must be byte-identical to the sequential
-# reference at every pool width. Re-run the parity and determinism suites
-# under the race detector at both scheduler extremes.
+# The partitioner (radix sort, stamped trackers, scratch reuse) must be
+# byte-identical to the reference for every plan, and the concurrent joint
+# search must return the same Result at every width; the determinism tests
+# set their own widths, so this leg adds the start from one P.
 run_filtered "parity/determinism" 'Parity|Determin|Reuse|Concurrent' \
   ./internal/core/ ./internal/graph/ ./internal/joint/
 
@@ -67,17 +76,15 @@ run_filtered "cross-engine parity" 'Engine' \
 # Serving is one forward — the serve engine's admission/batching/drain
 # machinery over the shard fleet's leveled forward and the shards'
 # hot-vertex caches — so its suites run together, whole, under the race
-# detector at both scheduler extremes: the serving concurrency and chaos
-# drain tests, the bitwise parity matrices (shards x replicas x engines x
-# workers, cached vs uncached, per-vertex reference), reload coherence,
-# placement/ownership/reply validation, the one RPC ladder (faults injected
-# at the conn, in-process and over sockets) and the TCP
-# transport, and the cache package's own suite.
-for procs in 1 "$NPROC"; do
-  echo "== serving, fleet and hot-vertex cache under -race (GOMAXPROCS=$procs)"
-  GOMAXPROCS="$procs" go test -race -count=1 \
-    ./internal/serve/ ./internal/shard/... ./internal/hotcache/
-done
+# detector on one P: the serving concurrency and chaos drain tests, the
+# bitwise parity matrices (shards x replicas x engines x workers, cached vs
+# uncached, per-vertex reference), reload coherence, placement/ownership/
+# reply validation, the one RPC ladder (faults injected at the conn,
+# in-process and over sockets) and the TCP transport, and the cache
+# package's own suite.
+echo "== serving, fleet and hot-vertex cache under -race (GOMAXPROCS=1)"
+GOMAXPROCS=1 go test -race -count=1 \
+  ./internal/serve/ ./internal/shard/... ./internal/hotcache/
 
 # Cached-path performance smoke (benchstat-style, min of 5): under
 # Zipf-1.2 skew the warmed cached path must beat — or at worst stay
@@ -98,18 +105,16 @@ echo "cache smoke OK"
 
 # The observability layer's lock-free tracer and histograms are written to
 # by every pipeline stage concurrently; its suite must stay clean under
-# the race detector at both scheduler extremes.
+# the race detector on one P too.
 echo "== observability under -race (GOMAXPROCS=1)"
 GOMAXPROCS=1 go test -race -count=1 ./internal/obs/
-echo "== observability under -race (GOMAXPROCS=$NPROC)"
-GOMAXPROCS="$NPROC" go test -race -count=1 ./internal/obs/
 
 # The fault-injection and resilience battery: deterministic injector, the
 # shared retry policy, distributed parity under straggler/error schedules, serving chaos drain
 # invariants, auto-checkpoint recovery, dense gradient checks. The
-# bit-identical claims must hold under the race detector at both
-# scheduler extremes — concurrency may reorder fault draws but never
-# change numerics or leak a request.
+# bit-identical claims must hold under the race detector on one P as at
+# the box's width — scheduling may reorder fault draws but never change
+# numerics or leak a request.
 run_filtered "fault/resilience battery" \
   'Fault|Chaos|Resilient|GradCheck|ParityAcross|Store|Injected|Schedule|Sequence|Rates|Jitter|Exhaustion|Retry' \
   ./internal/fault/ ./internal/retry/ ./internal/dist/ ./internal/serve/ ./internal/train/ ./internal/nn/
