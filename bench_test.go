@@ -112,7 +112,7 @@ func BenchmarkAblationPruning(b *testing.B) {
 	b.Run("pruned", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			joint.Search(ds.Graph, nn.RGCN, 64, 64, ds.Graph.NumTypes,
-				joint.Options{Spec: device.A100(), PruneFactor: 3})
+				joint.Options{Spec: device.A100()})
 		}
 	})
 }

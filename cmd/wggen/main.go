@@ -12,6 +12,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"wisegraph"
@@ -62,21 +63,16 @@ func main() {
 		g, lab = res.Graph, res.Block
 	}
 
-	w := bufio.NewWriter(os.Stdout)
+	var w io.Writer = os.Stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
 			fatal(err)
 		}
 		defer f.Close()
-		w = bufio.NewWriter(f)
+		w = f
 	}
-	fmt.Fprintf(w, "# vertices=%d edges=%d types=%d\n", g.NumVertices, g.NumEdges(), g.NumTypes)
-	fmt.Fprintln(w, "src,dst,type")
-	for i := 0; i < g.NumEdges(); i++ {
-		fmt.Fprintf(w, "%d,%d,%d\n", g.Src[i], g.Dst[i], g.EdgeType(i))
-	}
-	if err := w.Flush(); err != nil {
+	if err := g.WriteCSV(w); err != nil {
 		fatal(err)
 	}
 

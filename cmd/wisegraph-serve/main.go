@@ -64,7 +64,6 @@ func main() {
 		cacheBudget = flag.String("cache-budget", "0", "hot-vertex embedding cache budget, e.g. 64MiB (0 disables; pure performance knob — cached logits are bitwise-identical)")
 		cacheWarm   = flag.Int("cache-warm", 0, "pre-admit the top-K highest-in-degree vertices per layer at startup (0 disables)")
 		shards      = flag.Int("shards", 1, "serve through N in-process shards behind a fan-out router (>1 enables the sharded tier; cache budget becomes per-shard)")
-		placement   = flag.String("placement", "", "shard boundary policy: vertex|edge|cost (default edge)")
 		shardTmo    = flag.Duration("shard-timeout", 250*time.Millisecond, "per-shard-RPC deadline (an attempt with no reply by then is a timeout and is retried; replica hedges fire at a quarter of it)")
 		shardAddrs  = flag.String("shard-addrs", "", "comma-separated wisegraph-shard daemon addresses: serve through remote TCP shards, one per address (overrides -shards; daemons must be started with the same dataset/checkpoint flags)")
 		replicas    = flag.Int("replicas", 1, "replicas per shard span: reads fail over and hedge across them (with -shard-addrs, the list groups into R-way replica sets, all replicas of span 0 first)")
@@ -104,19 +103,18 @@ func main() {
 		fatal(fmt.Errorf("-cache-budget: %w", err))
 	}
 	opts := serve.Options{
-		Workers:        *workers,
-		BatchCap:       *batchCap,
-		BatchDelay:     *batchDelay,
-		QueueDepth:     *queueDepth,
-		Deadline:       *deadline,
-		Engine:         *engineName,
-		Seed:           *seed,
-		CacheBudget:    budget,
-		CacheWarm:      *cacheWarm,
-		Shards:         *shards,
-		Replicas:       *replicas,
-		ShardPlacement: *placement,
-		ShardTimeout:   *shardTmo,
+		Workers:      *workers,
+		BatchCap:     *batchCap,
+		BatchDelay:   *batchDelay,
+		QueueDepth:   *queueDepth,
+		Deadline:     *deadline,
+		Engine:       *engineName,
+		Seed:         *seed,
+		CacheBudget:  budget,
+		CacheWarm:    *cacheWarm,
+		Shards:       *shards,
+		Replicas:     *replicas,
+		ShardTimeout: *shardTmo,
 	}
 	if *shardAddrs != "" {
 		for _, a := range strings.Split(*shardAddrs, ",") {
@@ -157,11 +155,11 @@ func main() {
 			scope = " per shard"
 		}
 		fmt.Printf("hot-vertex cache: budget %s%s, %d layers cached per vertex\n",
-			*cacheBudget, scope, m.Cfg.Layers+1)
+			*cacheBudget, scope, m.Cfg.Layers)
 	}
 	fl := engine.Fleet()
-	fmt.Printf("sharded tier: %d shards x %d replicas (%s placement), bounds %v, rpc timeout %v\n",
-		fl.Size(), fl.Replicas(), fl.Placement(), fl.Bounds(), *shardTmo)
+	fmt.Printf("sharded tier: %d shards x %d replicas, bounds %v, rpc timeout %v\n",
+		fl.Size(), fl.Replicas(), fl.Bounds(), *shardTmo)
 	if *cacheWarm > 0 {
 		st := engine.Stats()
 		fmt.Printf("cache warm-up: top %d vertices pre-admitted (%d entries, %d bytes resident)\n",

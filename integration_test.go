@@ -7,11 +7,10 @@ import (
 
 	"wisegraph/internal/core"
 	"wisegraph/internal/joint"
-	"wisegraph/internal/train"
 )
 
 // TestEndToEndPipeline walks the full user journey: load a dataset, train
-// with a schedule, evaluate metrics, run the joint optimization, verify
+// it, evaluate metrics, run the joint optimization, verify
 // gTask-execution accuracy parity, serialize the plan, reload it, and
 // reuse it on fresh sampled subgraphs.
 func TestEndToEndPipeline(t *testing.T) {
@@ -22,14 +21,14 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// 1. Train with cosine schedule + early stopping + dropout.
+	// 1. Train with dropout.
 	tr, err := NewTrainer(ds, ModelConfig{
 		Kind: SAGE, Hidden: 24, Layers: 2, Dropout: 0.1, Seed: 77,
 	}, 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := tr.RunSchedule(30, 0.02, train.CosineLR{Epochs: 30, MinFactor: 0.1}, &train.EarlyStopper{Patience: 10})
+	stats := tr.Run(30)
 	final := stats[len(stats)-1]
 	if final.TestAcc < 0.5 {
 		t.Fatalf("test accuracy %.3f too low after %d epochs", final.TestAcc, len(stats))

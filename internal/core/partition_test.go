@@ -238,7 +238,7 @@ func TestEnumeratePlansCoverage(t *testing.T) {
 	}
 }
 
-func TestRestrictedAndHasMin(t *testing.T) {
+func TestRestricted(t *testing.T) {
 	plan := GraphPlan{Restrictions: []Restriction{
 		{Attr: AttrDstID, Kind: Exact, Limit: 3},
 		{Attr: AttrDstDegree, Kind: Min},
@@ -249,8 +249,8 @@ func TestRestrictedAndHasMin(t *testing.T) {
 	if _, ok := plan.Restricted(AttrSrcID); ok {
 		t.Fatal("src should be unrestricted")
 	}
-	if !plan.HasMin(AttrDstDegree) || plan.HasMin(AttrDstID) {
-		t.Fatal("HasMin wrong")
+	if _, ok := plan.Restricted(AttrDstDegree); ok {
+		t.Fatal("a Min restriction is not an Exact one")
 	}
 }
 

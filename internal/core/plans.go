@@ -103,13 +103,3 @@ func (p GraphPlan) Restricted(a Attr) (limit int, ok bool) {
 	}
 	return 0, false
 }
-
-// HasMin reports whether plan has a Min restriction on a.
-func (p GraphPlan) HasMin(a Attr) bool {
-	for _, r := range p.Restrictions {
-		if r.Attr == a && r.Kind == Min {
-			return true
-		}
-	}
-	return false
-}

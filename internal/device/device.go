@@ -18,7 +18,6 @@ package device
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"wisegraph/internal/fault"
@@ -172,15 +171,6 @@ func siftDown(h []float64) {
 	}
 }
 
-// LPTMakespan schedules items longest-processing-time-first, the balanced
-// order differentiated scheduling approximates by raising overfill-gTask
-// priority.
-func LPTMakespan(times []float64, units int) float64 {
-	s := append([]float64(nil), times...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(s)))
-	return Makespan(s, units)
-}
-
 // KernelStats accumulates the timing-model accounting for one kernel
 // name — the per-kernel breakdown the observability layer exposes on
 // /metrics (FeatGraph-style per-kernel characterization).
@@ -266,17 +256,6 @@ func (d *Device) Launch(k Kernel, body func()) {
 	d.mu.Unlock()
 }
 
-// AddTime adds raw modeled seconds in a category without a kernel launch
-// (used by the communication model).
-func (d *Device) AddTime(cat Category, seconds float64) {
-	d.mu.Lock()
-	d.simTime += seconds
-	if cat >= 0 && cat < numCategories {
-		d.byCat[cat] += seconds
-	}
-	d.mu.Unlock()
-}
-
 // Stats is a snapshot of accumulated accounting.
 type Stats struct {
 	SimSeconds float64
@@ -337,11 +316,6 @@ func (d *Device) ComputeMemoryRatio() float64 {
 	}
 	return d.flops / d.bytes
 }
-
-// RooflineRatio returns the spec's balance point (FLOPs per byte at which
-// compute and memory time are equal on the SIMT path) — the "optimal"
-// line in Figure 3(a).
-func (s Spec) RooflineRatio() float64 { return s.SIMTFLOPS / s.MemBandwidth }
 
 // String describes the spec.
 func (s Spec) String() string {

@@ -59,12 +59,12 @@ func TestMakespanBasics(t *testing.T) {
 	}
 	// long item last creates a tail: [1,1,1,9] on 2 units in order → 1+9=10
 	tail := Makespan([]float64{1, 1, 1, 9}, 2)
-	lpt := LPTMakespan([]float64{1, 1, 1, 9}, 2)
+	lpt := Makespan([]float64{9, 1, 1, 1}, 2)
 	if lpt >= tail {
-		t.Fatalf("LPT must beat in-order for tail-heavy loads: %v vs %v", lpt, tail)
+		t.Fatalf("longest-first must beat in-order for tail-heavy loads: %v vs %v", lpt, tail)
 	}
 	if math.Abs(lpt-9) > 1e-9 {
-		t.Fatalf("LPT makespan = %v, want 9", lpt)
+		t.Fatalf("longest-first makespan = %v, want 9", lpt)
 	}
 	if Makespan(nil, 4) != 0 {
 		t.Fatal("empty makespan must be 0")
@@ -106,22 +106,13 @@ func TestDeviceAccumulation(t *testing.T) {
 	}
 }
 
-func TestAddTime(t *testing.T) {
-	d := New(A100())
-	d.AddTime(CatComm, 2.5)
-	st := d.Stats()
-	if st.SimSeconds != 2.5 || st.ByCategory["comm"] != 2.5 {
-		t.Fatalf("AddTime accounting: %+v", st)
-	}
-}
-
 func TestA100SanityNumbers(t *testing.T) {
 	s := A100()
 	if s.TensorCoreFLOPS <= s.SIMTFLOPS {
 		t.Fatal("tensor core peak must exceed SIMT peak")
 	}
-	if s.RooflineRatio() < 5 || s.RooflineRatio() > 50 {
-		t.Fatalf("A100 balance point %v FLOP/B out of plausible range", s.RooflineRatio())
+	if r := s.SIMTFLOPS / s.MemBandwidth; r < 5 || r > 50 {
+		t.Fatalf("A100 balance point %v FLOP/B out of plausible range", r)
 	}
 }
 
@@ -174,8 +165,7 @@ func TestPropLPTQuality(t *testing.T) {
 		}
 		m := float64(units)
 		bound := sum/m + (m-1)/m*max
-		return LPTMakespan(times, units) <= bound+1e-9 &&
-			Makespan(times, units) <= bound+1e-9
+		return Makespan(times, units) <= bound+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -68,11 +68,6 @@ func (c Cluster) ReduceScatter(totalBytes float64) float64 {
 	return c.Link.Alpha + totalBytes*float64(c.N-1)/float64(c.N)/c.Link.Bandwidth
 }
 
-// AllGather returns all-gather time for totalBytes assembled per device.
-func (c Cluster) AllGather(totalBytes float64) float64 {
-	return c.ReduceScatter(totalBytes)
-}
-
 // GraphStats summarizes the communication-relevant structure of a graph
 // partitioned into contiguous vertex blocks, one per device.
 type GraphStats struct {

@@ -294,26 +294,6 @@ func TestSAGEBackwardMatchesReference(t *testing.T) {
 	closeAll(t, dup.B.Grad, ref.B.Grad, 1e-2, "sage dB")
 }
 
-func TestGATForwardMatchesReference(t *testing.T) {
-	e, gc, x := engineSetup(t)
-	rng := tensor.NewRNG(23)
-	layer := nn.NewGATLayer(rng, 10, 8, 2)
-	want := layer.Forward(gc, x)
-	e.ResetComm()
-	parts, err := e.GATForward(layer, e.Shard(x))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := e.Unshard(parts)
-	closeAll(t, got, want, 2e-4, "gat distributed")
-	// attention exchanges the fp-wide transformed rows (DP-post volume)
-	gs := Analyze(e.G, 4)
-	wantVol := float64(gs.UniqRemoteSrc) * 8 * 4
-	if math.Abs(e.CommBytes()-wantVol) > 1 {
-		t.Fatalf("GAT volume %v, want %v", e.CommBytes(), wantVol)
-	}
-}
-
 func TestDistributedSAGETrainingMatchesSingleDevice(t *testing.T) {
 	res := gen.Generate(gen.Config{
 		NumVertices: 160, NumEdges: 1200, Kind: gen.PowerLaw, Skew: 0.9,

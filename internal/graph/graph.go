@@ -5,7 +5,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -153,36 +152,6 @@ func (g *Graph) BuildCSRByDst() *CSR {
 		}
 	}
 	return &CSR{RowPtr: rowPtr, Col: col, EType: et, EdgeID: eid}
-}
-
-// SortEdges permutes edges in place by the given less function over edge
-// indices, keeping Src/Dst/Type aligned.
-func (g *Graph) SortEdges(less func(a, b int) bool) {
-	perm := make([]int, len(g.Src))
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.SliceStable(perm, func(i, j int) bool { return less(perm[i], perm[j]) })
-	g.ApplyEdgePermutation(perm)
-}
-
-// ApplyEdgePermutation reorders edges so new edge i is old edge perm[i].
-func (g *Graph) ApplyEdgePermutation(perm []int) {
-	src := make([]int32, len(g.Src))
-	dst := make([]int32, len(g.Dst))
-	var typ []int32
-	if g.Type != nil {
-		typ = make([]int32, len(g.Type))
-	}
-	for i, p := range perm {
-		src[i] = g.Src[p]
-		dst[i] = g.Dst[p]
-		if typ != nil {
-			typ[i] = g.Type[p]
-		}
-	}
-	g.Src, g.Dst, g.Type = src, dst, typ
-	g.invalidateCaches()
 }
 
 // RelabelVertices renames vertex v to newID[v] across all edges. newID

@@ -87,29 +87,6 @@ func TestBuildCSRByDst(t *testing.T) {
 	}
 }
 
-func TestSortEdgesKeepsAlignment(t *testing.T) {
-	g := diamond()
-	g.SortEdges(func(a, b int) bool { return g.Type[a] < g.Type[b] })
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for e := 1; e < g.NumEdges(); e++ {
-		if g.Type[e-1] > g.Type[e] {
-			t.Fatalf("edges not sorted by type: %v", g.Type)
-		}
-	}
-	// Multiset of (src,dst,type) must be preserved: count type-a edges into 3.
-	count := 0
-	for e := range g.Src {
-		if g.Dst[e] == 3 && g.Type[e] == 0 {
-			count++
-		}
-	}
-	if count != 1 {
-		t.Fatalf("edge multiset changed (count=%d)", count)
-	}
-}
-
 func TestRelabelVertices(t *testing.T) {
 	g := diamond()
 	// reverse ids
@@ -145,15 +122,6 @@ func TestClusterReorderIsPermutation(t *testing.T) {
 	g.RelabelVertices(newID)
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDegreeOrderSortsByInDegree(t *testing.T) {
-	g := diamond()
-	newID := DegreeOrder(g)
-	// vertex 3 (deg 3) must get id 0, vertex 2 (deg 2) id 1
-	if newID[3] != 0 || newID[2] != 1 {
-		t.Fatalf("degree order = %v", newID)
 	}
 }
 

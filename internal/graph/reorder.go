@@ -67,20 +67,3 @@ func ClusterReorder(g *Graph) []int32 {
 	}
 	return newID
 }
-
-// DegreeOrder returns a newID mapping that sorts vertices by descending
-// in-degree, the ordering used when gTasks restrict uniq(dst-degree).
-func DegreeOrder(g *Graph) []int32 {
-	n := g.NumVertices
-	deg := g.InDegrees()
-	perm := make([]int32, n)
-	for v := range perm {
-		perm[v] = int32(v)
-	}
-	sort.SliceStable(perm, func(i, j int) bool { return deg[perm[i]] > deg[perm[j]] })
-	newID := make([]int32, n)
-	for pos, v := range perm {
-		newID[v] = int32(pos)
-	}
-	return newID
-}

@@ -15,14 +15,10 @@ import (
 	"wisegraph/internal/pattern"
 )
 
-// Options configures the search.
+// Options configures the search: Spec is the device whose cost model
+// ranks the candidates.
 type Options struct {
 	Spec device.Spec
-	// PlanSpace controls graph-plan enumeration (defaults per model).
-	PlanSpace *core.PlanSpace
-	// PruneFactor rejects candidate plans whose cost-model estimate is
-	// this many times worse than the incumbent (paper §6.3 pruning).
-	PruneFactor float64
 }
 
 // Step is one tuning step of the search trace (paper Figure 16's x-axis).
@@ -95,13 +91,6 @@ type candEval struct {
 // are replayed sequentially in enumeration order — the Result is
 // identical for any worker count.
 func Search(g *graph.Graph, kind nn.ModelKind, f, fp, numTypes int, opts Options) *Result {
-	if opts.PruneFactor == 0 {
-		opts.PruneFactor = 3
-	}
-	space := core.DefaultPlanSpace(kind == nn.RGCN)
-	if opts.PlanSpace != nil {
-		space = *opts.PlanSpace
-	}
 	sh := kernels.LayerShape{Kind: kind, F: f, Fp: fp, Types: numTypes}
 	res := &Result{Kind: kind}
 
@@ -172,7 +161,7 @@ func Search(g *graph.Graph, kind nn.ModelKind, f, fp, numTypes int, opts Options
 	}
 	var pruned []core.GraphPlan
 	var candidates []core.GraphPlan
-	for _, gp := range core.EnumeratePlans(kind.IndexAttrs(), space) {
+	for _, gp := range core.EnumeratePlans(kind.IndexAttrs(), core.DefaultPlanSpace(kind == nn.RGCN)) {
 		if !kernels.ValidPlanFor(kind, gp) {
 			continue
 		}

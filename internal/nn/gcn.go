@@ -66,9 +66,6 @@ func accumBiasGrad(g, d *tensor.Tensor) {
 	}
 }
 
-// transposeOf returns xᵀ (fresh tensor).
-func transposeOf(x *tensor.Tensor) *tensor.Tensor { return tensor.Transpose2D(nil, x) }
-
 // SAGELayer implements GraphSAGE with mean aggregation:
 // h' = h·Wself + mean_neigh(h)·Wneigh + b (simple class).
 type SAGELayer struct {

@@ -48,7 +48,7 @@ func TestGraphCtxConsistency(t *testing.T) {
 	// type grouping covers all slots with matching types
 	total := 0
 	for ty := 0; ty < g.NumTypes; ty++ {
-		for _, s := range typeEdges(gc, ty) {
+		for _, s := range gc.TypeOrder[gc.TypeOffsets[ty]:gc.TypeOffsets[ty+1]] {
 			if gc.CSR.EType[s] != int32(ty) {
 				t.Fatalf("type grouping wrong at slot %d", s)
 			}

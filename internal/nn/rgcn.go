@@ -54,11 +54,6 @@ func (l *RGCNLayer) typeWeightGrad(t int) *tensor.Tensor {
 	return tensor.FromSlice(l.W.Grad.Data()[t*in*out:(t+1)*in*out], in, out)
 }
 
-// typeEdges returns the CSR slots of edges with type t.
-func typeEdges(gc *GraphCtx, t int) []int32 {
-	return gc.TypeOrder[gc.TypeOffsets[t]:gc.TypeOffsets[t+1]]
-}
-
 // Forward implements Layer. Edges are processed grouped by relation so
 // each group is a dense [Et, in] × [in, out] matmul — the reference
 // "relation-batched" execution.

@@ -1,8 +1,6 @@
 // Package pattern extracts gTask-level data patterns (paper §5.1) from a
-// graph partition: duplicated data (uniq(attr) < #edges), batched data
-// (the unique-value counts that size micro-kernel batches), and changing
-// data volume (the input/output uniqueness ratio that drives operation
-// placement in multi-device training).
+// graph partition: duplicated data (uniq(attr) < #edges) and batched data
+// (the unique-value counts that size micro-kernel batches).
 package pattern
 
 import (
@@ -10,37 +8,7 @@ import (
 
 	"wisegraph/internal/core"
 	"wisegraph/internal/dfg"
-	"wisegraph/internal/parallel"
 )
-
-// TaskPattern summarizes one gTask.
-type TaskPattern struct {
-	Edges int
-	Uniq  map[core.Attr]int
-	// Dup marks attributes with duplicated values inside the task.
-	Dup map[core.Attr]bool
-}
-
-// Stats converts the pattern into the cost model's TaskStats.
-func (t TaskPattern) Stats() dfg.TaskStats {
-	return dfg.TaskStats{Edges: t.Edges, Uniq: t.Uniq}
-}
-
-// AnalyzeTask computes the pattern of task ti over the given attributes
-// (which must have been collected at partition time).
-func AnalyzeTask(p *core.Partition, ti int, attrs []core.Attr) TaskPattern {
-	t := TaskPattern{
-		Edges: p.TaskLen(ti),
-		Uniq:  make(map[core.Attr]int, len(attrs)),
-		Dup:   make(map[core.Attr]bool, len(attrs)),
-	}
-	for _, a := range attrs {
-		u := int(p.TaskUniq(ti, a))
-		t.Uniq[a] = u
-		t.Dup[a] = u < t.Edges
-	}
-	return t
-}
 
 // PlanPattern aggregates patterns across a whole partition: the medians
 // describe the *regular* gTask the operation partition is tuned for
@@ -70,13 +38,9 @@ func Analyze(p *core.Partition, attrs []core.Attr) PlanPattern {
 		return pp
 	}
 	lens := make([]int, n)
-	parallel.ForRange(n, 1<<14, func(lo, hi int) {
-		for ti := lo; ti < hi; ti++ {
-			lens[ti] = p.TaskLen(ti)
-		}
-	})
-	for _, l := range lens {
-		pp.TotalEdges += l
+	for ti := range lens {
+		lens[ti] = p.TaskLen(ti)
+		pp.TotalEdges += lens[ti]
 	}
 	pp.MedianEdges = median(lens)
 	pp.MinEdges, pp.MaxEdges = lens[0], lens[0]
@@ -88,27 +52,17 @@ func Analyze(p *core.Partition, attrs []core.Attr) PlanPattern {
 			pp.MaxEdges = l
 		}
 	}
-	// Attributes are independent; compute each one's median/dup-fraction
-	// on its own worker, then fill the maps sequentially.
-	medians := make([]int, len(attrs))
-	dupFracs := make([]float64, len(attrs))
-	parallel.For(len(attrs), 1, func(i int) {
-		a := attrs[i]
-		us := make([]int, n)
+	us := make([]int, n)
+	for _, a := range attrs {
 		dup := 0
-		for ti := 0; ti < n; ti++ {
-			u := int(p.TaskUniq(ti, a))
-			us[ti] = u
-			if u < lens[ti] {
+		for ti := range us {
+			us[ti] = int(p.TaskUniq(ti, a))
+			if us[ti] < lens[ti] {
 				dup++
 			}
 		}
-		medians[i] = median(us)
-		dupFracs[i] = float64(dup) / float64(n)
-	})
-	for i, a := range attrs {
-		pp.MedianUniq[a] = medians[i]
-		pp.DupFraction[a] = dupFracs[i]
+		pp.MedianUniq[a] = median(us)
+		pp.DupFraction[a] = float64(dup) / float64(n)
 	}
 	return pp
 }
@@ -126,19 +80,6 @@ func (pp PlanPattern) RegularStats() dfg.TaskStats {
 		u[a] = v
 	}
 	return dfg.TaskStats{Edges: pp.MedianEdges, Uniq: u}
-}
-
-// VolumeChange returns uniq(out)/uniq(in) for the plan's regular task:
-// < 1 means computation reduces data volume (communicate after compute);
-// > 1 means it expands (communicate before compute). Paper §5.1
-// "changing data volume".
-func (pp PlanPattern) VolumeChange(in, out core.Attr) float64 {
-	i := pp.MedianUniq[in]
-	o := pp.MedianUniq[out]
-	if i == 0 {
-		return 1
-	}
-	return float64(o) / float64(i)
 }
 
 // median returns the median of xs (xs is not modified).

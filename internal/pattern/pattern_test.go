@@ -5,7 +5,6 @@ import (
 
 	"wisegraph/internal/core"
 	"wisegraph/internal/graph"
-	"wisegraph/internal/graph/gen"
 )
 
 // paperGraph is the Figure 5(a) example.
@@ -20,26 +19,6 @@ func paperGraph() *graph.Graph {
 }
 
 var attrs = []core.Attr{core.AttrSrcID, core.AttrDstID, core.AttrEdgeType}
-
-func TestAnalyzeTaskDuplication(t *testing.T) {
-	g := paperGraph()
-	p := core.PartitionGraph(g, core.WholeGraph(), attrs)
-	tp := AnalyzeTask(p, 0, attrs)
-	if tp.Edges != 11 {
-		t.Fatalf("edges = %d", tp.Edges)
-	}
-	// 5 unique srcs < 11 edges → duplicated; 2 types < 11 → duplicated
-	if !tp.Dup[core.AttrSrcID] || !tp.Dup[core.AttrEdgeType] {
-		t.Fatalf("duplication flags wrong: %+v", tp.Dup)
-	}
-	if tp.Uniq[core.AttrSrcID] != 5 || tp.Uniq[core.AttrEdgeType] != 2 {
-		t.Fatalf("uniq counts wrong: %+v", tp.Uniq)
-	}
-	st := tp.Stats()
-	if st.Edges != 11 || st.Uniq[core.AttrDstID] != 5 {
-		t.Fatalf("stats conversion wrong: %+v", st)
-	}
-}
 
 func TestAnalyzePlanPattern(t *testing.T) {
 	g := paperGraph()
@@ -71,20 +50,6 @@ func TestAnalyzePlanPattern(t *testing.T) {
 	rs := pp.RegularStats()
 	if rs.Edges != 2 {
 		t.Fatalf("regular stats edges = %d", rs.Edges)
-	}
-}
-
-func TestVolumeChange(t *testing.T) {
-	res := gen.Generate(gen.Config{NumVertices: 300, NumEdges: 3000, Kind: gen.PowerLaw, Skew: 1.0, Seed: 2})
-	p := core.PartitionGraph(res.Graph, core.GraphPlan{
-		Name: "dst8", Restrictions: []core.Restriction{{Attr: core.AttrDstID, Kind: core.Exact, Limit: 8}},
-	}, attrs)
-	pp := Analyze(p, attrs)
-	// aggregation reduces volume: uniq(dst) < uniq(src) per task on a
-	// dst-batched partition of a skewed graph
-	vc := pp.VolumeChange(core.AttrSrcID, core.AttrDstID)
-	if vc <= 0 || vc >= 1 {
-		t.Fatalf("volume change = %v, want (0,1): aggregation shrinks data", vc)
 	}
 }
 

@@ -180,7 +180,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative-workers", Options{Workers: -1}, false},
 		{"negative-batch-cap", Options{BatchCap: -4}, false},
 		{"negative-queue-depth", Options{QueueDepth: -1}, false},
-		{"negative-max-nodes", Options{MaxNodes: -2}, false},
 		{"negative-batch-delay", Options{BatchDelay: -time.Second}, false},
 		{"negative-deadline", Options{Deadline: -time.Second}, false},
 		{"negative-cache-budget", Options{CacheBudget: -1}, false},

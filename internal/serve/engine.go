@@ -46,11 +46,14 @@ var (
 	ErrDraining = errors.New("serve: draining")
 )
 
+// maxNodes bounds the node count of a single request.
+const maxNodes = 256
+
 // Options tune the engine. Zero values pick serving defaults.
 type Options struct {
 	// Workers is the number of micro-batches in flight at once (default
-	// 2); every in-process shard node holds as many model replicas,
-	// partitioners and execution contexts.
+	// 2); every in-process shard node holds as many partitioners and
+	// execution contexts.
 	Workers int
 	// BatchCap is the most requests one micro-batch coalesces (default 16).
 	BatchCap int
@@ -64,13 +67,9 @@ type Options struct {
 	// Deadline is the default per-request deadline applied when the
 	// caller's context has none (default 2s).
 	Deadline time.Duration
-	// MaxNodes bounds the node count of a single request (default 256).
-	MaxNodes int
 	// Fanouts are the neighbor-sampling fan-outs, one per model layer
 	// (default 10 per layer).
 	Fanouts []int
-	// Spec is the simulated accelerator (default A100).
-	Spec *device.Spec
 	// Plan is a pre-tuned joint plan; nil runs a one-shot tune on a
 	// representative sampled subgraph at startup (§6.3 reuse).
 	Plan *joint.Result
@@ -83,7 +82,7 @@ type Options struct {
 	// (vertex, seed, params, graph), never of batch composition.
 	Seed uint64
 	// CacheBudget bounds the hot-vertex embedding cache in bytes; 0
-	// disables caching. The cache holds per-layer rows keyed by
+	// disables caching. The cache holds computed rows (levels ≥ 1) keyed by
 	// (level, vertex) and is invalidated wholesale on Reload. It changes
 	// performance only: cached logits are bitwise-equal to uncached.
 	CacheBudget int64
@@ -105,9 +104,6 @@ type Options struct {
 	// is bitwise the answer. With ShardAddrs, the flat address list must
 	// group into R-way replica sets (all replicas of span 0 first).
 	Replicas int
-	// ShardPlacement picks the shard boundary policy: "vertex", "edge"
-	// (default) or "cost" — see internal/shard.ParsePlacement.
-	ShardPlacement string
 	// ShardTimeout is the per-RPC deadline in the sharded tier (default
 	// 250ms): an attempt with no reply by then is a counted shard timeout
 	// and is retried; replica hedges fire at a quarter of it.
@@ -134,8 +130,6 @@ func (o Options) Validate(layers int) error {
 		return fmt.Errorf("serve: negative batch cap %d", o.BatchCap)
 	case o.QueueDepth < 0:
 		return fmt.Errorf("serve: negative queue depth %d", o.QueueDepth)
-	case o.MaxNodes < 0:
-		return fmt.Errorf("serve: negative per-request node cap %d", o.MaxNodes)
 	case o.BatchDelay < 0 || o.Deadline < 0:
 		return fmt.Errorf("serve: negative duration option (delay %v, deadline %v)",
 			o.BatchDelay, o.Deadline)
@@ -166,9 +160,6 @@ func (o Options) Validate(layers int) error {
 				o.Shards, len(o.ShardAddrs), r, len(o.ShardAddrs)/r)
 		}
 	}
-	if _, err := shard.ParsePlacement(o.ShardPlacement); err != nil {
-		return err
-	}
 	if len(o.Fanouts) > 0 && len(o.Fanouts) != layers {
 		return fmt.Errorf("serve: %d fan-outs for a %d-layer model (need one per layer)", len(o.Fanouts), layers)
 	}
@@ -196,18 +187,11 @@ func (o Options) withDefaults(layers int) Options {
 	if o.Deadline <= 0 {
 		o.Deadline = 2 * time.Second
 	}
-	if o.MaxNodes <= 0 {
-		o.MaxNodes = 256
-	}
 	if len(o.Fanouts) == 0 {
 		o.Fanouts = make([]int, layers)
 		for i := range o.Fanouts {
 			o.Fanouts[i] = 10
 		}
-	}
-	if o.Spec == nil {
-		spec := device.A100()
-		o.Spec = &spec
 	}
 	if o.Replicas < 1 {
 		o.Replicas = 1
@@ -247,21 +231,21 @@ type request struct {
 // Engine is the serving engine. Build with NewEngine, query with Predict,
 // stop with Shutdown.
 type Engine struct {
-	ds    *dataset.Dataset
-	csr   *graph.CSR
-	model *nn.Model // parameter source the fleet's shard replicas re-sync from
-	plan  *joint.Result
-	opts  Options
+	ds   *dataset.Dataset
+	csr  *graph.CSR
+	cfg  nn.Config // the served architecture; Reload accepts no other
+	plan *joint.Result
+	opts Options
 
-	// modelMu orders Reload's parameter swap against batches: a worker
-	// holds the read lock across a whole micro-batch, so every shard RPC
-	// of the batch carries one model version and shard replicas re-sync
-	// from model only while Reload's writer is excluded.
+	// modelMu orders Reload's model swap against batches: a worker holds
+	// the read lock across a whole micro-batch, so every shard RPC of the
+	// batch carries one model version and reads one parameter set.
 	modelMu      sync.RWMutex
 	modelVersion atomic.Uint64
 
-	// fleet runs every forward: the shards own the model replicas, the
-	// partitioners, the simulated devices and the hot-vertex caches.
+	// fleet runs every forward: it holds the model the shards read, and
+	// the shards own the partitioners, the simulated devices and the
+	// hot-vertex caches.
 	fleet *shard.Fleet
 
 	// admitMu orders admission against the drain flip: Predict admits
@@ -288,10 +272,10 @@ type Engine struct {
 }
 
 // NewEngine freezes an inference context over ds and model, builds the
-// serving fleet and starts the batcher plus the worker pool. The model is
-// not used directly after this call: each shard worker state owns a
-// replica (parameters copied, activation caches private) so concurrent
-// forwards never share mutable state.
+// serving fleet and starts the batcher plus the worker pool. Every shard
+// worker reads model's parameters in place (the gTask engines only read
+// them), so the caller must not write to model while the engine serves
+// it; Reload swaps in a private copy of a new one.
 func NewEngine(ds *dataset.Dataset, model *nn.Model, opts Options) (*Engine, error) {
 	if model.Cfg.InDim != ds.Dim() {
 		return nil, fmt.Errorf("serve: model expects %d input features, dataset has %d", model.Cfg.InDim, ds.Dim())
@@ -306,7 +290,7 @@ func NewEngine(ds *dataset.Dataset, model *nn.Model, opts Options) (*Engine, err
 	e := &Engine{
 		ds:      ds,
 		csr:     ds.Graph.BuildCSRByDst(),
-		model:   model,
+		cfg:     model.Cfg,
 		opts:    opts,
 		queue:   make(chan *request, opts.QueueDepth),
 		stop:    make(chan struct{}),
@@ -324,22 +308,17 @@ func NewEngine(ds *dataset.Dataset, model *nn.Model, opts Options) (*Engine, err
 	if _, err := kernels.Select(opts.Engine); err != nil {
 		return nil, err
 	}
-	pl, err := shard.ParsePlacement(opts.ShardPlacement)
-	if err != nil {
-		return nil, err
-	}
 	cfg := shard.Config{
 		Shards:      opts.Shards,
 		Replicas:    opts.Replicas,
-		Placement:   pl,
 		Workers:     opts.Workers,
 		Fanouts:     opts.Fanouts,
 		Seed:        opts.Seed,
 		Engine:      opts.Engine,
-		Spec:        opts.Spec,
 		CacheBudget: opts.CacheBudget,
 		Timeout:     opts.ShardTimeout,
 	}
+	var err error
 	if len(opts.ShardAddrs) > 0 {
 		e.fleet, err = shard.NewRemoteFleet(e.csr, ds.Features, ds.Graph.NumTypes, model, e.plan, cfg, opts.ShardAddrs)
 	} else {
@@ -375,7 +354,7 @@ func NewEngine(ds *dataset.Dataset, model *nn.Model, opts Options) (*Engine, err
 // every request with an O(E) partition.
 func (e *Engine) tunePlan() *joint.Result {
 	v := e.ds.Graph.NumVertices
-	n := e.opts.BatchCap * e.opts.MaxNodes
+	n := e.opts.BatchCap * maxNodes
 	if n > v {
 		n = v
 	}
@@ -392,9 +371,8 @@ func (e *Engine) tunePlan() *joint.Result {
 	}
 	rng := tensor.NewRNG(e.opts.Seed ^ 0x73657276) // "serv"
 	sub := graph.NeighborSample(e.ds.Graph, e.csr, seeds, e.opts.Fanouts, rng)
-	hidden := e.model.Cfg.Hidden
-	return joint.Search(sub.Graph, e.model.Cfg.Kind, hidden, hidden, e.model.Cfg.NumTypes,
-		joint.Options{Spec: *e.opts.Spec})
+	return joint.Search(sub.Graph, e.cfg.Kind, e.cfg.Hidden, e.cfg.Hidden, e.cfg.NumTypes,
+		joint.Options{Spec: device.A100()})
 }
 
 // Predict answers a node-classification query for the given parent-graph
@@ -404,8 +382,8 @@ func (e *Engine) Predict(ctx context.Context, nodes []int32, wantLogits bool) (*
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("serve: empty node list")
 	}
-	if len(nodes) > e.opts.MaxNodes {
-		return nil, fmt.Errorf("serve: %d nodes exceeds per-request cap %d", len(nodes), e.opts.MaxNodes)
+	if len(nodes) > maxNodes {
+		return nil, fmt.Errorf("serve: %d nodes exceeds per-request cap %d", len(nodes), maxNodes)
 	}
 	v := int32(e.ds.Graph.NumVertices)
 	for _, n := range nodes {
@@ -456,15 +434,16 @@ func (e *Engine) Predict(ctx context.Context, nodes []int32, wantLogits bool) (*
 	}
 }
 
-// finish completes a request exactly once: delivers the result, records
-// latency, and decrements the in-flight count.
+// finish completes a request exactly once: records latency, decrements
+// the in-flight count and delivers the result — in that order, so a caller
+// holding its answer already finds itself counted in Stats.
 func (e *Engine) finish(r *request, res result) {
+	e.stats.recordDone(time.Since(r.enqueued))
+	e.inflight.Add(-1)
 	select {
 	case r.done <- res:
 	default: // already finished (cannot happen: finish is called once)
 	}
-	e.stats.recordDone(time.Since(r.enqueued))
-	e.inflight.Add(-1)
 }
 
 // cancel resolves a request whose context expired before its micro-batch
@@ -494,13 +473,15 @@ func (e *Engine) worker() {
 	}
 }
 
-// Reload swaps in newly trained parameters for the same architecture:
-// under the model write lock — which waits out every in-flight batch and
-// holds new ones back — the shared parameter source is updated, the model
-// version bumped and every shard's hot-vertex cache flushed to it. The
-// next batch carries the new version, which is what makes each shard
-// replica re-sync before it computes, and no cache probe tagged with the
-// new version can race the flush.
+// Reload swaps in newly trained parameters for the same architecture. It
+// takes a private copy of m (the caller may go on training m, and nothing
+// a shard may still be reading is written), then, under the model write
+// lock — which waits out every in-flight batch and holds new ones back —
+// publishes the copy to the fleet, bumps the model version and flushes
+// every shard's hot-vertex cache to it. The next batch reads the new
+// parameters and carries the new version, so no cache probe tagged with it
+// can race the flush; a hedged loser its batch abandoned finishes on the
+// old, now immutable, parameters and its old-version rows are not admitted.
 func (e *Engine) Reload(m *nn.Model) error {
 	if e.fleet.Remote() {
 		// Remote shards hold their own copy of the checkpoint, validated
@@ -509,14 +490,19 @@ func (e *Engine) Reload(m *nn.Model) error {
 		// daemons and restart instead.
 		return fmt.Errorf("serve: reload is not supported over TCP shards (daemons own their checkpoints)")
 	}
-	if m.Cfg != e.model.Cfg {
-		return fmt.Errorf("serve: reload across architectures: %+v vs %+v", m.Cfg, e.model.Cfg)
+	if m.Cfg != e.cfg {
+		return fmt.Errorf("serve: reload across architectures: %+v vs %+v", m.Cfg, e.cfg)
+	}
+	next, err := nn.NewModel(e.cfg)
+	if err != nil {
+		return err
+	}
+	if err := next.CopyParamsFrom(m); err != nil {
+		return err
 	}
 	e.modelMu.Lock()
 	defer e.modelMu.Unlock()
-	if err := e.model.CopyParamsFrom(m); err != nil {
-		return err
-	}
+	e.fleet.SetModel(next)
 	e.fleet.InvalidateTo(e.modelVersion.Add(1))
 	return nil
 }
@@ -696,7 +682,6 @@ func (e *Engine) Stats() Snapshot {
 	}
 	snap.Shards = e.fleet.Size()
 	snap.ShardReplicas = e.fleet.Replicas()
-	snap.ShardPlacement = e.fleet.Placement().String()
 	snap.PerShard = e.fleet.Stats()
 	snap.ShardRetries, snap.ShardHedges, snap.ShardTimeouts, snap.ShardFailures = e.fleet.Resilience()
 	snap.ShardInFlight = e.fleet.InFlight()

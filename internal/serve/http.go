@@ -109,7 +109,7 @@ func NewHandler(e *Engine, options ...HandlerOption) http.Handler {
 		}
 		writeJSON(w, code, HealthResponse{
 			Status:   status,
-			Model:    e.model.Cfg.Kind.String(),
+			Model:    e.cfg.Kind.String(),
 			Vertices: e.ds.Graph.NumVertices,
 			Classes:  e.ds.Classes(),
 		})

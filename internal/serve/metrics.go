@@ -172,15 +172,14 @@ type Snapshot struct {
 	// cache fields above aggregate the per-shard caches fleet-wide;
 	// PerShard carries the per-shard breakdown including each shard's
 	// router-side RPC QPS and latency quantiles.
-	Shards         int           `json:"shards,omitempty"`
-	ShardReplicas  int           `json:"shardReplicas,omitempty"`
-	ShardPlacement string        `json:"shardPlacement,omitempty"`
-	ShardRetries   uint64        `json:"shardRetries,omitempty"`
-	ShardHedges    uint64        `json:"shardHedges,omitempty"`
-	ShardTimeouts  uint64        `json:"shardTimeouts,omitempty"`
-	ShardFailures  uint64        `json:"shardFailures,omitempty"`
-	ShardInFlight  int64         `json:"shardInFlight,omitempty"`
-	PerShard       []shard.Stats `json:"perShard,omitempty"`
+	Shards        int           `json:"shards,omitempty"`
+	ShardReplicas int           `json:"shardReplicas,omitempty"`
+	ShardRetries  uint64        `json:"shardRetries,omitempty"`
+	ShardHedges   uint64        `json:"shardHedges,omitempty"`
+	ShardTimeouts uint64        `json:"shardTimeouts,omitempty"`
+	ShardFailures uint64        `json:"shardFailures,omitempty"`
+	ShardInFlight int64         `json:"shardInFlight,omitempty"`
+	PerShard      []shard.Stats `json:"perShard,omitempty"`
 }
 
 func (s *Stats) snapshot(inFlight int64, queueDepth int) Snapshot {

@@ -268,18 +268,20 @@ func TestServeTraceStages(t *testing.T) {
 		if _, err := e.Predict(context.Background(), seeds, false); err != nil {
 			t.Fatalf("Predict: %v", err)
 		}
-		spans := obs.Spans()
-
+		// The batch span closes behind the last reply, so the answer can
+		// be here a moment before it.
+		var spans []obs.Record
 		var batchID uint64
 		var batchDur time.Duration
-		for _, s := range spans {
-			if s.Stage == obs.StageBatch {
-				batchID, batchDur = s.ID, s.Dur
+		waitFor(t, func() bool {
+			spans = obs.Spans()
+			for _, s := range spans {
+				if s.Stage == obs.StageBatch {
+					batchID, batchDur = s.ID, s.Dur
+				}
 			}
-		}
-		if batchID == 0 {
-			t.Fatal("no batch span recorded")
-		}
+			return batchID != 0
+		})
 		var sum time.Duration
 		got := map[obs.Stage]bool{}
 		for _, s := range spans {

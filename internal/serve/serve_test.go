@@ -226,13 +226,13 @@ func TestPredictAllModelKinds(t *testing.T) {
 
 func TestPredictValidation(t *testing.T) {
 	ds := testDataset(t, 40, 160, 8, 4, 1, 1)
-	e := testEngine(t, ds, testModel(t, ds, nn.SAGE), Options{Workers: 1, MaxNodes: 4})
+	e := testEngine(t, ds, testModel(t, ds, nn.SAGE), Options{Workers: 1})
 	ctx := context.Background()
 	for name, nodes := range map[string][]int32{
 		"empty":    {},
 		"negative": {-1},
 		"too-big":  {40},
-		"over-cap": {0, 1, 2, 3, 4},
+		"over-cap": make([]int32, maxNodes+1),
 	} {
 		if _, err := e.Predict(ctx, nodes, false); err == nil {
 			t.Errorf("%s: Predict accepted invalid input %v", name, nodes)

@@ -172,9 +172,6 @@ func TestCacheWarmValidation(t *testing.T) {
 	if _, err := NewEngine(ds, m, Options{CacheWarm: 5}); err == nil {
 		t.Fatal("CacheWarm without CacheBudget accepted")
 	}
-	if _, err := NewEngine(ds, m, Options{ShardPlacement: "bogus"}); err == nil {
-		t.Fatal("unknown shard placement accepted")
-	}
 }
 
 // TestShardedChaosFleetDrain drives the fleet under injected shard.rpc
@@ -306,10 +303,9 @@ func TestShardedReloadCoherence(t *testing.T) {
 	}
 }
 
-// TestCacheWarmSelectionEquivalence pins the bounded top-K selection
-// that replaced the unconditional O(V log V) sort in warm-up: for every
-// k the heap path and the full-sort path must produce the identical
-// hottest-first order (in-degree descending, id ascending on ties).
+// TestCacheWarmSelectionEquivalence pins the warm-up order: for every k,
+// hottestVertices returns the first k vertices of the hottest-first order
+// (in-degree descending, id ascending on ties).
 func TestCacheWarmSelectionEquivalence(t *testing.T) {
 	const v = 200
 	ds := testDataset(t, v, 900, 8, 3, 1, 17)
@@ -328,9 +324,7 @@ func TestCacheWarmSelectionEquivalence(t *testing.T) {
 		return ref[a] < ref[b]
 	})
 
-	// Every k from empty through full graph, crossing the v/4 heap/sort
-	// threshold both ways.
-	for _, k := range []int{1, 2, 3, 7, v/4 - 1, v / 4, v/4 + 1, v / 2, v} {
+	for _, k := range []int{0, 1, 2, 3, 7, v / 4, v / 2, v} {
 		got := e.hottestVertices(k)
 		if len(got) != k {
 			t.Fatalf("k=%d: returned %d vertices", k, len(got))
@@ -341,8 +335,5 @@ func TestCacheWarmSelectionEquivalence(t *testing.T) {
 					k, i, got[i], deg(got[i]), ref[i], deg(ref[i]))
 			}
 		}
-	}
-	if got := e.hottestVertices(0); len(got) != 0 {
-		t.Fatalf("k=0 returned %d vertices", len(got))
 	}
 }

@@ -30,7 +30,7 @@ func validHello(t *testing.T, n *testNode) *wire.Hello {
 		NumVertices: int64(len(n.csr.RowPtr) - 1), NumEdges: int64(len(n.csr.Col)),
 		NumTypes: 1, InDim: 8, Hidden: 8, OutDim: 3, Layers: 2,
 		Fanouts: []int32{4, 4}, Seed: 3, ParamSum: ParamSum(n.model),
-		Kind: "SAGE", Placement: "edge", Plan: planBytes,
+		Kind: "SAGE", Plan: planBytes,
 	}
 }
 

@@ -1,102 +1,25 @@
-// Placement decides which contiguous vertex range each shard owns. The
-// split is always contiguous — a shard holds the CSR rows and feature
-// rows of one id range, so ownership is a two-comparison range check and
-// the router's sorted frontier partitions into per-shard spans for free —
-// but the boundaries can be chosen three ways: equal vertex counts (the
-// P3-style block split internal/dist uses), equal in-edge counts (degree-
-// weighted, balancing aggregation work on skewed graphs), or cost-aware
-// (both candidates priced with the α+β link model from internal/dist and
-// the cheaper fleet makespan kept — CaPGNN's resource-aware placement
-// angle, collapsed to the knobs this simulation actually has).
+// Placement decides which contiguous vertex range each shard owns. A shard
+// holds the CSR rows and feature rows of one id range, so ownership is a
+// two-comparison range check and the router's sorted frontier partitions
+// into per-shard spans for free.
 package shard
 
 import (
 	"fmt"
 	"sort"
 
-	"wisegraph/internal/device"
-	"wisegraph/internal/dist"
 	"wisegraph/internal/graph"
 )
 
-// Placement names a boundary-selection policy.
-type Placement int
-
-const (
-	// PlaceVertex splits the id space into equal contiguous vertex
-	// blocks, ignoring degree skew.
-	PlaceVertex Placement = iota
-	// PlaceEdge splits at in-edge-count quantiles so every shard owns
-	// roughly the same aggregation workload.
-	PlaceEdge
-	// PlaceCost prices the vertex and edge candidates with the α+β link
-	// model and keeps the one with the lower fleet makespan.
-	PlaceCost
-)
-
-// String names the placement as spelled in -placement flags.
-func (p Placement) String() string {
-	switch p {
-	case PlaceVertex:
-		return "vertex"
-	case PlaceEdge:
-		return "edge"
-	default:
-		return "cost"
-	}
-}
-
-// ParsePlacement reads a -placement flag value ("" defaults to edge:
-// balancing owned in-edges is the safe choice on any skewed graph).
-func ParsePlacement(s string) (Placement, error) {
-	switch s {
-	case "", "edge":
-		return PlaceEdge, nil
-	case "vertex":
-		return PlaceVertex, nil
-	case "cost":
-		return PlaceCost, nil
-	default:
-		return 0, fmt.Errorf("shard: unknown placement %q (want vertex, edge or cost)", s)
-	}
-}
-
 // Boundaries returns the n+1 contiguous range bounds for n shards over
-// the CSR's vertex space: shard i owns [bounds[i], bounds[i+1]). f is the
-// feature width the cost model prices row movement with (only PlaceCost
-// reads it). Empty shards are legal on tiny graphs.
-func Boundaries(csr *graph.CSR, n int, p Placement, f int) []int32 {
-	v := len(csr.RowPtr) - 1
+// the CSR's vertex space: shard i owns [bounds[i], bounds[i+1]). Boundary
+// i is the first vertex whose cumulative in-edge count reaches i/n of the
+// total, so owned aggregation work is balanced even when degree mass
+// concentrates in one id range. Empty shards are legal on tiny graphs.
+func Boundaries(csr *graph.CSR, n int) []int32 {
 	if n < 1 {
 		n = 1
 	}
-	switch p {
-	case PlaceVertex:
-		return vertexBounds(v, n)
-	case PlaceEdge:
-		return edgeBounds(csr, n)
-	default:
-		vb, eb := vertexBounds(v, n), edgeBounds(csr, n)
-		if FleetPrice(csr, vb, f) <= FleetPrice(csr, eb, f) {
-			return vb
-		}
-		return eb
-	}
-}
-
-func vertexBounds(v, n int) []int32 {
-	b := make([]int32, n+1)
-	for i := 1; i < n; i++ {
-		b[i] = int32(i * v / n)
-	}
-	b[n] = int32(v)
-	return b
-}
-
-// edgeBounds places boundary i at the first vertex whose cumulative
-// in-edge count reaches i/n of the total, so owned aggregation work is
-// balanced even when degree mass concentrates in one id range.
-func edgeBounds(csr *graph.CSR, n int) []int32 {
 	v := len(csr.RowPtr) - 1
 	e := int64(csr.RowPtr[v])
 	b := make([]int32, n+1)
@@ -132,34 +55,4 @@ func AssignReplicas(addrs []string, r int) ([][]string, error) {
 		out[s] = addrs[s*r : (s+1)*r : (s+1)*r]
 	}
 	return out, nil
-}
-
-// FleetPrice prices one candidate split with the α+β link model: per
-// shard, the bandwidth-bound aggregation compute over its owned in-edges
-// plus one collective that ships every remote source row it references
-// (deduplicated, WiseGraph-style) across the link. The fleet makespan is
-// the slowest shard — the quantity a placement should minimize. Uses the
-// A100 device and PCIe-4 link specs internal/dist calibrates against.
-func FleetPrice(csr *graph.CSR, bounds []int32, f int) float64 {
-	spec := device.A100()
-	link := dist.PCIe4()
-	ff := float64(f) * 4 // bytes per row element over the feature width
-	var worst float64
-	for s := 0; s+1 < len(bounds); s++ {
-		lo, hi := bounds[s], bounds[s+1]
-		edges := float64(csr.RowPtr[hi] - csr.RowPtr[lo])
-		rows := float64(hi - lo)
-		remote := map[int32]struct{}{}
-		for slot := csr.RowPtr[lo]; slot < csr.RowPtr[hi]; slot++ {
-			if src := csr.Col[slot]; src < lo || src >= hi {
-				remote[src] = struct{}{}
-			}
-		}
-		comp := (rows*ff + 3*edges*ff) / spec.MemBandwidth
-		comm := link.Alpha + float64(len(remote))*ff/link.Bandwidth
-		if cost := comp + comm; cost > worst {
-			worst = cost
-		}
-	}
-	return worst
 }

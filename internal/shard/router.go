@@ -34,18 +34,14 @@ type Config struct {
 	// both RPC kinds are pure functions of (request, model version), so
 	// any replica's answer is bitwise the answer.
 	Replicas int
-	// Placement picks the boundary policy (see Boundaries).
-	Placement Placement
 	// Workers is how many RPCs each shard node runs at once.
 	Workers int
 	// Fanouts are the per-layer sampling fan-outs, Seed the deterministic
-	// sampler key, Engine the execution engine, Spec the simulated device
-	// — identical on every node, which is what the bitwise-parity
-	// guarantee rests on.
+	// sampler key, Engine the execution engine — identical on every node,
+	// which is what the bitwise-parity guarantee rests on.
 	Fanouts []int
 	Seed    uint64
 	Engine  string
-	Spec    *device.Spec
 	// CacheBudget is the PER-SHARD hot-vertex cache budget in bytes: each
 	// simulated node brings its own RAM, so fleet cache capacity scales
 	// with the shard count — the aggregate-capacity win that lets a fleet
@@ -66,10 +62,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers < 1 {
 		c.Workers = 1
-	}
-	if c.Spec == nil {
-		spec := device.A100()
-		c.Spec = &spec
 	}
 	if c.Timeout <= 0 {
 		c.Timeout = 250 * time.Millisecond
@@ -195,8 +187,8 @@ type Stats struct {
 // space, fans each micro-batch's leveled frontier out to the owners,
 // aggregates the partial per-layer rows, and absorbs slow or failed
 // shards through the hedging ladder. One Fleet serves one frozen
-// (graph, features, plan); the model parameters behind src may be swapped
-// by serve.Reload under its model lock.
+// (graph, features, plan); the model is swapped whole by SetModel, never
+// written through.
 //
 // A fleet is either in-process (NewFleet: it owns the shards, conns are
 // the shards themselves) or remote (NewRemoteFleet: shards live in
@@ -211,8 +203,10 @@ type Fleet struct {
 	csr    *graph.CSR
 	feats  *tensor.Tensor
 	ntypes int
-	src    *nn.Model
-	plan   *joint.Result
+	// model is the cell every in-process shard reads its parameters from
+	// (see Shard.model); a remote fleet reads it for the shape alone.
+	model atomic.Pointer[nn.Model]
+	plan  *joint.Result
 
 	bounds []int32
 	shards [][]*Shard // nil for a remote fleet
@@ -232,10 +226,11 @@ func NewFleet(csr *graph.CSR, feats *tensor.Tensor, ntypes int, src *nn.Model, p
 		return nil, fmt.Errorf("shard: %d fan-outs for a %d-layer model", len(cfg.Fanouts), src.Cfg.Layers)
 	}
 	f := &Fleet{
-		cfg: cfg, csr: csr, feats: feats, ntypes: ntypes, src: src, plan: plan,
-		bounds: Boundaries(csr, cfg.Shards, cfg.Placement, src.Cfg.InDim),
+		cfg: cfg, csr: csr, feats: feats, ntypes: ntypes, plan: plan,
+		bounds: Boundaries(csr, cfg.Shards),
 		start:  time.Now(),
 	}
+	f.model.Store(src)
 	for i := 0; i < cfg.Shards; i++ {
 		var group []*Shard
 		var conns []Conn
@@ -285,10 +280,11 @@ func NewRemoteFleet(csr *graph.CSR, feats *tensor.Tensor, ntypes int, src *nn.Mo
 		return nil, fmt.Errorf("shard: marshal plan: %w", err)
 	}
 	f := &Fleet{
-		cfg: cfg, csr: csr, feats: feats, ntypes: ntypes, src: src, plan: plan,
-		bounds: Boundaries(csr, cfg.Shards, cfg.Placement, src.Cfg.InDim),
+		cfg: cfg, csr: csr, feats: feats, ntypes: ntypes, plan: plan,
+		bounds: Boundaries(csr, cfg.Shards),
 		start:  time.Now(),
 	}
+	f.model.Store(src)
 	fanouts := make([]int32, len(cfg.Fanouts))
 	for i, fo := range cfg.Fanouts {
 		fanouts[i] = int32(fo)
@@ -318,7 +314,6 @@ func NewRemoteFleet(csr *graph.CSR, feats *tensor.Tensor, ntypes int, src *nn.Mo
 				ParamSum:    sum,
 				Kind:        src.Cfg.Kind.String(),
 				Engine:      cfg.Engine,
-				Placement:   cfg.Placement.String(),
 				Plan:        planBytes,
 			}
 			c, err := newTCPConn(addr, h, cfg.Timeout)
@@ -363,9 +358,6 @@ func (f *Fleet) Replicas() int { return f.cfg.Replicas }
 // Bounds returns the contiguous ownership boundaries (len Size()+1).
 func (f *Fleet) Bounds() []int32 { return f.bounds }
 
-// Placement returns the boundary policy in effect.
-func (f *Fleet) Placement() Placement { return f.cfg.Placement }
-
 // InFlight sums admitted-but-unanswered RPCs across all shards — the
 // shard half of the fleet-wide drain invariant (the router half is the
 // serve engine's own in-flight count).
@@ -378,6 +370,13 @@ func (f *Fleet) InFlight() int64 {
 	}
 	return n
 }
+
+// SetModel publishes m as the parameter set every in-process shard reads
+// from its next RPC on; an RPC already running finishes on the model it
+// loaded. m must have the architecture the fleet was built with and must
+// not be written to afterwards. serve.Reload calls it, then InvalidateTo,
+// inside its model critical section.
+func (f *Fleet) SetModel(m *nn.Model) { f.model.Store(m) }
 
 // InvalidateTo flushes every in-process shard's cache to the new model
 // version. serve.Reload calls it inside its model critical section, so no
@@ -763,7 +762,7 @@ func indexOf(verts []int32) map[int32]int32 {
 // sampling, not left in an unspanned gap. Forward continues it as the
 // batch's stage track.
 func (f *Fleet) Forward(batchID, ver uint64, seeds []int32, sp obs.Span) (*tensor.Tensor, map[int32]int32, error) {
-	dims := f.src.LayerDims()
+	dims := f.model.Load().LayerDims()
 	L := len(dims) - 1
 	sets := make([]*rlevel, L+1)
 	tr := obs.ContinueTrack(sp, obs.StageSample, batchID)

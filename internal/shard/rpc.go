@@ -57,7 +57,7 @@ type Conn interface {
 // Expand implements Conn in-process: the call runs on the caller's
 // goroutine, on a worker state checked out for its duration.
 func (s *Shard) Expand(ctx context.Context, args *ExpandArgs) (*ExpandReply, error) {
-	w, err := s.checkout(ctx, args.Ver)
+	w, err := s.checkout(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +67,7 @@ func (s *Shard) Expand(ctx context.Context, args *ExpandArgs) (*ExpandReply, err
 
 // Compute implements Conn in-process.
 func (s *Shard) Compute(ctx context.Context, args *ComputeArgs) (*ComputeReply, error) {
-	w, err := s.checkout(ctx, args.Ver)
+	w, err := s.checkout(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -1,13 +1,13 @@
 // Package shard is the serving forward: the frozen CSR and feature rows
 // are split into contiguous vertex ranges, each owned by one node (a
-// Shard) with its own model replicas, execution contexts and per-layer
-// hot-vertex cache, and a router (Fleet) fans every micro-batch's sampled
-// frontier out to the owners, collects the partial per-layer embeddings
-// and aggregates them level by level. It is the only leveled forward in
-// the repository — single-node serving is a fleet of one in-process
-// shard — and its logits are bitwise-identical at any shard count,
-// replica count, engine and worker count. Shards run either in-process
-// (the Fleet owns them and calls them directly) or as separate
+// Shard) with its own execution contexts and per-layer hot-vertex cache,
+// reading one shared, immutable model, and a router (Fleet) fans every
+// micro-batch's sampled frontier out to the owners, collects the partial
+// per-layer embeddings and aggregates them level by level. It is the only
+// leveled forward in the repository — single-node serving is a fleet of
+// one in-process shard — and its logits are bitwise-identical at any shard
+// count, replica count, engine and worker count. Shards run either
+// in-process (the Fleet owns them and calls them directly) or as separate
 // wisegraph-shard processes reached over the internal/shard/wire TCP
 // protocol. Slow or failed shards are absorbed by one ladder (per-RPC
 // timeout, replica failover and hedging, internal/retry's backoff); the
@@ -34,15 +34,14 @@ import (
 
 // Shard owns the contiguous vertex range [lo, hi): the CSR rows (in-
 // edges) and feature rows of those vertices, a free list of worker states
-// (model replica, partitioner, execution context) that Expand/Compute
-// RPCs check out, and the range's hot-vertex cache of computed rows
-// (levels ≥ 1; the feature matrix is the level-0 store). In-process
-// the underlying CSR and feature arrays are shared memory and the shard
-// touches only its owned range; in a wisegraph-shard daemon they are the
-// process's own copy. Every RPC validates ownership and shape so a
-// routing bug — or a malformed deserialized request — surfaces as an
-// error instead of silently reading another node's data or copying
-// garbage rows.
+// (partitioner, execution context) that Expand/Compute RPCs check out, and
+// the range's hot-vertex cache of computed rows (levels ≥ 1; the feature
+// matrix is the level-0 store). In-process the underlying CSR and feature
+// arrays are shared memory and the shard touches only its owned range; in
+// a wisegraph-shard daemon they are the process's own copy. Every RPC
+// validates ownership and shape so a routing bug — or a malformed
+// deserialized request — surfaces as an error instead of silently reading
+// another node's data or copying garbage rows.
 type Shard struct {
 	id     int
 	lo, hi int32
@@ -56,7 +55,10 @@ type Shard struct {
 	fan    []int
 	seed   uint64
 	plan   *joint.Result
-	src    *nn.Model
+	// model is the one parameter set every RPC of this node reads and none
+	// writes. An in-process fleet's shards all point at the fleet's cell,
+	// so one SetModel reaches them; a daemon's shard has a cell of its own.
+	model *atomic.Pointer[nn.Model]
 
 	cache *hotcache.Cache
 
@@ -81,19 +83,15 @@ type NodeConfig struct {
 	Fanouts []int
 	Seed    uint64
 	Engine  string
-	// Spec is the simulated device (default A100).
-	Spec *device.Spec
 	// CacheBudget sizes this node's hot-vertex cache.
 	CacheBudget int64
 }
 
 // shardWorker is the private compute state one RPC runs on.
 type shardWorker struct {
-	replica *nn.Model
-	ver     uint64
-	pt      *core.Partitioner
-	ectx    *exec.Ctx
-	slots   []int32 // DetSample scratch
+	pt    *core.Partitioner
+	ectx  *exec.Ctx
+	slots []int32 // DetSample scratch
 	// local[v] is vertex v's row in the ComputeArgs.In that last held it.
 	// An entry is current only if In[local[v]] == v (see localOf), so the
 	// table is written per call but never cleared.
@@ -108,16 +106,13 @@ type shardWorker struct {
 }
 
 // NewShard builds one shard node over its owned slice of the frozen
-// (graph, features, model, plan). Callers outside a Fleet (the
+// (graph, features, model, plan); src is read in place by every RPC and
+// must not be written while the node serves. Callers outside a Fleet (the
 // wisegraph-shard daemon) must Close it themselves.
 func NewShard(id int, lo, hi int32, csr *graph.CSR, feats *tensor.Tensor, ntypes int,
 	src *nn.Model, plan *joint.Result, cfg NodeConfig) (*Shard, error) {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
-	}
-	if cfg.Spec == nil {
-		spec := device.A100()
-		cfg.Spec = &spec
 	}
 	if len(cfg.Fanouts) != src.Cfg.Layers {
 		return nil, fmt.Errorf("shard %d: %d fan-outs for a %d-layer model", id, len(cfg.Fanouts), src.Cfg.Layers)
@@ -133,60 +128,49 @@ func NewShard(id int, lo, hi int32, csr *graph.CSR, feats *tensor.Tensor, ntypes
 		fan:    cfg.Fanouts,
 		seed:   cfg.Seed,
 		plan:   plan,
-		src:    src,
+		model:  new(atomic.Pointer[nn.Model]),
 		cache:  hotcache.New(hotcache.Config{Budget: cfg.CacheBudget}),
 		free:   make(chan *shardWorker, cfg.Workers),
 		closed: make(chan struct{}),
 	}
+	s.model.Store(src)
 	for i := 0; i < cfg.Workers; i++ {
-		replica, err := nn.NewModel(src.Cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := replica.CopyParamsFrom(src); err != nil {
-			return nil, err
-		}
-		dev := device.New(*cfg.Spec)
+		dev := device.New(device.A100())
 		s.devs = append(s.devs, dev)
 		ectx := exec.NewCtx(dev)
 		ectx.Engine = cfg.Engine
-		s.free <- &shardWorker{replica: replica, pt: core.NewPartitioner(), ectx: ectx,
+		s.free <- &shardWorker{pt: core.NewPartitioner(), ectx: ectx,
 			local: make([]int32, len(csr.RowPtr)-1)}
 	}
 	return s, nil
 }
 
-// newShard builds one in-process shard of a fleet.
+// newShard builds one in-process shard of a fleet, reading the fleet's
+// model cell.
 func newShard(id int, lo, hi int32, f *Fleet) (*Shard, error) {
-	return NewShard(id, lo, hi, f.csr, f.feats, f.ntypes, f.src, f.plan, NodeConfig{
+	s, err := NewShard(id, lo, hi, f.csr, f.feats, f.ntypes, f.model.Load(), f.plan, NodeConfig{
 		Workers:     f.cfg.Workers,
 		Fanouts:     f.cfg.Fanouts,
 		Seed:        f.cfg.Seed,
 		Engine:      f.cfg.Engine,
-		Spec:        f.cfg.Spec,
 		CacheBudget: f.cfg.CacheBudget,
 	})
+	if err != nil {
+		return nil, err
+	}
+	s.model = &f.model
+	return s, nil
 }
 
 // checkout takes a worker state off the free list for one RPC, counting
 // the RPC in flight from here to checkin (the fleet-wide drain invariant
-// reads the count). The worker's replica is re-synced when the request
-// carries a model version it has not seen; the caller (the router, under
-// the serve engine's model read-lock) guarantees no reload runs
-// concurrently, so all RPCs of one batch see one coherent parameter set.
-// A closed shard answers with a draining error; a canceled context (a
-// hedged read lost to a faster replica) gives up the wait.
-func (s *Shard) checkout(ctx context.Context, ver uint64) (*shardWorker, error) {
+// reads the count). A closed shard answers with a draining error; a
+// canceled context (a hedged read lost to a faster replica, a peer that
+// hung up) gives up the wait.
+func (s *Shard) checkout(ctx context.Context) (*shardWorker, error) {
 	s.inflight.Add(1)
 	select {
 	case w := <-s.free:
-		if ver != w.ver {
-			if err := w.replica.CopyParamsFrom(s.src); err != nil {
-				s.checkin(w)
-				return nil, fmt.Errorf("shard %d: replica re-sync: %w", s.id, err)
-			}
-			w.ver = ver
-		}
 		return w, nil
 	case <-s.closed:
 		s.inflight.Add(-1)
@@ -366,6 +350,9 @@ func (s *Shard) gatherInput(w *shardWorker, in []int32, halo []float32, dim int)
 func (s *Shard) handleCompute(ctx context.Context, w *shardWorker, a *ComputeArgs) (*ComputeReply, error) {
 	tr := obs.Enter(ctx, obs.StagePartition, a.Batch)
 	defer tr.Leave()
+	// Loaded once, so the call finishes on the parameter set it started
+	// with even when a reload publishes the next one meanwhile.
+	m := s.model.Load()
 	if a.Level < 1 || a.Level > s.layers {
 		return nil, fmt.Errorf("shard %d: compute level %d outside [1,%d]", s.id, a.Level, s.layers)
 	}
@@ -431,7 +418,7 @@ func (s *Shard) handleCompute(ctx context.Context, w *shardWorker, a *ComputeArg
 	x := tensor.FromSlice(rows, len(a.In), a.InDim)
 	w.ectx.TraceID = a.Batch
 	tr.End() // RunModelLayerRows records the exec span itself
-	out, err := kernels.RunModelLayerRows(w.ectx, gc, w.replica, a.Level-1, x, w.dsts, part, s.plan.OpPlan)
+	out, err := kernels.RunModelLayerRows(w.ectx, gc, m, a.Level-1, x, w.dsts, part, s.plan.OpPlan)
 	tr.To(obs.StageCollective)
 	if err != nil {
 		return nil, err

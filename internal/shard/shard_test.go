@@ -63,23 +63,9 @@ func testFleetCfg(t *testing.T, g *graph.Graph, cfg Config) *Fleet {
 	return f
 }
 
-func TestParsePlacement(t *testing.T) {
-	for in, want := range map[string]Placement{
-		"": PlaceEdge, "edge": PlaceEdge, "vertex": PlaceVertex, "cost": PlaceCost,
-	} {
-		got, err := ParsePlacement(in)
-		if err != nil || got != want {
-			t.Fatalf("ParsePlacement(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParsePlacement("random"); err == nil {
-		t.Fatal("bogus placement accepted")
-	}
-}
-
-// TestBoundariesProperties: every policy yields monotone bounds covering
-// [0, V], and on a skewed graph the edge policy balances owned in-edges
-// strictly better than the vertex policy.
+// TestBoundariesProperties: the bounds are monotone and cover [0, V], and
+// on a skewed graph they balance owned in-edges strictly better than equal
+// vertex counts would.
 func TestBoundariesProperties(t *testing.T) {
 	g := testGraph(t, 200, 2000, 1)
 	csr := g.BuildCSRByDst()
@@ -97,26 +83,20 @@ func TestBoundariesProperties(t *testing.T) {
 		}
 		return worst - best
 	}
-	var byPolicy [3][]int32
-	for _, p := range []Placement{PlaceVertex, PlaceEdge, PlaceCost} {
-		b := Boundaries(csr, n, p, 8)
-		if len(b) != n+1 || b[0] != 0 || b[n] != int32(g.NumVertices) {
-			t.Fatalf("%v bounds %v malformed", p, b)
-		}
-		for i := 0; i < n; i++ {
-			if b[i] > b[i+1] {
-				t.Fatalf("%v bounds %v not monotone", p, b)
-			}
-		}
-		byPolicy[p] = b
+	b := Boundaries(csr, n)
+	if len(b) != n+1 || b[0] != 0 || b[n] != int32(g.NumVertices) {
+		t.Fatalf("bounds %v malformed", b)
 	}
-	if spread(byPolicy[PlaceEdge]) >= spread(byPolicy[PlaceVertex]) {
-		t.Fatalf("edge placement spread %d not tighter than vertex %d on a skewed graph",
-			spread(byPolicy[PlaceEdge]), spread(byPolicy[PlaceVertex]))
+	byVertex := make([]int32, n+1)
+	for i := 0; i < n; i++ {
+		if b[i] > b[i+1] {
+			t.Fatalf("bounds %v not monotone", b)
+		}
+		byVertex[i+1] = int32((i + 1) * g.NumVertices / n)
 	}
-	if FleetPrice(csr, byPolicy[PlaceCost], 8) >
-		min(FleetPrice(csr, byPolicy[PlaceVertex], 8), FleetPrice(csr, byPolicy[PlaceEdge], 8)) {
-		t.Fatal("cost placement priced worse than both candidates")
+	if spread(b) >= spread(byVertex) {
+		t.Fatalf("in-edge spread %d not tighter than an equal-vertex split's %d on a skewed graph",
+			spread(b), spread(byVertex))
 	}
 }
 

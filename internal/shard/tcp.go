@@ -435,7 +435,7 @@ type Server struct {
 	feats  *tensor.Tensor
 	ntypes int
 	model  *nn.Model
-	cfg    NodeConfig // node-local budget: Workers, Spec, CacheBudget/Shards
+	cfg    NodeConfig // node-local budget: Workers, CacheBudget
 
 	helloWait time.Duration // helloTimeout; a field so its test need not wait that long
 
@@ -582,10 +582,14 @@ func (sv *Server) serveConn(nc net.Conn) {
 
 	// Handlers in flight on THIS connection; bounded by the window, and
 	// all joined before the connection drops so no handler ever writes to
-	// a closed bufio.Writer.
+	// a closed bufio.Writer. They run under a context that ends with the
+	// read loop (canceled before the join), so a request still waiting for
+	// a worker stops waiting once its peer has hung up.
 	sem := make(chan struct{}, serverWindow)
 	var hwg sync.WaitGroup
 	defer hwg.Wait()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	for {
 		t, reqid, payload, err := wire.ReadFrame(br)
 		if err != nil {
@@ -599,7 +603,7 @@ func (sv *Server) serveConn(nc net.Conn) {
 			go func(t wire.MsgType, reqid uint32, payload []byte) {
 				defer hwg.Done()
 				defer func() { <-sem }()
-				send(sv.handle(s, t, reqid, payload))
+				send(sv.handle(ctx, s, t, reqid, payload))
 			}(t, reqid, payload)
 		default:
 			send(wire.AppendError(nil, reqid, fmt.Sprintf("unexpected %v", t)))
@@ -611,7 +615,7 @@ func (sv *Server) serveConn(nc net.Conn) {
 // handle runs one decoded request on the shard and encodes its reply
 // frame, echoing the request id (on errors too — the router's demux can
 // only route what it can match).
-func (sv *Server) handle(s *Shard, t wire.MsgType, reqid uint32, payload []byte) []byte {
+func (sv *Server) handle(ctx context.Context, s *Shard, t wire.MsgType, reqid uint32, payload []byte) []byte {
 	t0 := time.Now()
 	switch t {
 	case wire.MsgExpand:
@@ -620,7 +624,7 @@ func (sv *Server) handle(s *Shard, t wire.MsgType, reqid uint32, payload []byte)
 			sv.stats.errors.Add(1)
 			return wire.AppendError(nil, reqid, fmt.Sprintf("bad ExpandArgs: %v", err))
 		}
-		rep, err := s.Expand(context.Background(), args)
+		rep, err := s.Expand(ctx, args)
 		sv.stats.expands.Add(1)
 		sv.stats.latExp.Observe(time.Since(t0))
 		if err != nil {
@@ -634,7 +638,7 @@ func (sv *Server) handle(s *Shard, t wire.MsgType, reqid uint32, payload []byte)
 			sv.stats.errors.Add(1)
 			return wire.AppendError(nil, reqid, fmt.Sprintf("bad ComputeArgs: %v", err))
 		}
-		rep, err := s.Compute(context.Background(), args)
+		rep, err := s.Compute(ctx, args)
 		sv.stats.computes.Add(1)
 		sv.stats.latCmp.Observe(time.Since(t0))
 		if err != nil {
@@ -693,8 +697,7 @@ func (sv *Server) admit(payload []byte) (*Shard, error) {
 // validate cross-checks everything the node can verify locally: protocol
 // version, identity ranges (replica id included), graph and model shape,
 // bitwise parameter parity, and that the claimed owned range is exactly
-// what the named placement policy derives on this node's copy of the
-// graph.
+// what Boundaries derives on this node's copy of the graph.
 func (sv *Server) validate(h *wire.Hello) error {
 	nv := int64(len(sv.csr.RowPtr) - 1)
 	ne := int64(len(sv.csr.Col))
@@ -721,14 +724,10 @@ func (sv *Server) validate(h *wire.Hello) error {
 	if sum := ParamSum(sv.model); h.ParamSum != sum {
 		return fmt.Errorf("parameter hash %016x on the router, %016x here — different checkpoint", h.ParamSum, sum)
 	}
-	pl, err := ParsePlacement(h.Placement)
-	if err != nil {
-		return err
-	}
-	bounds := Boundaries(sv.csr, int(h.Shards), pl, sv.model.Cfg.InDim)
+	bounds := Boundaries(sv.csr, int(h.Shards))
 	if bounds[h.ShardID] != h.Lo || bounds[h.ShardID+1] != h.Hi {
-		return fmt.Errorf("%s placement derives [%d,%d) for shard %d here, router claims [%d,%d)",
-			h.Placement, bounds[h.ShardID], bounds[h.ShardID+1], h.ShardID, h.Lo, h.Hi)
+		return fmt.Errorf("placement derives [%d,%d) for shard %d here, router claims [%d,%d)",
+			bounds[h.ShardID], bounds[h.ShardID+1], h.ShardID, h.Lo, h.Hi)
 	}
 	return nil
 }

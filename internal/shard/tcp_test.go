@@ -165,10 +165,11 @@ func TestTCPHelloRejection(t *testing.T) {
 	}
 
 	// Version 2 — the protocol before level-1 requests carried halo rows
-	// only — is as foreign as one not invented yet: a mixed fleet is
-	// refused here, not one mis-sized RPC at a time.
+	// only — and version 3, whose Hello named a placement policy, are as
+	// foreign as one not invented yet: a mixed fleet is refused here, not
+	// one mis-sized RPC at a time.
 	addr = startDaemon(t, n, n.model)
-	for _, proto := range []uint32{2, wire.ProtoVersion + 41} {
+	for _, proto := range []uint32{2, 3, wire.ProtoVersion + 41} {
 		want := fmt.Sprintf("protocol %d, this node speaks %d", proto, wire.ProtoVersion)
 		if _, err := newTCPConn(addr, &wire.Hello{Proto: proto}, time.Second); err == nil {
 			t.Fatalf("protocol version %d accepted", proto)
@@ -187,7 +188,7 @@ func TestTCPHelloRejection(t *testing.T) {
 		NumVertices: int64(len(n.csr.RowPtr) - 1), NumEdges: int64(len(n.csr.Col)),
 		NumTypes: 1, InDim: 8, Hidden: 8, OutDim: 3, Layers: 2,
 		Fanouts: []int32{4, 4}, Seed: 3, ParamSum: ParamSum(n.model),
-		Kind: "SAGE", Placement: "edge", Plan: planBytes,
+		Kind: "SAGE", Plan: planBytes,
 	}
 	if _, err := newTCPConn(addr, wrongRange, time.Second); err == nil {
 		t.Fatal("bogus owned range accepted")
@@ -354,6 +355,42 @@ func TestHelloDeadline(t *testing.T) {
 	if still != admitted {
 		t.Fatal("the admitted connection was dropped and redialed — the Hello deadline outlived the handshake")
 	}
+}
+
+// TestHangupCancelsWaitingRequest: the handlers of a connection run under
+// a context that ends with it, so a request still waiting for a worker
+// stops waiting once its peer has hung up — it used to wait on, counted in
+// flight, for a worker to answer nobody.
+func TestHangupCancelsWaitingRequest(t *testing.T) {
+	n := newTestNode(t, 40, 200, 2)
+	sv := NewServer(n.csr, n.feats, n.g.NumTypes, n.model, NodeConfig{Workers: 1})
+	nc, err := net.Dial("tcp", serve(t, sv))
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer nc.Close()
+	nc.Write(wire.AppendHello(nil, validHello(t, n)))
+	if mt, _, _, err := wire.ReadFrame(nc); err != nil || mt != wire.MsgHelloOK {
+		t.Fatalf("handshake answered %v, %v", mt, err)
+	}
+	s := sv.Shard()
+	w := <-s.free // the node's only worker state, held for the whole test
+	defer func() { s.free <- w }()
+
+	inFlight := func(want int64) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); s.InFlight() != want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d RPCs in flight, want %d", s.InFlight(), want)
+			}
+		}
+	}
+	nc.Write(wire.AppendComputeArgs(nil, 1, &ComputeArgs{
+		Level: 1, InDim: 8, OutDim: 8, Verts: []int32{0}, In: []int32{0},
+	}))
+	inFlight(1)
+	nc.Close()
+	inFlight(0)
 }
 
 // daemonRPCs reads wisegraph_shard_rpcs_total (both types) off a daemon's

@@ -42,8 +42,10 @@ import (
 // replica fields in the Hello. Version 3 changed what level 0 means on
 // the same frames: an Expand at level 0 is a plain feature-row lookup, and
 // a Compute at level 1 carries rows for the halo only (see ComputeArgs),
-// so a version-2 peer would mis-size every level-1 request.
-const ProtoVersion = 3
+// so a version-2 peer would mis-size every level-1 request. Version 4
+// dropped the Hello's placement field: shard boundaries are the
+// edge-quantile split and nothing else.
+const ProtoVersion = 4
 
 // MaxFrame bounds one frame (type byte + reqid + payload). A length
 // prefix past it is a protocol violation, rejected before allocating
@@ -191,7 +193,6 @@ type Hello struct {
 	ParamSum    uint64 // FNV-1a over the model's parameter bits
 	Kind        string // model kind, e.g. "RGCN"
 	Engine      string // execution engine name ("" = blocked)
-	Placement   string // boundary policy the router derived Lo/Hi with
 	Plan        []byte // marshaled joint plan (joint.MarshalPlan JSON)
 }
 
@@ -317,7 +318,7 @@ func AppendComputeReply(dst []byte, reqid uint32, r *ComputeReply) []byte {
 func AppendHello(dst []byte, h *Hello) []byte {
 	// 12 u32 fields + 4 u64 fields + 4 length-prefixed variable fields.
 	n := 4*12 + 8*4 + 4 + 4*len(h.Fanouts) +
-		4 + len(h.Kind) + 4 + len(h.Engine) + 4 + len(h.Placement) + 4 + len(h.Plan)
+		4 + len(h.Kind) + 4 + len(h.Engine) + 4 + len(h.Plan)
 	dst = appendHeader(dst, MsgHello, 0, n)
 	dst = appendU32(dst, h.Proto)
 	dst = appendU32(dst, uint32(h.ShardID))
@@ -338,7 +339,6 @@ func AppendHello(dst []byte, h *Hello) []byte {
 	dst = appendU64(dst, h.ParamSum)
 	dst = appendString(dst, h.Kind)
 	dst = appendString(dst, h.Engine)
-	dst = appendString(dst, h.Placement)
 	return appendBytes(dst, h.Plan)
 }
 
@@ -574,7 +574,6 @@ func DecodeHello(p []byte) (*Hello, error) {
 		ParamSum:    r.u64(),
 		Kind:        r.str(),
 		Engine:      r.str(),
-		Placement:   r.str(),
 		Plan:        r.bytes(),
 	}
 	if err := r.done(); err != nil {

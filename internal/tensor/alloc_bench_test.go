@@ -74,21 +74,3 @@ func BenchmarkScatterAddRows(b *testing.B) {
 		ScatterAddRows(dst, src, idx)
 	}
 }
-
-func BenchmarkSegmentSum(b *testing.B) {
-	benchWorkers(b, 4)
-	rng := NewRNG(14)
-	src := Uniform(New(60000, 256), rng, -1, 1)
-	// Power-law segment sizes: sort the same skewed indices into counts.
-	counts := make([]int32, 4096)
-	for _, ix := range powerLawIdx(rng, 60000, 4096) {
-		counts[ix]++
-	}
-	offsets := CountsToOffsets(counts)
-	dst := New(4096, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SegmentSum(dst, src, offsets)
-	}
-}

@@ -154,19 +154,6 @@ func sigmoid32(x float32) float32 {
 	return float32(1 / (1 + math.Exp(-float64(x))))
 }
 
-// SoftmaxRows computes a numerically stable softmax along the last
-// dimension of a 2-D tensor.
-func SoftmaxRows(dst, a *Tensor) *Tensor {
-	dst = ensureLike(dst, a)
-	n := a.RowSize()
-	parallel.For(a.Rows(), 16, func(i int) {
-		row := a.data[i*n : (i+1)*n]
-		out := dst.data[i*n : (i+1)*n]
-		softmaxInto(out, row)
-	})
-	return dst
-}
-
 func softmaxInto(out, row []float32) {
 	maxv := row[0]
 	for _, v := range row[1:] {
@@ -184,31 +171,6 @@ func softmaxInto(out, row []float32) {
 	for j := range out {
 		out[j] *= inv
 	}
-}
-
-// LogSoftmaxRows computes log-softmax along rows of a 2-D tensor.
-func LogSoftmaxRows(dst, a *Tensor) *Tensor {
-	dst = ensureLike(dst, a)
-	n := a.RowSize()
-	parallel.For(a.Rows(), 16, func(i int) {
-		row := a.data[i*n : (i+1)*n]
-		out := dst.data[i*n : (i+1)*n]
-		maxv := row[0]
-		for _, v := range row[1:] {
-			if v > maxv {
-				maxv = v
-			}
-		}
-		var sum float64
-		for _, v := range row {
-			sum += math.Exp(float64(v - maxv))
-		}
-		lse := float32(math.Log(sum)) + maxv
-		for j, v := range row {
-			out[j] = v - lse
-		}
-	})
-	return dst
 }
 
 // CrossEntropy returns the mean negative log-likelihood of logits [M,C]

@@ -73,42 +73,6 @@ func scatterAddSeq(dst, src []float32, idx []int32, rs int) {
 	}
 }
 
-// SegmentSum reduces contiguous segments of src (rows [offsets[s],
-// offsets[s+1])) by summation into dst row s. offsets has len(segments)+1
-// entries. This is the reduction kernel for gTasks whose edges are sorted
-// by destination.
-func SegmentSum(dst, src *Tensor, offsets []int32) *Tensor {
-	rs := src.RowSize()
-	segs := len(offsets) - 1
-	if dst == nil {
-		dst = New(segs, rs)
-	}
-	parallel.For(segs, 8, func(s int) {
-		out := dst.data[s*rs : (s+1)*rs]
-		for j := range out {
-			out[j] = 0
-		}
-		for r := offsets[s]; r < offsets[s+1]; r++ {
-			AddRow(out, src.data[int(r)*rs:(int(r)+1)*rs])
-		}
-	})
-	return dst
-}
-
-// SegmentSoftmax computes, per contiguous segment of a column vector
-// src [E,1]-like flat slice, a numerically stable softmax in place.
-// Used for GAT attention normalization over each destination's in-edges.
-func SegmentSoftmax(vals []float32, offsets []int32) {
-	parallel.For(len(offsets)-1, 8, func(s int) {
-		lo, hi := int(offsets[s]), int(offsets[s+1])
-		if lo >= hi {
-			return
-		}
-		seg := vals[lo:hi]
-		softmaxInto(seg, seg)
-	})
-}
-
 // Gather2D indexes a [R,C,*] tensor with paired row/col indices, writing
 // src[ri[i], ci[i]] into dst row i. It implements the Index-2D operation
 // produced by merging two indexing operations during indexing swapping.

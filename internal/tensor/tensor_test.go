@@ -171,36 +171,6 @@ func TestAXPYAndAddBias(t *testing.T) {
 	tensorsClose(t, a, FromSlice([]float32{7, 6, 9, 8}, 2, 2), 0)
 }
 
-func TestSoftmaxRowsSumToOne(t *testing.T) {
-	rng := NewRNG(8)
-	a := randTensor(rng, 10, 7)
-	s := SoftmaxRows(nil, a)
-	for i := 0; i < 10; i++ {
-		var sum float64
-		for _, v := range s.Row(i) {
-			if v < 0 {
-				t.Fatalf("negative softmax output %v", v)
-			}
-			sum += float64(v)
-		}
-		if !almostEq(sum, 1, 1e-5) {
-			t.Fatalf("row %d sums to %v", i, sum)
-		}
-	}
-}
-
-func TestLogSoftmaxMatchesSoftmax(t *testing.T) {
-	rng := NewRNG(9)
-	a := randTensor(rng, 4, 6)
-	ls := LogSoftmaxRows(nil, a)
-	s := SoftmaxRows(nil, a)
-	for i := range ls.Data() {
-		if !almostEq(float64(ls.Data()[i]), math.Log(float64(s.Data()[i])), 1e-4) {
-			t.Fatalf("log-softmax mismatch at %d", i)
-		}
-	}
-}
-
 func TestCrossEntropyGradientNumeric(t *testing.T) {
 	rng := NewRNG(10)
 	logits := randTensor(rng, 5, 4)
@@ -275,29 +245,6 @@ func TestScatterAddLargeParallelPath(t *testing.T) {
 		}
 	}
 	tensorsClose(t, dst, want, 1e-3)
-}
-
-func TestSegmentSum(t *testing.T) {
-	src := FromSlice([]float32{1, 2, 3, 4, 5, 6, 7, 8}, 4, 2)
-	offsets := []int32{0, 2, 2, 4}
-	out := SegmentSum(nil, src, offsets)
-	want := FromSlice([]float32{4, 6, 0, 0, 12, 14}, 3, 2)
-	tensorsClose(t, out, want, 0)
-}
-
-func TestSegmentSoftmax(t *testing.T) {
-	vals := []float32{1, 2, 3, 10, -5, 0.5}
-	SegmentSoftmax(vals, []int32{0, 3, 5, 6})
-	var s1, s2 float64
-	for _, v := range vals[:3] {
-		s1 += float64(v)
-	}
-	for _, v := range vals[3:5] {
-		s2 += float64(v)
-	}
-	if !almostEq(s1, 1, 1e-5) || !almostEq(s2, 1, 1e-5) || !almostEq(float64(vals[5]), 1, 1e-5) {
-		t.Fatalf("segment softmax sums: %v %v %v", s1, s2, vals[5])
-	}
 }
 
 func TestGather2DScatter2D(t *testing.T) {
@@ -403,7 +350,7 @@ func TestPropScatterConservesMass(t *testing.T) {
 	}
 }
 
-// Property: GatherRows then SegmentSum with unit segments is identity.
+// Property: GatherRows with the identity index is identity.
 func TestPropGatherIdentity(t *testing.T) {
 	f := func(seed uint64, nSmall uint8) bool {
 		n := int(nSmall%20) + 1

@@ -195,70 +195,3 @@ func TestOverlapModel(t *testing.T) {
 		t.Fatal("should report never overlapped")
 	}
 }
-
-func TestRunScheduleCosineAndEarlyStop(t *testing.T) {
-	ds := tinyDataset(t)
-	tr, err := NewFullGraph(ds, nn.Config{Kind: nn.GCN, Hidden: 16, Layers: 2, Seed: 61}, 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := tr.RunSchedule(30, 0.02, CosineLR{Epochs: 30, MinFactor: 0.05}, &EarlyStopper{Patience: 8})
-	if len(stats) == 0 {
-		t.Fatal("no epochs ran")
-	}
-	if stats[len(stats)-1].Loss >= stats[0].Loss {
-		t.Fatalf("scheduled training did not learn: %.4f → %.4f",
-			stats[0].Loss, stats[len(stats)-1].Loss)
-	}
-}
-
-func TestSchedulesMath(t *testing.T) {
-	c := CosineLR{Epochs: 11, MinFactor: 0.1}
-	if f := c.Factor(0); f < 0.999 || f > 1.001 {
-		t.Fatalf("cosine start %v", f)
-	}
-	if f := c.Factor(10); f < 0.099 || f > 0.101 {
-		t.Fatalf("cosine end %v", f)
-	}
-	if f := c.Factor(5); f < 0.54 || f > 0.56 { // midpoint = (1+0.1)/2
-		t.Fatalf("cosine mid %v", f)
-	}
-	s := StepLR{StepSize: 10, Gamma: 0.5}
-	if s.Factor(9) != 1 || s.Factor(10) != 0.5 || s.Factor(25) != 0.25 {
-		t.Fatal("step schedule wrong")
-	}
-	if (ConstantLR{}).Factor(100) != 1 {
-		t.Fatal("constant schedule wrong")
-	}
-	if (StepLR{}).Factor(5) != 1 {
-		t.Fatal("degenerate step schedule must be constant")
-	}
-	if (CosineLR{Epochs: 1}).Factor(0) != 1 {
-		t.Fatal("single-epoch cosine must be constant")
-	}
-}
-
-func TestEarlyStopper(t *testing.T) {
-	e := &EarlyStopper{Patience: 2}
-	seq := []float64{0.1, 0.2, 0.15, 0.18, 0.19}
-	var stoppedAt int = -1
-	for i, v := range seq {
-		if e.Observe(v) {
-			stoppedAt = i
-			break
-		}
-	}
-	if stoppedAt != 3 {
-		t.Fatalf("stopped at %d, want 3 (two epochs without beating 0.2)", stoppedAt)
-	}
-	if e.Best() != 0.2 {
-		t.Fatalf("best = %v", e.Best())
-	}
-	// patience 0 disables stopping
-	e2 := &EarlyStopper{}
-	for _, v := range seq {
-		if e2.Observe(v) {
-			t.Fatal("patience 0 must never stop")
-		}
-	}
-}

@@ -155,7 +155,16 @@ cleanup() {
 }
 trap cleanup EXIT
 rm -rf "$SMOKE" && mkdir -p "$SMOKE"
-go build -o "$SMOKE/" ./cmd/wisegraph-train ./cmd/wisegraph-serve ./cmd/wgserve-bench
+go build -o "$SMOKE/" ./cmd/...
+# A flag is an option: every binary's flag count is committed, so adding or
+# removing one is a visible edit of scripts/flags.golden, never a side effect.
+echo "== cmd flag counts against scripts/flags.golden"
+for d in cmd/*/; do
+  b="$(basename "$d")"
+  echo "$b $("$SMOKE/$b" -h 2>&1 | grep -c '^  -')"
+done >"$SMOKE/flags.txt"
+diff -u scripts/flags.golden "$SMOKE/flags.txt" \
+  || { echo "FAIL: cmd flag counts differ from scripts/flags.golden"; exit 1; }
 "$SMOKE/wisegraph-train" -dataset AR -scale 400 -sampled -epochs 2 \
   -save-checkpoint "$SMOKE/model.ckpt" -trace "$SMOKE/train.trace" >/dev/null
 grep -q '"traceEvents"' "$SMOKE/train.trace" \
@@ -250,7 +259,6 @@ echo "sharded scaling smoke OK"
 # logits over the wire must be byte-identical to single-node, and a
 # SIGTERM must drain router and both daemons to in-flight=0.
 echo "== TCP sharded serving smoke (2 daemons + router, logits parity)"
-go build -o "$SMOKE/" ./cmd/wisegraph-shard
 SHARD_PIDS=()
 SHARD_ADDRS=()
 for i in 1 2; do

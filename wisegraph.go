@@ -227,8 +227,8 @@ type ServeOptions = serve.Options
 type InferenceEngine = serve.Engine
 
 // NewInferenceEngine freezes an inference context (graph CSR, one-shot
-// tuned joint plan, per-worker partitioners/RNGs/model replicas) and
-// starts the serving worker pool.
+// tuned joint plan, per-worker partitioners) and starts the serving worker
+// pool. The workers read m in place: do not write to it while it is served.
 func NewInferenceEngine(ds *Dataset, m *Model, opts ServeOptions) (*InferenceEngine, error) {
 	return serve.NewEngine(ds, m, opts)
 }
