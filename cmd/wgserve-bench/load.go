@@ -1,8 +1,7 @@
-package serve
+package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,52 +12,53 @@ import (
 	"sync/atomic"
 	"time"
 
+	"wisegraph/internal/serve"
 	"wisegraph/internal/tensor"
 )
 
-// LoadOptions configure a closed-loop load run.
-type LoadOptions struct {
+// loadOptions configure a closed-loop load run; the tags are the -json
+// document's field names.
+type loadOptions struct {
 	// Clients is the number of closed-loop virtual users; each issues its
 	// next request as soon as the previous one answers (no think time), so
-	// offered load rises until the engine's admission queue pushes back.
-	Clients int
+	// offered load rises until the server's admission queue pushes back.
+	Clients int `json:"clients"`
 	// NodesPerReq is how many node ids each request carries.
-	NodesPerReq int
+	NodesPerReq int `json:"nodesPerReq"`
 	// Duration is how long the run offers load.
-	Duration time.Duration
-	// Seed derives the per-client RNG streams.
-	Seed uint64
+	Duration time.Duration `json:"durationNs"`
 	// Zipf skews node popularity: node id r is drawn with probability
 	// ∝ 1/(r+1)^Zipf. Zero means uniform. Serving traffic is typically
 	// hotspot-skewed (YCSB-style), which is the regime where micro-batch
 	// coalescing pays: duplicate and overlapping hot-node queries are
 	// sampled, gathered and computed once per batch.
-	Zipf float64
+	Zipf float64 `json:"zipf"`
+	// Seed derives the per-client RNG streams.
+	Seed uint64 `json:"seed"`
 }
 
-// LoadReport summarizes one closed-loop load run.
-type LoadReport struct {
-	Clients    int
-	Duration   time.Duration
-	Completed  uint64
-	Shed       uint64  // 429s: load the engine refused instead of stalling on
-	Errors     uint64  // non-shed failures
-	Throughput float64 // completed requests/second
-	MeanLat    time.Duration
-	P50        time.Duration
-	P95        time.Duration
-	P99        time.Duration
+// loadReport summarizes one closed-loop load run.
+type loadReport struct {
+	Completed  uint64  `json:"completed"`
+	Shed       uint64  `json:"shed"`   // 429s: load the server refused instead of stalling on
+	Errors     uint64  `json:"errors"` // non-shed failures
+	Throughput float64 `json:"qps"`    // completed requests/second
+	P50Ms      float64 `json:"p50Ms"`
+	P95Ms      float64 `json:"p95Ms"`
+	P99Ms      float64 `json:"p99Ms"`
 }
 
-func (r LoadReport) String() string {
-	return fmt.Sprintf("clients=%d dur=%v done=%d shed=%d err=%d qps=%.1f p50=%v p95=%v p99=%v",
-		r.Clients, r.Duration.Round(time.Millisecond), r.Completed, r.Shed, r.Errors,
-		r.Throughput, r.P50.Round(time.Microsecond), r.P95.Round(time.Microsecond), r.P99.Round(time.Microsecond))
+func (r loadReport) String() string {
+	return fmt.Sprintf("done=%d shed=%d err=%d qps=%.1f p50=%.3fms p95=%.3fms p99=%.3fms",
+		r.Completed, r.Shed, r.Errors, r.Throughput, r.P50Ms, r.P95Ms, r.P99Ms)
 }
 
 // shedBackoff is how long a closed-loop client sleeps after being shed, so
 // a full queue degrades into bounded retry pressure instead of a busy spin.
 const shedBackoff = 500 * time.Microsecond
+
+// errShed marks a 429: the server refused the request at admission.
+var errShed = errors.New("shed")
 
 // nodePicker draws node ids under the configured popularity distribution.
 // It is immutable after construction and shared by every client.
@@ -89,25 +89,11 @@ func (p *nodePicker) pick(rng *tensor.RNG) int32 {
 	return int32(sort.SearchFloat64s(p.cum, u))
 }
 
-// RunClosedLoop drives the engine in-process with closed-loop load.
-func RunClosedLoop(e *Engine, o LoadOptions) LoadReport {
-	picker := newNodePicker(e.ds.Graph.NumVertices, o.Zipf)
-	issue := func(rng *tensor.RNG) error {
-		nodes := make([]int32, o.NodesPerReq)
-		for i := range nodes {
-			nodes[i] = picker.pick(rng)
-		}
-		_, err := e.Predict(context.Background(), nodes, false)
-		return err
-	}
-	isShed := func(err error) bool { return errors.Is(err, ErrOverloaded) }
-	return runClosedLoop(o, issue, isShed)
-}
-
-// RunClosedLoopHTTP is RunClosedLoop over the wire: clients POST /predict
-// against baseURL. maxNode bounds the node ids (the client does not know
+// runClosedLoop drives the server at baseURL with closed-loop load: every
+// client POSTs /predict, waits for the answer and asks again until the
+// duration is up. maxNode bounds the node ids (the client does not know
 // the graph size; pass what the server reports or a known bound).
-func RunClosedLoopHTTP(baseURL string, maxNode int, o LoadOptions) LoadReport {
+func runClosedLoop(baseURL string, maxNode int, o loadOptions) loadReport {
 	// The default transport keeps only 2 idle connections per host; with
 	// dozens of closed-loop clients that means constant dial/teardown and
 	// the generator bottlenecks on connection churn instead of the server.
@@ -126,31 +112,24 @@ func RunClosedLoopHTTP(baseURL string, maxNode int, o LoadOptions) LoadReport {
 		for i := range nodes {
 			nodes[i] = picker.pick(rng)
 		}
-		body, _ := json.Marshal(PredictRequest{Nodes: nodes})
+		body, _ := json.Marshal(serve.PredictRequest{Nodes: nodes}) // ids only: cannot fail
 		resp, err := hc.Post(url, "application/json", bytes.NewReader(body))
 		if err != nil {
 			return err
 		}
 		defer resp.Body.Close()
-		var pr PredictResponse
-		if resp.StatusCode != http.StatusOK {
-			var er errorResponse
-			json.NewDecoder(resp.Body).Decode(&er)
-			if resp.StatusCode == http.StatusTooManyRequests {
-				return fmt.Errorf("%w: %s", ErrOverloaded, er.Error)
-			}
-			return fmt.Errorf("http %d: %s", resp.StatusCode, er.Error)
+		if resp.StatusCode == http.StatusTooManyRequests {
+			return errShed
 		}
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("http %d", resp.StatusCode)
+		}
+		var pr serve.PredictResponse
 		return json.NewDecoder(resp.Body).Decode(&pr)
 	}
-	isShed := func(err error) bool { return errors.Is(err, ErrOverloaded) }
-	return runClosedLoop(o, issue, isShed)
-}
 
-func runClosedLoop(o LoadOptions, issue func(rng *tensor.RNG) error, isShed func(error) bool) LoadReport {
 	var (
-		hist       Histogram
-		completed  atomic.Uint64
+		hist       serve.Histogram // one observation per completed request
 		shed, errs atomic.Uint64
 		wg         sync.WaitGroup
 		deadline   = time.Now().Add(o.Duration)
@@ -165,9 +144,8 @@ func runClosedLoop(o LoadOptions, issue func(rng *tensor.RNG) error, isShed func
 				err := issue(rng)
 				switch {
 				case err == nil:
-					completed.Add(1)
 					hist.Observe(time.Since(start))
-				case isShed(err):
+				case errors.Is(err, errShed):
 					shed.Add(1)
 					time.Sleep(shedBackoff)
 				default:
@@ -177,17 +155,15 @@ func runClosedLoop(o LoadOptions, issue func(rng *tensor.RNG) error, isShed func
 		}(c)
 	}
 	wg.Wait()
-	done := completed.Load()
-	return LoadReport{
-		Clients:    o.Clients,
-		Duration:   o.Duration,
+	done := hist.Count()
+	ms := func(q float64) float64 { return float64(hist.Quantile(q)) / float64(time.Millisecond) }
+	return loadReport{
 		Completed:  done,
 		Shed:       shed.Load(),
 		Errors:     errs.Load(),
 		Throughput: float64(done) / o.Duration.Seconds(),
-		MeanLat:    hist.Mean(),
-		P50:        hist.Quantile(0.50),
-		P95:        hist.Quantile(0.95),
-		P99:        hist.Quantile(0.99),
+		P50Ms:      ms(0.50),
+		P95Ms:      ms(0.95),
+		P99Ms:      ms(0.99),
 	}
 }

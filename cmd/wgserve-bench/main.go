@@ -23,42 +23,16 @@ import (
 	"time"
 
 	"wisegraph/internal/serve"
-	"wisegraph/internal/shard"
 )
 
-// benchResult is the -json document: the client-side load report plus
-// the server-side snapshot taken right after the run. Engine and cache
-// fields ride along so a tracked regression can be attributed to the
-// execution engine or the cache configuration that produced it.
+// benchResult is the -json document: what was asked for, the client-side
+// load report and the server's /statsz snapshot taken right after the run
+// (engine, cache accounting, FLOPs per request and the fleet view), so a
+// tracked regression can be attributed to the configuration behind it.
 type benchResult struct {
-	URL         string        `json:"url"`
-	Clients     int           `json:"clients"`
-	NodesPerReq int           `json:"nodesPerReq"`
-	Duration    time.Duration `json:"durationNs"`
-	Zipf        float64       `json:"zipf"`
-	Seed        uint64        `json:"seed"`
-
-	Completed  uint64  `json:"completed"`
-	Shed       uint64  `json:"shed"`
-	Errors     uint64  `json:"errors"`
-	Throughput float64 `json:"qps"`
-	P50Ms      float64 `json:"p50Ms"`
-	P95Ms      float64 `json:"p95Ms"`
-	P99Ms      float64 `json:"p99Ms"`
-
-	// Fleet view (a single-node server reports shards: 1): shard
-	// count, each shard's router-side RPC QPS and latency quantiles, and
-	// the resilience counters (hedged duplicates, retried RPC faults,
-	// per-shard timeouts, exhausted-ladder failures) plus the engine's
-	// degraded half-batch retries the failures fall back to.
-	Shards          int           `json:"shards,omitempty"`
-	PerShard        []shard.Stats `json:"perShard,omitempty"`
-	ShardHedges     uint64        `json:"shardHedges,omitempty"`
-	ShardRetries    uint64        `json:"shardRetries,omitempty"`
-	ShardTimeouts   uint64        `json:"shardTimeouts,omitempty"`
-	ShardFailures   uint64        `json:"shardFailures,omitempty"`
-	DegradedRetries uint64        `json:"degradedRetries,omitempty"`
-
+	URL string `json:"url"`
+	loadOptions
+	loadReport
 	Server *serve.Snapshot `json:"server,omitempty"`
 }
 
@@ -76,7 +50,7 @@ func main() {
 	flag.Parse()
 
 	if *maxNode <= 0 {
-		h, err := health(*url)
+		h, err := getJSON[serve.HealthResponse](*url + "/healthz")
 		if err != nil {
 			fatal(fmt.Errorf("fetching /healthz (pass -max-node to skip): %w", err))
 		}
@@ -87,16 +61,17 @@ func main() {
 		fmt.Printf("server: model=%s vertices=%d classes=%d\n", h.Model, h.Vertices, h.Classes)
 	}
 
-	rep := serve.RunClosedLoopHTTP(*url, *maxNode, serve.LoadOptions{
+	opts := loadOptions{
 		Clients: *clients, NodesPerReq: *nodes, Duration: *duration,
-		Seed: *seed, Zipf: *zipf,
-	})
-	fmt.Println(rep)
+		Zipf: *zipf, Seed: *seed,
+	}
+	rep := runClosedLoop(*url, *maxNode, opts)
+	fmt.Printf("clients=%d dur=%v %v\n", *clients, duration.Round(time.Millisecond), rep)
 
 	// Server-side view: engine, cache behavior and FLOPs accounting for
 	// the load just applied. Best-effort — an unreachable /statsz (server
 	// already gone) degrades to the client-side report alone.
-	snap, err := statsz(*url)
+	snap, err := getJSON[serve.Snapshot](*url + "/statsz")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "warning: /statsz scrape failed: %v\n", err)
 	} else {
@@ -121,26 +96,7 @@ func main() {
 	}
 
 	if *jsonOut != "" {
-		res := benchResult{
-			URL: *url, Clients: *clients, NodesPerReq: *nodes,
-			Duration: *duration, Zipf: *zipf, Seed: *seed,
-			Completed: rep.Completed, Shed: rep.Shed, Errors: rep.Errors,
-			Throughput: rep.Throughput,
-			P50Ms:      float64(rep.P50) / float64(time.Millisecond),
-			P95Ms:      float64(rep.P95) / float64(time.Millisecond),
-			P99Ms:      float64(rep.P99) / float64(time.Millisecond),
-			Server:     snap,
-		}
-		if snap != nil && snap.Shards > 0 {
-			res.Shards = snap.Shards
-			res.PerShard = snap.PerShard
-			res.ShardHedges = snap.ShardHedges
-			res.ShardRetries = snap.ShardRetries
-			res.ShardTimeouts = snap.ShardTimeouts
-			res.ShardFailures = snap.ShardFailures
-			res.DegradedRetries = snap.DegradedRetries
-		}
-		data, err := json.MarshalIndent(res, "", "  ")
+		data, err := json.MarshalIndent(benchResult{*url, opts, rep, snap}, "", "  ")
 		if err != nil {
 			fatal(err)
 		}
@@ -155,30 +111,18 @@ func main() {
 	}
 }
 
-func health(base string) (*serve.HealthResponse, error) {
-	resp, err := http.Get(base + "/healthz")
+// getJSON fetches url and decodes its JSON body into a T.
+func getJSON[T any](url string) (*T, error) {
+	resp, err := http.Get(url)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	var h serve.HealthResponse
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+	var v T
+	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
 		return nil, err
 	}
-	return &h, nil
-}
-
-func statsz(base string) (*serve.Snapshot, error) {
-	resp, err := http.Get(base + "/statsz")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var s serve.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&s); err != nil {
-		return nil, err
-	}
-	return &s, nil
+	return &v, nil
 }
 
 func fatal(err error) {

@@ -53,10 +53,6 @@ func main() {
 		deadline    = flag.Duration("deadline", 2*time.Second, "default per-request deadline")
 		fanout      = flag.String("fanout", "", "sampling fan-outs, comma-separated (default 10 per layer)")
 		drainWait   = flag.Duration("drain-timeout", 15*time.Second, "graceful drain budget on shutdown")
-		loadGen     = flag.Int("loadgen", 0, "skip HTTP: drive the engine in-process with N closed-loop clients, report, exit")
-		loadDur     = flag.Duration("loadgen-duration", 5*time.Second, "in-process load duration")
-		loadNodes   = flag.Int("loadgen-nodes", 1, "node ids per in-process load request")
-		loadZipf    = flag.Float64("loadgen-zipf", 0, "node popularity skew for in-process load (0 = uniform)")
 		traceRing   = flag.Int("trace-ring", obs.DefaultRingSize, "span ring-buffer capacity for /debug/trace (0 disables tracing)")
 		pprofFlag   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		faultSpec   = flag.String("fault-spec", "", "deterministic fault-injection schedule, e.g. seed=42;serve.batch:error=0.05,latency=0.1,delay=2ms")
@@ -134,15 +130,14 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		kind, gp, op, diff, err := joint.UnmarshalPlan(data)
+		opts.Plan, err = joint.UnmarshalPlan(data)
 		if err != nil {
 			fatal(err)
 		}
-		if kind != m.Cfg.Kind {
-			fatal(fmt.Errorf("plan %s is for %v, model is %v", *planPath, kind, m.Cfg.Kind))
+		if opts.Plan.Kind != m.Cfg.Kind {
+			fatal(fmt.Errorf("plan %s is for %v, model is %v", *planPath, opts.Plan.Kind, m.Cfg.Kind))
 		}
-		opts.Plan = &joint.Result{Kind: kind, GraphPlan: gp, OpPlan: op, Differentiated: diff}
-		fmt.Printf("loaded plan %s: %v + %v\n", *planPath, gp, op)
+		fmt.Printf("loaded plan %s: %v + %v\n", *planPath, opts.Plan.GraphPlan, opts.Plan.OpPlan)
 	}
 
 	engine, err := serve.NewEngine(ds, m, opts)
@@ -168,26 +163,6 @@ func main() {
 	if *planPath == "" {
 		fmt.Printf("tuned plan: %v + %v (frozen, reused across requests)\n",
 			engine.Plan().GraphPlan, engine.Plan().OpPlan)
-	}
-
-	if *loadGen > 0 {
-		// Engine-level load: measures micro-batching capacity without the
-		// per-request HTTP cost (which dominates on small hosts).
-		rep := serve.RunClosedLoop(engine, serve.LoadOptions{
-			Clients: *loadGen, NodesPerReq: *loadNodes, Duration: *loadDur,
-			Seed: *seed, Zipf: *loadZipf,
-		})
-		fmt.Println(rep)
-		ctx, cancel := context.WithTimeout(context.Background(), *drainWait)
-		defer cancel()
-		if err := engine.Shutdown(ctx); err != nil {
-			fatal(err)
-		}
-		st := engine.Stats()
-		fmt.Printf("drained: in-flight=%d served=%d shed=%d batches=%d avg-batch=%.2f p50=%.2fms p99=%.2fms flops/req=%.0f%s\n",
-			engine.InFlight(), st.Completed, st.Shed, st.Batches, st.AvgBatchSize,
-			st.LatencyP50Ms, st.LatencyP99Ms, st.FLOPsPerRequest, cacheSummary(st)+shardSummary(st))
-		return
 	}
 
 	ln, err := net.Listen("tcp", *addr)

@@ -75,12 +75,13 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kind, gp, op, _, err := joint.UnmarshalPlan(data)
+	loaded, err := joint.UnmarshalPlan(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kind != SAGE || gp.Name != plan.GraphPlan.Name || op != plan.OpPlan {
-		t.Fatalf("plan round trip mismatch: %v %v %v", kind, gp, op)
+	gp := loaded.GraphPlan
+	if loaded.Kind != SAGE || gp.Name != plan.GraphPlan.Name || loaded.OpPlan != plan.OpPlan {
+		t.Fatalf("plan round trip mismatch: %v %v %v", loaded.Kind, gp, loaded.OpPlan)
 	}
 	st, err := NewSampledTrainer(ds, ModelConfig{Kind: SAGE, Hidden: 24, Layers: 2, Seed: 78}, 0.01, []int{5, 5}, 16, 79)
 	if err != nil {

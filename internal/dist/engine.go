@@ -70,7 +70,7 @@ func NewEngine(c Cluster, g *graph.Graph) *Engine {
 			e.remoteNeeds[d][p] = append(e.remoteNeeds[d][p], v)
 		}
 		for p := range e.remoteNeeds[d] {
-			sortInt32s(e.remoteNeeds[d][p])
+			slices.Sort(e.remoteNeeds[d][p])
 		}
 	}
 	return e
@@ -102,6 +102,22 @@ func (e *Engine) account(bytes float64) {
 	e.mu.Lock()
 	e.commBytes += bytes
 	e.mu.Unlock()
+}
+
+// perDevice runs fn(d) for every device d in [0, n), one goroutine each —
+// the simulated devices compute concurrently whatever GOMAXPROCS is, so an
+// injected straggler holds up its own device only — and returns once all
+// have finished. fn writes nothing but its own device's slots.
+func perDevice(n int, fn func(d int)) {
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for d := 0; d < n; d++ {
+		go func(d int) {
+			defer wg.Done()
+			fn(d)
+		}(d)
+	}
+	wg.Wait()
 }
 
 // Shard splits a full [V, F] tensor into per-device row blocks (views
@@ -181,29 +197,23 @@ func (e *Engine) exchange(parts []*tensor.Tensor) ([]map[int32][]float32, error)
 	n := e.C.N
 	out := make([]map[int32][]float32, n)
 	errs := make([]error, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for d := 0; d < n; d++ {
-		go func(d int) {
-			defer wg.Done()
-			recv := map[int32][]float32{}
-			for p := 0; p < n; p++ {
-				// The device pair keys the jitter: concurrent fetchers differ in d.
-				err := retry.Do(uint64(d*n+p), fault.IsInjected, func(attempt int) error {
-					if attempt > 0 {
-						e.retries.Add(1)
-					}
-					return e.fetchPeer(d, p, parts[p], recv)
-				})
-				if err != nil {
-					errs[d] = fmt.Errorf("dist: exchange fetch dev%d<-dev%d %w", d, p, err)
-					return
+	perDevice(n, func(d int) {
+		recv := map[int32][]float32{}
+		for p := 0; p < n; p++ {
+			// The device pair keys the jitter: concurrent fetchers differ in d.
+			err := retry.Do(uint64(d*n+p), fault.IsInjected, func(attempt int) error {
+				if attempt > 0 {
+					e.retries.Add(1)
 				}
+				return e.fetchPeer(d, p, parts[p], recv)
+			})
+			if err != nil {
+				errs[d] = fmt.Errorf("dist: exchange fetch dev%d<-dev%d %w", d, p, err)
+				return
 			}
-			out[d] = recv
-		}(d)
-	}
-	wg.Wait()
+		}
+		out[d] = recv
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -218,27 +228,21 @@ func (e *Engine) exchange(parts []*tensor.Tensor) ([]map[int32][]float32, error)
 func (e *Engine) aggregate(parts []*tensor.Tensor, recv []map[int32][]float32, width int, invDeg []float32) []*tensor.Tensor {
 	n := e.C.N
 	out := make([]*tensor.Tensor, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for d := 0; d < n; d++ {
-		go func(d int) {
-			defer wg.Done()
-			lo, hi := e.Block(d)
-			agg := tensor.New(int(hi-lo), width)
-			for _, ei := range e.devEdges[d] {
-				src := e.G.Src[ei]
-				var row []float32
-				if sd := e.Owner(src); sd == d {
-					row = parts[d].Row(int(src - lo))
-				} else {
-					row = recv[d][src]
-				}
-				tensor.AxpyRow(agg.Row(int(e.G.Dst[ei]-lo)), invDeg[ei], row)
+	perDevice(n, func(d int) {
+		lo, hi := e.Block(d)
+		agg := tensor.New(int(hi-lo), width)
+		for _, ei := range e.devEdges[d] {
+			src := e.G.Src[ei]
+			var row []float32
+			if sd := e.Owner(src); sd == d {
+				row = parts[d].Row(int(src - lo))
+			} else {
+				row = recv[d][src]
 			}
-			out[d] = agg
-		}(d)
-	}
-	wg.Wait()
+			tensor.AxpyRow(agg.Row(int(e.G.Dst[ei]-lo)), invDeg[ei], row)
+		}
+		out[d] = agg
+	})
 	return out
 }
 
@@ -263,22 +267,16 @@ func (e *Engine) GCNForward(layer *nn.GCNLayer, xParts []*tensor.Tensor, strat S
 		n := e.C.N
 		xw := make([]*tensor.Tensor, n)
 		recvXW := make([]map[int32][]float32, n)
-		var wg sync.WaitGroup
-		wg.Add(n)
-		for d := 0; d < n; d++ {
-			go func(d int) {
-				defer wg.Done()
-				xw[d] = tensor.MatMul(nil, xParts[d], layer.W.Value)
-				m := map[int32][]float32{}
-				for v, row := range recv[d] {
-					out := make([]float32, layer.OutDim())
-					tensor.VecMat(out, row, layer.W.Value)
-					m[v] = out
-				}
-				recvXW[d] = m
-			}(d)
-		}
-		wg.Wait()
+		perDevice(n, func(d int) {
+			xw[d] = tensor.MatMul(nil, xParts[d], layer.W.Value)
+			m := map[int32][]float32{}
+			for v, row := range recv[d] {
+				out := make([]float32, layer.OutDim())
+				tensor.VecMat(out, row, layer.W.Value)
+				m[v] = out
+			}
+			recvXW[d] = m
+		})
 		agg := e.aggregate(xw, recvXW, layer.OutDim(), invDeg)
 		for _, a := range agg {
 			tensor.AddBias(a, layer.B.Value)
@@ -287,15 +285,9 @@ func (e *Engine) GCNForward(layer *nn.GCNLayer, xParts []*tensor.Tensor, strat S
 	case DPPost:
 		n := e.C.N
 		xw := make([]*tensor.Tensor, n)
-		var wg sync.WaitGroup
-		wg.Add(n)
-		for d := 0; d < n; d++ {
-			go func(d int) {
-				defer wg.Done()
-				xw[d] = tensor.MatMul(nil, xParts[d], layer.W.Value)
-			}(d)
-		}
-		wg.Wait()
+		perDevice(n, func(d int) {
+			xw[d] = tensor.MatMul(nil, xParts[d], layer.W.Value)
+		})
 		recv, err := e.exchange(xw) // fp-wide transformed halo rows
 		if err != nil {
 			return nil, err
@@ -321,18 +313,12 @@ func (e *Engine) SAGEForward(layer *nn.SAGELayer, xParts []*tensor.Tensor) ([]*t
 	agg := e.aggregate(xParts, recv, layer.InDim(), invDeg)
 	n := e.C.N
 	out := make([]*tensor.Tensor, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for d := 0; d < n; d++ {
-		go func(d int) {
-			defer wg.Done()
-			o := tensor.MatMul(nil, xParts[d], layer.WSelf.Value)
-			tensor.MatMulAcc(o, agg[d], layer.WNeigh.Value)
-			tensor.AddBias(o, layer.B.Value)
-			out[d] = o
-		}(d)
-	}
-	wg.Wait()
+	perDevice(n, func(d int) {
+		o := tensor.MatMul(nil, xParts[d], layer.WSelf.Value)
+		tensor.MatMulAcc(o, agg[d], layer.WNeigh.Value)
+		tensor.AddBias(o, layer.B.Value)
+		out[d] = o
+	})
 	return out, nil
 }
 
@@ -347,69 +333,63 @@ func (e *Engine) GCNBackward(layer *nn.GCNLayer, xParts, dOutParts []*tensor.Ten
 	for d := 0; d < n; d++ {
 		accumBias(layer.B.Grad, dOutParts[d])
 	}
-	// reverse aggregation: dXW[src] += w·dOut[dst]. Each device owns the
-	// dst rows; contributions to remote sources are sent back to their
-	// owners (the transpose all-to-all — same volume as forward).
-	fp := layer.OutDim()
 	dXW := make([]*tensor.Tensor, n)
-	remote := make([]map[int32][]float32, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for d := 0; d < n; d++ {
-		go func(d int) {
-			defer wg.Done()
-			lo, hi := e.Block(d)
-			local := tensor.New(int(hi-lo), fp)
-			rem := map[int32][]float32{}
-			for _, ei := range e.devEdges[d] {
-				src := e.G.Src[ei]
-				dst := e.G.Dst[ei]
-				dor := dOutParts[d].Row(int(dst - lo))
-				var target []float32
-				if e.Owner(src) == d {
-					target = local.Row(int(src - lo))
-				} else {
-					target = rem[src]
-					if target == nil {
-						target = make([]float32, fp)
-						rem[src] = target
-					}
-				}
-				tensor.AxpyRow(target, invDeg[ei], dor)
-			}
-			dXW[d] = local
-			remote[d] = rem
-		}(d)
+	for d := range dXW {
+		lo, hi := e.Block(d)
+		dXW[d] = tensor.New(int(hi-lo), layer.OutDim())
 	}
-	wg.Wait()
-	// deliver remote gradient contributions to their owners (accounted).
-	for d := 0; d < n; d++ {
-		for v, row := range remote[d] {
-			owner := e.Owner(v)
-			lo := e.blockStart[owner]
-			target := dXW[owner].Row(int(v - lo))
-			tensor.AddRow(target, row)
-			e.account(float64(len(row)) * 4)
-		}
-	}
+	e.scatterBack(dXW, dOutParts, invDeg)
 	// per-device weight gradients + dx, then all-reduce dW (accounted).
 	dxParts := make([]*tensor.Tensor, n)
 	partials := make([]*tensor.Tensor, n)
-	wg.Add(n)
-	for d := 0; d < n; d++ {
-		go func(d int) {
-			defer wg.Done()
-			partials[d] = tensor.MatMulTransA(nil, xParts[d], dXW[d])
-			dxParts[d] = tensor.MatMulTransB(nil, dXW[d], layer.W.Value)
-		}(d)
-	}
-	wg.Wait()
+	perDevice(n, func(d int) {
+		partials[d] = tensor.MatMulTransA(nil, xParts[d], dXW[d])
+		dxParts[d] = tensor.MatMulTransB(nil, dXW[d], layer.W.Value)
+	})
 	for d := 0; d < n; d++ {
 		tensor.AXPY(layer.W.Grad, 1, partials[d])
 	}
 	// ring all-reduce volume: 2·(N-1)/N per device over the weight size
 	e.account(2 * float64(n-1) * float64(layer.W.Grad.Len()) * 4)
 	return dxParts
+}
+
+// scatterBack is the reverse aggregation both backward passes share:
+// into[owner(src)][src] += w·dOut[d][dst] over every device d's in-edges.
+// A device owns its dst rows; what it owes a remote source it first sums
+// in a row of its own, and the sums are then delivered to their owners in
+// device order (the transpose all-to-all — same volume as forward,
+// accounted).
+func (e *Engine) scatterBack(into, dOut []*tensor.Tensor, invDeg []float32) {
+	n := e.C.N
+	remote := make([]map[int32][]float32, n)
+	perDevice(n, func(d int) {
+		lo, _ := e.Block(d)
+		rem := map[int32][]float32{}
+		for _, ei := range e.devEdges[d] {
+			src := e.G.Src[ei]
+			dor := dOut[d].Row(int(e.G.Dst[ei] - lo))
+			var target []float32
+			if e.Owner(src) == d {
+				target = into[d].Row(int(src - lo))
+			} else {
+				target = rem[src]
+				if target == nil {
+					target = make([]float32, len(dor))
+					rem[src] = target
+				}
+			}
+			tensor.AxpyRow(target, invDeg[ei], dor)
+		}
+		remote[d] = rem
+	})
+	for d := 0; d < n; d++ {
+		for v, row := range remote[d] {
+			owner := e.Owner(v)
+			tensor.AddRow(into[owner].Row(int(v-e.blockStart[owner])), row)
+			e.account(float64(len(row)) * 4)
+		}
+	}
 }
 
 func accumBias(g *tensor.Tensor, d *tensor.Tensor) {
@@ -434,5 +414,3 @@ func invDegWeights(g *graph.Graph) []float32 {
 	}
 	return w
 }
-
-func sortInt32s(xs []int32) { slices.Sort(xs) }

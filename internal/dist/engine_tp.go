@@ -1,8 +1,6 @@
 package dist
 
 import (
-	"sync"
-
 	"wisegraph/internal/nn"
 	"wisegraph/internal/tensor"
 )
@@ -42,50 +40,39 @@ func (e *Engine) GCNForwardTP(layer *nn.GCNLayer, colParts []*tensor.Tensor) []*
 	// every device has every row of its columns, so no exchange.
 	// Phase 2 (local): partial = agg_d × W[cols_d, :].
 	partials := make([]*tensor.Tensor, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for d := 0; d < n; d++ {
-		go func(d int) {
-			defer wg.Done()
-			agg := tensor.New(e.G.NumVertices, colParts[d].RowSize())
-			nn.EdgeSpMM(agg, colParts[d], e.G.Src, e.G.Dst, invDeg)
-			lo := d * f / n
-			hi := (d + 1) * f / n
-			wSlice := tensor.New(hi-lo, fp)
-			for r := lo; r < hi; r++ {
-				copy(wSlice.Row(r-lo), layer.W.Value.Row(r))
-			}
-			partials[d] = tensor.MatMul(nil, agg, wSlice)
-		}(d)
-	}
-	wg.Wait()
+	perDevice(n, func(d int) {
+		agg := tensor.New(e.G.NumVertices, colParts[d].RowSize())
+		nn.EdgeSpMM(agg, colParts[d], e.G.Src, e.G.Dst, invDeg)
+		lo := d * f / n
+		hi := (d + 1) * f / n
+		wSlice := tensor.New(hi-lo, fp)
+		for r := lo; r < hi; r++ {
+			copy(wSlice.Row(r-lo), layer.W.Value.Row(r))
+		}
+		partials[d] = tensor.MatMul(nil, agg, wSlice)
+	})
 
 	// Phase 3 (reduce-scatter): each device receives and sums the other
 	// devices' partials for its block rows. Cross-device traffic:
 	// (N-1) partial blocks of V/N × fp per destination.
 	out := make([]*tensor.Tensor, n)
-	wg.Add(n)
-	for d := 0; d < n; d++ {
-		go func(d int) {
-			defer wg.Done()
-			lo, hi := e.Block(d)
-			rows := int(hi - lo)
-			acc := tensor.New(rows, fp)
-			var vol float64
-			for p := 0; p < n; p++ {
-				part := partials[p]
-				for r := 0; r < rows; r++ {
-					tensor.AddRow(acc.Row(r), part.Row(int(lo)+r))
-				}
-				if p != d {
-					vol += float64(rows*fp) * 4
-				}
+	perDevice(n, func(d int) {
+		lo, hi := e.Block(d)
+		rows := int(hi - lo)
+		acc := tensor.New(rows, fp)
+		var vol float64
+		for p := 0; p < n; p++ {
+			part := partials[p]
+			for r := 0; r < rows; r++ {
+				tensor.AddRow(acc.Row(r), part.Row(int(lo)+r))
 			}
-			tensor.AddBias(acc, layer.B.Value)
-			out[d] = acc
-			e.account(vol)
-		}(d)
-	}
-	wg.Wait()
+			if p != d {
+				vol += float64(rows*fp) * 4
+			}
+		}
+		tensor.AddBias(acc, layer.B.Value)
+		out[d] = acc
+		e.account(vol)
+	})
 	return out
 }

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"fmt"
-	"sync"
 
 	"wisegraph/internal/nn"
 	"wisegraph/internal/tensor"
@@ -119,24 +118,18 @@ func (t *Trainer) Step() (float64, error) {
 	for d := 0; d < n; d++ {
 		total += len(t.masks[d])
 	}
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for d := 0; d < n; d++ {
-		go func(d int) {
-			defer wg.Done()
-			lo, hi := t.E.Block(d)
-			localLabels := t.labels[lo:hi]
-			grad := tensor.New(logits[d].Shape()...)
-			// per-device loss over its local mask, weighted to the
-			// global mean
-			l := tensor.CrossEntropy(logits[d], localLabels, t.masks[d], grad)
-			w := float64(len(t.masks[d])) / float64(total)
-			tensor.Scale(grad, grad, float32(w))
-			losses[d] = l * w
-			grads[d] = grad
-		}(d)
-	}
-	wg.Wait()
+	perDevice(n, func(d int) {
+		lo, hi := t.E.Block(d)
+		localLabels := t.labels[lo:hi]
+		grad := tensor.New(logits[d].Shape()...)
+		// per-device loss over its local mask, weighted to the
+		// global mean
+		l := tensor.CrossEntropy(logits[d], localLabels, t.masks[d], grad)
+		w := float64(len(t.masks[d])) / float64(total)
+		tensor.Scale(grad, grad, float32(w))
+		losses[d] = l * w
+		grads[d] = grad
+	})
 	// Reduce in device order after the join: float addition is not
 	// associative, and summing in goroutine completion order would make
 	// the reported loss depend on scheduling (the bit-identical fault

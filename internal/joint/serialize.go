@@ -61,26 +61,27 @@ func (r *Result) MarshalPlan() ([]byte, error) {
 	return json.MarshalIndent(pf, "", "  ")
 }
 
-// UnmarshalPlan reconstructs the plan triple (graph plan, operation plan,
-// differentiated flag) from serialized bytes. The caller applies the
-// graph plan with core.PartitionGraph.
-func UnmarshalPlan(data []byte) (nn.ModelKind, core.GraphPlan, kernels.Plan, bool, error) {
+// UnmarshalPlan reconstructs the searched plan (model kind, graph plan,
+// operation plan, differentiated flag) from serialized bytes; the search
+// statistics of the Result stay zero. The caller checks the kind against
+// its model and applies the graph plan with core.PartitionGraph.
+func UnmarshalPlan(data []byte) (*Result, error) {
 	var pf PlanFile
 	if err := json.Unmarshal(data, &pf); err != nil {
-		return 0, core.GraphPlan{}, kernels.Plan{}, false, err
+		return nil, err
 	}
 	if pf.Version != 1 {
-		return 0, core.GraphPlan{}, kernels.Plan{}, false, fmt.Errorf("joint: unsupported plan version %d", pf.Version)
+		return nil, fmt.Errorf("joint: unsupported plan version %d", pf.Version)
 	}
 	kind, err := nn.ParseModel(pf.Model)
 	if err != nil {
-		return 0, core.GraphPlan{}, kernels.Plan{}, false, err
+		return nil, err
 	}
 	gp := core.GraphPlan{Name: pf.GraphPlanName}
 	for _, rf := range pf.Restrictions {
 		attr, err := core.ParseAttr(rf.Attr)
 		if err != nil {
-			return 0, core.GraphPlan{}, kernels.Plan{}, false, err
+			return nil, err
 		}
 		switch rf.Kind {
 		case "exact":
@@ -88,8 +89,12 @@ func UnmarshalPlan(data []byte) (nn.ModelKind, core.GraphPlan, kernels.Plan, boo
 		case "min":
 			gp.Restrictions = append(gp.Restrictions, core.Restriction{Attr: attr, Kind: core.Min})
 		default:
-			return 0, core.GraphPlan{}, kernels.Plan{}, false, fmt.Errorf("joint: unknown restriction kind %q", rf.Kind)
+			return nil, fmt.Errorf("joint: unknown restriction kind %q", rf.Kind)
 		}
 	}
-	return kind, gp, kernels.Plan{Dedup: pf.Dedup, Batched: pf.Batched}, pf.Differentiated, nil
+	return &Result{
+		Kind: kind, GraphPlan: gp,
+		OpPlan:         kernels.Plan{Dedup: pf.Dedup, Batched: pf.Batched},
+		Differentiated: pf.Differentiated,
+	}, nil
 }

@@ -18,13 +18,14 @@ func TestPlanSerializationRoundTrip(t *testing.T) {
 	if !strings.Contains(string(data), `"version": 1`) {
 		t.Fatalf("plan file missing version: %s", data)
 	}
-	kind, gp, op, diff, err := UnmarshalPlan(data)
+	got, err := UnmarshalPlan(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kind != nn.RGCN {
-		t.Fatalf("model %v", kind)
+	if got.Kind != nn.RGCN {
+		t.Fatalf("model %v", got.Kind)
 	}
+	gp, op, diff := got.GraphPlan, got.OpPlan, got.Differentiated
 	if gp.Name != res.GraphPlan.Name || len(gp.Restrictions) != len(res.GraphPlan.Restrictions) {
 		t.Fatalf("graph plan mismatch: %v vs %v", gp, res.GraphPlan)
 	}
@@ -40,21 +41,21 @@ func TestPlanSerializationRoundTrip(t *testing.T) {
 }
 
 func TestUnmarshalPlanRejectsGarbage(t *testing.T) {
-	if _, _, _, _, err := UnmarshalPlan([]byte("not json")); err == nil {
+	if _, err := UnmarshalPlan([]byte("not json")); err == nil {
 		t.Fatal("expected JSON error")
 	}
-	if _, _, _, _, err := UnmarshalPlan([]byte(`{"version":99}`)); err == nil {
+	if _, err := UnmarshalPlan([]byte(`{"version":99}`)); err == nil {
 		t.Fatal("expected version error")
 	}
-	if _, _, _, _, err := UnmarshalPlan([]byte(`{"version":1,"model":"bogus"}`)); err == nil {
+	if _, err := UnmarshalPlan([]byte(`{"version":1,"model":"bogus"}`)); err == nil {
 		t.Fatal("expected model error")
 	}
 	bad := `{"version":1,"model":"GCN","restrictions":[{"attr":"nope","kind":"exact","limit":1}]}`
-	if _, _, _, _, err := UnmarshalPlan([]byte(bad)); err == nil {
+	if _, err := UnmarshalPlan([]byte(bad)); err == nil {
 		t.Fatal("expected attribute error")
 	}
 	bad2 := `{"version":1,"model":"GCN","restrictions":[{"attr":"dst-id","kind":"weird"}]}`
-	if _, _, _, _, err := UnmarshalPlan([]byte(bad2)); err == nil {
+	if _, err := UnmarshalPlan([]byte(bad2)); err == nil {
 		t.Fatal("expected kind error")
 	}
 }

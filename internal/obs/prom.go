@@ -3,6 +3,9 @@ package obs
 import (
 	"fmt"
 	"io"
+	"sort"
+
+	"wisegraph/internal/fault"
 )
 
 // PromWriter emits the Prometheus text exposition format (version 0.0.4)
@@ -114,5 +117,23 @@ func (p *PromWriter) HistogramFromBuckets(name, labels string, bounds []float64,
 func (p *PromWriter) StageHistograms(name string) {
 	for s := Stage(0); s < NumStages; s++ {
 		p.Histogram(name, fmt.Sprintf("stage=%q", s.String()), StageHistogram(s))
+	}
+}
+
+// FaultCounters emits the active fault schedule's per-site draw and
+// injection counters — nothing when no schedule is installed.
+func (p *PromWriter) FaultCounters() {
+	snap := fault.Snapshot()
+	sites := make([]string, 0, len(snap))
+	for site := range snap {
+		sites = append(sites, site)
+	}
+	sort.Strings(sites)
+	for _, site := range sites {
+		c := snap[site]
+		p.Counter("wisegraph_fault_draws_total", `site="`+site+`"`, float64(c.Draws))
+		p.Counter("wisegraph_fault_injected_total", `site="`+site+`",kind="error"`, float64(c.Errors))
+		p.Counter("wisegraph_fault_injected_total", `site="`+site+`",kind="corrupt"`, float64(c.Corrupts))
+		p.Counter("wisegraph_fault_injected_total", `site="`+site+`",kind="latency"`, float64(c.Latencies))
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"wisegraph/internal/dataset"
 	"wisegraph/internal/nn"
 	"wisegraph/internal/obs"
-	"wisegraph/internal/tensor"
 )
 
 // BenchmarkPredict measures the sequential per-request cost of the full
@@ -98,57 +97,5 @@ func BenchmarkWriteMetrics(b *testing.B) {
 		if err := e.WriteMetrics(io.Discard); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkPredictZipf prices the serving hot path under Zipf-1.2 node
-// popularity — the skew the hot-vertex cache is built for — with the
-// cache off and on. The cached variant is warmed to steady state before
-// timing, so the pair measures the cross-request reuse win (check.sh
-// holds the cached path to within 10% of itself across commits and the
-// EXPERIMENTS table is generated from the same setup).
-func BenchmarkPredictZipf(b *testing.B) {
-	ds, err := dataset.Load("AR", dataset.Options{Scale: 1600, Seed: 1, Homophily: 0.85, FeatureNoise: 0.8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, bc := range []struct {
-		name   string
-		budget int64
-	}{
-		{"uncached", 0},
-		{"cached", 64 << 20},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			m, err := nn.NewModel(nn.Config{
-				Kind: nn.SAGE, InDim: ds.Dim(), Hidden: 64, OutDim: ds.Classes(), Layers: 3, Seed: 1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			e, err := NewEngine(ds, m, Options{
-				Workers: 1, BatchCap: 1, BatchDelay: time.Microsecond,
-				Seed: 1, CacheBudget: bc.budget,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer e.Shutdown(context.Background())
-			picker := newNodePicker(ds.Graph.NumVertices, 1.2)
-			rng := tensor.NewRNG(7)
-			if bc.budget > 0 {
-				for i := 0; i < 1500; i++ { // steady-state warmup
-					if _, err := e.Predict(context.Background(), []int32{picker.pick(rng)}, false); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.Predict(context.Background(), []int32{picker.pick(rng)}, false); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

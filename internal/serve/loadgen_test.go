@@ -1,11 +1,67 @@
 package serve
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"wisegraph/internal/nn"
+	"wisegraph/internal/tensor"
 )
+
+// loadReport is what one closedLoop run counted.
+type loadReport struct {
+	Completed  uint64
+	Shed       uint64 // ErrOverloaded: load the engine refused instead of stalling on
+	Errors     uint64 // non-shed failures
+	Throughput float64
+}
+
+func (r loadReport) String() string {
+	return fmt.Sprintf("done=%d shed=%d err=%d qps=%.1f", r.Completed, r.Shed, r.Errors, r.Throughput)
+}
+
+// closedLoop drives e in-process with closed-loop load for the two tests
+// below: each client asks for one uniformly drawn node, and again as soon
+// as it is answered, until dur is up; a shed client backs off 500µs so a
+// full queue is bounded retry pressure, not a busy spin.
+func closedLoop(e *Engine, clients int, dur time.Duration, seed uint64) loadReport {
+	var (
+		completed, shed, errs atomic.Uint64
+		wg                    sync.WaitGroup
+		deadline              = time.Now().Add(dur)
+	)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			rng := tensor.NewRNG(seed ^ (uint64(c+1) * 0x2545f4914f6cdd1d))
+			for time.Now().Before(deadline) {
+				node := int32(rng.Intn(e.ds.Graph.NumVertices))
+				_, err := e.Predict(context.Background(), []int32{node}, false)
+				switch {
+				case err == nil:
+					completed.Add(1)
+				case errors.Is(err, ErrOverloaded):
+					shed.Add(1)
+					time.Sleep(500 * time.Microsecond)
+				default:
+					errs.Add(1)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	done := completed.Load()
+	return loadReport{
+		Completed: done, Shed: shed.Load(), Errors: errs.Load(),
+		Throughput: float64(done) / dur.Seconds(),
+	}
+}
 
 // TestBatchingThroughputAdvantage is the core serving claim: at equal
 // worker count, coalescing requests into micro-batches (cap 16) must beat
@@ -25,16 +81,15 @@ func TestBatchingThroughputAdvantage(t *testing.T) {
 		clients = 16
 		dur     = 400 * time.Millisecond
 	)
-	load := LoadOptions{Clients: clients, NodesPerReq: 1, Duration: dur, Seed: 11}
 	unbatched := testEngine(t, ds, m, Options{
 		Workers: 1, BatchCap: 1, QueueDepth: 64, Seed: 3,
 	})
-	repUnbatched := RunClosedLoop(unbatched, load)
+	repUnbatched := closedLoop(unbatched, clients, dur, 11)
 
 	batched := testEngine(t, ds, m, Options{
 		Workers: 1, BatchCap: 16, BatchDelay: 500 * time.Microsecond, QueueDepth: 64, Seed: 3,
 	})
-	repBatched := RunClosedLoop(batched, load)
+	repBatched := closedLoop(batched, clients, dur, 11)
 
 	t.Logf("cap=1:  %v", repUnbatched)
 	t.Logf("cap=16: %v", repBatched)
@@ -70,7 +125,7 @@ func TestClosedLoopShedsNotStalls(t *testing.T) {
 	// far more than the service rate (timing alone cannot provoke
 	// overload on a single-CPU host).
 	e.testHookBatchStart = func() { time.Sleep(2 * time.Millisecond) }
-	rep := RunClosedLoop(e, LoadOptions{Clients: 24, NodesPerReq: 1, Duration: 300 * time.Millisecond, Seed: 17})
+	rep := closedLoop(e, 24, 300*time.Millisecond, 17)
 	t.Logf("%v", rep)
 	if rep.Completed == 0 {
 		t.Fatal("overloaded engine completed nothing (stalled)")

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"wisegraph/internal/device"
-	"wisegraph/internal/fault"
 	"wisegraph/internal/obs"
 	"wisegraph/internal/shard"
 )
@@ -20,54 +19,6 @@ type Histogram = obs.Histogram
 
 // histBuckets is kept for the serve tests' bucket-geometry assertions.
 const histBuckets = obs.NumBuckets
-
-// qpsRing tracks completions per wall-clock second over a short window so
-// /statsz can report recent throughput, not just the lifetime average.
-// Slots are (second, count) atomics; a slot is lazily reset by the first
-// marker of a new second (CAS decides the winner, losers just add).
-type qpsRing struct {
-	secs   [qpsSlots]atomic.Int64
-	counts [qpsSlots]atomic.Uint64
-}
-
-const (
-	qpsSlots  = 16
-	qpsWindow = 10 // seconds summed by Recent
-)
-
-// Mark records one completion at the given wall-clock second.
-func (r *qpsRing) Mark(sec int64) {
-	i := int(sec % qpsSlots)
-	if old := r.secs[i].Load(); old != sec {
-		if r.secs[i].CompareAndSwap(old, sec) {
-			r.counts[i].Store(0)
-		}
-	}
-	r.counts[i].Add(1)
-}
-
-// Recent returns completions/second averaged over the last full window
-// (excluding the in-progress second, which would bias low). The divisor
-// is capped at the full seconds of uptime so a freshly started server
-// (or a short bench run) reports its actual recent rate instead of a
-// near-zero number diluted by seconds that never happened.
-func (r *qpsRing) Recent(sec int64, uptime float64) float64 {
-	window := int64(qpsWindow)
-	if up := int64(uptime); up < window {
-		window = up
-	}
-	if window < 1 {
-		window = 1
-	}
-	var total uint64
-	for i := 0; i < qpsSlots; i++ {
-		s := r.secs[i].Load()
-		if s >= sec-window && s < sec {
-			total += r.counts[i].Load()
-		}
-	}
-	return float64(total) / float64(window)
-}
 
 // Stats aggregates every serving counter. All fields are atomics updated
 // lock-free on the request path; Snapshot assembles a JSON-friendly view.
@@ -94,7 +45,6 @@ type Stats struct {
 	batchSizes []atomic.Uint64
 
 	latency Histogram
-	qps     qpsRing
 }
 
 func newStats(batchCap int) *Stats {
@@ -110,12 +60,11 @@ func (s *Stats) recordBatch(n int) {
 }
 
 // recordDone counts one computed response. Only completed requests feed
-// the latency histogram and QPS ring; canceled requests go through
-// recordCanceled so their queue-timeout latencies cannot pollute p99.
+// the latency histogram; canceled requests go through recordCanceled so
+// their queue-timeout latencies cannot pollute p99.
 func (s *Stats) recordDone(lat time.Duration) {
 	s.completed.Add(1)
 	s.latency.Observe(lat)
-	s.qps.Mark(time.Now().Unix())
 }
 
 // recordCanceled counts one request whose context expired before its
@@ -140,7 +89,6 @@ type Snapshot struct {
 	AvgBatchSize     float64        `json:"avgBatchSize"`
 	BatchSizeDist    map[int]uint64 `json:"batchSizeDist"`
 	LifetimeQPS      float64        `json:"lifetimeQPS"`
-	RecentQPS        float64        `json:"recentQPS"`
 	LatencyMeanMs    float64        `json:"latencyMeanMs"`
 	LatencyP50Ms     float64        `json:"latencyP50Ms"`
 	LatencyP95Ms     float64        `json:"latencyP95Ms"`
@@ -218,7 +166,6 @@ func (s *Stats) snapshot(inFlight int64, queueDepth int) Snapshot {
 		AvgBatchSize:     avg,
 		BatchSizeDist:    dist,
 		LifetimeQPS:      lifetime,
-		RecentQPS:        s.qps.Recent(time.Now().Unix(), up),
 		LatencyMeanMs:    ms(s.latency.Mean()),
 		LatencyP50Ms:     ms(s.latency.Quantile(0.50)),
 		LatencyP95Ms:     ms(s.latency.Quantile(0.95)),
@@ -245,8 +192,6 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 	p.Counter("wisegraph_serve_degraded_retries_total", "", float64(s.degraded.Load()))
 	p.Gauge("wisegraph_serve_in_flight", "", float64(e.inflight.Load()))
 	p.Gauge("wisegraph_serve_queue_depth", "", float64(len(e.queue)))
-	up := time.Since(s.start).Seconds()
-	p.Gauge("wisegraph_serve_recent_qps", "", s.qps.Recent(time.Now().Unix(), up))
 	p.Histogram("wisegraph_serve_latency_seconds", "", &s.latency)
 
 	// Hot-vertex cache accounting (only exported when the cache is on),
@@ -263,8 +208,9 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 		p.Gauge("wisegraph_serve_cache_capacity_bytes", "", float64(cs.Capacity))
 	}
 
-	// Fleet accounting: per-shard RPC traffic, resilience counters and
-	// cache residency, labeled by shard id.
+	// Fleet accounting, router side: per-span RPC traffic, resilience
+	// counters and cache residency, labeled by shard id. A daemon's own
+	// view of the same traffic is wisegraph_node_* on its /metrics.
 	p.Gauge("wisegraph_serve_shards", "", float64(e.fleet.Size()))
 	for _, ss := range e.fleet.Stats() {
 		l := `shard="` + strconv.Itoa(ss.ID) + `"`
@@ -304,20 +250,7 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 	p.StageHistograms("wisegraph_stage_duration_seconds")
 
 	// Fault-injection accounting (only present when a schedule is active).
-	if snap := fault.Snapshot(); snap != nil {
-		sites := make([]string, 0, len(snap))
-		for site := range snap {
-			sites = append(sites, site)
-		}
-		sort.Strings(sites)
-		for _, site := range sites {
-			c := snap[site]
-			p.Counter("wisegraph_fault_draws_total", `site="`+site+`"`, float64(c.Draws))
-			p.Counter("wisegraph_fault_injected_total", `site="`+site+`",kind="error"`, float64(c.Errors))
-			p.Counter("wisegraph_fault_injected_total", `site="`+site+`",kind="corrupt"`, float64(c.Corrupts))
-			p.Counter("wisegraph_fault_injected_total", `site="`+site+`",kind="latency"`, float64(c.Latencies))
-		}
-	}
+	p.FaultCounters()
 
 	// Per-kernel counters from the timing model, across all workers.
 	agg, kernels := e.DeviceStats()

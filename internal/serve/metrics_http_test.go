@@ -2,16 +2,20 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
+	"wisegraph/internal/fault"
 	"wisegraph/internal/nn"
 	"wisegraph/internal/obs"
 )
@@ -80,7 +84,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"wisegraph_serve_batches_total",
 		"wisegraph_serve_in_flight",
 		"wisegraph_serve_queue_depth",
-		"wisegraph_serve_recent_qps",
 		"wisegraph_serve_latency_seconds_count",
 		"wisegraph_serve_batch_size_count",
 		"wisegraph_device_kernels_total",
@@ -119,6 +122,42 @@ func TestMetricsEndpoint(t *testing.T) {
 	if !foundKernel {
 		t.Error("no per-kernel launches counter exported")
 	}
+}
+
+// TestMetricsInventory pins the router's /metrics families, name and
+// type, to testdata/metrics_router.txt: a family is added, renamed or
+// removed by editing that file. The engine runs with everything that
+// gates a family switched on — cache, replicas, a fault schedule — and
+// has served one request, so the per-kernel families exist.
+func TestMetricsInventory(t *testing.T) {
+	ds := testDataset(t, 60, 240, 12, 5, 1, 1)
+	m := testModel(t, ds, nn.SAGE)
+	idle := &fault.Schedule{Seed: 1, Sites: map[string]fault.SiteConfig{fault.SiteShardRPC: {}}}
+	fault.WithSchedule(idle, func() {
+		e := testEngine(t, ds, m, Options{Workers: 1, CacheBudget: 1 << 20, Shards: 2, Replicas: 2})
+		if _, err := e.Predict(context.Background(), []int32{0, 1, 2}, false); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := e.WriteMetrics(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var fams []string
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if fam, ok := strings.CutPrefix(line, "# TYPE "); ok {
+				fams = append(fams, fam)
+			}
+		}
+		slices.Sort(fams)
+		got := strings.Join(fams, "\n") + "\n"
+		want, err := os.ReadFile("testdata/metrics_router.txt")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want) {
+			t.Errorf("router /metrics families differ from testdata/metrics_router.txt; got:\n%s", got)
+		}
+	})
 }
 
 func TestDebugTraceEndpoint(t *testing.T) {

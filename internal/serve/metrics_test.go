@@ -56,52 +56,6 @@ func TestHistogramEdgeCases(t *testing.T) {
 	}
 }
 
-func TestQPSRing(t *testing.T) {
-	var r qpsRing
-	for i := 0; i < 5; i++ {
-		r.Mark(100)
-	}
-	for i := 0; i < 5; i++ {
-		r.Mark(101)
-	}
-	if got := r.Recent(102, 60); got != 1.0 { // 10 completions over the 10s window
-		t.Errorf("Recent(102, 60) = %v, want 1.0", got)
-	}
-	// The in-progress second is excluded.
-	r.Mark(102)
-	if got := r.Recent(102, 60); got != 1.0 {
-		t.Errorf("Recent(102, 60) after marking sec 102 = %v, want 1.0", got)
-	}
-	// Slot reuse: second 116 maps onto 100's slot and resets it.
-	r.Mark(116)
-	if got := r.Recent(117, 60); got != 0.1 { // only sec 116 in [107,117)
-		t.Errorf("Recent(117, 60) = %v, want 0.1", got)
-	}
-}
-
-// TestQPSRingShortUptime is the regression test for the window bug: a
-// server up for 2 seconds that completed 10 requests in those seconds
-// was reporting 1 QPS (10/window) instead of 5 (10/uptime).
-func TestQPSRingShortUptime(t *testing.T) {
-	var r qpsRing
-	for i := 0; i < 5; i++ {
-		r.Mark(100)
-		r.Mark(101)
-	}
-	if got := r.Recent(102, 2.9); got != 5.0 {
-		t.Errorf("Recent with 2.9s uptime = %v, want 10/2 = 5.0", got)
-	}
-	// Sub-second uptime divides by 1, never 0: only the last full second
-	// (101, 5 marks) is summed.
-	if got := r.Recent(102, 0.4); got != 5.0 {
-		t.Errorf("Recent with 0.4s uptime = %v, want 5/1 = 5.0", got)
-	}
-	// Uptime past the window reverts to the full-window average.
-	if got := r.Recent(102, 3600); got != 1.0 {
-		t.Errorf("Recent with long uptime = %v, want 1.0", got)
-	}
-}
-
 func TestStatsSnapshot(t *testing.T) {
 	s := newStats(4)
 	s.recordBatch(2)

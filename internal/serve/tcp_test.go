@@ -378,7 +378,7 @@ func TestReplicaFailoverBitwise(t *testing.T) {
 	if err := obs.ValidateExposition(strings.NewReader(string(body))); err != nil {
 		t.Fatalf("survivor /metrics is not valid exposition: %v\n%s", err, body)
 	}
-	for _, metric := range []string{"wisegraph_shard_rpcs_total", "wisegraph_shard_replica", "wisegraph_shard_in_flight"} {
+	for _, metric := range []string{"wisegraph_node_rpcs_total", "wisegraph_node_replica", "wisegraph_node_in_flight"} {
 		if !strings.Contains(string(body), metric) {
 			t.Fatalf("survivor /metrics missing %s:\n%s", metric, body)
 		}

@@ -209,7 +209,7 @@ type Fleet struct {
 	plan  *joint.Result
 
 	bounds []int32
-	shards [][]*Shard // nil for a remote fleet
+	shards [][]*Shard // [span][replica]; every group empty for a remote fleet
 	remote []*tcpConn // nil for an in-process fleet
 	conns  [][]Conn   // every endpoint behind its faultConn
 	health [][]*replicaHealth
@@ -217,41 +217,55 @@ type Fleet struct {
 	start  time.Time
 }
 
-// NewFleet splits csr's vertex space across cfg.Shards spans, each served
-// by cfg.Replicas in-process shard nodes. ntypes is the parent graph's
-// edge-type count (every shard-rebuilt block declares it).
-func NewFleet(csr *graph.CSR, feats *tensor.Tensor, ntypes int, src *nn.Model, plan *joint.Result, cfg Config) (*Fleet, error) {
-	cfg = cfg.withDefaults()
+// newFleet is the one constructor body: it checks cfg against the model,
+// fixes the boundaries and fills every [span][replica] slot from dial,
+// which builds one endpoint, records it on f (shards or remote) and
+// returns it with the address its transport errors name. A failed dial
+// closes what was built before it.
+func newFleet(csr *graph.CSR, feats *tensor.Tensor, ntypes int, src *nn.Model, plan *joint.Result, cfg Config,
+	dial func(f *Fleet, span, replica int) (Conn, string, error)) (*Fleet, error) {
 	if len(cfg.Fanouts) != src.Cfg.Layers {
 		return nil, fmt.Errorf("shard: %d fan-outs for a %d-layer model", len(cfg.Fanouts), src.Cfg.Layers)
 	}
 	f := &Fleet{
 		cfg: cfg, csr: csr, feats: feats, ntypes: ntypes, plan: plan,
 		bounds: Boundaries(csr, cfg.Shards),
+		shards: make([][]*Shard, cfg.Shards),
 		start:  time.Now(),
 	}
 	f.model.Store(src)
-	for i := 0; i < cfg.Shards; i++ {
-		var group []*Shard
+	for s := 0; s < cfg.Shards; s++ {
 		var conns []Conn
 		var hs []*replicaHealth
 		for r := 0; r < cfg.Replicas; r++ {
-			s, err := newShard(i, f.bounds[i], f.bounds[i+1], f)
+			c, addr, err := dial(f, s, r)
 			if err != nil {
-				f.shards = append(f.shards, group)
 				f.Close()
 				return nil, err
 			}
-			group = append(group, s)
-			conns = append(conns, &faultConn{Conn: s, addr: fmt.Sprintf("%d/%d", i, r), timeout: cfg.Timeout})
+			conns = append(conns, &faultConn{Conn: c, addr: addr, timeout: cfg.Timeout})
 			hs = append(hs, newReplicaHealth())
 		}
-		f.shards = append(f.shards, group)
 		f.conns = append(f.conns, conns)
 		f.health = append(f.health, hs)
 		f.stats = append(f.stats, &shardStats{})
 	}
 	return f, nil
+}
+
+// NewFleet splits csr's vertex space across cfg.Shards spans, each served
+// by cfg.Replicas in-process shard nodes. ntypes is the parent graph's
+// edge-type count (every shard-rebuilt block declares it).
+func NewFleet(csr *graph.CSR, feats *tensor.Tensor, ntypes int, src *nn.Model, plan *joint.Result, cfg Config) (*Fleet, error) {
+	return newFleet(csr, feats, ntypes, src, plan, cfg.withDefaults(),
+		func(f *Fleet, s, r int) (Conn, string, error) {
+			sh, err := newShard(s, f.bounds[s], f.bounds[s+1], f)
+			if err != nil {
+				return nil, "", err
+			}
+			f.shards[s] = append(f.shards[s], sh)
+			return sh, fmt.Sprintf("%d/%d", s, r), nil
+		})
 }
 
 // NewRemoteFleet builds a router over wisegraph-shard daemons. The flat
@@ -263,45 +277,31 @@ func NewFleet(csr *graph.CSR, feats *tensor.Tensor, ntypes int, src *nn.Model, p
 // engine, marshaled plan, parameter hash) — any daemon that cannot serve
 // bitwise-identically rejects it and construction fails.
 func NewRemoteFleet(csr *graph.CSR, feats *tensor.Tensor, ntypes int, src *nn.Model, plan *joint.Result, cfg Config, addrs []string) (*Fleet, error) {
-	if cfg.Replicas < 1 {
-		cfg.Replicas = 1
-	}
+	cfg = cfg.withDefaults()
 	groups, err := AssignReplicas(addrs, cfg.Replicas)
 	if err != nil {
 		return nil, err
 	}
 	cfg.Shards = len(groups)
-	cfg = cfg.withDefaults()
-	if len(cfg.Fanouts) != src.Cfg.Layers {
-		return nil, fmt.Errorf("shard: %d fan-outs for a %d-layer model", len(cfg.Fanouts), src.Cfg.Layers)
-	}
 	planBytes, err := plan.MarshalPlan()
 	if err != nil {
 		return nil, fmt.Errorf("shard: marshal plan: %w", err)
 	}
-	f := &Fleet{
-		cfg: cfg, csr: csr, feats: feats, ntypes: ntypes, plan: plan,
-		bounds: Boundaries(csr, cfg.Shards),
-		start:  time.Now(),
-	}
-	f.model.Store(src)
 	fanouts := make([]int32, len(cfg.Fanouts))
 	for i, fo := range cfg.Fanouts {
 		fanouts[i] = int32(fo)
 	}
 	sum := ParamSum(src)
-	for i, group := range groups {
-		var conns []Conn
-		var hs []*replicaHealth
-		for r, addr := range group {
-			h := &wire.Hello{
+	return newFleet(csr, feats, ntypes, src, plan, cfg,
+		func(f *Fleet, s, r int) (Conn, string, error) {
+			c, err := newTCPConn(groups[s][r], &wire.Hello{
 				Proto:       wire.ProtoVersion,
-				ShardID:     int32(i),
+				ShardID:     int32(s),
 				Shards:      int32(cfg.Shards),
 				Replica:     int32(r),
 				Replicas:    int32(cfg.Replicas),
-				Lo:          f.bounds[i],
-				Hi:          f.bounds[i+1],
+				Lo:          f.bounds[s],
+				Hi:          f.bounds[s+1],
 				NumVertices: int64(len(csr.RowPtr) - 1),
 				NumEdges:    int64(len(csr.Col)),
 				NumTypes:    int32(ntypes),
@@ -315,21 +315,13 @@ func NewRemoteFleet(csr *graph.CSR, feats *tensor.Tensor, ntypes int, src *nn.Mo
 				Kind:        src.Cfg.Kind.String(),
 				Engine:      cfg.Engine,
 				Plan:        planBytes,
-			}
-			c, err := newTCPConn(addr, h, cfg.Timeout)
+			}, cfg.Timeout)
 			if err != nil {
-				f.Close()
-				return nil, err
+				return nil, "", err
 			}
 			f.remote = append(f.remote, c)
-			conns = append(conns, &faultConn{Conn: c, addr: addr, timeout: cfg.Timeout})
-			hs = append(hs, newReplicaHealth())
-		}
-		f.conns = append(f.conns, conns)
-		f.health = append(f.health, hs)
-		f.stats = append(f.stats, &shardStats{})
-	}
-	return f, nil
+			return c, c.addr, nil
+		})
 }
 
 // Remote reports whether the shards live in separate processes.
@@ -469,15 +461,13 @@ func (f *Fleet) Stats() []Stats {
 				Fails:   h.fails.Load(),
 			})
 		}
-		if i < len(f.shards) {
-			for _, s := range f.shards[i] {
-				cs := s.cache.Snapshot()
-				o.InFlight += s.InFlight()
-				o.CacheHits += cs.Hits
-				o.CacheMisses += cs.Misses
-				o.CacheBytes += cs.Bytes
-				o.CacheEntries += cs.Entries
-			}
+		for _, s := range f.shards[i] {
+			cs := s.cache.Snapshot()
+			o.InFlight += s.InFlight()
+			o.CacheHits += cs.Hits
+			o.CacheMisses += cs.Misses
+			o.CacheBytes += cs.Bytes
+			o.CacheEntries += cs.Entries
 		}
 		if up > 0 {
 			o.QPS = float64(o.RPCs) / up

@@ -669,14 +669,13 @@ func (sv *Server) admit(payload []byte) (*Shard, error) {
 	if err := sv.validate(h); err != nil {
 		return nil, err
 	}
-	kind, gp, op, diff, err := joint.UnmarshalPlan(h.Plan)
+	plan, err := joint.UnmarshalPlan(h.Plan)
 	if err != nil {
 		return nil, fmt.Errorf("bad plan: %v", err)
 	}
-	if kind != sv.model.Cfg.Kind {
-		return nil, fmt.Errorf("plan is for %v, model is %v", kind, sv.model.Cfg.Kind)
+	if plan.Kind != sv.model.Cfg.Kind {
+		return nil, fmt.Errorf("plan is for %v, model is %v", plan.Kind, sv.model.Cfg.Kind)
 	}
-	plan := &joint.Result{Kind: kind, GraphPlan: gp, OpPlan: op, Differentiated: diff}
 	cfg := sv.cfg
 	cfg.Fanouts = make([]int, len(h.Fanouts))
 	for i, f := range h.Fanouts {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http/httptest"
+	"os"
 	"slices"
 	"strconv"
 	"strings"
@@ -393,14 +394,14 @@ func TestHangupCancelsWaitingRequest(t *testing.T) {
 	inFlight(0)
 }
 
-// daemonRPCs reads wisegraph_shard_rpcs_total (both types) off a daemon's
+// daemonRPCs reads wisegraph_node_rpcs_total (both types) off a daemon's
 // /metrics page.
 func daemonRPCs(t *testing.T, sv *Server) (total float64) {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	sv.WriteMetrics(rec)
 	for _, line := range strings.Split(rec.Body.String(), "\n") {
-		if strings.HasPrefix(line, "wisegraph_shard_rpcs_total{") {
+		if strings.HasPrefix(line, "wisegraph_node_rpcs_total{") {
 			v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
 			if err != nil {
 				t.Fatalf("metrics line %q: %v", line, err)
@@ -409,6 +410,40 @@ func daemonRPCs(t *testing.T, sv *Server) (total float64) {
 		}
 	}
 	return total
+}
+
+// TestDaemonMetricsInventory pins the daemon's /metrics families, name and
+// type, to testdata/metrics_daemon.txt: a family is added, renamed or
+// removed by editing that file. The daemon has been admitted to a fleet
+// (identity and cache families) and a fault schedule is installed.
+func TestDaemonMetricsInventory(t *testing.T) {
+	n := newTestNode(t, 100, 600, 6)
+	sv := NewServer(n.csr, n.feats, n.g.NumTypes, n.model, NodeConfig{Workers: 2})
+	remote, err := NewRemoteFleet(n.csr, n.feats, n.g.NumTypes, n.model, n.plan, fleetConfig(), []string{serve(t, sv)})
+	if err != nil {
+		t.Fatalf("NewRemoteFleet: %v", err)
+	}
+	defer remote.Close()
+	idle := &fault.Schedule{Seed: 1, Sites: map[string]fault.SiteConfig{fault.SiteShardRPC: {}}}
+	fault.WithSchedule(idle, func() {
+		rec := httptest.NewRecorder()
+		sv.WriteMetrics(rec)
+		var fams []string
+		for _, line := range strings.Split(rec.Body.String(), "\n") {
+			if fam, ok := strings.CutPrefix(line, "# TYPE "); ok {
+				fams = append(fams, fam)
+			}
+		}
+		slices.Sort(fams)
+		got := strings.Join(fams, "\n") + "\n"
+		want, err := os.ReadFile("testdata/metrics_daemon.txt")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want) {
+			t.Errorf("daemon /metrics families differ from testdata/metrics_daemon.txt; got:\n%s", got)
+		}
+	})
 }
 
 // TestTCPFaultedForwardMatchesClean runs the one ladder over real sockets

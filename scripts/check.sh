@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repository health check: vet, build, and the full test suite under the
 # race detector. CI and pre-commit both run this; it must stay fast enough
-# to run on every change (a few minutes on one core).
+# to run on every change (timed at PR 24 on the 2-vCPU CI box, build cache
+# warm: 3 min 40 s wall with go's test cache empty, 3 min 20 s with it warm).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -80,28 +81,13 @@ run_filtered "cross-engine parity" 'Engine' \
 # bitwise parity matrices (shards x replicas x engines x workers, cached vs
 # uncached, per-vertex reference), reload coherence, placement/ownership/
 # reply validation, the one RPC ladder (faults injected at the conn,
-# in-process and over sockets) and the TCP transport, and the cache
-# package's own suite.
+# in-process and over sockets) and the TCP transport, the cache package's
+# own suite, and the two cache gates (TestCacheGate*): what the cache and
+# the fleet's aggregate capacity save, asserted on hit, RPC, eviction and
+# FLOP counters — no step of this script compares two timings.
 echo "== serving, fleet and hot-vertex cache under -race (GOMAXPROCS=1)"
 GOMAXPROCS=1 go test -race -count=1 \
   ./internal/serve/ ./internal/shard/... ./internal/hotcache/
-
-# Cached-path performance smoke (benchstat-style, min of 5): under
-# Zipf-1.2 skew the warmed cached path must beat — or at worst stay
-# within 10% of — the uncached path per request. Bitwise equality is
-# asserted by TestCacheParityBitwise; this guards the win itself.
-echo "== cached-vs-uncached benchmark smoke (zipf 1.2, min of 5)"
-go test -run '^$' -bench 'BenchmarkPredictZipf/(uncached|cached)$' \
-  -benchtime 30x -count 5 ./internal/serve/ >"${TMPDIR:-/tmp}/cache_bench.txt"
-awk '
-  /PredictZipf\/uncached/ { if (umin == 0 || $3 < umin) umin = $3 }
-  /PredictZipf\/cached/   { if (cmin == 0 || $3 < cmin) cmin = $3 }
-  END {
-    if (umin == 0 || cmin == 0) { print "FAIL: benchmark produced no samples"; exit 1 }
-    printf "uncached min %.0f ns/op, cached min %.0f ns/op (ratio %.3f)\n", umin, cmin, cmin / umin
-    if (cmin > 1.10 * umin) { print "FAIL: cached path regressed >10% vs uncached at zipf 1.2"; exit 1 }
-  }' "${TMPDIR:-/tmp}/cache_bench.txt"
-echo "cache smoke OK"
 
 # The observability layer's lock-free tracer and histograms are written to
 # by every pipeline stage concurrently; its suite must stay clean under
@@ -154,6 +140,18 @@ cleanup() {
   rm -rf "$SMOKE"
 }
 trap cleanup EXIT
+# wait_for_line LOG SED_EXPR: poll LOG for up to 10 s until the sed -n
+# program SED_EXPR prints something, and print that; prints nothing when
+# the line never came, which every caller treats as a failed start.
+wait_for_line() {
+  local out=""
+  for _ in $(seq 1 100); do
+    out="$(sed -n "$2" "$1")"
+    [ -n "$out" ] && break
+    sleep 0.1
+  done
+  echo "$out"
+}
 rm -rf "$SMOKE" && mkdir -p "$SMOKE"
 go build -o "$SMOKE/" ./cmd/...
 # A flag is an option: every binary's flag count is committed, so adding or
@@ -173,12 +171,7 @@ grep -q '"traceEvents"' "$SMOKE/train.trace" \
   -addr 127.0.0.1:0 -cache-budget 16MiB >"$SMOKE/serve.log" 2>&1 &
 SERVE_PID=$!
 BG_PIDS+=("$!")
-ADDR=""
-for _ in $(seq 1 100); do
-  ADDR="$(sed -n 's#.*listening on http://##p' "$SMOKE/serve.log")"
-  [ -n "$ADDR" ] && break
-  sleep 0.1
-done
+ADDR="$(wait_for_line "$SMOKE/serve.log" 's#.*listening on http://##p')"
 [ -n "$ADDR" ] || { echo "FAIL: serve did not start"; cat "$SMOKE/serve.log"; exit 1; }
 "$SMOKE/wgserve-bench" -url "http://$ADDR" -clients 8 -duration 2s -zipf 1.2 >/dev/null
 
@@ -190,12 +183,12 @@ for metric in wisegraph_serve_uptime_seconds wisegraph_serve_admitted_total \
   wisegraph_serve_completed_total wisegraph_serve_canceled_total \
   wisegraph_serve_shed_total wisegraph_serve_rejected_draining_total \
   wisegraph_serve_batches_total wisegraph_serve_in_flight \
-  wisegraph_serve_queue_depth wisegraph_serve_recent_qps \
-  wisegraph_serve_latency_seconds_count wisegraph_serve_batch_size_count \
-  wisegraph_stage_duration_seconds_count wisegraph_device_kernels_total \
-  wisegraph_serve_cache_hits_total wisegraph_serve_cache_misses_total \
-  wisegraph_serve_cache_admitted_total wisegraph_serve_cache_bytes_resident \
-  wisegraph_serve_cache_entries wisegraph_serve_cache_capacity_bytes; do
+  wisegraph_serve_queue_depth wisegraph_serve_latency_seconds_count \
+  wisegraph_serve_batch_size_count wisegraph_stage_duration_seconds_count \
+  wisegraph_device_kernels_total wisegraph_serve_cache_hits_total \
+  wisegraph_serve_cache_misses_total wisegraph_serve_cache_admitted_total \
+  wisegraph_serve_cache_bytes_resident wisegraph_serve_cache_entries \
+  wisegraph_serve_cache_capacity_bytes; do
   grep -q "^$metric" "$SMOKE/metrics.txt" \
     || { echo "FAIL: /metrics missing $metric"; cat "$SMOKE/metrics.txt"; exit 1; }
 done
@@ -219,40 +212,6 @@ grep -q 'cache-hit-rate=' "$SMOKE/serve.log" \
   || { echo "FAIL: drain line has no cache stats despite -cache-budget"; cat "$SMOKE/serve.log"; exit 1; }
 echo "serve smoke OK"
 
-# Sharded Zipf scaling smoke: under Zipf-1.2 skew with a deliberately
-# capacity-bound 1MiB per-shard cache, 4 shards must beat a single shard
-# by more than 1.5x QPS. On this one-core box there is no parallel
-# speedup to be had — the win is aggregate cache capacity (the per-node
-# RAM the per-shard budget models): one shard's 1MiB holds part of the
-# hot working set of computed rows (~62% hit rate) while 4x1MiB holds
-# nearly all of it (~99%), so most requests end at a top-level hit. 2-shard
-# rides along as the intermediate point and must land between the two.
-# -batch-cap equals the 8 closed-loop clients, so a batch leaves when the
-# last of them has asked and throughput is compute-bound rather than pinned
-# to the micro-batch fill deadline: a batch that cannot fill waits the
-# deadline out, and a sub-millisecond timer on an otherwise idle process
-# sleeps ~1.1ms here whatever -batch-delay says — a ceiling of ~7k qps
-# that hid most of the difference between the fleets.
-echo "== sharded Zipf scaling smoke (1/2/4 shards, 1MiB per-shard cache)"
-for s in 1 2 4; do
-  "$SMOKE/wisegraph-serve" -dataset AR -scale 100 -hidden 128 -fanout 15,15,15 \
-    -loadgen 8 -loadgen-zipf 1.2 -loadgen-duration 3s -batch-delay 100us \
-    -batch-cap 8 -cache-budget 1MiB -shards "$s" >"$SMOKE/shard$s.log" 2>&1 \
-    || { echo "FAIL: $s-shard loadgen exited non-zero"; cat "$SMOKE/shard$s.log"; exit 1; }
-  grep -q 'drained: in-flight=0' "$SMOKE/shard$s.log" \
-    || { echo "FAIL: $s-shard drain left requests in flight"; cat "$SMOKE/shard$s.log"; exit 1; }
-done
-grep -q 'shards=4 shard-in-flight=0' "$SMOKE/shard4.log" \
-  || { echo "FAIL: 4-shard drain line missing fleet stats"; cat "$SMOKE/shard4.log"; exit 1; }
-qps_of() { sed -n 's/.* qps=\([0-9.]*\) .*/\1/p' "$1" | head -1; }
-awk -v q1="$(qps_of "$SMOKE/shard1.log")" -v q2="$(qps_of "$SMOKE/shard2.log")" \
-    -v q4="$(qps_of "$SMOKE/shard4.log")" 'BEGIN {
-  if (q1 + 0 <= 0 || q2 + 0 <= 0 || q4 + 0 <= 0) { print "FAIL: loadgen reported no qps"; exit 1 }
-  printf "1-shard %.0f qps, 2-shard %.0f qps, 4-shard %.0f qps (4-vs-1 ratio %.2f)\n", q1, q2, q4, q4 / q1
-  if (q4 <= 1.5 * q1) { print "FAIL: 4-shard QPS not >1.5x single-shard under Zipf 1.2"; exit 1 }
-}'
-echo "sharded scaling smoke OK"
-
 # TCP cross-process sharding smoke: two wisegraph-shard daemons serving
 # the trained checkpoint over localhost, a router pointed at them with
 # -shard-addrs, and a single-node reference on the same checkpoint. The
@@ -268,12 +227,7 @@ for i in 1 2; do
   BG_PIDS+=("$!")
 done
 for i in 1 2; do
-  A=""
-  for _ in $(seq 1 100); do
-    A="$(sed -n 's/^wisegraph-shard listening on //p' "$SMOKE/tcpshard$i.log")"
-    [ -n "$A" ] && break
-    sleep 0.1
-  done
+  A="$(wait_for_line "$SMOKE/tcpshard$i.log" 's/^wisegraph-shard listening on //p')"
   [ -n "$A" ] || { echo "FAIL: shard daemon $i did not start"; cat "$SMOKE/tcpshard$i.log"; exit 1; }
   SHARD_ADDRS+=("$A")
 done
@@ -282,23 +236,13 @@ done
   >"$SMOKE/tcprouter.log" 2>&1 &
 SERVE_PID=$!
 BG_PIDS+=("$!")
-ADDR=""
-for _ in $(seq 1 100); do
-  ADDR="$(sed -n 's#.*listening on http://##p' "$SMOKE/tcprouter.log")"
-  [ -n "$ADDR" ] && break
-  sleep 0.1
-done
+ADDR="$(wait_for_line "$SMOKE/tcprouter.log" 's#.*listening on http://##p')"
 [ -n "$ADDR" ] || { echo "FAIL: TCP router did not start"; cat "$SMOKE/tcprouter.log"; exit 1; }
 "$SMOKE/wisegraph-serve" -dataset AR -scale 400 -checkpoint "$SMOKE/model.ckpt" \
   -addr 127.0.0.1:0 >"$SMOKE/tcpref.log" 2>&1 &
 REF_PID=$!
 BG_PIDS+=("$!")
-REF_ADDR=""
-for _ in $(seq 1 100); do
-  REF_ADDR="$(sed -n 's#.*listening on http://##p' "$SMOKE/tcpref.log")"
-  [ -n "$REF_ADDR" ] && break
-  sleep 0.1
-done
+REF_ADDR="$(wait_for_line "$SMOKE/tcpref.log" 's#.*listening on http://##p')"
 [ -n "$REF_ADDR" ] || { echo "FAIL: reference serve did not start"; cat "$SMOKE/tcpref.log"; exit 1; }
 REQ='{"nodes":[0,7,42,100,311],"logits":true}'
 logits_of() { curl -sf "http://$1/predict" -d "$REQ" | sed -n 's/.*"logits":\(.*\),"latencyMs".*/\1/p'; }
@@ -338,12 +282,7 @@ for i in 1 2 3 4; do
   BG_PIDS+=("$!")
 done
 for i in 1 2 3 4; do
-  A=""
-  for _ in $(seq 1 100); do
-    A="$(sed -n 's/^wisegraph-shard listening on //p' "$SMOKE/rshard$i.log")"
-    [ -n "$A" ] && break
-    sleep 0.1
-  done
+  A="$(wait_for_line "$SMOKE/rshard$i.log" 's/^wisegraph-shard listening on //p')"
   [ -n "$A" ] || { echo "FAIL: replica daemon $i did not start"; cat "$SMOKE/rshard$i.log"; exit 1; }
   RSHARD_ADDRS+=("$A")
 done
@@ -353,12 +292,7 @@ done
   >"$SMOKE/rrouter.log" 2>&1 &
 SERVE_PID=$!
 BG_PIDS+=("$!")
-ADDR=""
-for _ in $(seq 1 100); do
-  ADDR="$(sed -n 's#.*listening on http://##p' "$SMOKE/rrouter.log")"
-  [ -n "$ADDR" ] && break
-  sleep 0.1
-done
+ADDR="$(wait_for_line "$SMOKE/rrouter.log" 's#.*listening on http://##p')"
 [ -n "$ADDR" ] || { echo "FAIL: replica router did not start"; cat "$SMOKE/rrouter.log"; exit 1; }
 grep -q 'sharded tier: 2 shards x 2 replicas' "$SMOKE/rrouter.log" \
   || { echo "FAIL: router did not build a 2x2 fleet"; cat "$SMOKE/rrouter.log"; exit 1; }
@@ -371,15 +305,11 @@ BG_PIDS+=("$!")
 sleep 0.7
 kill -9 "${RSHARD_PIDS[1]}" 2>/dev/null || true  # span 0, replica 1
 wait "$BENCH_PID" \
-  || { echo "FAIL: bench failed across the replica kill"; cat "$SMOKE/rbench.txt"; exit 1; }
+  || { echo "FAIL: bench failed (or completed nothing) across the replica kill"; cat "$SMOKE/rbench.txt"; exit 1; }
 grep -Eq ' err=0 ' "$SMOKE/rbench.txt" \
   || { echo "FAIL: requests errored across the replica kill"; cat "$SMOKE/rbench.txt"; exit 1; }
 grep -Eq ' shard-failures=0( |$)' "$SMOKE/rbench.txt" \
   || { echo "FAIL: replica failover surfaced a shard failure"; cat "$SMOKE/rbench.txt"; exit 1; }
-RQPS="$(sed -n 's/.* qps=\([0-9.]*\).*/\1/p' "$SMOKE/rbench.txt" | head -1)"
-awk -v q="$RQPS" 'BEGIN { exit !(q + 0 > 0) }' \
-  || { echo "FAIL: replica bench reported no throughput"; cat "$SMOKE/rbench.txt"; exit 1; }
-echo "replica bench across SIGKILL: qps=$RQPS"
 POST_LOGITS="$(logits_of "$ADDR")"
 [ "$PRE_LOGITS" = "$POST_LOGITS" ] \
   || { echo "FAIL: logits changed after replica kill"; echo "pre:  $PRE_LOGITS"; echo "post: $POST_LOGITS"; exit 1; }
@@ -391,9 +321,9 @@ curl -sf -D "$SMOKE/rmetrics.hdr" "http://$MADDR/metrics" >"$SMOKE/rmetrics.txt"
   || { echo "FAIL: survivor /metrics scrape failed"; exit 1; }
 grep -qi 'content-type: *text/plain; *version=0.0.4' "$SMOKE/rmetrics.hdr" \
   || { echo "FAIL: /metrics Content-Type is not exposition 0.0.4"; cat "$SMOKE/rmetrics.hdr"; exit 1; }
-for metric in wisegraph_shard_id wisegraph_shard_replica wisegraph_shard_rpcs_total \
-  wisegraph_shard_bytes_in_total wisegraph_shard_in_flight \
-  wisegraph_shard_rpc_duration_seconds_count; do
+for metric in wisegraph_node_shard_id wisegraph_node_replica wisegraph_node_rpcs_total \
+  wisegraph_node_bytes_in_total wisegraph_node_in_flight \
+  wisegraph_node_rpc_duration_seconds_count; do
   grep -q "^$metric" "$SMOKE/rmetrics.txt" \
     || { echo "FAIL: shard /metrics missing $metric"; cat "$SMOKE/rmetrics.txt"; exit 1; }
 done
