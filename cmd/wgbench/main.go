@@ -22,16 +22,13 @@ import (
 	"time"
 
 	"wisegraph/internal/bench"
-	"wisegraph/internal/kernels"
 )
 
 // benchResult is the BENCH_<id>.json schema: the table plus the run
-// configuration that produced it, so result trajectories are attributable
-// (in particular to the execution engine).
+// configuration that produced it, so result trajectories are attributable.
 type benchResult struct {
 	ID         string     `json:"id"`
 	Title      string     `json:"title"`
-	Engine     string     `json:"engine"`
 	Scale      int        `json:"scale,omitempty"`
 	Hidden     int        `json:"hidden,omitempty"`
 	Layers     int        `json:"layers,omitempty"`
@@ -55,14 +52,8 @@ func main() {
 		csvDir  = flag.String("csv", "", "directory to write CSV results into")
 		jsonDir = flag.String("json", "", "directory to write BENCH_<id>.json results into")
 		quick   = flag.Bool("quick", false, "shrink sweeps for a fast smoke run")
-		engine  = flag.String("engine", "", "execution engine for experiments that run real numerics: blocked|fused|device (default blocked)")
 	)
 	flag.Parse()
-
-	if _, err := kernels.Select(*engine); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 
 	if *list {
 		for _, e := range bench.Experiments() {
@@ -73,7 +64,7 @@ func main() {
 
 	cfg := bench.Config{
 		Scale: *scale, Hidden: *hidden, Layers: *layers,
-		Epochs: *epochs, Seed: *seed, Quick: *quick, Engine: *engine,
+		Epochs: *epochs, Seed: *seed, Quick: *quick,
 	}
 	var exps []bench.Experiment
 	if *exp == "all" {
@@ -102,7 +93,7 @@ func main() {
 				os.Exit(1)
 			}
 			res := benchResult{
-				ID: t.ID, Title: t.Title, Engine: cfg.EngineName(),
+				ID: t.ID, Title: t.Title,
 				Scale: cfg.Scale, Hidden: cfg.Hidden, Layers: cfg.Layers,
 				Seed: cfg.Seed, Quick: cfg.Quick,
 				Header: t.Header, Rows: t.Rows, Notes: t.Notes,

@@ -3,9 +3,9 @@
 // virtual client issues the next /predict as soon as the previous one
 // answers, so offered load scales with -clients until the server's
 // admission queue starts shedding. After the run it scrapes /statsz and
-// folds the server-side view — execution engine, hot-vertex cache hit
-// rate and residency, FLOPs per request — into the summary, and -json
-// stamps the whole result to a file for regression tracking.
+// folds the server-side view — hot-vertex cache hit rate and residency,
+// FLOPs per request — into the summary, and -json stamps the whole result
+// to a file for regression tracking.
 //
 // Usage:
 //
@@ -27,7 +27,7 @@ import (
 
 // benchResult is the -json document: what was asked for, the client-side
 // load report and the server's /statsz snapshot taken right after the run
-// (engine, cache accounting, FLOPs per request and the fleet view), so a
+// (cache accounting, FLOPs per request and the fleet view), so a
 // tracked regression can be attributed to the configuration behind it.
 type benchResult struct {
 	URL string `json:"url"`
@@ -68,14 +68,14 @@ func main() {
 	rep := runClosedLoop(*url, *maxNode, opts)
 	fmt.Printf("clients=%d dur=%v %v\n", *clients, duration.Round(time.Millisecond), rep)
 
-	// Server-side view: engine, cache behavior and FLOPs accounting for
-	// the load just applied. Best-effort — an unreachable /statsz (server
+	// Server-side view: cache behavior and FLOPs accounting for the load
+	// just applied. Best-effort — an unreachable /statsz (server
 	// already gone) degrades to the client-side report alone.
 	snap, err := getJSON[serve.Snapshot](*url + "/statsz")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "warning: /statsz scrape failed: %v\n", err)
 	} else {
-		line := fmt.Sprintf("server: engine=%s flops/req=%.0f", snap.Engine, snap.FLOPsPerRequest)
+		line := fmt.Sprintf("server: flops/req=%.0f", snap.FLOPsPerRequest)
 		if snap.CacheEnabled {
 			line += fmt.Sprintf(" cache-hit-rate=%.1f%% cache-bytes=%d/%d cache-entries=%d cache-evicted=%d",
 				100*snap.CacheHitRate, snap.CacheBytesResident, snap.CacheCapacityBytes,

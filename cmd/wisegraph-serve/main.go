@@ -56,7 +56,6 @@ func main() {
 		traceRing   = flag.Int("trace-ring", obs.DefaultRingSize, "span ring-buffer capacity for /debug/trace (0 disables tracing)")
 		pprofFlag   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		faultSpec   = flag.String("fault-spec", "", "deterministic fault-injection schedule, e.g. seed=42;serve.batch:error=0.05,latency=0.1,delay=2ms")
-		engineName  = flag.String("engine", "blocked", "execution engine: blocked|fused|device (bitwise-identical; fused streams the SpMM)")
 		cacheBudget = flag.String("cache-budget", "0", "hot-vertex embedding cache budget, e.g. 64MiB (0 disables; pure performance knob — cached logits are bitwise-identical)")
 		cacheWarm   = flag.Int("cache-warm", 0, "pre-admit the top-K highest-in-degree vertices per layer at startup (0 disables)")
 		shards      = flag.Int("shards", 1, "serve through N in-process shards behind a fan-out router (>1 enables the sharded tier; cache budget becomes per-shard)")
@@ -104,7 +103,6 @@ func main() {
 		BatchDelay:   *batchDelay,
 		QueueDepth:   *queueDepth,
 		Deadline:     *deadline,
-		Engine:       *engineName,
 		Seed:         *seed,
 		CacheBudget:  budget,
 		CacheWarm:    *cacheWarm,

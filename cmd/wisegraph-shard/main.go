@@ -4,7 +4,7 @@
 // serves Expand/Compute RPCs over the internal/shard/wire protocol.
 //
 // Daemons are interchangeable: a node learns its shard id, owned vertex
-// range, sampler seed, engine and tuned plan from the first Hello the
+// range, sampler seed and tuned plan from the first Hello the
 // router sends, and validates everything it can recompute locally (the
 // placement boundaries, the model shape, a hash of the parameters) so a
 // mismatched fleet fails at connect time instead of serving subtly

@@ -15,7 +15,6 @@ import (
 
 	"wisegraph"
 	"wisegraph/internal/fault"
-	"wisegraph/internal/kernels"
 	"wisegraph/internal/obs"
 	"wisegraph/internal/train"
 )
@@ -40,15 +39,11 @@ func main() {
 		loadCkpt  = flag.String("load-checkpoint", "", "restore a model checkpoint before training")
 		traceOut  = flag.String("trace", "", "write phase spans as Chrome trace-event JSON (open in chrome://tracing or Perfetto)")
 		faultSpec = flag.String("fault-spec", "", "deterministic fault-injection schedule, e.g. seed=42;train.step:error=0.05;nn.checkpoint:error=0.01")
-		engine    = flag.String("engine", "blocked", "gTask execution engine for the -tune parity evaluation: blocked|fused|device (bitwise-identical; training itself has one dataflow)")
 		autoCkpt  = flag.String("auto-checkpoint", "", "train-state file for periodic auto-checkpoint and fault recovery (full-graph mode)")
 		ckptEvery = flag.Int("checkpoint-every", 5, "epochs between auto-checkpoints")
 		resume    = flag.Bool("resume", false, "resume from -auto-checkpoint when the file exists")
 	)
 	flag.Parse()
-	if _, err := kernels.Select(*engine); err != nil {
-		fatal(err)
-	}
 	if *faultSpec != "" {
 		sched, err := fault.Parse(*faultSpec)
 		if err != nil {
@@ -108,9 +103,6 @@ func main() {
 
 	tr, err := wisegraph.NewTrainer(ds, cfg, *lr)
 	if err != nil {
-		fatal(err)
-	}
-	if err := tr.UseEngine(*engine); err != nil {
 		fatal(err)
 	}
 	if *loadCkpt != "" {

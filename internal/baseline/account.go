@@ -27,7 +27,7 @@ func accountTensorCentric(ctx *exec.Ctx, lw LayerWork) error {
 		ctx.Launch(device.Kernel{
 			Name: name, Cat: device.CatIndexing,
 			Bytes: (2*rows*width + rows) * fb,
-		}, nil)
+		})
 		return nil
 	}
 	scatter := func(name string, rows, width float64) {
@@ -35,14 +35,14 @@ func accountTensorCentric(ctx *exec.Ctx, lw LayerWork) error {
 			Name: name, Cat: device.CatIndexing,
 			FLOPs: rows * width,
 			Bytes: (3*rows*width + rows) * fb,
-		}, nil)
+		})
 	}
 	denseMM := func(name string, m, k, n float64) {
 		ctx.Launch(device.Kernel{
 			Name: name, Cat: device.CatNeural, TensorCore: true,
 			FLOPs: 2 * m * k * n,
 			Bytes: (m*k + k*n + m*n) * fb,
-		}, nil)
+		})
 	}
 
 	switch lw.Kind {
@@ -91,11 +91,11 @@ func accountTensorCentric(ctx *exec.Ctx, lw LayerWork) error {
 		}
 		// score + leaky-relu kernel
 		ctx.Launch(device.Kernel{Name: "gat.score", Cat: device.CatNeural,
-			FLOPs: 4 * e * fp, Bytes: (2*e*fp + 2*e) * fb}, nil)
+			FLOPs: 4 * e * fp, Bytes: (2*e*fp + 2*e) * fb})
 		// segment softmax: three passes over the edge scores
 		for _, pass := range []string{"max", "expsum", "norm"} {
 			ctx.Launch(device.Kernel{Name: "gat.softmax." + pass, Cat: device.CatNeural,
-				FLOPs: e, Bytes: 2 * e * fb}, nil)
+				FLOPs: e, Bytes: 2 * e * fb})
 		}
 		// weighted scatter of per-edge messages
 		scatter("gat.aggregate", e, fp)
@@ -119,7 +119,7 @@ func accountTensorCentric(ctx *exec.Ctx, lw LayerWork) error {
 					FLOPs:       2 * cf * (f + hd) * 4 * hd,
 					Bytes:       (cf*(f+hd) + (f+hd)*4*hd + cf*4*hd) * fb,
 					Parallelism: cf,
-				}, nil)
+				})
 			}
 		}
 		denseMM("lstm.self", v, f, fp)
@@ -154,7 +154,7 @@ func accountVertexCentric(ctx *exec.Ctx, lw LayerWork, balanced bool) error {
 		Name: "fused.vertex", Cat: device.CatNeural,
 		FLOPs: totFlops, Bytes: totBytes,
 		UnitTimes: times,
-	}, nil)
+	})
 	return nil
 }
 
@@ -173,7 +173,7 @@ func accountEdgeCentric(ctx *exec.Ctx, lw LayerWork) error {
 		FLOPs:     e * flopsPerEdge,
 		Bytes:     e * bytesPerEdge,
 		UnitTimes: []float64{rounds * t}, // a single synthetic critical path
-	}, nil)
+	})
 	return nil
 }
 
@@ -186,14 +186,14 @@ func accountTensorCoreTile(ctx *exec.Ctx, lw LayerWork) error {
 	tiles := float64(lw.Tiles)
 	// dense transform on tensor cores
 	ctx.Launch(device.Kernel{Name: "tcgnn.xw", Cat: device.CatNeural, TensorCore: true,
-		FLOPs: 2 * v * f * fp, Bytes: (v*f + f*fp + v*fp) * fb}, nil)
+		FLOPs: 2 * v * f * fp, Bytes: (v*f + f*fp + v*fp) * fb})
 	// tile aggregation: every non-empty 16×16 tile runs a full dense MMA
 	// against the feature panel regardless of how few edges it holds —
 	// the padding waste that makes TC-GNN lose on sparse graphs (paper
 	// Figure 13d/e) and win only where tiles are dense.
 	ctx.Launch(device.Kernel{Name: "tcgnn.spmm", Cat: device.CatNeural, TensorCore: true,
 		FLOPs: tiles * 2 * 16 * 16 * fp,
-		Bytes: (tiles*16*fp*2 + v*fp) * fb}, nil)
+		Bytes: (tiles*16*fp*2 + v*fp) * fb})
 	return nil
 }
 
@@ -207,7 +207,7 @@ func accountDenseTransforms(ctx *exec.Ctx, lw LayerWork) {
 	fp := float64(lw.Fp)
 	mm := func(name string, m, k, n float64) {
 		ctx.Launch(device.Kernel{Name: name, Cat: device.CatNeural, TensorCore: true,
-			FLOPs: 2 * m * k * n, Bytes: (m*k + k*n + m*n) * fb}, nil)
+			FLOPs: 2 * m * k * n, Bytes: (m*k + k*n + m*n) * fb})
 	}
 	switch lw.Kind {
 	case nn.GCN:

@@ -45,9 +45,6 @@ func Fig14(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := tr.UseEngine(cfg.Engine); err != nil {
-				return nil, err
-			}
 			tr.Run(cfg.epochs())
 			ref := tr.Model.Accuracy(tr.GC, ds.Features, ds.Labels, ds.TestMask)
 			res := tr.Tune(spec())
@@ -73,9 +70,6 @@ func Fig14b(cfg Config) (*Table, error) {
 	}
 	tr, err := train.NewFullGraph(ds, nn.Config{Kind: nn.SAGE, Hidden: 32, Layers: 2, Seed: cfg.Seed + 9}, 0.01)
 	if err != nil {
-		return nil, err
-	}
-	if err := tr.UseEngine(cfg.Engine); err != nil {
 		return nil, err
 	}
 	t := &Table{

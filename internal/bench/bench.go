@@ -32,18 +32,6 @@ type Config struct {
 	Seed   uint64
 	// Quick shrinks sweeps for test runs.
 	Quick bool
-	// Engine names the execution engine used by experiments that run real
-	// numerics (see kernels.EngineNames; "" = blocked). Recorded in the
-	// results JSON so benchmark trajectories are attributable.
-	Engine string
-}
-
-// EngineName reports the effective execution engine ("blocked" for "").
-func (c Config) EngineName() string {
-	if c.Engine == "" {
-		return "blocked"
-	}
-	return c.Engine
 }
 
 func (c Config) hidden() int {

@@ -207,14 +207,10 @@ func New(spec Spec) *Device {
 	return &Device{Spec: spec, byKernel: make(map[string]*KernelStats)}
 }
 
-// Launch accounts kernel k and, if body is non-nil, executes it for real.
-// The modeled time includes the fixed launch overhead — the cost the
-// tensor-centric approach pays once per operation and fused gTask kernels
-// pay once per partition.
-func (d *Device) Launch(k Kernel, body func()) {
-	if body != nil {
-		body()
-	}
+// Launch accounts kernel k. The modeled time includes the fixed launch
+// overhead — the cost the tensor-centric approach pays once per operation
+// and fused gTask kernels pay once per partition.
+func (d *Device) Launch(k Kernel) {
 	t := d.Spec.LaunchOverhead + d.Spec.Time(k)
 	var relaunch int64
 	var straggle float64

@@ -80,12 +80,8 @@ func TestMakespanSingleUnitIsSum(t *testing.T) {
 
 func TestDeviceAccumulation(t *testing.T) {
 	d := New(Spec{SIMTFLOPS: 1e12, TensorCoreFLOPS: 1e12, MemBandwidth: 1e12, LaunchOverhead: 0.5, NumUnits: 1})
-	ran := false
-	d.Launch(Kernel{Name: "k1", Cat: CatNeural, FLOPs: 1e12}, func() { ran = true })
-	if !ran {
-		t.Fatal("body must execute")
-	}
-	d.Launch(Kernel{Name: "k2", Cat: CatIndexing, Bytes: 1e12}, nil)
+	d.Launch(Kernel{Name: "k1", Cat: CatNeural, FLOPs: 1e12})
+	d.Launch(Kernel{Name: "k2", Cat: CatIndexing, Bytes: 1e12})
 	st := d.Stats()
 	if st.Kernels != 2 {
 		t.Fatalf("kernels = %d", st.Kernels)
@@ -178,9 +174,9 @@ func TestKernelStats(t *testing.T) {
 	d := New(A100())
 	k1 := Kernel{Name: "gtask.fused", Cat: CatNeural, FLOPs: 1e9, Bytes: 1e6}
 	k2 := Kernel{Name: "sage.self", Cat: CatNeural, FLOPs: 2e9, Bytes: 2e6, TensorCore: true}
-	d.Launch(k1, nil)
-	d.Launch(k1, nil)
-	d.Launch(k2, nil)
+	d.Launch(k1)
+	d.Launch(k1)
+	d.Launch(k2)
 
 	ks := d.KernelStats()
 	if len(ks) != 2 {
@@ -205,7 +201,7 @@ func TestKernelStats(t *testing.T) {
 	// Zero-value Device (no New) must not panic.
 	var dz Device
 	dz.Spec = A100()
-	dz.Launch(k1, nil)
+	dz.Launch(k1)
 	if dz.KernelStats()["gtask.fused"].Launches != 1 {
 		t.Error("zero-value Device did not account the kernel")
 	}

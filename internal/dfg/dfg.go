@@ -241,11 +241,6 @@ func (g *Graph) EWAdd(a, b *Node) *Node {
 	return g.add(&Node{Kind: OpEWAdd, Inputs: []*Node{a, b}, Rows: a.Rows, Cols: a.Cols})
 }
 
-// EWMul multiplies two same-shape nodes elementwise.
-func (g *Graph) EWMul(a, b *Node) *Node {
-	return g.add(&Node{Kind: OpEWMul, Inputs: []*Node{a, b}, Rows: a.Rows, Cols: a.Cols})
-}
-
 // Activation applies a rowwise activation.
 func (g *Graph) Activation(kind OpKind, x *Node, slope float32) *Node {
 	switch kind {

@@ -44,7 +44,8 @@ func TestEWMulAndActivationsEval(t *testing.T) {
 	g := &Graph{}
 	a := g.Input("A", 1, 4)
 	b := g.Input("B", 1, 4)
-	prod := g.EWMul(a, b)
+	// No builder makes an OpEWMul (transforms and cost still handle one).
+	prod := g.add(&Node{Kind: OpEWMul, Inputs: []*Node{a, b}, Rows: a.Rows, Cols: a.Cols})
 	sig := g.Activation(OpSigmoid, prod, 0)
 	th := g.Activation(OpTanh, sig, 0)
 	lr := g.Activation(OpLeakyReLU, th, 0.1)

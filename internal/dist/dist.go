@@ -52,14 +52,6 @@ func (c Cluster) AllToAll(totalBytes float64) float64 {
 	return c.Link.Alpha + per/c.Link.Bandwidth
 }
 
-// AllReduce returns ring all-reduce time for totalBytes per device.
-func (c Cluster) AllReduce(totalBytes float64) float64 {
-	if c.N <= 1 {
-		return 0
-	}
-	return c.Link.Alpha + 2*totalBytes*float64(c.N-1)/float64(c.N)/c.Link.Bandwidth
-}
-
 // ReduceScatter returns reduce-scatter time for totalBytes per device.
 func (c Cluster) ReduceScatter(totalBytes float64) float64 {
 	if c.N <= 1 {

@@ -15,14 +15,13 @@ func TestCollectiveCosts(t *testing.T) {
 	}
 	// single device: no communication
 	one := NewCluster(1)
-	if one.AllToAll(1e9) != 0 || one.AllReduce(1e9) != 0 {
+	if one.AllToAll(1e9) != 0 || one.ReduceScatter(1e9) != 0 {
 		t.Fatal("single-device collectives must be free")
 	}
-	// all-reduce moves twice the data of reduce-scatter
-	ar := c.AllReduce(1e9) - c.Link.Alpha
-	rs := c.ReduceScatter(1e9) - c.Link.Alpha
-	if ar/rs < 1.99 || ar/rs > 2.01 {
-		t.Fatalf("all-reduce/reduce-scatter ratio %v, want 2", ar/rs)
+	// ring reduce-scatter moves (N-1)/N of the volume
+	rs := (c.ReduceScatter(1e9) - c.Link.Alpha) * c.Link.Bandwidth
+	if rs < 0.749e9 || rs > 0.751e9 {
+		t.Fatalf("reduce-scatter moved %v bytes, want 0.75e9", rs)
 	}
 	// more volume, more time
 	if c.AllToAll(2e9) <= c.AllToAll(1e9) {

@@ -4,10 +4,10 @@
 //
 // Executors come in three families, mirroring the paper's taxonomy:
 // tensor-centric (internal/baseline), graph-centric (internal/baseline)
-// and gTask-based (internal/kernels). All families produce numerically
-// identical results — the strategies differ only in how the workload is
-// partitioned — so executors obtain the numeric output from the reference
-// layer implementation and differ in the kernels they account.
+// and gTask-based (internal/kernels). The baseline executors only account
+// the kernels their strategy would launch; the gTask executors also
+// compute, one layer body per model run task by task, and agree with the
+// reference layer implementation (internal/nn) bit for bit.
 package exec
 
 import (
@@ -43,11 +43,13 @@ type Ctx struct {
 	// before invoking an executor so the exec-stage span lands on the same
 	// timeline as the caller's sample/partition/demux spans.
 	TraceID uint64
-	// Engine names the execution engine the gTask executor should run
-	// layers with: "" or "blocked" for the separate gather → matmul →
-	// scatter passes, "fused" for the streaming SpMM that never
-	// materializes per-edge intermediates, "device" for the simulated-
-	// device path with per-micro-kernel stats. The name is resolved by
+	// Engine names the execution engine the gTask executor runs layers
+	// with. Every engine runs the same layer body and differs only in how
+	// a task's edges are walked and how the device is charged: "" or
+	// "blocked" is the edge walk accounted as one fused kernel per layer,
+	// "fused" the run walk (one row load and store per destination run)
+	// accounted as one streaming kernel, "device" the edge walk accounted
+	// as one kernel per micro-stage. The name is resolved by
 	// internal/kernels (exec cannot import it); an unknown name fails the
 	// executor call with a descriptive error rather than silently running
 	// the default.
@@ -61,9 +63,8 @@ func NewCtx(dev *device.Device) *Ctx {
 	return &Ctx{Dev: dev, Compute: true, PaperScale: 1, MemCap: 40e9}
 }
 
-// Launch accounts kernel k (with training multipliers applied) and runs
-// body when computing.
-func (c *Ctx) Launch(k device.Kernel, body func()) {
+// Launch accounts kernel k with training multipliers applied.
+func (c *Ctx) Launch(k device.Kernel) {
 	if c.Training {
 		switch k.Cat {
 		case device.CatNeural:
@@ -85,10 +86,7 @@ func (c *Ctx) Launch(k device.Kernel, body func()) {
 			k.UnitTimes = scaled
 		}
 	}
-	if !c.Compute {
-		body = nil
-	}
-	c.Dev.Launch(k, body)
+	c.Dev.Launch(k)
 }
 
 // Alloc models allocating a workspace of the given size (in bytes at the
@@ -111,10 +109,3 @@ func (c *Ctx) Alloc(bytes float64) error {
 	}
 	return nil
 }
-
-// ResetWorkspace clears the workspace high-water mark (between layers or
-// iterations).
-func (c *Ctx) ResetWorkspace() { c.peakWorkspace = 0 }
-
-// PeakWorkspace reports the scaled high-water mark.
-func (c *Ctx) PeakWorkspace() float64 { return c.peakWorkspace }

@@ -98,17 +98,6 @@ func LabelPropagationBlocks(g *Graph, k, iters int, seed uint64) []int32 {
 	return block
 }
 
-// EdgeCut counts edges whose endpoints live in different blocks.
-func EdgeCut(g *Graph, block []int32) int {
-	cut := 0
-	for e := range g.Src {
-		if block[g.Src[e]] != block[g.Dst[e]] {
-			cut++
-		}
-	}
-	return cut
-}
-
 // BlocksToRelabel converts a block assignment into a vertex renumbering
 // that makes each block contiguous (block-major, original order within a
 // block) — how a partitioned graph is laid out for the distributed

@@ -37,15 +37,26 @@ func clusteredGraph(k, perBlock, intra, inter int, seed uint64) *Graph {
 	return g
 }
 
+// edgeCut counts edges whose endpoints live in different blocks.
+func edgeCut(g *Graph, block []int32) int {
+	cut := 0
+	for e := range g.Src {
+		if block[g.Src[e]] != block[g.Dst[e]] {
+			cut++
+		}
+	}
+	return cut
+}
+
 func TestLabelPropagationReducesCut(t *testing.T) {
 	g := clusteredGraph(4, 100, 1500, 300, 1)
 	contiguous := make([]int32, g.NumVertices)
 	for v := range contiguous {
 		contiguous[v] = int32(v * 4 / g.NumVertices)
 	}
-	baseCut := EdgeCut(g, contiguous)
+	baseCut := edgeCut(g, contiguous)
 	lp := LabelPropagationBlocks(g, 4, 10, 1)
-	lpCut := EdgeCut(g, lp)
+	lpCut := edgeCut(g, lp)
 	if lpCut >= baseCut {
 		t.Fatalf("label propagation did not reduce the cut: %d vs %d", lpCut, baseCut)
 	}
@@ -83,7 +94,7 @@ func TestLabelPropagationSingleBlock(t *testing.T) {
 			t.Fatal("k=1 must put everything in block 0")
 		}
 	}
-	if EdgeCut(g, lp) != 0 {
+	if edgeCut(g, lp) != 0 {
 		t.Fatal("single block has no cut")
 	}
 }
@@ -143,7 +154,7 @@ func TestBlocksToRelabelContiguity(t *testing.T) {
 			cut++
 		}
 	}
-	if cut != EdgeCut(g, lp) {
-		t.Fatalf("relabel changed the cut: %d vs %d", cut, EdgeCut(g, lp))
+	if cut != edgeCut(g, lp) {
+		t.Fatalf("relabel changed the cut: %d vs %d", cut, edgeCut(g, lp))
 	}
 }

@@ -7,6 +7,7 @@ package joint
 
 import (
 	"sort"
+	"strconv"
 
 	"wisegraph/internal/core"
 	"wisegraph/internal/device"
@@ -192,14 +193,11 @@ func Classify(part *core.Partition) Classification {
 // kernel launch.
 type Schedule struct {
 	Times []float64
-	// Precompute is a one-off cost paid before the fused kernel
-	// (frequent-value common-workload extraction).
-	Precompute float64
 }
 
 // Makespan returns the schedule's finish time on the given unit count.
 func (s Schedule) Makespan(units int) float64 {
-	return s.Precompute + device.Makespan(s.Times, units)
+	return device.Makespan(s.Times, units)
 }
 
 // UniformSchedule runs every task with the same operation plan in natural
@@ -218,11 +216,10 @@ func UniformSchedule(spec device.Spec, part *core.Partition, sh kernels.LayerSha
 //   - overfill tasks split into median-sized chunks (more thread blocks)
 //     and run first, removing the long tail,
 //   - frequent tasks fetch precomputed common workloads: the shared work
-//     is paid once in Precompute and the tasks keep only their indexing
-//     traffic.
+//     of each frequent-value group is scheduled once, as a first work
+//     item, and the tasks keep only their indexing traffic.
 func DifferentiatedSchedule(spec device.Spec, part *core.Partition, sh kernels.LayerShape, plan kernels.Plan, cls Classification) Schedule {
 	var first, middle, last []float64
-	var precompute float64
 	frequentShared := map[string]bool{}
 	for ti := 0; ti < part.NumTasks(); ti++ {
 		st := kernels.StatsOf(part, ti)
@@ -237,7 +234,7 @@ func DifferentiatedSchedule(spec device.Spec, part *core.Partition, sh kernels.L
 			last = append(last, c.Seconds)
 		case Overfill:
 			c := kernels.CostTask(spec, sh, st, plan)
-			chunks := st.Edges / maxInt(cls.MedianEdges, 1)
+			chunks := st.Edges / max(cls.MedianEdges, 1)
 			if chunks < 1 {
 				chunks = 1
 			}
@@ -266,7 +263,7 @@ func DifferentiatedSchedule(spec device.Spec, part *core.Partition, sh kernels.L
 	times = append(times, first...)
 	times = append(times, middle...)
 	times = append(times, last...)
-	return Schedule{Times: times, Precompute: precompute}
+	return Schedule{Times: times}
 }
 
 // BestSchedule returns the better of the uniform and differentiated
@@ -288,43 +285,14 @@ func frequentKey(part *core.Partition, ti int) string {
 	for _, r := range part.Plan.Restrictions {
 		if r.Kind == core.Exact && r.Attr != core.AttrEdgeID {
 			e := part.TaskEdges(ti)[0]
-			return r.Attr.String() + ":" + itoa(int(reader.Value(r.Attr, int(e))))
+			return r.Attr.String() + ":" + strconv.Itoa(int(reader.Value(r.Attr, int(e))))
 		}
 	}
-	return "task:" + itoa(ti)
-}
-
-func itoa(x int) string {
-	if x == 0 {
-		return "0"
-	}
-	neg := x < 0
-	if neg {
-		x = -x
-	}
-	var buf [16]byte
-	i := len(buf)
-	for x > 0 {
-		i--
-		buf[i] = byte('0' + x%10)
-		x /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
+	return "task:" + strconv.Itoa(ti)
 }
 
 func medianInt(xs []int) int {
 	cp := append([]int(nil), xs...)
 	sort.Ints(cp)
 	return cp[len(cp)/2]
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

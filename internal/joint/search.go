@@ -264,19 +264,19 @@ func estimateTasks(g *graph.Graph, gp core.GraphPlan) int {
 	v := g.NumVertices
 	est := 1
 	if k, ok := gp.Restricted(core.AttrEdgeID); ok {
-		est = maxInt(est, e/maxInt(k, 1))
+		est = max(est, e/max(k, 1))
 	}
 	if k, ok := gp.Restricted(core.AttrDstID); ok {
-		est = maxInt(est, v/maxInt(k, 1))
+		est = max(est, v/max(k, 1))
 	}
 	if k, ok := gp.Restricted(core.AttrSrcID); ok {
-		est = maxInt(est, v/maxInt(k, 1))
+		est = max(est, v/max(k, 1))
 	}
 	if _, ok := gp.Restricted(core.AttrEdgeType); ok {
-		est = maxInt(est, g.NumTypes)
+		est = max(est, g.NumTypes)
 	}
 	if _, ok := gp.Restricted(core.AttrDstDegree); ok {
-		est = maxInt(est, 8) // degree classes
+		est = max(est, 8) // degree classes
 	}
 	return est
 }

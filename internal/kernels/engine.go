@@ -44,7 +44,7 @@ var engines = []Engine{
 	{name: "device", account: stageKernels, taskBytes: composedTaskBytes},
 }
 
-// Name is the stable identifier used by -engine flags and benchmarks.
+// Name is the stable identifier exec.Ctx.Engine and the benchmark use.
 func (e Engine) Name() string { return e.name }
 
 // EngineNames lists the selectable engines in stable order.
@@ -126,7 +126,7 @@ func (e Engine) RunLayer(ctx *exec.Ctx, gc *nn.GraphCtx, layer nn.Layer, sh Laye
 	// the same under every engine; only the traffic model and the launch
 	// granularity differ.
 	for _, k := range DenseKernels(sh, gc.NumVertices(), len(dsts)) {
-		ctx.Launch(k, nil)
+		ctx.Launch(k)
 	}
 	e.account(ctx, priceTasks(sh, part, plan))
 	if !ctx.Compute {
@@ -151,7 +151,7 @@ func oneKernel(name string, bytes func(t pricedTasks, ti int) float64) func(*exe
 		ctx.Launch(device.Kernel{
 			Name: name, Cat: device.CatNeural,
 			FLOPs: flops, Bytes: total, UnitTimes: times,
-		}, nil)
+		})
 	}
 }
 
@@ -183,7 +183,7 @@ func stageKernels(ctx *exec.Ctx, t pricedTasks) {
 		ctx.Launch(device.Kernel{
 			Name: "gtask." + s.Name, Cat: cat,
 			FLOPs: flops, Bytes: bytes, UnitTimes: times,
-		}, nil)
+		})
 	}
 }
 

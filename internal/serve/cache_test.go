@@ -17,12 +17,13 @@ import (
 )
 
 // TestCacheParityBitwise is the acceptance check for the hot-vertex
-// cache: for every execution engine and worker count, a cache-enabled
-// engine must return logits BITWISE-equal to a cache-disabled one on an
-// overlapping (Zipf-ish skewed) request stream — while actually hitting
-// the cache, so the equality is exercised on spliced rows, not on an
-// idle cache. The serving forward is a pure function per (vertex, level),
-// so cache size is a pure performance knob.
+// cache: for every worker count, a cache-enabled engine must return
+// logits BITWISE-equal to a cache-disabled one, and both to the
+// per-vertex definition run on each execution engine, on an overlapping
+// (Zipf-ish skewed) request stream — while actually hitting the cache, so
+// the equality is exercised on spliced rows, not on an idle cache. The
+// serving forward is a pure function per (vertex, level), so cache size
+// is a pure performance knob.
 func TestCacheParityBitwise(t *testing.T) {
 	const v = 60
 	ds := testDataset(t, v, 240, 12, 5, 1, 1)
@@ -31,12 +32,13 @@ func TestCacheParityBitwise(t *testing.T) {
 	for _, eng := range kernels.EngineNames() {
 		for _, workers := range []int{1, 3} {
 			t.Run(fmt.Sprintf("%s/w%d", eng, workers), func(t *testing.T) {
-				base := Options{Workers: workers, Engine: eng, Seed: 3}
+				base := Options{Workers: workers, Seed: 3}
 				off := testEngine(t, ds, m, base)
 				withCache := base
 				withCache.CacheBudget = 1 << 20
 				withCache.Plan = off.Plan() // identical frozen plan: isolate the cache
 				on := testEngine(t, ds, m, withCache)
+				ref := newPerVertexRef(t, ds, m, off, eng)
 
 				prng := rand.New(rand.NewSource(99))
 				for i := 0; i < 40; i++ {
@@ -59,6 +61,7 @@ func TestCacheParityBitwise(t *testing.T) {
 					if err != nil {
 						t.Fatalf("iter %d cached: %v", i, err)
 					}
+					def := ref.logits(t, nodes)
 					for j := range nodes {
 						if got.Classes[j] != want.Classes[j] {
 							t.Fatalf("iter %d node %d: class %d != %d", i, nodes[j], got.Classes[j], want.Classes[j])
@@ -67,6 +70,10 @@ func TestCacheParityBitwise(t *testing.T) {
 							if got.Logits[j][k] != want.Logits[j][k] {
 								t.Fatalf("iter %d node %d logit %d: cached %v != uncached %v (bitwise)",
 									i, nodes[j], k, got.Logits[j][k], want.Logits[j][k])
+							}
+							if want.Logits[j][k] != def[j][k] {
+								t.Fatalf("iter %d node %d logit %d: uncached %v != %s reference %v",
+									i, nodes[j], k, want.Logits[j][k], eng, def[j][k])
 							}
 						}
 					}

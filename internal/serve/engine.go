@@ -73,10 +73,6 @@ type Options struct {
 	// Plan is a pre-tuned joint plan; nil runs a one-shot tune on a
 	// representative sampled subgraph at startup (§6.3 reuse).
 	Plan *joint.Result
-	// Engine names the execution engine workers run layers with (one of
-	// kernels.EngineNames; "" = blocked). Engines are bitwise-identical,
-	// so this is a dataflow/accounting choice, not a numeric one.
-	Engine string
 	// Seed keys the deterministic per-vertex neighbor sampler (and the
 	// one-shot plan tune). Serving numerics are a pure function of
 	// (vertex, seed, params, graph), never of batch composition.
@@ -305,16 +301,12 @@ func NewEngine(ds *dataset.Dataset, model *nn.Model, opts Options) (*Engine, err
 	if !kernels.ValidPlanFor(model.Cfg.Kind, e.plan.GraphPlan) {
 		return nil, fmt.Errorf("serve: plan %v cannot execute %v", e.plan.GraphPlan, model.Cfg.Kind)
 	}
-	if _, err := kernels.Select(opts.Engine); err != nil {
-		return nil, err
-	}
 	cfg := shard.Config{
 		Shards:      opts.Shards,
 		Replicas:    opts.Replicas,
 		Workers:     opts.Workers,
 		Fanouts:     opts.Fanouts,
 		Seed:        opts.Seed,
-		Engine:      opts.Engine,
 		CacheBudget: opts.CacheBudget,
 		Timeout:     opts.ShardTimeout,
 	}
@@ -664,7 +656,6 @@ func (e *Engine) Options() Options { return e.opts }
 // Stats returns a point-in-time metrics snapshot (the /statsz payload).
 func (e *Engine) Stats() Snapshot {
 	snap := e.stats.snapshot(e.inflight.Load(), len(e.queue))
-	snap.Engine = e.engineName()
 	if cs, ok := e.cacheStats(); ok {
 		snap.CacheEnabled = true
 		snap.CacheHits = cs.Hits
@@ -708,12 +699,4 @@ func (e *Engine) cacheStats() (hotcache.Stats, bool) {
 		return hotcache.Stats{}, false
 	}
 	return e.fleet.CacheStats(), true
-}
-
-// engineName is the resolved execution-engine name ("" means blocked).
-func (e *Engine) engineName() string {
-	if e.opts.Engine == "" {
-		return "blocked"
-	}
-	return e.opts.Engine
 }

@@ -94,9 +94,6 @@ type Snapshot struct {
 	LatencyP95Ms     float64        `json:"latencyP95Ms"`
 	LatencyP99Ms     float64        `json:"latencyP99Ms"`
 
-	// Engine is the execution engine name (blocked|fused|device).
-	Engine string `json:"engine"`
-
 	// Hot-vertex cache accounting (all zero when the cache is disabled).
 	CacheEnabled       bool    `json:"cacheEnabled"`
 	CacheHits          uint64  `json:"cacheHits"`

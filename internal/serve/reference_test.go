@@ -31,12 +31,40 @@ type perVertexRef struct {
 	fanouts []int
 	seed    uint64
 	pt      *core.Partitioner
-	ectx    *exec.Ctx // blocked engine, whatever the engine under test
+	ectx    *exec.Ctx              // runs the kernels engine the oracle is built for
+	rows    map[[2]int32][]float32 // f(v, l) by (v, l), each computed once
+}
+
+// newPerVertexRef is the oracle for what e serves — its frozen plan,
+// fan-outs and sampler seed — with every layer run on the named kernels
+// engine. Serving has no engine option; this is where the engines meet it.
+func newPerVertexRef(t *testing.T, ds *dataset.Dataset, m *nn.Model, e *Engine, engine string) *perVertexRef {
+	pt := core.NewPartitioner()
+	t.Cleanup(pt.Release)
+	ectx := exec.NewCtx(device.New(device.A100()))
+	ectx.Engine = engine
+	return &perVertexRef{
+		ds: ds, csr: ds.Graph.BuildCSRByDst(), model: m, plan: e.Plan(),
+		fanouts: e.Options().Fanouts, seed: e.Options().Seed, pt: pt, ectx: ectx,
+		rows: map[[2]int32][]float32{},
+	}
+}
+
+// logits returns the reference top-level rows of nodes.
+func (r *perVertexRef) logits(t *testing.T, nodes []int32) [][]float32 {
+	out := make([][]float32, len(nodes))
+	for i, n := range nodes {
+		out[i] = r.row(t, n, r.model.Cfg.Layers)
+	}
+	return out
 }
 
 func (r *perVertexRef) row(t *testing.T, v int32, l int) []float32 {
 	if l == 0 {
 		return r.ds.Features.Row(int(v))
+	}
+	if row, ok := r.rows[[2]int32{v, int32(l)}]; ok {
+		return row
 	}
 	L := r.model.Cfg.Layers
 	slots := graph.DetSample(nil, r.csr, v, r.fanouts[L-l], r.seed)
@@ -76,13 +104,15 @@ func (r *perVertexRef) row(t *testing.T, v int32, l int) []float32 {
 			}
 		}
 	}
+	r.rows[[2]int32{v, int32(l)}] = row
 	return row
 }
 
 // TestForwardMatchesPerVertexReference holds the one serving forward to an
 // implementation that is not itself: engine logits must be bitwise-equal
-// to the per-vertex definition for an untyped and a typed model, on every
-// execution engine, through one shard and through two.
+// to the per-vertex definition for an untyped and a typed model, through
+// one shard and through two, with the definition run on every execution
+// engine.
 func TestForwardMatchesPerVertexReference(t *testing.T) {
 	const v = 60
 	nodes := []int32{0, 7, 7, 30, 44, 59}
@@ -93,29 +123,24 @@ func TestForwardMatchesPerVertexReference(t *testing.T) {
 		}
 		ds := testDataset(t, v, 300, 12, 5, numTypes, 11)
 		m := testModel(t, ds, kind)
-		// One frozen plan for the reference and every engine under test:
+		// One frozen plan for the reference and every fleet under test:
 		// the plan fixes the summation order.
 		plan := testEngine(t, ds, m, Options{Workers: 1, Seed: 9}).Plan()
-		pt := core.NewPartitioner()
-		t.Cleanup(pt.Release)
-		ref := &perVertexRef{
-			ds: ds, csr: ds.Graph.BuildCSRByDst(), model: m, plan: plan,
-			fanouts: []int{3, 2}, seed: 9, pt: pt,
-			ectx: exec.NewCtx(device.New(device.A100())),
+		served := make(map[int]*Engine)
+		for _, shards := range []int{1, 2} {
+			served[shards] = testEngine(t, ds, m, Options{
+				Shards: shards, Workers: 2, Seed: 9, Fanouts: []int{3, 2}, Plan: plan,
+			})
 		}
 		for _, engine := range kernels.EngineNames() {
+			ref := newPerVertexRef(t, ds, m, served[1], engine)
 			for _, shards := range []int{1, 2} {
 				t.Run(fmt.Sprintf("%v/%s/shards=%d", kind, engine, shards), func(t *testing.T) {
-					e := testEngine(t, ds, m, Options{
-						Shards: shards, Workers: 2, Engine: engine, Seed: 9,
-						Fanouts: ref.fanouts, Plan: plan,
-					})
-					got := predictLogits(t, e, nodes)
-					for i, n := range nodes {
-						want := ref.row(t, n, m.Cfg.Layers)
+					got := predictLogits(t, served[shards], nodes)
+					for i, want := range ref.logits(t, nodes) {
 						for k := range want {
 							if got[i][k] != want[k] {
-								t.Fatalf("node %d logit %d: engine %v != per-vertex reference %v", n, k, got[i][k], want[k])
+								t.Fatalf("node %d logit %d: served %v != per-vertex reference %v", nodes[i], k, got[i][k], want[k])
 							}
 						}
 					}

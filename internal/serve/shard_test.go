@@ -17,10 +17,10 @@ import (
 )
 
 // The sharded-serving battery: the fleet must be an implementation detail
-// of /predict — bitwise-identical logits at every shard count, engine and
-// worker count; per-shard caches that change performance but never bits;
-// and the drain/accounting invariants holding fleet-wide under injected
-// shard.rpc faults.
+// of /predict — bitwise-identical logits at every shard count, replica
+// count and worker count; per-shard caches that change performance but
+// never bits; and the drain/accounting invariants holding fleet-wide
+// under injected shard.rpc faults.
 
 // predictLogits runs one Predict and returns the logits rows.
 func predictLogits(t *testing.T, e *Engine, nodes []int32) [][]float32 {
@@ -33,26 +33,29 @@ func predictLogits(t *testing.T, e *Engine, nodes []int32) [][]float32 {
 }
 
 // TestShardedParityMatrix is the tentpole guarantee: logits from the
-// sharded tier are bitwise-identical to single-node serving across
-// 1/2/4 shards × 1/2 replicas × all three engines × 1/8 workers. Every
-// shard rebuilds its blocks with the same deterministic sampler and
-// canonical edge order, and every replica of a span is the same pure
-// function of (request, model version), so not one float may differ —
-// whichever replica the rotation or a hedge hands the call to.
+// sharded tier are bitwise-identical to the per-vertex definition run on
+// each of the three engines, across 1/2/4 shards × 1/2 replicas × 1/8
+// workers. Every shard rebuilds its blocks with the same deterministic
+// sampler and canonical edge order, and every replica of a span is the
+// same pure function of (request, model version), so not one float may
+// differ — whichever replica the rotation or a hedge hands the call to.
 func TestShardedParityMatrix(t *testing.T) {
 	const v = 60
 	ds := testDataset(t, v, 300, 12, 5, 2, 11)
 	m := testModel(t, ds, nn.RGCN)
-	ref := testEngine(t, ds, m, Options{Workers: 1, Seed: 9})
+	single := testEngine(t, ds, m, Options{Workers: 1, Seed: 9})
 
 	requests := [][]int32{
 		{0, 7, 59},
 		{3, 3, 12, 30},
 		{58, 1, 44, 44, 2},
 	}
-	want := make([][][]float32, len(requests))
-	for i, nodes := range requests {
-		want[i] = predictLogits(t, ref, nodes)
+	want := make(map[string][][][]float32)
+	for _, engine := range kernels.EngineNames() {
+		ref := newPerVertexRef(t, ds, m, single, engine)
+		for _, nodes := range requests {
+			want[engine] = append(want[engine], ref.logits(t, nodes))
+		}
 	}
 
 	for _, shards := range []int{1, 2, 4} {
@@ -62,8 +65,8 @@ func TestShardedParityMatrix(t *testing.T) {
 					name := fmt.Sprintf("shards=%d/r=%d/%s/workers=%d", shards, replicas, engine, workers)
 					t.Run(name, func(t *testing.T) {
 						e := testEngine(t, ds, m, Options{
-							Shards: shards, Replicas: replicas, Workers: workers, Engine: engine,
-							Seed: 9, Plan: ref.Plan(),
+							Shards: shards, Replicas: replicas, Workers: workers,
+							Seed: 9, Plan: single.Plan(),
 						})
 						if (shards > 1 || replicas > 1) && e.Fleet() == nil {
 							t.Fatal("sharded options built no fleet")
@@ -75,9 +78,9 @@ func TestShardedParityMatrix(t *testing.T) {
 							got := predictLogits(t, e, nodes)
 							for j := range got {
 								for k := range got[j] {
-									if got[j][k] != want[i][j][k] {
-										t.Fatalf("request %d node %d logit %d: %v != single-node %v",
-											i, j, k, got[j][k], want[i][j][k])
+									if got[j][k] != want[engine][i][j][k] {
+										t.Fatalf("request %d node %d logit %d: %v != %s reference %v",
+											i, j, k, got[j][k], engine, want[engine][i][j][k])
 									}
 								}
 							}

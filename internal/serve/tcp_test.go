@@ -143,9 +143,9 @@ func (d *shardDaemon) drain(t *testing.T) {
 // TestTCPCrossProcessBitwise is the end-to-end acceptance test for the
 // TCP transport: spawn real wisegraph-shard processes, point a serve
 // engine at them with -shard-addrs semantics, and demand logits bitwise-
-// identical to single-node serving at 1/2/4 process-shards × every
-// engine × 1/2 replicas (R=2 rides the default engine only, to bound the
-// daemon spawn count — the replica ladder is engine-blind either way).
+// identical to the per-vertex definition run on every engine at 1/2/4
+// process-shards × 1/2 replicas (R=2 is held to the default engine's
+// definition only: the engines agree with each other at R=1 already).
 // Both ends reconstruct the AR replica and the untrained RGCN checkpoint
 // from the same flags, and the Hello handshake (parameter hash,
 // recomputed boundaries, model shape, replica identity) proves it before
@@ -172,65 +172,78 @@ func TestTCPCrossProcessBitwise(t *testing.T) {
 	}
 
 	base := Options{Workers: 2, Seed: 9, Fanouts: []int{4, 4}, ShardTimeout: 10 * time.Second}
-	ref := testEngine(t, ds, m, base)
+	single := testEngine(t, ds, m, base)
 	v := int32(ds.Graph.NumVertices)
 	requests := [][]int32{
 		{0, 5, v - 1},
 		{v / 2, 3, 3, v / 3},
 	}
-	want := make([][][]float32, len(requests))
-	for i, nodes := range requests {
-		want[i] = predictLogits(t, ref, nodes)
+	want := make(map[string][][][]float32)
+	for _, engine := range kernels.EngineNames() {
+		ref := newPerVertexRef(t, ds, m, single, engine)
+		for _, nodes := range requests {
+			want[engine] = append(want[engine], ref.logits(t, nodes))
+		}
+	}
+
+	// overTCP serves requests through fresh daemons (a daemon's identity is
+	// sticky to the first Hello it accepts, and the replica id rides in the
+	// Hello), then drains them.
+	overTCP := func(t *testing.T, shards, replicas int) [][][]float32 {
+		daemons := make([]*shardDaemon, shards*replicas)
+		opts := base
+		opts.Replicas = replicas
+		opts.Plan = single.Plan()
+		opts.ShardAddrs = make([]string, len(daemons))
+		for i := range daemons {
+			daemons[i] = startShardDaemon(t, bin)
+			opts.ShardAddrs[i] = daemons[i].addr
+		}
+		e, err := NewEngine(ds, m, opts)
+		if err != nil {
+			t.Fatalf("NewEngine over TCP: %v", err)
+		}
+		if fl := e.Fleet(); fl == nil || !fl.Remote() {
+			t.Fatal("shard addresses built no remote fleet")
+		} else if fl.Size() != shards || fl.Replicas() != replicas {
+			t.Fatalf("fleet is %d spans x %d replicas, want %dx%d",
+				fl.Size(), fl.Replicas(), shards, replicas)
+		}
+		got := make([][][]float32, len(requests))
+		for i, nodes := range requests {
+			got[i] = predictLogits(t, e, nodes)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := e.Shutdown(ctx); err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+		for _, d := range daemons {
+			d.drain(t)
+		}
+		return got
 	}
 
 	for _, shards := range []int{1, 2, 4} {
+		served := make(map[int][][][]float32) // by replica count
 		for _, engine := range kernels.EngineNames() {
 			for _, replicas := range []int{1, 2} {
-				if replicas > 1 && engine != "" && engine != kernels.EngineNames()[0] {
-					continue // R=2 on the default engine only
+				if replicas > 1 && engine != kernels.EngineNames()[0] {
+					continue // R=2 against the default engine only
 				}
 				t.Run(fmt.Sprintf("shards=%d/%s/r=%d", shards, engine, replicas), func(t *testing.T) {
-					// Fresh daemons per combination: a daemon's identity is
-					// sticky to the first Hello it accepts, and the engine
-					// and replica id ride in the Hello.
-					daemons := make([]*shardDaemon, shards*replicas)
-					opts := base
-					opts.Engine = engine
-					opts.Replicas = replicas
-					opts.Plan = ref.Plan()
-					opts.ShardAddrs = make([]string, len(daemons))
-					for i := range daemons {
-						daemons[i] = startShardDaemon(t, bin)
-						opts.ShardAddrs[i] = daemons[i].addr
+					if served[replicas] == nil {
+						served[replicas] = overTCP(t, shards, replicas)
 					}
-					e, err := NewEngine(ds, m, opts)
-					if err != nil {
-						t.Fatalf("NewEngine over TCP: %v", err)
-					}
-					if fl := e.Fleet(); fl == nil || !fl.Remote() {
-						t.Fatal("shard addresses built no remote fleet")
-					} else if fl.Size() != shards || fl.Replicas() != replicas {
-						t.Fatalf("fleet is %d spans x %d replicas, want %dx%d",
-							fl.Size(), fl.Replicas(), shards, replicas)
-					}
-					for i, nodes := range requests {
-						got := predictLogits(t, e, nodes)
+					for i, got := range served[replicas] {
 						for j := range got {
 							for k := range got[j] {
-								if got[j][k] != want[i][j][k] {
-									t.Fatalf("request %d node %d logit %d: %v over TCP, want %v single-node",
-										i, j, k, got[j][k], want[i][j][k])
+								if got[j][k] != want[engine][i][j][k] {
+									t.Fatalf("request %d node %d logit %d: %v over TCP, want %s reference %v",
+										i, j, k, got[j][k], engine, want[engine][i][j][k])
 								}
 							}
 						}
-					}
-					ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-					defer cancel()
-					if err := e.Shutdown(ctx); err != nil {
-						t.Fatalf("shutdown: %v", err)
-					}
-					for _, d := range daemons {
-						d.drain(t)
 					}
 				})
 			}

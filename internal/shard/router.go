@@ -37,11 +37,10 @@ type Config struct {
 	// Workers is how many RPCs each shard node runs at once.
 	Workers int
 	// Fanouts are the per-layer sampling fan-outs, Seed the deterministic
-	// sampler key, Engine the execution engine — identical on every node,
-	// which is what the bitwise-parity guarantee rests on.
+	// sampler key — identical on every node, which is what the
+	// bitwise-parity guarantee rests on.
 	Fanouts []int
 	Seed    uint64
-	Engine  string
 	// CacheBudget is the PER-SHARD hot-vertex cache budget in bytes: each
 	// simulated node brings its own RAM, so fleet cache capacity scales
 	// with the shard count — the aggregate-capacity win that lets a fleet
@@ -274,7 +273,7 @@ func NewFleet(csr *graph.CSR, feats *tensor.Tensor, ntypes int, src *nn.Model, p
 // router derives the same boundaries the daemons will recompute, then
 // dials each daemon with a Hello carrying the full fleet configuration
 // (identity incl. replica id, bounds, graph/model shape, sampler seed,
-// engine, marshaled plan, parameter hash) — any daemon that cannot serve
+// marshaled plan, parameter hash) — any daemon that cannot serve
 // bitwise-identically rejects it and construction fails.
 func NewRemoteFleet(csr *graph.CSR, feats *tensor.Tensor, ntypes int, src *nn.Model, plan *joint.Result, cfg Config, addrs []string) (*Fleet, error) {
 	cfg = cfg.withDefaults()
@@ -313,7 +312,6 @@ func NewRemoteFleet(csr *graph.CSR, feats *tensor.Tensor, ntypes int, src *nn.Mo
 				Seed:        cfg.Seed,
 				ParamSum:    sum,
 				Kind:        src.Cfg.Kind.String(),
-				Engine:      cfg.Engine,
 				Plan:        planBytes,
 			}, cfg.Timeout)
 			if err != nil {
@@ -721,7 +719,7 @@ func indexOf(verts []int32) map[int32]int32 {
 // (graph.DetSample, keyed by (Config.Seed, vertex, fan-out) alone). That
 // makes every row a pure function f(v, l) of the vertex, the level, the
 // frozen seed, the graph and the model parameters — independent of batch
-// composition, shard count, replica, engine and worker count — which is
+// composition, shard count, replica and worker count — which is
 // the property that makes the hot-vertex cache sound: a hit returns
 // exactly the bytes a miss would recompute, so cache size can change
 // performance but never output bits.

@@ -6,7 +6,7 @@
 // per-layer embeddings and aggregates them level by level. It is the only
 // leveled forward in the repository — single-node serving is a fleet of
 // one in-process shard — and its logits are bitwise-identical at any shard
-// count, replica count, engine and worker count. Shards run either
+// count, replica count and worker count. Shards run either
 // in-process (the Fleet owns them and calls them directly) or as separate
 // wisegraph-shard processes reached over the internal/shard/wire TCP
 // protocol. Slow or failed shards are absorbed by one ladder (per-RPC
@@ -73,16 +73,15 @@ type Shard struct {
 // NodeConfig sizes one shard node independently of a router — the
 // per-node resource budget a wisegraph-shard daemon sets from its own
 // flags (worker pool, cache RAM), plus the fleet-coherence knobs the
-// router's Hello dictates (fan-outs, sampler seed, engine).
+// router's Hello dictates (fan-outs, sampler seed).
 type NodeConfig struct {
 	// Workers is how many RPCs the node runs at once (min 1).
 	Workers int
 	// Fanouts are the per-layer sampling fan-outs, Seed the deterministic
-	// sampler key, Engine the execution engine — identical across the
-	// fleet, which is what the bitwise-parity guarantee rests on.
+	// sampler key — identical across the fleet, which is what the
+	// bitwise-parity guarantee rests on.
 	Fanouts []int
 	Seed    uint64
-	Engine  string
 	// CacheBudget sizes this node's hot-vertex cache.
 	CacheBudget int64
 }
@@ -137,9 +136,7 @@ func NewShard(id int, lo, hi int32, csr *graph.CSR, feats *tensor.Tensor, ntypes
 	for i := 0; i < cfg.Workers; i++ {
 		dev := device.New(device.A100())
 		s.devs = append(s.devs, dev)
-		ectx := exec.NewCtx(dev)
-		ectx.Engine = cfg.Engine
-		s.free <- &shardWorker{pt: core.NewPartitioner(), ectx: ectx,
+		s.free <- &shardWorker{pt: core.NewPartitioner(), ectx: exec.NewCtx(dev),
 			local: make([]int32, len(csr.RowPtr)-1)}
 	}
 	return s, nil
@@ -152,7 +149,6 @@ func newShard(id int, lo, hi int32, f *Fleet) (*Shard, error) {
 		Workers:     f.cfg.Workers,
 		Fanouts:     f.cfg.Fanouts,
 		Seed:        f.cfg.Seed,
-		Engine:      f.cfg.Engine,
 		CacheBudget: f.cfg.CacheBudget,
 	})
 	if err != nil {

@@ -24,8 +24,8 @@ import (
 // side, running decoded frames on its Shard. Each
 // connection opens with a Hello carrying the full fleet configuration;
 // the daemon is passive and interchangeable — it learns its shard
-// identity (including its replica id), owned range, sampler seed, engine
-// and tuned plan from the first Hello it accepts, and validates
+// identity (including its replica id), owned range, sampler seed and
+// tuned plan from the first Hello it accepts, and validates
 // everything it can recompute (boundaries, model shape, parameter hash)
 // so a misconfigured fleet fails at connect time instead of serving
 // subtly different logits.
@@ -452,7 +452,7 @@ type Server struct {
 }
 
 // NewServer builds a daemon-side server over the node's loaded state.
-// Fanouts/Seed/Engine in cfg are ignored — they arrive in the Hello.
+// Fanouts/Seed in cfg are ignored — they arrive in the Hello.
 func NewServer(csr *graph.CSR, feats *tensor.Tensor, ntypes int, model *nn.Model, cfg NodeConfig) *Server {
 	return &Server{
 		csr: csr, feats: feats, ntypes: ntypes, model: model, cfg: cfg,
@@ -682,7 +682,6 @@ func (sv *Server) admit(payload []byte) (*Shard, error) {
 		cfg.Fanouts[i] = int(f)
 	}
 	cfg.Seed = h.Seed
-	cfg.Engine = h.Engine
 	s, err := NewShard(int(h.ShardID), h.Lo, h.Hi, sv.csr, sv.feats, sv.ntypes, sv.model, plan, cfg)
 	if err != nil {
 		return nil, err
@@ -693,17 +692,16 @@ func (sv *Server) admit(payload []byte) (*Shard, error) {
 	return s, nil
 }
 
-// validate cross-checks everything the node can verify locally: protocol
-// version, identity ranges (replica id included), graph and model shape,
-// bitwise parameter parity, and that the claimed owned range is exactly
-// what Boundaries derives on this node's copy of the graph.
+// validate cross-checks everything the node can verify locally past the
+// protocol version (DecodeHello's): identity ranges (replica id included),
+// graph and model shape, bitwise parameter parity, and that the claimed
+// owned range is exactly what Boundaries derives on this node's copy of
+// the graph.
 func (sv *Server) validate(h *wire.Hello) error {
 	nv := int64(len(sv.csr.RowPtr) - 1)
 	ne := int64(len(sv.csr.Col))
 	cfg := sv.model.Cfg
 	switch {
-	case h.Proto != wire.ProtoVersion:
-		return fmt.Errorf("protocol %d, this node speaks %d", h.Proto, wire.ProtoVersion)
 	case h.Shards < 1 || h.ShardID < 0 || h.ShardID >= h.Shards:
 		return fmt.Errorf("shard id %d of %d", h.ShardID, h.Shards)
 	case h.Replicas < 1 || h.Replica < 0 || h.Replica >= h.Replicas:

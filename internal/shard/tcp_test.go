@@ -166,11 +166,11 @@ func TestTCPHelloRejection(t *testing.T) {
 	}
 
 	// Version 2 — the protocol before level-1 requests carried halo rows
-	// only — and version 3, whose Hello named a placement policy, are as
-	// foreign as one not invented yet: a mixed fleet is refused here, not
-	// one mis-sized RPC at a time.
+	// only — version 3, whose Hello named a placement policy, and version
+	// 4, whose Hello named an engine, are as foreign as one not invented
+	// yet: a mixed fleet is refused here, not one mis-sized RPC at a time.
 	addr = startDaemon(t, n, n.model)
-	for _, proto := range []uint32{2, 3, wire.ProtoVersion + 41} {
+	for _, proto := range []uint32{2, 3, 4, wire.ProtoVersion + 41} {
 		want := fmt.Sprintf("protocol %d, this node speaks %d", proto, wire.ProtoVersion)
 		if _, err := newTCPConn(addr, &wire.Hello{Proto: proto}, time.Second); err == nil {
 			t.Fatalf("protocol version %d accepted", proto)

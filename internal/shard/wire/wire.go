@@ -22,8 +22,8 @@
 //
 // Versioning rides in the Hello handshake, not per frame: the router
 // opens every connection with a Hello carrying ProtoVersion plus the
-// full fleet configuration (bounds, replica id, sampler seed, engine,
-// plan, a hash of the model parameters), and the shard rejects anything
+// full fleet configuration (bounds, replica id, sampler seed, plan, a
+// hash of the model parameters), and the shard rejects anything
 // it cannot serve bitwise-identically. After a HelloOK the stream
 // carries tagged requests and replies in any interleaving.
 package wire
@@ -44,8 +44,9 @@ import (
 // a Compute at level 1 carries rows for the halo only (see ComputeArgs),
 // so a version-2 peer would mis-size every level-1 request. Version 4
 // dropped the Hello's placement field: shard boundaries are the
-// edge-quantile split and nothing else.
-const ProtoVersion = 4
+// edge-quantile split and nothing else. Version 5 dropped its engine
+// field: every shard runs the default kernels engine.
+const ProtoVersion = 5
 
 // MaxFrame bounds one frame (type byte + reqid + payload). A length
 // prefix past it is a protocol violation, rejected before allocating
@@ -172,8 +173,8 @@ type ComputeReply struct {
 // Hello is the fleet-join handshake: everything a shard daemon must agree
 // on before it can serve bitwise-identical rows — its identity and owned
 // range in the fleet, the frozen graph/model shape, the deterministic
-// sampler parameters, the execution engine, the tuned plan, and a hash of
-// the router's model parameters (same checkpoint or no deal).
+// sampler parameters, the tuned plan, and a hash of the router's model
+// parameters (same checkpoint or no deal).
 type Hello struct {
 	Proto       uint32
 	ShardID     int32
@@ -192,7 +193,6 @@ type Hello struct {
 	Seed        uint64
 	ParamSum    uint64 // FNV-1a over the model's parameter bits
 	Kind        string // model kind, e.g. "RGCN"
-	Engine      string // execution engine name ("" = blocked)
 	Plan        []byte // marshaled joint plan (joint.MarshalPlan JSON)
 }
 
@@ -316,9 +316,9 @@ func AppendComputeReply(dst []byte, reqid uint32, r *ComputeReply) []byte {
 
 // AppendHello appends one handshake frame (handshakes use reqid 0).
 func AppendHello(dst []byte, h *Hello) []byte {
-	// 12 u32 fields + 4 u64 fields + 4 length-prefixed variable fields.
+	// 12 u32 fields + 4 u64 fields + 3 length-prefixed variable fields.
 	n := 4*12 + 8*4 + 4 + 4*len(h.Fanouts) +
-		4 + len(h.Kind) + 4 + len(h.Engine) + 4 + len(h.Plan)
+		4 + len(h.Kind) + 4 + len(h.Plan)
 	dst = appendHeader(dst, MsgHello, 0, n)
 	dst = appendU32(dst, h.Proto)
 	dst = appendU32(dst, uint32(h.ShardID))
@@ -338,7 +338,6 @@ func AppendHello(dst []byte, h *Hello) []byte {
 	dst = appendU64(dst, h.Seed)
 	dst = appendU64(dst, h.ParamSum)
 	dst = appendString(dst, h.Kind)
-	dst = appendString(dst, h.Engine)
 	return appendBytes(dst, h.Plan)
 }
 
@@ -551,8 +550,17 @@ func DecodeComputeReply(p []byte) (*ComputeReply, error) {
 	return rep, nil
 }
 
-// DecodeHello decodes one handshake payload.
+// DecodeHello decodes one handshake payload. Proto leads the Hello of
+// every version and lays out the fields after it, so a payload of another
+// version is refused on that field alone: a version-4 Hello still carries
+// an engine string, and its peer must hear about the version, not a
+// misread field.
 func DecodeHello(p []byte) (*Hello, error) {
+	if len(p) >= 4 {
+		if v := binary.LittleEndian.Uint32(p); v != ProtoVersion {
+			return nil, fmt.Errorf("protocol %d, this node speaks %d", v, ProtoVersion)
+		}
+	}
 	r := reader{p: p}
 	h := &Hello{
 		Proto:       r.u32(),
@@ -573,7 +581,6 @@ func DecodeHello(p []byte) (*Hello, error) {
 		Seed:        r.u64(),
 		ParamSum:    r.u64(),
 		Kind:        r.str(),
-		Engine:      r.str(),
 		Plan:        r.bytes(),
 	}
 	if err := r.done(); err != nil {

@@ -155,14 +155,14 @@ func TestComputeRoundTrip(t *testing.T) {
 
 func TestHelloRoundTrip(t *testing.T) {
 	hs := []*Hello{
-		{},
+		{Proto: ProtoVersion},
 		{
 			Proto: ProtoVersion, ShardID: 1, Shards: 4, Replica: 1, Replicas: 2,
 			Lo: 100, Hi: 250,
 			NumVertices: 423, NumEdges: 5912, NumTypes: 8,
 			InDim: 128, Hidden: 16, OutDim: 40, Layers: 2,
 			Fanouts: []int32{4, 4}, Seed: 9, ParamSum: 0xdeadbeefcafef00d,
-			Kind: "RGCN", Engine: "fused",
+			Kind: "RGCN",
 			Plan: []byte(`{"version":1}`),
 		},
 	}
@@ -289,7 +289,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add(byte(MsgExpandReply), uint32(7), AppendExpandReply(nil, 7, &ExpandReply{Hit: []bool{true, false}, Rows: []float32{1, 2}, Srcs: [][]int32{{3}, nil}})[headerLen:])
 	f.Add(byte(MsgCompute), ^uint32(0), AppendComputeArgs(nil, ^uint32(0), &ComputeArgs{Level: 1, InDim: 2, OutDim: 2, Verts: []int32{0}, In: []int32{0, 1}, Rows: []float32{1, 2, 3, 4}})[headerLen:])
 	f.Add(byte(MsgComputeReply), uint32(0), AppendComputeReply(nil, 0, &ComputeReply{Rows: []float32{5}})[headerLen:])
-	f.Add(byte(MsgHello), uint32(0), AppendHello(nil, &Hello{Proto: ProtoVersion, Shards: 2, Replicas: 2, Fanouts: []int32{4}, Kind: "SAGE", Engine: "fused", Plan: []byte("{}")})[headerLen:])
+	f.Add(byte(MsgHello), uint32(0), AppendHello(nil, &Hello{Proto: ProtoVersion, Shards: 2, Replicas: 2, Fanouts: []int32{4}, Kind: "SAGE", Plan: []byte("{}")})[headerLen:])
 	f.Add(byte(MsgError), uint32(3), AppendError(nil, 3, "x")[headerLen:])
 	f.Fuzz(func(t *testing.T, kind byte, reqid uint32, payload []byte) {
 		var reencoded []byte

@@ -17,13 +17,8 @@ func withWorkers(t *testing.T, n int, fn func()) {
 	fn()
 }
 
-func TestFullAndCopyFrom(t *testing.T) {
-	a := Full(3, 2, 2)
-	for _, v := range a.Data() {
-		if v != 3 {
-			t.Fatalf("Full value %v", v)
-		}
-	}
+func TestCopyFrom(t *testing.T) {
+	a := FromSlice([]float32{3, 3, 3, 3}, 2, 2)
 	b := New(2, 2)
 	b.CopyFrom(a)
 	if b.At(1, 1) != 3 {
@@ -50,11 +45,8 @@ func TestSameShapeAndString(t *testing.T) {
 	}
 }
 
-func TestMaxAbsAndAllFinite(t *testing.T) {
+func TestAllFinite(t *testing.T) {
 	a := FromSlice([]float32{1, -5, 2}, 3)
-	if a.MaxAbs() != 5 {
-		t.Fatalf("MaxAbs = %v", a.MaxAbs())
-	}
 	if !a.AllFinite() {
 		t.Fatal("finite tensor reported non-finite")
 	}
@@ -102,7 +94,7 @@ func TestReLUGradAndLeakyGrad(t *testing.T) {
 	}
 }
 
-func TestRNGNormalAndFork(t *testing.T) {
+func TestRNGNormal(t *testing.T) {
 	rng := NewRNG(5)
 	var sum, sumSq float64
 	const n = 5000
@@ -115,12 +107,6 @@ func TestRNGNormalAndFork(t *testing.T) {
 	variance := sumSq/n - mean*mean
 	if math.Abs(mean) > 0.1 || math.Abs(variance-1) > 0.15 {
 		t.Fatalf("normal stats off: mean %v var %v", mean, variance)
-	}
-	a := NewRNG(7)
-	f1 := a.Fork(1)
-	f2 := a.Fork(2)
-	if f1.Uint64() == f2.Uint64() {
-		t.Fatal("forked streams must differ")
 	}
 	// zero seed remaps to a usable state
 	if NewRNG(0).Uint64() == 0 {

@@ -65,12 +65,6 @@ func (r *RNG) NormFloat64() float64 {
 	}
 }
 
-// Fork returns an independent generator derived from r and a stream id,
-// so parallel components can draw without sharing state.
-func (r *RNG) Fork(stream uint64) *RNG {
-	return NewRNG(r.Uint64() ^ (stream * 0xbf58476d1ce4e5b9))
-}
-
 // Uniform fills t with values drawn uniformly from [lo, hi).
 func Uniform(t *Tensor, rng *RNG, lo, hi float32) *Tensor {
 	span := hi - lo

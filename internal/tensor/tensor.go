@@ -47,15 +47,6 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 	return &Tensor{data: data, shape: append([]int(nil), shape...)}
 }
 
-// Full returns a tensor with every element set to v.
-func Full(v float32, shape ...int) *Tensor {
-	t := New(shape...)
-	for i := range t.data {
-		t.data[i] = v
-	}
-	return t
-}
-
 // Data returns the backing slice. Mutating it mutates the tensor.
 func (t *Tensor) Data() []float32 { return t.data }
 
@@ -197,18 +188,6 @@ func (t *Tensor) Sum() float64 {
 		s += float64(v)
 	}
 	return s
-}
-
-// MaxAbs returns the largest absolute element value.
-func (t *Tensor) MaxAbs() float64 {
-	var m float64
-	for _, v := range t.data {
-		a := math.Abs(float64(v))
-		if a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // AllFinite reports whether every element is finite (no NaN/Inf).

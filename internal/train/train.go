@@ -35,23 +35,7 @@ type FullGraph struct {
 	Model *nn.Model
 	GC    *nn.GraphCtx
 	Opt   *nn.Adam
-
-	engine string // execution engine for the gTask path ("" = blocked)
 }
-
-// UseEngine selects the kernels.Engine (see kernels.EngineNames) that
-// GTaskTestAccuracy's gTask forward runs on. Training itself has one
-// dataflow and does not depend on it.
-func (t *FullGraph) UseEngine(name string) error {
-	if _, err := kernels.Select(name); err != nil {
-		return err
-	}
-	t.engine = name
-	return nil
-}
-
-// Engine reports the selected execution engine name ("" = blocked).
-func (t *FullGraph) Engine() string { return t.engine }
 
 // NewFullGraph builds a trainer. cfg.InDim/OutDim are filled from the
 // dataset if zero.
@@ -114,7 +98,6 @@ func (t *FullGraph) Run(epochs int) []EpochStats {
 // executions are bit-for-bit near-identical).
 func (t *FullGraph) GTaskTestAccuracy(res *joint.Result) (float64, error) {
 	ctx := exec.NewCtx(device.New(device.A100()))
-	ctx.Engine = t.engine
 	part := res.Partition
 	if part.Graph != t.DS.Graph {
 		part = core.PartitionGraph(t.DS.Graph, res.GraphPlan, searchAttrs)

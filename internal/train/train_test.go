@@ -6,7 +6,6 @@ import (
 
 	"wisegraph/internal/dataset"
 	"wisegraph/internal/device"
-	"wisegraph/internal/kernels"
 	"wisegraph/internal/nn"
 )
 
@@ -59,72 +58,6 @@ func TestGTaskAccuracyParity(t *testing.T) {
 	}
 	if math.Abs(ref-gtask) > 0.01 {
 		t.Fatalf("accuracy parity violated: reference %.4f vs gTask %.4f", ref, gtask)
-	}
-}
-
-// TestUseEngineSelectsOnlyTheGTaskEngine pins what -engine means on the
-// trainer: training has one dataflow, so losses and parameters are
-// bit-identical to a trainer that never called UseEngine, whatever engine
-// is named; the name only picks the kernels.Engine of the gTask
-// evaluation forward, and those agree with each other.
-func TestUseEngineSelectsOnlyTheGTaskEngine(t *testing.T) {
-	ds := tinyDataset(t)
-	cfg := nn.Config{Kind: nn.SAGE, Hidden: 16, Layers: 2, Dropout: 0.2, Seed: 4}
-	const epochs = 3
-	train := func(engine string) (*FullGraph, []float64) {
-		tr, err := NewFullGraph(ds, cfg, 0.01)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if engine != "" {
-			if err := tr.UseEngine(engine); err != nil {
-				t.Fatalf("UseEngine(%q): %v", engine, err)
-			}
-		}
-		if got := tr.Engine(); got != engine {
-			t.Fatalf("Engine() = %q after UseEngine(%q)", got, engine)
-		}
-		losses := make([]float64, epochs)
-		for i := range losses {
-			losses[i] = tr.Epoch()
-		}
-		return tr, losses
-	}
-
-	ref, refLoss := train("")
-	if err := ref.UseEngine("warp"); err == nil {
-		t.Fatal("UseEngine accepted an unknown engine name")
-	}
-	if got := ref.Engine(); got != "" {
-		t.Fatalf("a rejected name changed Engine() to %q", got)
-	}
-	res := ref.Tune(device.A100())
-	refAcc, err := ref.GTaskTestAccuracy(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range kernels.EngineNames() {
-		tr, loss := train(name)
-		for i := range loss {
-			if math.Float64bits(loss[i]) != math.Float64bits(refLoss[i]) {
-				t.Fatalf("%s: epoch %d loss %v, default trainer %v", name, i, loss[i], refLoss[i])
-			}
-		}
-		for pi, p := range tr.Model.Params() {
-			want := ref.Model.Params()[pi].Value.Data()
-			for j, v := range p.Value.Data() {
-				if math.Float32bits(v) != math.Float32bits(want[j]) {
-					t.Fatalf("%s: %s[%d] = %v, default trainer %v", name, p.Name, j, v, want[j])
-				}
-			}
-		}
-		acc, err := tr.GTaskTestAccuracy(res)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if acc != refAcc {
-			t.Fatalf("%s: gTask test accuracy %v, default engine %v", name, acc, refAcc)
-		}
 	}
 }
 

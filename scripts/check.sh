@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Repository health check: vet, build, and the full test suite under the
 # race detector. CI and pre-commit both run this; it must stay fast enough
-# to run on every change (timed at PR 24 on the 2-vCPU CI box, build cache
-# warm: 3 min 40 s wall with go's test cache empty, 3 min 20 s with it warm).
+# to run on every change (timed at PR 25 on the 2-vCPU CI box, build cache
+# warm: 3 min 28 s wall with go's test cache empty, 2 min 2 s with it warm).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -68,23 +68,24 @@ run_filtered "parity/determinism" 'Parity|Determin|Reuse|Concurrent' \
   ./internal/core/ ./internal/graph/ ./internal/joint/
 
 # Cross-engine parity: the fused and device execution engines must be
-# bitwise-identical to the blocked reference across models, plans and
-# worker counts, and the trainer's -engine must select the gTask engine
-# and nothing else.
-run_filtered "cross-engine parity" 'Engine' \
-  ./internal/kernels/ ./internal/dist/ ./internal/serve/ ./internal/train/
+# bitwise-identical to the blocked reference across models, plans, worker
+# counts and destination-row sets. An engine is named on exec.Ctx only —
+# serving and training run the default — so every engine-parity test
+# lives in internal/kernels.
+run_filtered "cross-engine parity" 'Engine|DestinationRows' ./internal/kernels/
 
 # Serving is one forward — the serve engine's admission/batching/drain
 # machinery over the shard fleet's leveled forward and the shards'
 # hot-vertex caches — so its suites run together, whole, under the race
 # detector on one P: the serving concurrency and chaos drain tests, the
-# bitwise parity matrices (shards x replicas x engines x workers, cached vs
-# uncached, per-vertex reference), reload coherence, placement/ownership/
-# reply validation, the one RPC ladder (faults injected at the conn,
-# in-process and over sockets) and the TCP transport, the cache package's
-# own suite, and the two cache gates (TestCacheGate*): what the cache and
-# the fleet's aggregate capacity save, asserted on hit, RPC, eviction and
-# FLOP counters — no step of this script compares two timings.
+# bitwise parity matrices (shards x replicas x workers, cached vs
+# uncached, each held to the per-vertex reference run on every engine),
+# reload coherence, placement/ownership/reply validation, the one RPC
+# ladder (faults injected at the conn, in-process and over sockets) and
+# the TCP transport, the cache package's own suite, and the two cache
+# gates (TestCacheGate*): what the cache and the fleet's aggregate capacity
+# save, asserted on hit, RPC, eviction and FLOP counters — no step of this
+# script compares two timings.
 echo "== serving, fleet and hot-vertex cache under -race (GOMAXPROCS=1)"
 GOMAXPROCS=1 go test -race -count=1 \
   ./internal/serve/ ./internal/shard/... ./internal/hotcache/
