@@ -120,7 +120,7 @@ func TestGCNBackwardMatchesReference(t *testing.T) {
 	_ = ref.Forward(gc, x)
 	dOut := tensor.New(240, 6)
 	tensor.Uniform(dOut, tensor.NewRNG(9), -1, 1)
-	wantDX := ref.Backward(gc, dOut)
+	wantDX := ref.Backward(gc, dOut, true)
 
 	// distributed forward+backward
 	xParts := e.Shard(x)
@@ -277,7 +277,7 @@ func TestSAGEBackwardMatchesReference(t *testing.T) {
 	_ = ref.Forward(gc, x)
 	dOut := tensor.New(240, 6)
 	tensor.Uniform(dOut, tensor.NewRNG(22), -1, 1)
-	wantDX := ref.Backward(gc, dOut)
+	wantDX := ref.Backward(gc, dOut, true)
 
 	xParts := e.Shard(x)
 	if _, err := e.SAGEForward(dup, xParts); err != nil {

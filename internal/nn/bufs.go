@@ -11,7 +11,7 @@ import "wisegraph/internal/tensor"
 //
 // Reused buffers keep last iteration's values: callers that accumulate
 // (EdgeSpMM, scatter loops) must Zero() explicitly; callers that overwrite
-// (MatMul, Transpose2D, ReLU) need not.
+// (MatMul, MatMulTransB, ReLU) need not.
 
 // buf2 returns t when it already has shape [m, n], else a pooled tensor of
 // that shape (recycling t).

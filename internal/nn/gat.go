@@ -27,7 +27,6 @@ type GATLayer struct {
 	pl, pr *tensor.Tensor // [V, heads] projections
 	scores *tensor.Tensor // [E, heads] pre-activation
 	alpha  *tensor.Tensor // [E, heads] attention weights
-	xT     *tensor.Tensor
 	out    *tensor.Tensor
 	dZ     *tensor.Tensor
 	dAlpha *tensor.Tensor
@@ -152,7 +151,7 @@ func (l *GATLayer) segmentSoftmaxByHead(gc *GraphCtx, vals *tensor.Tensor) {
 }
 
 // Backward implements Layer.
-func (l *GATLayer) Backward(gc *GraphCtx, dOut *tensor.Tensor) *tensor.Tensor {
+func (l *GATLayer) Backward(gc *GraphCtx, dOut *tensor.Tensor, needDX bool) *tensor.Tensor {
 	accumBiasGrad(l.B.Grad, dOut)
 	e := gc.NumEdges()
 	dZ := buf2(l.dZ, l.z.Dim(0), l.z.Dim(1))
@@ -232,8 +231,10 @@ func (l *GATLayer) Backward(gc *GraphCtx, dOut *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	l.xT = tensor.Transpose2D(buf2(l.xT, l.x.Dim(1), l.x.Dim(0)), l.x)
-	tensor.MatMulAcc(l.W.Grad, l.xT, dZ)
+	tensor.MatMulTransA(l.W.Grad, l.x, dZ)
+	if !needDX {
+		return nil
+	}
 	l.dX = tensor.MatMulTransB(buf2(l.dX, dZ.Dim(0), l.W.Value.Dim(0)), dZ, l.W.Value)
 	return l.dX
 }

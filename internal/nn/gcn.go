@@ -10,7 +10,6 @@ type GCNLayer struct {
 
 	// caches and sticky buffers (see bufs.go)
 	x, xw   *tensor.Tensor
-	xT      *tensor.Tensor
 	out     *tensor.Tensor
 	dXW, dX *tensor.Tensor
 }
@@ -41,15 +40,17 @@ func (l *GCNLayer) Forward(gc *GraphCtx, x *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward implements Layer.
-func (l *GCNLayer) Backward(gc *GraphCtx, dOut *tensor.Tensor) *tensor.Tensor {
+func (l *GCNLayer) Backward(gc *GraphCtx, dOut *tensor.Tensor, needDX bool) *tensor.Tensor {
 	// bias gradient: column sum
 	accumBiasGrad(l.B.Grad, dOut)
 	// transpose aggregation: dXW[src] += w_e · dOut[dst]
 	l.dXW = buf2(l.dXW, l.xw.Dim(0), l.xw.Dim(1))
 	l.dXW.Zero()
 	EdgeSpMMBins(l.dXW, dOut, gc.DstByDst, gc.SrcByDst, gc.InvDeg, gc.BinsBySrc())
-	l.xT = tensor.Transpose2D(buf2(l.xT, l.x.Dim(1), l.x.Dim(0)), l.x)
-	tensor.MatMulAcc(l.W.Grad, l.xT, l.dXW)
+	tensor.MatMulTransA(l.W.Grad, l.x, l.dXW)
+	if !needDX {
+		return nil
+	}
 	l.dX = tensor.MatMulTransB(buf2(l.dX, l.dXW.Dim(0), l.W.Value.Dim(0)), l.dXW, l.W.Value)
 	return l.dX
 }
@@ -73,7 +74,6 @@ type SAGELayer struct {
 
 	// caches and sticky buffers
 	x, agg   *tensor.Tensor
-	xT, aggT *tensor.Tensor
 	out      *tensor.Tensor
 	dx, dAgg *tensor.Tensor
 }
@@ -109,12 +109,13 @@ func (l *SAGELayer) Forward(gc *GraphCtx, x *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward implements Layer.
-func (l *SAGELayer) Backward(gc *GraphCtx, dOut *tensor.Tensor) *tensor.Tensor {
+func (l *SAGELayer) Backward(gc *GraphCtx, dOut *tensor.Tensor, needDX bool) *tensor.Tensor {
 	accumBiasGrad(l.B.Grad, dOut)
-	l.xT = tensor.Transpose2D(buf2(l.xT, l.x.Dim(1), l.x.Dim(0)), l.x)
-	tensor.MatMulAcc(l.WSelf.Grad, l.xT, dOut)
-	l.aggT = tensor.Transpose2D(buf2(l.aggT, l.agg.Dim(1), l.agg.Dim(0)), l.agg)
-	tensor.MatMulAcc(l.WNeigh.Grad, l.aggT, dOut)
+	tensor.MatMulTransA(l.WSelf.Grad, l.x, dOut)
+	tensor.MatMulTransA(l.WNeigh.Grad, l.agg, dOut)
+	if !needDX {
+		return nil
+	}
 	l.dx = tensor.MatMulTransB(buf2(l.dx, dOut.Dim(0), l.WSelf.Value.Dim(0)), dOut, l.WSelf.Value)
 	l.dAgg = tensor.MatMulTransB(buf2(l.dAgg, dOut.Dim(0), l.WNeigh.Value.Dim(0)), dOut, l.WNeigh.Value)
 	// transpose mean aggregation back to sources

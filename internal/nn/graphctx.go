@@ -135,9 +135,11 @@ func (gc *GraphCtx) NumEdges() int { return len(gc.SrcByDst) }
 type Layer interface {
 	// Forward computes the layer output for input x [V, in].
 	Forward(gc *GraphCtx, x *tensor.Tensor) *tensor.Tensor
-	// Backward consumes d(loss)/d(out), accumulates parameter gradients,
-	// and returns d(loss)/d(x).
-	Backward(gc *GraphCtx, dOut *tensor.Tensor) *tensor.Tensor
+	// Backward consumes d(loss)/d(out) and accumulates parameter
+	// gradients. With needDX it returns d(loss)/d(x); without, it skips
+	// every step only the input gradient needs and returns nil — the
+	// parameter gradients are the same bits either way.
+	Backward(gc *GraphCtx, dOut *tensor.Tensor, needDX bool) *tensor.Tensor
 	// Params lists the layer's trainable parameters.
 	Params() []*Param
 	// InDim / OutDim report the feature dimensions.

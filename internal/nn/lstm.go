@@ -30,7 +30,7 @@ type SAGELSTMLayer struct {
 	cPrev  *tensor.Tensor // [E, hidden] c_{t-1}
 	hFinal *tensor.Tensor // [V, hidden]
 
-	out, xT, hT, dx, dHFinal *tensor.Tensor
+	out, dx, dHFinal *tensor.Tensor
 }
 
 // NewSAGELSTMLayer allocates a layer with LSTM hidden size = out.
@@ -116,14 +116,15 @@ func (l *SAGELSTMLayer) Forward(gc *GraphCtx, x *tensor.Tensor) *tensor.Tensor {
 // sequence). It runs single-threaded for deterministic weight-gradient
 // accumulation; the accuracy experiments train the other models, so LSTM
 // backward throughput is not on any measured path.
-func (l *SAGELSTMLayer) Backward(gc *GraphCtx, dOut *tensor.Tensor) *tensor.Tensor {
+func (l *SAGELSTMLayer) Backward(gc *GraphCtx, dOut *tensor.Tensor, needDX bool) *tensor.Tensor {
 	accumBiasGrad(l.B.Grad, dOut)
-	l.xT = tensor.Transpose2D(buf2(l.xT, l.x.Dim(1), l.x.Dim(0)), l.x)
-	tensor.MatMulAcc(l.WSelf.Grad, l.xT, dOut)
-	l.hT = tensor.Transpose2D(buf2(l.hT, l.hFinal.Dim(1), l.hFinal.Dim(0)), l.hFinal)
-	tensor.MatMulAcc(l.WNeigh.Grad, l.hT, dOut)
-	l.dx = tensor.MatMulTransB(buf2(l.dx, dOut.Dim(0), l.WSelf.Value.Dim(0)), dOut, l.WSelf.Value)
-	dx := l.dx
+	tensor.MatMulTransA(l.WSelf.Grad, l.x, dOut)
+	tensor.MatMulTransA(l.WNeigh.Grad, l.hFinal, dOut)
+	var dx *tensor.Tensor
+	if needDX {
+		l.dx = tensor.MatMulTransB(buf2(l.dx, dOut.Dim(0), l.WSelf.Value.Dim(0)), dOut, l.WSelf.Value)
+		dx = l.dx
+	}
 	l.dHFinal = tensor.MatMulTransB(buf2(l.dHFinal, dOut.Dim(0), l.WNeigh.Value.Dim(0)), dOut, l.WNeigh.Value)
 	dHFinal := l.dHFinal
 
@@ -169,8 +170,9 @@ func (l *SAGELSTMLayer) Backward(gc *GraphCtx, dOut *tensor.Tensor) *tensor.Tens
 				bg[j] += v
 			}
 			// dx[src] += dz·Wxᵀ ; dh = dz·Whᵀ
-			dxr := dx.Row(src)
-			matTVecAcc(dxr, dz, l.Wx.Value)
+			if needDX {
+				matTVecAcc(dx.Row(src), dz, l.Wx.Value)
+			}
 			for j := range dh {
 				dh[j] = 0
 			}

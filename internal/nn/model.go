@@ -198,7 +198,8 @@ func (m *Model) fillDropoutMask(mask *tensor.Tensor) {
 }
 
 // Backward propagates d(loss)/d(logits) through the stack, accumulating
-// parameter gradients.
+// parameter gradients. Nothing reads the gradient of the input features,
+// so the first layer does not compute it.
 func (m *Model) Backward(gc *GraphCtx, dLogits *tensor.Tensor) {
 	grad := dLogits
 	for li := len(m.layers) - 1; li >= 0; li-- {
@@ -211,7 +212,7 @@ func (m *Model) Backward(gc *GraphCtx, dLogits *tensor.Tensor) {
 			}
 			grad = tensor.ReLUGrad(grad, grad, m.acts[li])
 		}
-		grad = m.layers[li].Backward(gc, grad)
+		grad = m.layers[li].Backward(gc, grad, li > 0)
 	}
 }
 

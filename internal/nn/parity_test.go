@@ -166,3 +166,88 @@ func TestForwardStableUnderBufferReuse(t *testing.T) {
 		})
 	}
 }
+
+// inputGradBufs lists the sticky buffers a layer fills only to return
+// d(loss)/d(x).
+func inputGradBufs(l Layer) []*tensor.Tensor {
+	switch l := l.(type) {
+	case *GCNLayer:
+		return []*tensor.Tensor{l.dX}
+	case *SAGELayer:
+		return []*tensor.Tensor{l.dx, l.dAgg}
+	case *GATLayer:
+		return []*tensor.Tensor{l.dX}
+	case *RGCNLayer:
+		return []*tensor.Tensor{l.dx}
+	case *SAGELSTMLayer:
+		return []*tensor.Tensor{l.dx}
+	}
+	panic("nn: unknown layer type")
+}
+
+// TestFirstLayerBackwardSkipsInputGradient holds every layer's
+// Backward(…, false) to Backward(…, true): nil instead of d(loss)/d(x),
+// and the same parameter-gradient bits. A model never asks its first layer
+// for the input gradient, so after TrainStep layer 0 holds no buffer for it
+// while layer 1 does.
+func TestFirstLayerBackwardSkipsInputGradient(t *testing.T) {
+	gc, res := powerLawGraphCtx(300, 4000, 3, 17)
+	x := tensor.Uniform(tensor.New(gc.NumVertices(), 23), tensor.NewRNG(74), -1, 1)
+	labels := make([]int32, gc.NumVertices())
+	copy(labels, res.Block)
+	mask := make([]int32, 0, gc.NumVertices()/2)
+	for v := int32(0); v < int32(gc.NumVertices()); v += 2 {
+		mask = append(mask, v)
+	}
+	for kind := ModelKind(0); kind < NumModels; kind++ {
+		m, err := NewModel(Config{
+			Kind: kind, InDim: 23, Hidden: 40, OutDim: 5, Layers: 2,
+			Heads: 2, NumTypes: 3, Seed: 19,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := m.Layers()[0]
+		dOut := tensor.Uniform(tensor.New(gc.NumVertices(), l.OutDim()), tensor.NewRNG(75), -1, 1)
+		grads := func(needDX bool) ([][]float32, *tensor.Tensor) {
+			for _, p := range l.Params() {
+				p.ZeroGrad()
+			}
+			l.Forward(gc, x)
+			dx := l.Backward(gc, dOut.Clone(), needDX)
+			var gs [][]float32
+			for _, p := range l.Params() {
+				gs = append(gs, append([]float32(nil), p.Grad.Data()...))
+			}
+			return gs, dx
+		}
+		want, dx := grads(true)
+		if dx == nil || dx.Dim(0) != gc.NumVertices() || dx.Dim(1) != l.InDim() {
+			t.Fatalf("%v: Backward(…, true) returned %v, want a [%d %d] input gradient", kind, dx, gc.NumVertices(), l.InDim())
+		}
+		got, dx := grads(false)
+		if dx != nil {
+			t.Fatalf("%v: Backward(…, false) returned an input gradient", kind)
+		}
+		for i, p := range l.Params() {
+			for j, v := range got[i] {
+				if math.Float32bits(v) != math.Float32bits(want[i][j]) {
+					t.Fatalf("%v: %s.Grad[%d] = %v without the input gradient, %v with it", kind, p.Name, j, v, want[i][j])
+				}
+			}
+		}
+
+		m, err = NewModel(m.Cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.TrainStep(gc, x, labels, mask, NewAdam(1e-2, m.Params()))
+		for li, l := range m.Layers() {
+			for _, b := range inputGradBufs(l) {
+				if (b != nil) != (li > 0) {
+					t.Fatalf("%v: after TrainStep layer %d input-gradient buffer set = %v", kind, li, b != nil)
+				}
+			}
+		}
+	}
+}

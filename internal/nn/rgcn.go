@@ -21,7 +21,7 @@ type RGCNLayer struct {
 	gathered []*tensor.Tensor // per-type gathered inputs (pooled; released in Backward)
 
 	// sticky buffers (see bufs.go)
-	out, dx, xT *tensor.Tensor
+	out, dx *tensor.Tensor
 }
 
 // NewRGCNLayer allocates a layer with numTypes relations mapping in → out.
@@ -86,12 +86,14 @@ func (l *RGCNLayer) Forward(gc *GraphCtx, x *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward implements Layer.
-func (l *RGCNLayer) Backward(gc *GraphCtx, dOut *tensor.Tensor) *tensor.Tensor {
+func (l *RGCNLayer) Backward(gc *GraphCtx, dOut *tensor.Tensor, needDX bool) *tensor.Tensor {
 	accumBiasGrad(l.B.Grad, dOut)
-	l.xT = tensor.Transpose2D(buf2(l.xT, l.x.Dim(1), l.x.Dim(0)), l.x)
-	tensor.MatMulAcc(l.WSelf.Grad, l.xT, dOut)
-	l.dx = tensor.MatMulTransB(buf2(l.dx, dOut.Dim(0), l.WSelf.Value.Dim(0)), dOut, l.WSelf.Value)
-	dx := l.dx
+	tensor.MatMulTransA(l.WSelf.Grad, l.x, dOut)
+	var dx *tensor.Tensor
+	if needDX {
+		l.dx = tensor.MatMulTransB(buf2(l.dx, dOut.Dim(0), l.WSelf.Value.Dim(0)), dOut, l.WSelf.Value)
+		dx = l.dx
+	}
 	for t := 0; t < l.numTypes; t++ {
 		te := gc.TypeEdgeArrays(t)
 		if len(te.Src) == 0 {
@@ -109,14 +111,14 @@ func (l *RGCNLayer) Backward(gc *GraphCtx, dOut *tensor.Tensor) *tensor.Tensor {
 		}
 		// dW[t] += xtᵀ · dMsg ; dX[src] += dMsg · W[t]ᵀ
 		xt := l.gathered[t]
-		xtT := tensor.Transpose2D(tensor.Get(xt.Dim(1), xt.Dim(0)), xt)
-		tensor.MatMulAcc(l.typeWeightGrad(t), xtT, dMsg)
-		tensor.Put(xtT)
-		dXt := tensor.MatMulTransB(tensor.Get(len(te.Src), l.InDim()), dMsg, l.typeWeight(t))
-		for i := range te.Src {
-			tensor.AddRow(dx.Row(int(te.Src[i])), dXt.Row(i))
+		tensor.MatMulTransA(l.typeWeightGrad(t), xt, dMsg)
+		if needDX {
+			dXt := tensor.MatMulTransB(tensor.Get(len(te.Src), l.InDim()), dMsg, l.typeWeight(t))
+			for i := range te.Src {
+				tensor.AddRow(dx.Row(int(te.Src[i])), dXt.Row(i))
+			}
+			tensor.Put(dXt)
 		}
-		tensor.Put(dXt)
 		tensor.Put(dMsg)
 		tensor.Put(xt)
 		l.gathered[t] = nil

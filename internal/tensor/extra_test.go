@@ -138,26 +138,6 @@ func TestScatterAddParallelShardPath(t *testing.T) {
 	})
 }
 
-func TestScatter2DParallelShardPath(t *testing.T) {
-	withWorkers(t, 4, func() {
-		rng := NewRNG(9)
-		n := 4096
-		src := New(n, 2)
-		Uniform(src, rng, -1, 1)
-		ri := make([]int32, n)
-		ci := make([]int32, n)
-		for i := range ri {
-			ri[i] = int32(rng.Intn(8))
-			ci[i] = int32(rng.Intn(8))
-		}
-		dst := New(8, 8, 2)
-		Scatter2DAdd(dst, src, ri, ci)
-		if !almostEq(dst.Sum(), src.Sum(), 1e-2) {
-			t.Fatalf("parallel scatter2d lost mass: %v vs %v", dst.Sum(), src.Sum())
-		}
-	})
-}
-
 func TestMatMulParallelPath(t *testing.T) {
 	withWorkers(t, 4, func() {
 		rng := NewRNG(10)

@@ -98,43 +98,6 @@ func Gather2D(dst, src *Tensor, ri, ci []int32) *Tensor {
 	return dst
 }
 
-// Scatter2DAdd accumulates src row i into dst[ri[i], ci[i]]: the backward
-// of Gather2D. Sequential per (row,col) bucket; parallelism comes from a
-// one-pass binning of the flattened buckets by destination shard.
-func Scatter2DAdd(dst, src *Tensor, ri, ci []int32) {
-	r, c := dst.Dim(0), dst.Dim(1)
-	if r == 0 || c == 0 {
-		panic(fmt.Sprintf("tensor: Scatter2DAdd destination %v has an empty leading dimension", dst.Shape()))
-	}
-	if len(ri) != len(ci) {
-		panic(fmt.Sprintf("tensor: Scatter2DAdd index lengths %d vs %d", len(ri), len(ci)))
-	}
-	inner := dst.Len() / (r * c)
-	shards := scatterShards(r*c, len(ri))
-	if shards <= 1 || len(ri) < 1024 {
-		for i := range ri {
-			off := (int(ri[i])*c + int(ci[i])) * inner
-			AddRow(dst.data[off:off+inner], src.data[i*inner:(i+1)*inner])
-		}
-		return
-	}
-	// Flatten (row, col) into bucket ids, then bin as 1-D destinations.
-	buckets := GetI32(len(ri))
-	for i := range ri {
-		buckets[i] = ri[i]*int32(c) + ci[i]
-	}
-	bins := binsPool.Get().(*Bins)
-	BinRows(bins, buckets, r*c, shards)
-	parallel.For(bins.NumShards(), 1, func(s int) {
-		for _, i := range bins.Shard(s) {
-			off := int(buckets[i]) * inner
-			AddRow(dst.data[off:off+inner], src.data[int(i)*inner:(int(i)+1)*inner])
-		}
-	})
-	binsPool.Put(bins)
-	PutI32(buckets)
-}
-
 // CountsToOffsets converts per-segment counts into an offsets array of
 // length len(counts)+1 (exclusive prefix sum).
 func CountsToOffsets(counts []int32) []int32 {

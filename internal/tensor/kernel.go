@@ -34,7 +34,7 @@ func AddRow(dst, x []float32) { AxpyRow(dst, 1, x) }
 // is bitwise-identical to the whole-matrix call.
 func VecMatAcc(dst, x []float32, b *Tensor) {
 	checkVecMat(dst, x, b)
-	mulAddRow(dst, x, b.data, 0, len(x), len(dst), true)
+	mulAddRow(dst, x, 1, b.data, 0, len(x), len(dst), true)
 }
 
 // checkVecMat panics unless x [K] × B [K,N] fits dst [N]; VecMat runs it
@@ -45,20 +45,25 @@ func checkVecMat(dst, x []float32, b *Tensor) {
 	}
 }
 
-// mulAddRow computes ci[j] += Σ_p ai[p]·b[p*n+j] over p in [p0,p1) for
-// one output row, p ascending for every j. With skipZero, terms whose
-// ai[p] is ±0 are not added at all (MatMul's sparse-activation contract).
-// The slice lengths are asserted here so that no caller can hand the
-// assembly kernel a short row.
-func mulAddRow(ci, ai, b []float32, p0, p1, n int, skipZero bool) {
-	if p0 < 0 || n < 0 || len(ci) < n || len(ai) < p1 || len(b) < p1*n {
-		panic(fmt.Sprintf("tensor: mulAddRow c[%d] a[%d] b[%d] for p in [%d,%d), n=%d", len(ci), len(ai), len(b), p0, p1, n))
+// mulAddRow computes ci[j] += Σ_p ai[p*lda]·b[p*n+j] over p in [p0,p1)
+// for one output row, p ascending for every j. lda is the stride of the
+// row's A elements: 1 for a row of a row-major A, the row width of A for
+// a column read in place (MatMulTransA). With skipZero, terms whose A
+// element is ±0 are not added at all (MatMul's sparse-activation
+// contract). The slice lengths are asserted here so that no caller can
+// hand the assembly kernel a short row.
+func mulAddRow(ci, ai []float32, lda int, b []float32, p0, p1, n int, skipZero bool) {
+	if p0 < 0 || n < 0 || lda < 1 || len(ci) < n || len(ai) <= (p1-1)*lda || len(b) < p1*n {
+		panic(fmt.Sprintf("tensor: mulAddRow c[%d] a[%d] stride %d b[%d] for p in [%d,%d), n=%d", len(ci), len(ai), lda, len(b), p0, p1, n))
 	}
-	if useAVX2 {
+	switch {
+	case !useAVX2:
+		mulAddRowGeneric(ci, ai, lda, b, p0, p1, n, skipZero)
+	case lda == 1:
 		mulAddRowAVX2(ci, ai, b, p0, p1, n, skipZero)
-		return
+	default:
+		mulAddRowStridedAVX2(ci, ai, lda, b, p0, p1, n, skipZero)
 	}
-	mulAddRowGeneric(ci, ai, b, p0, p1, n, skipZero)
 }
 
 // reluRow computes dst[j] = max(x[j], 0) for every j < len(x), without a
@@ -125,10 +130,10 @@ func axpyGeneric(dst []float32, a float32, x []float32) {
 	}
 }
 
-// mulAddRowGeneric is the portable mulAddRow.
-func mulAddRowGeneric(ci, ai, b []float32, p0, p1, n int, skipZero bool) {
+// mulAddRowGeneric is the portable mulAddRow, at every stride.
+func mulAddRowGeneric(ci, ai []float32, lda int, b []float32, p0, p1, n int, skipZero bool) {
 	for p := p0; p < p1; p++ {
-		av := ai[p]
+		av := ai[p*lda]
 		if av == 0 && skipZero {
 			continue
 		}

@@ -14,6 +14,9 @@ func axpyAVX2(dst []float32, a float32, x []float32)
 func mulAddRowAVX2(ci, ai, b []float32, p0, p1, n int, skipZero bool)
 
 //go:noescape
+func mulAddRowStridedAVX2(ci, ai []float32, lda int, b []float32, p0, p1, n int, skipZero bool)
+
+//go:noescape
 func reluAVX2(dst, x []float32)
 
 //go:noescape

@@ -350,3 +350,113 @@ tiletail:
 rowdone:
 	VZEROUPPER
 	RET
+
+// mulAddRowStridedAVX2 is mulAddRowAVX2 with the row's A elements lda
+// apart: a weight gradient reads a column of the activation matrix in
+// place instead of a transposed copy. Registers as above, except
+//   SI  &ai[p0*lda]    top of the A column
+//   R8  4*lda          A stride in bytes
+//   R12 A cursor, AX   k steps left inside a tile
+
+// KLOOPS is KLOOP walking A at a stride: R12 restarts at SI for every
+// tile and moves R8 bytes per k step, the B cursor R10.
+#define KLOOPS(STEP, loop, mul, next) \
+	MOVQ DX, BX; \
+	MOVQ SI, R12; \
+	MOVQ R9, AX; \
+	PCALIGN $32; \
+loop: \
+	MOVL (R12), R11; \
+	ADDL R11, R11; \
+	JNZ  mul; \
+	TESTL R13, R13; \
+	JNZ  next; \
+mul: \
+	VBROADCASTSS (R12), Y8; \
+	STEP; \
+next: \
+	ADDQ R10, BX; \
+	ADDQ R8, R12; \
+	DECQ AX; \
+	JNZ  loop
+
+// func mulAddRowStridedAVX2(ci, ai []float32, lda int, b []float32, p0, p1, n int, skipZero bool)
+//
+// ci[j] += ai[p*lda]*b[p*n+j] for p in [p0,p1), j in [0,n), p ascending
+// per j. The caller guarantees len(ci) >= n, len(ai) > (p1-1)*lda,
+// len(b) >= p1*n, 0 <= p0, 1 <= lda.
+TEXT ·mulAddRowStridedAVX2(SB), NOSPLIT, $0-105
+	MOVQ ci_base+0(FP), DI
+	MOVQ ai_base+24(FP), SI
+	MOVQ lda+48(FP), R8
+	MOVQ b_base+56(FP), DX
+	MOVQ p0+80(FP), AX
+	MOVQ p1+88(FP), R9
+	MOVQ n+96(FP), CX
+	MOVBLZX skipZero+104(FP), R13
+	SUBQ AX, R9
+	JLE  srowdone
+	MOVQ CX, R10
+	SHLQ $2, R10
+	SHLQ $2, R8
+	MOVQ AX, R11
+	IMULQ R10, R11
+	ADDQ R11, DX
+	IMULQ R8, AX
+	ADDQ AX, SI
+
+stile64:
+	CMPQ CX, $64
+	JLT  stile32
+	LOAD8
+	KLOOPS(STEP8, sloop64, smul64, snext64)
+	STORE8
+	ADDQ $256, DI
+	ADDQ $256, DX
+	SUBQ $64, CX
+	JMP  stile64
+
+stile32:
+	CMPQ CX, $32
+	JLT  stile16
+	LOAD4
+	KLOOPS(STEP4, sloop32, smul32, snext32)
+	STORE4
+	ADDQ $128, DI
+	ADDQ $128, DX
+	SUBQ $32, CX
+
+stile16:
+	CMPQ CX, $16
+	JLT  stile8
+	LOAD2
+	KLOOPS(STEP2, sloop16, smul16, snext16)
+	STORE2
+	ADDQ $64, DI
+	ADDQ $64, DX
+	SUBQ $16, CX
+
+stile8:
+	CMPQ CX, $8
+	JLT  stiletail
+	LOAD1
+	KLOOPS(STEP1, sloop8, smul8, snext8)
+	STORE1
+	ADDQ $32, DI
+	ADDQ $32, DX
+	SUBQ $8, CX
+
+stiletail:
+	TESTQ CX, CX
+	JZ    srowdone
+	LEAQ  tailMask<>+32(SB), AX
+	SHLQ  $2, CX
+	SUBQ  CX, AX
+	VMOVDQU    (AX), Y13
+	VMASKMOVPS (DI), Y13, Y0
+	KLOOPS(STEPTAIL, slooptail, smultail, snexttail)
+	VMASKMOVPS Y0, Y13, (DI)
+
+srowdone:
+	VZEROUPPER
+	RET

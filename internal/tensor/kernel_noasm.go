@@ -12,6 +12,10 @@ func mulAddRowAVX2(ci, ai, b []float32, p0, p1, n int, skipZero bool) {
 	panic("tensor: no assembly kernel")
 }
 
+func mulAddRowStridedAVX2(ci, ai []float32, lda int, b []float32, p0, p1, n int, skipZero bool) {
+	panic("tensor: no assembly kernel")
+}
+
 func reluAVX2(dst, x []float32) { panic("tensor: no assembly kernel") }
 
 func reluGradAVX2(dst, grad, a []float32) { panic("tensor: no assembly kernel") }

@@ -134,20 +134,75 @@ func TestMulAddRowBitwiseEqualScalar(t *testing.T) {
 			b := kernelVals(rng, k*n, special)
 			got := kernelVals(rng, n+9, special)
 			want := append([]float32(nil), got...)
-			mulAddRow(got, ai, b, p0, p1, n, skip)
-			mulAddRowGeneric(want, ai, b, p0, p1, n, skip)
+			mulAddRow(got, ai, 1, b, p0, p1, n, skip)
+			mulAddRowGeneric(want, ai, 1, b, p0, p1, n, skip)
 			sameBits(t, "mulAddRow", got, want)
+		}
+	}
+}
+
+// The strided row kernel (A read down a column, lda apart) against the
+// generic loop at the same stride, over every tile and the masked tail.
+func TestMulAddRowStridedBitwiseEqualScalar(t *testing.T) {
+	rng := NewRNG(1608)
+	for _, n := range []int{1, 7, 8, 9, 40, 64, 65, 128} {
+		for _, lda := range []int{2, 3, 16, 17, 64, 129} {
+			for round := 0; round < 4; round++ {
+				special, skip := round&1 != 0, round&2 != 0
+				k := 1 + rng.Intn(60)
+				p0 := rng.Intn(k)
+				p1 := p0 + rng.Intn(k-p0+1)
+				ai := kernelVals(rng, (k-1)*lda+1, false)
+				if special {
+					ai = reluVals(rng, (k-1)*lda+1)
+				}
+				b := kernelVals(rng, k*n, special)
+				got := kernelVals(rng, n+9, special)
+				want := append([]float32(nil), got...)
+				mulAddRow(got, ai, lda, b, p0, p1, n, skip)
+				mulAddRowGeneric(want, ai, lda, b, p0, p1, n, skip)
+				sameBits(t, "strided mulAddRow", got, want)
+			}
+		}
+	}
+}
+
+// MatMulTransA reads A in place; its oracle is MatMulAcc over an explicit
+// transpose, accumulating into the same starting bits. K runs across
+// several L1 panels, and A carries ±0, NaN and ±Inf.
+func TestMatMulTransABitwiseEqualTransposed(t *testing.T) {
+	rng := NewRNG(1609)
+	for _, n := range []int{1, 7, 8, 9, 40, 64, 65, 128} {
+		kc := max(8, matmulStridedL1/(4*n+64))
+		for _, k := range []int{1 + rng.Intn(kc), 3*kc + 1 + rng.Intn(kc)} {
+			m := 1 + rng.Intn(40)
+			a := FromSlice(reluVals(rng, k*m), k, m)
+			b := FromSlice(kernelVals(rng, k*n, true), k, n)
+			acc := kernelVals(rng, m*n, false)
+			for _, workers := range []int{1, 4} {
+				withWorkers(t, workers, func() {
+					want := MatMulAcc(FromSlice(append([]float32(nil), acc...), m, n), Transpose2D(nil, a), b)
+					got := MatMulTransA(FromSlice(append([]float32(nil), acc...), m, n), a, b)
+					sameBits(t, "MatMulTransA", got.data, want.data)
+					sameBits(t, "MatMulTransA nil dst", MatMulTransA(nil, a, b).data, MatMul(nil, Transpose2D(nil, a), b).data)
+				})
+			}
 		}
 	}
 }
 
 func TestMulAddRowPanicsOnShortSlices(t *testing.T) {
 	for name, call := range map[string]func(){
-		"ci":  func() { mulAddRow(make([]float32, 7), make([]float32, 4), make([]float32, 32), 0, 4, 8, true) },
-		"ai":  func() { mulAddRow(make([]float32, 8), make([]float32, 3), make([]float32, 32), 0, 4, 8, true) },
-		"b":   func() { mulAddRow(make([]float32, 8), make([]float32, 4), make([]float32, 31), 0, 4, 8, true) },
-		"p0":  func() { mulAddRow(make([]float32, 8), make([]float32, 4), make([]float32, 32), -1, 4, 8, true) },
+		"ci":  func() { mulAddRow(make([]float32, 7), make([]float32, 4), 1, make([]float32, 32), 0, 4, 8, true) },
+		"ai":  func() { mulAddRow(make([]float32, 8), make([]float32, 3), 1, make([]float32, 32), 0, 4, 8, true) },
+		"b":   func() { mulAddRow(make([]float32, 8), make([]float32, 4), 1, make([]float32, 31), 0, 4, 8, true) },
+		"p0":  func() { mulAddRow(make([]float32, 8), make([]float32, 4), 1, make([]float32, 32), -1, 4, 8, true) },
 		"dst": func() { AxpyRow(make([]float32, 7), 1, make([]float32, 8)) },
+
+		// A strided row needs an element at (p1-1)*lda: 3*5 = 15.
+		"strided ai": func() { mulAddRow(make([]float32, 8), make([]float32, 15), 5, make([]float32, 32), 0, 4, 8, true) },
+		"strided b":  func() { mulAddRow(make([]float32, 8), make([]float32, 16), 5, make([]float32, 31), 0, 4, 8, true) },
+		"stride 0":   func() { mulAddRow(make([]float32, 8), make([]float32, 16), 0, make([]float32, 32), 0, 4, 8, true) },
 
 		"relu dst":      func() { reluRow(make([]float32, 8), make([]float32, 9)) },
 		"reluGrad dst":  func() { reluGradRow(make([]float32, 8), make([]float32, 9), make([]float32, 9)) },
@@ -262,7 +317,8 @@ func TestBatchedMatMulBitwiseEqualScalar(t *testing.T) {
 	}
 }
 
-// reluVals is kernelVals plus NaNs of both signs, quiet and signalling.
+// reluVals is kernelVals plus NaNs of both signs, quiet and signalling:
+// also the A elements the strided kernel must broadcast, never skip.
 func reluVals(rng *RNG, n int) []float32 {
 	v := kernelVals(rng, n, true)
 	for i := range v {
@@ -354,40 +410,44 @@ func FuzzReLU(f *testing.F) {
 }
 
 // FuzzMulAddRow lets the fuzzer choose the floats themselves (any bit
-// pattern, NaNs included), the row width, the k sub-range, the alignment
-// and the skip flag.
+// pattern, NaNs included), the row width, the A stride, the k sub-range,
+// the alignment and the skip flag.
 func FuzzMulAddRow(f *testing.F) {
 	seed := make([]byte, 4*200)
 	rng := NewRNG(1605)
 	for i := range seed {
 		seed[i] = byte(rng.Intn(256))
 	}
-	f.Add(seed, uint8(7), uint8(0), uint8(255), uint8(1), true)
-	f.Add(seed, uint8(64), uint8(1), uint8(2), uint8(3), false)
-	f.Add(seed[:4*90], uint8(40), uint8(0), uint8(9), uint8(0), true)
-	f.Fuzz(func(t *testing.T, data []byte, width, lo, hi, off uint8, skip bool) {
+	f.Add(seed, uint8(7), uint8(0), uint8(0), uint8(255), uint8(1), true)
+	f.Add(seed, uint8(64), uint8(2), uint8(1), uint8(2), uint8(3), false)
+	f.Add(seed[:4*90], uint8(40), uint8(0), uint8(0), uint8(9), uint8(0), true)
+	f.Add(seed, uint8(9), uint8(16), uint8(0), uint8(255), uint8(5), true)
+	f.Fuzz(func(t *testing.T, data []byte, width, stride, lo, hi, off uint8, skip bool) {
 		n := 1 + int(width)%130
+		lda := 1 + int(stride)%65
 		vals := make([]float32, len(data)/4)
 		for i := range vals {
 			vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
 		}
-		k := (len(vals) - n) / (n + 1)
+		// c [n], A's k elements lda apart, b [k,n].
+		k := (len(vals) - n - 1 + lda) / (n + lda)
 		if k < 1 {
 			return
 		}
+		na := (k-1)*lda + 1
 		// Copy each operand to its own odd-offset backing array.
 		place := func(src []float32) []float32 {
 			o := int(off) % 8
 			return append(make([]float32, o, o+len(src)), src...)[o:]
 		}
 		got := place(vals[:n])
-		ai := place(vals[n : n+k])
-		b := place(vals[n+k : n+k+k*n])
+		ai := place(vals[n : n+na])
+		b := place(vals[n+na : n+na+k*n])
 		p0 := int(lo) % k
 		p1 := p0 + int(hi)%(k-p0+1)
 		want := append([]float32(nil), got...)
-		mulAddRow(got, ai, b, p0, p1, n, skip)
-		mulAddRowGeneric(want, ai, b, p0, p1, n, skip)
+		mulAddRow(got, ai, lda, b, p0, p1, n, skip)
+		mulAddRowGeneric(want, ai, lda, b, p0, p1, n, skip)
 		sameBits(t, "mulAddRow", got, want)
 
 		got, want = place(vals[:n]), append([]float32(nil), vals[:n]...)

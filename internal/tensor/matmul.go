@@ -15,7 +15,7 @@ import (
 func MatMul(dst, a, b *Tensor) *Tensor {
 	m, k, n := matmulDims("MatMul", a, b)
 	dst = ensure(dst, m, n)
-	matmulInto(dst.data, a.data, nil, b.data, m, k, n, true, true)
+	matmulInto(dst.data, a.data, 1, nil, b.data, m, k, n, true, true)
 	return dst
 }
 
@@ -23,7 +23,7 @@ func MatMul(dst, a, b *Tensor) *Tensor {
 func MatMulAcc(dst, a, b *Tensor) *Tensor {
 	m, k, n := matmulDims("MatMulAcc", a, b)
 	dst = ensure(dst, m, n)
-	matmulInto(dst.data, a.data, nil, b.data, m, k, n, false, true)
+	matmulInto(dst.data, a.data, 1, nil, b.data, m, k, n, false, true)
 	return dst
 }
 
@@ -40,7 +40,7 @@ func MatMulRowsAcc(dst, a *Tensor, rows []int32, b *Tensor) *Tensor {
 		}
 	}
 	dst = ensure(dst, len(rows), n)
-	matmulInto(dst.data, a.data, rows, b.data, len(rows), k, n, false, true)
+	matmulInto(dst.data, a.data, 1, rows, b.data, len(rows), k, n, false, true)
 	return dst
 }
 
@@ -64,31 +64,40 @@ func matmulDims(op string, a, b *Tensor) (m, k, n int) {
 // blocked path (≈256 KiB of float32, sized for a per-core L2 slice).
 const matmulPanel = 1 << 16
 
-// matmulInto computes c (+)= a×b with a [m,k], b [k,n], c [m,n] flat.
-// With rows non-nil, output row i reads a's row rows[i] instead of row i.
-// skipZero is mulAddRow's: terms with a zero A element are not added.
+// matmulStridedL1 is the L1 budget of one K-panel when A is read at a
+// stride: the panel's B rows plus the 64-byte line each of its A elements
+// sits on, which the next 15 output rows read again.
+const matmulStridedL1 = 16 << 10
+
+// matmulInto computes c (+)= a×b with b [k,n], c [m,n] flat. lda is the
+// stride of A's elements along k: with lda == 1, A is a row-major [m,k]
+// and row r starts at a[r*k]; otherwise A is the transpose of a row-major
+// [k,lda] matrix, read in place, and row r starts at a[r]. With rows
+// non-nil, output row i reads A's row rows[i] instead of row i. skipZero
+// is mulAddRow's: terms with a zero A element are not added.
 //
 // When B exceeds the panel budget the K dimension is processed in
 // cache-blocked panels: each panel of B rows is swept across a block of
 // output rows before moving on, so B streams through cache once per row
-// block instead of once per output row. Blocking only re-orders the
+// block instead of once per output row. A strided A always runs in
+// L1-sized panels over blocks of at least 16 rows, so the lines its
+// elements sit on are fetched once per block. Blocking only re-orders the
 // (i, panel) iteration — within one output element the k-summation order
 // is unchanged, so results are bitwise identical to the unblocked loop.
-func matmulInto(c, a []float32, rows []int32, b []float32, m, k, n int, zero, skipZero bool) {
+func matmulInto(c, a []float32, lda int, rows []int32, b []float32, m, k, n int, zero, skipZero bool) {
 	grain := 1
 	if m > 0 {
 		// target ~64k multiply-adds per task
 		grain = 1 + 65536/(k*n+1)
 	}
 	kc := k // K-panel height; k means unblocked
-	if k*n > matmulPanel && n > 0 {
-		kc = matmulPanel / n
-		if kc < 8 {
-			kc = 8
-		}
-		if grain < 16 {
-			grain = 16 // row blocks large enough to amortize panel sweeps
-		}
+	switch {
+	case lda != 1:
+		kc = max(8, matmulStridedL1/(4*n+64))
+		grain = max(grain, 16)
+	case k*n > matmulPanel && n > 0:
+		kc = max(8, matmulPanel/n)
+		grain = max(grain, 16) // row blocks large enough to amortize panel sweeps
 	}
 	parallel.ForRange(m, grain, func(lo, hi int) {
 		if zero {
@@ -101,15 +110,19 @@ func matmulInto(c, a []float32, rows []int32, b []float32, m, k, n int, zero, sk
 				if rows != nil {
 					r = int(rows[i])
 				}
-				mulAddRow(c[i*n:(i+1)*n], a[r*k:(r+1)*k], b, p0, p1, n, skipZero)
+				if lda == 1 {
+					mulAddRow(c[i*n:(i+1)*n], a[r*k:(r+1)*k], 1, b, p0, p1, n, skipZero)
+				} else {
+					mulAddRow(c[i*n:(i+1)*n], a[r:], lda, b, p0, p1, n, skipZero)
+				}
 			}
 		}
 	})
 }
 
-// transposePool recycles the transposed operand panels of MatMulTransA
-// and MatMulTransB. The same *[]float32 travels Get → Put, so a call
-// allocates nothing once the panel has grown to size.
+// transposePool recycles the transposed B panels of MatMulTransB. The
+// same *[]float32 travels Get → Put, so a call allocates nothing once the
+// panel has grown to size.
 var transposePool = sync.Pool{New: func() any { return new([]float32) }}
 
 // transposed returns a pooled copy of the [m,n] matrix src laid out as
@@ -139,15 +152,16 @@ func MatMulTransB(dst, a, b *Tensor) *Tensor {
 	}
 	dst = ensure(dst, m, n)
 	bt := transposed(b.data, n, k)
-	matmulInto(dst.data, a.data, nil, *bt, m, k, n, true, false)
+	matmulInto(dst.data, a.data, 1, nil, *bt, m, k, n, true, false)
 	transposePool.Put(bt)
 	return dst
 }
 
-// MatMulTransA computes C = Aᵀ × B for A [K,M], B [K,N] into dst [M,N].
-// This is the shape needed for weight gradients (Xᵀ·dY). A is transposed
-// into a pooled [M,K] panel so each output row reads its A elements
-// contiguously; the k order and the zero-skip are MatMul's.
+// MatMulTransA computes dst += Aᵀ × B for A [K,M], B [K,N] and dst [M,N]
+// (a new zero matrix if nil): a weight gradient (Xᵀ·dY) accumulated
+// straight into the gradient. Output row i reads column i of A in place,
+// M elements apart; the k order and the zero-skip are MatMulAcc's over a
+// transposed copy, so the result is that call's bit for bit.
 func MatMulTransA(dst, a, b *Tensor) *Tensor {
 	check2D("MatMulTransA", a, b)
 	k, m := a.Dim(0), a.Dim(1)
@@ -156,9 +170,7 @@ func MatMulTransA(dst, a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulTransA leading dimensions %d vs %d", k, k2))
 	}
 	dst = ensure(dst, m, n)
-	at := transposed(a.data, k, m)
-	matmulInto(dst.data, *at, nil, b.data, m, k, n, true, true)
-	transposePool.Put(at)
+	matmulInto(dst.data, a.data, m, nil, b.data, m, k, n, false, true)
 	return dst
 }
 
@@ -168,7 +180,7 @@ func MatMulTransA(dst, a, b *Tensor) *Tensor {
 func VecMat(dst []float32, x []float32, b *Tensor) {
 	checkVecMat(dst, x, b)
 	clear(dst)
-	mulAddRow(dst, x, b.data, 0, len(x), len(dst), true)
+	mulAddRow(dst, x, 1, b.data, 0, len(x), len(dst), true)
 }
 
 // BatchedMatMul computes C[i] = A[i] × B[i] for A [B,M,K], B [B,K,N] into
@@ -190,17 +202,9 @@ func BatchedMatMul(dst, a, b *Tensor) *Tensor {
 		cs := dst.data[i*m*n : (i+1)*m*n]
 		clear(cs)
 		for r := 0; r < m; r++ {
-			mulAddRow(cs[r*n:(r+1)*n], as[r*k:(r+1)*k], bsl, 0, k, n, true)
+			mulAddRow(cs[r*n:(r+1)*n], as[r*k:(r+1)*k], 1, bsl, 0, k, n, true)
 		}
 	})
-	return dst
-}
-
-// Transpose2D returns Aᵀ for a 2-D tensor.
-func Transpose2D(dst, a *Tensor) *Tensor {
-	m, n := a.Dim(0), a.Dim(1)
-	dst = ensure(dst, n, m)
-	transposeInto(dst.data, a.data, m, n)
 	return dst
 }
 

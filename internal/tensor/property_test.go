@@ -55,32 +55,6 @@ func TestScatterAddRowsBinnedBitwiseEqualSeq(t *testing.T) {
 	}
 }
 
-func TestScatter2DAddBitwiseEqualSeq(t *testing.T) {
-	rng := NewRNG(102)
-	const r, c, inner, nnz = 40, 30, 5, 4000
-	ri := powerLawIdx(rng, nnz, r)
-	ci := powerLawIdx(rng, nnz, c)
-	src := Uniform(New(nnz, inner), rng, -1, 1)
-	want := New(r, c, inner)
-	for i := 0; i < nnz; i++ {
-		off := (int(ri[i])*c + int(ci[i])) * inner
-		s := src.Data()[i*inner : (i+1)*inner]
-		d := want.Data()[off : off+inner]
-		for j, v := range s {
-			d[j] += v
-		}
-	}
-	withWorkers(t, 8, func() {
-		got := New(r, c, inner)
-		Scatter2DAdd(got, src, ri, ci)
-		for i, v := range got.Data() {
-			if v != want.Data()[i] {
-				t.Fatalf("binned[%d]=%v, seq=%v", i, v, want.Data()[i])
-			}
-		}
-	})
-}
-
 func TestBinRowsPartitionIsStable(t *testing.T) {
 	rng := NewRNG(103)
 	const rows, nnz, shards = 100, 3000, 7
@@ -183,17 +157,4 @@ func TestGather2DEmptySourcePanics(t *testing.T) {
 		}
 	}()
 	Gather2D(nil, New(0, 4), []int32{}, []int32{})
-}
-
-func TestScatter2DAddEmptyDestPanics(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("Scatter2DAdd on empty destination must panic")
-		}
-		if !strings.Contains(r.(string), "empty leading dimension") {
-			t.Fatalf("unclear panic: %v", r)
-		}
-	}()
-	Scatter2DAdd(New(4, 0), New(0, 1), []int32{}, []int32{})
 }

@@ -67,6 +67,14 @@ run_filtered() {
 run_filtered "parity/determinism" 'Parity|Determin|Reuse|Concurrent' \
   ./internal/core/ ./internal/graph/ ./internal/joint/
 
+# The row kernels against their generic oracles (unit-stride and strided,
+# every tile and the masked tail, ±0/NaN/Inf), MatMulTransA against
+# MatMulAcc over an explicit transpose, and every layer's backward without
+# the input gradient against the one with it — bit for bit. The race pass
+# above ran them at the box's width; this leg runs them on one P.
+run_filtered "kernel oracles / first-layer backward" 'Bitwise|Panics|FirstLayer' \
+  ./internal/tensor/ ./internal/nn/
+
 # Cross-engine parity: the fused and device execution engines must be
 # bitwise-identical to the blocked reference across models, plans, worker
 # counts and destination-row sets. An engine is named on exec.Ctx only —
