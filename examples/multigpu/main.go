@@ -54,11 +54,24 @@ func main() {
 	}
 
 	// Finally, run REAL distributed training: features sharded across the
-	// four simulated devices, halo exchanges with exactly the modeled
-	// volumes, gradients all-reduced.
-	fmt.Println("\nreal distributed training (4 devices, GCN):")
+	// four simulated devices, each device running the model's own layers
+	// on the vertices it owns plus their fetched halo, halo exchanges with
+	// exactly the modeled volumes, halo gradients returned to their owners
+	// and parameter gradients all-reduced. Every model trains this way;
+	// only GCN's body splits at its transform, so only GCN can place the
+	// exchange after the neural operation (DP-post).
+	for _, kind := range []nn.ModelKind{wisegraph.GCN, wisegraph.SAGE} {
+		trainDistributed(c, ds, kind)
+	}
+}
+
+// trainDistributed trains a 2-layer model of the given kind for 10 epochs
+// across the cluster's devices and prints its loss, test accuracy and the
+// bytes exchanged.
+func trainDistributed(c dist.Cluster, ds *wisegraph.Dataset, kind nn.ModelKind) {
+	fmt.Printf("\nreal distributed training (%d devices, %v):\n", c.N, kind)
 	m, err := nn.NewModel(nn.Config{
-		Kind: wisegraph.GCN, InDim: ds.Dim(), Hidden: 32, OutDim: ds.Classes(),
+		Kind: kind, InDim: ds.Dim(), Hidden: 32, OutDim: ds.Classes(),
 		Layers: 2, Seed: 5,
 	})
 	if err != nil {

@@ -81,6 +81,11 @@ func ExtEngine(cfg Config) (*Table, error) {
 	layer := nn.NewGCNLayer(rng, f, fp)
 	x := tensor.New(g.NumVertices, f)
 	tensor.Uniform(x, rng, -1, 1)
+	// One replica of layer per device: the same seed draws the same weights.
+	replicas := make([]nn.Layer, 4)
+	for d := range replicas {
+		replicas[d] = nn.NewGCNLayer(tensor.NewRNG(cfg.Seed+41), f, fp)
+	}
 
 	run := func(label string, gg *graph.Graph) error {
 		e := dist.NewEngine(dist.NewCluster(4), gg)
@@ -94,7 +99,7 @@ func ExtEngine(cfg Config) (*Table, error) {
 		}
 		for _, c := range cases {
 			e.ResetComm()
-			if _, err := e.GCNForward(layer, e.Shard(x), c.strat); err != nil {
+			if _, err := e.Forward(replicas, e.Shard(x), c.strat); err != nil {
 				return err
 			}
 			got := e.CommBytes()

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -18,22 +19,26 @@ import (
 // Engine executes data-parallel GNN layers across simulated devices with
 // real tensors: vertices are partitioned into contiguous blocks, each
 // device owns its block's feature rows, and the indexing operations
-// exchange exactly the rows the placement model prices. It is the
-// executable counterpart of the analytic policies above — tests verify
-// that distributed outputs and gradients match single-device execution
-// bit-for-near-bit, and that the measured communication volumes equal
-// the model's.
+// exchange exactly the rows the placement model prices. A device's step
+// is the nn layer's own Forward/Backward on the device's block — tests
+// verify that distributed outputs equal single-device execution bit for
+// bit, and that the measured communication volumes equal the model's.
 type Engine struct {
 	C Cluster
 	G *graph.Graph
 	// BlockOf maps vertex → owning device; blocks are contiguous.
 	blockStart []int32 // len N+1
 
-	// Per device: in-edges whose destination it owns.
-	devEdges [][]int32
-	// remoteNeeds[d] lists, per peer p, the unique remote sources device
-	// d needs from p (deduplicated — the paper's communication volume).
+	// remoteNeeds[d][p] lists, in id order, the unique sources device d
+	// needs from peer p (deduplicated — the paper's communication volume).
 	remoteNeeds [][][]int32
+	// blocks[d] is device d's owned-destination block: its owned vertices
+	// in id order, then its halo (remoteNeeds[d] by peer, from row
+	// haloAt[d][p]), and every in-edge of an owned vertex in global edge
+	// order with its type — so each owned destination sees its in-edges in
+	// the single-device CSR order.
+	blocks []*nn.GraphCtx
+	haloAt [][]int
 
 	// accounting
 	mu        sync.Mutex
@@ -42,36 +47,63 @@ type Engine struct {
 	retries atomic.Uint64 // peer fetches re-issued after a failed attempt
 }
 
-// NewEngine partitions g's vertices into c.N contiguous blocks and
-// precomputes the exchange lists.
+// NewEngine partitions g's vertices into c.N contiguous blocks and builds
+// every device's block and exchange lists.
 func NewEngine(c Cluster, g *graph.Graph) *Engine {
 	n := c.N
 	e := &Engine{C: c, G: g, blockStart: make([]int32, n+1)}
 	for d := 0; d <= n; d++ {
 		e.blockStart[d] = int32(d * g.NumVertices / n)
 	}
-	e.devEdges = make([][]int32, n)
-	need := make([]map[int32]struct{}, n)
+	devEdges := make([][]int32, n)
+	need := make([]map[int32]int32, n) // remote source → block row
 	for d := range need {
-		need[d] = map[int32]struct{}{}
+		need[d] = map[int32]int32{}
 	}
 	for ei := range g.Src {
 		d := e.Owner(g.Dst[ei])
-		e.devEdges[d] = append(e.devEdges[d], int32(ei))
+		devEdges[d] = append(devEdges[d], int32(ei))
 		if e.Owner(g.Src[ei]) != d {
-			need[d][g.Src[ei]] = struct{}{}
+			need[d][g.Src[ei]] = 0
 		}
 	}
 	e.remoteNeeds = make([][][]int32, n)
+	e.haloAt = make([][]int, n)
+	e.blocks = make([]*nn.GraphCtx, n)
 	for d := 0; d < n; d++ {
-		e.remoteNeeds[d] = make([][]int32, n)
+		lo, hi := e.Block(d)
+		owned := int(hi - lo)
+		halo := make([]int32, 0, len(need[d]))
 		for v := range need[d] {
-			p := e.Owner(v)
-			e.remoteNeeds[d][p] = append(e.remoteNeeds[d][p], v)
+			halo = append(halo, v)
 		}
-		for p := range e.remoteNeeds[d] {
-			slices.Sort(e.remoteNeeds[d][p])
+		slices.Sort(halo) // by id, so grouped by owning peer
+		for i, v := range halo {
+			need[d][v] = int32(owned + i)
 		}
+		e.remoteNeeds[d] = make([][]int32, n)
+		e.haloAt[d] = make([]int, n)
+		for p := 0; p < n; p++ {
+			i, _ := slices.BinarySearch(halo, e.blockStart[p])
+			j, _ := slices.BinarySearch(halo, e.blockStart[p+1])
+			e.remoteNeeds[d][p], e.haloAt[d][p] = halo[i:j], owned+i
+		}
+		m := len(devEdges[d])
+		b := &graph.Graph{NumVertices: owned + len(halo), NumTypes: g.NumTypes, Src: make([]int32, m), Dst: make([]int32, m)}
+		if g.Type != nil {
+			b.Type = make([]int32, m) // typed even when the device owns no edge
+		}
+		for k, ei := range devEdges[d] {
+			src, ok := need[d][g.Src[ei]]
+			if !ok {
+				src = g.Src[ei] - lo
+			}
+			b.Src[k], b.Dst[k] = src, g.Dst[ei]-lo
+			if b.Type != nil {
+				b.Type[k] = g.Type[ei]
+			}
+		}
+		e.blocks[d] = nn.NewGraphCtx(b)
 	}
 	return e
 }
@@ -146,19 +178,26 @@ func (e *Engine) Unshard(parts []*tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
+// owned returns the view of a block tensor's first rows: device d's own.
+func (e *Engine) owned(d int, t *tensor.Tensor) *tensor.Tensor {
+	lo, hi := e.Block(d)
+	w := t.RowSize()
+	return tensor.FromSlice(t.Data()[:int(hi-lo)*w], int(hi-lo), w)
+}
+
 // Resilience reports how many peer fetches the exchange path re-issued
 // after a failed attempt.
 func (e *Engine) Resilience() (retries uint64) { return e.retries.Load() }
 
-// fetchPeer is one attempt at copying device d's remote needs from peer
-// p's block into recv, accounting the bytes moved when it succeeds. It is
-// the simulated link, and so the dist.exchange fault site: an injected
-// error loses the request before a row moves, a latency fault really
-// holds the transfer up for its spike, and injected corruption fails the
-// integrity check after the rows have landed. The copy is idempotent — a
-// re-issued fetch overwrites the same keys with the same rows — which is
-// what makes the retry ladder numerics-preserving.
-func (e *Engine) fetchPeer(d, p int, src *tensor.Tensor, recv map[int32][]float32) error {
+// fetchPeer is one attempt at moving rows rows of width w from a peer
+// (copyRow(i) copies the i-th), accounting the bytes moved when it
+// succeeds. It is the simulated link, and so the dist.exchange fault site:
+// an injected error loses the request before a row moves, a latency fault
+// really holds the transfer up for its spike, and injected corruption
+// fails the integrity check after the rows have landed. The copy is
+// idempotent — a re-issued fetch overwrites the same rows with the same
+// values — which is what makes the retry ladder numerics-preserving.
+func (e *Engine) fetchPeer(rows, w int, copyRow func(i int)) error {
 	flt := fault.Check(fault.SiteExchange)
 	if flt != nil {
 		if flt.Kind == fault.KindError {
@@ -166,251 +205,186 @@ func (e *Engine) fetchPeer(d, p int, src *tensor.Tensor, recv map[int32][]float3
 		}
 		time.Sleep(flt.Delay) // zero unless the fault is a straggle
 	}
-	lo := e.blockStart[p]
-	f := src.RowSize()
-	var vol float64
-	for _, v := range e.remoteNeeds[d][p] {
-		row := recv[v]
-		if row == nil {
-			row = make([]float32, f)
-			recv[v] = row
-		}
-		copy(row, src.Row(int(v-lo)))
-		vol += float64(f) * 4
+	for i := 0; i < rows; i++ {
+		copyRow(i)
 	}
 	if flt != nil && flt.Kind == fault.KindCorrupt {
 		return flt.Err()
 	}
-	e.account(vol)
+	e.account(float64(rows*w) * 4)
 	return nil
 }
 
-// exchange performs the all-to-all feature fetch: device d receives the
-// rows of its remote needs from their owners. Returns, per device, a map
-// from global vertex id to the received row (backed by remote tensors'
-// copies). Each per-peer fetch runs through the shared retry ladder
-// (internal/retry); the error is non-nil only when a fetch exhausted its
-// attempts under fault injection.
-func (e *Engine) exchange(parts []*tensor.Tensor) ([]map[int32][]float32, error) {
+// exchange runs one all-to-all of w-wide rows: every device d fetches from
+// every peer p ≠ d the rows move(d, p) names, each fetch through the
+// shared retry ladder (internal/retry). The error is non-nil only when a
+// fetch exhausted its attempts under fault injection.
+func (e *Engine) exchange(w int, move func(d, p int) (rows int, copyRow func(i int))) error {
 	sp := obs.Begin(obs.StageCollective, obs.NewID())
 	defer sp.End()
 	n := e.C.N
-	out := make([]map[int32][]float32, n)
 	errs := make([]error, n)
 	perDevice(n, func(d int) {
-		recv := map[int32][]float32{}
-		for p := 0; p < n; p++ {
+		for p := 0; p < n && errs[d] == nil; p++ {
+			if p == d {
+				continue
+			}
+			rows, copyRow := move(d, p)
 			// The device pair keys the jitter: concurrent fetchers differ in d.
 			err := retry.Do(uint64(d*n+p), fault.IsInjected, func(attempt int) error {
 				if attempt > 0 {
 					e.retries.Add(1)
 				}
-				return e.fetchPeer(d, p, parts[p], recv)
+				return e.fetchPeer(rows, w, copyRow)
 			})
 			if err != nil {
 				errs[d] = fmt.Errorf("dist: exchange fetch dev%d<-dev%d %w", d, p, err)
-				return
 			}
 		}
-		out[d] = recv
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	return errors.Join(errs...)
+}
+
+// gatherHalo is the forward exchange: every device's block input is its
+// own rows of src, then its halo rows fetched from their owners' src.
+func (e *Engine) gatherHalo(src []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	w := src[0].RowSize()
+	in := make([]*tensor.Tensor, e.C.N)
+	for d := range in {
+		in[d] = tensor.New(e.blocks[d].NumVertices(), w)
+		copy(in[d].Data(), src[d].Data())
 	}
-	return out, nil
-}
-
-// aggregate runs the normalized sum aggregation out[dst] += w·in[src] on
-// every device over its own in-edges, resolving local rows directly and
-// remote rows from the exchanged table.
-func (e *Engine) aggregate(parts []*tensor.Tensor, recv []map[int32][]float32, width int, invDeg []float32) []*tensor.Tensor {
-	n := e.C.N
-	out := make([]*tensor.Tensor, n)
-	perDevice(n, func(d int) {
-		lo, hi := e.Block(d)
-		agg := tensor.New(int(hi-lo), width)
-		for _, ei := range e.devEdges[d] {
-			src := e.G.Src[ei]
-			var row []float32
-			if sd := e.Owner(src); sd == d {
-				row = parts[d].Row(int(src - lo))
-			} else {
-				row = recv[d][src]
-			}
-			tensor.AxpyRow(agg.Row(int(e.G.Dst[ei]-lo)), invDeg[ei], row)
-		}
-		out[d] = agg
+	err := e.exchange(w, func(d, p int) (int, func(int)) {
+		need, at, lo := e.remoteNeeds[d][p], e.haloAt[d][p], e.blockStart[p]
+		return len(need), func(i int) { copy(in[d].Row(at+i), src[p].Row(int(need[i]-lo))) }
 	})
-	return out
+	return in, err
 }
 
-// GCNForward runs one distributed GCN layer (h' = Â·(h·W) + b) under the
-// chosen placement and returns the per-device outputs.
-//
-//   - DPPre: exchange the f-wide inputs, then every device computes
-//     XW for the rows it needs (duplicate compute on halo rows).
-//   - DPPost: every owner computes XW for its own rows once, then the
-//     fp-wide results are exchanged (the changing-data-volume win).
-//
-// Both produce identical numerics; only volume and compute differ.
-func (e *Engine) GCNForward(layer *nn.GCNLayer, xParts []*tensor.Tensor, strat Strategy) ([]*tensor.Tensor, error) {
-	invDeg := invDegWeights(e.G)
+// returnHalo is the reverse exchange over block gradients: every owner
+// pulls from each peer the halo rows that peer accumulated for the
+// owner's vertices into staging rows, and once every fetch has landed adds
+// them into its own rows in device order.
+func (e *Engine) returnHalo(grads []*tensor.Tensor) error {
+	n := e.C.N
+	w := grads[0].RowSize()
+	stage := make([][]*tensor.Tensor, n)
+	for d := range stage {
+		stage[d] = make([]*tensor.Tensor, n)
+	}
+	err := e.exchange(w, func(d, p int) (int, func(int)) {
+		need, at := e.remoteNeeds[p][d], e.haloAt[p][d]
+		stage[d][p] = tensor.New(len(need), w)
+		return len(need), func(i int) { copy(stage[d][p].Row(i), grads[p].Row(at+i)) }
+	})
+	if err != nil {
+		return err
+	}
+	perDevice(n, func(d int) {
+		for p, rows := range stage[d] {
+			for i, v := range e.remoteNeeds[p][d] {
+				tensor.AddRow(grads[d].Row(int(v-e.blockStart[d])), rows.Row(i))
+			}
+		}
+	})
+	return nil
+}
+
+// gcnStages returns nil under DP-pre and, under DP-post, the replicas as
+// GCN layers — the one body that splits at its transform.
+func gcnStages(replicas []nn.Layer, strat Strategy) ([]*nn.GCNLayer, error) {
 	switch strat {
 	case DPPre:
-		recv, err := e.exchange(xParts) // f-wide halo rows
-		if err != nil {
-			return nil, err
-		}
-		// locally transform owned rows AND received halo rows
-		n := e.C.N
-		xw := make([]*tensor.Tensor, n)
-		recvXW := make([]map[int32][]float32, n)
-		perDevice(n, func(d int) {
-			xw[d] = tensor.MatMul(nil, xParts[d], layer.W.Value)
-			m := map[int32][]float32{}
-			for v, row := range recv[d] {
-				out := make([]float32, layer.OutDim())
-				tensor.VecMat(out, row, layer.W.Value)
-				m[v] = out
-			}
-			recvXW[d] = m
-		})
-		agg := e.aggregate(xw, recvXW, layer.OutDim(), invDeg)
-		for _, a := range agg {
-			tensor.AddBias(a, layer.B.Value)
-		}
-		return agg, nil
+		return nil, nil
 	case DPPost:
-		n := e.C.N
-		xw := make([]*tensor.Tensor, n)
-		perDevice(n, func(d int) {
-			xw[d] = tensor.MatMul(nil, xParts[d], layer.W.Value)
-		})
-		recv, err := e.exchange(xw) // fp-wide transformed halo rows
-		if err != nil {
-			return nil, err
+		gcns := make([]*nn.GCNLayer, len(replicas))
+		for d, l := range replicas {
+			var ok bool
+			if gcns[d], ok = l.(*nn.GCNLayer); !ok {
+				return nil, fmt.Errorf("dist: DP-post executes only GCN layers, got %T", l)
+			}
 		}
-		agg := e.aggregate(xw, recv, layer.OutDim(), invDeg)
-		for _, a := range agg {
-			tensor.AddBias(a, layer.B.Value)
-		}
-		return agg, nil
-	default:
-		return nil, fmt.Errorf("dist: strategy %v not executable for GCN (tensor parallel needs column-sharded weights)", strat)
+		return gcns, nil
 	}
+	return nil, fmt.Errorf("dist: strategy %v does not execute data parallel", strat)
 }
 
-// SAGEForward runs one distributed SAGE layer: mean-aggregate the raw
-// features (f-wide exchange), then transform locally.
-func (e *Engine) SAGEForward(layer *nn.SAGELayer, xParts []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	invDeg := invDegWeights(e.G)
-	recv, err := e.exchange(xParts)
+// Forward runs one model layer data parallel: replicas[d] is device d's
+// copy of the layer (layers cache activations, so each device needs its
+// own) and xParts[d] its owned input rows. It returns every device's owned
+// output rows, views into the replica's output.
+//
+//   - DPPre: exchange the in-wide halo rows, then run the layer's Forward
+//     on the block (halo rows are transformed again where needed).
+//   - DPPost (GCN only): each owner transforms its own rows once, the
+//     out-wide XW rows are exchanged, and the block aggregates them.
+//
+// Either way the owned rows equal the single-device layer's bit for bit.
+// The error is non-nil when strat does not execute for the layer, or when
+// a halo fetch exhausted its retry budget under fault injection.
+func (e *Engine) Forward(replicas []nn.Layer, xParts []*tensor.Tensor, strat Strategy) ([]*tensor.Tensor, error) {
+	gcns, err := gcnStages(replicas, strat)
 	if err != nil {
 		return nil, err
 	}
-	agg := e.aggregate(xParts, recv, layer.InDim(), invDeg)
 	n := e.C.N
+	src := xParts
+	if gcns != nil {
+		src = make([]*tensor.Tensor, n)
+		perDevice(n, func(d int) { src[d] = gcns[d].Transform(xParts[d]) })
+	}
+	in, err := e.gatherHalo(src)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]*tensor.Tensor, n)
 	perDevice(n, func(d int) {
-		o := tensor.MatMul(nil, xParts[d], layer.WSelf.Value)
-		tensor.MatMulAcc(o, agg[d], layer.WNeigh.Value)
-		tensor.AddBias(o, layer.B.Value)
-		out[d] = o
+		if gcns != nil {
+			out[d] = e.owned(d, gcns[d].Aggregate(e.blocks[d], in[d]))
+		} else {
+			out[d] = e.owned(d, replicas[d].Forward(e.blocks[d], in[d]))
+		}
 	})
 	return out, nil
 }
 
-// GCNBackward runs the distributed backward of GCNForward (either
-// strategy — gradients are identical): given per-device d(loss)/d(out),
-// it accumulates layer gradients (with an all-reduce over the per-device
-// partial weight gradients, accounted) and returns per-device d(loss)/dx.
-func (e *Engine) GCNBackward(layer *nn.GCNLayer, xParts, dOutParts []*tensor.Tensor) []*tensor.Tensor {
-	invDeg := invDegWeights(e.G)
+// Backward is Forward's backward half: each replica runs its Backward on
+// the block from the device's owned-row output gradient (zero halo rows),
+// accumulating the replica's parameter gradients — reducing those across
+// devices is the caller's. With needDX it returns each device's owned-row
+// input gradient, the halo rows' partial gradients returned to their
+// owners by the reverse exchange. Under DP-post that exchange carries the
+// out-wide dXW and always runs: the owner's weight gradient needs it.
+func (e *Engine) Backward(replicas []nn.Layer, dOutParts []*tensor.Tensor, strat Strategy, needDX bool) ([]*tensor.Tensor, error) {
+	gcns, err := gcnStages(replicas, strat)
+	if err != nil {
+		return nil, err
+	}
 	n := e.C.N
-	// bias gradient: per-device column sums, then all-reduce.
-	for d := 0; d < n; d++ {
-		accumBias(layer.B.Grad, dOutParts[d])
-	}
-	dXW := make([]*tensor.Tensor, n)
-	for d := range dXW {
-		lo, hi := e.Block(d)
-		dXW[d] = tensor.New(int(hi-lo), layer.OutDim())
-	}
-	e.scatterBack(dXW, dOutParts, invDeg)
-	// per-device weight gradients + dx, then all-reduce dW (accounted).
-	dxParts := make([]*tensor.Tensor, n)
-	partials := make([]*tensor.Tensor, n)
+	grads := make([]*tensor.Tensor, n)
 	perDevice(n, func(d int) {
-		partials[d] = tensor.MatMulTransA(nil, xParts[d], dXW[d])
-		dxParts[d] = tensor.MatMulTransB(nil, dXW[d], layer.W.Value)
+		dOut := tensor.New(e.blocks[d].NumVertices(), dOutParts[d].RowSize())
+		copy(dOut.Data(), dOutParts[d].Data())
+		if gcns != nil {
+			grads[d] = gcns[d].AggregateBackward(e.blocks[d], dOut)
+		} else {
+			grads[d] = replicas[d].Backward(e.blocks[d], dOut, needDX)
+		}
 	})
-	for d := 0; d < n; d++ {
-		tensor.AXPY(layer.W.Grad, 1, partials[d])
+	if gcns == nil && !needDX {
+		return nil, nil
 	}
-	// ring all-reduce volume: 2·(N-1)/N per device over the weight size
-	e.account(2 * float64(n-1) * float64(layer.W.Grad.Len()) * 4)
-	return dxParts
-}
-
-// scatterBack is the reverse aggregation both backward passes share:
-// into[owner(src)][src] += w·dOut[d][dst] over every device d's in-edges.
-// A device owns its dst rows; what it owes a remote source it first sums
-// in a row of its own, and the sums are then delivered to their owners in
-// device order (the transpose all-to-all — same volume as forward,
-// accounted).
-func (e *Engine) scatterBack(into, dOut []*tensor.Tensor, invDeg []float32) {
-	n := e.C.N
-	remote := make([]map[int32][]float32, n)
+	if err := e.returnHalo(grads); err != nil {
+		return nil, err
+	}
 	perDevice(n, func(d int) {
-		lo, _ := e.Block(d)
-		rem := map[int32][]float32{}
-		for _, ei := range e.devEdges[d] {
-			src := e.G.Src[ei]
-			dor := dOut[d].Row(int(e.G.Dst[ei] - lo))
-			var target []float32
-			if e.Owner(src) == d {
-				target = into[d].Row(int(src - lo))
-			} else {
-				target = rem[src]
-				if target == nil {
-					target = make([]float32, len(dor))
-					rem[src] = target
-				}
-			}
-			tensor.AxpyRow(target, invDeg[ei], dor)
+		grads[d] = e.owned(d, grads[d])
+		if gcns != nil {
+			grads[d] = gcns[d].TransformBackward(grads[d], needDX)
 		}
-		remote[d] = rem
 	})
-	for d := 0; d < n; d++ {
-		for v, row := range remote[d] {
-			owner := e.Owner(v)
-			tensor.AddRow(into[owner].Row(int(v-e.blockStart[owner])), row)
-			e.account(float64(len(row)) * 4)
-		}
+	if !needDX {
+		return nil, nil
 	}
-}
-
-func accumBias(g *tensor.Tensor, d *tensor.Tensor) {
-	n := g.Len()
-	gd := g.Data()
-	for i := 0; i < d.Rows(); i++ {
-		row := d.Row(i)
-		for j := 0; j < n; j++ {
-			gd[j] += row[j]
-		}
-	}
-}
-
-// invDegWeights returns per-edge 1/in-degree(dst).
-func invDegWeights(g *graph.Graph) []float32 {
-	deg := g.InDegrees()
-	w := make([]float32, g.NumEdges())
-	for e, d := range g.Dst {
-		if deg[d] > 0 {
-			w[e] = 1 / float32(deg[d])
-		}
-	}
-	return w
+	return grads, nil
 }

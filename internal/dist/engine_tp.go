@@ -34,7 +34,7 @@ func (e *Engine) GCNForwardTP(layer *nn.GCNLayer, colParts []*tensor.Tensor) []*
 	n := e.C.N
 	f := layer.InDim()
 	fp := layer.OutDim()
-	invDeg := invDegWeights(e.G)
+	gc := nn.NewGraphCtx(e.G)
 
 	// Phase 1 (local): aggregate each column shard over ALL vertices —
 	// every device has every row of its columns, so no exchange.
@@ -42,7 +42,7 @@ func (e *Engine) GCNForwardTP(layer *nn.GCNLayer, colParts []*tensor.Tensor) []*
 	partials := make([]*tensor.Tensor, n)
 	perDevice(n, func(d int) {
 		agg := tensor.New(e.G.NumVertices, colParts[d].RowSize())
-		nn.EdgeSpMM(agg, colParts[d], e.G.Src, e.G.Dst, invDeg)
+		nn.EdgeSpMM(agg, colParts[d], gc.SrcByDst, gc.DstByDst, gc.InvDeg)
 		lo := d * f / n
 		hi := (d + 1) * f / n
 		wSlice := tensor.New(hi-lo, fp)

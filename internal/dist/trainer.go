@@ -7,12 +7,12 @@ import (
 	"wisegraph/internal/tensor"
 )
 
-// Trainer trains a multi-layer GCN across the engine's devices with data
-// parallelism: features and labels are sharded by vertex block, weights
-// are replicated (gradients all-reduced), and every layer runs the
-// distributed forward/backward with the placement chosen per layer. It is
-// the executable counterpart of Table 2's full-graph multi-GPU training —
-// tests verify loss and parameters track single-device training exactly.
+// Trainer trains a model across the engine's devices with data
+// parallelism: features and labels are sharded by vertex block, each
+// device runs a replica of the model through the engine's Forward/Backward
+// with the placement chosen per layer, and replica gradients are
+// all-reduced into the master model, which Adam steps. It is the
+// executable counterpart of Table 2's full-graph multi-GPU training.
 type Trainer struct {
 	E     *Engine
 	Model *nn.Model
@@ -20,24 +20,23 @@ type Trainer struct {
 	// Placement per layer (chosen once from the volume model).
 	Placements []Strategy
 
+	replicas []*nn.Model  // one per device
+	layers   [][]nn.Layer // layers[li][d]: layer li of device d's replica
+
 	xParts []*tensor.Tensor // sharded input features
 	labels []int32
 	masks  [][]int32 // per-device local training indices
 
-	// caches per layer for backward
-	layerIn  [][]*tensor.Tensor
-	layerOut [][]*tensor.Tensor
+	acts [][]*tensor.Tensor // per layer, per device: owned pre-activation outputs
 }
 
 // NewTrainer shards the dataset across the engine's devices and picks a
-// placement per layer from the changing-data-volume model.
+// placement per layer from the changing-data-volume model, priced with the
+// model's own kind; DP-post executes, and so is offered, for GCN only. The
+// step applies ReLU between layers and no dropout, so dropout is refused.
 func NewTrainer(e *Engine, m *nn.Model, features *tensor.Tensor, labels []int32, trainMask []int32, lr float64) (*Trainer, error) {
-	for _, l := range m.Layers() {
-		switch l.(type) {
-		case *nn.GCNLayer, *nn.SAGELayer:
-		default:
-			return nil, fmt.Errorf("dist: distributed training supports GCN and SAGE layers, got %T", l)
-		}
+	if m.Cfg.Dropout > 0 {
+		return nil, fmt.Errorf("dist: dropout %v is not supported: distributed training applies no dropout masks, so it would train a different network than TrainStep", m.Cfg.Dropout)
 	}
 	t := &Trainer{
 		E:      e,
@@ -45,12 +44,27 @@ func NewTrainer(e *Engine, m *nn.Model, features *tensor.Tensor, labels []int32,
 		Opt:    nn.NewAdam(lr, m.Params()),
 		xParts: e.Shard(features),
 		labels: labels,
+		layers: make([][]nn.Layer, len(m.Layers())),
+		acts:   make([][]*tensor.Tensor, len(m.Layers())),
+	}
+	for d := 0; d < e.C.N; d++ {
+		r, err := nn.NewModel(m.Cfg)
+		if err != nil {
+			return nil, err
+		}
+		t.replicas = append(t.replicas, r)
+		for li, l := range r.Layers() {
+			t.layers[li] = append(t.layers[li], l)
+		}
 	}
 	gs := Analyze(e.G, e.C.N)
+	kind := m.Cfg.Kind
 	for _, l := range m.Layers() {
-		p := PlaceLayer(e.C, gs, nn.GCN, l.InDim(), l.OutDim(), DPPre, true, true)
-		if q := PlaceLayer(e.C, gs, nn.GCN, l.InDim(), l.OutDim(), DPPost, true, true); q.Total() < p.Total() {
-			p = q
+		p := PlaceLayer(e.C, gs, kind, l.InDim(), l.OutDim(), DPPre, true, true)
+		if kind == nn.GCN {
+			if q := PlaceLayer(e.C, gs, kind, l.InDim(), l.OutDim(), DPPost, true, true); q.Total() < p.Total() {
+				p = q
+			}
 		}
 		t.Placements = append(t.Placements, p.Strategy)
 	}
@@ -64,48 +78,43 @@ func NewTrainer(e *Engine, m *nn.Model, features *tensor.Tensor, labels []int32,
 	return t, nil
 }
 
-// forward runs the distributed forward pass, caching per-layer
-// activations. The error is non-nil only when a halo exchange exhausted
-// its retry budget under fault injection.
+// forward copies the master parameters into every replica, clears the
+// replicas' gradients and runs the distributed forward pass, caching
+// per-layer outputs. The error is non-nil only when a halo exchange
+// exhausted its retry budget under fault injection.
 func (t *Trainer) forward() ([]*tensor.Tensor, error) {
-	cur := t.xParts
-	t.layerIn = t.layerIn[:0]
-	t.layerOut = t.layerOut[:0]
-	layers := t.Model.Layers()
-	for li, l := range layers {
-		t.layerIn = append(t.layerIn, cur)
-		var out []*tensor.Tensor
-		var err error
-		switch lt := l.(type) {
-		case *nn.GCNLayer:
-			out, err = t.E.GCNForward(lt, cur, t.Placements[li])
-		case *nn.SAGELayer:
-			out, err = t.E.SAGEForward(lt, cur)
+	for _, r := range t.replicas {
+		if err := r.CopyParamsFrom(t.Model); err != nil {
+			return nil, err
 		}
+		for _, p := range r.Params() {
+			p.ZeroGrad()
+		}
+	}
+	cur := t.xParts
+	for li, reps := range t.layers {
+		out, err := t.E.Forward(reps, cur, t.Placements[li])
 		if err != nil {
 			return nil, fmt.Errorf("dist: layer %d forward: %w", li, err)
 		}
-		t.layerOut = append(t.layerOut, out)
-		if li < len(layers)-1 {
-			next := make([]*tensor.Tensor, len(out))
+		t.acts[li] = out
+		cur = out
+		if li < len(t.layers)-1 {
+			cur = make([]*tensor.Tensor, len(out))
 			for d, o := range out {
-				next[d] = tensor.ReLU(nil, o)
+				cur[d] = tensor.ReLU(nil, o)
 			}
-			cur = next
-		} else {
-			cur = out
 		}
 	}
 	return cur, nil
 }
 
 // Step runs one distributed training iteration and returns the global
-// training loss (identical to the single-device loss: the masked mean is
-// weighted by per-device counts). The error is non-nil only when a halo
-// exchange exhausted its retry budget under fault injection; the step
+// training loss (the single-device loss up to summation order: the masked
+// mean is weighted by per-device counts). The error is non-nil only when a
+// halo exchange exhausted its retry budget under fault injection; the step
 // applied no update in that case.
 func (t *Trainer) Step() (float64, error) {
-	t.Opt.ZeroGrads()
 	logits, err := t.forward()
 	if err != nil {
 		return 0, err
@@ -138,27 +147,36 @@ func (t *Trainer) Step() (float64, error) {
 	for d := 0; d < n; d++ {
 		lossSum += losses[d]
 	}
-	// distributed backward through the stack
-	layers := t.Model.Layers()
+	// distributed backward through the stack; nothing reads the input
+	// features' gradient, so layer 0 does not compute it
 	cur := grads
-	for li := len(layers) - 1; li >= 0; li-- {
-		if li < len(layers)-1 {
+	for li := len(t.layers) - 1; li >= 0; li-- {
+		if li < len(t.layers)-1 {
 			for d := range cur {
-				cur[d] = tensor.ReLUGrad(nil, cur[d], t.layerOut[li][d])
+				cur[d] = tensor.ReLUGrad(cur[d], cur[d], t.acts[li][d])
 			}
 		}
-		switch lt := layers[li].(type) {
-		case *nn.GCNLayer:
-			cur = t.E.GCNBackward(lt, t.layerIn[li], cur)
-		case *nn.SAGELayer:
-			cur, err = t.E.SAGEBackward(lt, t.layerIn[li], cur)
-			if err != nil {
-				return 0, fmt.Errorf("dist: layer %d backward: %w", li, err)
-			}
+		if cur, err = t.E.Backward(t.layers[li], cur, t.Placements[li], li > 0); err != nil {
+			return 0, fmt.Errorf("dist: layer %d backward: %w", li, err)
 		}
 	}
+	t.allReduce()
 	t.Opt.Step()
 	return lossSum, nil
+}
+
+// allReduce sums the replicas' parameter gradients into the master's in
+// device order and accounts a ring all-reduce over every parameter:
+// 2·(N-1)/N of the gradient bytes per device.
+func (t *Trainer) allReduce() {
+	t.Opt.ZeroGrads()
+	master := t.Model.Params()
+	for _, r := range t.replicas {
+		for i, p := range r.Params() {
+			tensor.AXPY(master[i].Grad, 1, p.Grad)
+		}
+	}
+	t.E.account(2 * float64(t.E.C.N-1) * float64(t.Model.NumParams()) * 4)
 }
 
 // Accuracy evaluates classification accuracy over the given global vertex

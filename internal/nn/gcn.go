@@ -28,30 +28,50 @@ func (l *GCNLayer) InDim() int { return l.W.Value.Dim(0) }
 // OutDim implements Layer.
 func (l *GCNLayer) OutDim() int { return l.W.Value.Dim(1) }
 
-// Forward implements Layer.
+// Forward implements Layer: Aggregate(Transform(x)).
 func (l *GCNLayer) Forward(gc *GraphCtx, x *tensor.Tensor) *tensor.Tensor {
+	return l.Aggregate(gc, l.Transform(x))
+}
+
+// Transform is the first stage, XW = x·W; it caches x for the backward.
+func (l *GCNLayer) Transform(x *tensor.Tensor) *tensor.Tensor {
 	l.x = x
 	l.xw = tensor.MatMul(buf2(l.xw, x.Dim(0), l.OutDim()), x, l.W.Value)
+	return l.xw
+}
+
+// Aggregate is the second stage, out = Â·xw + b over gc's in-edges.
+func (l *GCNLayer) Aggregate(gc *GraphCtx, xw *tensor.Tensor) *tensor.Tensor {
 	l.out = buf2(l.out, gc.NumVertices(), l.OutDim())
 	l.out.Zero()
-	EdgeSpMMBins(l.out, l.xw, gc.SrcByDst, gc.DstByDst, gc.InvDeg, gc.BinsByDst())
+	EdgeSpMMBins(l.out, xw, gc.SrcByDst, gc.DstByDst, gc.InvDeg, gc.BinsByDst())
 	tensor.AddBias(l.out, l.B.Value)
 	return l.out
 }
 
 // Backward implements Layer.
 func (l *GCNLayer) Backward(gc *GraphCtx, dOut *tensor.Tensor, needDX bool) *tensor.Tensor {
-	// bias gradient: column sum
+	return l.TransformBackward(l.AggregateBackward(gc, dOut), needDX)
+}
+
+// AggregateBackward adds the bias gradient and returns dXW = Âᵀ·dOut.
+func (l *GCNLayer) AggregateBackward(gc *GraphCtx, dOut *tensor.Tensor) *tensor.Tensor {
 	accumBiasGrad(l.B.Grad, dOut)
 	// transpose aggregation: dXW[src] += w_e · dOut[dst]
-	l.dXW = buf2(l.dXW, l.xw.Dim(0), l.xw.Dim(1))
+	l.dXW = buf2(l.dXW, gc.NumVertices(), l.OutDim())
 	l.dXW.Zero()
 	EdgeSpMMBins(l.dXW, dOut, gc.DstByDst, gc.SrcByDst, gc.InvDeg, gc.BinsBySrc())
-	tensor.MatMulTransA(l.W.Grad, l.x, l.dXW)
+	return l.dXW
+}
+
+// TransformBackward adds xᵀ·dXW to W's gradient and, with needDX, returns
+// dX = dXW·Wᵀ (else nil).
+func (l *GCNLayer) TransformBackward(dXW *tensor.Tensor, needDX bool) *tensor.Tensor {
+	tensor.MatMulTransA(l.W.Grad, l.x, dXW)
 	if !needDX {
 		return nil
 	}
-	l.dX = tensor.MatMulTransB(buf2(l.dX, l.dXW.Dim(0), l.W.Value.Dim(0)), l.dXW, l.W.Value)
+	l.dX = tensor.MatMulTransB(buf2(l.dX, dXW.Dim(0), l.InDim()), dXW, l.W.Value)
 	return l.dX
 }
 

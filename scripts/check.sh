@@ -75,6 +75,13 @@ run_filtered "parity/determinism" 'Parity|Determin|Reuse|Concurrent' \
 run_filtered "kernel oracles / first-layer backward" 'Bitwise|Panics|FirstLayer' \
   ./internal/tensor/ ./internal/nn/
 
+# Multi-device forward parity: every model's distributed forward — the nn
+# layer run on each device's owned-destination block after the halo
+# exchange — against the single-device layer, bit for bit, at 1/2/4
+# devices under every placement that executes; the GCN and SAGE layer
+# tests hold the same at 4 devices on an untyped graph.
+run_filtered "multi-device forward parity" 'ForwardBitwise|ForwardMatchesReference' ./internal/dist/
+
 # Cross-engine parity: the fused and device execution engines must be
 # bitwise-identical to the blocked reference across models, plans, worker
 # counts and destination-row sets. An engine is named on exec.Ctx only —
@@ -105,7 +112,8 @@ echo "== observability under -race (GOMAXPROCS=1)"
 GOMAXPROCS=1 go test -race -count=1 ./internal/obs/
 
 # The fault-injection and resilience battery: deterministic injector, the
-# shared retry policy, distributed parity under straggler/error schedules, serving chaos drain
+# shared retry policy, distributed parity under straggler/error schedules
+# (halo exchange and its reverse, one fault draw per peer fetch), serving chaos drain
 # invariants, auto-checkpoint recovery, dense gradient checks. The
 # bit-identical claims must hold under the race detector on one P as at
 # the box's width — scheduling may reorder fault draws but never change
