@@ -180,10 +180,9 @@ func BenchmarkGTaskForward(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineForward compares the execution engines on the real
-// forward numerics at the bandwidth-bound shape (F=64): ns/op, allocs/op,
-// and the engine's modeled bytes-moved per forward. Sub-benchmark names
-// carry the engine label so benchstat can diff blocked vs fused per model.
+// BenchmarkEngineForward times the real forward numerics at the
+// bandwidth-bound shape (F=64) once per model — every engine runs the same
+// edge walk — and reports each engine's modeled bytes-moved per forward.
 func BenchmarkEngineForward(b *testing.B) {
 	ds, err := LoadDataset("AR", DatasetOptions{Scale: 400, FeatureDim: 64, Seed: 6})
 	if err != nil {
@@ -203,28 +202,29 @@ func BenchmarkEngineForward(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		bytes := map[string]float64{}
 		for _, engine := range kernels.EngineNames() {
 			eng, err := kernels.Select(engine)
 			if err != nil {
 				b.Fatal(err)
 			}
-			var bytes float64
 			for _, l := range m.Layers() {
 				sh := kernels.LayerShape{Kind: kind, F: l.InDim(), Fp: l.OutDim(), Types: ds.Graph.NumTypes}
-				bytes += eng.LayerBytes(sh, part, op)
+				bytes[engine] += eng.LayerBytes(sh, part, op)
 			}
-			b.Run(fmt.Sprintf("model=%s/F=64/engine=%s", kind, engine), func(b *testing.B) {
-				b.ReportAllocs()
-				ctx := exec.NewCtx(device.New(device.A100()))
-				ctx.Engine = engine
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := kernels.RunModel(ctx, gc, m, ds.Features, part, op); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(bytes, "bytes-moved/op")
-			})
 		}
+		b.Run(fmt.Sprintf("model=%s/F=64", kind), func(b *testing.B) {
+			b.ReportAllocs()
+			ctx := exec.NewCtx(device.New(device.A100()))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := kernels.RunModel(ctx, gc, m, ds.Features, part, op); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for engine, n := range bytes {
+				b.ReportMetric(n, engine+"-bytes-moved/op")
+			}
+		})
 	}
 }

@@ -33,7 +33,7 @@ func Experiments() []Experiment {
 		{ID: "table3", Desc: "pre-processing overhead (paper Table 3)", Run: Table3},
 		{ID: "ext-reorder", Desc: "EXTENSION: reorder + gTask composition (paper §4.3)", Run: ExtReorder},
 		{ID: "ext-engine", Desc: "EXTENSION: executable multi-device engine, measured volumes", Run: ExtEngine},
-		{ID: "ext-engines", Desc: "EXTENSION: blocked vs fused vs device execution engines (wall ms, bytes-moved)", Run: ExtEngines},
+		{ID: "ext-engines", Desc: "EXTENSION: blocked vs fused vs device execution engines (modeled bytes-moved)", Run: ExtEngines},
 		{ID: "ext-pipeline", Desc: "EXTENSION: async sampling pipeline wall-clock", Run: ExtPipeline},
 		{ID: "ext-stages", Desc: "EXTENSION: composed micro-kernel stage breakdown (paper §5.3)", Run: ExtStages},
 	}

@@ -57,23 +57,15 @@ type Category int
 const (
 	CatIndexing Category = iota
 	CatNeural
-	CatComm
-	CatOther
 	numCategories
 )
 
 // String names the category.
 func (c Category) String() string {
-	switch c {
-	case CatIndexing:
+	if c == CatIndexing {
 		return "indexing"
-	case CatNeural:
-		return "neural"
-	case CatComm:
-		return "comm"
-	default:
-		return "other"
 	}
+	return "neural"
 }
 
 // Kernel describes one launch for the timing model.

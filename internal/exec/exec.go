@@ -44,15 +44,13 @@ type Ctx struct {
 	// timeline as the caller's sample/partition/demux spans.
 	TraceID uint64
 	// Engine names the execution engine the gTask executor runs layers
-	// with. Every engine runs the same layer body and differs only in how
-	// a task's edges are walked and how the device is charged: "" or
-	// "blocked" is the edge walk accounted as one fused kernel per layer,
-	// "fused" the run walk (one row load and store per destination run)
-	// accounted as one streaming kernel, "device" the edge walk accounted
-	// as one kernel per micro-stage. The name is resolved by
-	// internal/kernels (exec cannot import it); an unknown name fails the
-	// executor call with a descriptive error rather than silently running
-	// the default.
+	// with. Every engine runs the same layer body and the same edge walk;
+	// an engine is only how the device is charged: "" or "blocked" is one
+	// fused kernel per layer, "fused" one streaming kernel priced by one
+	// row load and store per destination run, "device" one kernel per
+	// micro-stage. The name is resolved by internal/kernels (exec cannot
+	// import it); an unknown name fails the executor call with a
+	// descriptive error rather than silently running the default.
 	Engine string
 
 	peakWorkspace float64

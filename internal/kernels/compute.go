@@ -158,63 +158,22 @@ func invDegOf(g *graphT) func(int32) float32 {
 	}
 }
 
-// walk is an engine's traversal template: how the edges of a task reach
-// the destination rows of out. The model bodies in computeLayer supply the
-// per-edge feature computation as add(acc, k, e) — add edge e, the k-th of
-// its task, into acc — and never see which form runs:
-//
-//   - the edge walk (runs false) is the reference per-edge read-modify-
-//     write: acc is the destination's row of out itself;
-//   - the run walk (runs true) stages each maximal same-destination run in
-//     an accumulator: load the row, add the run in task-edge order, store
-//     the row — one load + store per run instead of one per edge.
-//
-// Both issue the identical additions in the identical order, so every
-// output bit agrees for every graph plan, operation plan and worker count.
-type walk struct {
-	runs bool
-	out  *tensor.Tensor
-	rs   rowSet
-	dst  []int32
-	acc  []float32 // one row of out wide; run walk only
-}
-
-func newWalk(runs bool, out *tensor.Tensor, rs rowSet, dst []int32) walk {
-	w := walk{runs: runs, out: out, rs: rs, dst: dst}
-	if runs {
-		w.acc = make([]float32, out.Dim(1))
-	}
-	return w
-}
-
-// task walks one task's edges.
-func (w walk) task(edges []int32, add func(acc []float32, k int, e int32)) {
-	if !w.runs {
-		for k, e := range edges {
-			add(w.out.Row(int(w.rs.at[w.dst[e]])), k, e)
-		}
-		return
-	}
-	taskRuns(w.dst, edges, func(d int32, i, j int) {
-		row := w.out.Row(int(w.rs.at[d]))
-		copy(w.acc, row)
-		for k := i; k < j; k++ {
-			add(w.acc, k, edges[k])
-		}
-		copy(row, w.acc)
-	})
-}
-
-// tasks walks every task of the partition in order.
-func (w walk) tasks(part *core.Partition, add func(acc []float32, k int, e int32)) {
+// walk is the one traversal of every model body: each task's edges in task
+// order, edge e added into its destination's row of out by add(row, e) —
+// one read-modify-write of the row per edge. Every engine runs it, so the
+// output bits never depend on the engine.
+func walk(part *core.Partition, out *tensor.Tensor, rs rowSet, dst []int32, add func(row []float32, e int32)) {
 	for ti := 0; ti < part.NumTasks(); ti++ {
-		w.task(part.TaskEdges(ti), add)
+		for _, e := range part.TaskEdges(ti) {
+			add(out.Row(int(rs.at[dst[e]])), e)
+		}
 	}
 }
 
 // taskRuns splits one task's edges into maximal same-destination runs
-// (consecutive task edges sharing a dst) — the run walk's streaming
-// granularity — calls fn, when set, with each run edges[i:j] in task order,
+// (consecutive task edges sharing a dst) — the streaming kernel's
+// granularity in the device model (fusedTaskBytes) and SAGE-LSTM's
+// recurrence — calls fn, when set, with each run edges[i:j] in task order,
 // and returns how many there are.
 func taskRuns(dst, edges []int32, fn func(d int32, i, j int)) int {
 	runs := 0
@@ -232,29 +191,10 @@ func taskRuns(dst, edges []int32, fn func(d int32, i, j int)) int {
 	return runs
 }
 
-// singleRunPerDst reports whether every destination's edges form exactly
-// one run across the whole partition — the condition under which SAGE's
-// neighbor mean never needs the [D,F] aggregation buffer at all (each
-// accumulator is complete when its run ends, so it can flow straight into
-// the dense transform).
-func singleRunPerDst(part *core.Partition, dst []int32, rs rowSet) bool {
-	seen := make([]bool, len(rs.ids))
-	ok := true
-	for ti := 0; ti < part.NumTasks(); ti++ {
-		taskRuns(dst, part.TaskEdges(ti), func(d int32, _, _ int) {
-			if seen[rs.at[d]] {
-				ok = false
-			}
-			seen[rs.at[d]] = true
-		})
-	}
-	return ok
-}
-
 // computeLayer is the one gTask body of every model: the dense transforms,
-// then each task's edges handed to the engine's walk (runs selects it, see
-// walk) with the model's per-edge computation.
-func computeLayer(gc *nn.GraphCtx, layer nn.Layer, x *tensor.Tensor, dsts []int32, part *core.Partition, plan Plan, runs bool) (*tensor.Tensor, error) {
+// then each task's edges walked (see walk) with the model's per-edge
+// computation.
+func computeLayer(gc *nn.GraphCtx, layer nn.Layer, x *tensor.Tensor, dsts []int32, part *core.Partition, plan Plan) (*tensor.Tensor, error) {
 	g := gc.G
 	rs, err := newRowSet(g, dsts)
 	if err != nil {
@@ -267,49 +207,30 @@ func computeLayer(gc *nn.GraphCtx, layer nn.Layer, x *tensor.Tensor, dsts []int3
 		xw := tensor.MatMulAcc(tensor.Get(x.Dim(0), l.OutDim()), x, l.W.Value)
 		defer tensor.Put(xw)
 		out := tensor.Get(len(dsts), l.OutDim())
-		newWalk(runs, out, rs, g.Dst).tasks(part, func(acc []float32, _ int, e int32) {
-			tensor.AxpyRow(acc, invDeg(e), xw.Row(int(g.Src[e])))
+		walk(part, out, rs, g.Dst, func(row []float32, e int32) {
+			tensor.AxpyRow(row, invDeg(e), xw.Row(int(g.Src[e])))
 		})
 		tensor.AddBias(out, l.B.Value)
 		return out, nil
 
 	case *nn.SAGELayer:
 		out := tensor.MatMulRowsAcc(tensor.Get(len(dsts), l.OutDim()), x, dsts, l.WSelf.Value)
-		mean := func(acc []float32, _ int, e int32) {
-			tensor.AxpyRow(acc, invDeg(e), x.Row(int(g.Src[e])))
-		}
-		if runs && singleRunPerDst(part, g.Dst, rs) {
-			// Zero-materialization path: the neighbor mean lives only in
-			// the accumulator and feeds the dense transform the moment its
-			// run completes.
-			acc := make([]float32, l.InDim())
-			for ti := 0; ti < part.NumTasks(); ti++ {
-				edges := part.TaskEdges(ti)
-				taskRuns(g.Dst, edges, func(d int32, i, j int) {
-					clear(acc)
-					for k := i; k < j; k++ {
-						mean(acc, k, edges[k])
-					}
-					tensor.VecMatAcc(out.Row(int(rs.at[d])), acc, l.WNeigh.Value)
-				})
-			}
-		} else {
-			// A destination's edges may fragment across runs: partial means
-			// must meet in memory before the dense transform (the partial
-			// products Σ₁·W + Σ₂·W would not be bitwise (Σ₁+Σ₂)·W).
-			agg := tensor.Get(len(dsts), l.InDim())
-			defer tensor.Put(agg)
-			newWalk(runs, agg, rs, g.Dst).tasks(part, mean)
-			tensor.MatMulAcc(out, agg, l.WNeigh.Value)
-		}
+		// The neighbour mean meets in memory before the dense transform:
+		// partial products Σ₁·W + Σ₂·W would not be bitwise (Σ₁+Σ₂)·W.
+		agg := tensor.Get(len(dsts), l.InDim())
+		defer tensor.Put(agg)
+		walk(part, agg, rs, g.Dst, func(row []float32, e int32) {
+			tensor.AxpyRow(row, invDeg(e), x.Row(int(g.Src[e])))
+		})
+		tensor.MatMulAcc(out, agg, l.WNeigh.Value)
 		tensor.AddBias(out, l.B.Value)
 		return out, nil
 
 	case *nn.RGCNLayer:
-		return computeRGCN(g, l, x, rs, part, plan, invDeg, runs), nil
+		return computeRGCN(g, l, x, rs, part, plan, invDeg), nil
 
 	case *nn.GATLayer:
-		return computeGAT(g, l, x, rs, part, runs), nil
+		return computeGAT(g, l, x, rs, part), nil
 
 	case *nn.SAGELSTMLayer:
 		// The recurrence streams one source row per step and holds (h, c)
@@ -321,24 +242,23 @@ func computeLayer(gc *nn.GraphCtx, layer nn.Layer, x *tensor.Tensor, dsts []int3
 
 // computeRGCN runs the RGCN aggregation per task, with the dedup'd
 // outer-product micro-kernel (paper Figure 10c) when the plan asks for it.
-func computeRGCN(g *graphT, l *nn.RGCNLayer, x *tensor.Tensor, rs rowSet, part *core.Partition, plan Plan, invDeg func(int32) float32, runs bool) *tensor.Tensor {
+func computeRGCN(g *graphT, l *nn.RGCNLayer, x *tensor.Tensor, rs rowSet, part *core.Partition, plan Plan, invDeg func(int32) float32) *tensor.Tensor {
 	in, outDim := l.InDim(), l.OutDim()
 	weight := func(tv int32) *tensor.Tensor {
 		return tensor.FromSlice(l.W.Value.Data()[int(tv)*in*outDim:(int(tv)+1)*in*outDim], in, outDim)
 	}
 	out := tensor.MatMulRowsAcc(tensor.Get(len(rs.ids), outDim), x, rs.ids, l.WSelf.Value)
-	w := newWalk(runs, out, rs, g.Dst)
-	msg := make([]float32, outDim)
-	perEdge := func(acc []float32, _ int, e int32) {
-		tensor.VecMat(msg, x.Row(int(g.Src[e])), weight(g.EdgeType(int(e))))
-		tensor.AxpyRow(acc, invDeg(e), msg)
+	if !plan.Dedup {
+		msg := make([]float32, outDim)
+		walk(part, out, rs, g.Dst, func(row []float32, e int32) {
+			tensor.VecMat(msg, x.Row(int(g.Src[e])), weight(g.EdgeType(int(e))))
+			tensor.AxpyRow(row, invDeg(e), msg)
+		})
+		tensor.AddBias(out, l.B.Value)
+		return out
 	}
 	for ti := 0; ti < part.NumTasks(); ti++ {
 		edges := part.TaskEdges(ti)
-		if !plan.Dedup {
-			w.task(edges, perEdge)
-			continue
-		}
 		// unique-value extraction on src and type, then the outer-product
 		// compute + 2-D indexing.
 		srcs := make([]int32, len(edges))
@@ -356,9 +276,9 @@ func computeRGCN(g *graphT, l *nn.RGCNLayer, x *tensor.Tensor, rs rowSet, part *
 				tensor.VecMat(prod.Row(i*len(uTyp)+j), x.Row(int(sv)), weight(tv))
 			}
 		}
-		w.task(edges, func(acc []float32, k int, e int32) {
-			tensor.AxpyRow(acc, invDeg(e), prod.Row(int(mSrc[k])*len(uTyp)+int(mTyp[k])))
-		})
+		for k, e := range edges {
+			tensor.AxpyRow(out.Row(int(rs.at[g.Dst[e]])), invDeg(e), prod.Row(int(mSrc[k])*len(uTyp)+int(mTyp[k])))
+		}
 		tensor.Put(prod)
 	}
 	tensor.AddBias(out, l.B.Value)
@@ -448,8 +368,8 @@ func gatScores(g *graphT, l *nn.GATLayer, x *tensor.Tensor, rs rowSet) (z, score
 // computeGAT runs the score/softmax phases (normalization is global per
 // destination regardless of task splits) and walks only the weighted
 // aggregation. The per-head attention coefficients stay materialized in
-// [E,heads] — heads ≪ F', so this is not traffic a walk can save.
-func computeGAT(g *graphT, l *nn.GATLayer, x *tensor.Tensor, rs rowSet, part *core.Partition, runs bool) *tensor.Tensor {
+// [E,heads] — heads ≪ F', so this is not traffic a fused kernel can save.
+func computeGAT(g *graphT, l *nn.GATLayer, x *tensor.Tensor, rs rowSet, part *core.Partition) *tensor.Tensor {
 	heads := l.Heads()
 	dh := l.OutDim() / heads
 	z, score, sum := gatScores(g, l, x, rs)
@@ -457,7 +377,7 @@ func computeGAT(g *graphT, l *nn.GATLayer, x *tensor.Tensor, rs rowSet, part *co
 	defer tensor.Put(score)
 	defer tensor.Put(sum)
 	out := tensor.Get(len(rs.ids), l.OutDim())
-	newWalk(runs, out, rs, g.Dst).tasks(part, func(acc []float32, _ int, ei int32) {
+	walk(part, out, rs, g.Dst, func(row []float32, ei int32) {
 		sr := score.Row(int(ei))
 		zr := z.Row(int(g.Src[ei]))
 		su := sum.Row(int(rs.at[g.Dst[ei]]))
@@ -465,7 +385,7 @@ func computeGAT(g *graphT, l *nn.GATLayer, x *tensor.Tensor, rs rowSet, part *co
 			if su[h] == 0 {
 				continue
 			}
-			tensor.AxpyRow(acc[h*dh:(h+1)*dh], sr[h]/su[h], zr[h*dh:(h+1)*dh])
+			tensor.AxpyRow(row[h*dh:(h+1)*dh], sr[h]/su[h], zr[h*dh:(h+1)*dh])
 		}
 	})
 	tensor.AddBias(out, l.B.Value)

@@ -11,26 +11,25 @@ import (
 	"wisegraph/internal/tensor"
 )
 
-// Engine is one strategy for executing a GNN layer over the gTasks of a
-// graph partition: a walk (how a task's edges reach the destination rows,
-// see walk) plus an accounting (which kernels the layer is charged as on
-// the simulated device). Every model has one body (computeLayer) and all
-// engines are bitwise-identical in their numeric output. Engines come from
-// Select (the zero value runs nothing):
+// Engine is one accounting of a GNN layer over the gTasks of a graph
+// partition: which kernels the layer is charged as on the simulated device
+// and what global-memory traffic each task is modeled to move. Every model
+// has one body (computeLayer) and every engine runs it — the same edge
+// walk, so the numeric output never depends on the engine. Engines come
+// from Select (the zero value runs nothing):
 //
-//   - "blocked": the reference edge walk — one read-modify-write of the
-//     destination row per edge — accounted as the composed program's one
-//     fused cost-model kernel per layer.
-//   - "fused": the run walk — each destination run is staged in a register-
-//     resident accumulator, one row load + store per run — accounted as one
-//     streaming kernel priced by that traffic.
-//   - "device": the edge walk, but every micro-kernel stage of the composed
-//     program (micro.go) is launched as its own named kernel so
-//     device.KernelStats exposes a per-stage breakdown that can be checked
-//     against the fused engine's bytes-moved model.
+//   - "blocked": the composed program's one fused cost-model kernel per
+//     layer ("gtask.fused"), its traffic priced as the edge walk's — a
+//     destination-row read-modify-write per edge (blockedTaskBytes).
+//   - "fused": one streaming kernel ("gtask.stream") priced by the device
+//     model of a register-resident accumulator per same-destination run —
+//     one row load + store per run (fusedTaskBytes).
+//   - "device": every micro-kernel stage of the composed program (micro.go)
+//     launched as its own named kernel, so device.KernelStats exposes a
+//     per-stage breakdown that can be checked against the fused engine's
+//     bytes-moved model.
 type Engine struct {
 	name string
-	runs bool
 	// account launches the layer's gTask kernel(s) on ctx's device.
 	account func(ctx *exec.Ctx, t pricedTasks)
 	// taskBytes models the global-memory traffic of task ti under this
@@ -40,7 +39,7 @@ type Engine struct {
 
 var engines = []Engine{
 	{name: "blocked", account: oneKernel("gtask.fused", composedTaskBytes), taskBytes: blockedTaskBytes},
-	{name: "fused", runs: true, account: oneKernel("gtask.stream", fusedTaskBytes), taskBytes: fusedTaskBytes},
+	{name: "fused", account: oneKernel("gtask.stream", fusedTaskBytes), taskBytes: fusedTaskBytes},
 	{name: "device", account: stageKernels, taskBytes: composedTaskBytes},
 }
 
@@ -123,8 +122,7 @@ func (e Engine) LayerBytes(sh LayerShape, part *core.Partition, plan Plan) float
 // only G set.
 func (e Engine) RunLayer(ctx *exec.Ctx, gc *nn.GraphCtx, layer nn.Layer, sh LayerShape, x *tensor.Tensor, dsts []int32, part *core.Partition, plan Plan) (*tensor.Tensor, error) {
 	// Shared dense transforms, then the gTask kernel(s). The arithmetic is
-	// the same under every engine; only the traffic model and the launch
-	// granularity differ.
+	// the same under every engine; only the accounting differs.
 	for _, k := range DenseKernels(sh, gc.NumVertices(), len(dsts)) {
 		ctx.Launch(k)
 	}
@@ -132,7 +130,7 @@ func (e Engine) RunLayer(ctx *exec.Ctx, gc *nn.GraphCtx, layer nn.Layer, sh Laye
 	if !ctx.Compute {
 		return nil, nil
 	}
-	return computeLayer(gc, layer, x, dsts, part, plan, e.runs)
+	return computeLayer(gc, layer, x, dsts, part, plan)
 }
 
 // oneKernel accounts the layer as a single launch whose work items are the
@@ -230,8 +228,8 @@ func blockedTaskBytes(t pricedTasks, ti int) float64 {
 	return 0
 }
 
-// fusedTaskBytes models the run walk's global-memory traffic for one
-// task: source rows cross once per edge, the index arrays once, each
+// fusedTaskBytes is the device model of the streaming kernel's global-
+// memory traffic for one task: source rows cross once per edge, the index arrays once, each
 // destination run costs one accumulator load + store (instead of a
 // read-modify-write per edge), and weights stay resident across the task —
 // no per-edge [e,F'] store/reload and no per-edge weight refetch.
@@ -259,8 +257,7 @@ func fusedTaskBytes(t pricedTasks, ti int) float64 {
 	case nn.GAT:
 		return (e*fp + 4*e + 2*r*fp) * fb
 	case nn.SAGELSTM:
-		// Identical execution to blocked (see computeLayer), so identical
-		// traffic.
+		// the recurrence streams identically under every engine
 		return composedTaskBytes(t, ti)
 	}
 	return 0

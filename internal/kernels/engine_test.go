@@ -23,8 +23,8 @@ func engineNamed(t *testing.T, name string) Engine {
 	return eng
 }
 
-// TestSelectEngine pins the engine table: the three names, which walk each
-// one runs, and the gTask kernels it launches per layer.
+// TestSelectEngine pins the engine table: the three names and the gTask
+// kernels each launches per layer.
 func TestSelectEngine(t *testing.T) {
 	gc, m, x := setup(t, nn.GCN)
 	part := core.PartitionGraph(gc.G, core.VertexCentric(), allAttrs())
@@ -37,17 +37,16 @@ func TestSelectEngine(t *testing.T) {
 	}
 	for _, c := range []struct {
 		name, want string
-		runs       bool
 		kernels    []string
 	}{
-		{"", "blocked", false, []string{"gtask.fused"}},
-		{"blocked", "blocked", false, []string{"gtask.fused"}},
-		{"fused", "fused", true, []string{"gtask.stream"}},
-		{"device", "device", false, stages},
+		{"", "blocked", []string{"gtask.fused"}},
+		{"blocked", "blocked", []string{"gtask.fused"}},
+		{"fused", "fused", []string{"gtask.stream"}},
+		{"device", "device", stages},
 	} {
 		eng := engineNamed(t, c.name)
-		if eng.Name() != c.want || eng.runs != c.runs {
-			t.Fatalf("Select(%q) = %q runs=%v, want %q runs=%v", c.name, eng.Name(), eng.runs, c.want, c.runs)
+		if eng.Name() != c.want {
+			t.Fatalf("Select(%q) = %q, want %q", c.name, eng.Name(), c.want)
 		}
 		ctx := exec.NewCtx(device.New(device.A100()))
 		ctx.Compute = false
@@ -75,61 +74,6 @@ func TestSelectEngine(t *testing.T) {
 	}
 	if _, err := Select("warp"); err == nil || !strings.Contains(err.Error(), "unknown engine") {
 		t.Fatalf("Select(warp) = %v, want unknown-engine error", err)
-	}
-}
-
-// TestRunWalkAddsInEdgeWalkOrder checks the bitwise claim at the seam: for
-// every model's plans, and one that provably fragments a destination
-// across runs, the run walk hands add the (k, e) sequence of the edge walk,
-// and every destination row receives the same edges in the same order —
-// add folds each edge into its row with an order-sensitive hash, so two
-// rows agree exactly when their sequences do.
-func TestRunWalkAddsInEdgeWalkOrder(t *testing.T) {
-	type call struct {
-		k int
-		e int32
-	}
-	for kind := nn.ModelKind(0); kind < nn.NumModels; kind++ {
-		gc, _, _ := setup(t, kind)
-		g := gc.G
-		all := allRows(g.NumVertices)
-		rs, err := newRowSet(g, all)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Edge-id chunks cut through destinations whatever the sort key.
-		fragmenting := core.GraphPlan{Name: "edge-id-chunks", Restrictions: []core.Restriction{{Attr: core.AttrEdgeID, Kind: core.Exact, Limit: 7}}}
-		sawFragmented := false
-		for _, gp := range append(plansFor(kind), fragmenting) {
-			part := core.PartitionGraph(g, gp, allAttrs())
-			sawFragmented = sawFragmented || !singleRunPerDst(part, g.Dst, rs)
-			walked := func(runs bool) ([]call, *tensor.Tensor) {
-				var calls []call
-				out := tensor.New(g.NumVertices, 2)
-				newWalk(runs, out, rs, g.Dst).tasks(part, func(acc []float32, k int, e int32) {
-					calls = append(calls, call{k, e})
-					acc[0] = float32((int(acc[0])*31 + int(e) + 1) % 65521)
-					acc[1]++
-				})
-				return calls, out
-			}
-			wantCalls, want := walked(false)
-			gotCalls, got := walked(true)
-			if len(wantCalls) != g.NumEdges() {
-				t.Fatalf("%v plan %v: edge walk made %d calls for %d edges", kind, gp, len(wantCalls), g.NumEdges())
-			}
-			if !slices.Equal(gotCalls, wantCalls) {
-				t.Fatalf("%v plan %v: run walk's (k, e) sequence differs from the edge walk's", kind, gp)
-			}
-			if !slices.Equal(got.Data(), want.Data()) {
-				t.Fatalf("%v plan %v: some destination row received a different edge sequence", kind, gp)
-			}
-		}
-		if !sawFragmented {
-			t.Fatalf("%v: no plan split a destination across runs", kind)
-		}
-		rs.release()
-		tensor.PutI32(all)
 	}
 }
 

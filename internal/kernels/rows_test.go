@@ -52,24 +52,32 @@ func sampledBlock(seed uint64, n, types int) (*graph.Graph, []int32) {
 
 // blockPlans picks, from the plans valid for kind, the vertex-centric
 // plan, the whole-graph plan where valid, and every plan that splits some
-// destination's edges across runs (what sends fused SAGE down its
-// aggregation-buffer branch), up to three of those.
-func blockPlans(kind nn.ModelKind, g *graph.Graph, targets []int32) (plans []core.GraphPlan, fragmenting int) {
-	rs, err := newRowSet(g, targets)
-	if err != nil {
-		panic(err)
-	}
-	defer rs.release()
+// destination's edges across runs, up to three of those.
+func blockPlans(kind nn.ModelKind, g *graph.Graph) (plans []core.GraphPlan, fragmenting int) {
 	for _, gp := range plansFor(kind) {
 		switch {
 		case gp.Name == "vertex-centric" || gp.Name == "whole-graph":
 			plans = append(plans, gp)
-		case fragmenting < 3 && !singleRunPerDst(core.PartitionGraph(g, gp, allAttrs()), g.Dst, rs):
+		case fragmenting < 3 && splitsDestination(core.PartitionGraph(g, gp, allAttrs()), g.Dst):
 			plans = append(plans, gp)
 			fragmenting++
 		}
 	}
 	return plans, fragmenting
+}
+
+// splitsDestination reports whether some destination's edges form more
+// than one run across the partition's tasks.
+func splitsDestination(part *core.Partition, dst []int32) bool {
+	seen := map[int32]bool{}
+	split := false
+	for ti := 0; ti < part.NumTasks(); ti++ {
+		taskRuns(dst, part.TaskEdges(ti), func(d int32, _, _ int) {
+			split = split || seen[d]
+			seen[d] = true
+		})
+	}
+	return split
 }
 
 func layerRows(t *testing.T, engine string, gc *nn.GraphCtx, m *nn.Model, x *tensor.Tensor, dsts []int32, part *core.Partition, op Plan) *tensor.Tensor {
@@ -102,7 +110,7 @@ func TestDestinationRowsBitwiseEqualAllRows(t *testing.T) {
 				x := tensor.New(g.NumVertices, f)
 				tensor.Uniform(x, tensor.NewRNG(seed+100), -1, 1)
 				all := allRows(g.NumVertices)
-				plans, fragmenting := blockPlans(kind, g, targets)
+				plans, fragmenting := blockPlans(kind, g)
 				if len(plans) < 3 && kind != nn.SAGELSTM {
 					t.Fatalf("seed %d: only %d graph plans", seed, len(plans))
 				}

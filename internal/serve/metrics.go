@@ -17,9 +17,6 @@ import (
 // timings use one implementation and one quantile estimator.
 type Histogram = obs.Histogram
 
-// histBuckets is kept for the serve tests' bucket-geometry assertions.
-const histBuckets = obs.NumBuckets
-
 // Stats aggregates every serving counter. All fields are atomics updated
 // lock-free on the request path; Snapshot assembles a JSON-friendly view.
 //

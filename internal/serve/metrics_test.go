@@ -3,6 +3,8 @@ package serve
 import (
 	"testing"
 	"time"
+
+	"wisegraph/internal/obs"
 )
 
 func TestHistogramQuantiles(t *testing.T) {
@@ -49,8 +51,8 @@ func TestHistogramEdgeCases(t *testing.T) {
 	// interpolated estimate stays inside it.
 	var h2 Histogram
 	h2.Observe(time.Duration(1<<62) + 5)
-	lo := time.Duration(1) << (histBuckets - 2)
-	hi := time.Duration(1) << (histBuckets - 1)
+	lo := time.Duration(1) << (obs.NumBuckets - 2)
+	hi := time.Duration(1) << (obs.NumBuckets - 1)
 	if got := h2.Quantile(0.5); got < lo || got > hi {
 		t.Errorf("overflow quantile = %v, want within [%v, %v]", got, lo, hi)
 	}

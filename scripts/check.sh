@@ -82,11 +82,12 @@ run_filtered "kernel oracles / first-layer backward" 'Bitwise|Panics|FirstLayer'
 # tests hold the same at 4 devices on an untyped graph.
 run_filtered "multi-device forward parity" 'ForwardBitwise|ForwardMatchesReference' ./internal/dist/
 
-# Cross-engine parity: the fused and device execution engines must be
-# bitwise-identical to the blocked reference across models, plans, worker
-# counts and destination-row sets. An engine is named on exec.Ctx only —
-# serving and training run the default — so every engine-parity test
-# lives in internal/kernels.
+# Cross-engine parity: every engine runs the same edge walk and differs
+# only in its device accounting, so fused and device must stay
+# bitwise-identical to blocked across models, plans, worker counts and
+# destination-row sets, and each name must keep launching its own gTask
+# kernels. An engine is named on exec.Ctx only — serving and training run
+# the default — so every engine test lives in internal/kernels.
 run_filtered "cross-engine parity" 'Engine|DestinationRows' ./internal/kernels/
 
 # Serving is one forward — the serve engine's admission/batching/drain
