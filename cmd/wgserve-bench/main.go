@@ -89,8 +89,8 @@ func main() {
 				snap.Shards, snap.ShardHedges, snap.ShardRetries, snap.ShardTimeouts,
 				snap.ShardFailures, snap.DegradedRetries)
 			for _, ss := range snap.PerShard {
-				fmt.Printf("  shard %d [%d,%d): rpcs=%d qps=%.1f p50=%.2fms p99=%.2fms cache-hits=%d\n",
-					ss.ID, ss.Lo, ss.Hi, ss.RPCs, ss.QPS, ss.P50Ms, ss.P99Ms, ss.CacheHits)
+				fmt.Printf("  shard %d [%d,%d): rpcs=%d p50=%.2fms p99=%.2fms cache-hits=%d\n",
+					ss.ID, ss.Lo, ss.Hi, ss.RPCs, ss.P50Ms, ss.P99Ms, ss.CacheHits)
 			}
 		}
 	}

@@ -48,7 +48,6 @@ func main() {
 		addr        = flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
 		workers     = flag.Int("workers", 2, "forward-pass workers")
 		batchCap    = flag.Int("batch-cap", 16, "max requests per micro-batch")
-		batchDelay  = flag.Duration("batch-delay", 2*time.Millisecond, "micro-batch fill deadline")
 		queueDepth  = flag.Int("queue-depth", 0, "admission queue depth (default 4x batch cap)")
 		deadline    = flag.Duration("deadline", 2*time.Second, "default per-request deadline")
 		fanout      = flag.String("fanout", "", "sampling fan-outs, comma-separated (default 10 per layer)")
@@ -100,7 +99,6 @@ func main() {
 	opts := serve.Options{
 		Workers:      *workers,
 		BatchCap:     *batchCap,
-		BatchDelay:   *batchDelay,
 		QueueDepth:   *queueDepth,
 		Deadline:     *deadline,
 		Seed:         *seed,

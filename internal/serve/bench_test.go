@@ -4,7 +4,6 @@ import (
 	"context"
 	"io"
 	"testing"
-	"time"
 
 	"wisegraph/internal/dataset"
 	"wisegraph/internal/nn"
@@ -27,7 +26,7 @@ func BenchmarkPredict(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e, err := NewEngine(ds, m, Options{Workers: 1, BatchCap: 1, BatchDelay: time.Microsecond})
+	e, err := NewEngine(ds, m, Options{Workers: 1, BatchCap: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -58,7 +57,7 @@ func BenchmarkPredictObserved(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e, err := NewEngine(ds, m, Options{Workers: 1, BatchCap: 1, BatchDelay: time.Microsecond})
+	e, err := NewEngine(ds, m, Options{Workers: 1, BatchCap: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -84,7 +83,7 @@ func BenchmarkWriteMetrics(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e, err := NewEngine(ds, m, Options{Workers: 1, BatchCap: 1, BatchDelay: time.Microsecond})
+	e, err := NewEngine(ds, m, Options{Workers: 1, BatchCap: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -187,7 +187,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative-workers", Options{Workers: -1}, false},
 		{"negative-batch-cap", Options{BatchCap: -4}, false},
 		{"negative-queue-depth", Options{QueueDepth: -1}, false},
-		{"negative-batch-delay", Options{BatchDelay: -time.Second}, false},
 		{"negative-deadline", Options{Deadline: -time.Second}, false},
 		{"negative-cache-budget", Options{CacheBudget: -1}, false},
 		{"fanouts-length-mismatch", Options{Fanouts: []int{10}}, false},
@@ -226,8 +225,7 @@ func TestChaosCacheDrainInvariant(t *testing.T) {
 	const vertices = 80
 	ds := testDataset(t, vertices, 320, 10, 4, 1, 2)
 	e := testEngine(t, ds, testModel(t, ds, nn.SAGE), Options{
-		Workers: 2, BatchCap: 8, BatchDelay: time.Millisecond,
-		QueueDepth: 64, Seed: 5, CacheBudget: 1 << 20,
+		Workers: 2, BatchCap: 8, QueueDepth: 64, Seed: 5, CacheBudget: 1 << 20,
 	})
 	sched := &fault.Schedule{
 		Seed: 1234,

@@ -39,8 +39,7 @@ func TestChaosDrainInvariantUnderFaults(t *testing.T) {
 	const vertices = 80
 	ds := testDataset(t, vertices, 320, 10, 4, 1, 2)
 	e := testEngine(t, ds, testModel(t, ds, nn.SAGE), Options{
-		Workers: 2, BatchCap: 8, BatchDelay: time.Millisecond,
-		QueueDepth: 64, Seed: 5,
+		Workers: 2, BatchCap: 8, QueueDepth: 64, Seed: 5,
 	})
 	sched := &fault.Schedule{
 		Seed: 1234,
@@ -109,7 +108,7 @@ func TestChaosTotalFailureStillAccounted(t *testing.T) {
 	const vertices = 40
 	ds := testDataset(t, vertices, 160, 8, 3, 1, 3)
 	e := testEngine(t, ds, testModel(t, ds, nn.SAGE), Options{
-		Workers: 1, BatchCap: 4, BatchDelay: time.Millisecond, Seed: 6,
+		Workers: 1, BatchCap: 4, Seed: 6,
 	})
 	fault.WithSchedule(&fault.Schedule{
 		Seed:  7,
@@ -154,7 +153,7 @@ func TestChaosBatchLatencyIsWaitedOut(t *testing.T) {
 	const vertices, clients, perClient = 40, 4, 5
 	ds := testDataset(t, vertices, 160, 8, 3, 1, 4)
 	e := testEngine(t, ds, testModel(t, ds, nn.SAGE), Options{
-		Workers: 1, BatchCap: 4, BatchDelay: time.Millisecond, Seed: 8,
+		Workers: 1, BatchCap: 4, Seed: 8,
 	})
 	want := make([][]float32, clients*perClient)
 	for n := range want {

@@ -6,8 +6,8 @@
 // single-node serving is the fleet of one in-process shard.
 //
 // The core is a dynamic micro-batcher: concurrent requests are coalesced —
-// up to a size cap or a fill deadline, whichever comes first — into one
-// sampled-subgraph forward pass whose results are demultiplexed back to
+// up to a size cap, for as long as an earlier batch is still running — into
+// one sampled-subgraph forward pass whose results are demultiplexed back to
 // the callers. Batch size is a workload-partition knob chosen online, the
 // serving-side analogue of WiseGraph's operation-partition dimension.
 // Around it sits the robustness machinery a production endpoint needs:
@@ -57,10 +57,6 @@ type Options struct {
 	Workers int
 	// BatchCap is the most requests one micro-batch coalesces (default 16).
 	BatchCap int
-	// BatchDelay is how long the batcher waits for a batch to fill after
-	// its first request arrives (default 2ms). Lower favors latency,
-	// higher favors throughput.
-	BatchDelay time.Duration
 	// QueueDepth bounds the admission queue; requests beyond it are shed
 	// with ErrOverloaded (default 4×BatchCap).
 	QueueDepth int
@@ -126,9 +122,8 @@ func (o Options) Validate(layers int) error {
 		return fmt.Errorf("serve: negative batch cap %d", o.BatchCap)
 	case o.QueueDepth < 0:
 		return fmt.Errorf("serve: negative queue depth %d", o.QueueDepth)
-	case o.BatchDelay < 0 || o.Deadline < 0:
-		return fmt.Errorf("serve: negative duration option (delay %v, deadline %v)",
-			o.BatchDelay, o.Deadline)
+	case o.Deadline < 0:
+		return fmt.Errorf("serve: negative deadline %v", o.Deadline)
 	case o.CacheBudget < 0:
 		return fmt.Errorf("serve: negative cache budget %d bytes", o.CacheBudget)
 	case o.CacheBudget > 0 && layers <= 0:
@@ -173,9 +168,6 @@ func (o Options) withDefaults(layers int) Options {
 	}
 	if o.BatchCap <= 0 {
 		o.BatchCap = 16
-	}
-	if o.BatchDelay <= 0 {
-		o.BatchDelay = 2 * time.Millisecond
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 4 * o.BatchCap
@@ -255,6 +247,10 @@ type Engine struct {
 	stopOnce sync.Once
 	batches  chan []*request
 	workerWG sync.WaitGroup
+	// running counts dispatched-but-unfinished batches; the worker that
+	// brings it to 0 wakes a filling batcher through idle.
+	running atomic.Int64
+	idle    chan struct{} // buffered(1): "running reached 0" since last read
 
 	inflight atomic.Int64
 	stats    *Stats
@@ -291,6 +287,7 @@ func NewEngine(ds *dataset.Dataset, model *nn.Model, opts Options) (*Engine, err
 		queue:   make(chan *request, opts.QueueDepth),
 		stop:    make(chan struct{}),
 		batches: make(chan []*request, opts.Workers),
+		idle:    make(chan struct{}, 1),
 		stats:   newStats(opts.BatchCap),
 		drained: make(chan struct{}),
 	}
@@ -455,13 +452,20 @@ func (e *Engine) cancel(r *request, err error) {
 // whole batch so every shard RPC of the batch carries one coherent
 // version: the version tags every cache operation, so a reload can
 // neither serve the batch stale rows nor admit its rows into the
-// refreshed cache.
+// refreshed cache. The last batch to finish wakes the batcher, which then
+// dispatches whatever it has been filling.
 func (e *Engine) worker() {
 	defer e.workerWG.Done()
 	for batch := range e.batches {
 		e.modelMu.RLock()
 		e.runBatch(batch, e.modelVersion.Load())
 		e.modelMu.RUnlock()
+		if e.running.Add(-1) == 0 {
+			select {
+			case e.idle <- struct{}{}:
+			default: // a wake-up is already pending
+			}
+		}
 	}
 }
 
@@ -508,13 +512,15 @@ func (e *Engine) runBatch(batch []*request, ver uint64) {
 	}
 	// Drop requests whose deadline already passed while queued: they are
 	// canceled, never completed, and their timed-out queue latencies stay
-	// out of the served-latency histogram.
+	// out of the served-latency histogram. A live request's wait from
+	// admission to here is its queue wait.
 	live := batch[:0]
 	for _, r := range batch {
 		if err := r.ctx.Err(); err != nil {
 			e.cancel(r, err)
 			continue
 		}
+		e.stats.queueWait.Observe(time.Since(r.enqueued))
 		live = append(live, r)
 	}
 	if len(live) == 0 {
@@ -619,8 +625,8 @@ func argmax(row []float32) int32 {
 
 // Shutdown drains the engine: new requests are rejected with ErrDraining,
 // everything already admitted is answered, the batcher flushes the queue
-// without waiting out fill deadlines, and workers exit once the last
-// micro-batch completes. Returns ctx.Err() if the deadline passes first.
+// at once without waiting for running batches, and workers exit once the
+// last micro-batch completes. Returns ctx.Err() if the deadline passes first.
 func (e *Engine) Shutdown(ctx context.Context) error {
 	e.admitMu.Lock()
 	e.draining = true

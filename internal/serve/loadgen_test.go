@@ -87,7 +87,7 @@ func TestBatchingThroughputAdvantage(t *testing.T) {
 	repUnbatched := closedLoop(unbatched, clients, dur, 11)
 
 	batched := testEngine(t, ds, m, Options{
-		Workers: 1, BatchCap: 16, BatchDelay: 500 * time.Microsecond, QueueDepth: 64, Seed: 3,
+		Workers: 1, BatchCap: 16, QueueDepth: 64, Seed: 3,
 	})
 	repBatched := closedLoop(batched, clients, dur, 11)
 

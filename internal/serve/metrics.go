@@ -42,6 +42,9 @@ type Stats struct {
 	batchSizes []atomic.Uint64
 
 	latency Histogram
+	// queueWait is each live request's time from admission to the start of
+	// its micro-batch: the part of its latency spent waiting for a batch.
+	queueWait Histogram
 }
 
 func newStats(batchCap int) *Stats {
@@ -72,7 +75,6 @@ func (s *Stats) recordCanceled() {
 
 // Snapshot is the /statsz payload.
 type Snapshot struct {
-	UptimeSeconds    float64        `json:"uptimeSeconds"`
 	Admitted         uint64         `json:"admitted"`
 	Completed        uint64         `json:"completed"`
 	Shed             uint64         `json:"shed"`
@@ -85,11 +87,13 @@ type Snapshot struct {
 	DegradedRetries  uint64         `json:"degradedRetries"`
 	AvgBatchSize     float64        `json:"avgBatchSize"`
 	BatchSizeDist    map[int]uint64 `json:"batchSizeDist"`
-	LifetimeQPS      float64        `json:"lifetimeQPS"`
 	LatencyMeanMs    float64        `json:"latencyMeanMs"`
 	LatencyP50Ms     float64        `json:"latencyP50Ms"`
 	LatencyP95Ms     float64        `json:"latencyP95Ms"`
 	LatencyP99Ms     float64        `json:"latencyP99Ms"`
+	// QueueWaitSeconds is the cumulative time served requests spent
+	// between admission and the start of their micro-batch.
+	QueueWaitSeconds float64 `json:"queueWaitSeconds"`
 
 	// Hot-vertex cache accounting (all zero when the cache is disabled).
 	CacheEnabled       bool    `json:"cacheEnabled"`
@@ -113,7 +117,7 @@ type Snapshot struct {
 	// The serving fleet (a single node is 1 shard × 1 replica). The
 	// cache fields above aggregate the per-shard caches fleet-wide;
 	// PerShard carries the per-shard breakdown including each shard's
-	// router-side RPC QPS and latency quantiles.
+	// router-side RPC count and latency quantiles.
 	Shards        int           `json:"shards,omitempty"`
 	ShardReplicas int           `json:"shardReplicas,omitempty"`
 	ShardRetries  uint64        `json:"shardRetries,omitempty"`
@@ -125,8 +129,6 @@ type Snapshot struct {
 }
 
 func (s *Stats) snapshot(inFlight int64, queueDepth int) Snapshot {
-	up := time.Since(s.start).Seconds()
-	completed := s.completed.Load()
 	dist := make(map[int]uint64)
 	var sizeSum uint64
 	for n := range s.batchSizes {
@@ -140,15 +142,10 @@ func (s *Stats) snapshot(inFlight int64, queueDepth int) Snapshot {
 	if batches > 0 {
 		avg = float64(sizeSum) / float64(batches)
 	}
-	lifetime := 0.0
-	if up > 0 {
-		lifetime = float64(completed) / up
-	}
 	ms := func(d time.Duration) float64 { return float64(d) / 1e6 }
 	return Snapshot{
-		UptimeSeconds:    up,
 		Admitted:         s.admitted.Load(),
-		Completed:        completed,
+		Completed:        s.completed.Load(),
 		Shed:             s.shed.Load(),
 		RejectedDraining: s.rejected.Load(),
 		Canceled:         s.canceled.Load(),
@@ -159,11 +156,11 @@ func (s *Stats) snapshot(inFlight int64, queueDepth int) Snapshot {
 		DegradedRetries:  s.degraded.Load(),
 		AvgBatchSize:     avg,
 		BatchSizeDist:    dist,
-		LifetimeQPS:      lifetime,
 		LatencyMeanMs:    ms(s.latency.Mean()),
 		LatencyP50Ms:     ms(s.latency.Quantile(0.50)),
 		LatencyP95Ms:     ms(s.latency.Quantile(0.95)),
 		LatencyP99Ms:     ms(s.latency.Quantile(0.99)),
+		QueueWaitSeconds: s.queueWait.Sum().Seconds(),
 	}
 }
 
@@ -187,6 +184,7 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 	p.Gauge("wisegraph_serve_in_flight", "", float64(e.inflight.Load()))
 	p.Gauge("wisegraph_serve_queue_depth", "", float64(len(e.queue)))
 	p.Histogram("wisegraph_serve_latency_seconds", "", &s.latency)
+	p.Histogram("wisegraph_serve_queue_wait_seconds", "", &s.queueWait)
 
 	// Hot-vertex cache accounting (only exported when the cache is on),
 	// aggregated across the in-process shards' caches.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,7 +22,7 @@ import (
 func TestCanceledNotCompleted(t *testing.T) {
 	ds := testDataset(t, 60, 240, 12, 5, 1, 1)
 	e := testEngine(t, ds, testModel(t, ds, nn.SAGE), Options{
-		Workers: 1, BatchCap: 4, BatchDelay: time.Millisecond, QueueDepth: 16, Seed: 3,
+		Workers: 1, BatchCap: 4, QueueDepth: 16, Seed: 3,
 	})
 	release := make(chan struct{})
 	var gate sync.Once
@@ -87,35 +88,101 @@ func waitFor(t *testing.T, cond func() bool) {
 	t.Fatal("condition never became true")
 }
 
-// TestBatchAtExactCap: when BatchCap requests are already waiting, the
-// batcher must dispatch the moment the batch fills, not wait out the fill
-// deadline.
+// holdFirstBatch makes e's first micro-batch stop at its start until the
+// returned release is called; held is closed once it has stopped there.
+// Every later batch runs straight through.
+func holdFirstBatch(e *Engine) (held <-chan struct{}, release func()) {
+	h, r := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int64
+	e.testHookBatchStart = func() {
+		if calls.Add(1) == 1 {
+			close(h)
+			<-r
+		}
+	}
+	return h, func() { close(r) }
+}
+
+// predictAll issues one single-node Predict per id concurrently; wait
+// returns once every one has answered.
+func predictAll(t *testing.T, e *Engine, ids ...int32) (wait func()) {
+	var wg sync.WaitGroup
+	for _, id := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := e.Predict(context.Background(), []int32{id}, false); err != nil {
+				t.Errorf("Predict %d: %v", id, err)
+			}
+		}()
+	}
+	return wg.Wait
+}
+
+// wantBatches fails unless e ran exactly the batches in sizes (size → count).
+func wantBatches(t *testing.T, e *Engine, sizes map[int]uint64) {
+	t.Helper()
+	st := e.Stats()
+	var n uint64
+	for size, c := range sizes {
+		n += c
+		if st.BatchSizeDist[size] != c {
+			t.Errorf("%d batches of %d, want %d (dist %v)", st.BatchSizeDist[size], size, c, st.BatchSizeDist)
+		}
+	}
+	if st.Batches != n {
+		t.Errorf("batches = %d, want %d (dist %v)", st.Batches, n, st.BatchSizeDist)
+	}
+}
+
+// TestLoneRequestRunsAtOnce: on an idle engine a lone request is a batch
+// of its own — nothing is running, so there is nothing to wait for.
+func TestLoneRequestRunsAtOnce(t *testing.T) {
+	ds := testDataset(t, 60, 240, 12, 5, 1, 1)
+	e := testEngine(t, ds, testModel(t, ds, nn.SAGE), Options{Seed: 3})
+	predictAll(t, e, 7)()
+	wantBatches(t, e, map[int]uint64{1: 1})
+	waitInFlightZero(t, e)
+}
+
+// TestBatchFillsWhileOneRuns: while a batch runs, requests keep joining the
+// open batch even though a second worker is free, and the open batch
+// leaves as one batch of all of them when the running one finishes.
+func TestBatchFillsWhileOneRuns(t *testing.T) {
+	const cap, k = 8, 5
+	ds := testDataset(t, 60, 240, 12, 5, 1, 1)
+	e := testEngine(t, ds, testModel(t, ds, nn.SAGE), Options{
+		Workers: 2, BatchCap: cap, QueueDepth: 16, Seed: 3,
+	})
+	held, release := holdFirstBatch(e)
+	first := predictAll(t, e, 0)
+	<-held
+	rest := predictAll(t, e, 1, 2, 3, 4, 5)
+	waitFor(t, func() bool { return e.Stats().Admitted == 1+k })
+	release()
+	first()
+	rest()
+	wantBatches(t, e, map[int]uint64{1: 1, k: 1})
+	waitInFlightZero(t, e)
+}
+
+// TestBatchAtExactCap: a batch that reaches BatchCap while another runs is
+// dispatched at once to the free worker — it starts, runs and answers all
+// of its requests while the first batch is still held.
 func TestBatchAtExactCap(t *testing.T) {
 	const cap = 4
 	ds := testDataset(t, 60, 240, 12, 5, 1, 1)
 	e := testEngine(t, ds, testModel(t, ds, nn.SAGE), Options{
-		Workers: 1, BatchCap: cap, BatchDelay: 10 * time.Second, QueueDepth: 16, Seed: 3,
+		Workers: 2, BatchCap: cap, QueueDepth: 16, Seed: 3,
 	})
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < cap; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := e.Predict(context.Background(), []int32{int32(i)}, false); err != nil {
-				t.Errorf("Predict %d: %v", i, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("full batch waited for the fill deadline (%v elapsed)", elapsed)
-	}
-	st := e.Stats()
-	if st.Batches != 1 || st.BatchSizeDist[cap] != 1 {
-		t.Fatalf("batches = %d, dist = %v; want one batch of exactly %d", st.Batches, st.BatchSizeDist, cap)
-	}
+	held, release := holdFirstBatch(e)
+	first := predictAll(t, e, 0)
+	<-held
+	predictAll(t, e, 1, 2, 3, 4)() // returns only if the full batch ran
+	wantBatches(t, e, map[int]uint64{cap: 1})
+	release()
+	first()
+	wantBatches(t, e, map[int]uint64{1: 1, cap: 1})
 	waitInFlightZero(t, e)
 }
 

@@ -23,7 +23,7 @@ import (
 func TestConcurrentPredictRace(t *testing.T) {
 	ds := testDataset(t, 80, 320, 12, 5, 1, 1)
 	e := testEngine(t, ds, testModel(t, ds, nn.SAGE), Options{
-		Workers: 4, BatchCap: 8, BatchDelay: time.Millisecond, QueueDepth: 128,
+		Workers: 4, BatchCap: 8, QueueDepth: 128,
 	})
 
 	const (
@@ -99,7 +99,7 @@ func TestConcurrentPredictRace(t *testing.T) {
 func TestConcurrentShutdownRace(t *testing.T) {
 	ds := testDataset(t, 60, 240, 12, 5, 1, 1)
 	e := testEngine(t, ds, testModel(t, ds, nn.SAGE), Options{
-		Workers: 2, BatchCap: 4, BatchDelay: time.Millisecond, QueueDepth: 32,
+		Workers: 2, BatchCap: 4, QueueDepth: 32,
 	})
 
 	var wg sync.WaitGroup

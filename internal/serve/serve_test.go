@@ -120,7 +120,7 @@ func TestBatchDemuxParity(t *testing.T) {
 	m := testModel(t, ds, nn.SAGE)
 	full := []int{v, v} // >= max in-degree: sampling takes every edge
 	e := testEngine(t, ds, m, Options{
-		Workers: 1, BatchCap: 8, BatchDelay: 30 * time.Millisecond, Fanouts: full, Seed: 3,
+		Workers: 1, BatchCap: 8, Fanouts: full, Seed: 3,
 	})
 
 	// Overlapping node sets: node 3 appears in every request, requests 0/4
@@ -322,7 +322,7 @@ func TestPredictContextCanceled(t *testing.T) {
 func TestDrain(t *testing.T) {
 	ds := testDataset(t, 60, 240, 12, 5, 1, 1)
 	e := testEngine(t, ds, testModel(t, ds, nn.SAGE), Options{
-		Workers: 2, BatchCap: 4, BatchDelay: 5 * time.Millisecond, QueueDepth: 64,
+		Workers: 2, BatchCap: 4, QueueDepth: 64,
 	})
 
 	const n = 24

@@ -186,8 +186,8 @@ func TestShardedChaosFleetDrain(t *testing.T) {
 	const vertices = 80
 	ds := testDataset(t, vertices, 320, 10, 4, 1, 31)
 	e := testEngine(t, ds, testModel(t, ds, nn.SAGE), Options{
-		Shards: 4, Workers: 2, BatchCap: 8, BatchDelay: time.Millisecond,
-		QueueDepth: 64, Seed: 17, ShardTimeout: 2 * time.Millisecond,
+		Shards: 4, Workers: 2, BatchCap: 8, QueueDepth: 64, Seed: 17,
+		ShardTimeout: 2 * time.Millisecond,
 	})
 	sched := &fault.Schedule{
 		Seed: 4242,

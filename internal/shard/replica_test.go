@@ -86,7 +86,7 @@ func (c *fakeConn) Compute(ctx context.Context, args *ComputeArgs) (*ComputeRepl
 func fakeFleet(t *testing.T, conns ...Conn) *Fleet {
 	t.Helper()
 	cfg := Config{Replicas: len(conns), Timeout: 100 * time.Millisecond}.withDefaults()
-	f := &Fleet{cfg: cfg, bounds: []int32{0, 100}, shards: make([][]*Shard, 1), start: time.Now()}
+	f := &Fleet{cfg: cfg, bounds: []int32{0, 100}, shards: make([][]*Shard, 1)}
 	f.conns = [][]Conn{conns}
 	hs := make([]*replicaHealth, len(conns))
 	for i := range hs {

@@ -163,7 +163,6 @@ type Stats struct {
 	Hi       int32   `json:"hi"`
 	RPCs     uint64  `json:"rpcs"`
 	Computes uint64  `json:"computes"`
-	QPS      float64 `json:"qps"` // RPCs per second of fleet uptime
 	P50Ms    float64 `json:"p50Ms"`
 	P99Ms    float64 `json:"p99Ms"`
 	Retries  uint64  `json:"retries"`
@@ -213,7 +212,6 @@ type Fleet struct {
 	conns  [][]Conn   // every endpoint behind its faultConn
 	health [][]*replicaHealth
 	stats  []*shardStats
-	start  time.Time
 }
 
 // newFleet is the one constructor body: it checks cfg against the model,
@@ -230,7 +228,6 @@ func newFleet(csr *graph.CSR, feats *tensor.Tensor, ntypes int, src *nn.Model, p
 		cfg: cfg, csr: csr, feats: feats, ntypes: ntypes, plan: plan,
 		bounds: Boundaries(csr, cfg.Shards),
 		shards: make([][]*Shard, cfg.Shards),
-		start:  time.Now(),
 	}
 	f.model.Store(src)
 	for s := 0; s < cfg.Shards; s++ {
@@ -435,7 +432,6 @@ func (f *Fleet) Health(s, r int) float64 { return f.health[s][r].score() }
 // resilience counters are exact either way (byte counts are real encoded
 // frame sizes on both transports, booked once per winning attempt).
 func (f *Fleet) Stats() []Stats {
-	up := time.Since(f.start).Seconds()
 	out := make([]Stats, len(f.stats))
 	for i, st := range f.stats {
 		o := Stats{
@@ -466,9 +462,6 @@ func (f *Fleet) Stats() []Stats {
 			o.CacheMisses += cs.Misses
 			o.CacheBytes += cs.Bytes
 			o.CacheEntries += cs.Entries
-		}
-		if up > 0 {
-			o.QPS = float64(o.RPCs) / up
 		}
 		out[i] = o
 	}

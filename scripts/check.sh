@@ -202,7 +202,7 @@ for metric in wisegraph_serve_uptime_seconds wisegraph_serve_admitted_total \
   wisegraph_serve_shed_total wisegraph_serve_rejected_draining_total \
   wisegraph_serve_batches_total wisegraph_serve_in_flight \
   wisegraph_serve_queue_depth wisegraph_serve_latency_seconds_count \
-  wisegraph_serve_batch_size_count wisegraph_stage_duration_seconds_count \
+  wisegraph_serve_queue_wait_seconds_count wisegraph_serve_batch_size_count wisegraph_stage_duration_seconds_count \
   wisegraph_device_kernels_total wisegraph_serve_cache_hits_total \
   wisegraph_serve_cache_misses_total wisegraph_serve_cache_admitted_total \
   wisegraph_serve_cache_bytes_resident wisegraph_serve_cache_entries \
