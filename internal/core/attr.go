@@ -112,7 +112,8 @@ func Classify(a Attr, indexAttrs []Attr) Class {
 }
 
 // AttrReader resolves attribute values for edges of a graph. Degree
-// attributes are cached from the graph on construction.
+// arrays are taken from the graph on the first read of a degree
+// attribute, so a reader that never reads one never builds them.
 type AttrReader struct {
 	g      *graph.Graph
 	inDeg  []int32
@@ -120,8 +121,22 @@ type AttrReader struct {
 }
 
 // NewAttrReader builds a reader over g.
-func NewAttrReader(g *graph.Graph) *AttrReader {
-	return &AttrReader{g: g, inDeg: g.InDegrees(), outDeg: g.OutDegrees()}
+func NewAttrReader(g *graph.Graph) *AttrReader { return &AttrReader{g: g} }
+
+// inDegrees returns g's in-degree array, fetched on first use.
+func (r *AttrReader) inDegrees() []int32 {
+	if r.inDeg == nil {
+		r.inDeg = r.g.InDegrees()
+	}
+	return r.inDeg
+}
+
+// outDegrees returns g's out-degree array, fetched on first use.
+func (r *AttrReader) outDegrees() []int32 {
+	if r.outDeg == nil {
+		r.outDeg = r.g.OutDegrees()
+	}
+	return r.outDeg
 }
 
 // Value returns attribute a of edge e.
@@ -136,9 +151,9 @@ func (r *AttrReader) Value(a Attr, e int) int32 {
 	case AttrEdgeType:
 		return r.g.EdgeType(e)
 	case AttrSrcDegree:
-		return r.outDeg[r.g.Src[e]]
+		return r.outDegrees()[r.g.Src[e]]
 	case AttrDstDegree:
-		return r.inDeg[r.g.Dst[e]]
+		return r.inDegrees()[r.g.Dst[e]]
 	default:
 		panic(fmt.Sprintf("core: unknown attribute %d", int(a)))
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sort"
 	"testing"
 
 	"wisegraph/internal/graph"
@@ -26,12 +27,93 @@ func parityGraphs(tb testing.TB) map[string]*graph.Graph {
 			NumVertices: 200, NumEdges: 1500, Kind: gen.Uniform, Seed: 3,
 		}).Graph,
 	}
+	// Copies already in a key's order, as serving blocks arrive: every plan
+	// keyed on that prefix takes the sorted-input skip, the rest still sort.
+	for _, name := range []string{"power-law", "rmat-typed"} {
+		gs[name+"/dst-sorted"] = sortedCopy(gs[name], AttrDstID)
+		gs[name+"/dst-src-sorted"] = sortedCopy(gs[name], AttrDstID, AttrSrcID)
+	}
 	for name, g := range gs {
 		if err := g.Validate(); err != nil {
 			tb.Fatalf("%s: %v", name, err)
 		}
 	}
 	return gs
+}
+
+// sortedCopy returns g with its edges stably reordered by the key columns.
+func sortedCopy(g *graph.Graph, key ...Attr) *graph.Graph {
+	reader := NewAttrReader(g)
+	order := make([]int32, g.NumEdges())
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.SliceStable(order, func(i, j int) bool {
+		for _, a := range key {
+			if vi, vj := reader.Value(a, int(order[i])), reader.Value(a, int(order[j])); vi != vj {
+				return vi < vj
+			}
+		}
+		return false
+	})
+	out := &graph.Graph{NumVertices: g.NumVertices, NumTypes: g.NumTypes}
+	for _, e := range order {
+		out.Src = append(out.Src, g.Src[e])
+		out.Dst = append(out.Dst, g.Dst[e])
+		if g.Type != nil {
+			out.Type = append(out.Type, g.Type[e])
+		}
+	}
+	return out
+}
+
+// TestSortedBy: the sorted-input check is lexicographic over the key
+// columns, first column most significant, and exits false at any descent.
+func TestSortedBy(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cols [][]int32
+		want bool
+	}{
+		{"empty", [][]int32{{}}, true},
+		{"one-edge", [][]int32{{5}}, true},
+		{"ascending", [][]int32{{0, 1, 1, 3}}, true},
+		{"descent-at-last-edge", [][]int32{{0, 1, 2, 3, 1}}, false},
+		{"descent-at-first-edge", [][]int32{{1, 0, 2, 3}}, false},
+		{"tie-broken-by-later-column", [][]int32{{0, 1, 1, 2}, {9, 3, 4, 0}}, true},
+		{"tie-descends-in-later-column", [][]int32{{0, 1, 1, 2}, {9, 4, 3, 0}}, false},
+		{"later-column-ignored-on-ascent", [][]int32{{0, 1, 2}, {5, 4, 3}}, true},
+		{"full-tie", [][]int32{{2, 2, 2}, {7, 7, 7}}, true},
+		{"descent-at-last-edge-second-column", [][]int32{{0, 0, 0}, {1, 2, 1}}, false},
+	} {
+		if got := sortedBy(tc.cols); got != tc.want {
+			t.Errorf("%s: sortedBy = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	// The parity graphs' sorted copies take the skip under their own key
+	// and a vertex-centric plan; the generated originals do not.
+	gs := parityGraphs(t)
+	cols := func(g *graph.Graph, key ...Attr) [][]int32 {
+		reader := NewAttrReader(g)
+		out := make([][]int32, len(key))
+		for i, a := range key {
+			for e := 0; e < g.NumEdges(); e++ {
+				out[i] = append(out[i], reader.Value(a, e))
+			}
+		}
+		return out
+	}
+	for _, name := range []string{"power-law", "rmat-typed"} {
+		if sortedBy(cols(gs[name], AttrDstID)) {
+			t.Errorf("%s: generated edges already in dst order", name)
+		}
+		if !sortedBy(cols(gs[name+"/dst-sorted"], sortKey(VertexCentric())...)) {
+			t.Errorf("%s/dst-sorted: not in the vertex-centric key order", name)
+		}
+		if !sortedBy(cols(gs[name+"/dst-src-sorted"], AttrDstID, AttrSrcID)) {
+			t.Errorf("%s/dst-src-sorted: not in (dst, src) order", name)
+		}
+	}
 }
 
 func parityPlans(g *graph.Graph) []GraphPlan {

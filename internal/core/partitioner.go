@@ -18,7 +18,9 @@ import (
 //     NumTypes, degrees by the max degree), so membership is one array
 //     read against a generation counter and "clear" is gen++.
 //
-// The pass itself is sequential: one radix sort, one greedy scan. The
+// The pass itself is sequential: one radix sort (skipped when the edges
+// already arrive in key order, as every serving block does under a
+// dst-major key), one greedy scan. The
 // parallelism is its callers' — joint.Search over candidate plans, the
 // sampled-training pipeline and the serving workers over subgraphs — each
 // with a Partitioner of its own. The result is byte-identical to the
@@ -82,8 +84,10 @@ func (pt *Partitioner) Partition(g *graph.Graph, plan GraphPlan, statAttrs []Att
 	}
 
 	// Materialize key columns once (they feed both the sort and the scan)
-	// and radix-sort the identity order into the plan's edge order.
-	colOf := map[Attr][]int32{}
+	// and radix-sort the identity order into the plan's edge order — unless
+	// the edges already arrive in key order, where the stable sort would
+	// return the identity it was given.
+	var colOf [NumAttrs][]int32
 	if len(key) > 0 && e > 1 {
 		for i, a := range key {
 			if i < len(pt.cols) {
@@ -97,7 +101,9 @@ func (pt *Partitioner) Partition(g *graph.Graph, plan GraphPlan, statAttrs []Att
 			}
 			colOf[a] = col
 		}
-		pt.radixSort(order, pt.cols[:len(key)])
+		if cols := pt.cols[:len(key)]; !sortedBy(cols) {
+			pt.radixSort(order, cols)
+		}
 	}
 
 	// Tracker configuration: statAttrs plus restricted attrs, in ascending
@@ -160,9 +166,9 @@ func attrBound(reader *AttrReader, g *graph.Graph, a Attr) int {
 		}
 		return g.NumTypes
 	case AttrSrcDegree:
-		return int(maxI32(reader.outDeg)) + 1
+		return int(maxI32(reader.outDegrees())) + 1
 	case AttrDstDegree:
-		return int(maxI32(reader.inDeg)) + 1
+		return int(maxI32(reader.inDegrees())) + 1
 	default:
 		return g.NumVertices
 	}
@@ -195,6 +201,25 @@ const (
 	radixBitsSmall  = 8
 	radixSmallLimit = 1 << 14 // below this, 8-bit digits beat histogram cost
 )
+
+// sortedBy reports whether the edges are already in non-descending
+// lexicographic order of the columns (first column most significant),
+// exiting at the first descent. When they are, the stable radix sort of
+// the identity order is the identity, so skipping it changes nothing.
+func sortedBy(cols [][]int32) bool {
+	e := len(cols[0])
+	for i := 1; i < e; i++ {
+		for _, col := range cols {
+			if col[i] != col[i-1] {
+				if col[i] < col[i-1] {
+					return false
+				}
+				break
+			}
+		}
+	}
+	return true
+}
 
 // radixSort stably sorts order by the concatenated columns (first column
 // most significant; ties keep the current — identity — order, matching

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -212,6 +213,9 @@ type Fleet struct {
 	conns  [][]Conn   // every endpoint behind its faultConn
 	health [][]*replicaHealth
 	stats  []*shardStats
+	// frontiers pools the *frontier bitmaps Forward unions vertex sets in;
+	// every one is all zero while it sits here.
+	frontiers sync.Pool
 }
 
 // newFleet is the one constructor body: it checks cfg against the model,
@@ -230,6 +234,8 @@ func newFleet(csr *graph.CSR, feats *tensor.Tensor, ntypes int, src *nn.Model, p
 		shards: make([][]*Shard, cfg.Shards),
 	}
 	f.model.Store(src)
+	words := (len(csr.RowPtr) - 1 + 63) / 64
+	f.frontiers.New = func() any { return &frontier{make([]uint64, words)} }
 	for s := 0; s < cfg.Shards; s++ {
 		var conns []Conn
 		var hs []*replicaHealth
@@ -692,6 +698,61 @@ func newRLevel(verts []int32) *rlevel {
 	return &rlevel{verts: vs}
 }
 
+// markMisses marks in fr what the misses among verts[lo:hi] read one level
+// down — each miss itself (its own row feeds the self term) and its
+// sampled sources — and returns how many marks it made.
+func (rl *rlevel) markMisses(fr *frontier, lo, hi int) int {
+	n := 0
+	for k := lo; k < hi; k++ {
+		if rl.hit[k] {
+			continue
+		}
+		srcs := rl.srcs[k]
+		fr.mark(rl.verts[k])
+		for _, src := range srcs {
+			fr.mark(src)
+		}
+		n += 1 + len(srcs)
+	}
+	return n
+}
+
+// frontier is a set of vertex ids as a bitmap of V bits, the router's one
+// union primitive: mark every id of a level's sources, then drain the
+// sorted, deduplicated union in O(V/64) words. A frontier is taken by
+// Fleet.frontier and goes back to the pool in Fleet.drain, with no return
+// in between, so every frontier in the pool is all zero.
+type frontier struct{ words []uint64 }
+
+// frontier takes an empty frontier from the pool.
+func (f *Fleet) frontier() *frontier { return f.frontiers.Get().(*frontier) }
+
+// drain returns fr's ids, ascending, in a fresh slice of capacity n — an
+// upper bound on the marks made — and puts fr, now empty, back.
+func (f *Fleet) drain(fr *frontier, n int) []int32 {
+	out := fr.drain(make([]int32, 0, n))
+	f.frontiers.Put(fr)
+	return out
+}
+
+// mark adds v to the set.
+func (fr *frontier) mark(v int32) { fr.words[v>>6] |= 1 << (uint(v) & 63) }
+
+// drain appends the set's ids to dst in ascending order and empties the
+// set, zeroing each word it reads.
+func (fr *frontier) drain(dst []int32) []int32 {
+	for i, w := range fr.words {
+		if w == 0 {
+			continue
+		}
+		fr.words[i] = 0
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, int32(i<<6|bits.TrailingZeros64(w)))
+		}
+	}
+	return dst
+}
+
 // indexOf maps each vertex of a sorted level to its row.
 func indexOf(verts []int32) map[int32]int32 {
 	idx := make(map[int32]int32, len(verts))
@@ -724,7 +785,8 @@ func indexOf(verts []int32) map[int32]int32 {
 // use (dst id, src id, edge id, edge type, dst degree — EnumeratePlans
 // never sorts by source degree, the only composition-dependent attribute)
 // induces the same per-destination edge order in every batch and on every
-// shard; the stable radix sort and the engines' seam-preserving
+// shard; the stable radix sort — skipped for a block already in key order,
+// where it is the identity — and the engines' seam-preserving
 // accumulators do the rest.
 //
 // Top-down, each level's owned spans are probed and expanded by their
@@ -750,39 +812,24 @@ func (f *Fleet) Forward(batchID, ver uint64, seeds []int32, sp obs.Span) (*tenso
 	defer tr.End()
 	fw := &forward{Fleet: f, batch: batchID, ver: ver, inline: obs.WithTrack(context.Background(), tr)}
 
-	var rowOf map[int32]int32
-	cur := seeds
+	// The seed level is sorted once; every level below is the frontier union
+	// of the misses above it, which drains sorted and deduplicated.
+	rl := newRLevel(seeds)
+	rowOf := indexOf(rl.verts)
 	for l := L; l >= 1; l-- {
-		rl := newRLevel(cur)
 		sets[l] = rl
-		if l == L {
-			rowOf = indexOf(rl.verts)
-		}
 		if err := fw.expandLevel(l, dims[l], rl); err != nil {
 			return nil, nil, err
 		}
 		tr.To(obs.StageSample)
 		var next []int32
-		seen := make(map[int32]struct{}, rl.miss*(f.cfg.Fanouts[L-l]+1))
-		for i, v := range rl.verts {
-			if rl.hit[i] {
-				continue
-			}
-			// The target's own level-(l-1) row feeds the self term.
-			if _, ok := seen[v]; !ok {
-				seen[v] = struct{}{}
-				next = append(next, v)
-			}
-			for _, src := range rl.srcs[i] {
-				if _, ok := seen[src]; !ok {
-					seen[src] = struct{}{}
-					next = append(next, src)
-				}
-			}
+		if rl.miss > 0 {
+			fr := f.frontier()
+			next = f.drain(fr, rl.markMisses(fr, 0, len(rl.verts)))
 		}
-		cur = next
+		rl = &rlevel{verts: next}
 	}
-	sets[0] = newRLevel(cur)
+	sets[0] = rl
 
 	for l := 1; l <= L; l++ {
 		if sets[l].miss == 0 {
@@ -998,38 +1045,34 @@ func (fw *forward) computeLevel(level, inDim, outDim int, rl, prev *rlevel) erro
 		if len(jobs) == 1 {
 			return below
 		}
-		seen := make(map[int32]struct{}, len(j.targets)*4)
-		var in []int32
-		add := func(v int32) {
-			if _, ok := seen[v]; !ok {
-				seen[v] = struct{}{}
-				in = append(in, v)
-			}
-		}
-		for k := j.lo; k < j.hi; k++ {
-			if !rl.hit[k] {
-				add(rl.verts[k])
-				for _, src := range rl.srcs[k] {
-					add(src)
-				}
-			}
-		}
-		slices.Sort(in)
-		return in
+		fr := fw.frontier()
+		return fw.drain(fr, rl.markMisses(fr, j.lo, j.hi))
 	}
 	if level == 1 {
 		// prev becomes the union of the halos with their rows, so the jobs
 		// below draw on it exactly as a higher level draws on the level
 		// beneath it.
-		var halo []int32
+		n := 0
 		for i := range jobs {
 			j := &jobs[i]
 			j.in = inputSet(*j)
 			j.a, j.b = ownedRun(j.in, fw.bounds[j.shard], fw.bounds[j.shard+1])
-			halo = append(append(halo, j.in[:j.a]...), j.in[j.b:]...)
+			n += len(j.in) - (j.b - j.a)
 		}
-		slices.Sort(halo)
-		prev = &rlevel{verts: slices.Compact(halo)}
+		var halo []int32
+		if n > 0 {
+			fr := fw.frontier()
+			for _, j := range jobs {
+				for _, v := range j.in[:j.a] {
+					fr.mark(v)
+				}
+				for _, v := range j.in[j.b:] {
+					fr.mark(v)
+				}
+			}
+			halo = fw.drain(fr, n)
+		}
+		prev = &rlevel{verts: halo}
 		if len(prev.verts) > 0 {
 			if err := fw.expandLevel(0, inDim, prev); err != nil {
 				return err

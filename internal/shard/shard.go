@@ -268,21 +268,70 @@ func (s *Shard) handleExpand(ctx context.Context, w *shardWorker, a *ExpandArgs)
 		tr.To(stage)
 	}
 	// A cached interior vertex prunes its entire sampled subtree from the
-	// batch: only the misses are sampled.
+	// batch: only the misses are sampled, all into one buffer sized to them
+	// (none when everything hit), each Srcs[i] a capped slice of it.
 	r.Srcs = make([][]int32, len(a.Verts))
 	fan := s.fan[s.layers-a.Level]
+	n := 0
+	for i, v := range a.Verts {
+		if !r.Hit[i] {
+			n += min(int(s.degree(v)), fan)
+		}
+	}
+	if n == 0 {
+		return r, nil
+	}
+	flat := make([]int32, 0, n)
 	for i, v := range a.Verts {
 		if r.Hit[i] {
 			continue
 		}
-		w.slots = graph.DetSample(w.slots[:0], s.csr, v, fan, s.seed)
-		srcs := make([]int32, len(w.slots))
-		for j, slot := range w.slots {
-			srcs[j] = s.csr.Col[slot]
+		lo := len(flat)
+		flat = graph.DetSample(flat, s.csr, v, fan, s.seed)
+		for j := lo; j < len(flat); j++ {
+			flat[j] = s.csr.Col[flat[j]]
 		}
-		r.Srcs[i] = srcs
+		r.Srcs[i] = flat[lo:len(flat):len(flat)]
 	}
 	return r, nil
+}
+
+// block rebuilds the sampled block of a's targets over the indexed input
+// set a.In, in the worker's edge arrays: targets ascending, each one's
+// edges contiguous in DetSample order, every endpoint a local id. Its
+// edges are therefore already in dst order, so a plan keyed on the
+// destination first reuses them unsorted.
+func (s *Shard) block(w *shardWorker, a *ComputeArgs) (*graph.Graph, error) {
+	fan := s.fan[s.layers-a.Level]
+	w.src, w.dst, w.typ, w.dsts = w.src[:0], w.dst[:0], w.typ[:0], w.dsts[:0]
+	for i, v := range a.Verts {
+		if i > 0 && v <= a.Verts[i-1] {
+			return nil, fmt.Errorf("shard %d: targets must be strictly ascending, got %d after %d", s.id, v, a.Verts[i-1])
+		}
+		d, ok := w.localOf(a.In, v)
+		if !ok {
+			return nil, fmt.Errorf("shard %d: target %d missing from input set", s.id, v)
+		}
+		w.dsts = append(w.dsts, d)
+		w.slots = graph.DetSample(w.slots[:0], s.csr, v, fan, s.seed)
+		for _, slot := range w.slots {
+			src, ok := w.localOf(a.In, s.csr.Col[slot])
+			if !ok {
+				return nil, fmt.Errorf("shard %d: source %d of target %d missing from input set",
+					s.id, s.csr.Col[slot], v)
+			}
+			w.src = append(w.src, src)
+			w.dst = append(w.dst, d)
+			if s.typed {
+				w.typ = append(w.typ, s.csr.EType[slot])
+			}
+		}
+	}
+	g := &graph.Graph{NumVertices: len(a.In), NumTypes: 1, Src: w.src, Dst: w.dst}
+	if len(w.typ) > 0 {
+		g.NumTypes, g.Type = s.ntypes, w.typ
+	}
+	return g, nil
 }
 
 // index validates in — strictly ascending vertex ids, which is what makes
@@ -376,34 +425,9 @@ func (s *Shard) handleCompute(ctx context.Context, w *shardWorker, a *ComputeArg
 		return nil, fmt.Errorf("shard %d: %d input rows elements for %d vertices × dim %d",
 			s.id, len(rows), len(a.In), a.InDim)
 	}
-	fan := s.fan[s.layers-a.Level]
-	w.src, w.dst, w.typ, w.dsts = w.src[:0], w.dst[:0], w.typ[:0], w.dsts[:0]
-	for i, v := range a.Verts {
-		if i > 0 && v <= a.Verts[i-1] {
-			return nil, fmt.Errorf("shard %d: targets must be strictly ascending, got %d after %d", s.id, v, a.Verts[i-1])
-		}
-		d, ok := w.localOf(a.In, v)
-		if !ok {
-			return nil, fmt.Errorf("shard %d: target %d missing from input set", s.id, v)
-		}
-		w.dsts = append(w.dsts, d)
-		w.slots = graph.DetSample(w.slots[:0], s.csr, v, fan, s.seed)
-		for _, slot := range w.slots {
-			src, ok := w.localOf(a.In, s.csr.Col[slot])
-			if !ok {
-				return nil, fmt.Errorf("shard %d: source %d of target %d missing from input set",
-					s.id, s.csr.Col[slot], v)
-			}
-			w.src = append(w.src, src)
-			w.dst = append(w.dst, d)
-			if s.typed {
-				w.typ = append(w.typ, s.csr.EType[slot])
-			}
-		}
-	}
-	g := &graph.Graph{NumVertices: len(a.In), NumTypes: 1, Src: w.src, Dst: w.dst}
-	if len(w.typ) > 0 {
-		g.NumTypes, g.Type = s.ntypes, w.typ
+	g, err := s.block(w, a)
+	if err != nil {
+		return nil, err
 	}
 
 	part := train.ReusePlanWith(w.pt, s.plan, g)

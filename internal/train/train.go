@@ -121,6 +121,10 @@ func (t *FullGraph) GTaskTestAccuracy(res *joint.Result) (float64, error) {
 
 var searchAttrs = []core.Attr{core.AttrSrcID, core.AttrDstID, core.AttrEdgeType, core.AttrDstDegree}
 
+// reuseAttrs are the per-task statistics a reused plan's executor reads
+// (kernels.StatsOf): a restricted attribute is tracked whatever the list.
+var reuseAttrs = []core.Attr{core.AttrSrcID, core.AttrDstID, core.AttrEdgeType}
+
 // Tune runs the joint optimization for this trainer's model and graph.
 func (t *FullGraph) Tune(spec device.Spec) *joint.Result {
 	hidden := t.Model.Cfg.Hidden
@@ -228,9 +232,10 @@ func ReusePlan(res *joint.Result, g *graph.Graph) *core.Partition {
 // ReusePlanWith is ReusePlan through a caller-owned Partitioner: pipeline
 // workers hold one each, so steady-state per-batch partitioning reuses
 // the worker's sort columns and stamp arrays instead of competing over
-// the shared pool.
+// the shared pool. It tracks only what the executor reads, so an
+// unrestricted degree attribute costs the block nothing.
 func ReusePlanWith(pt *core.Partitioner, res *joint.Result, g *graph.Graph) *core.Partition {
-	return pt.Partition(g, res.GraphPlan, searchAttrs)
+	return pt.Partition(g, res.GraphPlan, reuseAttrs)
 }
 
 // OverlapModel prices the asynchronous CPU pipeline of Figure 21(b):

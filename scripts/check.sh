@@ -63,8 +63,12 @@ run_filtered() {
 # The partitioner (radix sort, stamped trackers, scratch reuse) must be
 # byte-identical to the reference for every plan, and the concurrent joint
 # search must return the same Result at every width; the determinism tests
-# set their own widths, so this leg adds the start from one P.
-run_filtered "parity/determinism" 'Parity|Determin|Reuse|Concurrent' \
+# set their own widths, so this leg adds the start from one P. The parity
+# graphs include copies already in dst and (dst, src) order, so every plan
+# keyed on that prefix runs the sorted-input skip (sortedBy: no radix sort
+# when the edges arrive in key order) against the reference, the rest the
+# sort; TestSortedBy pins the check itself.
+run_filtered "parity/determinism" 'Parity|Determin|Reuse|Concurrent|SortedBy' \
   ./internal/core/ ./internal/graph/ ./internal/joint/
 
 # The row kernels against their generic oracles (unit-stride and strided,
@@ -98,7 +102,9 @@ run_filtered "cross-engine parity" 'Engine|DestinationRows' ./internal/kernels/
 # uncached, each held to the per-vertex reference run on every engine),
 # reload coherence, placement/ownership/reply validation, the one RPC
 # ladder (faults injected at the conn, in-process and over sockets) and
-# the TCP transport, the cache package's own suite, and the two cache
+# the TCP transport, the router's pooled frontier bitmaps (union parity,
+# concurrent forwards, a forward after a failed one), the cache package's
+# own suite, and the two cache
 # gates (TestCacheGate*): what the cache and the fleet's aggregate capacity
 # save, asserted on hit, RPC, eviction and FLOP counters — no step of this
 # script compares two timings.
