@@ -181,8 +181,8 @@ func BenchmarkGTaskForward(b *testing.B) {
 }
 
 // BenchmarkEngineForward times the real forward numerics at the
-// bandwidth-bound shape (F=64) once per model — every engine runs the same
-// edge walk — and reports each engine's modeled bytes-moved per forward.
+// bandwidth-bound shape (F=64) once per model — every engine runs the
+// same layer body — and reports each engine's modeled bytes-moved per forward.
 func BenchmarkEngineForward(b *testing.B) {
 	ds, err := LoadDataset("AR", DatasetOptions{Scale: 400, FeatureDim: 64, Seed: 6})
 	if err != nil {

@@ -8,6 +8,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"math"
 
 	"wisegraph"
 	"wisegraph/internal/core"
@@ -50,7 +51,8 @@ func main() {
 		naive*1e3, tuned*1e3, naive/tuned)
 
 	// 4. Train the model and verify the tuned execution computes the same
-	// predictions.
+	// predictions: the gTask forward is the model's own forward with each
+	// destination's in-edges in the partition's order.
 	tr, err := wisegraph.NewTrainer(ds, wisegraph.ModelConfig{
 		Kind: wisegraph.RGCN, Hidden: 32, Layers: 2, Seed: 3,
 	}, 0.01)
@@ -60,24 +62,24 @@ func main() {
 	for ep := 0; ep < 10; ep++ {
 		tr.Epoch()
 	}
-	// run the real fused gTask computation
 	ctx := exec.NewCtx(device.New(sp))
 	logits, err := kernels.RunModel(ctx, tr.GC, tr.Model, ds.Features, part, res.OpPlan)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ref := tr.Model.Forward(tr.GC, ds.Features)
-	var maxDiff float64
-	for i := range logits.Data() {
-		d := float64(logits.Data()[i] - ref.Data()[i])
-		if d < 0 {
-			d = -d
-		}
-		if d > maxDiff {
-			maxDiff = d
+	ordered, err := nn.NewGraphCtxOrder(g, part.Order, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	ref := tr.Model.Forward(ordered, ds.Features)
+	differ := 0
+	for i, v := range logits.Data() {
+		if math.Float32bits(v) != math.Float32bits(ref.Data()[i]) {
+			differ++
 		}
 	}
-	fmt.Printf("max |gTask − reference| over all logits after training: %.2e\n", maxDiff)
+	fmt.Printf("gTask logits differing from the forward in partition order: %d of %d (bitwise)\n",
+		differ, len(logits.Data()))
 	fmt.Printf("gTask kernel launches for the forward pass: %d (fused; tensor-centric would need dozens)\n",
 		ctx.Dev.Stats().Kernels)
 }

@@ -12,8 +12,8 @@ import (
 var engineAttrs = []core.Attr{core.AttrSrcID, core.AttrDstID, core.AttrEdgeType, core.AttrDstDegree}
 
 // ExtEngines compares the execution engines' modeled global-memory traffic
-// for the aggregation path on every model. Every engine runs the same edge
-// walk on the CPU, so there is no wall clock to compare. The blocked model
+// for the aggregation path on every model. Every engine runs the model's
+// one layer body on the CPU, so there is no wall clock to compare. The blocked model
 // walks memory roughly three times per edge (gather pass, per-edge
 // read-modify-write, per-edge weight refetch for RGCN); the fused model
 // streams every operand once plus one accumulator load+store per
@@ -72,7 +72,7 @@ func ExtEngines(c Config) (*Table, error) {
 		t.AddRow(kind.String(), f2(blockedB/1e6), f2(fusedB/1e6), f2(blockedB/fusedB), f2(costB/1e6))
 	}
 	t.Notes = append(t.Notes,
-		"every engine runs the same edge walk, so outputs are bitwise-identical (see TestEnginesBitwiseParityAcrossPlansAndWorkers); an engine is only an accounting",
+		"every engine runs the model's one layer body in the same edge order, so outputs are bitwise-identical (see TestEnginesBitwiseParityAcrossPlansAndWorkers); an engine is only an accounting",
 		"fused wins bytes-moved on the bandwidth-bound shapes (GCN/GraphSAGE at F>=64): one stream per edge plus one accumulator load+store per destination run, vs three memory walks per edge blocked",
 		"SAGE-LSTM shows bytes x = 1.00 by design: the recurrence already streams one source row per step with (h,c) register-resident, so there is nothing left to fuse",
 		"GAT's win is smaller: the score/softmax passes are shared between engines, so fusion only removes the aggregation pass's per-edge read-modify-write",

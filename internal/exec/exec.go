@@ -44,8 +44,8 @@ type Ctx struct {
 	// timeline as the caller's sample/partition/demux spans.
 	TraceID uint64
 	// Engine names the execution engine the gTask executor runs layers
-	// with. Every engine runs the same layer body and the same edge walk;
-	// an engine is only how the device is charged: "" or "blocked" is one
+	// with. Every engine runs the model's one layer body in the same edge
+	// order; an engine is only how the device is charged: "" or "blocked" is one
 	// fused kernel per layer, "fused" one streaming kernel priced by one
 	// row load and store per destination run, "device" one kernel per
 	// micro-stage. The name is resolved by internal/kernels (exec cannot

@@ -14,13 +14,14 @@ import (
 // Engine is one accounting of a GNN layer over the gTasks of a graph
 // partition: which kernels the layer is charged as on the simulated device
 // and what global-memory traffic each task is modeled to move. Every model
-// has one body (computeLayer) and every engine runs it — the same edge
-// walk, so the numeric output never depends on the engine. Engines come
+// has one body, its nn layer, and every engine runs it over the same edge
+// order, so the numeric output never depends on the engine. Engines come
 // from Select (the zero value runs nothing):
 //
 //   - "blocked": the composed program's one fused cost-model kernel per
-//     layer ("gtask.fused"), its traffic priced as the edge walk's — a
-//     destination-row read-modify-write per edge (blockedTaskBytes).
+//     layer ("gtask.fused"), its traffic priced as an edge-by-edge
+//     dataflow's — a destination-row read-modify-write per edge
+//     (blockedTaskBytes).
 //   - "fused": one streaming kernel ("gtask.stream") priced by the device
 //     model of a register-resident accumulator per same-destination run —
 //     one row load + store per run (fusedTaskBytes).
@@ -99,38 +100,21 @@ func (e Engine) LayerBytes(sh LayerShape, part *core.Partition, plan Plan) float
 	return total
 }
 
-// RunLayer accounts and (when ctx.Compute) computes one layer over the
-// block gc with input rows x [V,F], producing the rows of dsts — local
-// vertex ids, strictly ascending — as a compact [len(dsts),F'] tensor in
-// that order. Work is split by who reads it:
-//
-//   - destination-side work runs over dsts only: the self and neighbour
-//     transforms of SAGE, RGCN and SAGE-LSTM, the aggregation and output
-//     buffers, GAT's right projection, softmax maxima and sums, the bias;
-//   - source-side transforms that any edge source may need stay over all V
-//     input rows: GCN's X·W, GAT's Z and left projection.
-//
-// Either way each output element sees the operations of the all-rows
-// execution in the same order, so row i is bitwise-equal to row dsts[i] of
-// the execution with dsts = 0..V-1 — which is how full-graph callers run.
-// Ids are the block's own (ascending parent order), never renumbered
-// targets-first: the partition sorts edges by local id, so renumbering
-// would make a destination's summation order depend on what else is in the
-// batch. Every edge must end in dsts; one that does not is an error, not a
-// dropped contribution. Of gc an engine reads the edge list gc.G and the
-// vertex count, nothing derived: the serving path passes a context with
-// only G set.
-func (e Engine) RunLayer(ctx *exec.Ctx, gc *nn.GraphCtx, layer nn.Layer, sh LayerShape, x *tensor.Tensor, dsts []int32, part *core.Partition, plan Plan) (*tensor.Tensor, error) {
-	// Shared dense transforms, then the gTask kernel(s). The arithmetic is
-	// the same under every engine; only the accounting differs.
-	for _, k := range DenseKernels(sh, gc.NumVertices(), len(dsts)) {
+// RunLayer accounts and (when ctx.Compute) computes one layer with input
+// rows x [V,F] over gc, whose edges are part's in task order and whose
+// destination rows are the rows produced (see nn.NewGraphCtxOrder),
+// returning a compact [gc.NumRows(),F'] tensor. The dense transforms and
+// the gTask kernel(s) are launched on ctx's device; the arithmetic is the
+// layer's one body (Infer), the same under every engine.
+func (e Engine) RunLayer(ctx *exec.Ctx, gc *nn.GraphCtx, layer nn.Layer, sh LayerShape, x *tensor.Tensor, part *core.Partition, plan Plan) *tensor.Tensor {
+	for _, k := range DenseKernels(sh, gc.NumVertices(), gc.NumRows()) {
 		ctx.Launch(k)
 	}
 	e.account(ctx, priceTasks(sh, part, plan))
 	if !ctx.Compute {
-		return nil, nil
+		return nil
 	}
-	return computeLayer(gc, layer, x, dsts, part, plan)
+	return layer.Infer(gc, x)
 }
 
 // oneKernel accounts the layer as a single launch whose work items are the
@@ -192,11 +176,11 @@ func composedTaskBytes(t pricedTasks, ti int) float64 {
 	return b
 }
 
-// blockedTaskBytes models the traffic of the edge walk for one task: every
-// edge costs a source-row read plus a destination-row read-modify-write
-// (three row crossings per edge), RGCN's edge-by-edge path refetches the
-// type weight per edge, and the dedup'd path materializes the pair-
-// product buffer it then re-reads per edge.
+// blockedTaskBytes models the traffic of the edge-by-edge dataflow for one
+// task: every edge costs a source-row read plus a destination-row
+// read-modify-write (three row crossings per edge), RGCN's edge-by-edge
+// path refetches the type weight per edge, and the dedup'd path
+// materializes the pair-product buffer it then re-reads per edge.
 func blockedTaskBytes(t pricedTasks, ti int) float64 {
 	sh, st, plan := t.sh, t.stats[ti], t.plan
 	f, fp := float64(sh.F), float64(sh.Fp)

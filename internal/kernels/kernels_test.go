@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -43,26 +44,67 @@ func plansFor(kind nn.ModelKind) []core.GraphPlan {
 	return plans
 }
 
+// forwardIn returns a private copy of the model's training forward over
+// gc's graph with each destination's in-edges in order.
+func forwardIn(t *testing.T, gc *nn.GraphCtx, m *nn.Model, x *tensor.Tensor, order []int32) []float32 {
+	t.Helper()
+	oc, err := nn.NewGraphCtxOrder(gc.G, order, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer oc.Release()
+	return append([]float32(nil), m.Forward(oc, x).Data()...)
+}
+
+// bitwiseEqual fails the test at the first element whose bits differ.
+func bitwiseEqual(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d elements, want %d", what, len(got), len(want))
+	}
+	for i, v := range got {
+		if math.Float32bits(v) != math.Float32bits(want[i]) {
+			t.Fatalf("%s: out[%d] = %v, want %v", what, i, v, want[i])
+		}
+	}
+}
+
+// TestGTaskExecutionMatchesReference holds the gTask execution to the
+// model's own forward bit for bit: for every model, plan and operation
+// plan, RunModel is m.Forward over the partition's edge order, and where
+// that order gives each destination its in-edges in edge-id order
+// (vertex-centric, dst-batch-k) it is also m.Forward over the plain
+// context.
 func TestGTaskExecutionMatchesReference(t *testing.T) {
+	inOrder := 0
 	for kind := nn.ModelKind(0); kind < nn.NumModels; kind++ {
 		gc, m, x := setup(t, kind)
-		want := m.Forward(gc, x)
+		plain := append([]float32(nil), m.Forward(gc, x).Data()...)
 		for _, gp := range plansFor(kind) {
 			part := core.PartitionGraph(gc.G, gp, allAttrs())
-			for _, op := range []Plan{{}, {Batched: true}, {Batched: true, Dedup: true}} {
+			want := forwardIn(t, gc, m, x, part.Order)
+			same := gc.SameOrder(part.Order)
+			if gp.Name == "vertex-centric" && !same {
+				t.Fatalf("%v: vertex-centric reorders a destination's in-edges", kind)
+			}
+			for _, op := range opPlans {
 				ctx := exec.NewCtx(device.New(device.A100()))
 				got, err := RunModel(ctx, gc, m, x, part, op)
 				if err != nil {
 					t.Fatalf("%v plan %v %v: %v", kind, gp, op, err)
 				}
-				for i := range got.Data() {
-					if math.Abs(float64(got.Data()[i]-want.Data()[i])) > 2e-3 {
-						t.Fatalf("%v plan %v %v: output differs at %d: %v vs %v",
-							kind, gp, op, i, got.Data()[i], want.Data()[i])
-					}
+				what := fmt.Sprintf("%v plan %v op %+v", kind, gp, op)
+				bitwiseEqual(t, what+" vs Forward in task order", got.Data(), want)
+				if same {
+					bitwiseEqual(t, what+" vs Forward", got.Data(), plain)
+					inOrder++
 				}
+				tensor.Put(got)
 			}
 		}
+	}
+	if inOrder == 0 {
+		t.Fatal("no plan kept every destination's in-edges in edge-id order")
 	}
 }
 

@@ -80,6 +80,15 @@ func splitsDestination(part *core.Partition, dst []int32) bool {
 	return split
 }
 
+// allRows returns the identity row set 0..n-1.
+func allRows(n int) []int32 {
+	ids := make([]int32, n)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	return ids
+}
+
 func layerRows(t *testing.T, engine string, gc *nn.GraphCtx, m *nn.Model, x *tensor.Tensor, dsts []int32, part *core.Partition, op Plan) *tensor.Tensor {
 	t.Helper()
 	ctx := exec.NewCtx(device.New(device.A100()))

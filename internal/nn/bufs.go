@@ -23,6 +23,18 @@ func buf2(t *tensor.Tensor, m, n int) *tensor.Tensor {
 	return tensor.Get(m, n)
 }
 
+// selfTransform computes x·w for gc's destination rows into buf: the whole
+// product when they are every vertex, else the product of x's rows gc.Rows
+// (tensor.MatMulRowsAcc, row for row the same bits).
+func selfTransform(buf *tensor.Tensor, gc *GraphCtx, x, w *tensor.Tensor) *tensor.Tensor {
+	out := buf2(buf, gc.NumRows(), w.Dim(1))
+	if gc.Rows == nil {
+		return tensor.MatMul(out, x, w)
+	}
+	out.Zero()
+	return tensor.MatMulRowsAcc(out, x, gc.Rows, w)
+}
+
 // bufLike returns t when it already has ref's shape, else a pooled tensor
 // of that shape (recycling t).
 func bufLike(t, ref *tensor.Tensor) *tensor.Tensor {

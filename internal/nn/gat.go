@@ -23,11 +23,8 @@ type GATLayer struct {
 	slope     float32
 
 	// caches and sticky buffers (see bufs.go)
-	x, z   *tensor.Tensor
-	pl, pr *tensor.Tensor // [V, heads] projections
-	scores *tensor.Tensor // [E, heads] pre-activation
-	alpha  *tensor.Tensor // [E, heads] attention weights
-	out    *tensor.Tensor
+	x *tensor.Tensor
+	gatActs
 	dZ     *tensor.Tensor
 	dAlpha *tensor.Tensor
 	dScore *tensor.Tensor
@@ -64,13 +61,30 @@ func (l *GATLayer) OutDim() int { return l.W.Value.Dim(1) }
 // Heads returns the head count.
 func (l *GATLayer) Heads() int { return l.heads }
 
-// project computes p[v,h] = Σ_d a[h,d]·Z[v,h*dh+d] into the sticky
-// buffer dst (reallocated on shape change).
-func (l *GATLayer) project(dst, z *tensor.Tensor, a *Param) *tensor.Tensor {
-	v := z.Rows()
-	p := buf2(dst, v, l.heads)
-	parallel.For(v, 64, func(i int) {
-		zr := z.Row(i)
+// gatActs are the forward's buffers: what Backward reads, and the output.
+type gatActs struct {
+	z      *tensor.Tensor // [V, heads*dh]
+	pl, pr *tensor.Tensor // [V, heads] and [rows, heads] projections
+	scores *tensor.Tensor // [E, heads] pre-activation
+	alpha  *tensor.Tensor // [E, heads] attention weights
+	out    *tensor.Tensor
+}
+
+// project computes p[i,h] = Σ_d a[h,d]·Z[v,h*dh+d] for v = rows[i] (every
+// row of z when rows is nil) into the sticky buffer dst (reallocated on
+// shape change).
+func (l *GATLayer) project(dst, z *tensor.Tensor, rows []int32, a *Param) *tensor.Tensor {
+	n := z.Rows()
+	if rows != nil {
+		n = len(rows)
+	}
+	p := buf2(dst, n, l.heads)
+	parallel.For(n, 64, func(i int) {
+		v := i
+		if rows != nil {
+			v = int(rows[i])
+		}
+		zr := z.Row(v)
 		pr := p.Row(i)
 		for h := 0; h < l.heads; h++ {
 			ar := a.Value.Row(h)
@@ -86,65 +100,84 @@ func (l *GATLayer) project(dst, z *tensor.Tensor, a *Param) *tensor.Tensor {
 
 // Forward implements Layer.
 func (l *GATLayer) Forward(gc *GraphCtx, x *tensor.Tensor) *tensor.Tensor {
+	gc.mustAllRows()
 	l.x = x
-	l.z = tensor.MatMul(buf2(l.z, x.Dim(0), l.OutDim()), x, l.W.Value)
-	l.pl = l.project(l.pl, l.z, l.AL)
-	l.pr = l.project(l.pr, l.z, l.AR)
+	l.forward(gc, x, &l.gatActs)
+	return l.out
+}
+
+// Infer implements Layer.
+func (l *GATLayer) Infer(gc *GraphCtx, x *tensor.Tensor) *tensor.Tensor {
+	var a gatActs
+	l.forward(gc, x, &a)
+	for _, t := range []*tensor.Tensor{a.z, a.pl, a.pr, a.scores, a.alpha} {
+		tensor.Put(t)
+	}
+	return a.out
+}
+
+// forward is the layer's one body over gc's destination rows, in a's
+// buffers. Z and the left projection cover every input row (any may be an
+// edge source); the right projection, softmax and output cover the rows.
+func (l *GATLayer) forward(gc *GraphCtx, x *tensor.Tensor, a *gatActs) {
+	a.z = tensor.MatMul(buf2(a.z, x.Dim(0), l.OutDim()), x, l.W.Value)
+	a.pl = l.project(a.pl, a.z, nil, l.AL)
+	a.pr = l.project(a.pr, a.z, gc.Rows, l.AR)
 	e := gc.NumEdges()
-	l.scores = buf2(l.scores, e, l.heads)
+	a.scores = buf2(a.scores, e, l.heads)
 	for s := 0; s < e; s++ {
-		sr := l.scores.Row(s)
-		plr := l.pl.Row(int(gc.SrcByDst[s]))
-		prr := l.pr.Row(int(gc.DstByDst[s]))
+		sr := a.scores.Row(s)
+		plr := a.pl.Row(int(gc.SrcByDst[s]))
+		prr := a.pr.Row(int(gc.DstByDst[s]))
 		for h := 0; h < l.heads; h++ {
 			sr[h] = plr[h] + prr[h]
 		}
 	}
 	// LeakyReLU then per-(dst, head) softmax over CSR segments.
-	l.alpha = tensor.LeakyReLU(buf2(l.alpha, e, l.heads), l.scores, l.slope)
-	l.segmentSoftmaxByHead(gc, l.alpha)
+	a.alpha = tensor.LeakyReLU(buf2(a.alpha, e, l.heads), a.scores, l.slope)
+	l.segmentSoftmaxByHead(gc, a.alpha)
 
-	out := buf2(l.out, gc.NumVertices(), l.OutDim())
-	l.out = out
+	out := buf2(a.out, gc.NumRows(), l.OutDim())
+	a.out = out
 	out.Zero()
-	parallel.For(gc.NumVertices(), 16, func(v int) {
+	parallel.For(gc.NumRows(), 16, func(v int) {
 		orow := out.Row(v)
 		for s := gc.CSR.RowPtr[v]; s < gc.CSR.RowPtr[v+1]; s++ {
-			zr := l.z.Row(int(gc.SrcByDst[s]))
-			ar := l.alpha.Row(int(s))
+			zr := a.z.Row(int(gc.SrcByDst[s]))
+			ar := a.alpha.Row(int(s))
 			for h := 0; h < l.heads; h++ {
 				tensor.AxpyRow(orow[h*l.dh:(h+1)*l.dh], ar[h], zr[h*l.dh:(h+1)*l.dh])
 			}
 		}
 	})
 	tensor.AddBias(out, l.B.Value)
-	return out
 }
 
 // segmentSoftmaxByHead normalizes vals [E, heads] per destination segment
 // and head, in place.
 func (l *GATLayer) segmentSoftmaxByHead(gc *GraphCtx, vals *tensor.Tensor) {
-	parallel.For(gc.NumVertices(), 16, func(v int) {
+	d, hs := vals.Data(), l.heads
+	parallel.For(gc.NumRows(), 16, func(v int) {
 		lo, hi := int(gc.CSR.RowPtr[v]), int(gc.CSR.RowPtr[v+1])
 		if lo >= hi {
 			return
 		}
-		for h := 0; h < l.heads; h++ {
-			maxv := vals.At(lo, h)
+		for h := 0; h < hs; h++ {
+			maxv := d[lo*hs+h]
 			for s := lo + 1; s < hi; s++ {
-				if x := vals.At(s, h); x > maxv {
+				if x := d[s*hs+h]; x > maxv {
 					maxv = x
 				}
 			}
 			var sum float64
 			for s := lo; s < hi; s++ {
-				ev := math.Exp(float64(vals.At(s, h) - maxv))
-				vals.Set(float32(ev), s, h)
+				ev := math.Exp(float64(d[s*hs+h] - maxv))
+				d[s*hs+h] = float32(ev)
 				sum += ev
 			}
 			inv := float32(1 / sum)
 			for s := lo; s < hi; s++ {
-				vals.Set(vals.At(s, h)*inv, s, h)
+				d[s*hs+h] *= inv
 			}
 		}
 	})

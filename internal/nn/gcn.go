@@ -30,23 +30,43 @@ func (l *GCNLayer) OutDim() int { return l.W.Value.Dim(1) }
 
 // Forward implements Layer: Aggregate(Transform(x)).
 func (l *GCNLayer) Forward(gc *GraphCtx, x *tensor.Tensor) *tensor.Tensor {
+	gc.mustAllRows()
 	return l.Aggregate(gc, l.Transform(x))
+}
+
+// Infer implements Layer.
+func (l *GCNLayer) Infer(gc *GraphCtx, x *tensor.Tensor) *tensor.Tensor {
+	xw := l.transform(nil, x)
+	defer tensor.Put(xw)
+	return l.aggregate(nil, gc, xw)
 }
 
 // Transform is the first stage, XW = x·W; it caches x for the backward.
 func (l *GCNLayer) Transform(x *tensor.Tensor) *tensor.Tensor {
 	l.x = x
-	l.xw = tensor.MatMul(buf2(l.xw, x.Dim(0), l.OutDim()), x, l.W.Value)
+	l.xw = l.transform(l.xw, x)
 	return l.xw
+}
+
+// transform computes x·W over every input row (any may be an edge source)
+// into buf.
+func (l *GCNLayer) transform(buf, x *tensor.Tensor) *tensor.Tensor {
+	return tensor.MatMul(buf2(buf, x.Dim(0), l.OutDim()), x, l.W.Value)
 }
 
 // Aggregate is the second stage, out = Â·xw + b over gc's in-edges.
 func (l *GCNLayer) Aggregate(gc *GraphCtx, xw *tensor.Tensor) *tensor.Tensor {
-	l.out = buf2(l.out, gc.NumVertices(), l.OutDim())
-	l.out.Zero()
-	EdgeSpMMBins(l.out, xw, gc.SrcByDst, gc.DstByDst, gc.InvDeg, gc.BinsByDst())
-	tensor.AddBias(l.out, l.B.Value)
+	l.out = l.aggregate(l.out, gc, xw)
 	return l.out
+}
+
+// aggregate computes Â·xw + b over gc's destination rows into buf.
+func (l *GCNLayer) aggregate(buf *tensor.Tensor, gc *GraphCtx, xw *tensor.Tensor) *tensor.Tensor {
+	out := buf2(buf, gc.NumRows(), l.OutDim())
+	out.Zero()
+	EdgeSpMMBins(out, xw, gc.SrcByDst, gc.DstByDst, gc.InvDeg, gc.BinsByDst())
+	tensor.AddBias(out, l.B.Value)
+	return out
 }
 
 // Backward implements Layer.
@@ -118,14 +138,31 @@ func (l *SAGELayer) OutDim() int { return l.WSelf.Value.Dim(1) }
 
 // Forward implements Layer.
 func (l *SAGELayer) Forward(gc *GraphCtx, x *tensor.Tensor) *tensor.Tensor {
+	gc.mustAllRows()
 	l.x = x
-	l.agg = buf2(l.agg, gc.NumVertices(), l.InDim())
-	l.out = tensor.MatMul(buf2(l.out, x.Dim(0), l.OutDim()), x, l.WSelf.Value)
-	l.agg.Zero()
-	EdgeSpMMBins(l.agg, x, gc.SrcByDst, gc.DstByDst, gc.InvDeg, gc.BinsByDst())
-	tensor.MatMulAcc(l.out, l.agg, l.WNeigh.Value)
-	tensor.AddBias(l.out, l.B.Value)
+	l.agg, l.out = l.forward(gc, x, l.agg, l.out)
 	return l.out
+}
+
+// Infer implements Layer.
+func (l *SAGELayer) Infer(gc *GraphCtx, x *tensor.Tensor) *tensor.Tensor {
+	agg, out := l.forward(gc, x, nil, nil)
+	tensor.Put(agg)
+	return out
+}
+
+// forward is the layer's one body over gc's destination rows, in the
+// buffers agg (the neighbour mean) and out.
+func (l *SAGELayer) forward(gc *GraphCtx, x, agg, out *tensor.Tensor) (*tensor.Tensor, *tensor.Tensor) {
+	out = selfTransform(out, gc, x, l.WSelf.Value)
+	agg = buf2(agg, gc.NumRows(), l.InDim())
+	agg.Zero()
+	EdgeSpMMBins(agg, x, gc.SrcByDst, gc.DstByDst, gc.InvDeg, gc.BinsByDst())
+	// The neighbour mean meets in memory before the dense transform:
+	// partial products Σ₁·W + Σ₂·W would not be bitwise (Σ₁+Σ₂)·W.
+	tensor.MatMulAcc(out, agg, l.WNeigh.Value)
+	tensor.AddBias(out, l.B.Value)
+	return agg, out
 }
 
 // Backward implements Layer.

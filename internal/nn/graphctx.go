@@ -1,42 +1,57 @@
 package nn
 
 import (
+	"fmt"
+	"sync"
+
 	"wisegraph/internal/graph"
 	"wisegraph/internal/parallel"
 	"wisegraph/internal/tensor"
 )
 
-// GraphCtx precomputes the per-graph arrays every layer needs: CSR-ordered
-// edges (grouped by destination, which GAT's softmax and SAGE-LSTM's
-// neighbor sequences require), per-edge mean weights, and edges grouped by
-// type for RGCN.
+// GraphCtx precomputes the per-graph arrays every layer needs: edges
+// grouped by destination row (which GAT's softmax and SAGE-LSTM's neighbor
+// sequences require), per-edge mean weights, and edges grouped by type for
+// RGCN. Each destination sees its in-edges in one fixed order: edge-id
+// order (NewGraphCtx) or a given order such as a partition's task order
+// (NewGraphCtxOrder), and every layer accumulates in it.
 type GraphCtx struct {
 	G   *graph.Graph
 	CSR *graph.CSR
 
+	// Rows lists the local ids of the destination rows, strictly
+	// ascending; nil means every vertex. Row i of a layer's output is
+	// vertex Rows[i], and CSR.RowPtr runs over Rows.
+	Rows []int32
+
 	// SrcByDst / DstByDst are the edge endpoints in CSR (dst-grouped)
-	// order; edge slot s of CSR corresponds to SrcByDst[s] → DstByDst[s].
+	// order; edge slot s of CSR corresponds to SrcByDst[s] → DstByDst[s],
+	// where DstByDst holds the destination's row (its index in Rows).
 	SrcByDst []int32
 	DstByDst []int32
 	// InvDeg[s] = 1/in-degree(dst) per CSR slot (mean aggregation).
 	InvDeg []float32
 
 	// TypeOrder lists CSR slots grouped by edge type; TypeOffsets[t] ..
-	// TypeOffsets[t+1] delimit type t (nil for untyped graphs).
+	// TypeOffsets[t+1] delimit type t, and TypePos[s] is slot s's position
+	// in TypeOrder (all nil for untyped graphs).
 	TypeOrder   []int32
 	TypeOffsets []int32
+	TypePos     []int32
 
 	// Cached destination binnings for the two scatter directions (lazily
-	// built; see tensor.BinRows). The index arrays never change for a
-	// given graph, so every EdgeSpMM over this context reuses them. Like
-	// the layer activation caches, these are not safe for concurrent
-	// mutation from multiple goroutines.
+	// built under mu; see tensor.BinRows). The index arrays never change
+	// for a given context, so every EdgeSpMM over it reuses them.
+	mu        sync.Mutex
 	binsByDst *tensor.Bins // dst = DstByDst (forward aggregation)
 	binsBySrc *tensor.Bins // dst = SrcByDst (backward/transpose)
 
-	// typeEdges caches the per-relation edge arrays RGCN gathers from
+	// typeEdges caches the per-relation edge arrays RGCN's backward reads
 	// (lazily built; the underlying CSR never changes).
 	typeEdges []TypeEdges
+
+	// slab is the pooled storage of the int32 arrays above but TypeOffsets.
+	slab []int32
 }
 
 // TypeEdges holds one relation's edges as parallel arrays: endpoints plus
@@ -46,59 +61,160 @@ type TypeEdges struct {
 	W        []float32
 }
 
-// NewGraphCtx builds the context for g.
+// NewGraphCtx builds the context for g over every vertex, each
+// destination's in-edges in edge-id order.
 func NewGraphCtx(g *graph.Graph) *GraphCtx {
-	csr := g.BuildCSRByDst()
-	e := g.NumEdges()
-	gc := &GraphCtx{G: g, CSR: csr}
-	gc.SrcByDst = csr.Col
-	gc.DstByDst = make([]int32, e)
-	gc.InvDeg = make([]float32, e)
-	for v := 0; v < g.NumVertices; v++ {
-		lo, hi := csr.RowPtr[v], csr.RowPtr[v+1]
-		deg := float32(hi - lo)
-		for s := lo; s < hi; s++ {
-			gc.DstByDst[s] = int32(v)
-			gc.InvDeg[s] = 1 / deg
-		}
-	}
-	if g.Type != nil {
-		counts := make([]int32, g.NumTypes)
-		for _, t := range csr.EType {
-			counts[t]++
-		}
-		gc.TypeOffsets = tensor.CountsToOffsets(counts)
-		next := append([]int32(nil), gc.TypeOffsets[:g.NumTypes]...)
-		gc.TypeOrder = make([]int32, e)
-		for s := 0; s < e; s++ {
-			t := csr.EType[s]
-			gc.TypeOrder[next[t]] = int32(s)
-			next[t]++
-		}
+	gc, err := NewGraphCtxOrder(g, nil, nil)
+	if err != nil {
+		panic(err) // unreachable: every edge ends in the all-vertex row set
 	}
 	return gc
 }
 
+// NewGraphCtxOrder builds the context for g whose destination rows are
+// rows (nil: every vertex) and in which each destination sees its in-edges
+// in the sequence they take in order, a permutation of g's edge ids (nil:
+// edge-id order). rows must be strictly ascending ids of g, and every edge
+// must end in it: one that does not is an error, not a dropped
+// contribution. The arrays come from the tensor pools; Release returns
+// them once nothing reads the context.
+func NewGraphCtxOrder(g *graph.Graph, order, rows []int32) (*GraphCtx, error) {
+	v, e := g.NumVertices, g.NumEdges()
+	if order != nil && len(order) != e {
+		return nil, fmt.Errorf("nn: edge order has %d entries for %d edges", len(order), e)
+	}
+	inDeg := g.InDegrees()
+	n, nt := v, 0
+	if rows != nil {
+		prev, edges := int32(-1), 0
+		for _, d := range rows {
+			if d <= prev || int(d) >= v {
+				return nil, fmt.Errorf("nn: destination rows must be strictly ascending ids in [0,%d), got %d after %d", v, d, prev)
+			}
+			edges += int(inDeg[d])
+			prev = d
+		}
+		if edges != e {
+			return nil, fmt.Errorf("nn: %d of %d edges end outside the %d destination rows", e-edges, e, len(rows))
+		}
+		n = len(rows)
+	}
+	size := n + 1 + 3*e
+	if g.Type != nil {
+		nt = g.NumTypes
+		size += 3 * e
+	}
+	// Every int32 array but TypeOffsets is a piece of one pooled slab; the
+	// scratch (the next free slot per row, per-type cursors, and with a row
+	// set each vertex's row) is another.
+	gc := &GraphCtx{G: g, Rows: rows, InvDeg: tensor.GetF32(e), slab: tensor.GetI32(size)}
+	scratch := tensor.GetI32(n + nt + v)
+	defer tensor.PutI32(scratch)
+	free := gc.slab
+	take := func(k int) []int32 {
+		s := free[:k:k]
+		free = free[k:]
+		return s
+	}
+	csr := &graph.CSR{RowPtr: take(n + 1), Col: take(e), EdgeID: take(e)}
+	gc.CSR, gc.SrcByDst, gc.DstByDst = csr, csr.Col, take(e)
+	next, counts, at := scratch[:n], scratch[n:n+nt], scratch[n+nt:]
+	for r := 0; r < n; r++ {
+		d := r
+		if rows != nil {
+			d = int(rows[r])
+			at[d] = int32(r)
+		}
+		csr.RowPtr[r+1] = csr.RowPtr[r] + inDeg[d]
+	}
+	copy(next, csr.RowPtr)
+	for i := 0; i < e; i++ {
+		ei := int32(i)
+		if order != nil {
+			ei = order[i]
+		}
+		r := g.Dst[ei]
+		if rows != nil {
+			r = at[r]
+		}
+		s := next[r]
+		next[r]++
+		csr.Col[s], csr.EdgeID[s], gc.DstByDst[s] = g.Src[ei], ei, r
+		gc.InvDeg[s] = 1 / float32(csr.RowPtr[r+1]-csr.RowPtr[r])
+	}
+	if g.Type != nil {
+		csr.EType, gc.TypeOrder, gc.TypePos = take(e), take(e), take(e)
+		for s, ei := range csr.EdgeID {
+			t := g.Type[ei]
+			csr.EType[s] = t
+			counts[t]++
+		}
+		gc.TypeOffsets = tensor.CountsToOffsets(counts)
+		copy(counts, gc.TypeOffsets[:nt])
+		for s, t := range csr.EType {
+			gc.TypeOrder[counts[t]], gc.TypePos[s] = int32(s), counts[t]
+			counts[t]++
+		}
+	}
+	return gc, nil
+}
+
+// Release returns the context's pooled arrays. Neither the context nor
+// anything read from it may be used afterwards.
+func (gc *GraphCtx) Release() {
+	tensor.PutI32(gc.slab)
+	tensor.PutF32(gc.InvDeg)
+	*gc = GraphCtx{}
+}
+
+// SameOrder reports whether every destination of gc sees its in-edges in
+// the sequence they take in order, a permutation of the edge ids: then a
+// context built over order holds the same arrays as gc.
+func (gc *GraphCtx) SameOrder(order []int32) bool {
+	if gc.CSR == nil || gc.Rows != nil || len(order) != gc.NumEdges() {
+		return false
+	}
+	next := tensor.GetI32(gc.NumVertices())
+	defer tensor.PutI32(next)
+	copy(next, gc.CSR.RowPtr)
+	for _, e := range order {
+		d := gc.G.Dst[e]
+		if gc.CSR.EdgeID[next[d]] != e {
+			return false
+		}
+		next[d]++
+	}
+	return true
+}
+
 // BinsByDst returns (building on first use) the destination binning for
-// forward aggregation: edges partitioned by DstByDst shard.
+// forward aggregation: edges partitioned by DstByDst shard. Nothing is
+// built while EdgeSpMMBins would run sequentially anyway.
 func (gc *GraphCtx) BinsByDst() *tensor.Bins {
-	gc.binsByDst = gc.edgeBins(gc.binsByDst, gc.DstByDst)
+	gc.mu.Lock()
+	defer gc.mu.Unlock()
+	gc.binsByDst = gc.edgeBins(gc.binsByDst, gc.DstByDst, gc.NumRows())
 	return gc.binsByDst
 }
 
 // BinsBySrc returns the binning for the transpose direction (backward):
 // edges partitioned by SrcByDst shard.
 func (gc *GraphCtx) BinsBySrc() *tensor.Bins {
-	gc.binsBySrc = gc.edgeBins(gc.binsBySrc, gc.SrcByDst)
+	gc.mu.Lock()
+	defer gc.mu.Unlock()
+	gc.binsBySrc = gc.edgeBins(gc.binsBySrc, gc.SrcByDst, gc.NumVertices())
 	return gc.binsBySrc
 }
 
-func (gc *GraphCtx) edgeBins(cur *tensor.Bins, dst []int32) *tensor.Bins {
-	shards := parallel.Workers(gc.NumVertices(), 1)
-	if cur != nil && cur.NumShards() == min(shards, gc.NumVertices()) {
+func (gc *GraphCtx) edgeBins(cur *tensor.Bins, dst []int32, rows int) *tensor.Bins {
+	shards := parallel.Workers(rows, 1)
+	if shards <= 1 || len(dst) < spmmSeqEdges {
 		return cur
 	}
-	return tensor.BinRows(cur, dst, gc.NumVertices(), shards)
+	if cur != nil && cur.NumShards() == min(shards, rows) {
+		return cur
+	}
+	return tensor.BinRows(cur, dst, rows, shards)
 }
 
 // TypeEdgeArrays returns (building on first use) relation t's edge arrays
@@ -124,17 +240,39 @@ func (gc *GraphCtx) TypeEdgeArrays(t int) *TypeEdges {
 	return &gc.typeEdges[t]
 }
 
-// NumVertices returns the vertex count.
+// NumVertices returns the vertex count: the rows of a layer's input.
 func (gc *GraphCtx) NumVertices() int { return gc.G.NumVertices }
+
+// NumRows returns the destination row count: the rows of a layer's output.
+func (gc *GraphCtx) NumRows() int {
+	if gc.Rows == nil {
+		return gc.NumVertices()
+	}
+	return len(gc.Rows)
+}
 
 // NumEdges returns the edge count.
 func (gc *GraphCtx) NumEdges() int { return len(gc.SrcByDst) }
 
+// mustAllRows panics unless gc's destination rows are every vertex: the
+// training entry points cache activations for a backward that has no row
+// set.
+func (gc *GraphCtx) mustAllRows() {
+	if gc.Rows != nil {
+		panic("nn: Forward needs every vertex as a destination row; use Infer")
+	}
+}
+
 // Layer is one trainable graph-convolution layer with cached activations
 // for the backward pass.
 type Layer interface {
-	// Forward computes the layer output for input x [V, in].
+	// Forward computes the layer output for input x [V, in] and caches
+	// what Backward reads; gc's rows must be every vertex.
 	Forward(gc *GraphCtx, x *tensor.Tensor) *tensor.Tensor
+	// Infer runs Forward's arithmetic over gc's destination rows and
+	// returns a pooled [gc.NumRows(), out] tensor the caller owns. It
+	// writes no layer state, so concurrent calls may share a layer.
+	Infer(gc *GraphCtx, x *tensor.Tensor) *tensor.Tensor
 	// Backward consumes d(loss)/d(out) and accumulates parameter
 	// gradients. With needDX it returns d(loss)/d(x); without, it skips
 	// every step only the input gradient needs and returns nil — the

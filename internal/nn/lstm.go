@@ -22,15 +22,20 @@ type SAGELSTMLayer struct {
 
 	hidden int
 
-	// caches for BPTT, per CSR edge slot (sticky buffers, see bufs.go)
-	x      *tensor.Tensor
+	x *tensor.Tensor
+	lstmActs
+	dx, dHFinal *tensor.Tensor
+}
+
+// lstmActs are the forward's buffers (sticky in training, see bufs.go).
+// The per-slot caches are BPTT's and stay nil under Infer.
+type lstmActs struct {
 	gates  *tensor.Tensor // [E, 4*hidden] post-activation gate values
 	cells  *tensor.Tensor // [E, hidden] c_t
 	hPrev  *tensor.Tensor // [E, hidden] h_{t-1} entering each step
 	cPrev  *tensor.Tensor // [E, hidden] c_{t-1}
-	hFinal *tensor.Tensor // [V, hidden]
-
-	out, dx, dHFinal *tensor.Tensor
+	hFinal *tensor.Tensor // [rows, hidden]
+	out    *tensor.Tensor
 }
 
 // NewSAGELSTMLayer allocates a layer with LSTM hidden size = out.
@@ -57,59 +62,83 @@ func (l *SAGELSTMLayer) InDim() int { return l.WSelf.Value.Dim(0) }
 // OutDim implements Layer.
 func (l *SAGELSTMLayer) OutDim() int { return l.WSelf.Value.Dim(1) }
 
-// Forward implements Layer. Vertices run in parallel; each vertex's
-// neighbor sequence runs sequentially (the data dependence the paper's
-// Figure 18b batching works around).
+// Forward implements Layer.
 func (l *SAGELSTMLayer) Forward(gc *GraphCtx, x *tensor.Tensor) *tensor.Tensor {
+	gc.mustAllRows()
 	l.x = x
-	v := gc.NumVertices()
+	l.forward(gc, x, &l.lstmActs, true)
+	return l.out
+}
+
+// Infer implements Layer.
+func (l *SAGELSTMLayer) Infer(gc *GraphCtx, x *tensor.Tensor) *tensor.Tensor {
+	var a lstmActs
+	l.forward(gc, x, &a, false)
+	tensor.Put(a.hFinal)
+	return a.out
+}
+
+// forward is the layer's one body over gc's destination rows, in a's
+// buffers; with bptt it also fills the per-slot caches Backward reads.
+// Destinations run in parallel; each one's neighbor sequence runs
+// sequentially in gc's order (the data dependence the paper's Figure 18b
+// batching works around).
+func (l *SAGELSTMLayer) forward(gc *GraphCtx, x *tensor.Tensor, a *lstmActs, bptt bool) {
 	e := gc.NumEdges()
 	hd := l.hidden
-	// Every edge slot is visited by exactly one vertex segment, so the
-	// per-slot caches are fully overwritten; only hFinal needs zeroing
-	// (vertices without in-edges keep h = 0).
-	l.gates = buf2(l.gates, e, 4*hd)
-	l.cells = buf2(l.cells, e, hd)
-	l.hPrev = buf2(l.hPrev, e, hd)
-	l.cPrev = buf2(l.cPrev, e, hd)
-	l.hFinal = buf2(l.hFinal, v, hd)
-	l.hFinal.Zero()
+	// Every edge slot is visited by exactly one destination segment, so
+	// the per-slot caches are fully overwritten; only hFinal needs zeroing
+	// (destinations without in-edges keep h = 0).
+	if bptt {
+		a.gates = buf2(a.gates, e, 4*hd)
+		a.cells = buf2(a.cells, e, hd)
+		a.hPrev = buf2(a.hPrev, e, hd)
+		a.cPrev = buf2(a.cPrev, e, hd)
+	}
+	a.hFinal = buf2(a.hFinal, gc.NumRows(), hd)
+	a.hFinal.Zero()
 
-	parallel.For(v, 4, func(vi int) {
-		lo, hi := int(gc.CSR.RowPtr[vi]), int(gc.CSR.RowPtr[vi+1])
-		if lo >= hi {
-			return
-		}
-		h := make([]float32, hd)
-		c := make([]float32, hd)
-		z := make([]float32, 4*hd)
-		for s := lo; s < hi; s++ {
-			copy(l.hPrev.Row(s), h)
-			copy(l.cPrev.Row(s), c)
-			xr := x.Row(int(gc.SrcByDst[s]))
-			// z = x·Wx + h·Wh + bg
-			copy(z, l.Bg.Value.Data())
-			tensor.VecMatAcc(z, xr, l.Wx.Value)
-			tensor.VecMatAcc(z, h, l.Wh.Value)
-			g := l.gates.Row(s)
-			for j := 0; j < hd; j++ {
-				i := sigmoid32(z[j])
-				f := sigmoid32(z[hd+j])
-				o := sigmoid32(z[2*hd+j])
-				gg := float32(math.Tanh(float64(z[3*hd+j])))
-				g[j], g[hd+j], g[2*hd+j], g[3*hd+j] = i, f, o, gg
-				c[j] = f*c[j] + i*gg
-				h[j] = o * float32(math.Tanh(float64(c[j])))
+	parallel.ForRange(gc.NumRows(), 4, func(lo, hi int) {
+		scratch := tensor.GetF32(6 * hd)
+		defer tensor.PutF32(scratch)
+		h, c, z := scratch[:hd], scratch[hd:2*hd], scratch[2*hd:]
+		for vi := lo; vi < hi; vi++ {
+			clear(h)
+			clear(c)
+			for s := int(gc.CSR.RowPtr[vi]); s < int(gc.CSR.RowPtr[vi+1]); s++ {
+				var g []float32
+				if bptt {
+					copy(a.hPrev.Row(s), h)
+					copy(a.cPrev.Row(s), c)
+					g = a.gates.Row(s)
+				}
+				xr := x.Row(int(gc.SrcByDst[s]))
+				// z = x·Wx + h·Wh + bg
+				copy(z, l.Bg.Value.Data())
+				tensor.VecMatAcc(z, xr, l.Wx.Value)
+				tensor.VecMatAcc(z, h, l.Wh.Value)
+				for j := 0; j < hd; j++ {
+					i := sigmoid32(z[j])
+					f := sigmoid32(z[hd+j])
+					o := sigmoid32(z[2*hd+j])
+					gg := float32(math.Tanh(float64(z[3*hd+j])))
+					if g != nil {
+						g[j], g[hd+j], g[2*hd+j], g[3*hd+j] = i, f, o, gg
+					}
+					c[j] = f*c[j] + i*gg
+					h[j] = o * float32(math.Tanh(float64(c[j])))
+				}
+				if bptt {
+					copy(a.cells.Row(s), c)
+				}
 			}
-			copy(l.cells.Row(s), c)
+			copy(a.hFinal.Row(vi), h)
 		}
-		copy(l.hFinal.Row(vi), h)
 	})
 
-	l.out = tensor.MatMul(buf2(l.out, x.Dim(0), l.OutDim()), x, l.WSelf.Value)
-	tensor.MatMulAcc(l.out, l.hFinal, l.WNeigh.Value)
-	tensor.AddBias(l.out, l.B.Value)
-	return l.out
+	a.out = selfTransform(a.out, gc, x, l.WSelf.Value)
+	tensor.MatMulAcc(a.out, a.hFinal, l.WNeigh.Value)
+	tensor.AddBias(a.out, l.B.Value)
 }
 
 // Backward implements Layer (full BPTT through every vertex's neighbor

@@ -1,10 +1,11 @@
 // Package nn implements the five GNN models the paper evaluates — GCN,
 // SAGE, SAGE-LSTM, GAT and RGCN — as trainable reference implementations
 // with hand-written forward and backward passes over the tensor substrate.
-// These are the numerically authoritative implementations: the partition-
-// strategy executors (tensor-centric, graph-centric, gTask-based) are
-// cross-checked against them, and the accuracy experiments (paper Figure
-// 14) train them end to end.
+// These are the numerically authoritative implementations and the only
+// copy of each model's math: the gTask executor runs them (Layer.Infer)
+// over a partition's edge order, the other partition-strategy executors
+// (tensor-centric, graph-centric) are cross-checked against them, and the
+// accuracy experiments (paper Figure 14) train them end to end.
 package nn
 
 import (
@@ -75,6 +76,10 @@ func EdgeSpMM(out, x *tensor.Tensor, src, dst []int32, w []float32) {
 	EdgeSpMMBins(out, x, src, dst, w, nil)
 }
 
+// spmmSeqEdges is the edge count below which EdgeSpMMBins runs
+// sequentially: binning would cost more than the workers save.
+const spmmSeqEdges = 2048
+
 // EdgeSpMMBins is EdgeSpMM with an optional precomputed binning of dst
 // over out's rows (built by tensor.BinRows). The full-graph training loop
 // caches the bins on its GraphCtx, so every aggregation skips the
@@ -85,7 +90,7 @@ func EdgeSpMMBins(out, x *tensor.Tensor, src, dst []int32, w []float32, bins *te
 		panic(fmt.Sprintf("nn: EdgeSpMM row sizes %d vs %d", out.RowSize(), rs))
 	}
 	shards := parallel.Workers(out.Rows(), 1)
-	if shards <= 1 || len(src) < 2048 {
+	if shards <= 1 || len(src) < spmmSeqEdges {
 		for e := range src {
 			edgeSpMMOne(out, x, src, dst, w, e, rs)
 		}

@@ -54,32 +54,57 @@ func (l *RGCNLayer) typeWeightGrad(t int) *tensor.Tensor {
 	return tensor.FromSlice(l.W.Grad.Data()[t*in*out:(t+1)*in*out], in, out)
 }
 
-// Forward implements Layer. Edges are processed grouped by relation so
-// each group is a dense [Et, in] × [in, out] matmul — the reference
-// "relation-batched" execution.
+// Forward implements Layer.
 func (l *RGCNLayer) Forward(gc *GraphCtx, x *tensor.Tensor) *tensor.Tensor {
-	if gc.TypeOffsets == nil {
-		panic("nn: RGCN requires a typed graph")
-	}
+	gc.mustAllRows()
 	l.x = x
 	if len(l.gathered) != l.numTypes {
 		l.gathered = make([]*tensor.Tensor, l.numTypes)
 	}
-	l.out = tensor.MatMul(buf2(l.out, x.Dim(0), l.OutDim()), x, l.WSelf.Value)
-	out := l.out
-	for t := 0; t < l.numTypes; t++ {
-		te := gc.TypeEdgeArrays(t)
-		if len(te.Src) == 0 {
-			continue
+	l.out = l.forward(gc, x, l.out, l.gathered)
+	return l.out
+}
+
+// Infer implements Layer.
+func (l *RGCNLayer) Infer(gc *GraphCtx, x *tensor.Tensor) *tensor.Tensor {
+	return l.forward(gc, x, nil, nil)
+}
+
+// forward is the layer's one body over gc's destination rows, into out.
+// Edges are processed grouped by relation so each group's messages are
+// one dense [Et, in] × [in, out] matmul — the "relation-batched"
+// execution — and then added into their destinations in slot order, so
+// every destination sums its in-edges in gc's order. gathered, when
+// non-nil, keeps each relation's gathered source rows for Backward;
+// otherwise they go back to the pool.
+func (l *RGCNLayer) forward(gc *GraphCtx, x, out *tensor.Tensor, gathered []*tensor.Tensor) *tensor.Tensor {
+	e, in, fo := gc.NumEdges(), l.InDim(), l.OutDim()
+	if gc.TypeOffsets == nil && e > 0 {
+		panic("nn: RGCN requires a typed graph")
+	}
+	out = selfTransform(out, gc, x, l.WSelf.Value)
+	if e > 0 {
+		// msg row i is the message of slot TypeOrder[i].
+		msg := tensor.Get(e, fo)
+		defer tensor.Put(msg)
+		for t := 0; t < l.numTypes; t++ {
+			lo, hi := int(gc.TypeOffsets[t]), int(gc.TypeOffsets[t+1])
+			if lo == hi {
+				continue
+			}
+			xt := tensor.Get(hi-lo, in)
+			for i, s := range gc.TypeOrder[lo:hi] {
+				copy(xt.Row(i), x.Row(int(gc.SrcByDst[s])))
+			}
+			tensor.MatMulAcc(tensor.FromSlice(msg.Data()[lo*fo:hi*fo], hi-lo, fo), xt, l.typeWeight(t))
+			if gathered != nil {
+				gathered[t] = xt
+			} else {
+				tensor.Put(xt)
+			}
 		}
-		xt := tensor.GatherRows(tensor.Get(len(te.Src), l.InDim()), x, te.Src)
-		l.gathered[t] = xt
-		msg := tensor.MatMulAcc(tensor.Get(len(te.Src), l.OutDim()), xt, l.typeWeight(t))
 		// scatter with normalization: out[dst] += w · msg
-		for i := range te.Src {
-			tensor.AxpyRow(out.Row(int(te.Dst[i])), te.W[i], msg.Row(i))
-		}
-		tensor.Put(msg)
+		EdgeSpMMBins(out, msg, gc.TypePos, gc.DstByDst, gc.InvDeg, gc.BinsByDst())
 	}
 	tensor.AddBias(out, l.B.Value)
 	return out

@@ -431,9 +431,9 @@ func (s *Shard) handleCompute(ctx context.Context, w *shardWorker, a *ComputeArg
 	}
 
 	part := train.ReusePlanWith(w.pt, s.plan, g)
-	// The engines read the block's edge list and vertex count and nothing
-	// else of the context, so the by-destination CSR nn.NewGraphCtx would
-	// build per call is left out.
+	// RunModelLayerRows reads the block's edge list and nothing else of the
+	// context: it builds the context the layer runs over itself, in the
+	// plan's task order over the target rows.
 	gc := &nn.GraphCtx{G: g}
 	x := tensor.FromSlice(rows, len(a.In), a.InDim)
 	w.ectx.TraceID = a.Batch

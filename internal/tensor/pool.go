@@ -42,6 +42,18 @@ func Get(shape ...int) *Tensor {
 	return &Tensor{data: getStorage(n), shape: append([]int(nil), shape...)}
 }
 
+// GetF32 returns a zero-filled []float32 of length n from the tensor
+// storage pool. Pair with PutF32.
+func GetF32(n int) []float32 {
+	if n == 0 {
+		return nil
+	}
+	return getStorage(n)
+}
+
+// PutF32 recycles s into the pool. The caller must not use s afterwards.
+func PutF32(s []float32) { putStorage(s) }
+
 // getStorage returns a zeroed []float32 of length n with pow2 capacity.
 func getStorage(n int) []float32 {
 	b := bucketFor(n)

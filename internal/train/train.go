@@ -94,8 +94,11 @@ func (t *FullGraph) Run(epochs int) []EpochStats {
 // GTaskTestAccuracy evaluates test accuracy with the logits produced by
 // the gTask execution path instead of the reference forward — the
 // accuracy-parity check: WiseGraph's optimizations must not change
-// predictions (paper Figure 14, "accuracy difference within 1%"; here the
-// executions are bit-for-bit near-identical).
+// predictions (paper Figure 14, "accuracy difference within 1%"). Here the
+// gTask logits are the model's own forward with each destination's
+// in-edges in the searched partition's order: bit for bit Accuracy's
+// logits when that order is edge-id order, else the same sums rounded in
+// another order.
 func (t *FullGraph) GTaskTestAccuracy(res *joint.Result) (float64, error) {
 	ctx := exec.NewCtx(device.New(device.A100()))
 	part := res.Partition

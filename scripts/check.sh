@@ -73,10 +73,13 @@ run_filtered "parity/determinism" 'Parity|Determin|Reuse|Concurrent|SortedBy' \
 
 # The row kernels against their generic oracles (unit-stride and strided,
 # every tile and the masked tail, ±0/NaN/Inf), MatMulTransA against
-# MatMulAcc over an explicit transpose, and every layer's backward without
-# the input gradient against the one with it — bit for bit. The race pass
-# above ran them at the box's width; this leg runs them on one P.
-run_filtered "kernel oracles / first-layer backward" 'Bitwise|Panics|FirstLayer' \
+# MatMulAcc over an explicit transpose, every layer's backward without
+# the input gradient against the one with it, and every layer's Infer —
+# the gTask and serving entry — against Forward, against itself from
+# concurrent callers, over destination-row subsets and around a backward —
+# bit for bit. The race pass above ran them at the box's width; this leg
+# runs them on one P.
+run_filtered "kernel oracles / first-layer backward / Infer" 'Bitwise|Panics|FirstLayer|Infer' \
   ./internal/tensor/ ./internal/nn/
 
 # Multi-device forward parity: every model's distributed forward — the nn
@@ -86,13 +89,15 @@ run_filtered "kernel oracles / first-layer backward" 'Bitwise|Panics|FirstLayer'
 # tests hold the same at 4 devices on an untyped graph.
 run_filtered "multi-device forward parity" 'ForwardBitwise|ForwardMatchesReference' ./internal/dist/
 
-# Cross-engine parity: every engine runs the same edge walk and differs
-# only in its device accounting, so fused and device must stay
-# bitwise-identical to blocked across models, plans, worker counts and
-# destination-row sets, and each name must keep launching its own gTask
-# kernels. An engine is named on exec.Ctx only — serving and training run
-# the default — so every engine test lives in internal/kernels.
-run_filtered "cross-engine parity" 'Engine|DestinationRows' ./internal/kernels/
+# Cross-engine parity: every engine runs the model's one body — its nn
+# layer's Infer over the partition's edge order — and differs only in its
+# device accounting, so the gTask output must be m.Forward over that order
+# bit for bit, fused and device must stay bitwise-identical to blocked
+# across models, plans, worker counts and destination-row sets, and each
+# name must keep launching its own gTask kernels. An engine is named on
+# exec.Ctx only — serving and training run the default — so every engine
+# test lives in internal/kernels.
+run_filtered "cross-engine parity" 'Engine|DestinationRows|GTaskExecution|ParityAllPlans' ./internal/kernels/
 
 # Serving is one forward — the serve engine's admission/batching/drain
 # machinery over the shard fleet's leveled forward and the shards'
