@@ -71,10 +71,7 @@ func AddBias(a, b *Tensor) {
 		panic(fmt.Sprintf("tensor: AddBias row size %d vs bias %d", a.RowSize(), n))
 	}
 	parallel.For(a.Rows(), 64, func(i int) {
-		row := a.Row(i)
-		for j, bv := range b.data {
-			row[j] += bv
-		}
+		AddRow(a.Row(i), b.data)
 	})
 }
 

@@ -5,10 +5,11 @@ import "fmt"
 // The one vector kernel. Every dense and aggregation loop in the repo is
 // some arrangement of dst[j] += a*x[j] over a float32 row; AxpyRow is
 // that statement and mulAddRow is the matmul row built on it. On amd64
-// with AVX2 both run in assembly (kernel_amd64.s); everywhere else they
-// run the generic loops below, which are also the test oracle. The two
-// paths are bitwise-equal: one rounding for the multiply, one for the
-// add, no fused multiply-add on any platform (see axpyGeneric).
+// both run in assembly (kernel_amd64.s): AxpyRow on AVX2, mulAddRow on
+// AVX-512 where the CPU has it and on AVX2 otherwise. Everywhere else they
+// run the generic loops below, which are also the test oracle. The paths
+// are bitwise-equal: one rounding for the multiply, one for the add, no
+// fused multiply-add on any platform (see axpyGeneric).
 
 // AxpyRow computes dst[j] += a*x[j] for every j < len(x). It never skips
 // a == 0: 0·Inf must still poison dst and a -0 in dst must still become
@@ -50,13 +51,17 @@ func checkVecMat(dst, x []float32, b *Tensor) {
 // row's A elements: 1 for a row of a row-major A, the row width of A for
 // a column read in place (MatMulTransA). With skipZero, terms whose A
 // element is ±0 are not added at all (MatMul's sparse-activation
-// contract). The slice lengths are asserted here so that no caller can
-// hand the assembly kernel a short row.
+// contract). The kernel is the widest the CPU runs: AVX-512 (one kernel
+// for every stride), then AVX2, then the generic loop. The slice lengths
+// are asserted here so that no caller can hand the assembly kernel a
+// short row.
 func mulAddRow(ci, ai []float32, lda int, b []float32, p0, p1, n int, skipZero bool) {
 	if p0 < 0 || n < 0 || lda < 1 || len(ci) < n || len(ai) <= (p1-1)*lda || len(b) < p1*n {
 		panic(fmt.Sprintf("tensor: mulAddRow c[%d] a[%d] stride %d b[%d] for p in [%d,%d), n=%d", len(ci), len(ai), lda, len(b), p0, p1, n))
 	}
 	switch {
+	case useAVX512:
+		mulAddRowStridedAVX512(ci, ai, lda, b, p0, p1, n, skipZero)
 	case !useAVX2:
 		mulAddRowGeneric(ci, ai, lda, b, p0, p1, n, skipZero)
 	case lda == 1:

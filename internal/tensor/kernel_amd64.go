@@ -1,11 +1,17 @@
 package tensor
 
-// useAVX2 is decided once from CPUID/XGETBV; there is no switch to set it.
-var useAVX2 = cpuHasAVX2()
+// useAVX2 and useAVX512 are decided once from CPUID/XGETBV; there is no
+// switch to set them.
+var (
+	useAVX2   = cpuHasAVX2()
+	useAVX512 = cpuHasAVX512()
+)
 
 // Implemented in kernel_amd64.s.
 
 func cpuHasAVX2() bool
+
+func cpuHasAVX512() bool
 
 //go:noescape
 func axpyAVX2(dst []float32, a float32, x []float32)
@@ -15,6 +21,9 @@ func mulAddRowAVX2(ci, ai, b []float32, p0, p1, n int, skipZero bool)
 
 //go:noescape
 func mulAddRowStridedAVX2(ci, ai []float32, lda int, b []float32, p0, p1, n int, skipZero bool)
+
+//go:noescape
+func mulAddRowStridedAVX512(ci, ai []float32, lda int, b []float32, p0, p1, n int, skipZero bool)
 
 //go:noescape
 func reluAVX2(dst, x []float32)

@@ -1,5 +1,5 @@
-// The one vector kernel: dst[j] += a*x[j] over float32 rows, AVX2 — and,
-// beside it, the ReLU row and its gradient mask.
+// The one vector kernel: dst[j] += a*x[j] over float32 rows, AVX2 and
+// AVX-512 — and, beside it, the ReLU row and its gradient mask.
 //
 // Every product is a VMULPS followed by a separate VADDPS — never a fused
 // multiply-add — so each lane performs exactly the two IEEE-754 roundings
@@ -20,6 +20,75 @@ DATA tailMask<>+40(SB)/8, $0
 DATA tailMask<>+48(SB)/8, $0
 DATA tailMask<>+56(SB)/8, $0
 GLOBL tailMask<>(SB), RODATA|NOPTR, $64
+
+// skipRows<> is two B rows of 64 float32, as wide as the widest tile: -0.0
+// then +0.0. A skipped k step reads the one whose sign is opposite to its
+// ±0 A element (see PICK).
+DATA skipRows<>+0(SB)/8, $0x8000000080000000
+DATA skipRows<>+8(SB)/8, $0x8000000080000000
+DATA skipRows<>+16(SB)/8, $0x8000000080000000
+DATA skipRows<>+24(SB)/8, $0x8000000080000000
+DATA skipRows<>+32(SB)/8, $0x8000000080000000
+DATA skipRows<>+40(SB)/8, $0x8000000080000000
+DATA skipRows<>+48(SB)/8, $0x8000000080000000
+DATA skipRows<>+56(SB)/8, $0x8000000080000000
+DATA skipRows<>+64(SB)/8, $0x8000000080000000
+DATA skipRows<>+72(SB)/8, $0x8000000080000000
+DATA skipRows<>+80(SB)/8, $0x8000000080000000
+DATA skipRows<>+88(SB)/8, $0x8000000080000000
+DATA skipRows<>+96(SB)/8, $0x8000000080000000
+DATA skipRows<>+104(SB)/8, $0x8000000080000000
+DATA skipRows<>+112(SB)/8, $0x8000000080000000
+DATA skipRows<>+120(SB)/8, $0x8000000080000000
+DATA skipRows<>+128(SB)/8, $0x8000000080000000
+DATA skipRows<>+136(SB)/8, $0x8000000080000000
+DATA skipRows<>+144(SB)/8, $0x8000000080000000
+DATA skipRows<>+152(SB)/8, $0x8000000080000000
+DATA skipRows<>+160(SB)/8, $0x8000000080000000
+DATA skipRows<>+168(SB)/8, $0x8000000080000000
+DATA skipRows<>+176(SB)/8, $0x8000000080000000
+DATA skipRows<>+184(SB)/8, $0x8000000080000000
+DATA skipRows<>+192(SB)/8, $0x8000000080000000
+DATA skipRows<>+200(SB)/8, $0x8000000080000000
+DATA skipRows<>+208(SB)/8, $0x8000000080000000
+DATA skipRows<>+216(SB)/8, $0x8000000080000000
+DATA skipRows<>+224(SB)/8, $0x8000000080000000
+DATA skipRows<>+232(SB)/8, $0x8000000080000000
+DATA skipRows<>+240(SB)/8, $0x8000000080000000
+DATA skipRows<>+248(SB)/8, $0x8000000080000000
+DATA skipRows<>+256(SB)/8, $0
+DATA skipRows<>+264(SB)/8, $0
+DATA skipRows<>+272(SB)/8, $0
+DATA skipRows<>+280(SB)/8, $0
+DATA skipRows<>+288(SB)/8, $0
+DATA skipRows<>+296(SB)/8, $0
+DATA skipRows<>+304(SB)/8, $0
+DATA skipRows<>+312(SB)/8, $0
+DATA skipRows<>+320(SB)/8, $0
+DATA skipRows<>+328(SB)/8, $0
+DATA skipRows<>+336(SB)/8, $0
+DATA skipRows<>+344(SB)/8, $0
+DATA skipRows<>+352(SB)/8, $0
+DATA skipRows<>+360(SB)/8, $0
+DATA skipRows<>+368(SB)/8, $0
+DATA skipRows<>+376(SB)/8, $0
+DATA skipRows<>+384(SB)/8, $0
+DATA skipRows<>+392(SB)/8, $0
+DATA skipRows<>+400(SB)/8, $0
+DATA skipRows<>+408(SB)/8, $0
+DATA skipRows<>+416(SB)/8, $0
+DATA skipRows<>+424(SB)/8, $0
+DATA skipRows<>+432(SB)/8, $0
+DATA skipRows<>+440(SB)/8, $0
+DATA skipRows<>+448(SB)/8, $0
+DATA skipRows<>+456(SB)/8, $0
+DATA skipRows<>+464(SB)/8, $0
+DATA skipRows<>+472(SB)/8, $0
+DATA skipRows<>+480(SB)/8, $0
+DATA skipRows<>+488(SB)/8, $0
+DATA skipRows<>+496(SB)/8, $0
+DATA skipRows<>+504(SB)/8, $0
+GLOBL skipRows<>(SB), RODATA|NOPTR, $512
 
 // func cpuHasAVX2() bool
 //
@@ -47,6 +116,38 @@ TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 	CPUID
 	TESTL $0x20, BX // AVX2 (leaf 7 EBX bit 5)
 	JZ   no
+	MOVB $1, ret+0(FP)
+	RET
+no:
+	MOVB $0, ret+0(FP)
+	RET
+
+// func cpuHasAVX512() bool
+//
+// AVX-512 is usable when CPUID reports OSXSAVE and AVX512F, and XCR0 says
+// the OS saves XMM, YMM, the opmask registers, the upper halves of
+// ZMM0-15 and ZMM16-31 across context switches.
+TEXT ·cpuHasAVX512(SB), NOSPLIT, $0-1
+	XORL AX, AX
+	XORL CX, CX
+	CPUID
+	CMPL AX, $7
+	JLT  no
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	TESTL $0x08000000, CX // OSXSAVE (bit 27)
+	JZ    no
+	XORL CX, CX
+	XGETBV
+	ANDL $0xe6, AX // XCR0: SSE (1) | AVX (2) | opmask (5) | ZMM_Hi256 (6) | Hi16_ZMM (7)
+	CMPL AX, $0xe6
+	JNE  no
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	TESTL $0x10000, BX // AVX512F (leaf 7 EBX bit 16)
+	JZ    no
 	MOVB $1, ret+0(FP)
 	RET
 no:
@@ -458,5 +559,171 @@ stiletail:
 	VMASKMOVPS Y0, Y13, (DI)
 
 srowdone:
+	VZEROUPPER
+	RET
+
+// The AVX-512 row kernel, one for every stride: a row of a row-major A is
+// stride 1. Registers:
+//   DI  &ci[j0]        current column tile of the output row
+//   DX  &b[p0*n + j0]  top of the same column tile of B
+//   SI  &ai[p0*lda]    top of the A column
+//   R8  4*lda          A stride in bytes
+//   R9  &ai[p1*lda]    A end
+//   R10 4*n            B row stride in bytes
+//   R12 A cursor, AX B cursor inside a tile
+//   R13 1 when skipZero is false, else 0
+//   R14 &skipRows<>
+//   CX  columns left
+//   R11, BX PICK's scratch; BX then the B row one k step reads
+//   Z0..Z3 the C tile, Z8 broadcast a, Z9..Z12 products, K1 remainder mask
+
+// PICK points BX, with no branch on the data, at the B row one k step
+// multiplies the A element at a by: the row at cur or — when skipZero
+// holds and the element is ±0 — the skip row of the opposite sign,
+// skipRows<> + 256 for -0 (bits>>23 = 256) and skipRows<> for +0. The
+// product is then -0 in every lane, and c + (-0) = c for every c, -0, ±Inf
+// and NaN included, so the step leaves C exactly as skipping it did.
+// 2·bits + R13 is zero only for ±0 with skipZero set. The A element is
+// broadcast from memory, not moved out of R11: a GPR-to-vector move must
+// be VEX-encoded here, as every vector instruction in this file is, since
+// a legacy SSE move with dirty upper YMM/ZMM state stalls on the state
+// transition, and the load keeps the shuffle port free for the adds.
+#define PICK(a, cur) \
+	MOVL    a, R11; \
+	LEAL    (R13)(R11*2), BX; \
+	SHRL    $23, R11; \
+	ADDQ    R14, R11; \
+	TESTL   BX, BX; \
+	MOVQ    cur, BX; \
+	CMOVQEQ R11, BX
+
+// ZKLOOP runs the k loop for the tile whose accumulators are loaded: for
+// each p, PICK, broadcast ai[p*lda] into Z8 and apply STEP to the row at
+// BX. The only branch is the loop's own; the loop head is 32-byte aligned.
+#define ZKLOOP(STEP, loop) \
+	MOVQ DX, AX; \
+	MOVQ SI, R12; \
+	PCALIGN $32; \
+loop: \
+	PICK((R12), AX); \
+	VBROADCASTSS (R12), Z8; \
+	STEP; \
+	ADDQ R10, AX; \
+	ADDQ R8, R12; \
+	CMPQ R12, R9; \
+	JNE  loop
+
+// The AVX-512 tiles: Z0..Z3 hold 64 columns of C. A remainder of r < 64
+// columns runs in one k pass over ⌈r/16⌉ accumulators, the last of them
+// under the lane mask K1: its loads of C and B are zero-masked (lanes
+// past the row are never read, so never fault) and its store of C is
+// masked. REMn has n-1 full accumulators and the masked one.
+
+#define ZLOAD4 VMOVUPS 0(DI), Z0; VMOVUPS 64(DI), Z1; VMOVUPS 128(DI), Z2; VMOVUPS 192(DI), Z3
+#define ZSTORE4 VMOVUPS Z0, 0(DI); VMOVUPS Z1, 64(DI); VMOVUPS Z2, 128(DI); VMOVUPS Z3, 192(DI)
+#define ZSTEP4 VMULPS 0(BX), Z8, Z9; VADDPS Z9, Z0, Z0; VMULPS 64(BX), Z8, Z10; VADDPS Z10, Z1, Z1; VMULPS 128(BX), Z8, Z11; VADDPS Z11, Z2, Z2; VMULPS 192(BX), Z8, Z12; VADDPS Z12, Z3, Z3
+
+#define ZLOADREM1 VMOVUPS.Z 0(DI), K1, Z0
+#define ZLOADREM2 VMOVUPS 0(DI), Z0; VMOVUPS.Z 64(DI), K1, Z1
+#define ZLOADREM3 VMOVUPS 0(DI), Z0; VMOVUPS 64(DI), Z1; VMOVUPS.Z 128(DI), K1, Z2
+#define ZLOADREM4 VMOVUPS 0(DI), Z0; VMOVUPS 64(DI), Z1; VMOVUPS 128(DI), Z2; VMOVUPS.Z 192(DI), K1, Z3
+
+#define ZSTOREREM1 VMOVUPS Z0, K1, 0(DI)
+#define ZSTOREREM2 VMOVUPS Z0, 0(DI); VMOVUPS Z1, K1, 64(DI)
+#define ZSTOREREM3 VMOVUPS Z0, 0(DI); VMOVUPS Z1, 64(DI); VMOVUPS Z2, K1, 128(DI)
+#define ZSTOREREM4 VMOVUPS Z0, 0(DI); VMOVUPS Z1, 64(DI); VMOVUPS Z2, 128(DI); VMOVUPS Z3, K1, 192(DI)
+
+#define ZSTEPREM1 VMOVUPS.Z 0(BX), K1, Z9; VMULPS Z9, Z8, Z9; VADDPS Z9, Z0, Z0
+#define ZSTEPREM2 VMULPS 0(BX), Z8, Z9; VADDPS Z9, Z0, Z0; VMOVUPS.Z 64(BX), K1, Z10; VMULPS Z10, Z8, Z10; VADDPS Z10, Z1, Z1
+#define ZSTEPREM3 VMULPS 0(BX), Z8, Z9; VADDPS Z9, Z0, Z0; VMULPS 64(BX), Z8, Z10; VADDPS Z10, Z1, Z1; VMOVUPS.Z 128(BX), K1, Z11; VMULPS Z11, Z8, Z11; VADDPS Z11, Z2, Z2
+#define ZSTEPREM4 VMULPS 0(BX), Z8, Z9; VADDPS Z9, Z0, Z0; VMULPS 64(BX), Z8, Z10; VADDPS Z10, Z1, Z1; VMULPS 128(BX), Z8, Z11; VADDPS Z11, Z2, Z2; VMOVUPS.Z 192(BX), K1, Z12; VMULPS Z12, Z8, Z12; VADDPS Z12, Z3, Z3
+
+// ZMASK sets K1 to the lanes of the last accumulator of an r-column
+// remainder, r = CX in [1,64): the low ((r-1) mod 16) + 1 bits, which is
+// 2<<((r-1) mod 16) - 1. It keeps CX and clobbers AX and R11.
+#define ZMASK \
+	MOVQ  CX, R11; \
+	DECL  CX; \
+	ANDL  $15, CX; \
+	MOVL  $2, AX; \
+	SHLL  CX, AX; \
+	DECL  AX; \
+	KMOVW AX, K1; \
+	MOVQ  R11, CX
+
+// func mulAddRowStridedAVX512(ci, ai []float32, lda int, b []float32, p0, p1, n int, skipZero bool)
+//
+// mulAddRowStridedAVX2's contract at twice the width, with no branch on
+// the data: 64-column tiles in four ZMM accumulators, then the remainder
+// in one masked pass. mulAddRow sends rows of every stride here, 1
+// included.
+TEXT ·mulAddRowStridedAVX512(SB), NOSPLIT, $0-105
+	MOVQ ci_base+0(FP), DI
+	MOVQ ai_base+24(FP), SI
+	MOVQ lda+48(FP), R8
+	MOVQ b_base+56(FP), DX
+	MOVQ p0+80(FP), AX
+	MOVQ p1+88(FP), R9
+	MOVQ n+96(FP), CX
+	MOVBLZX skipZero+104(FP), R13
+	XORL $1, R13
+	LEAQ skipRows<>(SB), R14
+	SUBQ AX, R9
+	JLE  done
+	MOVQ CX, R10
+	SHLQ $2, R10
+	SHLQ $2, R8
+	MOVQ AX, R11
+	IMULQ R10, R11
+	ADDQ R11, DX
+	IMULQ R8, AX
+	ADDQ AX, SI
+	IMULQ R8, R9
+	ADDQ SI, R9
+
+tile64:
+	CMPQ CX, $64
+	JLT  rem
+	ZLOAD4
+	ZKLOOP(ZSTEP4, loop64)
+	ZSTORE4
+	ADDQ $256, DI
+	ADDQ $256, DX
+	SUBQ $64, CX
+	JMP  tile64
+
+rem:
+	TESTQ CX, CX
+	JZ    done
+	ZMASK
+	CMPQ CX, $48
+	JGT  rem4
+	CMPQ CX, $32
+	JGT  rem3
+	CMPQ CX, $16
+	JGT  rem2
+	ZLOADREM1
+	ZKLOOP(ZSTEPREM1, loopr1)
+	ZSTOREREM1
+	JMP  done
+
+rem2:
+	ZLOADREM2
+	ZKLOOP(ZSTEPREM2, loopr2)
+	ZSTOREREM2
+	JMP  done
+
+rem3:
+	ZLOADREM3
+	ZKLOOP(ZSTEPREM3, loopr3)
+	ZSTOREREM3
+	JMP  done
+
+rem4:
+	ZLOADREM4
+	ZKLOOP(ZSTEPREM4, loopr4)
+	ZSTOREREM4
+
+done:
 	VZEROUPPER
 	RET

@@ -4,7 +4,7 @@ package tensor
 
 // No assembly kernel on this architecture: the generic loops always run
 // and the compiler drops the calls below as dead code.
-const useAVX2 = false
+const useAVX2, useAVX512 = false, false
 
 func axpyAVX2(dst []float32, a float32, x []float32) { panic("tensor: no assembly kernel") }
 
@@ -13,6 +13,10 @@ func mulAddRowAVX2(ci, ai, b []float32, p0, p1, n int, skipZero bool) {
 }
 
 func mulAddRowStridedAVX2(ci, ai []float32, lda int, b []float32, p0, p1, n int, skipZero bool) {
+	panic("tensor: no assembly kernel")
+}
+
+func mulAddRowStridedAVX512(ci, ai []float32, lda int, b []float32, p0, p1, n int, skipZero bool) {
 	panic("tensor: no assembly kernel")
 }
 

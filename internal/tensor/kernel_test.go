@@ -7,9 +7,10 @@ import (
 )
 
 // Exact-parity tests for the vector kernel: whatever path AxpyRow/mulAddRow
-// dispatch to (the AVX2 assembly on amd64) must produce the same bits as
-// the scalar loops it replaced, for every row width, alignment, k range
-// and float class. NaN payloads are unspecified: NaN matches NaN.
+// dispatch to (the AVX2 or AVX-512 assembly on amd64) must produce the
+// same bits as the scalar loops it replaced, for every row width,
+// alignment, k range and float class. NaN payloads are unspecified: NaN
+// matches NaN.
 
 // kernelWidths covers every tile of the row kernel: the scalar-width
 // tails 1..7, the 8/16/32-wide tiles and their tails, the 64-wide tile
@@ -122,71 +123,176 @@ func TestAxpyBitwiseEqualScalar(t *testing.T) {
 	sameBits(t, "AddRow", got, want)
 }
 
-func TestMulAddRowBitwiseEqualScalar(t *testing.T) {
-	rng := NewRNG(1602)
-	for _, n := range kernelWidths() {
-		for round := 0; round < 4; round++ {
-			special, skip := round&1 != 0, round&2 != 0
-			k := 1 + rng.Intn(40)
-			p0 := rng.Intn(k)
-			p1 := p0 + rng.Intn(k-p0+1) // p1 == p0: the empty range
-			ai := kernelVals(rng, k, special)
-			b := kernelVals(rng, k*n, special)
-			got := kernelVals(rng, n+9, special)
-			want := append([]float32(nil), got...)
-			mulAddRow(got, ai, 1, b, p0, p1, n, skip)
-			mulAddRowGeneric(want, ai, 1, b, p0, p1, n, skip)
-			sameBits(t, "mulAddRow", got, want)
-		}
+// rowKernel is one assembly implementation of the matmul row — run is the
+// entry mulAddRow calls at stride lda — and whether this CPU runs it.
+// rowKernels lists them per architecture, widest first.
+type rowKernel struct {
+	name string
+	has  bool
+	run  func(ci, ai []float32, lda int, b []float32, p0, p1, n int, skipZero bool)
+}
+
+// eachRowKernel runs f as a subtest per assembly row kernel, with
+// mulAddRow dispatching to that kernel, and skips the ones this CPU lacks:
+// a machine with AVX-512 tests its AVX2 kernels too.
+func eachRowKernel(t *testing.T, f func(t *testing.T, k rowKernel)) {
+	for _, k := range rowKernels {
+		t.Run(k.name, func(t *testing.T) {
+			if !k.has {
+				t.Skipf("this CPU has no %s", k.name)
+			}
+			t.Logf("row kernel %s", k.name)
+			dispatchTo(t, k)
+			f(t, k)
+		})
 	}
 }
 
-// The strided row kernel (A read down a column, lda apart) against the
-// generic loop at the same stride, over every tile and the masked tail.
-func TestMulAddRowStridedBitwiseEqualScalar(t *testing.T) {
-	rng := NewRNG(1608)
-	for _, n := range []int{1, 7, 8, 9, 40, 64, 65, 128} {
-		for _, lda := range []int{2, 3, 16, 17, 64, 129} {
+func TestMulAddRowBitwiseEqualScalar(t *testing.T) {
+	eachRowKernel(t, func(t *testing.T, kern rowKernel) {
+		rng := NewRNG(1602)
+		for _, n := range kernelWidths() {
 			for round := 0; round < 4; round++ {
 				special, skip := round&1 != 0, round&2 != 0
-				k := 1 + rng.Intn(60)
+				k := 1 + rng.Intn(40)
 				p0 := rng.Intn(k)
-				p1 := p0 + rng.Intn(k-p0+1)
-				ai := kernelVals(rng, (k-1)*lda+1, false)
-				if special {
-					ai = reluVals(rng, (k-1)*lda+1)
-				}
+				p1 := p0 + rng.Intn(k-p0+1) // p1 == p0: the empty range
+				ai := kernelVals(rng, k, special)
 				b := kernelVals(rng, k*n, special)
 				got := kernelVals(rng, n+9, special)
 				want := append([]float32(nil), got...)
-				mulAddRow(got, ai, lda, b, p0, p1, n, skip)
-				mulAddRowGeneric(want, ai, lda, b, p0, p1, n, skip)
-				sameBits(t, "strided mulAddRow", got, want)
+				kern.run(got, ai, 1, b, p0, p1, n, skip)
+				mulAddRowGeneric(want, ai, 1, b, p0, p1, n, skip)
+				sameBits(t, "mulAddRow", got, want)
+			}
+		}
+	})
+}
+
+// The strided row kernel (A read down a column, lda apart) against the
+// generic loop at the same stride, over every tile, the masked tail and
+// each AVX-512 remainder class (1–16, 17–32, 33–48, 49–63 columns).
+func TestMulAddRowStridedBitwiseEqualScalar(t *testing.T) {
+	eachRowKernel(t, func(t *testing.T, kern rowKernel) {
+		rng := NewRNG(1608)
+		for _, n := range []int{1, 7, 8, 9, 17, 40, 63, 64, 65, 128} {
+			for _, lda := range []int{2, 3, 16, 17, 64, 129} {
+				for round := 0; round < 4; round++ {
+					special, skip := round&1 != 0, round&2 != 0
+					k := 1 + rng.Intn(60)
+					p0 := rng.Intn(k)
+					p1 := p0 + rng.Intn(k-p0+1)
+					ai := kernelVals(rng, (k-1)*lda+1, false)
+					if special {
+						ai = reluVals(rng, (k-1)*lda+1)
+					}
+					b := kernelVals(rng, k*n, special)
+					got := kernelVals(rng, n+9, special)
+					want := append([]float32(nil), got...)
+					kern.run(got, ai, lda, b, p0, p1, n, skip)
+					mulAddRowGeneric(want, ai, lda, b, p0, p1, n, skip)
+					sameBits(t, "strided mulAddRow", got, want)
+				}
+			}
+		}
+	})
+}
+
+// A skipped term leaves C exactly as it was. With c = −0, A elements of
+// ±0 and B full of ±Inf or NaN, skipZero keeps every c −0 bit for bit;
+// without it the terms are added and c is NaN (0·Inf and 0·NaN are NaN).
+// The generic loop and every kernel, at both strides, over the tiles and
+// the masked remainder; C's elements past n must stay untouched.
+func TestMulAddRowZeroSkipBitwise(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	check := func(t *testing.T, run func(ci, ai []float32, lda int, b []float32, p0, p1, n int, skipZero bool)) {
+		for _, n := range []int{1, 7, 8, 9, 16, 17, 40, 63, 64, 65, 100, 128} {
+			for _, lda := range []int{1, 3} {
+				for _, bv := range []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())} {
+					for _, skip := range []bool{true, false} {
+						const k = 4
+						ai := make([]float32, (k-1)*lda+1)
+						for p := 1; p < k; p += 2 {
+							ai[p*lda] = negZero
+						}
+						b := make([]float32, k*n)
+						for j := range b {
+							b[j] = bv
+						}
+						c := make([]float32, n+9)
+						for j := range c {
+							c[j] = negZero
+						}
+						run(c, ai, lda, b, 0, k, n, skip)
+						for j, v := range c {
+							if (j >= n || skip) && math.Float32bits(v) != 0x80000000 {
+								t.Fatalf("n=%d lda=%d b=%v skip=%v: c[%d] = %v (%#08x), want -0", n, lda, bv, skip, j, v, math.Float32bits(v))
+							}
+							if j < n && !skip && v == v {
+								t.Fatalf("n=%d lda=%d b=%v: c[%d] = %v, want NaN", n, lda, bv, j, v)
+							}
+						}
+					}
+				}
 			}
 		}
 	}
+	check(t, mulAddRowGeneric)
+	eachRowKernel(t, func(t *testing.T, k rowKernel) { check(t, k.run) })
 }
 
 // MatMulTransA reads A in place; its oracle is MatMulAcc over an explicit
 // transpose, accumulating into the same starting bits. K runs across
-// several L1 panels, and A carries ±0, NaN and ±Inf.
+// several L1 panels, and A carries ±0, NaN and ±Inf. The panel and
+// blocking logic is Go, so the "dispatch" subtest runs on every platform
+// with whatever mulAddRow picks, the generic loop included; then once per
+// assembly kernel the CPU has.
 func TestMatMulTransABitwiseEqualTransposed(t *testing.T) {
-	rng := NewRNG(1609)
-	for _, n := range []int{1, 7, 8, 9, 40, 64, 65, 128} {
-		kc := max(8, matmulStridedL1/(4*n+64))
-		for _, k := range []int{1 + rng.Intn(kc), 3*kc + 1 + rng.Intn(kc)} {
-			m := 1 + rng.Intn(40)
-			a := FromSlice(reluVals(rng, k*m), k, m)
-			b := FromSlice(kernelVals(rng, k*n, true), k, n)
-			acc := kernelVals(rng, m*n, false)
-			for _, workers := range []int{1, 4} {
-				withWorkers(t, workers, func() {
-					want := MatMulAcc(FromSlice(append([]float32(nil), acc...), m, n), Transpose2D(nil, a), b)
-					got := MatMulTransA(FromSlice(append([]float32(nil), acc...), m, n), a, b)
-					sameBits(t, "MatMulTransA", got.data, want.data)
-					sameBits(t, "MatMulTransA nil dst", MatMulTransA(nil, a, b).data, MatMul(nil, Transpose2D(nil, a), b).data)
-				})
+	check := func(t *testing.T) {
+		rng := NewRNG(1609)
+		for _, n := range []int{1, 7, 8, 9, 40, 64, 65, 128} {
+			kc := max(8, matmulStridedL1/(4*n+64))
+			for _, k := range []int{1 + rng.Intn(kc), 3*kc + 1 + rng.Intn(kc)} {
+				m := 1 + rng.Intn(40)
+				a := FromSlice(reluVals(rng, k*m), k, m)
+				b := FromSlice(kernelVals(rng, k*n, true), k, n)
+				acc := kernelVals(rng, m*n, false)
+				for _, workers := range []int{1, 4} {
+					withWorkers(t, workers, func() {
+						want := MatMulAcc(FromSlice(append([]float32(nil), acc...), m, n), Transpose2D(nil, a), b)
+						got := MatMulTransA(FromSlice(append([]float32(nil), acc...), m, n), a, b)
+						sameBits(t, "MatMulTransA", got.data, want.data)
+						sameBits(t, "MatMulTransA nil dst", MatMulTransA(nil, a, b).data, MatMul(nil, Transpose2D(nil, a), b).data)
+					})
+				}
 			}
+		}
+	}
+	t.Run("dispatch", check)
+	eachRowKernel(t, func(t *testing.T, _ rowKernel) { check(t) })
+}
+
+// AddBias runs on the row kernel: the same bits as the scalar
+// row[j] += b[j] it replaced, with ±0, denormals, ±Inf and NaN in the rows
+// and the bias alike, over enough rows to split across workers.
+func TestAddBiasBitwiseEqualScalar(t *testing.T) {
+	rng := NewRNG(1610)
+	for _, n := range []int{1, 7, 8, 40, 64, 129} {
+		m := 1 + rng.Intn(200)
+		a := FromSlice(reluVals(rng, m*n), m, n)
+		bias := FromSlice(reluVals(rng, n), n)
+		want := append([]float32(nil), a.data...)
+		for i := 0; i < m; i++ {
+			for j, bv := range bias.data {
+				want[i*n+j] += bv
+			}
+		}
+		for _, workers := range []int{1, 4} {
+			withWorkers(t, workers, func() {
+				got := a.Clone()
+				AddBias(got, bias)
+				sameBits(t, "AddBias", got.data, want)
+			})
 		}
 	}
 }
@@ -411,12 +517,18 @@ func FuzzReLU(f *testing.F) {
 
 // FuzzMulAddRow lets the fuzzer choose the floats themselves (any bit
 // pattern, NaNs included), the row width, the A stride, the k sub-range,
-// the alignment and the skip flag.
+// the alignment and the skip flag, and holds every assembly row kernel the
+// CPU has to the generic loop.
 func FuzzMulAddRow(f *testing.F) {
 	seed := make([]byte, 4*200)
 	rng := NewRNG(1605)
 	for i := range seed {
 		seed[i] = byte(rng.Intn(256))
+	}
+	for _, k := range rowKernels {
+		if k.has {
+			f.Logf("row kernel %s", k.name)
+		}
 	}
 	f.Add(seed, uint8(7), uint8(0), uint8(0), uint8(255), uint8(1), true)
 	f.Add(seed, uint8(64), uint8(2), uint8(1), uint8(2), uint8(3), false)
@@ -440,19 +552,56 @@ func FuzzMulAddRow(f *testing.F) {
 			o := int(off) % 8
 			return append(make([]float32, o, o+len(src)), src...)[o:]
 		}
-		got := place(vals[:n])
 		ai := place(vals[n : n+na])
 		b := place(vals[n+na : n+na+k*n])
 		p0 := int(lo) % k
 		p1 := p0 + int(hi)%(k-p0+1)
-		want := append([]float32(nil), got...)
-		mulAddRow(got, ai, lda, b, p0, p1, n, skip)
+		want := append([]float32(nil), vals[:n]...)
 		mulAddRowGeneric(want, ai, lda, b, p0, p1, n, skip)
-		sameBits(t, "mulAddRow", got, want)
+		for _, kern := range rowKernels {
+			if kern.has {
+				got := place(vals[:n])
+				kern.run(got, ai, lda, b, p0, p1, n, skip)
+				sameBits(t, "mulAddRow "+kern.name, got, want)
+			}
+		}
 
-		got, want = place(vals[:n]), append([]float32(nil), vals[:n]...)
+		got, want := place(vals[:n]), append([]float32(nil), vals[:n]...)
 		AxpyRow(got, ai[0], b[:n])
 		axpyGeneric(want, ai[0], b[:n])
 		sameBits(t, "axpy", got, want)
 	})
+}
+
+// BenchmarkMatMulLayerShapes times MatMul on the dense products of SAGE
+// 3 × 64 on AR (16 900 vertices, 128 features, 40 classes) and reports
+// the dense product's GFLOP/s: [16 900×128]·[128×64] with a dense A, the
+// same with half of A zero at random as after a ReLU (the zero-skip's
+// case), and the output layer's [16 900×64]·[64×40]. Run it with -cpu 1
+// to read the row kernel without the worker pool.
+func BenchmarkMatMulLayerShapes(b *testing.B) {
+	for _, s := range []struct {
+		name    string
+		m, k, n int
+		relu    bool
+	}{
+		{"16900x128x64", 16900, 128, 64, false},
+		{"16900x128x64_relu", 16900, 128, 64, true},
+		{"16900x64x40", 16900, 64, 40, false},
+	} {
+		b.Run(s.name, func(b *testing.B) {
+			rng := NewRNG(17)
+			a := Uniform(New(s.m, s.k), rng, -1, 1)
+			if s.relu {
+				ReLU(a, a)
+			}
+			w := Uniform(New(s.k, s.n), rng, -1, 1)
+			dst := New(s.m, s.n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MatMul(dst, a, w)
+			}
+			b.ReportMetric(2*float64(s.m*s.k*s.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+	}
 }

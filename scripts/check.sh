@@ -29,6 +29,12 @@ GOOS=linux GOARCH=arm64 go build -gcflags=-S ./internal/tensor 2>&1 |
 if grep -E 'FN?MADD|FN?MSUB' "$UNIFORM_ASM"; then
   echo "FAIL: arm64 fuses a multiply-add in tensor.Uniform"; exit 1
 fi
+# The row kernels are a VMULPS then a VADDPS, never a fused multiply-add:
+# one rounding instead of two would break their bitwise parity with the
+# generic loops (DESIGN "The one vector kernel").
+if grep -nE 'VFN?M(ADD|SUB)' internal/tensor/*.s; then
+  echo "FAIL: fused multiply-add in the tensor assembly"; exit 1
+fi
 
 echo "== go test -race ./... (all but ./benchmark)"
 # internal/bench runs ~24s without the race detector; the ~15-20x race
@@ -71,9 +77,14 @@ run_filtered() {
 run_filtered "parity/determinism" 'Parity|Determin|Reuse|Concurrent|SortedBy' \
   ./internal/core/ ./internal/graph/ ./internal/joint/
 
-# The row kernels against their generic oracles (unit-stride and strided,
-# every tile and the masked tail, ±0/NaN/Inf), MatMulTransA against
-# MatMulAcc over an explicit transpose, every layer's backward without
+# The row kernels against their generic oracles — each assembly kernel the
+# CPU has, as a subtest: .../avx512 (where CPUID reports AVX-512) and
+# .../avx2 of TestMulAddRow{,Strided}BitwiseEqualScalar,
+# TestMulAddRowZeroSkipBitwise and TestMatMulTransABitwiseEqualTransposed
+# (unit-stride and strided, every tile, the masked tail and remainder,
+# ±0/NaN/Inf, a skipped term against Inf/NaN), MatMulTransA against
+# MatMulAcc over an explicit transpose (also as .../dispatch, on whatever
+# mulAddRow picks, on every platform), every layer's backward without
 # the input gradient against the one with it, and every layer's Infer —
 # the gTask and serving entry — against Forward, against itself from
 # concurrent callers, over destination-row subsets and around a backward —
