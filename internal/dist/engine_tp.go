@@ -42,7 +42,7 @@ func (e *Engine) GCNForwardTP(layer *nn.GCNLayer, colParts []*tensor.Tensor) []*
 	partials := make([]*tensor.Tensor, n)
 	perDevice(n, func(d int) {
 		agg := tensor.New(e.G.NumVertices, colParts[d].RowSize())
-		nn.EdgeSpMM(agg, colParts[d], gc.SrcByDst, gc.DstByDst, gc.InvDeg)
+		nn.EdgeSpMM(agg, colParts[d], gc.CSR.RowPtr, gc.SrcByDst, gc.InvDeg)
 		lo := d * f / n
 		hi := (d + 1) * f / n
 		wSlice := tensor.New(hi-lo, fp)

@@ -15,9 +15,10 @@ import (
 // per layer whose work items are the partition's gTasks, accounted by the
 // Engine selected by ctx.Engine (see engine.go). The arithmetic is the
 // model's own layers (nn.Layer.Infer) over gc's graph with each
-// destination's in-edges in the partition's task order, built once per
-// call — gc itself when its edges are already in that order — so the
-// logits are m.Forward over that order, bit for bit.
+// destination's in-edges in the partition's task order — gc itself when
+// its edges are already in that order, else the context gc.OrderedBy
+// keeps for part — so the logits are m.Forward over that order, bit for
+// bit.
 func RunModel(ctx *exec.Ctx, gc *nn.GraphCtx, m *nn.Model, x *tensor.Tensor, part *core.Partition, plan Plan) (*tensor.Tensor, error) {
 	eng, err := selectFor(ctx.Engine, m.Cfg.Kind, part.Plan)
 	if err != nil {
@@ -26,14 +27,9 @@ func RunModel(ctx *exec.Ctx, gc *nn.GraphCtx, m *nn.Model, x *tensor.Tensor, par
 	sp := obs.Begin(obs.StageExec, ctx.TraceID)
 	defer sp.End()
 	if ctx.Compute {
-		lc, built, err := taskOrderCtx(gc, part, nil)
-		if err != nil {
+		if gc, err = gc.OrderedBy(part); err != nil {
 			return nil, err
 		}
-		if built {
-			defer lc.Release()
-		}
-		gc = lc
 	}
 	cur := x
 	for li, layer := range m.Layers() {
@@ -101,12 +97,14 @@ func RunModelLayer(ctx *exec.Ctx, gc *nn.GraphCtx, m *nn.Model, li int, x *tenso
 
 // taskOrderCtx returns the context a layer runs over: gc's graph with
 // each destination's in-edges in part's task order and rows as its
-// destination rows (nil: every vertex). That is gc itself when its edges
-// are already in that order; otherwise built is set and the caller
-// releases the new context.
+// destination rows (nil: every vertex). Over every vertex that is gc's
+// memo (GraphCtx.OrderedBy: gc itself when its edges are already in that
+// order, else built once per partition); otherwise built is set and the
+// caller releases the new context.
 func taskOrderCtx(gc *nn.GraphCtx, part *core.Partition, rows []int32) (lc *nn.GraphCtx, built bool, err error) {
-	if rows == nil && gc.SameOrder(part.Order) {
-		return gc, false, nil
+	if rows == nil {
+		lc, err = gc.OrderedBy(part)
+		return lc, false, err
 	}
 	lc, err = nn.NewGraphCtxOrder(gc.G, part.Order, rows)
 	return lc, err == nil, err

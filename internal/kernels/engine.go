@@ -21,10 +21,12 @@ import (
 //   - "blocked": the composed program's one fused cost-model kernel per
 //     layer ("gtask.fused"), its traffic priced as an edge-by-edge
 //     dataflow's — a destination-row read-modify-write per edge
-//     (blockedTaskBytes).
+//     (blockedTaskBytes), which the CPU no longer runs.
 //   - "fused": one streaming kernel ("gtask.stream") priced by the device
 //     model of a register-resident accumulator per same-destination run —
-//     one row load + store per run (fusedTaskBytes).
+//     one row load + store per run (fusedTaskBytes). That is what executes:
+//     the layers aggregate through nn.EdgeSpMM, which holds each
+//     destination row in registers across its run (tensor.AccumRun).
 //   - "device": every micro-kernel stage of the composed program (micro.go)
 //     launched as its own named kernel, so device.KernelStats exposes a
 //     per-stage breakdown that can be checked against the fused engine's

@@ -108,6 +108,52 @@ func TestGTaskExecutionMatchesReference(t *testing.T) {
 	}
 }
 
+// TestGTaskExecutionReusesOrderedContext: a frozen partition's forwards
+// build its task-ordered context once — the second RunModel runs over the
+// context the first one built — a different partition replaces it, and
+// releasing the caller's context releases the one it keeps.
+func TestGTaskExecutionReusesOrderedContext(t *testing.T) {
+	gc, m, x := setup(t, nn.SAGE)
+	var parts []*core.Partition
+	for _, gp := range plansFor(nn.SAGE) {
+		if part := core.PartitionGraph(gc.G, gp, allAttrs()); !gc.SameOrder(part.Order) {
+			parts = append(parts, part)
+		}
+	}
+	if len(parts) < 2 {
+		t.Fatalf("%d plans reorder a destination's in-edges, want 2", len(parts))
+	}
+	ctx := exec.NewCtx(device.New(device.A100()))
+	run := func(part *core.Partition) *nn.GraphCtx {
+		t.Helper()
+		out, err := RunModel(ctx, gc, m, x, part, Plan{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tensor.Put(out)
+		lc, err := gc.OrderedBy(part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lc
+	}
+	first := run(parts[0])
+	if first == gc {
+		t.Fatal("a reordering partition ran over the caller's context")
+	}
+	if again := run(parts[0]); again != first {
+		t.Fatal("the second forward over a frozen partition rebuilt its context")
+	}
+	other := run(parts[1])
+	if other == first || first.CSR != nil {
+		t.Fatal("a different partition kept the first partition's context")
+	}
+	gc.Release()
+	if other.CSR != nil {
+		t.Fatal("Release kept the task-ordered context")
+	}
+}
+
 func TestLSTMPlanValidity(t *testing.T) {
 	vc := core.VertexCentric()
 	if !ValidPlanFor(nn.SAGELSTM, vc) {

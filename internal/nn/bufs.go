@@ -10,8 +10,9 @@ import "wisegraph/internal/tensor"
 // recycled into the tensor pool and a pooled replacement is drawn.
 //
 // Reused buffers keep last iteration's values: callers that accumulate
-// (EdgeSpMM, scatter loops) must Zero() explicitly; callers that overwrite
-// (MatMul, MatMulTransB, ReLU) need not.
+// into a fresh sum (EdgeSpMM into zeros, scatter loops) take zbuf2, which
+// clears a reused buffer only — a pooled one comes zero-filled; callers
+// that overwrite (MatMul, MatMulTransB, ReLU) need not.
 
 // buf2 returns t when it already has shape [m, n], else a pooled tensor of
 // that shape (recycling t).
@@ -23,16 +24,24 @@ func buf2(t *tensor.Tensor, m, n int) *tensor.Tensor {
 	return tensor.Get(m, n)
 }
 
+// zbuf2 is buf2 holding zeros: a reused buffer is cleared, and a pooled
+// one is already zero-filled by tensor.Get.
+func zbuf2(t *tensor.Tensor, m, n int) *tensor.Tensor {
+	out := buf2(t, m, n)
+	if out == t {
+		out.Zero()
+	}
+	return out
+}
+
 // selfTransform computes x·w for gc's destination rows into buf: the whole
 // product when they are every vertex, else the product of x's rows gc.Rows
 // (tensor.MatMulRowsAcc, row for row the same bits).
 func selfTransform(buf *tensor.Tensor, gc *GraphCtx, x, w *tensor.Tensor) *tensor.Tensor {
-	out := buf2(buf, gc.NumRows(), w.Dim(1))
 	if gc.Rows == nil {
-		return tensor.MatMul(out, x, w)
+		return tensor.MatMul(buf2(buf, gc.NumRows(), w.Dim(1)), x, w)
 	}
-	out.Zero()
-	return tensor.MatMulRowsAcc(out, x, gc.Rows, w)
+	return tensor.MatMulRowsAcc(zbuf2(buf, gc.NumRows(), w.Dim(1)), x, gc.Rows, w)
 }
 
 // bufLike returns t when it already has ref's shape, else a pooled tensor

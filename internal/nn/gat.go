@@ -137,9 +137,8 @@ func (l *GATLayer) forward(gc *GraphCtx, x *tensor.Tensor, a *gatActs) {
 	a.alpha = tensor.LeakyReLU(buf2(a.alpha, e, l.heads), a.scores, l.slope)
 	l.segmentSoftmaxByHead(gc, a.alpha)
 
-	out := buf2(a.out, gc.NumRows(), l.OutDim())
+	out := zbuf2(a.out, gc.NumRows(), l.OutDim())
 	a.out = out
-	out.Zero()
 	parallel.For(gc.NumRows(), 16, func(v int) {
 		orow := out.Row(v)
 		for s := gc.CSR.RowPtr[v]; s < gc.CSR.RowPtr[v+1]; s++ {
@@ -187,9 +186,8 @@ func (l *GATLayer) segmentSoftmaxByHead(gc *GraphCtx, vals *tensor.Tensor) {
 func (l *GATLayer) Backward(gc *GraphCtx, dOut *tensor.Tensor, needDX bool) *tensor.Tensor {
 	accumBiasGrad(l.B.Grad, dOut)
 	e := gc.NumEdges()
-	dZ := buf2(l.dZ, l.z.Dim(0), l.z.Dim(1))
+	dZ := zbuf2(l.dZ, l.z.Dim(0), l.z.Dim(1))
 	l.dZ = dZ
-	dZ.Zero()
 	dAlpha := buf2(l.dAlpha, e, l.heads)
 	l.dAlpha = dAlpha
 	// dα_e,h = Σ_d dOut[dst,h,d]·Z[src,h,d] ; dZ[src] += α·dOut[dst]
@@ -230,12 +228,10 @@ func (l *GATLayer) Backward(gc *GraphCtx, dOut *tensor.Tensor, needDX bool) *ten
 	// LeakyReLU backward on pre-activation scores (in place).
 	dScore = tensor.LeakyReLUGrad(dScore, dScore, l.scores, l.slope)
 	// score = pl[src] + pr[dst]
-	dpl := buf2(l.dpl, l.pl.Dim(0), l.pl.Dim(1))
+	dpl := zbuf2(l.dpl, l.pl.Dim(0), l.pl.Dim(1))
 	l.dpl = dpl
-	dpl.Zero()
-	dpr := buf2(l.dpr, l.pr.Dim(0), l.pr.Dim(1))
+	dpr := zbuf2(l.dpr, l.pr.Dim(0), l.pr.Dim(1))
 	l.dpr = dpr
-	dpr.Zero()
 	for s := 0; s < e; s++ {
 		src, dst := int(gc.SrcByDst[s]), int(gc.DstByDst[s])
 		dsr := dScore.Row(s)

@@ -62,9 +62,8 @@ func (l *GCNLayer) Aggregate(gc *GraphCtx, xw *tensor.Tensor) *tensor.Tensor {
 
 // aggregate computes Â·xw + b over gc's destination rows into buf.
 func (l *GCNLayer) aggregate(buf *tensor.Tensor, gc *GraphCtx, xw *tensor.Tensor) *tensor.Tensor {
-	out := buf2(buf, gc.NumRows(), l.OutDim())
-	out.Zero()
-	EdgeSpMMBins(out, xw, gc.SrcByDst, gc.DstByDst, gc.InvDeg, gc.BinsByDst())
+	out := zbuf2(buf, gc.NumRows(), l.OutDim())
+	EdgeSpMM(out, xw, gc.CSR.RowPtr, gc.SrcByDst, gc.InvDeg)
 	tensor.AddBias(out, l.B.Value)
 	return out
 }
@@ -78,9 +77,9 @@ func (l *GCNLayer) Backward(gc *GraphCtx, dOut *tensor.Tensor, needDX bool) *ten
 func (l *GCNLayer) AggregateBackward(gc *GraphCtx, dOut *tensor.Tensor) *tensor.Tensor {
 	accumBiasGrad(l.B.Grad, dOut)
 	// transpose aggregation: dXW[src] += w_e · dOut[dst]
-	l.dXW = buf2(l.dXW, gc.NumVertices(), l.OutDim())
-	l.dXW.Zero()
-	EdgeSpMMBins(l.dXW, dOut, gc.DstByDst, gc.SrcByDst, gc.InvDeg, gc.BinsBySrc())
+	l.dXW = zbuf2(l.dXW, gc.NumVertices(), l.OutDim())
+	ptr, dst, w := gc.BySrc()
+	EdgeSpMM(l.dXW, dOut, ptr, dst, w)
 	return l.dXW
 }
 
@@ -95,15 +94,11 @@ func (l *GCNLayer) TransformBackward(dXW *tensor.Tensor, needDX bool) *tensor.Te
 	return l.dX
 }
 
-// accumBiasGrad adds the column sums of d to g.
+// accumBiasGrad adds the column sums of d to g, row by row in order.
 func accumBiasGrad(g, d *tensor.Tensor) {
-	n := g.Len()
 	gd := g.Data()
 	for i := 0; i < d.Rows(); i++ {
-		row := d.Row(i)
-		for j := 0; j < n; j++ {
-			gd[j] += row[j]
-		}
+		tensor.AddRow(gd, d.Row(i))
 	}
 }
 
@@ -155,9 +150,8 @@ func (l *SAGELayer) Infer(gc *GraphCtx, x *tensor.Tensor) *tensor.Tensor {
 // buffers agg (the neighbour mean) and out.
 func (l *SAGELayer) forward(gc *GraphCtx, x, agg, out *tensor.Tensor) (*tensor.Tensor, *tensor.Tensor) {
 	out = selfTransform(out, gc, x, l.WSelf.Value)
-	agg = buf2(agg, gc.NumRows(), l.InDim())
-	agg.Zero()
-	EdgeSpMMBins(agg, x, gc.SrcByDst, gc.DstByDst, gc.InvDeg, gc.BinsByDst())
+	agg = zbuf2(agg, gc.NumRows(), l.InDim())
+	EdgeSpMM(agg, x, gc.CSR.RowPtr, gc.SrcByDst, gc.InvDeg)
 	// The neighbour mean meets in memory before the dense transform:
 	// partial products Σ₁·W + Σ₂·W would not be bitwise (Σ₁+Σ₂)·W.
 	tensor.MatMulAcc(out, agg, l.WNeigh.Value)
@@ -176,6 +170,7 @@ func (l *SAGELayer) Backward(gc *GraphCtx, dOut *tensor.Tensor, needDX bool) *te
 	l.dx = tensor.MatMulTransB(buf2(l.dx, dOut.Dim(0), l.WSelf.Value.Dim(0)), dOut, l.WSelf.Value)
 	l.dAgg = tensor.MatMulTransB(buf2(l.dAgg, dOut.Dim(0), l.WNeigh.Value.Dim(0)), dOut, l.WNeigh.Value)
 	// transpose mean aggregation back to sources
-	EdgeSpMMBins(l.dx, l.dAgg, gc.DstByDst, gc.SrcByDst, gc.InvDeg, gc.BinsBySrc())
+	ptr, dst, w := gc.BySrc()
+	EdgeSpMM(l.dx, l.dAgg, ptr, dst, w)
 	return l.dx
 }

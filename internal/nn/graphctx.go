@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"sync"
 
+	"wisegraph/internal/core"
 	"wisegraph/internal/graph"
-	"wisegraph/internal/parallel"
 	"wisegraph/internal/tensor"
 )
 
@@ -39,26 +39,18 @@ type GraphCtx struct {
 	TypeOffsets []int32
 	TypePos     []int32
 
-	// Cached destination binnings for the two scatter directions (lazily
-	// built under mu; see tensor.BinRows). The index arrays never change
-	// for a given context, so every EdgeSpMM over it reuses them.
-	mu        sync.Mutex
-	binsByDst *tensor.Bins // dst = DstByDst (forward aggregation)
-	binsBySrc *tensor.Bins // dst = SrcByDst (backward/transpose)
-
-	// typeEdges caches the per-relation edge arrays RGCN's backward reads
-	// (lazily built; the underlying CSR never changes).
-	typeEdges []TypeEdges
+	// mu guards the lazily built members below.
+	mu sync.Mutex
+	// srcPtr, srcDst and srcW group the CSR slots by source vertex (BySrc).
+	srcPtr, srcDst []int32
+	srcW           []float32
+	// ordered is the context in the edge order of the partition orderedFor
+	// (OrderedBy's one-entry memo): gc itself when gc is in that order.
+	ordered    *GraphCtx
+	orderedFor *core.Partition
 
 	// slab is the pooled storage of the int32 arrays above but TypeOffsets.
 	slab []int32
-}
-
-// TypeEdges holds one relation's edges as parallel arrays: endpoints plus
-// the mean-normalization weight of each edge.
-type TypeEdges struct {
-	Src, Dst []int32
-	W        []float32
 }
 
 // NewGraphCtx builds the context for g over every vertex, each
@@ -159,9 +151,13 @@ func NewGraphCtxOrder(g *graph.Graph, order, rows []int32) (*GraphCtx, error) {
 	return gc, nil
 }
 
-// Release returns the context's pooled arrays. Neither the context nor
-// anything read from it may be used afterwards.
+// Release returns the context's pooled arrays, its per-source grouping
+// and the context OrderedBy built for it. Neither the context nor anything
+// read from it may be used afterwards.
 func (gc *GraphCtx) Release() {
+	gc.releaseOrdered()
+	tensor.PutI32(gc.srcDst)
+	tensor.PutF32(gc.srcW)
 	tensor.PutI32(gc.slab)
 	tensor.PutF32(gc.InvDeg)
 	*gc = GraphCtx{}
@@ -187,57 +183,59 @@ func (gc *GraphCtx) SameOrder(order []int32) bool {
 	return true
 }
 
-// BinsByDst returns (building on first use) the destination binning for
-// forward aggregation: edges partitioned by DstByDst shard. Nothing is
-// built while EdgeSpMMBins would run sequentially anyway.
-func (gc *GraphCtx) BinsByDst() *tensor.Bins {
+// BySrc returns (building on first use) gc's CSR slots grouped by source
+// vertex: vertex v's slots are ptr[v]..ptr[v+1] in ascending slot order,
+// with each slot's destination row in dst and its weight InvDeg in w. The
+// transposed aggregation walks it with EdgeSpMM, so row v of an input
+// gradient sums its out-edges' terms in slot order.
+func (gc *GraphCtx) BySrc() (ptr, dst []int32, w []float32) {
 	gc.mu.Lock()
 	defer gc.mu.Unlock()
-	gc.binsByDst = gc.edgeBins(gc.binsByDst, gc.DstByDst, gc.NumRows())
-	return gc.binsByDst
+	if gc.srcPtr == nil {
+		// Every edge of G is a slot of gc, so G's out-degrees count them.
+		gc.srcPtr = tensor.CountsToOffsets(gc.G.OutDegrees())
+		next := tensor.GetI32(gc.NumVertices())
+		copy(next, gc.srcPtr)
+		gc.srcDst, gc.srcW = tensor.GetI32(gc.NumEdges()), tensor.GetF32(gc.NumEdges())
+		for s, src := range gc.SrcByDst {
+			k := next[src]
+			next[src]++
+			gc.srcDst[k], gc.srcW[k] = gc.DstByDst[s], gc.InvDeg[s]
+		}
+		tensor.PutI32(next)
+	}
+	return gc.srcPtr, gc.srcDst, gc.srcW
 }
 
-// BinsBySrc returns the binning for the transpose direction (backward):
-// edges partitioned by SrcByDst shard.
-func (gc *GraphCtx) BinsBySrc() *tensor.Bins {
+// OrderedBy returns the context over gc's graph, every vertex a row, in
+// which each destination sees its in-edges in part's task order: gc itself
+// when they already are, else a context built on first use and kept until
+// a different partition asks or gc is released — neither may overlap a use
+// of it. The caller does not release it; part.Order must not change.
+func (gc *GraphCtx) OrderedBy(part *core.Partition) (*GraphCtx, error) {
 	gc.mu.Lock()
 	defer gc.mu.Unlock()
-	gc.binsBySrc = gc.edgeBins(gc.binsBySrc, gc.SrcByDst, gc.NumVertices())
-	return gc.binsBySrc
-}
-
-func (gc *GraphCtx) edgeBins(cur *tensor.Bins, dst []int32, rows int) *tensor.Bins {
-	shards := parallel.Workers(rows, 1)
-	if shards <= 1 || len(dst) < spmmSeqEdges {
-		return cur
+	if gc.ordered != nil && gc.orderedFor == part {
+		return gc.ordered, nil
 	}
-	if cur != nil && cur.NumShards() == min(shards, rows) {
-		return cur
-	}
-	return tensor.BinRows(cur, dst, rows, shards)
-}
-
-// TypeEdgeArrays returns (building on first use) relation t's edge arrays
-// in CSR slot order. The arrays are owned by the context; callers must not
-// mutate them.
-func (gc *GraphCtx) TypeEdgeArrays(t int) *TypeEdges {
-	if gc.typeEdges == nil {
-		n := len(gc.TypeOffsets) - 1
-		gc.typeEdges = make([]TypeEdges, n)
-		for tt := 0; tt < n; tt++ {
-			slots := gc.TypeOrder[gc.TypeOffsets[tt]:gc.TypeOffsets[tt+1]]
-			te := &gc.typeEdges[tt]
-			te.Src = make([]int32, len(slots))
-			te.Dst = make([]int32, len(slots))
-			te.W = make([]float32, len(slots))
-			for i, s := range slots {
-				te.Src[i] = gc.SrcByDst[s]
-				te.Dst[i] = gc.DstByDst[s]
-				te.W[i] = gc.InvDeg[s]
-			}
+	gc.releaseOrdered()
+	lc := gc
+	if !gc.SameOrder(part.Order) {
+		var err error
+		if lc, err = NewGraphCtxOrder(gc.G, part.Order, nil); err != nil {
+			return nil, err
 		}
 	}
-	return &gc.typeEdges[t]
+	gc.ordered, gc.orderedFor = lc, part
+	return lc, nil
+}
+
+// releaseOrdered drops OrderedBy's memo, releasing a context it built.
+func (gc *GraphCtx) releaseOrdered() {
+	if gc.ordered != nil && gc.ordered != gc {
+		gc.ordered.Release()
+	}
+	gc.ordered, gc.orderedFor = nil, nil
 }
 
 // NumVertices returns the vertex count: the rows of a layer's input.

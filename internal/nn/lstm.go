@@ -95,8 +95,7 @@ func (l *SAGELSTMLayer) forward(gc *GraphCtx, x *tensor.Tensor, a *lstmActs, bpt
 		a.hPrev = buf2(a.hPrev, e, hd)
 		a.cPrev = buf2(a.cPrev, e, hd)
 	}
-	a.hFinal = buf2(a.hFinal, gc.NumRows(), hd)
-	a.hFinal.Zero()
+	a.hFinal = zbuf2(a.hFinal, gc.NumRows(), hd)
 
 	parallel.ForRange(gc.NumRows(), 4, func(lo, hi int) {
 		scratch := tensor.GetF32(6 * hd)

@@ -67,58 +67,29 @@ func ParseModel(name string) (ModelKind, error) {
 // simple addition class (1.13×).
 func (k ModelKind) Complex() bool { return k == RGCN || k == GAT || k == SAGELSTM }
 
-// EdgeSpMM accumulates out[dst[e]] += w[e] · x[src[e]] for every edge.
-// A nil w means unit weights. Destination rows are sharded across workers
-// so accumulation is deterministic and race-free. This one primitive
-// implements both the forward aggregation (src→dst) and, with the index
-// arrays swapped, its transpose for the backward pass.
-func EdgeSpMM(out, x *tensor.Tensor, src, dst []int32, w []float32) {
-	EdgeSpMMBins(out, x, src, dst, w, nil)
-}
-
-// spmmSeqEdges is the edge count below which EdgeSpMMBins runs
-// sequentially: binning would cost more than the workers save.
-const spmmSeqEdges = 2048
-
-// EdgeSpMMBins is EdgeSpMM with an optional precomputed binning of dst
-// over out's rows (built by tensor.BinRows). The full-graph training loop
-// caches the bins on its GraphCtx, so every aggregation skips the
-// partition pass entirely; a nil bins falls back to binning on the fly.
-func EdgeSpMMBins(out, x *tensor.Tensor, src, dst []int32, w []float32, bins *tensor.Bins) {
-	rs := x.RowSize()
-	if out.RowSize() != rs {
-		panic(fmt.Sprintf("nn: EdgeSpMM row sizes %d vs %d", out.RowSize(), rs))
+// EdgeSpMM accumulates out[r] += Σ w[s]·x[idx[s]] over the slots s in
+// [ptr[r], ptr[r+1]), s ascending, for every row r of out, with one
+// tensor.AccumRun per row. Each row has one owner among the workers, so it
+// sums its terms in slot order at any worker count. The forward walks
+// gc.CSR.RowPtr over SrcByDst (RGCN: TypePos), the transpose gc.BySrc.
+func EdgeSpMM(out, x *tensor.Tensor, ptr, idx []int32, w []float32) {
+	if out.RowSize() != x.RowSize() || len(ptr) != out.Rows()+1 {
+		panic(fmt.Sprintf("nn: EdgeSpMM rows of %d and %d columns over %d row pointers", out.RowSize(), x.RowSize(), len(ptr)))
 	}
-	shards := parallel.Workers(out.Rows(), 1)
-	if shards <= 1 || len(src) < spmmSeqEdges {
-		for e := range src {
-			edgeSpMMOne(out, x, src, dst, w, e, rs)
-		}
+	if parallel.Workers(out.Rows(), 32) > 1 {
+		parallel.ForRange(out.Rows(), 32, func(lo, hi int) { edgeSpMMRows(out, x, ptr, idx, w, lo, hi) })
 		return
 	}
-	if bins == nil {
-		bins = tensor.BinRows(nil, dst, out.Rows(), shards)
-	}
-	parallel.For(bins.NumShards(), 1, func(sh int) {
-		edgeSpMMShard(out, x, src, dst, w, bins.Shard(sh), rs)
-	})
+	edgeSpMMRows(out, x, ptr, idx, w, 0, out.Rows())
 }
 
-// edgeSpMMShard processes the edges listed in order (a shard's positions).
-func edgeSpMMShard(out, x *tensor.Tensor, src, dst []int32, w []float32, order []int32, rs int) {
-	for _, e := range order {
-		edgeSpMMOne(out, x, src, dst, w, int(e), rs)
-	}
-}
-
-func edgeSpMMOne(out, x *tensor.Tensor, src, dst []int32, w []float32, e, rs int) {
-	d := int(dst[e])
-	xo := x.Data()[int(src[e])*rs : (int(src[e])+1)*rs]
-	oo := out.Data()[d*rs : (d+1)*rs]
-	if w == nil {
-		tensor.AddRow(oo, xo)
-	} else {
-		tensor.AxpyRow(oo, w[e], xo)
+// edgeSpMMRows runs EdgeSpMM over rows [lo, hi). One worker calls it
+// directly: a closure handed to the pool is an allocation per call.
+func edgeSpMMRows(out, x *tensor.Tensor, ptr, idx []int32, w []float32, lo, hi int) {
+	od, xd, rs := out.Data(), x.Data(), x.RowSize()
+	for r := lo; r < hi; r++ {
+		a, b := ptr[r], ptr[r+1]
+		tensor.AccumRun(od[r*rs:(r+1)*rs], xd, rs, idx[a:b], w[a:b])
 	}
 }
 

@@ -65,7 +65,7 @@ func TestEdgeSpMMMatchesNaive(t *testing.T) {
 	gc := NewGraphCtx(g)
 	x := testInput(7, 5, 1)
 	out := tensor.New(7, 5)
-	EdgeSpMM(out, x, gc.SrcByDst, gc.DstByDst, gc.InvDeg)
+	EdgeSpMM(out, x, gc.CSR.RowPtr, gc.SrcByDst, gc.InvDeg)
 	want := tensor.New(7, 5)
 	for s := range gc.SrcByDst {
 		xr := x.Row(int(gc.SrcByDst[s]))
@@ -274,5 +274,41 @@ func TestNumParamsPositive(t *testing.T) {
 	m, _ := NewModel(Config{Kind: GCN, InDim: 4, Hidden: 8, OutDim: 3, Layers: 3, Seed: 1})
 	if m.NumParams() < 4*8+8*8+8*3 {
 		t.Fatalf("NumParams = %d", m.NumParams())
+	}
+}
+
+// TestAccumBiasGradBitwise holds accumBiasGrad, one row-kernel add per
+// row, to the scalar column-sum loop it replaced, with −0, ±Inf and NaN
+// in the rows and −0 in the gradient it starts from. NaN matches NaN.
+func TestAccumBiasGradBitwise(t *testing.T) {
+	const rows, n = 11, 37
+	rng := tensor.NewRNG(5)
+	negZero := float32(math.Copysign(0, -1))
+	specials := []float32{0, negZero, float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
+	d := tensor.New(rows, n)
+	for i := range d.Data() {
+		if rng.Intn(4) == 0 {
+			d.Data()[i] = specials[rng.Intn(len(specials))]
+		} else {
+			d.Data()[i] = 2*rng.Float32() - 1
+		}
+	}
+	g := tensor.New(n)
+	for j := range g.Data() {
+		if j%2 == 0 {
+			g.Data()[j] = negZero
+		}
+	}
+	want := append([]float32(nil), g.Data()...)
+	for i := 0; i < rows; i++ {
+		for j, v := range d.Row(i) {
+			want[j] += v
+		}
+	}
+	accumBiasGrad(g, d)
+	for j, v := range g.Data() {
+		if math.Float32bits(v) != math.Float32bits(want[j]) && !(v != v && want[j] != want[j]) {
+			t.Fatalf("[%d] = %v (%#08x), scalar loop %v (%#08x)", j, v, math.Float32bits(v), want[j], math.Float32bits(want[j]))
+		}
 	}
 }

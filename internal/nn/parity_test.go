@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"wisegraph/internal/graph"
 	"wisegraph/internal/graph/gen"
 	"wisegraph/internal/tensor"
 )
@@ -32,41 +33,90 @@ func powerLawGraphCtx(v, e, types int, seed uint64) (*GraphCtx, *gen.Result) {
 	return NewGraphCtx(res.Graph), res
 }
 
-func TestEdgeSpMMBinsBitwiseEqualSeq(t *testing.T) {
-	gc, _ := powerLawGraphCtx(300, 4000, 0, 7)
+// TestEdgeSpMMBitwise holds EdgeSpMM to the per-edge walk it replaced —
+// one scalar multiply-then-add per edge and column, CSR slots ascending —
+// at 1, 2 and 4 workers: the forward aggregation over CSR.RowPtr, its
+// transpose over the per-source grouping (BySrc), and a destination-row
+// subset in a shuffled edge order. Every sum starts from nonzero values,
+// as the backward's does from the self-path's dx.
+func TestEdgeSpMMBitwise(t *testing.T) {
+	const rs = 19
+	gc, res := powerLawGraphCtx(300, 4000, 0, 7)
+	g := res.Graph
 	rng := tensor.NewRNG(71)
-	x := tensor.Uniform(tensor.New(gc.NumVertices(), 19), rng, -1, 1)
-
-	// sequential reference: plain accumulation in edge order
-	want := tensor.New(gc.NumVertices(), 19)
-	rs := 19
-	for e := range gc.SrcByDst {
-		d := int(gc.DstByDst[e])
-		xo := x.Data()[int(gc.SrcByDst[e])*rs : (int(gc.SrcByDst[e])+1)*rs]
-		oo := want.Data()[d*rs : (d+1)*rs]
-		w := gc.InvDeg[e]
-		for j, v := range xo {
-			oo[j] += w * v
+	// The row subset: the vertices not divisible by 3, over the edges that
+	// end in them, in a shuffled order.
+	sg := &graph.Graph{NumVertices: g.NumVertices, NumTypes: 1}
+	for e, d := range g.Dst {
+		if d%3 != 0 {
+			sg.Src, sg.Dst = append(sg.Src, g.Src[e]), append(sg.Dst, d)
 		}
 	}
-	for _, workers := range []int{2, 8} {
-		parityWorkers(t, workers, func() {
-			got := tensor.New(gc.NumVertices(), 19)
-			EdgeSpMMBins(got, x, gc.SrcByDst, gc.DstByDst, gc.InvDeg, gc.BinsByDst())
-			for i, v := range got.Data() {
-				if v != want.Data()[i] {
-					t.Fatalf("workers=%d: binned[%d]=%v, seq=%v", workers, i, v, want.Data()[i])
-				}
+	var rows []int32
+	for v := int32(0); v < int32(g.NumVertices); v++ {
+		if v%3 != 0 {
+			rows = append(rows, v)
+		}
+	}
+	order := make([]int32, sg.NumEdges())
+	for i := range order {
+		order[i] = int32(i)
+	}
+	for i := len(order) - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		order[i], order[j] = order[j], order[i]
+	}
+	sub, err := NewGraphCtxOrder(sg, order, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Release()
+
+	// walk is the per-edge reference: out[to[s]] += w[s]·x[from[s]], s
+	// ascending.
+	walk := func(out, x *tensor.Tensor, from, to []int32, w []float32) {
+		for s := range from {
+			or, xr := out.Row(int(to[s])), x.Row(int(from[s]))
+			for j, v := range xr {
+				or[j] += float32(w[s] * v)
 			}
-			// on-the-fly binning (nil bins) must agree as well
-			got2 := tensor.New(gc.NumVertices(), 19)
-			EdgeSpMMBins(got2, x, gc.SrcByDst, gc.DstByDst, gc.InvDeg, nil)
-			for i, v := range got2.Data() {
-				if v != want.Data()[i] {
-					t.Fatalf("workers=%d: unbinned[%d]=%v, seq=%v", workers, i, v, want.Data()[i])
+		}
+	}
+	ptr, dst, w := gc.BySrc()
+	cases := []struct {
+		name     string
+		outRows  int
+		inRows   int
+		run      func(out, x *tensor.Tensor)
+		from, to []int32
+		w        []float32
+	}{
+		{"forward", gc.NumRows(), gc.NumVertices(), func(out, x *tensor.Tensor) {
+			EdgeSpMM(out, x, gc.CSR.RowPtr, gc.SrcByDst, gc.InvDeg)
+		}, gc.SrcByDst, gc.DstByDst, gc.InvDeg},
+		{"transpose", gc.NumVertices(), gc.NumRows(), func(out, x *tensor.Tensor) {
+			EdgeSpMM(out, x, ptr, dst, w)
+		}, gc.DstByDst, gc.SrcByDst, gc.InvDeg},
+		{"rows", sub.NumRows(), sub.NumVertices(), func(out, x *tensor.Tensor) {
+			EdgeSpMM(out, x, sub.CSR.RowPtr, sub.SrcByDst, sub.InvDeg)
+		}, sub.SrcByDst, sub.DstByDst, sub.InvDeg},
+	}
+	for _, c := range cases {
+		x := tensor.Uniform(tensor.New(c.inRows, rs), rng, -1, 1)
+		init := tensor.Uniform(tensor.New(c.outRows, rs), rng, -1, 1)
+		want := init.Clone()
+		walk(want, x, c.from, c.to, c.w)
+		for _, workers := range []int{1, 2, 4} {
+			parityWorkers(t, workers, func() {
+				got := init.Clone()
+				c.run(got, x)
+				for i, v := range got.Data() {
+					if math.Float32bits(v) != math.Float32bits(want.Data()[i]) {
+						t.Fatalf("%s, %d workers: [%d] = %v, per-edge walk %v", c.name, workers, i, v, want.Data()[i])
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -104,7 +104,7 @@ func (l *RGCNLayer) forward(gc *GraphCtx, x, out *tensor.Tensor, gathered []*ten
 			}
 		}
 		// scatter with normalization: out[dst] += w · msg
-		EdgeSpMMBins(out, msg, gc.TypePos, gc.DstByDst, gc.InvDeg, gc.BinsByDst())
+		EdgeSpMM(out, msg, gc.CSR.RowPtr, gc.TypePos, gc.InvDeg)
 	}
 	tensor.AddBias(out, l.B.Value)
 	return out
@@ -120,16 +120,17 @@ func (l *RGCNLayer) Backward(gc *GraphCtx, dOut *tensor.Tensor, needDX bool) *te
 		dx = l.dx
 	}
 	for t := 0; t < l.numTypes; t++ {
-		te := gc.TypeEdgeArrays(t)
-		if len(te.Src) == 0 {
+		// Relation t's slots, in the order forward gathered them.
+		slots := gc.TypeOrder[gc.TypeOffsets[t]:gc.TypeOffsets[t+1]]
+		if len(slots) == 0 {
 			continue
 		}
 		// dMsg[i] = w_i · dOut[dst_i]
-		dMsg := tensor.Get(len(te.Src), l.OutDim())
-		for i := range te.Src {
-			drow := dOut.Row(int(te.Dst[i]))
+		dMsg := tensor.Get(len(slots), l.OutDim())
+		for i, s := range slots {
+			drow := dOut.Row(int(gc.DstByDst[s]))
 			mrow := dMsg.Row(i)
-			we := te.W[i]
+			we := gc.InvDeg[s]
 			for j, v := range drow {
 				mrow[j] = we * v
 			}
@@ -138,9 +139,9 @@ func (l *RGCNLayer) Backward(gc *GraphCtx, dOut *tensor.Tensor, needDX bool) *te
 		xt := l.gathered[t]
 		tensor.MatMulTransA(l.typeWeightGrad(t), xt, dMsg)
 		if needDX {
-			dXt := tensor.MatMulTransB(tensor.Get(len(te.Src), l.InDim()), dMsg, l.typeWeight(t))
-			for i := range te.Src {
-				tensor.AddRow(dx.Row(int(te.Src[i])), dXt.Row(i))
+			dXt := tensor.MatMulTransB(tensor.Get(len(slots), l.InDim()), dMsg, l.typeWeight(t))
+			for i, s := range slots {
+				tensor.AddRow(dx.Row(int(gc.SrcByDst[s])), dXt.Row(i))
 			}
 			tensor.Put(dXt)
 		}

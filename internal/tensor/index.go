@@ -46,9 +46,9 @@ func ScatterAddRows(dst, src *Tensor, idx []int32) {
 }
 
 // ScatterAddRowsBinned is ScatterAddRows with a caller-provided binning
-// of idx (built by BinRows over dst's rows). Callers whose index arrays
-// are stable across iterations — the full-graph training loop — build the
-// bins once and amortize the partition pass to zero.
+// of idx (built by BinRows over dst's rows). A caller whose index array
+// is stable across iterations can build the bins once and amortize the
+// partition pass to zero.
 func ScatterAddRowsBinned(dst, src *Tensor, idx []int32, bins *Bins) {
 	rs := src.RowSize()
 	if dst.RowSize() != rs {

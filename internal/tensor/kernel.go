@@ -4,10 +4,11 @@ import "fmt"
 
 // The one vector kernel. Every dense and aggregation loop in the repo is
 // some arrangement of dst[j] += a*x[j] over a float32 row; AxpyRow is
-// that statement and mulAddRow is the matmul row built on it. On amd64
-// both run in assembly (kernel_amd64.s): AxpyRow on AVX2, mulAddRow on
-// AVX-512 where the CPU has it and on AVX2 otherwise. Everywhere else they
-// run the generic loops below, which are also the test oracle. The paths
+// that statement, mulAddRow is the matmul row built on it and AccumRun
+// the aggregation run. On amd64 they run in assembly (kernel_amd64.s):
+// AxpyRow on AVX2, mulAddRow and AccumRun on AVX-512 where the CPU has it
+// and on AVX2 otherwise. Everywhere else they run the generic loops
+// below, which are also the test oracle. The paths
 // are bitwise-equal: one rounding for the multiply, one for the add, no
 // fused multiply-add on any platform (see axpyGeneric).
 
@@ -28,6 +29,36 @@ func AxpyRow(dst []float32, a float32, x []float32) {
 // AddRow computes dst[j] += x[j] for every j < len(x). 1·x is exact for
 // every float32, so this is AxpyRow with a == 1 bit for bit.
 func AddRow(dst, x []float32) { AxpyRow(dst, 1, x) }
+
+// AccumRun computes dst[j] += Σᵢ w[i]·x[idx[i]·rs + j] for every j < rs,
+// i ascending: one destination row's run of in-edges over the row-major
+// source matrix x of row width rs. Each term is the AxpyRow statement, so
+// the result is one AxpyRow(dst, w[i], row idx[i]) per i, bit for bit;
+// the assembly kernels hold dst in registers across the run and store it
+// once. Every idx[i] must be a row of x, and w must be at least as long
+// as idx.
+func AccumRun(dst, x []float32, rs int, idx []int32, w []float32) {
+	if rs < 0 || len(dst) < rs || len(w) < len(idx) {
+		panic(fmt.Sprintf("tensor: AccumRun dst[%d] row %d with %d weights for %d sources", len(dst), rs, len(w), len(idx)))
+	}
+	if rs == 0 || len(idx) == 0 {
+		return
+	}
+	rows := len(x) / rs
+	for _, s := range idx {
+		if uint(s) >= uint(rows) {
+			panic(fmt.Sprintf("tensor: AccumRun source row %d outside x's %d rows", s, rows))
+		}
+	}
+	switch {
+	case useAVX512:
+		accumRunAVX512(dst, x, rs, idx, w)
+	case useAVX2:
+		accumRunAVX2(dst, x, rs, idx, w)
+	default:
+		accumRunGeneric(dst, x, rs, idx, w)
+	}
+}
 
 // VecMatAcc accumulates dst += x × B for a row vector x [K] and B [K,N],
 // walking k in ascending order and skipping zero activations — the
@@ -132,6 +163,14 @@ func axpyGeneric(dst []float32, a float32, x []float32) {
 	dst = dst[:len(x)]
 	for j, v := range x {
 		dst[j] += float32(a * v)
+	}
+}
+
+// accumRunGeneric is the portable AccumRun and the oracle of its assembly:
+// the per-edge walk, one axpyGeneric per source row.
+func accumRunGeneric(dst, x []float32, rs int, idx []int32, w []float32) {
+	for i, s := range idx {
+		axpyGeneric(dst[:rs], w[i], x[int(s)*rs:(int(s)+1)*rs])
 	}
 }
 

@@ -26,6 +26,12 @@ func mulAddRowStridedAVX2(ci, ai []float32, lda int, b []float32, p0, p1, n int,
 func mulAddRowStridedAVX512(ci, ai []float32, lda int, b []float32, p0, p1, n int, skipZero bool)
 
 //go:noescape
+func accumRunAVX2(dst, x []float32, rs int, idx []int32, w []float32)
+
+//go:noescape
+func accumRunAVX512(dst, x []float32, rs int, idx []int32, w []float32)
+
+//go:noescape
 func reluAVX2(dst, x []float32)
 
 //go:noescape

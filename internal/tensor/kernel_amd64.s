@@ -213,6 +213,7 @@ axpytail:
 
 axpydone:
 	VZEROUPPER
+yret:
 	RET
 
 // func reluAVX2(dst, x []float32)
@@ -726,4 +727,267 @@ rem4:
 
 done:
 	VZEROUPPER
+	RET
+
+// The aggregation run kernels: dst[j] += Σᵢ w[i]·x[idx[i]*rs + j], i
+// ascending. A column tile of dst stays in registers for the whole run
+// and is loaded and stored once; every source row adds into it with a
+// VBROADCASTSS of w[i], a VMULPS and a VADDPS, the AxpyRow step, so each
+// element gets the per-edge walk's terms in its order. Registers:
+//   DI  &dst[j0]        current column tile of dst
+//   SI  &x[j0]          the same columns of x's row 0
+//   R8  &idx[0], R9 &w[0]
+//   R10 len(idx) >= 1, DX len(idx)-1 (the look-ahead clamp)
+//   R14 4*rs            x row stride in bytes
+//   CX  columns left
+//   AX  i, BX &x[idx[i]*rs + j0], R12 the row two ahead
+//   R11 scratch of the mask set-up
+
+// RUNADDR points BX at source row i's tile and R12 at the tile of row
+// min(i+2, len(idx)-1), clamped by a CMOV: no branch, and idx is never
+// read past the run. The caller checked every idx[i] against x's rows.
+#define RUNADDR \
+	MOVLQSX (R8)(AX*4), BX; \
+	LEAQ    2(AX), R12; \
+	CMPQ    R12, DX; \
+	CMOVQGT DX, R12; \
+	MOVLQSX (R8)(R12*4), R12; \
+	IMULQ   R14, BX; \
+	IMULQ   R14, R12; \
+	ADDQ    SI, BX; \
+	ADDQ    SI, R12
+
+// Prefetches of the row two ahead, one per 64-byte line of the tile. A
+// prefetch never faults, so a line past the row's end costs nothing.
+#define RPF1 PREFETCHT0 0(R12)
+#define RPF2 RPF1; PREFETCHT0 64(R12)
+#define RPF3 RPF2; PREFETCHT0 128(R12)
+#define RPF4 RPF3; PREFETCHT0 192(R12)
+#define RPF5 RPF4; PREFETCHT0 256(R12)
+#define RPF6 RPF5; PREFETCHT0 320(R12)
+#define RPF7 RPF6; PREFETCHT0 384(R12)
+#define RPF8 RPF7; PREFETCHT0 448(R12)
+
+// ZRLOOP and YRLOOP run the whole run for the tile whose accumulators are
+// loaded: for each i, RUNADDR, PF, broadcast w[i] and apply ACC to the
+// row at BX. The only branch is the loop's own; the loop head is 32-byte
+// aligned.
+#define ZRLOOP(ACC, PF, loop) \
+	XORQ AX, AX; \
+	PCALIGN $32; \
+loop: \
+	RUNADDR; \
+	PF; \
+	VBROADCASTSS (R9)(AX*4), Z8; \
+	ACC; \
+	INCQ AX; \
+	CMPQ AX, R10; \
+	JLT  loop
+
+#define YRLOOP(ACC, PF, loop) \
+	XORQ AX, AX; \
+	PCALIGN $32; \
+loop: \
+	RUNADDR; \
+	PF; \
+	VBROADCASTSS (R9)(AX*4), Y8; \
+	ACC; \
+	INCQ AX; \
+	CMPQ AX, R10; \
+	JLT  loop
+
+// One ZMM accumulator: load, store and add of a full one and of the
+// masked last one of a remainder (zero-masked loads, masked store).
+#define RZL(z, off) VMOVUPS off(DI), z
+#define RZLM(z, off) VMOVUPS.Z off(DI), K1, z
+#define RZS(z, off) VMOVUPS z, off(DI)
+#define RZSM(z, off) VMOVUPS z, K1, off(DI)
+#define RZA(z, off) VMULPS off(BX), Z8, Z9; VADDPS Z9, z, z
+#define RZAM(z, off) VMOVUPS.Z off(BX), K1, Z9; VMULPS Z9, Z8, Z9; VADDPS Z9, z, z
+
+// The 128-column tile, Z0..Z7.
+#define RZLOAD8 RZL(Z0, 0); RZL(Z1, 64); RZL(Z2, 128); RZL(Z3, 192); RZL(Z4, 256); RZL(Z5, 320); RZL(Z6, 384); RZL(Z7, 448)
+#define RZSTORE8 RZS(Z0, 0); RZS(Z1, 64); RZS(Z2, 128); RZS(Z3, 192); RZS(Z4, 256); RZS(Z5, 320); RZS(Z6, 384); RZS(Z7, 448)
+#define RZACC8 RZA(Z0, 0); RZA(Z1, 64); RZA(Z2, 128); RZA(Z3, 192); RZA(Z4, 256); RZA(Z5, 320); RZA(Z6, 384); RZA(Z7, 448)
+
+// A remainder of r < 128 columns: REMn has n-1 full accumulators and the
+// masked one, n = ⌈r/16⌉.
+#define RZLOADR1 RZLM(Z0, 0)
+#define RZLOADR2 RZL(Z0, 0); RZLM(Z1, 64)
+#define RZLOADR3 RZL(Z0, 0); RZL(Z1, 64); RZLM(Z2, 128)
+#define RZLOADR4 RZL(Z0, 0); RZL(Z1, 64); RZL(Z2, 128); RZLM(Z3, 192)
+#define RZLOADR5 RZL(Z0, 0); RZL(Z1, 64); RZL(Z2, 128); RZL(Z3, 192); RZLM(Z4, 256)
+#define RZLOADR6 RZL(Z0, 0); RZL(Z1, 64); RZL(Z2, 128); RZL(Z3, 192); RZL(Z4, 256); RZLM(Z5, 320)
+#define RZLOADR7 RZL(Z0, 0); RZL(Z1, 64); RZL(Z2, 128); RZL(Z3, 192); RZL(Z4, 256); RZL(Z5, 320); RZLM(Z6, 384)
+#define RZLOADR8 RZL(Z0, 0); RZL(Z1, 64); RZL(Z2, 128); RZL(Z3, 192); RZL(Z4, 256); RZL(Z5, 320); RZL(Z6, 384); RZLM(Z7, 448)
+
+#define RZSTORER1 RZSM(Z0, 0)
+#define RZSTORER2 RZS(Z0, 0); RZSM(Z1, 64)
+#define RZSTORER3 RZS(Z0, 0); RZS(Z1, 64); RZSM(Z2, 128)
+#define RZSTORER4 RZS(Z0, 0); RZS(Z1, 64); RZS(Z2, 128); RZSM(Z3, 192)
+#define RZSTORER5 RZS(Z0, 0); RZS(Z1, 64); RZS(Z2, 128); RZS(Z3, 192); RZSM(Z4, 256)
+#define RZSTORER6 RZS(Z0, 0); RZS(Z1, 64); RZS(Z2, 128); RZS(Z3, 192); RZS(Z4, 256); RZSM(Z5, 320)
+#define RZSTORER7 RZS(Z0, 0); RZS(Z1, 64); RZS(Z2, 128); RZS(Z3, 192); RZS(Z4, 256); RZS(Z5, 320); RZSM(Z6, 384)
+#define RZSTORER8 RZS(Z0, 0); RZS(Z1, 64); RZS(Z2, 128); RZS(Z3, 192); RZS(Z4, 256); RZS(Z5, 320); RZS(Z6, 384); RZSM(Z7, 448)
+
+#define RZACCR1 RZAM(Z0, 0)
+#define RZACCR2 RZA(Z0, 0); RZAM(Z1, 64)
+#define RZACCR3 RZA(Z0, 0); RZA(Z1, 64); RZAM(Z2, 128)
+#define RZACCR4 RZA(Z0, 0); RZA(Z1, 64); RZA(Z2, 128); RZAM(Z3, 192)
+#define RZACCR5 RZA(Z0, 0); RZA(Z1, 64); RZA(Z2, 128); RZA(Z3, 192); RZAM(Z4, 256)
+#define RZACCR6 RZA(Z0, 0); RZA(Z1, 64); RZA(Z2, 128); RZA(Z3, 192); RZA(Z4, 256); RZAM(Z5, 320)
+#define RZACCR7 RZA(Z0, 0); RZA(Z1, 64); RZA(Z2, 128); RZA(Z3, 192); RZA(Z4, 256); RZA(Z5, 320); RZAM(Z6, 384)
+#define RZACCR8 RZA(Z0, 0); RZA(Z1, 64); RZA(Z2, 128); RZA(Z3, 192); RZA(Z4, 256); RZA(Z5, 320); RZA(Z6, 384); RZAM(Z7, 448)
+
+// RZREM runs the remainder with n accumulators and jumps to rdone.
+#define RZREM(LOAD, ACC, PF, STORE, loop) \
+	LOAD; \
+	ZRLOOP(ACC, PF, loop); \
+	STORE; \
+	JMP rdone
+
+// func accumRunAVX512(dst, x []float32, rs int, idx []int32, w []float32)
+//
+// dst[j] += w[i]*x[idx[i]*rs+j] for i in [0,len(idx)), j in [0,rs), i
+// ascending per j: 128-column tiles in Z0..Z7, then the 1–127 column
+// remainder in one more pass over ⌈r/16⌉ accumulators, the last under
+// K1. The caller guarantees len(dst) >= rs, len(w) >= len(idx) and
+// 0 <= idx[i] < len(x)/rs.
+TEXT ·accumRunAVX512(SB), NOSPLIT, $0-104
+	MOVQ dst_base+0(FP), DI
+	MOVQ x_base+24(FP), SI
+	MOVQ rs+48(FP), CX
+	MOVQ idx_base+56(FP), R8
+	MOVQ idx_len+64(FP), R10
+	MOVQ w_base+80(FP), R9
+	TESTQ R10, R10
+	JEQ  rret
+	LEAQ -1(R10), DX
+	MOVQ CX, R14
+	SHLQ $2, R14
+
+rtile128:
+	CMPQ CX, $128
+	JLT  rrem
+	RZLOAD8
+	ZRLOOP(RZACC8, RPF8, rloop128)
+	RZSTORE8
+	ADDQ $512, DI
+	ADDQ $512, SI
+	SUBQ $128, CX
+	JMP  rtile128
+
+rrem:
+	TESTQ CX, CX
+	JZ    rdone
+	ZMASK
+	CMPQ CX, $64
+	JGT  rrem5to8
+	CMPQ CX, $32
+	JGT  rrem3to4
+	CMPQ CX, $16
+	JGT  rrem2
+	RZREM(RZLOADR1, RZACCR1, RPF1, RZSTORER1, rloopr1)
+rrem2:
+	RZREM(RZLOADR2, RZACCR2, RPF2, RZSTORER2, rloopr2)
+rrem3to4:
+	CMPQ CX, $48
+	JGT  rrem4
+	RZREM(RZLOADR3, RZACCR3, RPF3, RZSTORER3, rloopr3)
+rrem4:
+	RZREM(RZLOADR4, RZACCR4, RPF4, RZSTORER4, rloopr4)
+rrem5to8:
+	CMPQ CX, $96
+	JGT  rrem7to8
+	CMPQ CX, $80
+	JGT  rrem6
+	RZREM(RZLOADR5, RZACCR5, RPF5, RZSTORER5, rloopr5)
+rrem6:
+	RZREM(RZLOADR6, RZACCR6, RPF6, RZSTORER6, rloopr6)
+rrem7to8:
+	CMPQ CX, $112
+	JGT  rrem8
+	RZREM(RZLOADR7, RZACCR7, RPF7, RZSTORER7, rloopr7)
+rrem8:
+	RZREM(RZLOADR8, RZACCR8, RPF8, RZSTORER8, rloopr8)
+
+rdone:
+	VZEROUPPER
+rret:
+	RET
+
+// func accumRunAVX2(dst, x []float32, rs int, idx []int32, w []float32)
+//
+// accumRunAVX512's contract on AVX2, with mulAddRowAVX2's tiles: 64
+// columns in Y0..Y7, then 32-, 16- and 8-wide tiles and a VMASKMOVPS
+// tail, each its own pass over the run. The step is STEPn of the matmul
+// row: the broadcast weight in Y8 times the row at BX.
+TEXT ·accumRunAVX2(SB), NOSPLIT, $0-104
+	MOVQ dst_base+0(FP), DI
+	MOVQ x_base+24(FP), SI
+	MOVQ rs+48(FP), CX
+	MOVQ idx_base+56(FP), R8
+	MOVQ idx_len+64(FP), R10
+	MOVQ w_base+80(FP), R9
+	TESTQ R10, R10
+	JEQ  yret
+	LEAQ -1(R10), DX
+	MOVQ CX, R14
+	SHLQ $2, R14
+
+ytile64:
+	CMPQ CX, $64
+	JLT  ytile32
+	LOAD8
+	YRLOOP(STEP8, RPF4, yloop64)
+	STORE8
+	ADDQ $256, DI
+	ADDQ $256, SI
+	SUBQ $64, CX
+	JMP  ytile64
+
+ytile32:
+	CMPQ CX, $32
+	JLT  ytile16
+	LOAD4
+	YRLOOP(STEP4, RPF2, yloop32)
+	STORE4
+	ADDQ $128, DI
+	ADDQ $128, SI
+	SUBQ $32, CX
+
+ytile16:
+	CMPQ CX, $16
+	JLT  ytile8
+	LOAD2
+	YRLOOP(STEP2, RPF1, yloop16)
+	STORE2
+	ADDQ $64, DI
+	ADDQ $64, SI
+	SUBQ $16, CX
+
+ytile8:
+	CMPQ CX, $8
+	JLT  ytail
+	LOAD1
+	YRLOOP(STEP1, RPF1, yloop8)
+	STORE1
+	ADDQ $32, DI
+	ADDQ $32, SI
+	SUBQ $8, CX
+
+ytail:
+	TESTQ CX, CX
+	JZ    ydone
+	LEAQ  tailMask<>+32(SB), AX
+	SHLQ  $2, CX
+	SUBQ  CX, AX
+	VMOVDQU    (AX), Y13
+	VMASKMOVPS (DI), Y13, Y0
+	YRLOOP(STEPTAIL, RPF1, yloopt)
+	VMASKMOVPS Y0, Y13, (DI)
+
+ydone:
+	VZEROUPPER
+yret:
 	RET

@@ -13,6 +13,11 @@ var rowKernels = []rowKernel{
 	}},
 }
 
+var runKernels = []runKernel{
+	{"avx512", useAVX512, accumRunAVX512},
+	{"avx2", useAVX2, accumRunAVX2},
+}
+
 // dispatchTo makes mulAddRow run k until the test ends.
 func dispatchTo(t *testing.T, k rowKernel) {
 	saved := useAVX512

@@ -20,6 +20,14 @@ func mulAddRowStridedAVX512(ci, ai []float32, lda int, b []float32, p0, p1, n in
 	panic("tensor: no assembly kernel")
 }
 
+func accumRunAVX2(dst, x []float32, rs int, idx []int32, w []float32) {
+	panic("tensor: no assembly kernel")
+}
+
+func accumRunAVX512(dst, x []float32, rs int, idx []int32, w []float32) {
+	panic("tensor: no assembly kernel")
+}
+
 func reluAVX2(dst, x []float32) { panic("tensor: no assembly kernel") }
 
 func reluGradAVX2(dst, grad, a []float32) { panic("tensor: no assembly kernel") }

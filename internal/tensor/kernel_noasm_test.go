@@ -4,7 +4,10 @@ package tensor
 
 import "testing"
 
-// No assembly row kernel on this architecture.
-var rowKernels []rowKernel
+// No assembly row or run kernel on this architecture.
+var (
+	rowKernels []rowKernel
+	runKernels []runKernel
+)
 
 func dispatchTo(*testing.T, rowKernel) {}

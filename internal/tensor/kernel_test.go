@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -570,6 +571,143 @@ func FuzzMulAddRow(f *testing.F) {
 		AxpyRow(got, ai[0], b[:n])
 		axpyGeneric(want, ai[0], b[:n])
 		sameBits(t, "axpy", got, want)
+	})
+}
+
+// runKernel is one assembly implementation of AccumRun and whether this
+// CPU runs it; runKernels lists them per architecture, widest first.
+type runKernel struct {
+	name string
+	has  bool
+	run  func(dst, x []float32, rs int, idx []int32, w []float32)
+}
+
+// runVals is kernelVals with its special values and NaN mixed in too.
+func runVals(rng *RNG, n int) []float32 {
+	v := kernelVals(rng, n, true)
+	for i := range v {
+		if rng.Intn(16) == 0 {
+			v[i] = float32(math.NaN())
+		}
+	}
+	return v
+}
+
+// TestAccumRunBitwise holds every run kernel the CPU has (subtests avx512
+// and avx2) and AccumRun's own dispatch to the per-edge walk, bit for bit:
+// every width from 1 to 130 (every 128-, 64-, 32-, 16- and 8-column tile,
+// each remainder class and the masked tail), runs of 0, 1, 2 and 17
+// sources with repeats, ±0, ±Inf, NaN and denormals in dst and the
+// sources, and weights of +0, −0 and 1 among random ones. dst is longer
+// than the row: its tail must stay untouched.
+func TestAccumRunBitwise(t *testing.T) {
+	check := func(t *testing.T, run func(dst, x []float32, rs int, idx []int32, w []float32)) {
+		rng := NewRNG(1609)
+		for rs := 1; rs <= 130; rs++ {
+			for _, n := range []int{0, 1, 2, 17} {
+				rows := 1 + rng.Intn(9)
+				x := runVals(rng, rows*rs)
+				idx := make([]int32, n)
+				for i := range idx {
+					idx[i] = int32(rng.Intn(rows))
+				}
+				w := runVals(rng, n)
+				for i := range w {
+					switch rng.Intn(5) {
+					case 0:
+						w[i] = 0
+					case 1:
+						w[i] = float32(math.Copysign(0, -1))
+					case 2:
+						w[i] = 1
+					}
+				}
+				got := runVals(rng, rs+9)
+				want := append([]float32(nil), got...)
+				run(got, x, rs, idx, w)
+				accumRunGeneric(want, x, rs, idx, w)
+				sameBits(t, fmt.Sprintf("width %d, run of %d", rs, n), got, want)
+			}
+		}
+	}
+	for _, k := range runKernels {
+		t.Run(k.name, func(t *testing.T) {
+			if !k.has {
+				t.Skipf("this CPU has no %s", k.name)
+			}
+			check(t, k.run)
+		})
+	}
+	t.Run("dispatch", func(t *testing.T) { check(t, AccumRun) })
+}
+
+// AccumRun checks its arguments before any kernel reads them.
+func TestAccumRunPanicsOnBadArgs(t *testing.T) {
+	x, w := make([]float32, 3*4), []float32{1, 1}
+	for name, call := range map[string]func(){
+		"row past x":   func() { AccumRun(make([]float32, 4), x, 4, []int32{0, 3}, w) },
+		"negative row": func() { AccumRun(make([]float32, 4), x, 4, []int32{-1}, w) },
+		"short dst":    func() { AccumRun(make([]float32, 3), x, 4, []int32{0}, w) },
+		"short w":      func() { AccumRun(make([]float32, 4), x, 4, []int32{0, 1, 2}, w) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
+// FuzzAccumRun lets the fuzzer choose the floats (any bit pattern), the
+// row width, the run's length and rows, and the alignment, and holds every
+// run kernel the CPU has and AccumRun to the per-edge walk.
+func FuzzAccumRun(f *testing.F) {
+	seed := make([]byte, 4*300)
+	rng := NewRNG(1610)
+	for i := range seed {
+		seed[i] = byte(rng.Intn(256))
+	}
+	f.Add(seed, uint8(7), uint8(3), uint8(1))
+	f.Add(seed, uint8(64), uint8(17), uint8(3))
+	f.Add(seed, uint8(40), uint8(2), uint8(0))
+	f.Add(seed[:4*40], uint8(9), uint8(1), uint8(5))
+	f.Fuzz(func(t *testing.T, data []byte, width, run, off uint8) {
+		rs := 1 + int(width)%130
+		n := int(run) % 20
+		vals := make([]float32, len(data)/4)
+		for i := range vals {
+			vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
+		}
+		// dst [rs], w [n], then x's rows.
+		rows := (len(vals) - rs - n) / rs
+		if rows < 1 {
+			return
+		}
+		place := func(src []float32) []float32 {
+			o := int(off) % 8
+			return append(make([]float32, o, o+len(src)), src...)[o:]
+		}
+		w := place(vals[rs : rs+n])
+		x := place(vals[rs+n : rs+n+rows*rs])
+		idx := make([]int32, n)
+		for i := range idx {
+			idx[i] = int32(int(data[i%len(data)]) % rows)
+		}
+		want := append([]float32(nil), vals[:rs]...)
+		accumRunGeneric(want, x, rs, idx, w)
+		for _, k := range runKernels {
+			if k.has {
+				got := place(vals[:rs])
+				k.run(got, x, rs, idx, w)
+				sameBits(t, "accumRun "+k.name, got, want)
+			}
+		}
+		got := place(vals[:rs])
+		AccumRun(got, x, rs, idx, w)
+		sameBits(t, "AccumRun", got, want)
 	})
 }
 

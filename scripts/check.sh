@@ -84,12 +84,18 @@ run_filtered "parity/determinism" 'Parity|Determin|Reuse|Concurrent|SortedBy' \
 # (unit-stride and strided, every tile, the masked tail and remainder,
 # ±0/NaN/Inf, a skipped term against Inf/NaN), MatMulTransA against
 # MatMulAcc over an explicit transpose (also as .../dispatch, on whatever
-# mulAddRow picks, on every platform), every layer's backward without
-# the input gradient against the one with it, and every layer's Infer —
-# the gTask and serving entry — against Forward, against itself from
-# concurrent callers, over destination-row subsets and around a backward —
-# bit for bit. The race pass above ran them at the box's width; this leg
-# runs them on one P.
+# mulAddRow picks, on every platform); the aggregation run kernel in
+# TestAccumRunBitwise (.../avx512, .../avx2 and .../dispatch against the
+# per-edge walk, widths 1–130, runs of 0–17 sources, ±0/±Inf/NaN) and
+# TestAccumRunPanicsOnBadArgs; EdgeSpMM in TestEdgeSpMMBitwise (forward,
+# transpose and a destination-row subset at 1, 2 and 4 workers against
+# the per-edge walk) and the bias gradient's row adds in
+# TestAccumBiasGradBitwise; every layer's backward without the input
+# gradient against the one with it, and every layer's Infer — the gTask
+# and serving entry — against Forward, against itself from concurrent
+# callers, over destination-row subsets and around a backward — bit for
+# bit. The race pass above ran them at the box's width; this leg runs
+# them on one P.
 run_filtered "kernel oracles / first-layer backward / Infer" 'Bitwise|Panics|FirstLayer|Infer' \
   ./internal/tensor/ ./internal/nn/
 
@@ -105,7 +111,9 @@ run_filtered "multi-device forward parity" 'ForwardBitwise|ForwardMatchesReferen
 # device accounting, so the gTask output must be m.Forward over that order
 # bit for bit, fused and device must stay bitwise-identical to blocked
 # across models, plans, worker counts and destination-row sets, and each
-# name must keep launching its own gTask kernels. An engine is named on
+# name must keep launching its own gTask kernels; a frozen partition's
+# forwards must run over the one task-ordered context the first built
+# (TestGTaskExecutionReusesOrderedContext). An engine is named on
 # exec.Ctx only — serving and training run the default — so every engine
 # test lives in internal/kernels.
 run_filtered "cross-engine parity" 'Engine|DestinationRows|GTaskExecution|ParityAllPlans' ./internal/kernels/
@@ -157,9 +165,10 @@ go test ./internal/graph/ -run '^$' -fuzz '^FuzzCSRBuild$' -fuzztime=5s >/dev/nu
 # must echo its id on re-encode, and no hostile length/reqid combination
 # may panic or allocate unboundedly.
 go test ./internal/shard/wire/ -run '^$' -fuzz '^FuzzDecode$' -fuzztime=5s >/dev/null
-# The assembly row kernels must match the scalar loops bit for bit on any
-# floats, row width, k range and alignment the fuzzer can build.
+# The assembly row and run kernels must match the scalar loops bit for bit
+# on any floats, row width, k range, run and alignment the fuzzer can build.
 go test ./internal/tensor/ -run '^$' -fuzz '^FuzzMulAddRow$' -fuzztime=5s >/dev/null
+go test ./internal/tensor/ -run '^$' -fuzz '^FuzzAccumRun$' -fuzztime=5s >/dev/null
 go test ./internal/tensor/ -run '^$' -fuzz '^FuzzReLU$' -fuzztime=5s >/dev/null
 echo "fuzz smokes OK"
 
