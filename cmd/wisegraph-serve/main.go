@@ -161,6 +161,10 @@ func main() {
 			engine.Plan().GraphPlan, engine.Plan().OpPlan)
 	}
 
+	// A SIGTERM that follows the listen line must drain, so the handler
+	// is installed before anything can read that line.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)
@@ -175,8 +179,6 @@ func main() {
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case s := <-sig:
 		fmt.Printf("signal %v: draining...\n", s)

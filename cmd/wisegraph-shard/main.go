@@ -79,6 +79,10 @@ func main() {
 		CacheBudget: budget,
 	})
 
+	// A SIGTERM that follows the listen line must drain, so the handler
+	// is installed before anything can read that line.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)
@@ -98,8 +102,6 @@ func main() {
 	errCh := make(chan error, 1)
 	go func() { errCh <- sv.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case s := <-sig:
 		fmt.Printf("signal %v: draining...\n", s)

@@ -176,11 +176,7 @@ func ExtPipeline(cfg Config) (*Table, error) {
 	serial := mk(cfg.Seed + 1)
 	plan := serial.TunePlans(sp, 1)
 	t0 := time.Now()
-	for i := 0; i < iters; i++ {
-		serial.Iteration()
-		sub := serial.NextBatch()
-		train.ReusePlan(plan, sub.Graph)
-	}
+	serial.TrainSerial(plan, iters)
 	serialWall := time.Since(t0)
 	t.AddRow("serial", fmt.Sprintf("%d", iters), serialWall.Round(time.Millisecond).String(),
 		(serialWall / time.Duration(iters)).Round(time.Microsecond).String())

@@ -3,8 +3,8 @@
 // edge attributes from the graph partition table, later paired with an
 // operation partition plan. The package provides
 //
-//   - the graph partition table: edge attributes with their location
-//     (src / dst / edge) and class (indexing / inherent / unused),
+//   - the graph partition table: the edge attributes (ids, edge type,
+//     degrees) and their values per edge,
 //   - restrictions (uniq(attr)=k, uniq(attr)=min, unrestricted),
 //   - the greedy O(E log E) partitioner that sorts edges by the restricted
 //     attributes and scans them into gTasks,
@@ -57,58 +57,6 @@ func (a Attr) String() string {
 	default:
 		return fmt.Sprintf("attr(%d)", int(a))
 	}
-}
-
-// Location is the graph-partition-table column an attribute lives in.
-type Location int
-
-const (
-	// LocEdge marks attributes stored on the edge itself.
-	LocEdge Location = iota
-	// LocSrc marks attributes of the source vertex.
-	LocSrc
-	// LocDst marks attributes of the destination vertex.
-	LocDst
-)
-
-// Location returns where the attribute lives.
-func (a Attr) Location() Location {
-	switch a {
-	case AttrSrcID, AttrSrcDegree:
-		return LocSrc
-	case AttrDstID, AttrDstDegree:
-		return LocDst
-	default:
-		return LocEdge
-	}
-}
-
-// Class categorizes table rows (paper Figure 6).
-type Class int
-
-const (
-	// ClassIndexing attributes are used by the model's indexing
-	// operations; restrictions on them shape operation efficiency.
-	ClassIndexing Class = iota
-	// ClassInherent attributes (degrees) are not indexed by the model but
-	// still matter for performance.
-	ClassInherent
-	// ClassUnused attributes are ignored by graph partition.
-	ClassUnused
-)
-
-// Classify returns the class of attribute a for a model whose indexing
-// operations consume indexAttrs.
-func Classify(a Attr, indexAttrs []Attr) Class {
-	for _, x := range indexAttrs {
-		if x == a {
-			return ClassIndexing
-		}
-	}
-	if a == AttrSrcDegree || a == AttrDstDegree || a == AttrEdgeID {
-		return ClassInherent
-	}
-	return ClassUnused
 }
 
 // AttrReader resolves attribute values for edges of a graph. Degree

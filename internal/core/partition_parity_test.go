@@ -118,8 +118,11 @@ func TestSortedBy(t *testing.T) {
 
 func parityPlans(g *graph.Graph) []GraphPlan {
 	plans := []GraphPlan{WholeGraph(), VertexCentric(), EdgeCentric()}
-	idx := []Attr{AttrSrcID, AttrDstID, AttrEdgeType}
-	plans = append(plans, EnumeratePlans(idx, DefaultPlanSpace(g.NumTypes > 1))...)
+	idx := []Attr{AttrSrcID, AttrDstID}
+	if g.NumTypes > 1 {
+		idx = append(idx, AttrEdgeType)
+	}
+	plans = append(plans, EnumeratePlans(idx)...)
 	return plans
 }
 

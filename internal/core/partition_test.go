@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -46,19 +47,6 @@ func TestAttrReaderValues(t *testing.T) {
 	// vertex 1 in-degree: edges 2,3,4 → 3
 	if r.Value(AttrDstDegree, 2) != 3 {
 		t.Fatalf("dst-degree = %d, want 3", r.Value(AttrDstDegree, 2))
-	}
-}
-
-func TestClassify(t *testing.T) {
-	idx := []Attr{AttrSrcID, AttrDstID, AttrEdgeType}
-	if Classify(AttrSrcID, idx) != ClassIndexing {
-		t.Fatal("src-id should be indexing")
-	}
-	if Classify(AttrDstDegree, idx) != ClassInherent {
-		t.Fatal("dst-degree should be inherent")
-	}
-	if Classify(AttrEdgeType, []Attr{AttrSrcID}) != ClassUnused {
-		t.Fatal("edge-type unused when model does not index it")
 	}
 }
 
@@ -218,22 +206,35 @@ func TestTaskOfEdgeCoversAllEdges(t *testing.T) {
 	}
 }
 
+// TestEnumeratePlansCoverage pins the exact plan list, in order, for
+// each model's indexing attributes (nn.ModelKind.IndexAttrs: RGCN indexes
+// the edge type, the other four only the two endpoints), so the type
+// plans appear for RGCN alone.
 func TestEnumeratePlansCoverage(t *testing.T) {
-	plans := EnumeratePlans([]Attr{AttrSrcID, AttrDstID, AttrEdgeType}, DefaultPlanSpace(true))
-	names := map[string]bool{}
-	for _, p := range plans {
-		names[p.Name] = true
-	}
-	for _, want := range []string{"vertex-centric", "edge-centric", "2d-32", "dst1-type1", "src-32-type-1", "dst-32-degmin", "deg1"} {
-		if !names[want] {
-			t.Fatalf("plan %q missing from enumeration: %v", want, names)
+	untyped := []string{"vertex-centric", "edge-centric",
+		"edge-batch-32", "dst-batch-32", "dst1-edge-32", "2d-32", "dst-32-degmin",
+		"edge-batch-128", "dst-batch-128", "dst1-edge-128", "2d-128", "dst-128-degmin",
+		"deg1"}
+	for _, tc := range []struct {
+		model string
+		attrs []Attr
+		want  []string
+	}{
+		{"GCN", []Attr{AttrSrcID, AttrDstID}, untyped},
+		{"SAGE", []Attr{AttrSrcID, AttrDstID}, untyped},
+		{"GAT", []Attr{AttrSrcID, AttrDstID}, untyped},
+		{"SAGE-LSTM", []Attr{AttrSrcID, AttrDstID}, untyped},
+		{"RGCN", []Attr{AttrSrcID, AttrDstID, AttrEdgeType}, []string{"vertex-centric", "edge-centric",
+			"edge-batch-32", "dst-batch-32", "dst1-edge-32", "2d-32", "src-32-type-1", "dst-32-degmin",
+			"edge-batch-128", "dst-batch-128", "dst1-edge-128", "2d-128", "src-128-type-1", "dst-128-degmin",
+			"dst1-type1", "type1", "deg1"}},
+	} {
+		var got []string
+		for _, p := range EnumeratePlans(tc.attrs) {
+			got = append(got, p.Name)
 		}
-	}
-	// Without types, type plans must disappear.
-	plans = EnumeratePlans([]Attr{AttrSrcID, AttrDstID}, DefaultPlanSpace(false))
-	for _, p := range plans {
-		if _, ok := p.Restricted(AttrEdgeType); ok {
-			t.Fatalf("type-restricted plan %v in untyped space", p)
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: plans %v, want %v", tc.model, got, tc.want)
 		}
 	}
 }
@@ -264,7 +265,7 @@ func TestPlanStrings(t *testing.T) {
 // Property: for random graphs and random plans from the enumeration,
 // partitions always validate and respect their Exact restrictions.
 func TestPropPartitionInvariants(t *testing.T) {
-	plans := EnumeratePlans([]Attr{AttrSrcID, AttrDstID, AttrEdgeType}, DefaultPlanSpace(true))
+	plans := EnumeratePlans([]Attr{AttrSrcID, AttrDstID, AttrEdgeType})
 	f := func(seed uint64, planIdx uint8, vSmall, eSmall uint8) bool {
 		v := int(vSmall%40) + 2
 		e := int(eSmall%120) + 1

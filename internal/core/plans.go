@@ -2,28 +2,18 @@ package core
 
 import "fmt"
 
-// PlanSpace controls plan enumeration.
-type PlanSpace struct {
-	// BatchSizes are the K values tried for Exact restrictions with K > 1
-	// (paper Figure 18 sweeps these).
-	BatchSizes []int
-	// HasTypes enables edge-type restricted plans (RGCN-style models).
-	HasTypes bool
-	// UseDegree enables inherent-attribute (degree) plans.
-	UseDegree bool
-}
-
-// DefaultPlanSpace returns the space used by the end-to-end search.
-func DefaultPlanSpace(hasTypes bool) PlanSpace {
-	return PlanSpace{BatchSizes: []int{32, 128}, HasTypes: hasTypes, UseDegree: true}
-}
+// batchSizes are the K values tried for Exact restrictions with K > 1
+// (paper Figure 18 sweeps these).
+var batchSizes = [...]int{32, 128}
 
 // EnumeratePlans generates candidate graph partition plans for a model
 // whose indexing operations consume indexAttrs. The space covers the
 // existing partitions (vertex-centric, edge-centric, 2-D) as special cases
 // plus the new plans of paper Figure 7: type-restricted, degree-restricted
-// and min-restricted padding plans.
-func EnumeratePlans(indexAttrs []Attr, space PlanSpace) []GraphPlan {
+// and min-restricted padding plans. In the terms of paper Figure 6,
+// indexAttrs is the model's indexing class, and the degree restrictions
+// draw on the inherent class.
+func EnumeratePlans(indexAttrs []Attr) []GraphPlan {
 	uses := func(a Attr) bool {
 		for _, x := range indexAttrs {
 			if x == a {
@@ -44,7 +34,7 @@ func EnumeratePlans(indexAttrs []Attr, space PlanSpace) []GraphPlan {
 	// (e) edge-centric: uniq(edge-id)=1.
 	add("edge-centric", Restriction{Attr: AttrEdgeID, Kind: Exact, Limit: 1})
 
-	for _, k := range space.BatchSizes {
+	for _, k := range batchSizes {
 		// edge-batched: uniq(edge-id)=K, balanced fixed-size tasks.
 		add(fmt.Sprintf("edge-batch-%d", k), Restriction{Attr: AttrEdgeID, Kind: Exact, Limit: k})
 		if uses(AttrDstID) {
@@ -61,14 +51,14 @@ func EnumeratePlans(indexAttrs []Attr, space PlanSpace) []GraphPlan {
 				Restriction{Attr: AttrDstID, Kind: Exact, Limit: k},
 				Restriction{Attr: AttrSrcID, Kind: Exact, Limit: k})
 		}
-		if space.HasTypes && uses(AttrEdgeType) && uses(AttrSrcID) {
+		if uses(AttrEdgeType) && uses(AttrSrcID) {
 			// src-batched single-type (the RGCN winner in Figure 18a):
 			// uniq(src-id)=K & uniq(edge-type)=1.
 			add(fmt.Sprintf("src-%d-type-1", k),
 				Restriction{Attr: AttrSrcID, Kind: Exact, Limit: k},
 				Restriction{Attr: AttrEdgeType, Kind: Exact, Limit: 1})
 		}
-		if space.UseDegree && uses(AttrDstID) {
+		if uses(AttrDstID) {
 			// (h) degree-padded: uniq(dst-id)=K & uniq(dst-degree)=min
 			// (the SAGE-LSTM winner in Figure 18b).
 			add(fmt.Sprintf("dst-%d-degmin", k),
@@ -76,7 +66,7 @@ func EnumeratePlans(indexAttrs []Attr, space PlanSpace) []GraphPlan {
 				Restriction{Attr: AttrDstDegree, Kind: Min})
 		}
 	}
-	if space.HasTypes && uses(AttrEdgeType) {
+	if uses(AttrEdgeType) {
 		if uses(AttrDstID) {
 			// (d) vertex+type: uniq(dst-id)=1 & uniq(edge-type)=1.
 			add("dst1-type1",
@@ -86,7 +76,7 @@ func EnumeratePlans(indexAttrs []Attr, space PlanSpace) []GraphPlan {
 		// type-only: uniq(edge-type)=1 (tensor-centric per relation).
 		add("type1", Restriction{Attr: AttrEdgeType, Kind: Exact, Limit: 1})
 	}
-	if space.UseDegree && uses(AttrDstID) {
+	if uses(AttrDstID) {
 		// (g) same-degree grouping: uniq(dst-degree)=1.
 		add("deg1", Restriction{Attr: AttrDstDegree, Kind: Exact, Limit: 1})
 	}

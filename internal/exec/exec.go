@@ -6,8 +6,9 @@
 // tensor-centric (internal/baseline), graph-centric (internal/baseline)
 // and gTask-based (internal/kernels). The baseline executors only account
 // the kernels their strategy would launch; the gTask executors also
-// compute, one layer body per model run task by task, and agree with the
-// reference layer implementation (internal/nn) bit for bit.
+// compute: the model's nn layer over the partition's edge order, each
+// destination's in-edges summed as one CSR run, bit for bit the reference
+// layer implementation (internal/nn) over that order.
 package exec
 
 import (
@@ -21,6 +22,9 @@ import (
 // device memory at paper scale (the white blocks of paper Figure 13).
 var ErrOOM = errors.New("exec: device out of memory at paper scale")
 
+// memCap is the modeled device memory in bytes: the paper's A100, 40 GB.
+const memCap = 40e9
+
 // Ctx carries the device, the execution mode, and the memory model.
 type Ctx struct {
 	Dev *device.Device
@@ -33,10 +37,8 @@ type Ctx struct {
 	// (tests, training) or only account kernels (search, large benches).
 	Compute bool
 	// PaperScale multiplies workspace sizes to model the paper-scale
-	// dataset on the 40 GB device; 0 or 1 means no scaling.
+	// dataset on the memCap device; 0 or 1 means no scaling.
 	PaperScale float64
-	// MemCap is the device memory in bytes (default A100 40 GB).
-	MemCap float64
 	// TraceID, when non-zero, groups the spans an executor records under
 	// one logical request/step in the observability layer (internal/obs).
 	// Callers that own a trace (a serve micro-batch, a train step) set it
@@ -56,9 +58,9 @@ type Ctx struct {
 	peakWorkspace float64
 }
 
-// NewCtx returns a context over dev with the A100's 40 GB capacity.
+// NewCtx returns a context over dev that computes at the current scale.
 func NewCtx(dev *device.Device) *Ctx {
-	return &Ctx{Dev: dev, Compute: true, PaperScale: 1, MemCap: 40e9}
+	return &Ctx{Dev: dev, Compute: true, PaperScale: 1}
 }
 
 // Launch accounts kernel k with training multipliers applied.
@@ -102,8 +104,8 @@ func (c *Ctx) Alloc(bytes float64) error {
 	if scaled > c.peakWorkspace {
 		c.peakWorkspace = scaled
 	}
-	if c.peakWorkspace > c.MemCap && c.MemCap > 0 {
-		return fmt.Errorf("%w: workspace %.1f GB > %.1f GB", ErrOOM, c.peakWorkspace/1e9, c.MemCap/1e9)
+	if c.peakWorkspace > memCap {
+		return fmt.Errorf("%w: workspace %.1f GB > %.1f GB", ErrOOM, c.peakWorkspace/1e9, memCap/1e9)
 	}
 	return nil
 }

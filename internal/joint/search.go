@@ -161,7 +161,7 @@ func Search(g *graph.Graph, kind nn.ModelKind, f, fp, numTypes int, opts Options
 	}
 	var pruned []core.GraphPlan
 	var candidates []core.GraphPlan
-	for _, gp := range core.EnumeratePlans(kind.IndexAttrs(), core.DefaultPlanSpace(kind == nn.RGCN)) {
+	for _, gp := range core.EnumeratePlans(kind.IndexAttrs()) {
 		if !kernels.ValidPlanFor(kind, gp) {
 			continue
 		}

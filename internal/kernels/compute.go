@@ -121,22 +121,17 @@ func selectFor(name string, kind nn.ModelKind, plan core.GraphPlan) (Engine, err
 	return eng, err
 }
 
-// taskRuns splits one task's edges into maximal same-destination runs
-// (consecutive task edges sharing a dst) — the streaming kernel's
-// granularity in the device model (fusedTaskBytes) — calls fn, when set,
-// with each run edges[i:j] in task order, and returns how many there are.
-func taskRuns(dst, edges []int32, fn func(d int32, i, j int)) int {
+// taskRuns counts one task's maximal same-destination runs (consecutive
+// task edges sharing a dst): the streaming kernel's granularity in the
+// device model (fusedTaskBytes).
+func taskRuns(dst, edges []int32) int {
 	runs := 0
 	for i := 0; i < len(edges); runs++ {
 		d := dst[edges[i]]
-		j := i + 1
-		for j < len(edges) && dst[edges[j]] == d {
-			j++
+		i++
+		for i < len(edges) && dst[edges[i]] == d {
+			i++
 		}
-		if fn != nil {
-			fn(d, i, j)
-		}
-		i = j
 	}
 	return runs
 }

@@ -46,7 +46,7 @@ var engines = []Engine{
 	{name: "device", account: stageKernels, taskBytes: composedTaskBytes},
 }
 
-// Name is the stable identifier exec.Ctx.Engine and the benchmark use.
+// Name is the identifier exec.Ctx.Engine and Select take.
 func (e Engine) Name() string { return e.name }
 
 // EngineNames lists the selectable engines in stable order.
@@ -223,7 +223,7 @@ func fusedTaskBytes(t pricedTasks, ti int) float64 {
 	sh, st, plan := t.sh, t.stats[ti], t.plan
 	f, fp := float64(sh.F), float64(sh.Fp)
 	e := float64(st.Edges)
-	r := float64(taskRuns(t.part.Graph.Dst, t.part.TaskEdges(ti), nil))
+	r := float64(taskRuns(t.part.Graph.Dst, t.part.TaskEdges(ti)))
 	switch sh.Kind {
 	case nn.GCN, nn.SAGE:
 		w := fp

@@ -1,14 +1,16 @@
 // Package kernels is WiseGraph's gTask executor: it runs a GNN layer as
 // one fused kernel whose work items are the gTasks of a graph partition
 // plan, with micro-kernels composed per the operation partition plan
-// (paper §5.3). Batched data patterns select batched (tensor-core-
-// eligible) micro-kernel implementations; duplicated data patterns enable
-// the dedup'd (transformed-DFG) compute; tasks without batched data fall
-// back to edge-by-edge processing.
+// (paper §5.3). In the device model, batched data patterns select batched
+// (tensor-core-eligible) micro-kernels, duplicated data patterns the
+// dedup'd (transformed-DFG) compute, and tasks without batched data are
+// priced edge by edge.
 //
-// The package provides both the per-task cost model (consumed by the
-// joint optimizer and the bench harness) and a real fused computation
-// path that is cross-checked against the reference layers.
+// The package provides the per-task cost model (consumed by the joint
+// optimizer and the bench harness) and the executor, which computes a
+// layer as the model's nn layer over the partition's edge order. The
+// operation plan and the engine change only the device accounting, never
+// the arithmetic.
 package kernels
 
 import (
@@ -21,10 +23,10 @@ import (
 
 // Plan is an operation partition plan for a given graph partition.
 type Plan struct {
-	// Dedup applies the duplicated-data DFG transformation: compute per
+	// Dedup prices the duplicated-data DFG transformation: work per
 	// unique (src[,type]) value instead of per edge.
 	Dedup bool
-	// Batched selects batched micro-kernels; false forces edge-by-edge
+	// Batched prices batched micro-kernels; false prices edge-by-edge
 	// processing (the paper's Figure 10b vs 10c).
 	Batched bool
 }

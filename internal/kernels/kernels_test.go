@@ -33,7 +33,7 @@ func setup(t *testing.T, kind nn.ModelKind) (*nn.GraphCtx, *nn.Model, *tensor.Te
 // plansFor returns a representative set of graph plans valid for the model.
 func plansFor(kind nn.ModelKind) []core.GraphPlan {
 	var plans []core.GraphPlan
-	for _, p := range core.EnumeratePlans(kind.IndexAttrs(), core.DefaultPlanSpace(kind == nn.RGCN)) {
+	for _, p := range core.EnumeratePlans(kind.IndexAttrs()) {
 		if ValidPlanFor(kind, p) {
 			plans = append(plans, p)
 		}

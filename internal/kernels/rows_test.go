@@ -67,17 +67,24 @@ func blockPlans(kind nn.ModelKind, g *graph.Graph) (plans []core.GraphPlan, frag
 }
 
 // splitsDestination reports whether some destination's edges form more
-// than one run across the partition's tasks.
+// than one run (consecutive task edges sharing a dst) across the
+// partition's tasks.
 func splitsDestination(part *core.Partition, dst []int32) bool {
 	seen := map[int32]bool{}
-	split := false
 	for ti := 0; ti < part.NumTasks(); ti++ {
-		taskRuns(dst, part.TaskEdges(ti), func(d int32, _, _ int) {
-			split = split || seen[d]
+		edges := part.TaskEdges(ti)
+		for i, e := range edges {
+			d := dst[e]
+			if i > 0 && dst[edges[i-1]] == d {
+				continue
+			}
+			if seen[d] {
+				return true
+			}
 			seen[d] = true
-		})
+		}
 	}
-	return split
+	return false
 }
 
 // allRows returns the identity row set 0..n-1.

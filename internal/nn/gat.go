@@ -58,9 +58,6 @@ func (l *GATLayer) InDim() int { return l.W.Value.Dim(0) }
 // OutDim implements Layer.
 func (l *GATLayer) OutDim() int { return l.W.Value.Dim(1) }
 
-// Heads returns the head count.
-func (l *GATLayer) Heads() int { return l.heads }
-
 // gatActs are the forward's buffers: what Backward reads, and the output.
 type gatActs struct {
 	z      *tensor.Tensor // [V, heads*dh]

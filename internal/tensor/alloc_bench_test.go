@@ -7,9 +7,8 @@ import (
 )
 
 // Allocation-tracking benchmarks for the hot-path kernels. The workloads
-// mirror the paper-shape regime that stresses scatter reductions: a
-// power-law destination distribution (few hubs receive most edges) over
-// hidden-dimension-256 rows. Before/after numbers live in EXPERIMENTS.md
+// mirror the paper-shape regime: a power-law index distribution (few hubs
+// take most edges) over hidden-dimension-256 rows. Before/after numbers live in EXPERIMENTS.md
 // ("Execution substrate" section).
 
 // benchWorkers pins the worker count for the duration of the benchmark so
@@ -59,18 +58,5 @@ func BenchmarkGatherRows(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		GatherRows(dst, src, idx)
-	}
-}
-
-func BenchmarkScatterAddRows(b *testing.B) {
-	benchWorkers(b, 4)
-	rng := NewRNG(13)
-	src := Uniform(New(60000, 256), rng, -1, 1)
-	idx := powerLawIdx(rng, 60000, 4096)
-	dst := New(4096, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ScatterAddRows(dst, src, idx)
 	}
 }

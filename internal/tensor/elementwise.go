@@ -21,18 +21,6 @@ func Add(dst, a, b *Tensor) *Tensor {
 	return dst
 }
 
-// Sub computes dst = a - b elementwise.
-func Sub(dst, a, b *Tensor) *Tensor {
-	checkSame(a, b, "Sub")
-	dst = ensureLike(dst, a)
-	parallel.ForRange(len(a.data), ewGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst.data[i] = a.data[i] - b.data[i]
-		}
-	})
-	return dst
-}
-
 // Mul computes dst = a ⊙ b (Hadamard product).
 func Mul(dst, a, b *Tensor) *Tensor {
 	checkSame(a, b, "Mul")

@@ -24,52 +24,15 @@ func GatherRows(dst, src *Tensor, idx []int32) *Tensor {
 }
 
 // ScatterAddRows accumulates src row i into dst[idx[i]]: the index-add
-// reduction onto destination vertices. dst rows are updated sequentially
-// per destination to stay deterministic; parallelism comes from a one-pass
-// binning of the index positions by destination shard (see Bins), so no
-// two workers touch the same row and nobody rescans the full edge list.
+// reduction onto destination vertices, in ascending i, so each destination
+// row sums its contributions in index order.
 func ScatterAddRows(dst, src *Tensor, idx []int32) {
 	rs := src.RowSize()
 	if dst.RowSize() != rs {
 		panic(fmt.Sprintf("tensor: ScatterAddRows row sizes %d vs %d", dst.RowSize(), rs))
 	}
-	n := dst.Rows()
-	shards := scatterShards(n, len(idx))
-	if shards <= 1 || len(idx) < 1024 {
-		scatterAddSeq(dst.data, src.data, idx, rs)
-		return
-	}
-	bins := binsPool.Get().(*Bins)
-	BinRows(bins, idx, n, shards)
-	ScatterAddRowsBinned(dst, src, idx, bins)
-	binsPool.Put(bins)
-}
-
-// ScatterAddRowsBinned is ScatterAddRows with a caller-provided binning
-// of idx (built by BinRows over dst's rows). A caller whose index array
-// is stable across iterations can build the bins once and amortize the
-// partition pass to zero.
-func ScatterAddRowsBinned(dst, src *Tensor, idx []int32, bins *Bins) {
-	rs := src.RowSize()
-	if dst.RowSize() != rs {
-		panic(fmt.Sprintf("tensor: ScatterAddRows row sizes %d vs %d", dst.RowSize(), rs))
-	}
-	if bins.Len() != len(idx) {
-		panic(fmt.Sprintf("tensor: bins cover %d positions, index has %d", bins.Len(), len(idx)))
-	}
-	parallel.For(bins.NumShards(), 1, func(s int) {
-		for _, i := range bins.Shard(s) {
-			ix := int(idx[i])
-			AddRow(dst.data[ix*rs:(ix+1)*rs], src.data[int(i)*rs:(int(i)+1)*rs])
-		}
-	})
-}
-
-// scatterAddSeq is the sequential reference scatter-add, also the small-
-// input fast path.
-func scatterAddSeq(dst, src []float32, idx []int32, rs int) {
 	for i, ix := range idx {
-		AddRow(dst[int(ix)*rs:(int(ix)+1)*rs], src[i*rs:(i+1)*rs])
+		AddRow(dst.data[int(ix)*rs:(int(ix)+1)*rs], src.data[i*rs:(i+1)*rs])
 	}
 }
 

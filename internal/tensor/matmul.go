@@ -174,9 +174,8 @@ func MatMulTransA(dst, a, b *Tensor) *Tensor {
 	return dst
 }
 
-// VecMat computes y = x × B for x [K] (or [1,K]) and B [K,N] into dst [N].
-// It is the edge-by-edge "micro-kernel without batched data" path from the
-// paper's Figure 10(b).
+// VecMat computes y = x × B for x [K] (or [1,K]) and B [K,N] into dst [N]:
+// a one-row product that tests use as an oracle.
 func VecMat(dst []float32, x []float32, b *Tensor) {
 	checkVecMat(dst, x, b)
 	clear(dst)

@@ -6,7 +6,6 @@ import (
 	"wisegraph/internal/core"
 	"wisegraph/internal/graph"
 	"wisegraph/internal/joint"
-	"wisegraph/internal/nn"
 	"wisegraph/internal/obs"
 	"wisegraph/internal/tensor"
 )
@@ -72,24 +71,7 @@ func NewPipeline(s *Sampled, plan *joint.Result, workers, depth int) *Pipeline {
 				sp := obs.Begin(obs.StageSample, id)
 				sub := graph.NeighborSample(s.DS.Graph, s.csr, seeds, s.Fanouts, rng)
 				sp.End()
-				sp = obs.Begin(obs.StagePartition, id)
-				part := ReusePlanWith(pt, plan, sub.Graph)
-				sp.End()
-				mask := make([]int32, sub.NumSeeds)
-				for i := range mask {
-					mask[i] = int32(i)
-				}
-				sp = obs.Begin(obs.StageCollective, id)
-				x := sub.GatherFeatures(s.DS.Features)
-				labels := sub.GatherLabels(s.DS.Labels)
-				sp.End()
-				b := &PreparedBatch{
-					Sub:    sub,
-					X:      x,
-					Labels: labels,
-					Mask:   mask,
-					Part:   part,
-				}
+				b := s.prepare(id, pt, plan, sub)
 				select {
 				case p.batches <- b:
 				case <-p.stop:
@@ -134,7 +116,7 @@ func (p *Pipeline) Close() {
 
 // TrainPipelined runs iters training steps consuming the pipeline,
 // returning the per-iteration losses. It is the overlapped counterpart of
-// calling Iteration in a loop.
+// TrainSerial.
 func (s *Sampled) TrainPipelined(plan *joint.Result, workers, iters int) []float64 {
 	p := NewPipeline(s, plan, workers, 2*workers)
 	defer p.Close()
@@ -145,12 +127,9 @@ func (s *Sampled) TrainPipelined(plan *joint.Result, workers, iters int) []float
 			break
 		}
 		id := obs.NewID()
-		step := obs.Begin(obs.StageStep, id)
-		gc := nn.NewGraphCtx(b.Sub.Graph)
-		sp := obs.Begin(obs.StageExec, id)
-		losses = append(losses, s.Model.TrainStep(gc, b.X, b.Labels, b.Mask, s.Opt))
-		sp.End()
-		step.End()
+		st := obs.Begin(obs.StageStep, id)
+		losses = append(losses, s.step(id, b))
+		st.End()
 	}
 	return losses
 }

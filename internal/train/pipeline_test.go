@@ -2,6 +2,7 @@ package train
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"wisegraph/internal/device"
@@ -81,6 +82,31 @@ func TestTrainPipelinedConverges(t *testing.T) {
 	}
 	if tail >= head*0.9 {
 		t.Fatalf("pipelined training did not improve: head %.3f tail %.3f", head/30, tail/30)
+	}
+}
+
+// TestTrainSerialTrainsEachBatchOnce holds TrainSerial to Iteration: each
+// step samples one batch and trains on it, so the losses match bit for
+// bit (the partition does not change training) and both samplers stop at
+// the same next batch.
+func TestTrainSerialTrainsEachBatchOnce(t *testing.T) {
+	serial, _ := pipelineSetup(t)
+	inline, _ := pipelineSetup(t)
+	plan := serial.TunePlans(device.A100(), 1)
+	inline.NextBatch() // the batch TunePlans drew
+	const iters = 4
+	losses := serial.TrainSerial(plan, iters)
+	if len(losses) != iters {
+		t.Fatalf("got %d losses, want %d", len(losses), iters)
+	}
+	for i, l := range losses {
+		if want := inline.Iteration(); math.Float64bits(l) != math.Float64bits(want) {
+			t.Fatalf("step %d: TrainSerial loss %v, Iteration %v", i, l, want)
+		}
+	}
+	a, b := serial.NextBatch(), inline.NextBatch()
+	if a.NumSeeds != b.NumSeeds || !slices.Equal(a.Graph.Src, b.Graph.Src) || !slices.Equal(a.Graph.Dst, b.Graph.Dst) {
+		t.Fatal("TrainSerial left its sampler at a different batch than Iteration")
 	}
 }
 

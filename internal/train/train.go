@@ -145,7 +145,6 @@ type Sampled struct {
 	csr    *graph.CSR
 	rng    *tensor.RNG
 	cursor int
-	mask   []int32 // reused seed-mask buffer
 }
 
 // NewSampled builds a sampled-graph trainer with the paper's 20-15-10
@@ -187,25 +186,60 @@ func (s *Sampled) NextBatch() *graph.Subgraph {
 
 // Iteration samples a subgraph and runs one training step on it,
 // returning the loss over the seed vertices.
-func (s *Sampled) Iteration() float64 {
+func (s *Sampled) Iteration() float64 { return s.iterate(nil, nil) }
+
+// TrainSerial runs iters training steps, each sampling a batch,
+// partitioning it under plan and training on it inline: TrainPipelined's
+// work with nothing overlapped. It returns the per-iteration losses.
+func (s *Sampled) TrainSerial(plan *joint.Result, iters int) []float64 {
+	pt := core.NewPartitioner()
+	defer pt.Release()
+	losses := make([]float64, 0, iters)
+	for i := 0; i < iters; i++ {
+		losses = append(losses, s.iterate(pt, plan))
+	}
+	return losses
+}
+
+// iterate samples the next batch, prepares it (partitioned through pt
+// under plan when plan is set) and trains on it, all under one step span.
+func (s *Sampled) iterate(pt *core.Partitioner, plan *joint.Result) float64 {
 	id := obs.NewID()
-	step := obs.Begin(obs.StageStep, id)
+	st := obs.Begin(obs.StageStep, id)
+	defer st.End()
 	sp := obs.Begin(obs.StageSample, id)
 	sub := s.NextBatch()
 	sp.End()
-	gc := nn.NewGraphCtx(sub.Graph)
-	sp = obs.Begin(obs.StageCollective, id)
-	x := sub.GatherFeatures(s.DS.Features)
-	labels := sub.GatherLabels(s.DS.Labels)
-	sp.End()
-	s.mask = s.mask[:0]
-	for i := 0; i < sub.NumSeeds; i++ {
-		s.mask = append(s.mask, int32(i))
+	return s.step(id, s.prepare(id, pt, plan, sub))
+}
+
+// prepare does a sampled batch's CPU-side work under trace id: the
+// partition under plan through pt (none when plan is nil), the seed mask,
+// and the features and labels.
+func (s *Sampled) prepare(id uint64, pt *core.Partitioner, plan *joint.Result, sub *graph.Subgraph) *PreparedBatch {
+	b := &PreparedBatch{Sub: sub, Mask: make([]int32, sub.NumSeeds)}
+	if plan != nil {
+		sp := obs.Begin(obs.StagePartition, id)
+		b.Part = ReusePlanWith(pt, plan, sub.Graph)
+		sp.End()
 	}
-	sp = obs.Begin(obs.StageExec, id)
-	loss := s.Model.TrainStep(gc, x, labels, s.mask, s.Opt)
+	for i := range b.Mask {
+		b.Mask[i] = int32(i)
+	}
+	sp := obs.Begin(obs.StageCollective, id)
+	b.X = sub.GatherFeatures(s.DS.Features)
+	b.Labels = sub.GatherLabels(s.DS.Labels)
 	sp.End()
-	step.End()
+	return b
+}
+
+// step trains on a prepared batch under trace id and returns its loss:
+// the body of every Iteration, TrainSerial and TrainPipelined step.
+func (s *Sampled) step(id uint64, b *PreparedBatch) float64 {
+	gc := nn.NewGraphCtx(b.Sub.Graph)
+	sp := obs.Begin(obs.StageExec, id)
+	loss := s.Model.TrainStep(gc, b.X, b.Labels, b.Mask, s.Opt)
+	sp.End()
 	return loss
 }
 

@@ -212,6 +212,44 @@ for d in cmd/*/; do
 done >"$SMOKE/flags.txt"
 diff -u scripts/flags.golden "$SMOKE/flags.txt" \
   || { echo "FAIL: cmd flag counts differ from scripts/flags.golden"; exit 1; }
+# Code only tests run is committed too. Every main package is linked with
+# inlining off, so a function is in some binary exactly when some program
+# can call it. Each function or method of internal/ with a body in the
+# build's own files (kernel_noasm.go is not among them here) that no
+# binary links must be listed, with its reason, in scripts/testonly.golden.
+# Generic instantiations fold to their function, closures to the function
+# around them and pointer wrappers to their method.
+echo "== internal/ functions no binary links against scripts/testonly.golden"
+mkdir -p "$SMOKE/reach"
+go build -gcflags=all=-l -o "$SMOKE/reach/" $(go list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...)
+for b in "$SMOKE"/reach/*; do go tool nm "$b"; done |
+  sed -nE 's#^.* T wisegraph/internal/##p' | sed -E ':a; s/\[[^][]*\]//g; ta' |
+  sed -E 's/\(\*([^)]*)\)/\1/; s/(\.(func|gowrap|deferwrap)[0-9]+|-range[0-9]+|-fm|\.abi0).*$//' |
+  LC_ALL=C sort -u >"$SMOKE/reached.txt"
+# A declaration has a body when the line that closes its parameter and
+# result lists ends in "{" (or "}" for a one-line body).
+go list -f '{{range .GoFiles}}{{$.ImportPath}} {{$.Dir}}/{{.}}{{"\n"}}{{end}}' ./internal/... |
+  while read -r pkg file; do
+    awk -v pkg="${pkg#wisegraph/internal/}" '
+      function declname(s,   recv, w, n) {
+        recv = ""
+        if (s ~ /^func \(/) {
+          recv = substr(s, 7); sub(/\).*/, "", recv); sub(/\[.*/, "", recv)
+          n = split(recv, w, /[ *]+/); recv = w[n] "."
+          s = substr(s, index(s, ")") + 2)
+        } else s = substr(s, 6)
+        sub(/[[(].*/, "", s)
+        return recv s
+      }
+      /^func / { sig = ""; depth = 0; on = 1 }
+      on {
+        sig = sig $0; depth += gsub(/\(/, "(") - gsub(/\)/, ")")
+        if (depth == 0) { on = 0; if ($0 ~ /[{}]$/ && declname(sig) != "init") print pkg "." declname(sig) }
+      }' "$file"
+  done | LC_ALL=C sort -u >"$SMOKE/defined.txt"
+LC_ALL=C comm -23 "$SMOKE/defined.txt" "$SMOKE/reached.txt" >"$SMOKE/testonly.txt"
+diff -u <(awk '!/^#/ && NF { print $1 }' scripts/testonly.golden | LC_ALL=C sort) "$SMOKE/testonly.txt" \
+  || { echo "FAIL: functions no binary links differ from scripts/testonly.golden"; exit 1; }
 "$SMOKE/wisegraph-train" -dataset AR -scale 400 -sampled -epochs 2 \
   -save-checkpoint "$SMOKE/model.ckpt" -trace "$SMOKE/train.trace" >/dev/null
 grep -q '"traceEvents"' "$SMOKE/train.trace" \
