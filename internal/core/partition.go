@@ -73,7 +73,9 @@ type Partition struct {
 	Plan  GraphPlan
 	Graph *graph.Graph
 	// Order maps position → original edge index; tasks are contiguous
-	// runs of Order.
+	// runs of Order. It is never written once the partition is built, and
+	// partitions may share it (Partitioner.PartitionRows hands out views
+	// of one identity).
 	Order []int32
 	// TaskOffsets has NumTasks()+1 entries delimiting each task's run.
 	TaskOffsets []int32

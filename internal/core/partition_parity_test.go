@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -168,12 +169,36 @@ func head(xs []int32) []int32 {
 	return xs
 }
 
+// dstRowPtr returns the row pointers of g's edges with one row per vertex
+// (a vertex without in-edges is an empty row), or false when the edges do
+// not arrive grouped by ascending destination, which PartitionRows needs.
+func dstRowPtr(g *graph.Graph) ([]int32, bool) {
+	if !slices.IsSorted(g.Dst) {
+		return nil, false
+	}
+	rowPtr := make([]int32, g.NumVertices+1)
+	for _, d := range g.Dst {
+		rowPtr[d+1]++
+	}
+	for v := 1; v < len(rowPtr); v++ {
+		rowPtr[v] += rowPtr[v-1]
+	}
+	return rowPtr, true
+}
+
 // TestPartitionParityWithReference checks that the optimized partitioner
 // (radix sort + stamped trackers) is byte-identical to the retained
-// reference for every plan in the default plan space, across graph shapes.
+// reference for every plan in the default plan space, across graph shapes,
+// and that on every graph already grouped by destination the partition
+// read off its row pointers (PartitionRows) is too, under each
+// destination-batch plan.
 func TestPartitionParityWithReference(t *testing.T) {
 	stat := []Attr{AttrSrcID, AttrDstID, AttrEdgeType, AttrDstDegree}
+	pt := NewPartitioner()
+	defer pt.Release()
+	born := map[string]int{}
 	for name, g := range parityGraphs(t) {
+		rowPtr, grouped := dstRowPtr(g)
 		for _, plan := range parityPlans(g) {
 			want := PartitionGraphReference(g, plan, stat)
 			got := PartitionGraph(g, plan, stat)
@@ -182,6 +207,19 @@ func TestPartitionParityWithReference(t *testing.T) {
 			if err := got.Validate(); err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
+			if _, ok := plan.DstBatch(); ok && grouped {
+				comparePartitions(t, label+"/rows", want, pt.PartitionRows(g, plan, stat, rowPtr))
+				born[name]++
+			}
+		}
+	}
+	// The born partition met the empty graph, a graph with vertices that
+	// have no in-edges, and typed and untyped graphs in dst order, each
+	// under vertex-centric (twice: the named plan and the enumerated one),
+	// dst-batch-32 and dst-batch-128.
+	for _, name := range []string{"empty", "one-edge", "power-law/dst-sorted", "rmat-typed/dst-src-sorted"} {
+		if born[name] != 4 {
+			t.Errorf("%s: %d born partitions compared, want 4", name, born[name])
 		}
 	}
 }
@@ -200,6 +238,16 @@ func TestPartitionerReuseIsDeterministic(t *testing.T) {
 				want := PartitionGraphReference(g, plan, stat)
 				got := pt.Partition(g, plan, stat)
 				comparePartitions(t, name+"/"+plan.String(), want, got)
+				// Interleaved on the same Partitioner, the born partition
+				// continues the stamp generations Partition left, and
+				// Partition continues its.
+				if rowPtr, grouped := dstRowPtr(g); grouped {
+					if _, ok := plan.DstBatch(); ok {
+						born := pt.PartitionRows(g, plan, stat, rowPtr)
+						comparePartitions(t, name+"/"+plan.String()+"/rows", want, born)
+						comparePartitions(t, name+"/"+plan.String()+"/rows", got, born)
+					}
+				}
 			}
 		}
 	}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -252,6 +254,29 @@ func TestRestricted(t *testing.T) {
 	}
 	if _, ok := plan.Restricted(AttrDstDegree); ok {
 		t.Fatal("a Min restriction is not an Exact one")
+	}
+	// DstBatch takes a plan whose one restriction is an Exact dst-id one,
+	// and of the enumerated plans exactly these.
+	if _, ok := plan.DstBatch(); ok {
+		t.Fatal("DstBatch accepted a plan with a second restriction")
+	}
+	var batches []string
+	for _, p := range EnumeratePlans([]Attr{AttrSrcID, AttrDstID, AttrEdgeType}) {
+		if k, ok := p.DstBatch(); ok {
+			batches = append(batches, fmt.Sprintf("%s/%d", p.Name, k))
+		}
+	}
+	if got := strings.Join(batches, " "); got != "vertex-centric/1 dst-batch-32/32 dst-batch-128/128" {
+		t.Fatalf("DstBatch accepts %q", got)
+	}
+	for _, p := range []GraphPlan{
+		WholeGraph(),
+		{Restrictions: []Restriction{{Attr: AttrDstID, Kind: Min}}},
+		{Restrictions: []Restriction{{Attr: AttrDstID, Kind: Exact, Limit: 0}}},
+	} {
+		if _, ok := p.DstBatch(); ok {
+			t.Fatalf("DstBatch accepted %v", p)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 
 	"wisegraph/internal/graph"
@@ -19,8 +20,10 @@ import (
 //     read against a generation counter and "clear" is gen++.
 //
 // The pass itself is sequential: one radix sort (skipped when the edges
-// already arrive in key order, as every serving block does under a
-// dst-major key), one greedy scan. The
+// already arrive in key order), one greedy scan. A graph whose edges come
+// grouped by destination under a plan whose one restriction is
+// uniq(dst-id)=K skips both: PartitionRows reads the tasks off the row
+// pointers its builder recorded, as the serving blocks do. The
 // parallelism is its callers' — joint.Search over candidate plans, the
 // sampled-training pipeline and the serving workers over subgraphs — each
 // with a Partitioner of its own. The result is byte-identical to the
@@ -46,6 +49,11 @@ type Partitioner struct {
 	// calls (or earlier tasks) can never alias the current generation.
 	stamps [NumAttrs][]int32
 	gens   [NumAttrs]int32
+
+	// ident is the identity order PartitionRows hands out, grow-only and
+	// never written once filled: partitions share views of it, so it is a
+	// plain allocation that Release leaves alone.
+	ident []int32
 }
 
 // NewPartitioner returns an empty Partitioner; scratch is acquired from
@@ -106,8 +114,129 @@ func (pt *Partitioner) Partition(g *graph.Graph, plan GraphPlan, statAttrs []Att
 		}
 	}
 
-	// Tracker configuration: statAttrs plus restricted attrs, in ascending
-	// attribute order (the order per-task Uniq rows are emitted in).
+	cfgs := trackCfgs(reader, g, plan, statAttrs, &colOf)
+	p := &Partition{Plan: plan, Graph: g, Order: order}
+	if e == 0 {
+		return p.noTasks(cfgs)
+	}
+	offsets, uniq := pt.scan(reader, order, cfgs, e)
+	p.TaskOffsets = offsets
+	for i, c := range cfgs {
+		p.Uniq[c.attr] = uniq[i]
+	}
+	return p
+}
+
+// PartitionRows is Partition for a graph whose edges arrive grouped by
+// destination as rowPtr records — row r's edges are rowPtr[r] ..
+// rowPtr[r+1], all ending in one destination, the destinations strictly
+// ascending from row to row, a row possibly empty — under a plan whose one
+// restriction is uniq(dst-id)=K (GraphPlan.DstBatch). Such edges are in
+// the plan's key order already, so the order is the identity, and task t
+// closes after its K-th row that has edges; nothing is sorted, and no
+// scan decides where a task closes. The other tracked attributes are
+// counted by one stamp pass per column over each task. For such a graph
+// the result is Partition's, field for field. It panics on any other plan
+// and on row pointers that do not run from 0 to g's edge count.
+func (pt *Partitioner) PartitionRows(g *graph.Graph, plan GraphPlan, statAttrs []Attr, rowPtr []int32) *Partition {
+	k, ok := plan.DstBatch()
+	if !ok {
+		panic(fmt.Sprintf("core: PartitionRows needs a uniq(dst-id)=K plan, got %v", plan))
+	}
+	e := g.NumEdges()
+	if len(rowPtr) == 0 || rowPtr[0] != 0 || int(rowPtr[len(rowPtr)-1]) != e {
+		panic(fmt.Sprintf("core: %d row pointers do not run from 0 to %d edges", len(rowPtr), e))
+	}
+	reader := NewAttrReader(g)
+	// Every id column is read in place; an untyped graph's nil type column
+	// reads through the reader, as Partition reads every column not in its
+	// sort key.
+	colOf := [NumAttrs][]int32{AttrSrcID: g.Src, AttrDstID: g.Dst, AttrEdgeType: g.Type}
+	cfgs := trackCfgs(reader, g, plan, statAttrs, &colOf)
+	p := &Partition{Plan: plan, Graph: g, Order: pt.identity(e)}
+	if e == 0 {
+		return p.noTasks(cfgs)
+	}
+
+	// Partition's scan closes a task at the first edge of a (K+1)-th
+	// destination, and the last task at e; the destinations are the rows
+	// that have edges.
+	offsets, dsts := []int32{0}, []int32{}
+	n := int32(0)
+	for r := 1; r < len(rowPtr); r++ {
+		if rowPtr[r] == rowPtr[r-1] {
+			continue
+		}
+		if n == int32(k) {
+			offsets, dsts, n = append(offsets, rowPtr[r-1]), append(dsts, n), 0
+		}
+		n++
+	}
+	offsets, dsts = append(offsets, int32(e)), append(dsts, n)
+	p.TaskOffsets = offsets
+
+	var rest []trackCfg
+	for _, c := range cfgs {
+		if c.attr == AttrDstID {
+			p.Uniq[c.attr] = dsts
+		} else {
+			rest = append(rest, c)
+		}
+	}
+	st := pt.newScanState(rest, e)
+	defer pt.saveGens(st)
+	for i := range st.tracks {
+		t := &st.tracks[i]
+		uniq := make([]int32, len(dsts))
+		for ti := range uniq {
+			lo, hi := offsets[ti], offsets[ti+1]
+			if t.isCount {
+				uniq[ti] = hi - lo
+				continue
+			}
+			t.gen++
+			t.count = 0
+			for ei := lo; ei < hi; ei++ {
+				if v := t.value(reader, ei); t.stamps[v] != t.gen {
+					t.stamps[v] = t.gen
+					t.count++
+				}
+			}
+			uniq[ti] = t.count
+		}
+		p.Uniq[t.attr] = uniq
+	}
+	return p
+}
+
+// identity returns the order 0..e-1 as a view of pt.ident, growing it
+// (into a new allocation: views already handed out keep theirs) when it
+// is shorter than e.
+func (pt *Partitioner) identity(e int) []int32 {
+	if pt.ident == nil || len(pt.ident) < e {
+		pt.ident = make([]int32, max(e, 2*len(pt.ident)))
+		for i := range pt.ident {
+			pt.ident[i] = int32(i)
+		}
+	}
+	return pt.ident[:e:e]
+}
+
+// noTasks completes the partition of a graph without edges: no task, and
+// an empty statistics row per tracked attribute.
+func (p *Partition) noTasks(cfgs []trackCfg) *Partition {
+	p.TaskOffsets = []int32{0}
+	for _, c := range cfgs {
+		p.Uniq[c.attr] = []int32{}
+	}
+	return p
+}
+
+// trackCfgs lists what a partition tracks — statAttrs plus the restricted
+// attributes — in ascending attribute order (the order per-task Uniq rows
+// are emitted in), each with its Exact limit and its column from colOf
+// (nil: read through the reader).
+func trackCfgs(reader *AttrReader, g *graph.Graph, plan GraphPlan, statAttrs []Attr, colOf *[NumAttrs][]int32) []trackCfg {
 	var want [NumAttrs]bool
 	for _, a := range statAttrs {
 		want[a] = true
@@ -128,21 +257,7 @@ func (pt *Partitioner) Partition(g *graph.Graph, plan GraphPlan, statAttrs []Att
 		}
 		cfgs = append(cfgs, trackCfg{attr: a, limit: limit, col: colOf[a], bound: attrBound(reader, g, a)})
 	}
-
-	p := &Partition{Plan: plan, Graph: g, Order: order}
-	if e == 0 {
-		p.TaskOffsets = []int32{0}
-		for _, c := range cfgs {
-			p.Uniq[c.attr] = []int32{}
-		}
-		return p
-	}
-	offsets, uniq := pt.scan(reader, order, cfgs, e)
-	p.TaskOffsets = offsets
-	for i, c := range cfgs {
-		p.Uniq[c.attr] = uniq[i]
-	}
-	return p
+	return cfgs
 }
 
 // trackCfg describes one tracked attribute for a scan.

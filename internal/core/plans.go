@@ -93,3 +93,19 @@ func (p GraphPlan) Restricted(a Attr) (limit int, ok bool) {
 	}
 	return 0, false
 }
+
+// DstBatch reports whether the plan's one restriction is uniq(dst-id)=K
+// with K ≥ 1 (vertex-centric, dst-batch-K), returning K: its tasks are
+// then runs of K destinations in destination order, which a block built
+// destination by destination can state without a partitioning pass
+// (Partitioner.PartitionRows).
+func (p GraphPlan) DstBatch() (k int, ok bool) {
+	if len(p.Restrictions) != 1 {
+		return 0, false
+	}
+	r := p.Restrictions[0]
+	if r.Attr != AttrDstID || r.Kind != Exact || r.Limit < 1 {
+		return 0, false
+	}
+	return r.Limit, true
+}

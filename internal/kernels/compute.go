@@ -55,18 +55,19 @@ func RunModel(ctx *exec.Ctx, gc *nn.GraphCtx, m *nn.Model, x *tensor.Tensor, par
 }
 
 // RunModelLayerRows executes exactly one layer of the model through the
-// engine selected by ctx.Engine and returns the rows of dsts (strictly
-// ascending local ids; nil: every vertex) as a compact [len(dsts),F']
-// tensor — the layer-boundary entry the serving tier's leveled forward
-// uses: a sampled block's targets are its only destinations, so only their
-// rows are transformed. Every edge must end in dsts; one that does not is
-// an error. No activation is applied: the caller owns the ReLU (and must
-// match RunModel's placement — after every layer but the last) so cached
-// rows and freshly computed rows go through identical math. Of gc only the
-// edge list gc.G is read (the serving path passes a context with only G
-// set). The span accounting mirrors RunModel: the call is recorded under
-// StageExec against ctx.TraceID.
-func RunModelLayerRows(ctx *exec.Ctx, gc *nn.GraphCtx, m *nn.Model, li int, x *tensor.Tensor, dsts []int32, part *core.Partition, plan Plan) (*tensor.Tensor, error) {
+// engine selected by ctx.Engine over gc, whose edges must be in part's
+// task order, and returns the rows of gc.Rows (nil: every vertex) as a
+// compact [gc.NumRows(),F'] tensor — the layer-boundary entry the serving
+// tier's leveled forward uses: a sampled block's targets are its only
+// destinations, so only their rows are transformed. The caller builds gc
+// (nn.NewGraphCtxOrder over part.Order, or a context in that order already
+// such as nn.NewGraphCtxRows for a block born in it) and so owns the row
+// set's validation. No activation is applied: the caller owns the ReLU (and
+// must match RunModel's placement — after every layer but the last) so
+// cached rows and freshly computed rows go through identical math. The
+// span accounting mirrors RunModel: the call is recorded under StageExec
+// against ctx.TraceID.
+func RunModelLayerRows(ctx *exec.Ctx, gc *nn.GraphCtx, m *nn.Model, li int, x *tensor.Tensor, part *core.Partition, plan Plan) (*tensor.Tensor, error) {
 	sp := obs.Begin(obs.StageExec, ctx.TraceID)
 	defer sp.End()
 	eng, err := selectFor(ctx.Engine, m.Cfg.Kind, part.Plan)
@@ -77,37 +78,21 @@ func RunModelLayerRows(ctx *exec.Ctx, gc *nn.GraphCtx, m *nn.Model, li int, x *t
 	if li < 0 || li >= len(layers) {
 		return nil, fmt.Errorf("kernels: layer %d out of range [0,%d)", li, len(layers))
 	}
-	lc, built, err := taskOrderCtx(gc, part, dsts)
+	layer := layers[li]
+	sh := LayerShape{Kind: m.Cfg.Kind, F: layer.InDim(), Fp: layer.OutDim(), Types: m.Cfg.NumTypes}
+	return eng.RunLayer(ctx, gc, layer, sh, x, part, plan), nil
+}
+
+// RunModelLayer is RunModelLayerRows with every vertex of gc's graph as a
+// destination, over the context gc.OrderedBy keeps for part (gc itself
+// when its edges are already in part's task order): the output has one
+// row per input row.
+func RunModelLayer(ctx *exec.Ctx, gc *nn.GraphCtx, m *nn.Model, li int, x *tensor.Tensor, part *core.Partition, plan Plan) (*tensor.Tensor, error) {
+	lc, err := gc.OrderedBy(part)
 	if err != nil {
 		return nil, err
 	}
-	if built {
-		defer lc.Release()
-	}
-	layer := layers[li]
-	sh := LayerShape{Kind: m.Cfg.Kind, F: layer.InDim(), Fp: layer.OutDim(), Types: m.Cfg.NumTypes}
-	return eng.RunLayer(ctx, lc, layer, sh, x, part, plan), nil
-}
-
-// RunModelLayer is RunModelLayerRows with every vertex of the block as a
-// destination: the output has one row per input row.
-func RunModelLayer(ctx *exec.Ctx, gc *nn.GraphCtx, m *nn.Model, li int, x *tensor.Tensor, part *core.Partition, plan Plan) (*tensor.Tensor, error) {
-	return RunModelLayerRows(ctx, gc, m, li, x, nil, part, plan)
-}
-
-// taskOrderCtx returns the context a layer runs over: gc's graph with
-// each destination's in-edges in part's task order and rows as its
-// destination rows (nil: every vertex). Over every vertex that is gc's
-// memo (GraphCtx.OrderedBy: gc itself when its edges are already in that
-// order, else built once per partition); otherwise built is set and the
-// caller releases the new context.
-func taskOrderCtx(gc *nn.GraphCtx, part *core.Partition, rows []int32) (lc *nn.GraphCtx, built bool, err error) {
-	if rows == nil {
-		lc, err = gc.OrderedBy(part)
-		return lc, false, err
-	}
-	lc, err = nn.NewGraphCtxOrder(gc.G, part.Order, rows)
-	return lc, err == nil, err
+	return RunModelLayerRows(ctx, lc, m, li, x, part, plan)
 }
 
 // selectFor resolves the engine and rejects a graph plan that cannot

@@ -74,7 +74,7 @@ type TaskStatsOf struct {
 	UniqSrc  int
 	UniqDst  int
 	UniqType int
-	MaxDeg   int // largest per-dst edge count inside the task
+	MaxDeg   int // ⌈Edges ÷ UniqDst⌉, standing in for the largest per-dst run
 }
 
 // StatsOf reads task ti's statistics from the partition. Attributes not
@@ -90,9 +90,10 @@ func StatsOf(p *core.Partition, ti int) TaskStatsOf {
 	s.UniqSrc = get(core.AttrSrcID)
 	s.UniqDst = get(core.AttrDstID)
 	s.UniqType = get(core.AttrEdgeType)
-	// Max per-dst run length: edges of one dst are contiguous when dst
-	// participates in the sort key; approximate with edges/uniqDst and
-	// refine with an exact scan for LSTM costing (padding waste).
+	// MaxDeg is not the largest per-dst run but its lower bound, the
+	// ceiling of edges ÷ unique destinations: no pass over the task's
+	// edges measures the runs, so LSTM costing prices the padding of
+	// evenly spread destinations.
 	s.MaxDeg = (s.Edges + s.UniqDst - 1) / s.UniqDst
 	return s
 }

@@ -96,11 +96,23 @@ func allRows(n int) []int32 {
 	return ids
 }
 
+// rowsCtx is the context a layer over dsts runs on: gc's graph in part's
+// task order, dsts its destination rows.
+func rowsCtx(t *testing.T, gc *nn.GraphCtx, dsts []int32, part *core.Partition) *nn.GraphCtx {
+	t.Helper()
+	lc, err := nn.NewGraphCtxOrder(gc.G, part.Order, dsts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(lc.Release)
+	return lc
+}
+
 func layerRows(t *testing.T, engine string, gc *nn.GraphCtx, m *nn.Model, x *tensor.Tensor, dsts []int32, part *core.Partition, op Plan) *tensor.Tensor {
 	t.Helper()
 	ctx := exec.NewCtx(device.New(device.A100()))
 	ctx.Engine = engine
-	out, err := RunModelLayerRows(ctx, gc, m, 0, x, dsts, part, op)
+	out, err := RunModelLayerRows(ctx, rowsCtx(t, gc, dsts, part), m, 0, x, part, op)
 	if err != nil {
 		t.Fatalf("engine %s: %v", engine, err)
 	}
@@ -186,6 +198,7 @@ func TestDenseFLOPsChargeDestinationRows(t *testing.T) {
 	gc := nn.NewGraphCtx(g)
 	x := tensor.New(g.NumVertices, f)
 	part := core.PartitionGraph(g, core.VertexCentric(), allAttrs())
+	lc := rowsCtx(t, gc, targets, part)
 	for _, c := range []struct {
 		kind  nn.ModelKind
 		names []string
@@ -201,7 +214,7 @@ func TestDenseFLOPsChargeDestinationRows(t *testing.T) {
 		for _, engine := range EngineNames() {
 			ctx := exec.NewCtx(device.New(device.A100()))
 			ctx.Engine = engine
-			if _, err := RunModelLayerRows(ctx, gc, m, 0, x, targets, part, Plan{Batched: true}); err != nil {
+			if _, err := RunModelLayerRows(ctx, lc, m, 0, x, part, Plan{Batched: true}); err != nil {
 				t.Fatal(err)
 			}
 			var got float64
@@ -217,12 +230,12 @@ func TestDenseFLOPsChargeDestinationRows(t *testing.T) {
 
 // TestRowSetRejected: a destination row set the contract does not allow —
 // an edge ending outside it, ids out of order, repeated or out of range —
-// is an error from every engine, never a silently dropped contribution.
+// is an error from both constructors of the context a layer runs over,
+// never a silently dropped contribution.
 func TestRowSetRejected(t *testing.T) {
 	g, targets := sampledBlock(3, 60, 4)
-	gc := nn.NewGraphCtx(g)
-	x := tensor.New(g.NumVertices, 6)
 	part := core.PartitionGraph(g, core.VertexCentric(), allAttrs())
+	inDeg := g.InDegrees()
 	swapped := append([]int32(nil), targets...)
 	swapped[0], swapped[1] = swapped[1], swapped[0]
 	for _, c := range []struct {
@@ -234,19 +247,21 @@ func TestRowSetRejected(t *testing.T) {
 		{"repeated", "strictly ascending", append([]int32{targets[0]}, targets...)},
 		{"out of range", "strictly ascending", append(append([]int32(nil), targets...), int32(g.NumVertices))},
 	} {
-		for kind := nn.ModelKind(0); kind < nn.NumModels; kind++ {
-			m, err := nn.NewModel(nn.Config{Kind: kind, InDim: 6, Hidden: 8, OutDim: 4, Layers: 2, Heads: 2, NumTypes: 4, Seed: 2})
-			if err != nil {
-				t.Fatal(err)
+		if _, err := nn.NewGraphCtxOrder(g, part.Order, c.dsts); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s, NewGraphCtxOrder: err = %v, want %q", c.name, err, c.want)
+		}
+		// The block's edges are grouped by target, so each row's in-degree
+		// is its run.
+		rowPtr := []int32{0}
+		for _, d := range c.dsts {
+			n := int32(0)
+			if int(d) < g.NumVertices {
+				n = inDeg[d]
 			}
-			for _, engine := range EngineNames() {
-				ctx := exec.NewCtx(device.New(device.A100()))
-				ctx.Engine = engine
-				_, err := RunModelLayerRows(ctx, gc, m, 0, x, c.dsts, part, Plan{})
-				if err == nil || !strings.Contains(err.Error(), c.want) {
-					t.Fatalf("%s, %v on %s: err = %v, want %q", c.name, kind, engine, err, c.want)
-				}
-			}
+			rowPtr = append(rowPtr, rowPtr[len(rowPtr)-1]+n)
+		}
+		if _, err := nn.NewGraphCtxRows(g, c.dsts, rowPtr); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s, NewGraphCtxRows: err = %v, want %q", c.name, err, c.want)
 		}
 	}
 }

@@ -76,41 +76,27 @@ func NewGraphCtxOrder(g *graph.Graph, order, rows []int32) (*GraphCtx, error) {
 		return nil, fmt.Errorf("nn: edge order has %d entries for %d edges", len(order), e)
 	}
 	inDeg := g.InDegrees()
-	n, nt := v, 0
+	n := v
 	if rows != nil {
-		prev, edges := int32(-1), 0
+		if err := checkRows(rows, v); err != nil {
+			return nil, err
+		}
+		edges := 0
 		for _, d := range rows {
-			if d <= prev || int(d) >= v {
-				return nil, fmt.Errorf("nn: destination rows must be strictly ascending ids in [0,%d), got %d after %d", v, d, prev)
-			}
 			edges += int(inDeg[d])
-			prev = d
 		}
 		if edges != e {
-			return nil, fmt.Errorf("nn: %d of %d edges end outside the %d destination rows", e-edges, e, len(rows))
+			return nil, edgesOutside(e-edges, e, len(rows))
 		}
 		n = len(rows)
 	}
-	size := n + 1 + 3*e
-	if g.Type != nil {
-		nt = g.NumTypes
-		size += 3 * e
-	}
-	// Every int32 array but TypeOffsets is a piece of one pooled slab; the
-	// scratch (the next free slot per row, per-type cursors, and with a row
-	// set each vertex's row) is another.
-	gc := &GraphCtx{G: g, Rows: rows, InvDeg: tensor.GetF32(e), slab: tensor.GetI32(size)}
-	scratch := tensor.GetI32(n + nt + v)
+	gc := newGraphCtx(g, rows, n)
+	csr := gc.CSR
+	// Scratch: the next free slot per row and, with a row set, each
+	// vertex's row.
+	scratch := tensor.GetI32(n + v)
 	defer tensor.PutI32(scratch)
-	free := gc.slab
-	take := func(k int) []int32 {
-		s := free[:k:k]
-		free = free[k:]
-		return s
-	}
-	csr := &graph.CSR{RowPtr: take(n + 1), Col: take(e), EdgeID: take(e)}
-	gc.CSR, gc.SrcByDst, gc.DstByDst = csr, csr.Col, take(e)
-	next, counts, at := scratch[:n], scratch[n:n+nt], scratch[n+nt:]
+	next, at := scratch[:n], scratch[n:]
 	for r := 0; r < n; r++ {
 		d := r
 		if rows != nil {
@@ -134,21 +120,117 @@ func NewGraphCtxOrder(g *graph.Graph, order, rows []int32) (*GraphCtx, error) {
 		csr.Col[s], csr.EdgeID[s], gc.DstByDst[s] = g.Src[ei], ei, r
 		gc.InvDeg[s] = 1 / float32(csr.RowPtr[r+1]-csr.RowPtr[r])
 	}
-	if g.Type != nil {
-		csr.EType, gc.TypeOrder, gc.TypePos = take(e), take(e), take(e)
-		for s, ei := range csr.EdgeID {
-			t := g.Type[ei]
-			csr.EType[s] = t
-			counts[t]++
+	gc.groupTypes()
+	return gc, nil
+}
+
+// NewGraphCtxRows is NewGraphCtxOrder(g, nil, rows) for a graph whose
+// edges already sit grouped by destination row, as a block built
+// destination by destination records them: row r's edges are rowPtr[r] ..
+// rowPtr[r+1], every one ending in rows[r]. It builds that call's arrays,
+// taking the row pointers as given instead of counting in-degrees and
+// placing each edge. Row pointers that do not run over g's edges in order,
+// or an edge outside its row's destination, are an error.
+func NewGraphCtxRows(g *graph.Graph, rows, rowPtr []int32) (*GraphCtx, error) {
+	e, n := g.NumEdges(), len(rows)
+	if err := checkRows(rows, g.NumVertices); err != nil {
+		return nil, err
+	}
+	if len(rowPtr) != n+1 || rowPtr[0] != 0 {
+		return nil, fmt.Errorf("nn: %d row pointers for %d destination rows", len(rowPtr), n)
+	}
+	if rowPtr[n] < int32(e) {
+		return nil, edgesOutside(e-int(rowPtr[n]), e, n)
+	}
+	gc := newGraphCtx(g, rows, n)
+	csr := gc.CSR
+	copy(csr.RowPtr, rowPtr)
+	copy(csr.Col, g.Src)
+	for r, d := range rows {
+		lo, hi := rowPtr[r], rowPtr[r+1]
+		if hi < lo || int(hi) > e {
+			gc.Release()
+			return nil, fmt.Errorf("nn: row pointers leave [0,%d] or descend at row %d (%d after %d)", e, r, hi, lo)
 		}
-		gc.TypeOffsets = tensor.CountsToOffsets(counts)
-		copy(counts, gc.TypeOffsets[:nt])
-		for s, t := range csr.EType {
-			gc.TypeOrder[counts[t]], gc.TypePos[s] = int32(s), counts[t]
-			counts[t]++
+		w := 1 / float32(hi-lo)
+		for s := lo; s < hi; s++ {
+			if g.Dst[s] != d {
+				gc.Release()
+				return nil, fmt.Errorf("nn: edge %d of row %d ends in %d, not in the row's destination %d", s, r, g.Dst[s], d)
+			}
+			csr.EdgeID[s], gc.DstByDst[s], gc.InvDeg[s] = s, int32(r), w
 		}
 	}
+	gc.groupTypes()
 	return gc, nil
+}
+
+// checkRows validates a destination row set: strictly ascending ids in
+// [0, v).
+func checkRows(rows []int32, v int) error {
+	prev := int32(-1)
+	for _, d := range rows {
+		if d <= prev || int(d) >= v {
+			return fmt.Errorf("nn: destination rows must be strictly ascending ids in [0,%d), got %d after %d", v, d, prev)
+		}
+		prev = d
+	}
+	return nil
+}
+
+// edgesOutside is the error for a row set that misses some edges'
+// destinations.
+func edgesOutside(missed, e, rows int) error {
+	return fmt.Errorf("nn: %d of %d edges end outside the %d destination rows", missed, e, rows)
+}
+
+// newGraphCtx lays out a context over g with n destination rows: every
+// int32 array but TypeOffsets is a piece of one pooled slab, the per-type
+// arrays only for a typed graph. The constructors fill the CSR, DstByDst
+// and InvDeg, then groupTypes the rest.
+func newGraphCtx(g *graph.Graph, rows []int32, n int) *GraphCtx {
+	e := g.NumEdges()
+	size := n + 1 + 3*e
+	if g.Type != nil {
+		size += 3 * e
+	}
+	gc := &GraphCtx{G: g, Rows: rows, InvDeg: tensor.GetF32(e), slab: tensor.GetI32(size)}
+	free := gc.slab
+	take := func(k int) []int32 {
+		s := free[:k:k]
+		free = free[k:]
+		return s
+	}
+	csr := &graph.CSR{RowPtr: take(n + 1), Col: take(e), EdgeID: take(e)}
+	gc.CSR, gc.SrcByDst, gc.DstByDst = csr, csr.Col, take(e)
+	if g.Type != nil {
+		csr.EType, gc.TypeOrder, gc.TypePos = take(e), take(e), take(e)
+	}
+	return gc
+}
+
+// groupTypes fills a typed context's per-type arrays from its CSR slots:
+// each slot's type, the slots grouped by type in ascending slot order, and
+// each slot's position in that grouping.
+func (gc *GraphCtx) groupTypes() {
+	g, csr := gc.G, gc.CSR
+	if g.Type == nil {
+		return
+	}
+	nt := g.NumTypes
+	counts := tensor.GetI32(nt)
+	for s, ei := range csr.EdgeID {
+		t := g.Type[ei]
+		csr.EType[s] = t
+		counts[t]++
+	}
+	gc.TypeOffsets = tensor.CountsToOffsets(counts)
+	copy(counts, gc.TypeOffsets[:nt])
+	for s, t := range csr.EType {
+		gc.TypeOrder[counts[t]], gc.TypePos[s] = int32(s), counts[t]
+		counts[t]++
+	}
+	tensor.PutI32(counts)
 }
 
 // Release returns the context's pooled arrays, its per-source grouping

@@ -112,40 +112,78 @@ func (r *perVertexRef) row(t *testing.T, v int32, l int) []float32 {
 // implementation that is not itself: engine logits must be bitwise-equal
 // to the per-vertex definition for an untyped and a typed model, through
 // one shard and through two, with the definition run on every execution
-// engine.
+// engine. Both ways a shard's Compute gets a block's partition are held to
+// it too: besides the tuned plan, a destination batch (dst-batch-32, the
+// block born partitioned) and a plan that is not one (2d-32; src-32-type-1
+// for RGCN, partitioned per block).
 func TestForwardMatchesPerVertexReference(t *testing.T) {
 	const v = 60
 	nodes := []int32{0, 7, 7, 30, 44, 59}
 	for _, kind := range []nn.ModelKind{nn.SAGE, nn.RGCN} {
 		numTypes := 1
+		other := "2d-32"
 		if kind == nn.RGCN {
 			numTypes = 2
+			other = "src-32-type-1"
 		}
 		ds := testDataset(t, v, 300, 12, 5, numTypes, 11)
 		m := testModel(t, ds, kind)
 		// One frozen plan for the reference and every fleet under test:
 		// the plan fixes the summation order.
-		plan := testEngine(t, ds, m, Options{Workers: 1, Seed: 9}).Plan()
-		served := make(map[int]*Engine)
-		for _, shards := range []int{1, 2} {
-			served[shards] = testEngine(t, ds, m, Options{
-				Shards: shards, Workers: 2, Seed: 9, Fanouts: []int{3, 2}, Plan: plan,
-			})
+		tuned := testEngine(t, ds, m, Options{Workers: 1, Seed: 9}).Plan()
+		plans := []*joint.Result{tuned, withGraphPlan(t, tuned, "dst-batch-32"), withGraphPlan(t, tuned, other)}
+		if _, ok := plans[1].GraphPlan.DstBatch(); !ok {
+			t.Fatalf("%v is not a destination batch", plans[1].GraphPlan)
 		}
-		for _, engine := range kernels.EngineNames() {
-			ref := newPerVertexRef(t, ds, m, served[1], engine)
+		if _, ok := plans[2].GraphPlan.DstBatch(); ok {
+			t.Fatalf("%v is a destination batch", plans[2].GraphPlan)
+		}
+		for pi, plan := range plans {
+			served := make(map[int]*Engine)
 			for _, shards := range []int{1, 2} {
-				t.Run(fmt.Sprintf("%v/%s/shards=%d", kind, engine, shards), func(t *testing.T) {
-					got := predictLogits(t, served[shards], nodes)
-					for i, want := range ref.logits(t, nodes) {
-						for k := range want {
-							if got[i][k] != want[k] {
-								t.Fatalf("node %d logit %d: served %v != per-vertex reference %v", nodes[i], k, got[i][k], want[k])
+				served[shards] = testEngine(t, ds, m, Options{
+					Shards: shards, Workers: 2, Seed: 9, Fanouts: []int{3, 2}, Plan: plan,
+				})
+			}
+			// The tuned plan meets every engine; the others the default.
+			engines := kernels.EngineNames()
+			if pi > 0 {
+				engines = []string{""}
+			}
+			for _, engine := range engines {
+				ref := newPerVertexRef(t, ds, m, served[1], engine)
+				for _, shards := range []int{1, 2} {
+					name := fmt.Sprintf("%v/%s/shards=%d", kind, engine, shards)
+					if pi > 0 {
+						name = fmt.Sprintf("%v/plan=%s/shards=%d", kind, plan.GraphPlan.Name, shards)
+					}
+					t.Run(name, func(t *testing.T) {
+						got := predictLogits(t, served[shards], nodes)
+						for i, want := range ref.logits(t, nodes) {
+							for k := range want {
+								if got[i][k] != want[k] {
+									t.Fatalf("node %d logit %d: served %v != per-vertex reference %v", nodes[i], k, got[i][k], want[k])
+								}
 							}
 						}
-					}
-				})
+					})
+				}
 			}
 		}
 	}
+}
+
+// withGraphPlan returns res with its graph plan replaced by the enumerated
+// plan of that name.
+func withGraphPlan(t *testing.T, res *joint.Result, name string) *joint.Result {
+	t.Helper()
+	for _, gp := range core.EnumeratePlans([]core.Attr{core.AttrSrcID, core.AttrDstID, core.AttrEdgeType}) {
+		if gp.Name == name {
+			r := *res
+			r.GraphPlan, r.Partition = gp, nil
+			return &r
+		}
+	}
+	t.Fatalf("no plan named %q", name)
+	return nil
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -201,6 +202,8 @@ func (c *computeLog) Compute(ctx context.Context, a *ComputeArgs) (*ComputeReply
 // already in a dst-keyed plan's order — every time: handleCompute emits
 // targets ascending with each one's edges contiguous, so the partitioner
 // reuses the identity order without sorting, at every level and shard.
+// And the partition handleCompute reads off the block's row pointers under
+// a destination-batch plan is core.PartitionGraph's, field for field.
 func TestComputeBlocksArriveInDstOrder(t *testing.T) {
 	g := testGraph(t, 100, 600, 6)
 	f := testFleet(t, g, 2, 1, 0)
@@ -220,7 +223,9 @@ func TestComputeBlocksArriveInDstOrder(t *testing.T) {
 	plans := []core.GraphPlan{
 		core.VertexCentric(),
 		{Name: "dst-batch-32", Restrictions: []core.Restriction{{Attr: core.AttrDstID, Kind: core.Exact, Limit: 32}}},
+		{Name: "dst-batch-2", Restrictions: []core.Restriction{{Attr: core.AttrDstID, Kind: core.Exact, Limit: 2}}},
 	}
+	stat := []core.Attr{core.AttrSrcID, core.AttrDstID, core.AttrEdgeType, core.AttrDstDegree}
 	for _, rec := range seen {
 		s := f.shards[rec.shard][0]
 		w := <-s.free
@@ -228,20 +233,29 @@ func TestComputeBlocksArriveInDstOrder(t *testing.T) {
 			t.Fatalf("index: %v", err)
 		}
 		blk, err := s.block(w, rec.args)
-		s.free <- w
 		if err != nil {
+			s.free <- w
 			t.Fatalf("block: %v", err)
 		}
+		var borns []*core.Partition
+		for _, plan := range plans {
+			borns = append(borns, w.pt.PartitionRows(blk, plan, stat, w.rowPtr))
+		}
+		s.free <- w
 		if !slices.IsSorted(blk.Dst) {
 			t.Fatalf("shard %d level %d block's destinations are not ascending", rec.shard, rec.args.Level)
 		}
-		for _, plan := range plans {
-			part := core.PartitionGraph(blk, plan, nil)
+		for pi, plan := range plans {
+			part := core.PartitionGraph(blk, plan, stat)
 			for i, e := range part.Order {
 				if e != int32(i) {
 					t.Fatalf("shard %d level %d under %s: order[%d] = %d, the block was not in key order",
 						rec.shard, rec.args.Level, plan, i, e)
 				}
+			}
+			if !reflect.DeepEqual(borns[pi], part) {
+				t.Fatalf("shard %d level %d under %s: born partition\n %+v\nwant\n %+v",
+					rec.shard, rec.args.Level, plan, borns[pi], part)
 			}
 		}
 	}

@@ -97,8 +97,10 @@ type shardWorker struct {
 	local []int32
 	dsts  []int32 // the targets' local ids, reused across calls
 	// The edge arrays of the block a Compute rebuilds, reused across calls
-	// (the Graph itself is per call: it caches what it derives from them).
-	src, dst, typ []int32
+	// (the Graph itself is per call: it caches what it derives from them),
+	// and the block's row pointers: target i's edges are rowPtr[i] ..
+	// rowPtr[i+1].
+	src, dst, typ, rowPtr []int32
 	// x is the level-1 input buffer (see gatherInput). It is never zeroed:
 	// every row a call reads is overwritten by that call first.
 	x []float32
@@ -298,12 +300,14 @@ func (s *Shard) handleExpand(ctx context.Context, w *shardWorker, a *ExpandArgs)
 
 // block rebuilds the sampled block of a's targets over the indexed input
 // set a.In, in the worker's edge arrays: targets ascending, each one's
-// edges contiguous in DetSample order, every endpoint a local id. Its
-// edges are therefore already in dst order, so a plan keyed on the
-// destination first reuses them unsorted.
+// edges contiguous in DetSample order, every endpoint a local id, and
+// where each target's edges end in w.rowPtr. The block is thus born
+// grouped by destination row, which is the task order of a plan whose one
+// restriction is uniq(dst-id)=K (see handleCompute).
 func (s *Shard) block(w *shardWorker, a *ComputeArgs) (*graph.Graph, error) {
 	fan := s.fan[s.layers-a.Level]
 	w.src, w.dst, w.typ, w.dsts = w.src[:0], w.dst[:0], w.typ[:0], w.dsts[:0]
+	w.rowPtr = append(w.rowPtr[:0], 0)
 	for i, v := range a.Verts {
 		if i > 0 && v <= a.Verts[i-1] {
 			return nil, fmt.Errorf("shard %d: targets must be strictly ascending, got %d after %d", s.id, v, a.Verts[i-1])
@@ -326,6 +330,7 @@ func (s *Shard) block(w *shardWorker, a *ComputeArgs) (*graph.Graph, error) {
 				w.typ = append(w.typ, s.csr.EType[slot])
 			}
 		}
+		w.rowPtr = append(w.rowPtr, int32(len(w.src)))
 	}
 	g := &graph.Graph{NumVertices: len(a.In), NumTypes: 1, Src: w.src, Dst: w.dst}
 	if len(w.typ) > 0 {
@@ -430,15 +435,28 @@ func (s *Shard) handleCompute(ctx context.Context, w *shardWorker, a *ComputeArg
 		return nil, err
 	}
 
-	part := train.ReusePlanWith(w.pt, s.plan, g)
-	// RunModelLayerRows reads the block's edge list and nothing else of the
-	// context: it builds the context the layer runs over itself, in the
-	// plan's task order over the target rows.
-	gc := &nn.GraphCtx{G: g}
+	// The layer runs over the block in the plan's task order, the targets
+	// its destination rows. Under a plan whose one restriction is
+	// uniq(dst-id)=K the block is born in that order — tasks are runs of K
+	// targets — so its partition and context are read off w.rowPtr; any
+	// other plan partitions the block and orders a context by the result.
+	var part *core.Partition
+	var gc *nn.GraphCtx
+	if _, ok := s.plan.GraphPlan.DstBatch(); ok {
+		part = train.ReuseRowsWith(w.pt, s.plan, g, w.rowPtr)
+		gc, err = nn.NewGraphCtxRows(g, w.dsts, w.rowPtr)
+	} else {
+		part = train.ReusePlanWith(w.pt, s.plan, g)
+		gc, err = nn.NewGraphCtxOrder(g, part.Order, w.dsts)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("shard %d: %w", s.id, err)
+	}
 	x := tensor.FromSlice(rows, len(a.In), a.InDim)
 	w.ectx.TraceID = a.Batch
 	tr.End() // RunModelLayerRows records the exec span itself
-	out, err := kernels.RunModelLayerRows(w.ectx, gc, m, a.Level-1, x, w.dsts, part, s.plan.OpPlan)
+	out, err := kernels.RunModelLayerRows(w.ectx, gc, m, a.Level-1, x, part, s.plan.OpPlan)
+	gc.Release()
 	tr.To(obs.StageCollective)
 	if err != nil {
 		return nil, err

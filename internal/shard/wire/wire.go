@@ -603,9 +603,18 @@ func DecodeError(p []byte) string {
 // ---------------------------------------------------------------------
 // Framing.
 
+// frameChunk bounds what ReadFrame allocates ahead of the bytes that fill
+// it: a frame up to this long is read into one buffer of its size, a
+// longer one into a buffer that starts at this size and doubles as its
+// bytes arrive. A length prefix alone therefore commits the reader to at
+// most this much memory, whatever it claims up to MaxFrame.
+const frameChunk = 4 << 20
+
 // ReadFrame reads one complete frame, returning its type, request id and
 // payload. Hostile length prefixes — oversize, or too short to hold the
-// type byte and reqid — are rejected before any allocation.
+// type byte and reqid — are rejected before any allocation, and a legal
+// one is allocated for only as its bytes arrive (frameChunk). A stream
+// that ends inside a frame is io.ErrUnexpectedEOF.
 func ReadFrame(r io.Reader) (MsgType, uint32, []byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -618,9 +627,20 @@ func ReadFrame(r io.Reader) (MsgType, uint32, []byte, error) {
 	if n > MaxFrame {
 		return 0, 0, nil, fmt.Errorf("%w: %d bytes", ErrOversize, n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, 0, nil, err
+	buf := make([]byte, min(n, frameChunk))
+	for read := 0; ; {
+		if _, err := io.ReadFull(r, buf[read:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, 0, nil, err
+		}
+		if read = len(buf); read == int(n) {
+			break
+		}
+		grown := make([]byte, min(2*read, int(n)))
+		copy(grown, buf)
+		buf = grown
 	}
 	return MsgType(buf[0]), binary.LittleEndian.Uint32(buf[1:]), buf[5:], nil
 }

@@ -3,8 +3,11 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -233,7 +236,12 @@ func TestStrictDecoding(t *testing.T) {
 // the frame header: oversize lengths, and lengths too short to hold the
 // type byte plus request id (0..4), are protocol violations rejected
 // before any payload buffer is made — a hostile reqid/length combination
-// can never drive an allocation or a mis-framed read.
+// can never drive an allocation or a mis-framed read. A legal length is
+// allocated for as its bytes arrive: a header claiming MaxFrame and then
+// nothing costs the reader under 8 MiB, not the 256 MiB it claims, and
+// reads as a truncated frame; a frame longer than the first allocation
+// arrives whole through the grown buffer, and one cut short inside a
+// later allocation is truncated too.
 func TestReadFrameRejectsHostileHeaders(t *testing.T) {
 	var hdr []byte
 	hdr = append(hdr, 0xff, 0xff, 0xff, 0xff) // length way past MaxFrame
@@ -253,6 +261,33 @@ func TestReadFrameRejectsHostileHeaders(t *testing.T) {
 	ok := AppendHelloOK(nil)
 	if mt, reqid, payload, err := ReadFrame(bytes.NewReader(ok)); err != nil || mt != MsgHelloOK || reqid != 0 || len(payload) != 0 {
 		t.Fatalf("HelloOK frame: type=%v reqid=%d payload=%d err=%v", mt, reqid, len(payload), err)
+	}
+
+	hdr = binary.LittleEndian.AppendUint32(nil, MaxFrame)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, _, err := ReadFrame(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("MaxFrame header then EOF: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 8<<20 {
+		t.Fatalf("MaxFrame header then EOF allocated %d bytes", grew)
+	}
+	payload := make([]byte, 2*frameChunk+12345)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	b := binary.LittleEndian.AppendUint32(nil, uint32(5+len(payload)))
+	b = append(b, byte(MsgComputeReply))
+	b = binary.LittleEndian.AppendUint32(b, 42)
+	b = append(b, payload...)
+	mt, reqid, got, err := ReadFrame(bytes.NewReader(b))
+	if err != nil || mt != MsgComputeReply || reqid != 42 || !bytes.Equal(got, payload) {
+		t.Fatalf("%d-byte frame: type=%v reqid=%d payload equal=%v err=%v", len(b), mt, reqid, bytes.Equal(got, payload), err)
+	}
+	if _, _, _, err := ReadFrame(bytes.NewReader(b[:len(b)-1])); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("frame cut one byte short: err = %v, want io.ErrUnexpectedEOF", err)
 	}
 }
 

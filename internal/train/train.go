@@ -275,6 +275,14 @@ func ReusePlanWith(pt *core.Partitioner, res *joint.Result, g *graph.Graph) *cor
 	return pt.Partition(g, res.GraphPlan, reuseAttrs)
 }
 
+// ReuseRowsWith is ReusePlanWith for a block whose edges its builder laid
+// out grouped by destination as rowPtr records, under a plan whose one
+// restriction is uniq(dst-id)=K (core.GraphPlan.DstBatch): the same
+// partition, read off the row pointers (core.Partitioner.PartitionRows).
+func ReuseRowsWith(pt *core.Partitioner, res *joint.Result, g *graph.Graph, rowPtr []int32) *core.Partition {
+	return pt.PartitionRows(g, res.GraphPlan, reuseAttrs, rowPtr)
+}
+
 // OverlapModel prices the asynchronous CPU pipeline of Figure 21(b):
 // per-epoch sampling and partitioning cost divided across CPU threads,
 // compared to the epoch compute time they must hide under.

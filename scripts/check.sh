@@ -73,7 +73,12 @@ run_filtered() {
 # graphs include copies already in dst and (dst, src) order, so every plan
 # keyed on that prefix runs the sorted-input skip (sortedBy: no radix sort
 # when the edges arrive in key order) against the reference, the rest the
-# sort; TestSortedBy pins the check itself.
+# sort; TestSortedBy pins the check itself. On every graph grouped by
+# destination the born partition a serving block gets under a
+# destination-batch plan (PartitionRows: read off the row pointers, no
+# sort, no scan) must equal the reference and Partition too, in the
+# reuse test interleaved with Partition on one Partitioner so the two
+# share stamp generations.
 run_filtered "parity/determinism" 'Parity|Determin|Reuse|Concurrent|SortedBy' \
   ./internal/core/ ./internal/graph/ ./internal/joint/
 
@@ -94,7 +99,9 @@ run_filtered "parity/determinism" 'Parity|Determin|Reuse|Concurrent|SortedBy' \
 # gradient against the one with it, and every layer's Infer — the gTask
 # and serving entry — against Forward, against itself from concurrent
 # callers, over destination-row subsets and around a backward — bit for
-# bit. The race pass above ran them at the box's width; this leg runs
+# bit; and the context a serving block's row pointers state
+# (TestGraphCtxRowsBitwiseEqualOrder) against NewGraphCtxOrder, array for
+# array. The race pass above ran them at the box's width; this leg runs
 # them on one P.
 run_filtered "kernel oracles / first-layer backward / Infer" 'Bitwise|Panics|FirstLayer|Infer' \
   ./internal/tensor/ ./internal/nn/
