@@ -75,6 +75,21 @@ func NodeCost(n *Node, s TaskStats) Workload {
 	case OpReLU, OpLeakyReLU, OpTanh, OpSigmoid:
 		fl := float64(rows * inner)
 		w = Workload{FLOPs: fl, NeuralFLOPs: fl, Bytes: 2 * out, MinParallel: rows}
+	case OpSegmentSoftmax:
+		// max, exp, sum and scale per element
+		fl := float64(4 * rows * inner)
+		w = Workload{FLOPs: fl, NeuralFLOPs: fl, Bytes: 2 * out, MinParallel: rows}
+	case OpScale:
+		fl := float64(rows * inner)
+		wb := float64(rows * n.Inputs[1].InnerSize() * bytesPerElem)
+		w = Workload{FLOPs: fl, NeuralFLOPs: fl, Bytes: 2*out + wb, MinParallel: rows}
+	case OpLSTM:
+		// every input row is one cell step: x·Wx + h·Wh over 4 gates
+		inRows, f := n.Inputs[0].Rows.Resolve(s), n.Inputs[0].InnerSize()
+		weights := float64((f + inner) * 4 * inner)
+		fl := 2 * float64(inRows) * weights
+		b := float64(inRows*f*bytesPerElem) + weights*bytesPerElem + out
+		w = Workload{FLOPs: fl, NeuralFLOPs: fl, Bytes: b, MinParallel: rows}
 	}
 	return w
 }

@@ -42,40 +42,29 @@ const (
 	OpLeakyReLU
 	OpTanh
 	OpSigmoid
+	// OpSegmentSoftmax normalizes each column over the segments of rows
+	// an index array groups (GAT's attention over a destination's
+	// in-edges). Not rowwise: a row's value depends on its segment.
+	OpSegmentSoftmax
+	// OpScale weights row i's column blocks by w[i] (inputs: x [R,F], w
+	// [R,H]): GAT's attention weighting. Not rowwise in the swapping
+	// sense: w is per row, so no index moves across it.
+	OpScale
+	// OpLSTM runs an LSTM cell (inputs: x [R,F], Wx [F,4H], Wh [H,4H])
+	// over each segment's rows in order, x·Wx per row inside the cell,
+	// into the last hidden state per segment: SAGE-LSTM's aggregation.
+	OpLSTM
 )
+
+var opNames = [...]string{"input", "index", "index2d", "index-add", "linear", "bmm", "outer-mm",
+	"ew-add", "ew-mul", "relu", "leaky-relu", "tanh", "sigmoid", "segment-softmax", "scale", "lstm"}
 
 // String names the kind.
 func (k OpKind) String() string {
-	switch k {
-	case OpInput:
-		return "input"
-	case OpIndex:
-		return "index"
-	case OpIndex2D:
-		return "index2d"
-	case OpIndexAdd:
-		return "index-add"
-	case OpLinear:
-		return "linear"
-	case OpBMM:
-		return "bmm"
-	case OpOuterMM:
-		return "outer-mm"
-	case OpEWAdd:
-		return "ew-add"
-	case OpEWMul:
-		return "ew-mul"
-	case OpReLU:
-		return "relu"
-	case OpLeakyReLU:
-		return "leaky-relu"
-	case OpTanh:
-		return "tanh"
-	case OpSigmoid:
-		return "sigmoid"
-	default:
+	if k < 0 || int(k) >= len(opNames) {
 		return fmt.Sprintf("op(%d)", int(k))
 	}
+	return opNames[k]
 }
 
 // IsIndexing reports whether the op moves data by graph structure.
@@ -170,13 +159,14 @@ func (n *Node) InnerSize() int {
 }
 
 // Graph is a DFG: nodes in topological order with one designated output.
-// ExtraOutputs keeps side results (e.g. attention scores) alive across
-// Prune without being the value Eval returns.
+// Extracted records that unique-value extraction rewrote it (set by the
+// transformation that does, kept by Clone): the DFG the duplication-aware
+// operation plan compiles.
 type Graph struct {
-	Nodes        []*Node
-	Output       *Node
-	ExtraOutputs []*Node
-	nextID       int
+	Nodes     []*Node
+	Output    *Node
+	Extracted bool
+	nextID    int
 }
 
 // add appends a node, assigning its id.
@@ -251,12 +241,31 @@ func (g *Graph) Activation(kind OpKind, x *Node, slope float32) *Node {
 	return g.add(&Node{Kind: kind, Inputs: []*Node{x}, Slope: slope, Rows: x.Rows, Cols: x.Cols})
 }
 
+// SegmentSoftmax normalizes x's columns over the segments of rows the
+// index array idxKey groups.
+func (g *Graph) SegmentSoftmax(x *Node, idxKey string) *Node {
+	return g.add(&Node{Kind: OpSegmentSoftmax, Inputs: []*Node{x}, IdxKey: idxKey, Rows: x.Rows, Cols: x.Cols})
+}
+
+// Scale weights each row of x by the matching row of w, one weight per
+// column block.
+func (g *Graph) Scale(x, w *Node) *Node {
+	return g.add(&Node{Kind: OpScale, Inputs: []*Node{x, w}, Rows: x.Rows, Cols: x.Cols})
+}
+
+// LSTM runs the cell with weights wx [F,4H] and wh [H,4H] over x's rows
+// in each segment of idxKey, into Env.Sizes[outKey] hidden states of
+// width H.
+func (g *Graph) LSTM(x, wx, wh *Node, idxKey, outKey string, rows Card) *Node {
+	return g.add(&Node{Kind: OpLSTM, Inputs: []*Node{x, wx, wh}, IdxKey: idxKey, OutRowsKey: outKey, Rows: rows, Cols: []int{wh.Rows.N}})
+}
+
 // SetOutput designates the DFG output.
 func (g *Graph) SetOutput(n *Node) { g.Output = n }
 
 // Clone deep-copies the DFG (nodes and edges; names are shared strings).
 func (g *Graph) Clone() *Graph {
-	out := &Graph{nextID: g.nextID}
+	out := &Graph{Extracted: g.Extracted, nextID: g.nextID}
 	m := make(map[*Node]*Node, len(g.Nodes))
 	for _, n := range g.Nodes {
 		c := *n
@@ -270,9 +279,6 @@ func (g *Graph) Clone() *Graph {
 	}
 	if g.Output != nil {
 		out.Output = m[g.Output]
-	}
-	for _, e := range g.ExtraOutputs {
-		out.ExtraOutputs = append(out.ExtraOutputs, m[e])
 	}
 	return out
 }
@@ -306,9 +312,6 @@ func (g *Graph) Prune() {
 		}
 	}
 	mark(g.Output)
-	for _, e := range g.ExtraOutputs {
-		mark(e)
-	}
 	kept := g.Nodes[:0]
 	for _, n := range g.Nodes {
 		if live[n] {

@@ -21,7 +21,8 @@ type Env struct {
 // Eval interprets the DFG over env and returns the output tensor. It is
 // the reference executor used to check that transformed DFGs are
 // equivalent to the originals; the production kernels in internal/kernels
-// fuse these steps.
+// fuse these steps. The segment softmax, scale and LSTM nodes, which no
+// transformation rewrites, have no interpretation here.
 func (g *Graph) Eval(env *Env) (*tensor.Tensor, error) {
 	if g.Output == nil {
 		return nil, fmt.Errorf("dfg: no output designated")

@@ -34,19 +34,10 @@ const (
 	Frequent
 )
 
+var outlierNames = [...]string{"regular", "underfill", "overfill", "frequent"}
+
 // String names the kind.
-func (k OutlierKind) String() string {
-	switch k {
-	case Underfill:
-		return "underfill"
-	case Overfill:
-		return "overfill"
-	case Frequent:
-		return "frequent"
-	default:
-		return "regular"
-	}
-}
+func (k OutlierKind) String() string { return outlierNames[k] }
 
 // Classification assigns an OutlierKind to every task of a partition.
 type Classification struct {
@@ -85,49 +76,33 @@ func Classify(part *core.Partition) Classification {
 	}
 	c.MedianEdges = medianInt(lens)
 
-	// frequent values: for every Exact restriction with a small limit,
-	// count how many tasks contain each value.
-	type attrLimit struct {
-		attr  core.Attr
-		limit int
-	}
-	var restricted []attrLimit
-	for _, r := range part.Plan.Restrictions {
-		if r.Kind == core.Exact && r.Attr != core.AttrEdgeID {
-			restricted = append(restricted, attrLimit{r.Attr, r.Limit})
-		}
-	}
-	// Frequent-value detection only applies to identity attributes: a
-	// vertex id recurring across tasks marks a hub split by the plan,
-	// whose per-value workload can be shared. Low-cardinality attributes
+	// Frequent values: for every Exact restriction of an identity
+	// attribute, count how many tasks contain each value. A vertex id
+	// recurring across tasks marks a hub split by the plan, whose
+	// per-value workload can be shared; low-cardinality attributes
 	// (edge-type, degree) naturally recur everywhere and are not hubs.
-	idOnly := restricted[:0]
-	for _, rl := range restricted {
-		if rl.attr == core.AttrSrcID || rl.attr == core.AttrDstID {
-			idOnly = append(idOnly, rl)
+	var restricted []core.Attr
+	for _, r := range part.Plan.Restrictions {
+		if r.Kind == core.Exact && (r.Attr == core.AttrSrcID || r.Attr == core.AttrDstID) {
+			restricted = append(restricted, r.Attr)
 		}
 	}
-	restricted = idOnly
-
 	reader := core.NewAttrReader(part.Graph)
 	taskValues := make([]map[core.Attr][]int32, n)
 	valueTasks := map[core.Attr]map[int32]int{}
-	for _, rl := range restricted {
-		valueTasks[rl.attr] = map[int32]int{}
+	for _, attr := range restricted {
+		valueTasks[attr] = map[int32]int{}
 	}
-	for ti := 0; ti < n; ti++ {
-		if len(restricted) == 0 {
-			break
-		}
+	for ti := 0; ti < n && len(restricted) > 0; ti++ {
 		taskValues[ti] = map[core.Attr][]int32{}
-		for _, rl := range restricted {
+		for _, attr := range restricted {
 			seen := map[int32]struct{}{}
 			for _, e := range part.TaskEdges(ti) {
-				v := reader.Value(rl.attr, int(e))
+				v := reader.Value(attr, int(e))
 				if _, ok := seen[v]; !ok {
 					seen[v] = struct{}{}
-					taskValues[ti][rl.attr] = append(taskValues[ti][rl.attr], v)
-					valueTasks[rl.attr][v]++
+					taskValues[ti][attr] = append(taskValues[ti][attr], v)
+					valueTasks[attr][v]++
 				}
 			}
 		}
@@ -147,11 +122,7 @@ func Classify(part *core.Partition) Classification {
 		for ti := 0; ti < n; ti++ {
 			us[ti] = int(part.TaskUniq(ti, r.Attr))
 		}
-		m := medianInt(us)
-		if m > r.Limit {
-			m = r.Limit
-		}
-		medianUniq[r.Attr] = m
+		medianUniq[r.Attr] = min(medianInt(us), r.Limit)
 	}
 
 	for ti := 0; ti < n; ti++ {
@@ -171,9 +142,9 @@ func Classify(part *core.Partition) Classification {
 		}
 		// Frequent: a restricted value shared by many tasks.
 		if kind == Regular {
-			for _, rl := range restricted {
-				for _, v := range taskValues[ti][rl.attr] {
-					if valueTasks[rl.attr][v] >= frequentTasks {
+			for _, attr := range restricted {
+				for _, v := range taskValues[ti][attr] {
+					if valueTasks[attr][v] >= frequentTasks {
 						kind = Frequent
 						break
 					}
@@ -223,27 +194,17 @@ func DifferentiatedSchedule(spec device.Spec, part *core.Partition, sh kernels.L
 	frequentShared := map[string]bool{}
 	for ti := 0; ti < part.NumTasks(); ti++ {
 		st := kernels.StatsOf(part, ti)
+		c := kernels.CostTask(spec, sh, st, plan)
 		switch cls.Kind[ti] {
 		case Underfill:
 			// edge-wise execution removes the padding redundancy
-			c := kernels.CostTask(spec, sh, st, kernels.Plan{})
-			cb := kernels.CostTask(spec, sh, st, plan)
-			if cb.Seconds < c.Seconds {
-				c = cb
-			}
-			last = append(last, c.Seconds)
+			last = append(last, min(kernels.CostTask(spec, sh, st, kernels.Plan{}).Seconds, c.Seconds))
 		case Overfill:
-			c := kernels.CostTask(spec, sh, st, plan)
-			chunks := st.Edges / max(cls.MedianEdges, 1)
-			if chunks < 1 {
-				chunks = 1
-			}
-			per := c.Seconds / float64(chunks)
-			for k := 0; k < chunks; k++ {
-				first = append(first, per)
+			chunks := max(st.Edges/max(cls.MedianEdges, 1), 1)
+			for range chunks {
+				first = append(first, c.Seconds/float64(chunks))
 			}
 		case Frequent:
-			c := kernels.CostTask(spec, sh, st, plan)
 			// Pay the shared neural workload once per frequent-value
 			// group as a normal (parallel) work item scheduled first;
 			// afterwards the group's tasks only fetch the precomputed
@@ -255,7 +216,6 @@ func DifferentiatedSchedule(spec device.Spec, part *core.Partition, sh kernels.L
 			}
 			middle = append(middle, 0.3*c.Seconds)
 		default:
-			c := kernels.CostTask(spec, sh, st, plan)
 			middle = append(middle, c.Seconds)
 		}
 	}

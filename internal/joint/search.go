@@ -6,7 +6,6 @@ import (
 
 	"wisegraph/internal/core"
 	"wisegraph/internal/device"
-	"wisegraph/internal/dfg"
 	"wisegraph/internal/graph"
 	"wisegraph/internal/kernels"
 	"wisegraph/internal/nn"
@@ -200,7 +199,7 @@ func Search(g *graph.Graph, kind nn.ModelKind, f, fp, numTypes int, opts Options
 			cands := opt.Transform(layerDFG, opt.Info{AttrOf: nn.AttrOfKeys(), Dup: dup})
 			bestDFG, _ := opt.SelectBest(cands, pp.RegularStats())
 			opPlans := []kernels.Plan{{Batched: true}}
-			if hasTransformedIndex(bestDFG) {
+			if bestDFG.Extracted {
 				opPlans = append(opPlans, kernels.Plan{Batched: true, Dedup: true})
 			}
 			for _, op := range opPlans {
@@ -279,26 +278,4 @@ func estimateTasks(g *graph.Graph, gp core.GraphPlan) int {
 		est = max(est, 8) // degree classes
 	}
 	return est
-}
-
-// hasTransformedIndex reports whether the selected DFG used unique-value
-// extraction: a ".map" key survives either as a map-gather (OpIndex) or
-// merged into an Index-2D after indexing swapping.
-func hasTransformedIndex(g *dfg.Graph) bool {
-	isMap := func(key string) bool {
-		return len(key) > 4 && key[len(key)-4:] == ".map"
-	}
-	for _, n := range g.Nodes {
-		switch n.Kind {
-		case dfg.OpIndex:
-			if isMap(n.IdxKey) {
-				return true
-			}
-		case dfg.OpIndex2D:
-			if isMap(n.IdxKey) || isMap(n.IdxKey2) {
-				return true
-			}
-		}
-	}
-	return false
 }

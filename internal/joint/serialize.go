@@ -63,8 +63,10 @@ func (r *Result) MarshalPlan() ([]byte, error) {
 
 // UnmarshalPlan reconstructs the searched plan (model kind, graph plan,
 // operation plan, differentiated flag) from serialized bytes; the search
-// statistics of the Result stay zero. The caller checks the kind against
-// its model and applies the graph plan with core.PartitionGraph.
+// statistics of the Result stay zero. It rejects what no search emits: a
+// graph plan the model cannot execute (kernels.ValidPlanFor), an exact
+// limit below 1, and dedup without batching. The caller checks the kind
+// against its model and applies the graph plan with core.PartitionGraph.
 func UnmarshalPlan(data []byte) (*Result, error) {
 	var pf PlanFile
 	if err := json.Unmarshal(data, &pf); err != nil {
@@ -85,12 +87,21 @@ func UnmarshalPlan(data []byte) (*Result, error) {
 		}
 		switch rf.Kind {
 		case "exact":
+			if rf.Limit < 1 {
+				return nil, fmt.Errorf("joint: %s limit %d, want ≥ 1", rf.Attr, rf.Limit)
+			}
 			gp.Restrictions = append(gp.Restrictions, core.Restriction{Attr: attr, Kind: core.Exact, Limit: rf.Limit})
 		case "min":
 			gp.Restrictions = append(gp.Restrictions, core.Restriction{Attr: attr, Kind: core.Min})
 		default:
 			return nil, fmt.Errorf("joint: unknown restriction kind %q", rf.Kind)
 		}
+	}
+	switch {
+	case !kernels.ValidPlanFor(kind, gp):
+		return nil, fmt.Errorf("joint: graph plan %v cannot execute %v", gp, kind)
+	case pf.Dedup && !pf.Batched:
+		return nil, fmt.Errorf("joint: dedup without batched is no operation plan")
 	}
 	return &Result{
 		Kind: kind, GraphPlan: gp,

@@ -58,4 +58,19 @@ func TestUnmarshalPlanRejectsGarbage(t *testing.T) {
 	if _, err := UnmarshalPlan([]byte(bad2)); err == nil {
 		t.Fatal("expected kind error")
 	}
+	for _, c := range []struct{ why, plan string }{
+		// a src-sorted plan would reorder each destination's sequence
+		{"plan SAGE-LSTM cannot run", `{"version":1,"model":"SAGE-LSTM","batched":true,"restrictions":[{"attr":"src-id","kind":"exact","limit":32}]}`},
+		{"negative limit", `{"version":1,"model":"GCN","batched":true,"restrictions":[{"attr":"dst-id","kind":"exact","limit":-1}]}`},
+		{"zero limit", `{"version":1,"model":"GCN","batched":true,"restrictions":[{"attr":"dst-id","kind":"exact","limit":0}]}`},
+		{"dedup without batched", `{"version":1,"model":"RGCN","dedup":true,"restrictions":[{"attr":"src-id","kind":"exact","limit":8}]}`},
+	} {
+		if _, err := UnmarshalPlan([]byte(c.plan)); err == nil {
+			t.Fatalf("%s: accepted %s", c.why, c.plan)
+		}
+	}
+	ok := `{"version":1,"model":"SAGE-LSTM","batched":true,"restrictions":[{"attr":"dst-id","kind":"exact","limit":32}]}`
+	if _, err := UnmarshalPlan([]byte(ok)); err != nil {
+		t.Fatalf("valid SAGE-LSTM plan rejected: %v", err)
+	}
 }

@@ -1,10 +1,12 @@
 // Package kernels is WiseGraph's gTask executor: it runs a GNN layer as
 // one fused kernel whose work items are the gTasks of a graph partition
-// plan, with micro-kernels composed per the operation partition plan
-// (paper §5.3). In the device model, batched data patterns select batched
-// (tensor-core-eligible) micro-kernels, duplicated data patterns the
-// dedup'd (transformed-DFG) compute, and tasks without batched data are
-// priced edge by edge.
+// plan (paper §5.3). The fused kernel's micro-kernel program is compiled
+// from the layer's DFG (nn.LayerDFG) as the §5.2 transformations leave it
+// under the operation plan (Compose, micro.go): each gTask-level DFG node
+// becomes load, compute, reduce or store stages; batched data selects
+// batched (tensor-core-eligible) micro-kernels, duplicated data the
+// unique-extracted DFG, and tasks without batched data are priced edge
+// by edge.
 //
 // The package provides the per-task cost model (consumed by the joint
 // optimizer and the bench harness) and the executor, which computes a
@@ -23,8 +25,10 @@ import (
 
 // Plan is an operation partition plan for a given graph partition.
 type Plan struct {
-	// Dedup prices the duplicated-data DFG transformation: work per
-	// unique (src[,type]) value instead of per edge.
+	// Dedup prices the DFG after unique-value extraction of the
+	// source-side keys: work per unique (src[,type]) value instead of per
+	// edge. The search sets it when the DFG it selects is Extracted; it
+	// implies Batched.
 	Dedup bool
 	// Batched prices batched micro-kernels; false prices edge-by-edge
 	// processing (the paper's Figure 10b vs 10c).

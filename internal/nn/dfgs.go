@@ -18,48 +18,46 @@ func (k ModelKind) IndexAttrs() []core.Attr {
 }
 
 // LayerDFG builds the symbolic data-flow graph of one conv layer, the
-// input to DFG transformation and the cost model. numV/numTypes size the
-// fixed inputs; in/out are feature dimensions.
+// input to DFG transformation, the cost model and the gTask program
+// kernels.Compose compiles. numV/numTypes size the fixed inputs; in/out
+// are feature dimensions.
 //
 // Per-model notes:
 //   - GCN is written transform-then-aggregate (Linear already per-vertex),
 //     so operation partition finds little to improve — matching Figure 16d.
-//   - SAGE is written per-edge (Linear after the src gather) so the
-//     indexing-swapping rule can hoist the Linear to unique sources —
-//     the duplication the paper removes on PA-S (Figure 17b).
+//   - SAGE is written per-edge (Linear after the src gather); indexing
+//     swapping commutes the Linear past the aggregation, the order the
+//     layer executes (aggregate, then transform once per destination).
 //   - RGCN is Equation (1) verbatim: the BMM over per-edge (h[src],
 //     W[type]) pairs that unique extraction + Index-2D rewrites into an
 //     outer product (Figure 9).
-//   - GAT models the attention projections; its per-edge softmax and
-//     weighting are priced by the executors, not the symbolic DFG.
-//   - SAGE-LSTM models only the data movement: its recurrent cell is
-//     sequential per destination, which is exactly why the paper finds
-//     operation partition contributes little for LSTM (Figure 16c) while
-//     graph partition (degree batching) contributes a lot.
+//   - GAT: the attention projections, then the per-destination segment
+//     softmax of the edge scores and the weighted sum of the source rows.
+//     The projections swap onto the vertices; nothing moves across the
+//     softmax or the weighting.
+//   - SAGE-LSTM: the recurrent cell over each destination's gathered
+//     source rows, its input projection x·Wx taken per edge inside the
+//     cell as the layer runs it, then the neighbour weight. The cell is
+//     sequential per destination, which is why the paper finds operation
+//     partition contributes little for LSTM (Figure 16c) while graph
+//     partition (degree batching) contributes a lot.
 func LayerDFG(k ModelKind, numV, numTypes, in, out int) *dfg.Graph {
 	g := &dfg.Graph{}
 	edges := dfg.Card{Kind: dfg.CardEdges}
 	dsts := dfg.Card{Kind: dfg.CardUniq, Attr: core.AttrDstID}
 	switch k {
 	case GCN:
-		h := g.Input("H", numV, in)
-		w := g.Input("W", in, out)
-		xw := g.Linear(h, w)
-		xs := g.Index(xw, "src-id", edges)
-		o := g.IndexAdd(xs, "dst-id", "num-dst", dsts)
-		g.SetOutput(o)
+		xw := g.Linear(g.Input("H", numV, in), g.Input("W", in, out))
+		g.SetOutput(g.IndexAdd(g.Index(xw, "src-id", edges), "dst-id", "num-dst", dsts))
 	case SAGE:
 		h := g.Input("H", numV, in)
 		w := g.Input("Wneigh", in, out)
-		hs := g.Index(h, "src-id", edges)
-		msg := g.Linear(hs, w)
-		agg := g.IndexAdd(msg, "dst-id", "num-dst", dsts)
-		g.SetOutput(agg)
+		msg := g.Linear(g.Index(h, "src-id", edges), w)
+		g.SetOutput(g.IndexAdd(msg, "dst-id", "num-dst", dsts))
 	case SAGELSTM:
-		h := g.Input("H", numV, in)
-		hs := g.Index(h, "src-id", edges)
-		agg := g.IndexAdd(hs, "dst-id", "num-dst", dsts)
-		g.SetOutput(agg)
+		hs := g.Index(g.Input("H", numV, in), "src-id", edges)
+		cell := g.LSTM(hs, g.Input("Wx", in, 4*out), g.Input("Wh", out, 4*out), "dst-id", "num-dst", dsts)
+		g.SetOutput(g.Linear(cell, g.Input("Wneigh", out, out)))
 	case GAT:
 		h := g.Input("H", numV, in)
 		w := g.Input("W", in, out)
@@ -71,18 +69,12 @@ func LayerDFG(k ModelKind, numV, numTypes, in, out int) *dfg.Graph {
 		pl := g.Linear(zs, al)
 		pr := g.Linear(zd, ar)
 		s := g.Activation(dfg.OpLeakyReLU, g.EWAdd(pl, pr), 0.2)
-		zs2 := g.Index(z, "src-id", edges)
-		o := g.IndexAdd(zs2, "dst-id", "num-dst", dsts)
-		g.SetOutput(o)
-		g.ExtraOutputs = []*dfg.Node{s}
+		alpha := g.SegmentSoftmax(s, "dst-id")
+		g.SetOutput(g.IndexAdd(g.Scale(g.Index(z, "src-id", edges), alpha), "dst-id", "num-dst", dsts))
 	case RGCN:
-		h := g.Input("H", numV, in)
-		w := g.Input("W", numTypes, in, out)
-		hs := g.Index(h, "src-id", edges)
-		wt := g.Index(w, "edge-type", edges)
-		msg := g.BMM(hs, wt)
-		o := g.IndexAdd(msg, "dst-id", "num-dst", dsts)
-		g.SetOutput(o)
+		hs := g.Index(g.Input("H", numV, in), "src-id", edges)
+		wt := g.Index(g.Input("W", numTypes, in, out), "edge-type", edges)
+		g.SetOutput(g.IndexAdd(g.BMM(hs, wt), "dst-id", "num-dst", dsts))
 	}
 	return g
 }

@@ -17,6 +17,7 @@
 package opt
 
 import (
+	"slices"
 	"strings"
 
 	"wisegraph/internal/core"
@@ -77,11 +78,14 @@ func SelectBest(candidates []*dfg.Graph, stats dfg.TaskStats) (*dfg.Graph, dfg.W
 func score(w dfg.Workload) float64 { return w.FLOPs + 10*w.Bytes }
 
 // ExtractUnique applies unique-value extraction to every Index node whose
-// key is marked duplicated. Returns nil if nothing applied.
+// key is marked duplicated and marks the result Extracted, so every
+// candidate Transform derives from it reports the extraction. Returns nil
+// if nothing applied.
 func ExtractUnique(g *dfg.Graph, info Info) *dfg.Graph {
 	out := g.Clone()
 	applied := false
-	for _, n := range out.Nodes {
+	// range over a copy: each extraction inserts a node into out.Nodes
+	for _, n := range slices.Clone(out.Nodes) {
 		if n.Kind != dfg.OpIndex || strings.Contains(n.IdxKey, ".") {
 			continue
 		}
@@ -112,26 +116,15 @@ func ExtractUnique(g *dfg.Graph, info Info) *dfg.Graph {
 	if !applied {
 		return nil
 	}
+	out.Extracted = true
 	return out
 }
 
 // insertBefore splices newNode into g.Nodes immediately before anchor and
 // assigns it a fresh id.
 func insertBefore(g *dfg.Graph, newNode, anchor *dfg.Node) {
-	maxID := 0
-	for _, n := range g.Nodes {
-		if n.ID > maxID {
-			maxID = n.ID
-		}
-	}
-	newNode.ID = maxID + 1
-	for i, n := range g.Nodes {
-		if n == anchor {
-			g.Nodes = append(g.Nodes[:i], append([]*dfg.Node{newNode}, g.Nodes[i:]...)...)
-			return
-		}
-	}
-	g.Nodes = append(g.Nodes, newNode)
+	newNode.ID = slices.MaxFunc(g.Nodes, func(a, b *dfg.Node) int { return a.ID - b.ID }).ID + 1
+	g.Nodes = slices.Insert(g.Nodes, slices.Index(g.Nodes, anchor), newNode)
 }
 
 // swapOnce applies the first applicable indexing swap in topological order
@@ -180,7 +173,7 @@ func swapOnce(g *dfg.Graph, info Info) bool {
 			if a.Kind == dfg.OpIndex && b.Kind == dfg.OpIndex && a.IdxKey == b.IdxKey &&
 				single(a) && single(b) && a != b {
 				// OP(Index(A,k), Index(B,k)) → Index(OP(A,B), k).
-				swapBinarySameKey(g, op, a, b)
+				swapBinarySameKey(op, a, b)
 				return true
 			}
 		case dfg.OpBMM:
@@ -189,7 +182,7 @@ func swapOnce(g *dfg.Graph, info Info) bool {
 				continue
 			}
 			if a.IdxKey == b.IdxKey {
-				swapBinarySameKey(g, op, a, b)
+				swapBinarySameKey(op, a, b)
 				return true
 			}
 			// The pair merge is only generated over unique-extracted
@@ -206,28 +199,14 @@ func swapOnce(g *dfg.Graph, info Info) bool {
 			}
 			// BMM(Index(A,kA), Index(C,kC)) → Index2D(OuterMM(A,C), kA, kC)
 			// (paper Figure 8b): compute A⊗C once per unique pair, then
-			// 2-D index the result.
-			rowsOut := op.Rows
-			colsOut := append([]int(nil), op.Cols...)
-			fp := colsOut[len(colsOut)-1]
-			dataA, dataC := a.Inputs[0], b.Inputs[0]
+			// 2-D index the result. a becomes the OuterMM node, op the
+			// Index2D node.
 			kA, kC := a.IdxKey, b.IdxKey
-			// a becomes the OuterMM node.
-			a.Kind = dfg.OpOuterMM
-			a.Inputs = []*dfg.Node{dataA, dataC}
-			a.IdxKey = ""
+			a.Kind, a.Inputs, a.IdxKey = dfg.OpOuterMM, []*dfg.Node{a.Inputs[0], b.Inputs[0]}, ""
 			a.Rows = dfg.Card{Kind: dfg.CardUniqPair, Attr: attrA, Attr2: attrB}
-			a.Cols = []int{fp}
-			// op becomes the Index2D node.
-			op.Kind = dfg.OpIndex2D
-			op.Inputs = []*dfg.Node{a}
-			op.IdxKey = kA
-			op.IdxKey2 = kC
-			op.Rows = rowsOut
-			op.Cols = colsOut
-			// b is now dead; Prune removes it.
-			_ = b
-			return true
+			a.Cols = []int{op.Cols[len(op.Cols)-1]}
+			op.Kind, op.Inputs, op.IdxKey, op.IdxKey2 = dfg.OpIndex2D, []*dfg.Node{a}, kA, kC
+			return true // b is now dead; Prune removes it
 		}
 	}
 	return false
@@ -283,8 +262,9 @@ func swapLinearAgg(agg, lin *dfg.Node) {
 }
 
 // swapBinarySameKey re-orders OP(Index(A,k), Index(B,k)) into
-// Index(OP(A,B), k), reusing a as the op node and op as the index node.
-func swapBinarySameKey(g *dfg.Graph, op, a, b *dfg.Node) {
+// Index(OP(A,B), k), reusing a as the op node and op as the index node; b
+// is dead after the rewrite, and Prune removes it.
+func swapBinarySameKey(op, a, b *dfg.Node) {
 	k := a.IdxKey
 	dataA, dataB := a.Inputs[0], b.Inputs[0]
 	outRows := op.Rows
@@ -301,17 +281,12 @@ func swapBinarySameKey(g *dfg.Graph, op, a, b *dfg.Node) {
 	op.IdxKey = k
 	op.Rows = outRows
 	op.Cols = append([]int(nil), outCols...)
-	_ = g
-	_ = b // dead after rewrite; Prune removes it
 }
 
 // keyAttr resolves an index key (possibly a ".unique"/".map" derivative)
 // to its base attribute.
 func keyAttr(info Info, key string) (core.Attr, bool) {
-	base := key
-	if i := strings.IndexByte(key, '.'); i >= 0 {
-		base = key[:i]
-	}
+	base, _, _ := strings.Cut(key, ".")
 	a, ok := info.AttrOf[base]
 	return a, ok
 }

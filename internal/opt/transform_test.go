@@ -1,12 +1,15 @@
 package opt
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"wisegraph/internal/core"
 	"wisegraph/internal/dfg"
+	"wisegraph/internal/nn"
 	"wisegraph/internal/tensor"
 )
 
@@ -236,8 +239,11 @@ func TestGCNSingleIndexSwap(t *testing.T) {
 }
 
 // Property: transformation candidates are always numerically equivalent to
-// the original RGCN DFG on random graphs and inputs.
+// the original DFG on random graphs and inputs — the test-local RGCN copy
+// and the layer DFGs the search transforms (GCN, SAGE with its
+// linear–aggregation commutation, RGCN), every key marked duplicated.
 func TestPropTransformEquivalence(t *testing.T) {
+	allDup := Info{AttrOf: nn.AttrOfKeys(), Dup: map[string]bool{"src-id": true, "edge-type": true, "dst-id": true}}
 	f := func(seed uint64, eSmall, vSmall, tSmall uint8) bool {
 		numV := int(vSmall%10) + 2
 		numT := int(tSmall%3) + 1
@@ -251,20 +257,37 @@ func TestPropTransformEquivalence(t *testing.T) {
 			typ[i] = int32(rng.Intn(numT))
 			dst[i] = int32(rng.Intn(numV))
 		}
-		g := rgcnLayer(numV, numT, 3, 2)
-		env := bindEnv(numV, numT, 3, 2, src, typ, dst, seed^0xabc)
-		want, err := g.Eval(env)
-		if err != nil {
-			return false
+		layers := []struct {
+			g    *dfg.Graph
+			info Info
+		}{
+			{rgcnLayer(numV, numT, 3, 2), rgcnInfo},
+			{nn.LayerDFG(nn.GCN, numV, numT, 3, 2), allDup},
+			{nn.LayerDFG(nn.SAGE, numV, numT, 3, 2), allDup},
+			{nn.LayerDFG(nn.RGCN, numV, numT, 3, 2), allDup},
 		}
-		for _, c := range Transform(g, rgcnInfo) {
-			got, err := c.Eval(env)
+		for _, l := range layers {
+			env := bindEnv(numV, numT, 3, 2, src, typ, dst, seed^0xabc)
+			for _, n := range l.g.Nodes {
+				if n.Kind == dfg.OpInput {
+					v := tensor.New(append([]int{n.Rows.N}, n.Cols...)...)
+					tensor.Uniform(v, rng, -1, 1)
+					env.Tensors[n.Name] = v
+				}
+			}
+			want, err := l.g.Eval(env)
 			if err != nil {
 				return false
 			}
-			for i := range got.Data() {
-				if math.Abs(float64(got.Data()[i]-want.Data()[i])) > 1e-3 {
+			for _, c := range Transform(l.g, l.info) {
+				got, err := c.Eval(env)
+				if err != nil {
 					return false
+				}
+				for i := range got.Data() {
+					if math.Abs(float64(got.Data()[i]-want.Data()[i])) > 1e-3 {
+						return false
+					}
 				}
 			}
 		}
@@ -272,5 +295,43 @@ func TestPropTransformEquivalence(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTransformMovesNoIndexAcrossAttentionOrCell holds GAT's segment
+// softmax and weighting and SAGE-LSTM's cell in place: in every candidate
+// each reads inputs of the same kinds and rows as in the layer's DFG, so
+// no index moves across them.
+func TestTransformMovesNoIndexAcrossAttentionOrCell(t *testing.T) {
+	info := Info{AttrOf: nn.AttrOfKeys(), Dup: map[string]bool{"src-id": true, "edge-type": true, "dst-id": true}}
+	barriers := func(g *dfg.Graph) string {
+		var b strings.Builder
+		for _, n := range g.Nodes {
+			switch n.Kind {
+			case dfg.OpSegmentSoftmax, dfg.OpScale, dfg.OpLSTM:
+				fmt.Fprintf(&b, "%v %v:", n.Kind, n.Rows)
+				for _, in := range n.Inputs {
+					fmt.Fprintf(&b, " %v %v", in.Kind, in.Rows)
+				}
+				b.WriteString("\n")
+			}
+		}
+		return b.String()
+	}
+	for _, kind := range []nn.ModelKind{nn.GAT, nn.SAGELSTM} {
+		g := nn.LayerDFG(kind, 10, 1, 8, 4)
+		want := barriers(g)
+		if want == "" {
+			t.Fatalf("%v: no softmax, weighting or cell node", kind)
+		}
+		cands := Transform(g, info)
+		if len(cands) < 2 {
+			t.Fatalf("%v: nothing to transform", kind)
+		}
+		for ci, c := range cands {
+			if got := barriers(c); got != want {
+				t.Fatalf("%v candidate %d moved an index:\n%s\nwant\n%s\n%s", kind, ci, got, want, c)
+			}
+		}
 	}
 }

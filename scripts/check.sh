@@ -78,9 +78,11 @@ run_filtered() {
 # destination-batch plan (PartitionRows: read off the row pointers, no
 # sort, no scan) must equal the reference and Partition too, in the
 # reuse test interleaved with Partition on one Partitioner so the two
-# share stamp generations.
-run_filtered "parity/determinism" 'Parity|Determin|Reuse|Concurrent|SortedBy' \
-  ./internal/core/ ./internal/graph/ ./internal/joint/
+# share stamp generations. The composed programs
+# (internal/kernels/testdata/programs.golden) and the plans the search
+# picks (internal/joint/testdata/picks.golden) must hold at one P too.
+run_filtered "parity/determinism" 'Parity|Determin|Reuse|Concurrent|SortedBy|Golden' \
+  ./internal/core/ ./internal/graph/ ./internal/joint/ ./internal/kernels/
 
 # The row kernels against their generic oracles — each assembly kernel the
 # CPU has, as a subtest: .../avx512 (where CPUID reports AVX-512) and
