@@ -213,14 +213,7 @@ func ExtStages(cfg Config) (*Table, error) {
 	}
 	h := cfg.hidden()
 	res := joint.Search(ds.Graph, nn.RGCN, h, h, ds.Graph.NumTypes, joint.Options{Spec: spec()})
-	pp := pattern.Analyze(res.Partition, searchAttrs)
-	st := kernels.TaskStatsOf{
-		Edges:    pp.MedianEdges,
-		UniqSrc:  pp.MedianUniq[core.AttrSrcID],
-		UniqDst:  pp.MedianUniq[core.AttrDstID],
-		UniqType: pp.MedianUniq[core.AttrEdgeType],
-		MaxDeg:   pp.MedianEdges/maxIntB(pp.MedianUniq[core.AttrDstID], 1) + 1,
-	}
+	st := pattern.Analyze(res.Partition, searchAttrs).RegularStats()
 	sh := kernels.LayerShape{Kind: nn.RGCN, F: h, Fp: h, Types: ds.Graph.NumTypes}
 	for _, pl := range []struct {
 		name string
@@ -232,14 +225,8 @@ func ExtStages(cfg Config) (*Table, error) {
 	} {
 		prog := kernels.Compose(sh, pl.plan)
 		for _, s := range prog.Stages {
-			var kb, kf float64
-			if s.Elems != nil {
-				kb = s.Elems(st) * 4 / 1e3
-			}
-			if s.FLOPs != nil {
-				kf = s.FLOPs(st) / 1e3
-			}
-			t.AddRow(pl.name, s.Name, s.Kind.String(), f2(kb), f2(kf))
+			flops, bytes := s.Work(st)
+			t.AddRow(pl.name, s.Name, s.Kind.String(), f2(bytes/1e3), f2(flops/1e3))
 		}
 		flops, bytes := prog.Totals(st)
 		t.AddRow(pl.name, "TOTAL", "", f2(bytes/1e3), f2(flops/1e3))
@@ -249,11 +236,4 @@ func ExtStages(cfg Config) (*Table, error) {
 			res.GraphPlan.Name, st.Edges, st.UniqSrc, st.UniqType, st.UniqDst),
 		"edge-wise reloads the weight matrix per edge; batching fetches it once per type; dedup shrinks the matmul to unique (src,type) pairs")
 	return t, nil
-}
-
-func maxIntB(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

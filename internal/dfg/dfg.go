@@ -1,9 +1,10 @@
 // Package dfg implements the data-flow-graph representation of GNN layers
 // (paper §2.1): indexing operations intertwined with neural operations.
 // The DFG is the object WiseGraph's operation partition works on — the
-// transformation rules of §5.2 rewrite it, the cost model of §6.3 prices
-// it, and the interpreter executes it to verify the rewrites are
-// equivalent.
+// transformation rules of §5.2 rewrite it (internal/opt), the gTask
+// compiler of internal/kernels turns it into the micro-kernel program the
+// cost model of §6.3 prices, and the interpreter executes it to verify the
+// rewrites are equivalent.
 package dfg
 
 import (
@@ -97,32 +98,13 @@ const (
 	CardFixed
 )
 
-// Card is a symbolic leading-dimension size, resolved against TaskStats.
+// Card is a symbolic leading-dimension size: the cost model resolves it
+// against a gTask's statistics (kernels.TaskStatsOf).
 type Card struct {
 	Kind  CardKind
 	Attr  core.Attr
 	Attr2 core.Attr
 	N     int
-}
-
-// TaskStats carries the gTask quantities the cost model resolves against.
-type TaskStats struct {
-	Edges int
-	Uniq  map[core.Attr]int
-}
-
-// Resolve returns the concrete row count for stats.
-func (c Card) Resolve(s TaskStats) int {
-	switch c.Kind {
-	case CardEdges:
-		return s.Edges
-	case CardUniq:
-		return s.Uniq[c.Attr]
-	case CardUniqPair:
-		return s.Uniq[c.Attr] * s.Uniq[c.Attr2]
-	default:
-		return c.N
-	}
 }
 
 // Node is one DFG operation.
@@ -159,14 +141,10 @@ func (n *Node) InnerSize() int {
 }
 
 // Graph is a DFG: nodes in topological order with one designated output.
-// Extracted records that unique-value extraction rewrote it (set by the
-// transformation that does, kept by Clone): the DFG the duplication-aware
-// operation plan compiles.
 type Graph struct {
-	Nodes     []*Node
-	Output    *Node
-	Extracted bool
-	nextID    int
+	Nodes  []*Node
+	Output *Node
+	nextID int
 }
 
 // add appends a node, assigning its id.
@@ -265,7 +243,7 @@ func (g *Graph) SetOutput(n *Node) { g.Output = n }
 
 // Clone deep-copies the DFG (nodes and edges; names are shared strings).
 func (g *Graph) Clone() *Graph {
-	out := &Graph{Extracted: g.Extracted, nextID: g.nextID}
+	out := &Graph{nextID: g.nextID}
 	m := make(map[*Node]*Node, len(g.Nodes))
 	for _, n := range g.Nodes {
 		c := *n

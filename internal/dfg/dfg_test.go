@@ -113,43 +113,6 @@ func TestPruneRemovesDeadNodes(t *testing.T) {
 	}
 }
 
-func TestCardResolve(t *testing.T) {
-	s := TaskStats{Edges: 10, Uniq: map[core.Attr]int{core.AttrSrcID: 3, core.AttrEdgeType: 2}}
-	if (Card{Kind: CardEdges}).Resolve(s) != 10 {
-		t.Fatal("CardEdges")
-	}
-	if (Card{Kind: CardUniq, Attr: core.AttrSrcID}).Resolve(s) != 3 {
-		t.Fatal("CardUniq")
-	}
-	if (Card{Kind: CardUniqPair, Attr: core.AttrSrcID, Attr2: core.AttrEdgeType}).Resolve(s) != 6 {
-		t.Fatal("CardUniqPair")
-	}
-	if (Card{Kind: CardFixed, N: 7}).Resolve(s) != 7 {
-		t.Fatal("CardFixed")
-	}
-}
-
-func TestCostSplitsNeuralAndIndexing(t *testing.T) {
-	g := rgcnLayer(100, 4, 16, 8)
-	stats := TaskStats{Edges: 50, Uniq: map[core.Attr]int{
-		core.AttrSrcID: 20, core.AttrEdgeType: 2, core.AttrDstID: 10,
-	}}
-	w := g.Cost(stats)
-	if w.FLOPs <= 0 || w.Bytes <= 0 {
-		t.Fatalf("degenerate workload %+v", w)
-	}
-	// BMM dominates neural FLOPs: 2·E·F·F' = 2·50·16·8 = 12800.
-	if w.NeuralFLOPs < 12800 {
-		t.Fatalf("neural FLOPs %v, want ≥ 12800", w.NeuralFLOPs)
-	}
-	if w.IndexBytes <= 0 || w.IndexBytes >= w.Bytes {
-		t.Fatalf("indexing bytes %v of %v", w.IndexBytes, w.Bytes)
-	}
-	if w.MinParallel <= 0 {
-		t.Fatalf("MinParallel = %d", w.MinParallel)
-	}
-}
-
 func TestUniqueExtractRuntime(t *testing.T) {
 	idx := []int32{5, 3, 5, 5, 3, 9}
 	unique, mapping := UniqueExtract(idx)

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"wisegraph/internal/core"
 	"wisegraph/internal/tensor"
 )
 
@@ -96,41 +95,4 @@ func mustPanic(t *testing.T, what string, fn func()) {
 		}
 	}()
 	fn()
-}
-
-func TestNodeCostAllKinds(t *testing.T) {
-	// every node kind must price non-negatively and inputs price as zero
-	g := rgcnLayer(10, 2, 4, 4)
-	stats := TaskStats{Edges: 8, Uniq: map[core.Attr]int{
-		core.AttrSrcID: 4, core.AttrEdgeType: 2, core.AttrDstID: 3,
-	}}
-	for _, n := range g.Nodes {
-		w := NodeCost(n, stats)
-		if n.Kind == OpInput && (w.FLOPs != 0 || w.Bytes != 0) {
-			t.Fatal("inputs must be free (priced by consumers)")
-		}
-		if w.FLOPs < 0 || w.Bytes < 0 {
-			t.Fatalf("negative cost for %v", n.Kind)
-		}
-	}
-	// Index2D and OuterMM node costs via a transformed graph
-	g2 := &Graph{}
-	x := g2.Input("X", 4, 3)
-	w := g2.Input("W", 2, 3, 2)
-	o := g2.OuterMM(x, w, Card{Kind: CardUniqPair, Attr: core.AttrSrcID, Attr2: core.AttrEdgeType})
-	idx := g2.Index2D(o.Reshape3D(), "r", "c", Card{Kind: CardEdges})
-	_ = idx
-	g2.SetOutput(idx)
-	cw := g2.Cost(stats)
-	if cw.FLOPs <= 0 {
-		t.Fatal("OuterMM cost missing")
-	}
-}
-
-// Reshape3D is a test helper: Index2D requires ≥2 leading dims in Cols;
-// OuterMM output already models [m·n, F'] so fake a 2-D col shape.
-func (n *Node) Reshape3D() *Node {
-	c := *n
-	c.Cols = []int{2, 1}
-	return &c
 }

@@ -165,3 +165,33 @@ func TestSearchLSTMPrefersDegreePlans(t *testing.T) {
 		t.Fatalf("LSTM plan %v does not batch destinations", res.GraphPlan)
 	}
 }
+
+// TestDedupSweptOnlyOnExtractedKeys: on a graph where only destinations
+// repeat — 64 destinations, each with 32 in-edges from sources no other
+// edge uses — no task duplicates a key the dedup program extracts, so
+// GAT's search prices no dedup plan. A repeated destination is the task's
+// output, not duplicated data.
+func TestDedupSweptOnlyOnExtractedKeys(t *testing.T) {
+	const dsts, fan = 64, 32
+	g := &graph.Graph{NumVertices: dsts + dsts*fan, NumTypes: 1}
+	for d := 0; d < dsts; d++ {
+		for s := 0; s < fan; s++ {
+			g.Src = append(g.Src, int32(dsts+d*fan+s))
+			g.Dst = append(g.Dst, int32(d))
+			g.Type = append(g.Type, 0)
+		}
+	}
+	res := Search(g, nn.GAT, 64, 64, 1, Options{Spec: device.A100()})
+	swept := 0
+	for _, st := range res.Trace {
+		if st.Stage == "operation-partition" && strings.Contains(st.Desc, "dedup=true") {
+			t.Errorf("dedup swept: %s", st.Desc)
+		}
+		if st.Stage == "operation-partition" {
+			swept++
+		}
+	}
+	if swept == 0 {
+		t.Fatal("no operation plan swept")
+	}
+}

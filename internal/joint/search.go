@@ -173,12 +173,13 @@ func Search(g *graph.Graph, kind nn.ModelKind, f, fp, numTypes int, opts Options
 
 	// ---- Concurrent evaluation ----
 	// Work item 0 is the initial plan (stage 1 only); the rest are the
-	// candidates, which also get the stage-2 operation-plan sweep: for
-	// every surviving graph plan, the DFG transformation engine decides —
-	// from that plan's own gTask-level data patterns — whether
-	// duplication-aware rewrites pay off, then the kernel plans are swept.
-	// Tuning per graph plan is what makes the search *joint*: the best
-	// operation plan differs across graph plans (paper §1).
+	// candidates, which also get the stage-2 operation-plan sweep: every
+	// surviving graph plan is priced with batched kernels and, where its
+	// own gTask-level data pattern duplicates a key that unique extraction
+	// rewrites in the layer's DFG, with the dedup program too. Both are
+	// the program kernels.Compose compiles, so the one cost model ranks
+	// them. Tuning per graph plan is what makes the search *joint*: the
+	// best operation plan differs across graph plans (paper §1).
 	items := append([]core.GraphPlan{init}, candidates...)
 	evals := make([]*candEval, len(items))
 	parallel.For(len(items), 1, func(i int) {
@@ -186,20 +187,12 @@ func Search(g *graph.Graph, kind nn.ModelKind, f, fp, numTypes int, opts Options
 		part := partitionOf(gp)
 		ev := &candEval{gp: gp, part: part, naiveSecs: uniformSecs(part, kernels.Plan{})}
 		if i > 0 {
-			pp := pattern.Analyze(part, statAttrs)
-			dup := map[string]bool{
-				"src-id":    pp.Duplicated(core.AttrSrcID),
-				"edge-type": pp.Duplicated(core.AttrEdgeType),
-				"dst-id":    pp.Duplicated(core.AttrDstID),
-			}
+			opPlans := []kernels.Plan{{Batched: true}}
 			// Each worker builds its own layer DFG: construction is cheap
 			// and deterministic, and it keeps candidates free of shared
 			// mutable state.
-			layerDFG := nn.LayerDFG(kind, g.NumVertices, numTypes, f, fp)
-			cands := opt.Transform(layerDFG, opt.Info{AttrOf: nn.AttrOfKeys(), Dup: dup})
-			bestDFG, _ := opt.SelectBest(cands, pp.RegularStats())
-			opPlans := []kernels.Plan{{Batched: true}}
-			if bestDFG.Extracted {
+			info := kernels.DedupInfo(pattern.Analyze(part, statAttrs).Duplicated)
+			if opt.ExtractUnique(nn.LayerDFG(kind, g.NumVertices, numTypes, f, fp), info) != nil {
 				opPlans = append(opPlans, kernels.Plan{Batched: true, Dedup: true})
 			}
 			for _, op := range opPlans {

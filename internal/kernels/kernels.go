@@ -8,8 +8,9 @@
 // unique-extracted DFG, and tasks without batched data are priced edge
 // by edge.
 //
-// The package provides the per-task cost model (consumed by the joint
-// optimizer and the bench harness) and the executor, which computes a
+// The package provides the per-task cost model — the only one the
+// operation partition is ranked by, read by the joint optimizer and the
+// bench harness — and the executor, which computes a
 // layer as the model's nn layer over the partition's edge order. The
 // operation plan and the engine change only the device accounting, never
 // the arithmetic.
@@ -26,9 +27,11 @@ import (
 // Plan is an operation partition plan for a given graph partition.
 type Plan struct {
 	// Dedup prices the DFG after unique-value extraction of the
-	// source-side keys: work per unique (src[,type]) value instead of per
-	// edge. The search sets it when the DFG it selects is Extracted; it
-	// implies Batched.
+	// source-side keys (src-id, edge-type; see DedupInfo): work per unique
+	// (src[,type]) value instead of per edge. The search sweeps it, next to
+	// the plan without it, where the graph plan's tasks duplicate one of
+	// those keys, and keeps whichever program is cheaper; it implies
+	// Batched.
 	Dedup bool
 	// Batched prices batched micro-kernels; false prices edge-by-edge
 	// processing (the paper's Figure 10b vs 10c).
@@ -84,21 +87,26 @@ type TaskStatsOf struct {
 // StatsOf reads task ti's statistics from the partition. Attributes not
 // collected default to worst case (no duplication).
 func StatsOf(p *core.Partition, ti int) TaskStatsOf {
-	s := TaskStatsOf{Edges: p.TaskLen(ti)}
+	edges := p.TaskLen(ti)
 	get := func(a core.Attr) int {
 		if p.Uniq[a] == nil {
-			return s.Edges
+			return edges
 		}
 		return int(p.TaskUniq(ti, a))
 	}
-	s.UniqSrc = get(core.AttrSrcID)
-	s.UniqDst = get(core.AttrDstID)
-	s.UniqType = get(core.AttrEdgeType)
-	// MaxDeg is not the largest per-dst run but its lower bound, the
-	// ceiling of edges ÷ unique destinations: no pass over the task's
-	// edges measures the runs, so LSTM costing prices the padding of
-	// evenly spread destinations.
-	s.MaxDeg = (s.Edges + s.UniqDst - 1) / s.UniqDst
+	return NewTaskStats(edges, get(core.AttrSrcID), get(core.AttrDstID), get(core.AttrEdgeType))
+}
+
+// NewTaskStats returns the statistics of a task with the given edge and
+// unique-value counts. MaxDeg is not the largest per-dst run but its lower
+// bound, the ceiling of edges ÷ unique destinations: no pass over the
+// task's edges measures the runs, so LSTM costing prices the padding of
+// evenly spread destinations.
+func NewTaskStats(edges, uniqSrc, uniqDst, uniqType int) TaskStatsOf {
+	s := TaskStatsOf{Edges: edges, UniqSrc: uniqSrc, UniqDst: uniqDst, UniqType: uniqType}
+	if uniqDst > 0 {
+		s.MaxDeg = (edges + uniqDst - 1) / uniqDst
+	}
 	return s
 }
 

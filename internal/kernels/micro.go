@@ -48,17 +48,40 @@ type Stage struct {
 	Elems func(TaskStatsOf) float64
 	// FLOPs returns the stage's arithmetic work (nil for pure movement).
 	FLOPs func(TaskStatsOf) float64
+	// Indexing marks a stage compiled from an indexing node (a gather or
+	// the aggregation), the indexing half of the paper's Fig. 3b/17 split.
+	Indexing bool
+}
+
+// Work returns the stage's arithmetic and global-memory bytes for a task.
+func (s Stage) Work(st TaskStatsOf) (flops, bytes float64) {
+	if s.Elems != nil {
+		bytes = s.Elems(st) * fb
+	}
+	if s.FLOPs != nil {
+		flops = s.FLOPs(st)
+	}
+	return flops, bytes
 }
 
 // Program is a composed fused kernel: the stage sequence plus the row
 // counts of its batched matrix micro-kernels, which qualify the compute
 // stages for tensor cores when one fills a 16-row tile.
+//
+// Dense holds the DFG's nodes outside the fused kernel, compiled the same
+// way at the rows the DFG gives them: nodes over fixed rows (GCN's XW) and
+// nodes after the aggregation (SAGE's neighbour weight once indexing
+// swapping moved it there). DenseKernels launches that work, so Totals,
+// TC and every task price leave it out; it lets two DFGs of one layer be
+// compared on the same work (Fig. 17).
 type Program struct {
 	Stages []Stage
+	Dense  []Stage
 	mmRows []dfg.Card
 }
 
-// Totals sums the program's work over a task's statistics.
+// Totals sums the fused kernel's work over a task's statistics. It prices
+// every task of every call, so it sums in place rather than through Work.
 func (p Program) Totals(st TaskStatsOf) (flops, bytes float64) {
 	for _, s := range p.Stages {
 		if s.Elems != nil {
@@ -103,19 +126,42 @@ var programs = struct {
 	m map[programKey]Program
 }{m: map[programKey]Program{}}
 
+// dedupKeys are the index keys a Dedup plan extracts the unique values of:
+// the source-side rows a task loads. A task's destinations are its output
+// rows, loaded by nothing, so a repeated dst-id is no duplicated data to
+// the program.
+var dedupKeys = [...]string{"src-id", "edge-type"}
+
+// DedupInfo returns the transformation input for the dedupKeys: a key is
+// duplicated when dup holds for its edge attribute. The search passes the
+// plan's data pattern, Compose the plan's Dedup flag.
+func DedupInfo(dup func(core.Attr) bool) opt.Info {
+	attrOf := nn.AttrOfKeys()
+	marked := make(map[string]bool, len(dedupKeys))
+	for _, k := range dedupKeys {
+		marked[k] = dup(attrOf[k])
+	}
+	return opt.Info{AttrOf: attrOf, Dup: marked}
+}
+
+// Transformed returns the DFG an operation plan compiles from g: g as the
+// transformations of §5.2 leave it (the last candidate of opt.Transform),
+// with plan.Dedup after unique extraction of the dedupKeys, without it
+// after indexing swapping alone.
+func Transformed(g *dfg.Graph, plan Plan) *dfg.Graph {
+	chain := opt.Transform(g, DedupInfo(func(core.Attr) bool { return plan.Dedup }))
+	return chain[len(chain)-1]
+}
+
 // Compose builds the fused-kernel program for a layer under an operation
-// plan — the kernel-generation step of the paper's Figure 10. It compiles
-// the layer's DFG (nn.LayerDFG) as the transformations of §5.2 leave it
-// (the last candidate of opt.Transform): with plan.Dedup, after unique
-// extraction of the source-side keys (src-id, edge-type); without, after
-// indexing swapping alone. Batched data compiles to batch-loading and
-// matrix micro-kernels, its absence to the edge-by-edge fallback.
+// plan — the kernel-generation step of the paper's Figure 10: the layer's
+// DFG (nn.LayerDFG), Transformed under the plan, compiled by CompileDFG.
 func Compose(sh LayerShape, plan Plan) Program {
 	programs.Lock()
 	defer programs.Unlock()
 	p, ok := programs.m[programKey{sh, plan}]
 	if !ok {
-		p = compile(sh, plan)
+		p = CompileDFG(Transformed(nn.LayerDFG(sh.Kind, 1, sh.Types, sh.F, sh.Fp), plan), plan.Batched)
 		programs.m[programKey{sh, plan}] = p
 	}
 	return p
@@ -125,25 +171,34 @@ func Compose(sh LayerShape, plan Plan) Program {
 // in dependency order. Nodes that compile to the same micro-kernel add
 // their work to its one stage.
 type compiler struct {
-	batched bool
-	prog    Program
-	stage   map[string]int     // stage name → index in prog.Stages
-	loaded  map[string]bool    // index arrays already read by the task
-	after   map[*dfg.Node]bool // visited nodes: whether each follows the aggregation
+	batched  bool
+	prog     Program
+	stage    map[string]int     // stage name → index in prog.Stages
+	loaded   map[string]bool    // index arrays already read by the task
+	after    map[*dfg.Node]bool // visited nodes: whether each follows the aggregation
+	dense    *compiler          // compiles the nodes outside the fused kernel
+	indexing bool               // the node being compiled is an indexing one
 }
 
-func compile(sh LayerShape, plan Plan) Program {
-	dup := map[string]bool{"src-id": plan.Dedup, "edge-type": plan.Dedup}
-	chain := opt.Transform(nn.LayerDFG(sh.Kind, 1, sh.Types, sh.F, sh.Fp), opt.Info{AttrOf: nn.AttrOfKeys(), Dup: dup})
-	c := &compiler{batched: plan.Batched, stage: map[string]int{}, loaded: map[string]bool{}, after: map[*dfg.Node]bool{}}
-	c.visit(chain[len(chain)-1].Output)
+func newCompiler(batched bool) *compiler {
+	return &compiler{batched: batched, stage: map[string]int{}, loaded: map[string]bool{}, after: map[*dfg.Node]bool{}}
+}
+
+// CompileDFG compiles a layer DFG into its gTask program, walking from the
+// output, inputs first. batched compiles batch-loading and matrix
+// micro-kernels, its absence the edge-by-edge fallback.
+func CompileDFG(g *dfg.Graph, batched bool) Program {
+	c := newCompiler(batched)
+	c.dense = newCompiler(batched)
+	c.visit(g.Output)
+	c.prog.Dense = c.dense.prog.Stages
 	return c.prog
 }
 
 // visit compiles n's inputs, then n, and reports whether n follows the
-// aggregation. Nodes over fixed rows (inputs, and dense kernels such as
-// GCN's XW) and nodes that follow the aggregation (SAGE's Linear) are
-// DenseKernels' and compile to nothing.
+// aggregation. Nodes over fixed rows (dense kernels such as GCN's XW) and
+// nodes that follow the aggregation (SAGE's Linear once swapped) are
+// DenseKernels' and compile to Program.Dense; inputs compile to nothing.
 func (c *compiler) visit(n *dfg.Node) bool {
 	if after, ok := c.after[n]; ok {
 		return after
@@ -154,7 +209,11 @@ func (c *compiler) visit(n *dfg.Node) bool {
 		after = after || a || in.Kind == dfg.OpIndexAdd || in.Kind == dfg.OpLSTM
 	}
 	c.after[n] = after
-	if n.Rows.Kind != dfg.CardFixed && !after {
+	switch {
+	case n.Kind == dfg.OpInput:
+	case n.Rows.Kind == dfg.CardFixed || after:
+		c.dense.node(n)
+	default:
 		c.node(n)
 	}
 	return after
@@ -162,6 +221,7 @@ func (c *compiler) visit(n *dfg.Node) bool {
 
 // node compiles one gTask-level node (see DESIGN.md's node → stage table).
 func (c *compiler) node(n *dfg.Node) {
+	c.indexing = n.Kind.IsIndexing()
 	in := n.Inputs[0]
 	rows, inner := n.Rows, float64(n.InnerSize())
 	per := func(card dfg.Card, k float64) func(TaskStatsOf) float64 {
@@ -190,15 +250,24 @@ func (c *compiler) node(n *dfg.Node) {
 		// the pair products stay in the task's buffer: the two maps move
 		c.index("load-2d-maps", n.IdxKey)
 		c.index("load-2d-maps", n.IdxKey2)
-	case dfg.OpBMM, dfg.OpOuterMM:
+	case dfg.OpLinear, dfg.OpBMM, dfg.OpOuterMM:
 		mm := 2 * float64(in.InnerSize()) * inner
+		if n.Kind == dfg.OpLinear {
+			// one shared weight: fetched once by a batch, per row without one
+			w := float64(n.Inputs[1].InnerSize()) * float64(n.Inputs[1].Rows.N)
+			if c.batched {
+				c.add(StageLoadWeights, "load-weights", func(TaskStatsOf) float64 { return w }, nil)
+			} else {
+				c.add(StageLoadWeights, "reload-weights-per-edge", per(rows, w), nil)
+			}
+		}
 		switch {
 		case !c.batched:
 			c.add(StageCompute, "vec-mat-per-edge", nil, per(rows, mm))
-		case n.Kind == dfg.OpBMM:
-			c.add(StageCompute, "batched-mm", nil, per(rows, mm))
-		default:
+		case n.Kind == dfg.OpOuterMM:
 			c.add(StageCompute, "outer-mm", nil, per(rows, mm))
+		default:
+			c.add(StageCompute, "batched-mm", nil, per(rows, mm))
 		}
 		if c.batched {
 			c.prog.mmRows = append(c.prog.mmRows, rows)
@@ -252,7 +321,7 @@ func (c *compiler) add(kind StageKind, name string, elems, flops func(TaskStatsO
 	i, ok := c.stage[name]
 	if !ok {
 		c.stage[name] = len(c.prog.Stages)
-		c.prog.Stages = append(c.prog.Stages, Stage{Kind: kind, Name: name, Elems: elems, FLOPs: flops})
+		c.prog.Stages = append(c.prog.Stages, Stage{Kind: kind, Name: name, Elems: elems, FLOPs: flops, Indexing: c.indexing})
 		return
 	}
 	s := &c.prog.Stages[i]

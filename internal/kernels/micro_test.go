@@ -1,10 +1,16 @@
 package kernels
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
+	"wisegraph/internal/core"
+	"wisegraph/internal/device"
+	"wisegraph/internal/dfg"
 	"wisegraph/internal/nn"
+	"wisegraph/internal/opt"
 )
 
 func TestComposeProgramsForAllModelsAndPlans(t *testing.T) {
@@ -92,6 +98,98 @@ func TestStageKindNames(t *testing.T) {
 	for k := StageLoad; k <= StageReduce; k++ {
 		if k.String() == "" {
 			t.Fatalf("stage kind %d unnamed", k)
+		}
+	}
+}
+
+// TestTaskStatsRows resolves every kind of DFG row count against a task's
+// statistics.
+func TestTaskStatsRows(t *testing.T) {
+	st := NewTaskStats(10, 3, 4, 2)
+	for _, c := range []struct {
+		card dfg.Card
+		want float64
+	}{
+		{dfg.Card{Kind: dfg.CardEdges}, 10},
+		{dfg.Card{Kind: dfg.CardUniq, Attr: core.AttrSrcID}, 3},
+		{dfg.Card{Kind: dfg.CardUniq, Attr: core.AttrDstID}, 4},
+		{dfg.Card{Kind: dfg.CardUniq, Attr: core.AttrEdgeType}, 2},
+		{dfg.Card{Kind: dfg.CardUniqPair, Attr: core.AttrSrcID, Attr2: core.AttrEdgeType}, 6},
+		{dfg.Card{Kind: dfg.CardFixed, N: 7}, 7},
+	} {
+		if got := st.rows(c.card); got != c.want {
+			t.Fatalf("rows(%+v) = %v, want %v", c.card, got, c.want)
+		}
+	}
+	if st.MaxDeg != 3 {
+		t.Fatalf("MaxDeg = %d, want ⌈10 ÷ 4⌉ = 3", st.MaxDeg)
+	}
+}
+
+// TestEveryCandidateCompiles compiles every candidate of every model's
+// transformation chain — no key, each key and all keys duplicated —
+// batched and edge by edge: each program has a stage, and every stage,
+// in the fused kernel or outside it, does non-negative work.
+func TestEveryCandidateCompiles(t *testing.T) {
+	dups := []map[string]bool{{}}
+	all := map[string]bool{}
+	for key := range nn.AttrOfKeys() {
+		dups = append(dups, map[string]bool{key: true})
+		all[key] = true
+	}
+	dups = append(dups, all)
+	for kind := nn.ModelKind(0); kind < nn.NumModels; kind++ {
+		for _, dup := range dups {
+			for ci, c := range opt.Transform(nn.LayerDFG(kind, 10, 4, 32, 16), opt.Info{AttrOf: nn.AttrOfKeys(), Dup: dup}) {
+				for _, batched := range []bool{false, true} {
+					p := CompileDFG(c, batched)
+					what := fmt.Sprintf("%v dup=%v candidate %d batched=%v", kind, dup, ci, batched)
+					if len(p.Stages) == 0 {
+						t.Fatalf("%s: no stage", what)
+					}
+					for _, s := range slices.Concat(p.Stages, p.Dense) {
+						for _, st := range goldenPoints {
+							if flops, bytes := s.Work(st); !(flops >= 0 && bytes >= 0) {
+								t.Fatalf("%s: stage %s flops=%v bytes=%v", what, s.Name, flops, bytes)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDedupProgramWinsOnlyWhenPairsFew prices RGCN's dedup program against
+// the batched one: cheaper on a task whose (src, type) pairs are few,
+// dearer when the pairs far outnumber the edges, where the outer product
+// spends its work on combinations no edge uses.
+func TestDedupProgramWinsOnlyWhenPairsFew(t *testing.T) {
+	sh := LayerShape{Kind: nn.RGCN, F: 32, Fp: 16, Types: 128}
+	spec := device.A100()
+	secs := func(st TaskStatsOf, plan Plan) float64 { return CostTask(spec, sh, st, plan).Seconds }
+	few := NewTaskStats(2000, 20, 100, 1)
+	if d, b := secs(few, Plan{Batched: true, Dedup: true}), secs(few, Plan{Batched: true}); d >= b {
+		t.Fatalf("20 pairs over 2000 edges: dedup %v s, batched %v s", d, b)
+	}
+	many := NewTaskStats(50, 50, 50, 100)
+	if d, b := secs(many, Plan{Batched: true, Dedup: true}), secs(many, Plan{Batched: true}); d <= b {
+		t.Fatalf("5000 pairs over 50 edges: dedup %v s, batched %v s", d, b)
+	}
+}
+
+// TestStagesSplitIndexingFromNeural: a stage is an indexing one exactly
+// when an indexing node compiled to it — SAGE's gathers and aggregation,
+// not its neighbour weight, before and after the weight moves past the
+// aggregation.
+func TestStagesSplitIndexingFromNeural(t *testing.T) {
+	orig := CompileDFG(nn.LayerDFG(nn.SAGE, 1, 1, 32, 16), true)
+	swapped := Compose(LayerShape{Kind: nn.SAGE, F: 32, Fp: 16}, Plan{Batched: true})
+	want := map[string]bool{"load-src": true, "load-ids": true, "accumulate": true, "reduce-dst": true,
+		"load-weights": false, "batched-mm": false}
+	for _, s := range slices.Concat(orig.Stages, orig.Dense, swapped.Stages, swapped.Dense) {
+		if w, ok := want[s.Name]; !ok || s.Indexing != w {
+			t.Fatalf("stage %s: indexing=%v, want %v (known %v)", s.Name, s.Indexing, w, ok)
 		}
 	}
 }

@@ -22,35 +22,49 @@ var goldenPoints = []TaskStatsOf{
 // TestProgramsGolden holds every composed program — model × operation
 // plan, stage by stage — to testdata/programs.golden: each stage's name,
 // kind, elements and FLOPs, then the program's totals and tensor-core
-// eligibility, at goldenPoints. A change to the cost model shows as a
+// eligibility, at goldenPoints. Then, per model, the stages outside the
+// fused kernel (Program.Dense) of each composed program, and the programs
+// of the untransformed layer DFG, edge by edge and batched, that Fig. 17
+// compares the composed ones with. A change to the cost model shows as a
 // diff of that file; go test -run ProgramsGolden -update rewrites it.
 func TestProgramsGolden(t *testing.T) {
 	var b strings.Builder
-	for kind := nn.ModelKind(0); kind < nn.NumModels; kind++ {
-		sh := LayerShape{Kind: kind, F: 32, Fp: 16, Types: 4}
-		for _, plan := range []Plan{{}, {Batched: true}, {Batched: true, Dedup: true}} {
-			p := Compose(sh, plan)
-			head := fmt.Sprintf("%v dedup=%v batched=%v", kind, plan.Dedup, plan.Batched)
-			for _, s := range p.Stages {
-				fmt.Fprintf(&b, "%s %s %s", head, s.Name, s.Kind)
-				for _, st := range goldenPoints {
-					var elems, flops float64
-					if s.Elems != nil {
-						elems = s.Elems(st)
-					}
-					if s.FLOPs != nil {
-						flops = s.FLOPs(st)
-					}
-					fmt.Fprintf(&b, " | elems=%g flops=%g", elems, flops)
-				}
-				b.WriteString("\n")
-			}
-			fmt.Fprintf(&b, "%s TOTAL", head)
+	stages := func(head string, ss []Stage) {
+		for _, s := range ss {
+			fmt.Fprintf(&b, "%s %s %s", head, s.Name, s.Kind)
 			for _, st := range goldenPoints {
-				flops, bytes := p.Totals(st)
-				fmt.Fprintf(&b, " | flops=%g bytes=%g tc=%v", flops, bytes, p.TC(st))
+				flops, bytes := s.Work(st)
+				fmt.Fprintf(&b, " | elems=%g flops=%g", bytes/fb, flops)
 			}
 			b.WriteString("\n")
+		}
+	}
+	program := func(head string, p Program) {
+		stages(head, p.Stages)
+		fmt.Fprintf(&b, "%s TOTAL", head)
+		for _, st := range goldenPoints {
+			flops, bytes := p.Totals(st)
+			fmt.Fprintf(&b, " | flops=%g bytes=%g tc=%v", flops, bytes, p.TC(st))
+		}
+		b.WriteString("\n")
+	}
+	plans := []Plan{{}, {Batched: true}, {Batched: true, Dedup: true}}
+	for kind := nn.ModelKind(0); kind < nn.NumModels; kind++ {
+		sh := LayerShape{Kind: kind, F: 32, Fp: 16, Types: 4}
+		for _, plan := range plans {
+			program(fmt.Sprintf("%v dedup=%v batched=%v", kind, plan.Dedup, plan.Batched), Compose(sh, plan))
+		}
+	}
+	for kind := nn.ModelKind(0); kind < nn.NumModels; kind++ {
+		sh := LayerShape{Kind: kind, F: 32, Fp: 16, Types: 4}
+		for _, plan := range plans {
+			stages(fmt.Sprintf("%v dedup=%v batched=%v dense", kind, plan.Dedup, plan.Batched), Compose(sh, plan).Dense)
+		}
+		for _, batched := range []bool{false, true} {
+			p := CompileDFG(nn.LayerDFG(kind, 1, sh.Types, sh.F, sh.Fp), batched)
+			head := fmt.Sprintf("%v original batched=%v", kind, batched)
+			program(head, p)
+			stages(head+" dense", p.Dense)
 		}
 	}
 	checkGolden(t, "testdata/programs.golden", b.String())

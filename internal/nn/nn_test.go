@@ -261,12 +261,6 @@ func TestLayerDFGsBuild(t *testing.T) {
 		if len(g.Nodes) < 3 {
 			t.Fatalf("%v: suspiciously small DFG", kind)
 		}
-		// cost must be positive
-		stats := statsFor(50, 30, 20, 3)
-		w := g.Cost(stats)
-		if w.FLOPs <= 0 && w.Bytes <= 0 {
-			t.Fatalf("%v: zero workload", kind)
-		}
 	}
 }
 

@@ -12,8 +12,10 @@
 //     Index-2D over an all-pairs (OuterMM) computation.
 //
 // Transform generates the chain of candidate DFGs these rules produce
-// (paper Figure 9 steps a→e); SelectBest picks the cheapest under the
-// workload cost model for a given gTask's statistics.
+// (paper Figure 9 steps a→e). The package ranks none of them: the gTask
+// compiler of internal/kernels compiles the chain's last candidate into
+// the program the operation plan is priced by, and the joint search
+// compares the plans' programs.
 package opt
 
 import (
@@ -58,29 +60,8 @@ func Transform(g *dfg.Graph, info Info) []*dfg.Graph {
 	return candidates
 }
 
-// SelectBest returns the candidate with the least modeled FLOPs+bytes time
-// proxy for the given stats, together with its workload.
-func SelectBest(candidates []*dfg.Graph, stats dfg.TaskStats) (*dfg.Graph, dfg.Workload) {
-	best := candidates[0]
-	bestW := best.Cost(stats)
-	bestScore := score(bestW)
-	for _, c := range candidates[1:] {
-		w := c.Cost(stats)
-		if s := score(w); s < bestScore {
-			best, bestW, bestScore = c, w, s
-		}
-	}
-	return best, bestW
-}
-
-// score is a simple device-free proxy: FLOPs weighted by a nominal 10
-// FLOP/byte balance so pure data movement is not free.
-func score(w dfg.Workload) float64 { return w.FLOPs + 10*w.Bytes }
-
 // ExtractUnique applies unique-value extraction to every Index node whose
-// key is marked duplicated and marks the result Extracted, so every
-// candidate Transform derives from it reports the extraction. Returns nil
-// if nothing applied.
+// key is marked duplicated. Returns nil if nothing applied.
 func ExtractUnique(g *dfg.Graph, info Info) *dfg.Graph {
 	out := g.Clone()
 	applied := false
@@ -116,7 +97,6 @@ func ExtractUnique(g *dfg.Graph, info Info) *dfg.Graph {
 	if !applied {
 		return nil
 	}
-	out.Extracted = true
 	return out
 }
 
@@ -125,6 +105,13 @@ func ExtractUnique(g *dfg.Graph, info Info) *dfg.Graph {
 func insertBefore(g *dfg.Graph, newNode, anchor *dfg.Node) {
 	newNode.ID = slices.MaxFunc(g.Nodes, func(a, b *dfg.Node) int { return a.ID - b.ID }).ID + 1
 	g.Nodes = slices.Insert(g.Nodes, slices.Index(g.Nodes, anchor), newNode)
+}
+
+// moveBefore moves n to just before anchor, which follows it in g.Nodes.
+func moveBefore(g *dfg.Graph, n, anchor *dfg.Node) {
+	i, j := slices.Index(g.Nodes, n), slices.Index(g.Nodes, anchor)
+	copy(g.Nodes[i:j-1], g.Nodes[i+1:j])
+	g.Nodes[j-1] = n
 }
 
 // swapOnce applies the first applicable indexing swap in topological order
@@ -200,12 +187,14 @@ func swapOnce(g *dfg.Graph, info Info) bool {
 			// BMM(Index(A,kA), Index(C,kC)) → Index2D(OuterMM(A,C), kA, kC)
 			// (paper Figure 8b): compute A⊗C once per unique pair, then
 			// 2-D index the result. a becomes the OuterMM node, op the
-			// Index2D node.
+			// Index2D node. a now reads C, which may sit after it, so a
+			// moves to just before op, which follows both of its inputs.
 			kA, kC := a.IdxKey, b.IdxKey
 			a.Kind, a.Inputs, a.IdxKey = dfg.OpOuterMM, []*dfg.Node{a.Inputs[0], b.Inputs[0]}, ""
 			a.Rows = dfg.Card{Kind: dfg.CardUniqPair, Attr: attrA, Attr2: attrB}
 			a.Cols = []int{op.Cols[len(op.Cols)-1]}
 			op.Kind, op.Inputs, op.IdxKey, op.IdxKey2 = dfg.OpIndex2D, []*dfg.Node{a}, kA, kC
+			moveBefore(g, a, op)
 			return true // b is now dead; Prune removes it
 		}
 	}

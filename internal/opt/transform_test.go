@@ -118,70 +118,44 @@ func TestTransformCandidatesAllEquivalentRGCN(t *testing.T) {
 	}
 }
 
-func TestTransformReducesNeuralWorkloadWithDuplication(t *testing.T) {
-	g := rgcnLayer(100, 4, 32, 16)
-	// heavy duplication: 1000 edges but only 10 unique srcs, 1 type
-	stats := dfg.TaskStats{Edges: 1000, Uniq: map[core.Attr]int{
-		core.AttrSrcID: 10, core.AttrEdgeType: 1, core.AttrDstID: 50,
-	}}
-	cands := Transform(g, rgcnInfo)
-	origW := g.Cost(stats)
-	_, bestW := SelectBest(cands, stats)
-	if bestW.NeuralFLOPs >= origW.NeuralFLOPs {
-		t.Fatalf("transformation did not reduce neural work: %v vs %v", bestW.NeuralFLOPs, origW.NeuralFLOPs)
-	}
-	// Paper Figure 17: RGCN on AR reduces neural computation by ~92.7%.
-	// With 10×1 unique pairs vs 1000 edges the reduction is 99%.
-	reduction := 1 - bestW.NeuralFLOPs/origW.NeuralFLOPs
-	if reduction < 0.9 {
-		t.Fatalf("neural reduction = %.3f, want ≥ 0.9", reduction)
-	}
-}
-
 func TestTransformKeepsOriginalWithoutDuplication(t *testing.T) {
 	g := rgcnLayer(100, 4, 32, 16)
 	// no duplication: every edge has a distinct src and type pair
-	stats := dfg.TaskStats{Edges: 10, Uniq: map[core.Attr]int{
-		core.AttrSrcID: 10, core.AttrEdgeType: 4, core.AttrDstID: 10,
-	}}
 	noDup := Info{AttrOf: rgcnInfo.AttrOf, Dup: map[string]bool{}}
 	cands := Transform(g, noDup)
-	if len(cands) != 1 {
-		t.Fatalf("without duplication only the original should remain, got %d", len(cands))
-	}
-	best, _ := SelectBest(cands, stats)
-	if best != g {
-		t.Fatal("best must be the original DFG")
+	if len(cands) != 1 || cands[0] != g {
+		t.Fatalf("without duplication only the original should remain, got %d candidates", len(cands))
 	}
 }
 
-func TestSelectBestPrefersOuterOnlyWhenPairsSmall(t *testing.T) {
-	g := rgcnLayer(1000, 128, 32, 16)
-	cands := Transform(g, rgcnInfo)
-	// Case A: few unique pairs → outer wins.
-	statsDup := dfg.TaskStats{Edges: 2000, Uniq: map[core.Attr]int{
-		core.AttrSrcID: 20, core.AttrEdgeType: 1, core.AttrDstID: 100,
-	}}
-	bestA, _ := SelectBest(cands, statsDup)
-	var hasOuterA bool
-	for _, n := range bestA.Nodes {
-		if n.Kind == dfg.OpOuterMM {
-			hasOuterA = true
-		}
+// TestTransformKeepsTopologicalOrder holds every candidate Transform
+// returns to dfg.Graph's documented order — each node after its inputs —
+// for every model's layer DFG with no key, each key and all keys
+// duplicated.
+func TestTransformKeepsTopologicalOrder(t *testing.T) {
+	dups := []map[string]bool{{}}
+	all := map[string]bool{}
+	for key := range nn.AttrOfKeys() {
+		dups = append(dups, map[string]bool{key: true})
+		all[key] = true
 	}
-	if !hasOuterA {
-		t.Fatal("duplication-heavy task should select the outer-product DFG")
-	}
-	// Case B: unique (src,type) pairs ≫ edges → the all-pairs outer
-	// product wastes work on combinations no edge uses; the per-edge
-	// original wins.
-	statsUnique := dfg.TaskStats{Edges: 50, Uniq: map[core.Attr]int{
-		core.AttrSrcID: 50, core.AttrEdgeType: 100, core.AttrDstID: 50,
-	}}
-	bestB, _ := SelectBest(cands, statsUnique)
-	for _, n := range bestB.Nodes {
-		if n.Kind == dfg.OpOuterMM {
-			t.Fatal("unique-heavy task must not select the outer-product DFG")
+	dups = append(dups, all)
+	for kind := nn.ModelKind(0); kind < nn.NumModels; kind++ {
+		for _, dup := range dups {
+			for ci, c := range Transform(nn.LayerDFG(kind, 10, 3, 8, 4), Info{AttrOf: nn.AttrOfKeys(), Dup: dup}) {
+				pos := map[*dfg.Node]int{}
+				for i, n := range c.Nodes {
+					pos[n] = i
+				}
+				for i, n := range c.Nodes {
+					for _, in := range n.Inputs {
+						if p, ok := pos[in]; !ok || p >= i {
+							t.Fatalf("%v dup=%v candidate %d: node %d (%v) precedes its input %d (%v):\n%s",
+								kind, dup, ci, n.ID, n.Kind, in.ID, in.Kind, c)
+						}
+					}
+				}
+			}
 		}
 	}
 }

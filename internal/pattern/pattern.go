@@ -1,13 +1,16 @@
 // Package pattern extracts gTask-level data patterns (paper §5.1) from a
-// graph partition: duplicated data (uniq(attr) < #edges) and batched data
-// (the unique-value counts that size micro-kernel batches).
+// graph partition: duplicated data (uniq(attr) < #edges), which decides
+// whether the joint search also prices the unique-extracted program, and
+// batched data (the unique-value counts that size micro-kernel batches),
+// which RegularStats hands to the kernels cost model as the archetypal
+// task.
 package pattern
 
 import (
 	"sort"
 
 	"wisegraph/internal/core"
-	"wisegraph/internal/dfg"
+	"wisegraph/internal/kernels"
 )
 
 // PlanPattern aggregates patterns across a whole partition: the medians
@@ -71,15 +74,12 @@ func Analyze(p *core.Partition, attrs []core.Attr) PlanPattern {
 // true when a majority of tasks have duplicates.
 func (pp PlanPattern) Duplicated(a core.Attr) bool { return pp.DupFraction[a] >= 0.5 }
 
-// RegularStats returns the TaskStats of the archetypal regular gTask —
-// median edges and median unique counts — used to tune the operation
-// partition once per plan instead of per task.
-func (pp PlanPattern) RegularStats() dfg.TaskStats {
-	u := make(map[core.Attr]int, len(pp.MedianUniq))
-	for a, v := range pp.MedianUniq {
-		u[a] = v
-	}
-	return dfg.TaskStats{Edges: pp.MedianEdges, Uniq: u}
+// RegularStats returns the statistics of the archetypal regular gTask —
+// median edges and median unique counts — the task the bench harness
+// shows a plan's program at.
+func (pp PlanPattern) RegularStats() kernels.TaskStatsOf {
+	return kernels.NewTaskStats(pp.MedianEdges, pp.MedianUniq[core.AttrSrcID],
+		pp.MedianUniq[core.AttrDstID], pp.MedianUniq[core.AttrEdgeType])
 }
 
 // median returns the median of xs (xs is not modified).

@@ -47,9 +47,10 @@ func TestAnalyzePlanPattern(t *testing.T) {
 			t.Fatalf("edge-centric tasks hold one edge; %v cannot be duplicated", a)
 		}
 	}
+	// one destination per task: every edge of the regular task lands on it
 	rs := pp.RegularStats()
-	if rs.Edges != 2 {
-		t.Fatalf("regular stats edges = %d", rs.Edges)
+	if rs.Edges != 2 || rs.UniqDst != 1 || rs.MaxDeg != 2 {
+		t.Fatalf("regular stats %+v, want 2 edges into 1 destination", rs)
 	}
 }
 
