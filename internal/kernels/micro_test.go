@@ -193,3 +193,40 @@ func TestStagesSplitIndexingFromNeural(t *testing.T) {
 		}
 	}
 }
+
+// TestCompiledLayerSplitsNeuralAndIndexing prices SAGE's and RGCN's
+// compiled layers on one task and splits their work by the stages'
+// Indexing flag: the work is non-degenerate and the neural stages carry at
+// least the batched matmul's 2·E·F·F' FLOPs. SAGE loads its neighbour
+// weight as a plain input, so its indexing stages move some but not all of
+// the bytes; RGCN gathers its weight by edge type, so every byte it moves
+// is indexing traffic.
+func TestCompiledLayerSplitsNeuralAndIndexing(t *testing.T) {
+	st := NewTaskStats(50, 20, 10, 2)
+	for _, kind := range []nn.ModelKind{nn.SAGE, nn.RGCN} {
+		p := CompileDFG(nn.LayerDFG(kind, 100, 4, 16, 8), true)
+		flops, bytes := p.Totals(st)
+		if flops <= 0 || bytes <= 0 {
+			t.Fatalf("%v: degenerate work: flops=%v bytes=%v", kind, flops, bytes)
+		}
+		var neuralFLOPs, indexBytes float64
+		for _, s := range p.Stages {
+			f, b := s.Work(st)
+			if s.Indexing {
+				indexBytes += b
+			} else {
+				neuralFLOPs += f
+			}
+		}
+		if neuralFLOPs < 2*50*16*8 {
+			t.Fatalf("%v: neural FLOPs %v, want ≥ 2·50·16·8 = 12800 (program %v)", kind, neuralFLOPs, p)
+		}
+		if kind == nn.RGCN {
+			if indexBytes != bytes {
+				t.Fatalf("RGCN: indexing bytes %v of %v (program %v)", indexBytes, bytes, p)
+			}
+		} else if indexBytes <= 0 || indexBytes >= bytes {
+			t.Fatalf("%v: indexing bytes %v of %v (program %v)", kind, indexBytes, bytes, p)
+		}
+	}
+}
