@@ -2,14 +2,12 @@ package bench
 
 import (
 	"fmt"
-	"slices"
 
 	"wisegraph/internal/core"
 	"wisegraph/internal/device"
 	"wisegraph/internal/joint"
 	"wisegraph/internal/kernels"
 	"wisegraph/internal/nn"
-	"wisegraph/internal/pattern"
 )
 
 var searchAttrs = []core.Attr{core.AttrSrcID, core.AttrDstID, core.AttrEdgeType, core.AttrDstDegree}
@@ -18,9 +16,9 @@ var searchAttrs = []core.Attr{core.AttrSrcID, core.AttrDstID, core.AttrEdgeType,
 // normalized execution split (indexing vs neural) of the original DFG and
 // the transformed one, plus the neural-workload reduction. Both are the
 // gTask programs kernels.CompileDFG compiles — the transformed one is what
-// the search's operation plan runs — priced at the regular task of the
-// plan the search picks, with the work outside the fused kernel
-// (Program.Dense) included so both count the same layer.
+// the search's operation plan runs — priced over the whole layer under the
+// plan the search picks: the fused stages on every task, the work outside
+// the fused kernel (Program.Dense) once, so both count the same layer.
 func Fig17(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:     "fig17",
@@ -34,12 +32,12 @@ func Fig17(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		whole := kernels.StatsOf(core.PartitionGraph(ds.Graph, core.WholeGraph(), searchAttrs), 0)
 		for _, kind := range []nn.ModelKind{nn.RGCN, nn.GAT, nn.SAGE} {
 			res := joint.Search(ds.Graph, kind, h, h, ds.Graph.NumTypes, joint.Options{Spec: sp})
-			st := pattern.Analyze(res.Partition, searchAttrs).RegularStats()
 			layer := nn.LayerDFG(kind, ds.Graph.NumVertices, ds.Graph.NumTypes, h, h)
-			baseIdx, baseNN, baseFl := split(sp, kernels.CompileDFG(layer, res.OpPlan.Batched), st)
-			optIdx, optNN, optFl := split(sp, kernels.CompileDFG(kernels.Transformed(layer, res.OpPlan), res.OpPlan.Batched), st)
+			baseIdx, baseNN, baseFl := split(sp, kernels.CompileDFG(layer, res.OpPlan.Batched), res.Partition, whole)
+			optIdx, optNN, optFl := split(sp, kernels.CompileDFG(kernels.Transformed(layer, res.OpPlan), res.OpPlan.Batched), res.Partition, whole)
 			t.AddRow(dsName, kind.String(),
 				f2(pct(baseIdx, baseIdx+baseNN)), f2(pct(baseNN, baseIdx+baseNN)),
 				f2(pct(optIdx, optIdx+optNN)), f2(pct(optNN, optIdx+optNN)),
@@ -50,20 +48,28 @@ func Fig17(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// split prices a program's stages, the fused kernel's and the dense ones,
-// as SIMT arithmetic plus memory time on sp at task st: the indexing
-// stages' time, the neural stages' time and the neural stages' FLOPs.
-func split(sp device.Spec, p kernels.Program, st kernels.TaskStatsOf) (idx, neural, neuralFLOPs float64) {
-	for _, s := range slices.Concat(p.Stages, p.Dense) {
-		flops, bytes := s.Work(st)
-		secs := flops/sp.SIMTFLOPS + bytes/sp.MemBandwidth
-		if s.Indexing {
-			idx += secs
-		} else {
-			neural += secs
-			neuralFLOPs += flops
+// split prices a program over one layer as SIMT arithmetic plus memory
+// time on sp — its fused stages on every task of part, its dense stages
+// once at whole, the whole graph's statistics, which resolve their rows:
+// the indexing stages' time, the neural stages' time and the neural
+// stages' FLOPs.
+func split(sp device.Spec, p kernels.Program, part *core.Partition, whole kernels.TaskStatsOf) (idx, neural, neuralFLOPs float64) {
+	add := func(stages []kernels.Stage, st kernels.TaskStatsOf) {
+		for _, s := range stages {
+			flops, bytes := s.Work(st)
+			secs := flops/sp.SIMTFLOPS + bytes/sp.MemBandwidth
+			if s.Indexing {
+				idx += secs
+			} else {
+				neural += secs
+				neuralFLOPs += flops
+			}
 		}
 	}
+	for ti := range part.NumTasks() {
+		add(p.Stages, kernels.StatsOf(part, ti))
+	}
+	add(p.Dense, whole)
 	return idx, neural, neuralFLOPs
 }
 

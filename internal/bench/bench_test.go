@@ -162,6 +162,27 @@ func TestFig3bShapeNeuralMinority(t *testing.T) {
 	}
 }
 
+// TestFig17GATNeuralWorkReduced: indexing swapping moves GAT's attention
+// projections from every edge onto the vertices, so on AR and PA-S, whose
+// edges outnumber their vertices, the transformed DFG must price less
+// neural work than the original over the same layer.
+func TestFig17GATNeuralWorkReduced(t *testing.T) {
+	tb := quickTable(t, "fig17")
+	seen := 0
+	for _, r := range tb.Rows {
+		if r[1] != "GAT" {
+			continue
+		}
+		seen++
+		if v := cell(t, r[6]); v <= 0 {
+			t.Fatalf("%s GAT: NN-reduction %v%%, want > 0", r[0], v)
+		}
+	}
+	if seen != 2 {
+		t.Fatalf("fig17 has %d GAT rows, want 2", seen)
+	}
+}
+
 func TestFig18ShapeBatchedPeak(t *testing.T) {
 	tb := quickTable(t, "fig18")
 	// For each model: K=1 must be far below the best K, and INF (when

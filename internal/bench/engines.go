@@ -11,15 +11,17 @@ import (
 // engineAttrs are the partition attributes the engines experiment indexes.
 var engineAttrs = []core.Attr{core.AttrSrcID, core.AttrDstID, core.AttrEdgeType, core.AttrDstDegree}
 
-// ExtEngines compares the execution engines' modeled global-memory traffic
-// for the aggregation path on every model. Every engine runs the model's
-// one layer body on the CPU, so there is no wall clock to compare. The blocked model
-// walks memory roughly three times per edge (gather pass, per-edge
-// read-modify-write, per-edge weight refetch for RGCN); the fused model
-// streams every operand once plus one accumulator load+store per
-// destination run; "costmodel" is the composed micro-kernel program's
-// prediction for the paper's target kernel (what the device engine
-// accounts stage by stage).
+// ExtEngines compares the engines' bytes models of the aggregation path
+// on every model. An engine is only such a model (kernels.Engine.LayerBytes):
+// the executor runs the model's one layer body on the CPU and charges the
+// device the composed program's price whatever the name, so there is no
+// wall clock or device time to compare. The blocked model walks memory
+// roughly three times per edge (gather pass, per-edge read-modify-write,
+// per-edge weight refetch for RGCN); the fused model streams every operand
+// once plus one accumulator load+store per destination run; "costmodel"
+// is the composed micro-kernel program's prediction for the paper's
+// target kernel (the device engine's bytes, and the bytes the executor
+// charges).
 func ExtEngines(c Config) (*Table, error) {
 	ds, err := c.loadDataset("AR")
 	if err != nil {
@@ -72,7 +74,7 @@ func ExtEngines(c Config) (*Table, error) {
 		t.AddRow(kind.String(), f2(blockedB/1e6), f2(fusedB/1e6), f2(blockedB/fusedB), f2(costB/1e6))
 	}
 	t.Notes = append(t.Notes,
-		"every engine runs the model's one layer body in the same edge order, so outputs are bitwise-identical (see TestEnginesBitwiseParityAcrossPlansAndWorkers); an engine is only an accounting",
+		"an engine is only a bytes model: the executor runs the model's one layer body and charges the costmodel column under every name (see TestExecutorChargesWhatSearchPrices)",
 		"fused wins bytes-moved on the bandwidth-bound shapes (GCN/GraphSAGE at F>=64): one stream per edge plus one accumulator load+store per destination run, vs three memory walks per edge blocked",
 		"SAGE-LSTM shows bytes x = 1.00 by design: the recurrence already streams one source row per step with (h,c) register-resident, so there is nothing left to fuse",
 		"GAT's win is smaller: the score/softmax passes are shared between engines, so fusion only removes the aggregation pass's per-edge read-modify-write",

@@ -33,8 +33,10 @@ type Ctx struct {
 	// kernel's transpose doubles its traffic (2×) — the standard
 	// fwd+bwd accounting.
 	Training bool
-	// Compute controls whether executors produce real numeric outputs
-	// (tests, training) or only account kernels (search, large benches).
+	// Compute controls whether the baseline executors (internal/baseline)
+	// produce real numeric outputs (tests, training) or only account
+	// kernels (the paper-scale figures). The gTask executor
+	// (internal/kernels) ignores it: it always computes.
 	Compute bool
 	// PaperScale multiplies workspace sizes to model the paper-scale
 	// dataset on the memCap device; 0 or 1 means no scaling.
@@ -45,14 +47,10 @@ type Ctx struct {
 	// before invoking an executor so the exec-stage span lands on the same
 	// timeline as the caller's sample/partition/demux spans.
 	TraceID uint64
-	// Engine names the execution engine the gTask executor runs layers
-	// with. Every engine runs the model's one layer body in the same edge
-	// order; an engine is only how the device is charged: "" or "blocked" is one
-	// fused kernel per layer, "fused" one streaming kernel priced by one
-	// row load and store per destination run, "device" one kernel per
-	// micro-stage. The name is resolved by internal/kernels (exec cannot
-	// import it); an unknown name fails the executor call with a
-	// descriptive error rather than silently running the default.
+	// Engine is read by nothing in internal/: the gTask executor charges
+	// every layer one way, as the search prices it, whatever the name. It
+	// stays only because the benchmark still sets it, and goes with
+	// kernels.Select once the benchmark stops naming engines.
 	Engine string
 
 	peakWorkspace float64

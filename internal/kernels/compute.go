@@ -4,83 +4,98 @@ import (
 	"fmt"
 
 	"wisegraph/internal/core"
+	"wisegraph/internal/device"
 	"wisegraph/internal/exec"
 	"wisegraph/internal/nn"
 	"wisegraph/internal/obs"
 	"wisegraph/internal/tensor"
 )
 
-// RunModel executes a full forward pass with the gTask strategy: shared
-// dense transforms as per-layer tensor-core kernels, then one fused kernel
-// per layer whose work items are the partition's gTasks, accounted by the
-// Engine selected by ctx.Engine (see engine.go). The arithmetic is the
-// model's own layers (nn.Layer.Infer) over gc's graph with each
-// destination's in-edges in the partition's task order — gc itself when
-// its edges are already in that order, else the context gc.OrderedBy
-// keeps for part — so the logits are m.Forward over that order, bit for
-// bit.
+// RunModel executes a full forward pass with the gTask strategy, each layer
+// charged to ctx's device as the search prices it (runLayer). The
+// arithmetic is the model's own layers (nn.Layer.Infer) over gc's graph
+// with each destination's in-edges in the partition's task order — gc
+// itself when its edges are already in that order, else the context
+// gc.OrderedBy keeps for part — so the logits are m.Forward over that
+// order, bit for bit.
 func RunModel(ctx *exec.Ctx, gc *nn.GraphCtx, m *nn.Model, x *tensor.Tensor, part *core.Partition, plan Plan) (*tensor.Tensor, error) {
-	eng, err := selectFor(ctx.Engine, m.Cfg.Kind, part.Plan)
-	if err != nil {
+	if err := checkPlan(m.Cfg.Kind, part.Plan); err != nil {
 		return nil, err
 	}
 	sp := obs.Begin(obs.StageExec, ctx.TraceID)
 	defer sp.End()
-	if ctx.Compute {
-		if gc, err = gc.OrderedBy(part); err != nil {
-			return nil, err
-		}
+	gc, err := gc.OrderedBy(part)
+	if err != nil {
+		return nil, err
 	}
 	cur := x
-	for li, layer := range m.Layers() {
-		sh := LayerShape{Kind: m.Cfg.Kind, F: layer.InDim(), Fp: layer.OutDim(), Types: m.Cfg.NumTypes}
-		out := eng.RunLayer(ctx, gc, layer, sh, cur, part, plan)
-		if ctx.Compute {
-			prev := cur
-			if li < len(m.Layers())-1 {
-				cur = tensor.ReLU(tensor.Get(out.Shape()...), out)
-				tensor.Put(out)
-			} else {
-				cur = out
-			}
-			if prev != x {
-				tensor.Put(prev)
-			}
+	for li := range m.Layers() {
+		out := runLayer(ctx, gc, m, li, cur, part, plan)
+		prev := cur
+		if li < len(m.Layers())-1 {
+			cur = tensor.ReLU(tensor.Get(out.Shape()...), out)
+			tensor.Put(out)
+		} else {
+			cur = out
 		}
-	}
-	if !ctx.Compute {
-		return nil, nil
+		if prev != x {
+			tensor.Put(prev)
+		}
 	}
 	return cur, nil
 }
 
-// RunModelLayerRows executes exactly one layer of the model through the
-// engine selected by ctx.Engine over gc, whose edges must be in part's
-// task order, and returns the rows of gc.Rows (nil: every vertex) as a
-// compact [gc.NumRows(),F'] tensor — the layer-boundary entry the serving
-// tier's leveled forward uses: a sampled block's targets are its only
-// destinations, so only their rows are transformed. The caller builds gc
-// (nn.NewGraphCtxOrder over part.Order, or a context in that order already
-// such as nn.NewGraphCtxRows for a block born in it) and so owns the row
-// set's validation. No activation is applied: the caller owns the ReLU (and
-// must match RunModel's placement — after every layer but the last) so
-// cached rows and freshly computed rows go through identical math. The
-// span accounting mirrors RunModel: the call is recorded under StageExec
+// RunModelLayerRows executes exactly one layer of the model over gc, whose
+// edges must be in part's task order, and returns the rows of gc.Rows
+// (nil: every vertex) as a compact [gc.NumRows(),F'] tensor — the
+// layer-boundary entry the serving tier's leveled forward uses: a sampled
+// block's targets are its only destinations, so only their rows are
+// transformed (and charged: the destination-side dense kernels at
+// gc.NumRows() rows). The caller builds gc (nn.NewGraphCtxOrder over
+// part.Order, or a context in that order already such as
+// nn.NewGraphCtxRows for a block born in it) and so owns the row set's
+// validation. No activation is applied: the caller owns the ReLU (and must
+// match RunModel's placement — after every layer but the last) so cached
+// rows and freshly computed rows go through identical math. The span
+// accounting mirrors RunModel: the call is recorded under StageExec
 // against ctx.TraceID.
 func RunModelLayerRows(ctx *exec.Ctx, gc *nn.GraphCtx, m *nn.Model, li int, x *tensor.Tensor, part *core.Partition, plan Plan) (*tensor.Tensor, error) {
 	sp := obs.Begin(obs.StageExec, ctx.TraceID)
 	defer sp.End()
-	eng, err := selectFor(ctx.Engine, m.Cfg.Kind, part.Plan)
-	if err != nil {
+	if err := checkPlan(m.Cfg.Kind, part.Plan); err != nil {
 		return nil, err
 	}
-	layers := m.Layers()
-	if li < 0 || li >= len(layers) {
-		return nil, fmt.Errorf("kernels: layer %d out of range [0,%d)", li, len(layers))
+	if li < 0 || li >= len(m.Layers()) {
+		return nil, fmt.Errorf("kernels: layer %d out of range [0,%d)", li, len(m.Layers()))
 	}
-	layer := layers[li]
+	return runLayer(ctx, gc, m, li, x, part, plan), nil
+}
+
+// runLayer computes layer li of m with input rows x [V,F] over gc, whose
+// edges are part's in task order and whose destination rows are the rows
+// produced (see nn.NewGraphCtxOrder), returning a compact
+// [gc.NumRows(),F'] tensor. It charges ctx's device what the search prices
+// the layer at (joint.LayerTime over joint.UniformSchedule): the
+// DenseKernels launches over V input and gc.NumRows() destination rows,
+// then one "gtask.fused" kernel whose work items are the tasks
+// CostPartition prices. The arithmetic is the layer's one body (Infer);
+// the operation plan changes only the charge.
+func runLayer(ctx *exec.Ctx, gc *nn.GraphCtx, m *nn.Model, li int, x *tensor.Tensor, part *core.Partition, plan Plan) *tensor.Tensor {
+	layer := m.Layers()[li]
 	sh := LayerShape{Kind: m.Cfg.Kind, F: layer.InDim(), Fp: layer.OutDim(), Types: m.Cfg.NumTypes}
-	return eng.RunLayer(ctx, gc, layer, sh, x, part, plan), nil
+	for _, k := range DenseKernels(sh, gc.NumVertices(), gc.NumRows()) {
+		ctx.Launch(k)
+	}
+	costs := CostPartition(ctx.Dev.Spec, part, sh, plan)
+	times := make([]float64, len(costs))
+	var flops, bytes float64
+	for ti, c := range costs {
+		flops += c.FLOPs
+		bytes += c.Bytes
+		times[ti] = c.Seconds
+	}
+	ctx.Launch(device.Kernel{Name: "gtask.fused", Cat: device.CatNeural, FLOPs: flops, Bytes: bytes, UnitTimes: times})
+	return layer.Infer(gc, x)
 }
 
 // RunModelLayer is RunModelLayerRows with every vertex of gc's graph as a
@@ -95,15 +110,13 @@ func RunModelLayer(ctx *exec.Ctx, gc *nn.GraphCtx, m *nn.Model, li int, x *tenso
 	return RunModelLayerRows(ctx, lc, m, li, x, part, plan)
 }
 
-// selectFor resolves the engine and rejects a graph plan that cannot
-// execute the model (ValidPlanFor): every engine runs every model under
-// every valid plan.
-func selectFor(name string, kind nn.ModelKind, plan core.GraphPlan) (Engine, error) {
-	eng, err := Select(name)
-	if err == nil && !ValidPlanFor(kind, plan) {
-		err = fmt.Errorf("kernels: plan %v cannot execute %v", plan, kind)
+// checkPlan rejects a graph plan that cannot execute the model
+// (ValidPlanFor).
+func checkPlan(kind nn.ModelKind, plan core.GraphPlan) error {
+	if !ValidPlanFor(kind, plan) {
+		return fmt.Errorf("kernels: plan %v cannot execute %v", plan, kind)
 	}
-	return eng, err
+	return nil
 }
 
 // taskRuns counts one task's maximal same-destination runs (consecutive

@@ -5,48 +5,40 @@ import (
 	"strings"
 
 	"wisegraph/internal/core"
-	"wisegraph/internal/device"
-	"wisegraph/internal/exec"
 	"wisegraph/internal/nn"
-	"wisegraph/internal/tensor"
 )
 
-// Engine is one accounting of a GNN layer over the gTasks of a graph
-// partition: which kernels the layer is charged as on the simulated device
-// and what global-memory traffic each task is modeled to move. Every model
-// has one body, its nn layer, and every engine runs it over the same edge
-// order, so the numeric output never depends on the engine. Engines come
-// from Select (the zero value runs nothing):
+// Engine is one bytes model of a GNN layer's aggregation path: what
+// global-memory traffic each gTask of a graph partition is modeled to move
+// under one dataflow. It changes neither the arithmetic nor the device
+// charge — the gTask executor charges every layer as the search prices it
+// (compute.go) — and is read only by LayerBytes, the table `wgbench -exp
+// ext-engines` and the benchmark's bytes rows print. Engines come from
+// Select:
 //
-//   - "blocked": the composed program's one fused cost-model kernel per
-//     layer ("gtask.fused"), its traffic priced as an edge-by-edge
-//     dataflow's — a destination-row read-modify-write per edge
-//     (blockedTaskBytes), which the CPU no longer runs.
-//   - "fused": one streaming kernel ("gtask.stream") priced by the device
-//     model of a register-resident accumulator per same-destination run —
+//   - "blocked": an edge-by-edge dataflow's traffic — a destination-row
+//     read-modify-write per edge (blockedTaskBytes), which the CPU no
+//     longer runs.
+//   - "fused": a register-resident accumulator per same-destination run —
 //     one row load + store per run (fusedTaskBytes). That is what executes:
 //     the layers aggregate through nn.EdgeSpMM, which holds each
 //     destination row in registers across its run (tensor.AccumRun).
-//   - "device": every micro-kernel stage of the composed program (micro.go)
-//     launched as its own named kernel, so device.KernelStats exposes a
-//     per-stage breakdown that can be checked against the fused engine's
-//     bytes-moved model.
+//   - "device": the composed program's own prediction, the traffic the
+//     executor charges (composedTaskBytes).
 type Engine struct {
 	name string
-	// account launches the layer's gTask kernel(s) on ctx's device.
-	account func(ctx *exec.Ctx, t pricedTasks)
 	// taskBytes models the global-memory traffic of task ti under this
 	// engine's dataflow.
 	taskBytes func(t pricedTasks, ti int) float64
 }
 
 var engines = []Engine{
-	{name: "blocked", account: oneKernel("gtask.fused", composedTaskBytes), taskBytes: blockedTaskBytes},
-	{name: "fused", account: oneKernel("gtask.stream", fusedTaskBytes), taskBytes: fusedTaskBytes},
-	{name: "device", account: stageKernels, taskBytes: composedTaskBytes},
+	{name: "blocked", taskBytes: blockedTaskBytes},
+	{name: "fused", taskBytes: fusedTaskBytes},
+	{name: "device", taskBytes: composedTaskBytes},
 }
 
-// Name is the identifier exec.Ctx.Engine and Select take.
+// Name is the identifier Select takes.
 func (e Engine) Name() string { return e.name }
 
 // EngineNames lists the selectable engines in stable order.
@@ -102,77 +94,9 @@ func (e Engine) LayerBytes(sh LayerShape, part *core.Partition, plan Plan) float
 	return total
 }
 
-// RunLayer accounts and (when ctx.Compute) computes one layer with input
-// rows x [V,F] over gc, whose edges are part's in task order and whose
-// destination rows are the rows produced (see nn.NewGraphCtxOrder),
-// returning a compact [gc.NumRows(),F'] tensor. The dense transforms and
-// the gTask kernel(s) are launched on ctx's device; the arithmetic is the
-// layer's one body (Infer), the same under every engine.
-func (e Engine) RunLayer(ctx *exec.Ctx, gc *nn.GraphCtx, layer nn.Layer, sh LayerShape, x *tensor.Tensor, part *core.Partition, plan Plan) *tensor.Tensor {
-	for _, k := range DenseKernels(sh, gc.NumVertices(), gc.NumRows()) {
-		ctx.Launch(k)
-	}
-	e.account(ctx, priceTasks(sh, part, plan))
-	if !ctx.Compute {
-		return nil
-	}
-	return layer.Infer(gc, x)
-}
-
-// oneKernel accounts the layer as a single launch whose work items are the
-// tasks: each does the composed program's arithmetic and moves bytes(t, ti).
-func oneKernel(name string, bytes func(t pricedTasks, ti int) float64) func(*exec.Ctx, pricedTasks) {
-	return func(ctx *exec.Ctx, t pricedTasks) {
-		times := make([]float64, len(t.stats))
-		var flops, total float64
-		for ti, st := range t.stats {
-			tf, _ := t.prog.Totals(st)
-			tb := bytes(t, ti)
-			flops += tf
-			total += tb
-			times[ti] = perUnit(ctx.Dev.Spec, tf, tb, t.prog.TC(st))
-		}
-		ctx.Launch(device.Kernel{
-			Name: name, Cat: device.CatNeural,
-			FLOPs: flops, Bytes: total, UnitTimes: times,
-		})
-	}
-}
-
-// stageKernels accounts the composed program stage by stage: each
-// micro-kernel (load-src, load-ids, accumulate, store-edge, ...) is launched
-// as its own kernel named "gtask.<stage>", with per-task unit times, so the
-// cost model's stage-level predictions land in device.KernelStats where they
-// can be diffed against the fused engine's bytes-moved claims.
-func stageKernels(ctx *exec.Ctx, t pricedTasks) {
-	for _, s := range t.prog.Stages {
-		var flops, bytes float64
-		times := make([]float64, len(t.stats))
-		for ti, st := range t.stats {
-			var sf, sb float64
-			if s.FLOPs != nil {
-				sf = s.FLOPs(st)
-			}
-			if s.Elems != nil {
-				sb = s.Elems(st) * fb
-			}
-			flops += sf
-			bytes += sb
-			times[ti] = perUnit(ctx.Dev.Spec, sf, sb, s.Kind == StageCompute && t.prog.TC(st))
-		}
-		cat := device.CatIndexing
-		if s.Kind == StageCompute || s.Kind == StageReduce {
-			cat = device.CatNeural
-		}
-		ctx.Launch(device.Kernel{
-			Name: "gtask." + s.Name, Cat: cat,
-			FLOPs: flops, Bytes: bytes, UnitTimes: times,
-		})
-	}
-}
-
 // composedTaskBytes is the composed program's modeled traffic for one task
-// — the cost model's prediction for the paper's target fused kernel.
+// — the cost model's prediction for the paper's target fused kernel, and
+// what the executor charges (CostPartition).
 func composedTaskBytes(t pricedTasks, ti int) float64 {
 	_, b := t.prog.Totals(t.stats[ti])
 	return b

@@ -10,10 +10,11 @@
 //
 // The package provides the per-task cost model — the only one the
 // operation partition is ranked by, read by the joint optimizer and the
-// bench harness — and the executor, which computes a
-// layer as the model's nn layer over the partition's edge order. The
-// operation plan and the engine change only the device accounting, never
-// the arithmetic.
+// bench harness — and the executor, which computes a layer as the model's
+// nn layer over the partition's edge order and charges the device what
+// that cost model prices it at. The operation plan changes only the
+// charge, never the arithmetic. An Engine (engine.go) is only a bytes
+// model that LayerBytes reports.
 package kernels
 
 import (

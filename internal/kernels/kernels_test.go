@@ -245,7 +245,6 @@ func TestGTaskFusedLaunchesOneKernelPerLayerPlusDense(t *testing.T) {
 	gc, m, x := setup(t, nn.RGCN)
 	part := core.PartitionGraph(gc.G, core.VertexCentric(), allAttrs())
 	ctx := exec.NewCtx(device.New(device.A100()))
-	ctx.Compute = false
 	if _, err := RunModel(ctx, gc, m, x, part, Plan{Batched: true, Dedup: true}); err != nil {
 		t.Fatal(err)
 	}

@@ -115,17 +115,21 @@ run_filtered "kernel oracles / first-layer backward / Infer" 'Bitwise|Panics|Fir
 # tests hold the same at 4 devices on an untyped graph.
 run_filtered "multi-device forward parity" 'ForwardBitwise|ForwardMatchesReference' ./internal/dist/
 
-# Cross-engine parity: every engine runs the model's one body — its nn
-# layer's Infer over the partition's edge order — and differs only in its
-# device accounting, so the gTask output must be m.Forward over that order
-# bit for bit, fused and device must stay bitwise-identical to blocked
-# across models, plans, worker counts and destination-row sets, and each
-# name must keep launching its own gTask kernels; a frozen partition's
+# Cross-engine parity: the gTask output must be m.Forward over the
+# partition's edge order bit for bit across models, plans, worker counts
+# and destination-row sets, under every engine name exec.Ctx can carry.
+# The executor reads no name (an engine is only a LayerBytes model), so
+# these loops are vacuous and go with Ctx.Engine. A frozen partition's
 # forwards must run over the one task-ordered context the first built
-# (TestGTaskExecutionReusesOrderedContext). An engine is named on
-# exec.Ctx only — serving and training run the default — so every engine
-# test lives in internal/kernels.
+# (TestGTaskExecutionReusesOrderedContext).
 run_filtered "cross-engine parity" 'Engine|DestinationRows|GTaskExecution|ParityAllPlans' ./internal/kernels/
+
+# One accounting: every layer the gTask executor runs charges the device
+# exactly what the search prices it at — joint.LayerTime over
+# joint.UniformSchedule, the FLOPs and bytes of the dense kernels plus
+# CostPartition's tasks — for every model under its searched plan, and on
+# a destination-row subset with the dense kernels at the subset's rows.
+run_filtered "executor charge = search price" 'ExecutorChargesWhatSearchPrices' ./internal/joint/
 
 # Serving is one forward — the serve engine's admission/batching/drain
 # machinery over the shard fleet's leveled forward and the shards'
