@@ -263,6 +263,19 @@ go list -f '{{range .GoFiles}}{{$.ImportPath}} {{$.Dir}}/{{.}}{{"\n"}}{{end}}' .
 LC_ALL=C comm -23 "$SMOKE/defined.txt" "$SMOKE/reached.txt" >"$SMOKE/testonly.txt"
 diff -u <(awk '!/^#/ && NF { print $1 }' scripts/testonly.golden | LC_ALL=C sort) "$SMOKE/testonly.txt" \
   || { echo "FAIL: functions no binary links differ from scripts/testonly.golden"; exit 1; }
+# The committed tables are what the experiments print: results/ holds one
+# CSV per experiment, and every one but the three that time this box
+# (ext-pipeline, fig21, table3) must equal wgbench's output byte for byte.
+echo "== wgbench -exp all -csv against results/"
+"$SMOKE/wgbench" -exp all -csv "$SMOKE/results" >/dev/null
+diff -u <(ls results/) <(ls "$SMOKE/results/") \
+  || { echo "FAIL: results/ does not hold one CSV per experiment"; exit 1; }
+for f in "$SMOKE"/results/*.csv; do
+  b="$(basename "$f")"
+  case "$b" in ext-pipeline.csv | fig21.csv | table3.csv) continue ;; esac
+  diff -u "results/$b" "$f" \
+    || { echo "FAIL: results/$b differs from wgbench -exp all -csv (regenerate it)"; exit 1; }
+done
 "$SMOKE/wisegraph-train" -dataset AR -scale 400 -sampled -epochs 2 \
   -save-checkpoint "$SMOKE/model.ckpt" -trace "$SMOKE/train.trace" >/dev/null
 grep -q '"traceEvents"' "$SMOKE/train.trace" \
