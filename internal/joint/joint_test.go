@@ -1,10 +1,12 @@
 package joint
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"wisegraph/internal/core"
+	"wisegraph/internal/dataset"
 	"wisegraph/internal/device"
 	"wisegraph/internal/graph"
 	"wisegraph/internal/graph/gen"
@@ -128,6 +130,23 @@ func TestSearchProducesThreeStagesAndImproves(t *testing.T) {
 		}
 		if res.PlansTried < 3 {
 			t.Fatalf("%v: only %d plans tried", kind, res.PlansTried)
+		}
+	}
+}
+
+// TestSearchClassifiesThePick: the Result carries the outlier
+// classification of the partition it picked, whether or not stage 3's
+// differentiated schedule beat the uniform one.
+func TestSearchClassifiesThePick(t *testing.T) {
+	ds, err := dataset.Load("AR", dataset.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for kind := nn.ModelKind(0); kind < nn.NumModels; kind++ {
+		res := Search(ds.Graph, kind, 64, 64, ds.Graph.NumTypes, Options{Spec: device.A100()})
+		if want := Classify(res.Partition); !reflect.DeepEqual(res.Classification, want) {
+			t.Errorf("%v (%s, differentiated=%v): classification counts %v, want %v",
+				kind, res.GraphPlan.Name, res.Differentiated, res.Classification.Counts, want.Counts)
 		}
 	}
 }
