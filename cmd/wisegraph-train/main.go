@@ -108,8 +108,11 @@ func main() {
 	if *loadCkpt != "" {
 		restoreCheckpoint(tr.Model, *loadCkpt)
 	}
+	// The search reads the graph and the model's shape, not its weights:
+	// the plan tuned before training also runs the accuracy check after.
+	var res *wisegraph.ExecutionPlan
 	if *tune {
-		res := tr.Tune(wisegraph.A100())
+		res = tr.Tune(wisegraph.A100())
 		fmt.Printf("joint optimization: %d plans tried, %d pruned, %d cache hits\n",
 			res.PlansTried, res.PlansPruned, res.CacheHits)
 		fmt.Printf("selected: %v + %v, differentiated=%v, modeled layer time %.3f ms\n",
@@ -157,8 +160,7 @@ func main() {
 	if *saveCkpt != "" {
 		writeCheckpoint(tr.Model, *saveCkpt)
 	}
-	if *tune {
-		res := tr.Tune(wisegraph.A100())
+	if res != nil {
 		acc, err := tr.GTaskTestAccuracy(res)
 		if err != nil {
 			fatal(err)
