@@ -573,8 +573,11 @@ func (e *Engine) execBatch(live []*request, ver uint64, mayRetry bool) {
 		return
 	}
 
+	// The replies go out after both spans end, so a trace read as soon as
+	// a reply arrives holds the whole batch.
 	sp = obs.Begin(obs.StageDemux, batchID)
-	for _, r := range live {
+	preds := make([]Prediction, len(live))
+	for i, r := range live {
 		pred := Prediction{Classes: make([]int32, len(r.nodes))}
 		if r.wantLogits {
 			pred.Logits = make([][]float32, len(r.nodes))
@@ -586,11 +589,14 @@ func (e *Engine) execBatch(live []*request, ver uint64, mayRetry bool) {
 				pred.Logits[j] = append([]float32(nil), lr...)
 			}
 		}
-		e.finish(r, result{pred: pred})
+		preds[i] = pred
 	}
 	sp.End()
 	spBatch.End()
 	tensor.Put(logits)
+	for i, r := range live {
+		e.finish(r, result{pred: preds[i]})
+	}
 }
 
 // failBatch resolves a failed micro-batch. With retry budget left it

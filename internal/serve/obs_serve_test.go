@@ -335,20 +335,18 @@ func TestServeTraceStages(t *testing.T) {
 		if _, err := e.Predict(context.Background(), seeds, false); err != nil {
 			t.Fatalf("Predict: %v", err)
 		}
-		// The batch span closes behind the last reply, so the answer can
-		// be here a moment before it.
-		var spans []obs.Record
+		// The batch span ends before the reply is sent.
+		spans := obs.Spans()
 		var batchID uint64
 		var batchDur time.Duration
-		waitFor(t, func() bool {
-			spans = obs.Spans()
-			for _, s := range spans {
-				if s.Stage == obs.StageBatch {
-					batchID, batchDur = s.ID, s.Dur
-				}
+		for _, s := range spans {
+			if s.Stage == obs.StageBatch {
+				batchID, batchDur = s.ID, s.Dur
 			}
-			return batchID != 0
-		})
+		}
+		if batchID == 0 {
+			t.Fatal("no batch span in the trace after the reply")
+		}
 		var sum time.Duration
 		got := map[obs.Stage]bool{}
 		for _, s := range spans {
@@ -372,4 +370,29 @@ func TestServeTraceStages(t *testing.T) {
 	}
 	t.Fatalf("stage spans cover %.1f%% of the batch span after %d attempts, want within 5%% of 100%%",
 		100*lastCoverage, attempts)
+}
+
+// TestReplyAfterBatchSpan: a request's reply arrives only after its
+// micro-batch's spans have ended, so a trace read right after Predict
+// returns holds that batch. One worker runs the batches one at a time;
+// after the i-th Predict the ring must hold i+1 batch spans.
+func TestReplyAfterBatchSpan(t *testing.T) {
+	obs.Enable(1 << 15)
+	defer obs.Disable()
+	ds := testDataset(t, 60, 240, 12, 5, 1, 1)
+	e := testEngine(t, ds, testModel(t, ds, nn.SAGE), Options{Workers: 1, Seed: 3})
+	for i := range 300 {
+		if _, err := e.Predict(context.Background(), []int32{int32(i % 60)}, false); err != nil {
+			t.Fatalf("Predict %d: %v", i, err)
+		}
+		batches := 0
+		for _, s := range obs.Spans() {
+			if s.Stage == obs.StageBatch {
+				batches++
+			}
+		}
+		if batches != i+1 {
+			t.Fatalf("after reply %d the trace holds %d batch spans, want %d", i, batches, i+1)
+		}
+	}
 }
