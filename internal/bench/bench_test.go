@@ -1,9 +1,12 @@
 package bench
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
+
+	"wisegraph/internal/nn"
 )
 
 func quickCfg() Config { return Config{Quick: true, Seed: 1, Epochs: 10} }
@@ -124,6 +127,9 @@ func TestFig13OOMPattern(t *testing.T) {
 	}
 }
 
+// TestTable2ShapeWiseGraphBest: WiseGraph has the lowest epoch time on
+// every dataset; on the full graphs ROC < DGL < DGCL, and on the sampled
+// ones P3 loses to plain data parallel (DGL), as the paper reports.
 func TestTable2ShapeWiseGraphBest(t *testing.T) {
 	tb := quickTable(t, "table2")
 	for _, r := range tb.Rows {
@@ -134,6 +140,17 @@ func TestTable2ShapeWiseGraphBest(t *testing.T) {
 			}
 			if v := cell(t, r[i]); v < wise {
 				t.Fatalf("%s: %s (%v) beat WiseGraph (%v)", r[0], tb.Header[i], v, wise)
+			}
+		}
+		dgl := cell(t, r[1])
+		if r[2] != "N/A" {
+			if roc, dgcl := cell(t, r[2]), cell(t, r[3]); !(roc < dgl && dgl < dgcl) {
+				t.Fatalf("%s: ROC %v, DGL %v, DGCL %v, want ROC < DGL < DGCL", r[0], roc, dgl, dgcl)
+			}
+		}
+		if r[4] != "N/A" {
+			if p3 := cell(t, r[4]); p3 <= dgl {
+				t.Fatalf("%s: P3 %v beat DGL %v", r[0], p3, dgl)
 			}
 		}
 	}
@@ -151,13 +168,18 @@ func TestFig3aShapeGapGrowsWithComplexity(t *testing.T) {
 	if !(gaps[0] < gaps[1] && gaps[1] < gaps[2]) {
 		t.Fatalf("gap must grow with op complexity: %v", gaps)
 	}
+	// Addition near optimal, MHA about a 5x gap, MLP about 58x (the
+	// paper: graph-centric MLP reaches about 1 % of peak).
+	if gaps[0] > 1.05 || gaps[1] < 4 || gaps[2] < 50 {
+		t.Fatalf("gaps (optimal / vertex-centric) %v, want Addition ≤ 1.05x, MHA ≥ 4x, MLP ≥ 50x", gaps)
+	}
 }
 
 func TestFig3bShapeNeuralMinority(t *testing.T) {
 	tb := quickTable(t, "fig3b")
 	for _, r := range tb.Rows {
-		if v := cell(t, r[1]); v >= 50 {
-			t.Fatalf("%s: neural fraction %v%%, want < 50%% (paper: < 40%%)", r[0], v)
+		if v := cell(t, r[1]); v >= 40 {
+			t.Fatalf("%s: neural fraction %v%%, want < 40%% (the paper's bound)", r[0], v)
 		}
 	}
 }
@@ -240,5 +262,161 @@ func TestFig16ThroughputMonotone(t *testing.T) {
 		if v <= dgl[m] {
 			t.Fatalf("%s: final throughput %v did not beat DGL %v", m, v, dgl[m])
 		}
+	}
+}
+
+// TestFig15PlansGroupAsThePaperFinds reads the plan each model's search
+// picks on AR: RGCN groups by edge type (uniq(edge-type)=1), GAT by shared
+// sources (src-id restricted), SAGE-LSTM by destination (dst-id
+// restricted), and SAGE and GCN bound the edges of a task (dst-id
+// restricted with src-id or edge-id).
+func TestFig15PlansGroupAsThePaperFinds(t *testing.T) {
+	tb := quickTable(t, "fig15")
+	want := map[string][]string{
+		"gTask/RGCN":      {"uniq(edge-type)=1"},
+		"gTask/GAT":       {"uniq(src-id)="},
+		"gTask/SAGE-LSTM": {"uniq(dst-id)="},
+		"gTask/SAGE":      {"uniq(dst-id)=", "uniq(src-id)=|uniq(edge-id)="},
+		"gTask/GCN":       {"uniq(dst-id)=", "uniq(src-id)=|uniq(edge-id)="},
+	}
+	seen := 0
+	for _, r := range tb.Rows {
+		subs, ok := want[r[0]]
+		if !ok {
+			continue
+		}
+		seen++
+		for _, sub := range subs {
+			hit := false
+			for _, alt := range strings.Split(sub, "|") {
+				hit = hit || strings.Contains(r[1], alt)
+			}
+			if !hit {
+				t.Errorf("%s: plan %s has no %s restriction", r[0], r[1], sub)
+			}
+		}
+	}
+	if seen != len(want) {
+		t.Fatalf("fig15 has %d of the %d model rows", seen, len(want))
+	}
+}
+
+// TestFig17PASSAGEMatchesPaper: on PA-S, whose fan-out replica has few
+// destinations, SAGE's linear–aggregation commutation removes most of the
+// neural work, within 10 points of the paper's 78.5 %.
+func TestFig17PASSAGEMatchesPaper(t *testing.T) {
+	tb := quickTable(t, "fig17")
+	for _, r := range tb.Rows {
+		if r[0] == "PA-S" && r[1] == "SAGE" {
+			if v := cell(t, r[6]); v < 68.5 || v > 88.5 {
+				t.Fatalf("PA-S SAGE: NN-reduction %v%%, want 78.5 ± 10 %%", v)
+			}
+			return
+		}
+	}
+	t.Fatal("fig17 has no PA-S SAGE row")
+}
+
+// TestFig19DifferentiatedCutsLSTM: differentiated execution cuts the
+// makespan of SAGE-LSTM, the paper's long-tail case, and is never slower
+// than uniform execution (the guarded selection keeps the better one).
+func TestFig19DifferentiatedCutsLSTM(t *testing.T) {
+	tb := quickTable(t, "fig19")
+	lstm := false
+	for _, r := range tb.Rows {
+		uni, diff := cell(t, r[3]), cell(t, r[4])
+		if diff > uni {
+			t.Errorf("%s: differentiated %v µs, uniform %v µs", r[0], diff, uni)
+		}
+		if r[0] == "SAGE-LSTM" {
+			lstm = true
+			if diff >= uni {
+				t.Errorf("SAGE-LSTM: differentiated %v µs does not cut uniform %v µs", diff, uni)
+			}
+		}
+	}
+	if !lstm {
+		t.Fatal("fig19 has no SAGE-LSTM row")
+	}
+}
+
+// TestFig20AdaptivePlacementLowest: WiseGraph's adaptive placement is
+// lowest at every hidden dimension on PA-S and FS-S, where the static DGL
+// and P3 strategies each lose somewhere.
+func TestFig20AdaptivePlacementLowest(t *testing.T) {
+	tb := quickTable(t, "fig20")
+	rows := map[string]int{}
+	for _, r := range tb.Rows {
+		rows[r[0]]++
+		our := cell(t, r[4])
+		if dgl, p3 := cell(t, r[2]), cell(t, r[3]); our >= dgl || our >= p3 {
+			t.Errorf("%s hidden %s: ours %v ms, DGL %v, P3 %v", r[0], r[1], our, dgl, p3)
+		}
+	}
+	if rows["PA-S"] == 0 || rows["FS-S"] == 0 {
+		t.Fatalf("fig20 rows per dataset %v, want PA-S and FS-S", rows)
+	}
+}
+
+// TestFig21PlanReuseKeepsNinetyPercent: the plan tuned once and reused on
+// every sampled subgraph keeps at least 0.9x the performance of a search
+// per subgraph (the paper: about 0.91x), on PA and FS.
+func TestFig21PlanReuseKeepsNinetyPercent(t *testing.T) {
+	tb := quickTable(t, "fig21")
+	seen := 0
+	for _, r := range tb.Rows {
+		if r[1] != "reuse relative performance" {
+			continue
+		}
+		seen++
+		if v := cell(t, strings.Fields(r[2])[0]); v < 0.9 {
+			t.Errorf("%s: plan reuse %vx of per-subgraph search, want ≥ 0.9x", r[0], v)
+		}
+	}
+	if seen != 2 {
+		t.Fatalf("fig21 has %d reuse rows, want 2", seen)
+	}
+}
+
+// TestTable3SearchShareOfConvergence: the joint optimization modeled on PA
+// costs under 2 % of the paper's measured SAGE convergence (paperConvPA),
+// and environment setup ≪ joint optimization ≪ convergence. Against the
+// replica's modeled convergence, which leaves out the host-side work the
+// paper's wall time includes, the search is a much larger share; that
+// share is pinned, so a change to either model shows here.
+func TestTable3SearchShareOfConvergence(t *testing.T) {
+	tb := quickTable(t, "table3")
+	pa := map[string]float64{}
+	for _, r := range tb.Rows {
+		pa[r[0]] = cell(t, r[1])
+	}
+	setup, conv, opt := pa["environment setup"], pa["convergence (100 epochs)"], pa["joint optimization"]
+	if share := opt / paperConvPA; share >= 0.02 {
+		t.Errorf("PA: joint optimization %v s is %.2f %% of the paper's convergence, want < 2 %%", opt, share*100)
+	}
+	if !(setup < opt && opt < conv) {
+		t.Errorf("PA: setup %v s, joint optimization %v s, convergence %v s, want setup < joint < convergence", setup, opt, conv)
+	}
+	if got := fmt.Sprintf("%.0f", opt/conv*100); got != "26" {
+		t.Errorf("PA: joint optimization is %s %% of the modeled convergence, pinned 26 %%", got)
+	}
+}
+
+// TestFig13SimpleGeomeanPinned pins a known divergence: on the simple
+// models (SAGE, GCN) WiseGraph's geomean speedup over the best baseline is
+// 1.05x against the paper's 1.13x (both executions stream about the same
+// bytes). It runs Fig13's rows for those two models, which quick mode
+// skips.
+func TestFig13SimpleGeomeanPinned(t *testing.T) {
+	var speedups []float64
+	for _, kind := range []nn.ModelKind{nn.SAGE, nn.GCN} {
+		_, sp, err := fig13Rows(quickCfg(), kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		speedups = append(speedups, sp...)
+	}
+	if got := fmt.Sprintf("%.2f", geomean(speedups)); got != "1.05" {
+		t.Fatalf("simple-model geomean speedup %sx over %d rows, pinned 1.05x", got, len(speedups))
 	}
 }

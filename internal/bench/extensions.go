@@ -213,7 +213,9 @@ func ExtStages(cfg Config) (*Table, error) {
 	}
 	h := cfg.hidden()
 	res := joint.Search(ds.Graph, nn.RGCN, h, h, ds.Graph.NumTypes, joint.Options{Spec: spec()})
-	st := pattern.Analyze(res.Partition, searchAttrs).RegularStats()
+	// The search's partition holds the statistics the cost model reads,
+	// which are all RegularStats reads.
+	st := pattern.Analyze(res.Partition, []core.Attr{core.AttrSrcID, core.AttrDstID, core.AttrEdgeType}).RegularStats()
 	sh := kernels.LayerShape{Kind: nn.RGCN, F: h, Fp: h, Types: ds.Graph.NumTypes}
 	for _, pl := range []struct {
 		name string

@@ -76,47 +76,20 @@ func Fig13(cfg Config) (*Table, error) {
 		Title:  "single-GPU per-iteration time (simulated ms)",
 		Header: []string{"model", "dataset", "PyG-T", "DGL", "Seastar-G", "GNNA-G", "TCGNN-G", "Our-gT", "speedup"},
 	}
-	systems := baseline.Systems()
 	var spAll, spComplex, spSimple []float64
 	for _, kind := range evalModels() {
-		for _, dsName := range singleGPUDatasets() {
-			ds, err := cfg.loadDataset(dsName)
-			if err != nil {
-				return nil, err
-			}
-			row := []string{kind.String(), dsName}
-			best := 0.0
-			for _, sys := range systems {
-				secs, oom, unsup := baselineIteration(sys, ds, kind, cfg.hidden(), cfg.layers())
-				switch {
-				case unsup:
-					row = append(row, "-")
-				case oom:
-					row = append(row, "OOM")
-				default:
-					row = append(row, ms(secs))
-					if best == 0 || secs < best {
-						best = secs
-					}
-				}
-			}
-			dims := modelDims(ds.Dim(), cfg.hidden(), ds.Classes(), cfg.layers())
-			wise, _ := WiseIteration(spec(), ds.Graph, kind, dims, ds.Graph.NumTypes)
-			row = append(row, ms(wise))
-			speedup := 0.0
-			if best > 0 && wise > 0 {
-				speedup = best / wise
-				row = append(row, f2(speedup)+"x")
-				spAll = append(spAll, speedup)
-				if kind.Complex() {
-					spComplex = append(spComplex, speedup)
-				} else {
-					spSimple = append(spSimple, speedup)
-				}
-			} else {
-				row = append(row, "-")
-			}
-			t.AddRow(row...)
+		rows, speedups, err := fig13Rows(cfg, kind)
+		if err != nil {
+			return nil, err
+		}
+		for _, r := range rows {
+			t.AddRow(r...)
+		}
+		spAll = append(spAll, speedups...)
+		if kind.Complex() {
+			spComplex = append(spComplex, speedups...)
+		} else {
+			spSimple = append(spSimple, speedups...)
 		}
 		if cfg.Quick {
 			break // one model is enough for smoke tests
@@ -126,6 +99,46 @@ func Fig13(cfg Config) (*Table, error) {
 		fmt.Sprintf("geomean speedup vs best baseline: all=%.2fx complex=%.2fx simple=%.2fx (paper: 2.04x / 2.64x / 1.13x)",
 			geomean(spAll), geomean(spComplex), geomean(spSimple)))
 	return t, nil
+}
+
+// fig13Rows returns Fig13's rows for one model, a row per dataset, and
+// the speedup over the best baseline on every dataset where one ran.
+func fig13Rows(cfg Config, kind nn.ModelKind) ([][]string, []float64, error) {
+	var rows [][]string
+	var speedups []float64
+	for _, dsName := range singleGPUDatasets() {
+		ds, err := cfg.loadDataset(dsName)
+		if err != nil {
+			return nil, nil, err
+		}
+		row := []string{kind.String(), dsName}
+		best := 0.0
+		for _, sys := range baseline.Systems() {
+			secs, oom, unsup := baselineIteration(sys, ds, kind, cfg.hidden(), cfg.layers())
+			switch {
+			case unsup:
+				row = append(row, "-")
+			case oom:
+				row = append(row, "OOM")
+			default:
+				row = append(row, ms(secs))
+				if best == 0 || secs < best {
+					best = secs
+				}
+			}
+		}
+		dims := modelDims(ds.Dim(), cfg.hidden(), ds.Classes(), cfg.layers())
+		wise, _ := WiseIteration(spec(), ds.Graph, kind, dims, ds.Graph.NumTypes)
+		row = append(row, ms(wise))
+		if best > 0 && wise > 0 {
+			row = append(row, f2(best/wise)+"x")
+			speedups = append(speedups, best/wise)
+		} else {
+			row = append(row, "-")
+		}
+		rows = append(rows, row)
+	}
+	return rows, speedups, nil
 }
 
 func geomean(xs []float64) float64 {

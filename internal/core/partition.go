@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -74,8 +75,8 @@ type Partition struct {
 	Graph *graph.Graph
 	// Order maps position → original edge index; tasks are contiguous
 	// runs of Order. It is never written once the partition is built, and
-	// partitions may share it (Partitioner.PartitionRows hands out views
-	// of one identity).
+	// partitions share it: the partitions of one Table share one order per
+	// sort key, and identity orders are views of one Partitioner's.
 	Order []int32
 	// TaskOffsets has NumTasks()+1 entries delimiting each task's run.
 	TaskOffsets []int32
@@ -120,13 +121,13 @@ func (p *Partition) TaskOfEdge() []int32 {
 	return out
 }
 
-// sortKey builds a plan's edge sort key: Min attrs first (so similar
-// values cluster and the minimum-uniqueness preference holds), then Exact
-// attrs ordered by ascending limit — tighter restrictions sort first so
-// that, e.g., uniq(src)=K & uniq(type)=1 groups globally by type and then
-// batches sources within each type, instead of fragmenting at every type
-// change.
-func sortKey(plan GraphPlan) []Attr {
+// keyAttrs lists a plan's restricted attributes in sort-key order: Min
+// attrs first (so similar values cluster and the minimum-uniqueness
+// preference holds), then Exact attrs ordered by ascending limit — tighter
+// restrictions sort first so that, e.g., uniq(src)=K & uniq(type)=1 groups
+// globally by type and then batches sources within each type, instead of
+// fragmenting at every type change.
+func keyAttrs(plan GraphPlan) []Attr {
 	var key []Attr
 	for _, r := range plan.Restrictions {
 		if r.Kind == Min {
@@ -142,6 +143,20 @@ func sortKey(plan GraphPlan) []Attr {
 	sort.SliceStable(exact, func(i, j int) bool { return exact[i].Limit < exact[j].Limit })
 	for _, r := range exact {
 		key = append(key, r.Attr)
+	}
+	return key
+}
+
+// sortKey is the key the partitioner sorts a plan's edges by: keyAttrs cut
+// at its first edge-id. Edge ids are distinct, so ties under the attributes
+// before it are broken by edge id, which a stable sort of the identity
+// order does already, and nothing after it is ever compared. Plans whose
+// sort keys are equal (vertex-centric, dst-batch-K and dst1-edge-K all sort
+// by dst-id alone) share one sorted order (Table).
+func sortKey(plan GraphPlan) []Attr {
+	key := keyAttrs(plan)
+	if i := slices.Index(key, AttrEdgeID); i >= 0 {
+		return key[:i]
 	}
 	return key
 }
@@ -164,11 +179,9 @@ var partitionerPool = sync.Pool{New: func() any { return NewPartitioner() }}
 // The implementation is the linear-time engine in partitioner.go (stable
 // LSD radix sort, epoch-stamped unique trackers); its output is
 // byte-identical to the specification in reference_test.go for every plan.
+// To partition one graph under many plans, partition through one Table.
 func PartitionGraph(g *graph.Graph, plan GraphPlan, statAttrs []Attr) *Partition {
-	pt := partitionerPool.Get().(*Partitioner)
-	p := pt.Partition(g, plan, statAttrs)
-	partitionerPool.Put(pt)
-	return p
+	return NewTable(g).Partition(plan, statAttrs)
 }
 
 // Validate checks partition invariants: Order is a permutation of the

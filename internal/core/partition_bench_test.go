@@ -19,10 +19,20 @@ func benchGraph() *graph.Graph {
 
 // benchPlans covers the plan shapes the search actually sweeps: single
 // tight restriction, multi-attribute restrictions, counter-only batching,
-// and the unrestricted whole-graph degenerate.
+// and the unrestricted whole-graph degenerate. dst1-edge-32, whose sort
+// key is cut at edge-id to dst-id alone, and 2d-32, sorted by (dst, src),
+// are the two sorts the one-sort-per-key table changed.
 func benchPlans() []GraphPlan {
 	return []GraphPlan{
 		VertexCentric(),
+		{Name: "dst1-edge-32", Restrictions: []Restriction{
+			{Attr: AttrDstID, Kind: Exact, Limit: 1},
+			{Attr: AttrEdgeID, Kind: Exact, Limit: 32},
+		}},
+		{Name: "2d-32", Restrictions: []Restriction{
+			{Attr: AttrDstID, Kind: Exact, Limit: 32},
+			{Attr: AttrSrcID, Kind: Exact, Limit: 32},
+		}},
 		{Name: "src32-type1", Restrictions: []Restriction{
 			{Attr: AttrSrcID, Kind: Exact, Limit: 32},
 			{Attr: AttrEdgeType, Kind: Exact, Limit: 1},

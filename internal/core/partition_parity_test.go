@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"wisegraph/internal/graph"
@@ -221,6 +224,133 @@ func TestPartitionParityWithReference(t *testing.T) {
 		if born[name] != 4 {
 			t.Errorf("%s: %d born partitions compared, want 4", name, born[name])
 		}
+	}
+
+	// Every plan of the search space, partitioned through one Table in a
+	// shuffled order: each sort key's order is sorted by whichever plan
+	// reaches it first and then shared, so a plan must come out the same
+	// whether it sorted its key or found it sorted. Every attribute's
+	// column is counted, and the untyped graphs ("power-law",
+	// "uniform-small") run the type-restricted plans over a nil type
+	// column.
+	for name, g := range parityGraphs(t) {
+		plans := tablePlans()
+		rand.New(rand.NewPCG(uint64(len(name)), uint64(g.NumEdges()))).Shuffle(len(plans), func(i, j int) {
+			plans[i], plans[j] = plans[j], plans[i]
+		})
+		tab := NewTable(g)
+		byKey := map[string]*Partition{}
+		for _, plan := range plans {
+			label := name + "/table/" + plan.String()
+			got := pt.partition(tab, plan, allAttrs())
+			comparePartitions(t, label, PartitionGraphReference(g, plan, allAttrs()), got)
+			// Plans with one sort key share one order.
+			key := fmt.Sprint(sortKey(plan))
+			if first := byKey[key]; first == nil {
+				byKey[key] = got
+			} else if g.NumEdges() > 0 && &first.Order[0] != &got.Order[0] {
+				t.Fatalf("%s: sort key %s sorted again after %v", label, key, first.Plan)
+			}
+		}
+	}
+}
+
+// tablePlans is the search space of every model — EnumeratePlans over
+// each set of indexing attributes the DFGs can use (a superset of the five
+// models' nn.ModelKind.IndexAttrs), each plan once — plus the plans whose
+// sort key holds edge-id: first (the key cuts to nothing, and an identity
+// order under a dst-id restriction), and before another attribute (the
+// cut drops it).
+func tablePlans() []GraphPlan {
+	plans := []GraphPlan{
+		WholeGraph(),
+		{Name: "edge-first", Restrictions: []Restriction{
+			{Attr: AttrDstID, Kind: Exact, Limit: 64},
+			{Attr: AttrEdgeID, Kind: Exact, Limit: 16},
+		}},
+		{Name: "edge-mid", Restrictions: []Restriction{
+			{Attr: AttrSrcID, Kind: Exact, Limit: 64},
+			{Attr: AttrDstID, Kind: Exact, Limit: 1},
+			{Attr: AttrEdgeID, Kind: Exact, Limit: 8},
+		}},
+		{Name: "edge-min", Restrictions: []Restriction{
+			{Attr: AttrEdgeID, Kind: Min},
+			{Attr: AttrSrcID, Kind: Exact, Limit: 4},
+		}},
+	}
+	seen := map[string]bool{}
+	idx := []Attr{AttrSrcID, AttrDstID, AttrEdgeType}
+	for set := 0; set < 1<<len(idx); set++ {
+		var attrs []Attr
+		for i, a := range idx {
+			if set&(1<<i) != 0 {
+				attrs = append(attrs, a)
+			}
+		}
+		for _, plan := range EnumeratePlans(attrs) {
+			if !seen[plan.String()] {
+				seen[plan.String()] = true
+				plans = append(plans, plan)
+			}
+		}
+	}
+	return plans
+}
+
+// TestSortKeyCutsAtEdgeID: the sort key ends before its first edge-id,
+// and an edge-id first leaves no key at all.
+func TestSortKeyCutsAtEdgeID(t *testing.T) {
+	plans := tablePlans()
+	for _, plan := range plans {
+		full, key := keyAttrs(plan), sortKey(plan)
+		cut := slices.Index(full, AttrEdgeID)
+		if cut < 0 {
+			cut = len(full)
+		}
+		if !slices.Equal(key, full[:cut]) {
+			t.Errorf("%v: sort key %v, want %v cut at edge-id", plan, key, full)
+		}
+	}
+	for name, want := range map[string][]Attr{
+		"dst1-edge-32":  {AttrDstID},
+		"edge-first":    nil,
+		"edge-mid":      {AttrDstID},
+		"edge-min":      nil,
+		"2d-32":         {AttrDstID, AttrSrcID},
+		"dst-32-degmin": {AttrDstDegree, AttrDstID},
+	} {
+		i := slices.IndexFunc(plans, func(p GraphPlan) bool { return p.Name == name })
+		if i < 0 {
+			t.Fatalf("no plan %s", name)
+		}
+		if got := sortKey(plans[i]); !slices.Equal(got, want) {
+			t.Errorf("%s: sort key %v, want %v", name, got, want)
+		}
+	}
+}
+
+// TestTableConcurrentPartitions partitions every plan through one Table
+// from several goroutines at once: the first to reach a sort key sorts it
+// while the others wait, and every partition still matches the reference.
+func TestTableConcurrentPartitions(t *testing.T) {
+	stat := []Attr{AttrSrcID, AttrDstID, AttrEdgeType, AttrDstDegree}
+	g := parityGraphs(t)["rmat-typed"]
+	plans := tablePlans()
+	tab := NewTable(g)
+	got := make([]*Partition, len(plans))
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(plans); i += 4 {
+				got[i] = tab.Partition(plans[i], stat)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, plan := range plans {
+		comparePartitions(t, plan.String(), PartitionGraphReference(g, plan, stat), got[i])
 	}
 }
 

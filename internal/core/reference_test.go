@@ -17,7 +17,7 @@ func PartitionGraphReference(g *graph.Graph, plan GraphPlan, statAttrs []Attr) *
 	e := g.NumEdges()
 	reader := NewAttrReader(g)
 
-	key := sortKey(plan)
+	key := keyAttrs(plan)
 	order := make([]int32, e)
 	for i := range order {
 		order[i] = int32(i)

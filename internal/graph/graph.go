@@ -23,8 +23,10 @@ type Graph struct {
 	// degMu guards the lazy degree caches: concurrent joint-search workers
 	// share one graph and may all trigger the first InDegrees call.
 	degMu  sync.Mutex
-	inDeg  []int32 // lazily built
+	inDeg  []int32 // lazily built, per vertex
 	outDeg []int32
+	dstDeg []int32 // lazily built, per edge
+	srcDeg []int32
 }
 
 // NumEdges returns the edge count.
@@ -84,6 +86,40 @@ func (g *Graph) OutDegrees() []int32 {
 	return g.outDeg
 }
 
+// DstDegrees returns, per edge, the in-degree of the edge's destination
+// (cached): the dst-degree column of the graph partition table. Safe for
+// concurrent callers.
+func (g *Graph) DstDegrees() []int32 {
+	in := g.InDegrees()
+	g.degMu.Lock()
+	defer g.degMu.Unlock()
+	if g.dstDeg == nil {
+		g.dstDeg = gather(in, g.Dst)
+	}
+	return g.dstDeg
+}
+
+// SrcDegrees returns, per edge, the out-degree of the edge's source
+// (cached): the src-degree column. Safe for concurrent callers.
+func (g *Graph) SrcDegrees() []int32 {
+	out := g.OutDegrees()
+	g.degMu.Lock()
+	defer g.degMu.Unlock()
+	if g.srcDeg == nil {
+		g.srcDeg = gather(out, g.Src)
+	}
+	return g.srcDeg
+}
+
+// gather returns vals[ids[i]] for every i.
+func gather(vals, ids []int32) []int32 {
+	out := make([]int32, len(ids))
+	for i, x := range ids {
+		out[i] = vals[x]
+	}
+	return out
+}
+
 // countEndpoints histograms ids (all in [0, v)) into a fresh array.
 func countEndpoints(ids []int32, v int) []int32 {
 	d := make([]int32, v)
@@ -98,7 +134,7 @@ func countEndpoints(ids []int32, v int) []int32 {
 // contract is unchanged); the lock only orders the cache swap itself.
 func (g *Graph) invalidateCaches() {
 	g.degMu.Lock()
-	g.inDeg, g.outDeg = nil, nil
+	g.inDeg, g.outDeg, g.dstDeg, g.srcDeg = nil, nil, nil, nil
 	g.degMu.Unlock()
 }
 

@@ -29,28 +29,29 @@ func randomGraph(v, e int, seed uint64) *Graph {
 // -race (scripts/check.sh does).
 func TestDegreeCachesConcurrent(t *testing.T) {
 	g := randomGraph(500, 5000, 1)
+	// Per vertex and per edge, in and out: each cache is built by one of
+	// its concurrent first callers and read by the others.
+	getters := []func() []int32{g.InDegrees, g.OutDegrees, g.DstDegrees, g.SrcDegrees}
 	var wg sync.WaitGroup
 	results := make([][]int32, 16)
 	for i := range results {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if i%2 == 0 {
-				results[i] = g.InDegrees()
-			} else {
-				results[i] = g.OutDegrees()
-			}
+			results[i] = getters[i%len(getters)]()
 		}(i)
 	}
 	wg.Wait()
-	for i := 2; i < len(results); i += 2 {
-		if !reflect.DeepEqual(results[i], results[0]) {
-			t.Fatal("concurrent InDegrees calls disagreed")
+	for i := len(getters); i < len(results); i++ {
+		if !reflect.DeepEqual(results[i], results[i%len(getters)]) {
+			t.Fatalf("concurrent calls of degree cache %d disagreed", i%len(getters))
 		}
 	}
-	for i := 3; i < len(results); i += 2 {
-		if !reflect.DeepEqual(results[i], results[1]) {
-			t.Fatal("concurrent OutDegrees calls disagreed")
+	in, out := results[0], results[1]
+	for e := range g.Src {
+		if results[2][e] != in[g.Dst[e]] || results[3][e] != out[g.Src[e]] {
+			t.Fatalf("edge %d: degree columns (%d, %d), want in-degree of dst %d and out-degree of src %d",
+				e, results[2][e], results[3][e], in[g.Dst[e]], out[g.Src[e]])
 		}
 	}
 }

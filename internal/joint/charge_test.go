@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"wisegraph/internal/core"
+	"wisegraph/internal/dataset"
 	"wisegraph/internal/device"
 	"wisegraph/internal/exec"
 	"wisegraph/internal/graph"
@@ -116,5 +117,39 @@ func TestExecutorChargesWhatSearchPrices(t *testing.T) {
 				checkCharge(t, what+" on a row subset", ctx, sh, secs, flops, bytes)
 			}
 		})
+	}
+}
+
+// TestDifferentiatedPickChargedUniform pins a known gap between the search
+// and the executor: when stage 3 wins (res.Differentiated), res.Seconds
+// prices the differentiated schedule, but the executor charges the pick
+// at its uniform one. On AR (seed 1) SAGE-LSTM's 64 → 64 pick,
+// dst-batch-32, splits two overfill hub tasks, so the executor's device
+// reads 4.21× what the search priced. An executor that charges the
+// differentiated schedule turns this test red: then pin 1.00 instead.
+func TestDifferentiatedPickChargedUniform(t *testing.T) {
+	ds, err := dataset.Load("AR", dataset.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, spec := ds.Graph, device.A100()
+	res := joint.Search(g, nn.SAGELSTM, 64, 64, g.NumTypes, joint.Options{Spec: spec})
+	if !res.Differentiated {
+		t.Fatalf("AR SAGE-LSTM: stage 3 did not win on %v", res.GraphPlan)
+	}
+	m, err := nn.NewModel(nn.Config{Kind: nn.SAGELSTM, InDim: 64, Hidden: 64, OutDim: 64, Layers: 1, NumTypes: g.NumTypes, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.New(g.NumVertices, 64)
+	tensor.Uniform(x, tensor.NewRNG(1), -1, 1)
+	ctx := exec.NewCtx(device.New(spec))
+	out, err := kernels.RunModelLayer(ctx, nn.NewGraphCtx(g), m, 0, x, res.Partition, res.OpPlan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tensor.Put(out)
+	if got := fmt.Sprintf("%.2f", ctx.Dev.Stats().SimSeconds/res.Seconds); got != "4.21" {
+		t.Fatalf("AR SAGE-LSTM %v: executor charges %s× what the search priced, pinned 4.21×", res.GraphPlan, got)
 	}
 }

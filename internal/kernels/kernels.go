@@ -142,6 +142,33 @@ func CostPartition(spec device.Spec, p *core.Partition, sh LayerShape, plan Plan
 	return out
 }
 
+// PartitionStats reads every task's statistics from the partition once,
+// for pricing it under several operation plans (TaskSeconds).
+func PartitionStats(p *core.Partition) []TaskStatsOf {
+	out := make([]TaskStatsOf, p.NumTasks())
+	for ti := range out {
+		out[ti] = StatsOf(p, ti)
+	}
+	return out
+}
+
+// TaskSeconds prices every task of stats, as PartitionStats read them,
+// on one execution unit: CostPartition's Seconds. A task whose statistics
+// equal its predecessor's costs what it costs, so a run of equal tasks
+// (every task of an edge-centric plan) is priced once.
+func TaskSeconds(spec device.Spec, stats []TaskStatsOf, sh LayerShape, plan Plan) []float64 {
+	prog := Compose(sh, plan)
+	out := make([]float64, len(stats))
+	for ti, st := range stats {
+		if ti > 0 && st == stats[ti-1] {
+			out[ti] = out[ti-1]
+			continue
+		}
+		out[ti] = prog.cost(spec, st).Seconds
+	}
+	return out
+}
+
 // DenseKernels returns the per-layer dense kernels WiseGraph launches
 // outside the fused gTask kernel, for a layer over v input rows that
 // produces d destination rows (d == v on a full graph). Source-side

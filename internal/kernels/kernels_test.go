@@ -241,6 +241,31 @@ func TestCostPartitionCoversAllTasks(t *testing.T) {
 	}
 }
 
+// TestTaskSecondsMatchesCostPartition: pricing a partition's statistics,
+// read once, under an operation plan gives CostPartition's seconds bit for
+// bit, also on the runs of equal tasks it prices once (edge-centric, and
+// fixed-size edge batches).
+func TestTaskSecondsMatchesCostPartition(t *testing.T) {
+	gc, _, _ := setup(t, nn.RGCN)
+	spec := device.A100()
+	for _, gp := range []core.GraphPlan{core.VertexCentric(), core.EdgeCentric(), core.WholeGraph(),
+		{Name: "edge-batch-32", Restrictions: []core.Restriction{{Attr: core.AttrEdgeID, Kind: core.Exact, Limit: 32}}}} {
+		part := core.PartitionGraph(gc.G, gp, allAttrs())
+		stats := PartitionStats(part)
+		for kind := nn.ModelKind(0); kind < nn.NumModels; kind++ {
+			sh := LayerShape{Kind: kind, F: 8, Fp: 8, Types: 4}
+			for _, op := range []Plan{{}, {Batched: true}, {Batched: true, Dedup: true}} {
+				secs := TaskSeconds(spec, stats, sh, op)
+				for ti, c := range CostPartition(spec, part, sh, op) {
+					if secs[ti] != c.Seconds {
+						t.Fatalf("%v %v %v task %d: TaskSeconds %v, CostPartition %v", gp.Name, kind, op, ti, secs[ti], c.Seconds)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestGTaskFusedLaunchesOneKernelPerLayerPlusDense(t *testing.T) {
 	gc, m, x := setup(t, nn.RGCN)
 	part := core.PartitionGraph(gc.G, core.VertexCentric(), allAttrs())

@@ -48,6 +48,13 @@ go test -race -timeout 30m $(go list ./... | grep -v '/benchmark$')
 echo "== go test ./benchmark"
 go test -count=1 ./benchmark
 
+# The search and partitioner benchmarks (BenchmarkJointSearch, whose
+# train-fullgraph case is the end-to-end benchmark's set-up tune, and
+# BenchmarkPartitionGraph against the reference) run once each, so they
+# keep compiling and running; their timings are read by hand, never here.
+echo "== search and partitioner benchmarks, once"
+go test -count=1 -run '^$' -bench 'JointSearch|PartitionGraph' -benchtime 1x ./internal/joint/ ./internal/core/ >/dev/null
+
 # The race pass above ran every suite at the box's own width; the steps
 # below re-run the scheduling-sensitive ones at the other extreme, one P.
 
@@ -73,7 +80,10 @@ run_filtered() {
 # graphs include copies already in dst and (dst, src) order, so every plan
 # keyed on that prefix runs the sorted-input skip (sortedBy: no radix sort
 # when the edges arrive in key order) against the reference, the rest the
-# sort; TestSortedBy pins the check itself. On every graph grouped by
+# sort; TestSortedBy pins the check itself. Every plan of the search space
+# is also partitioned through one Table in a shuffled order, sharing one
+# sorted order per sort key (cut at edge-id, TestSortKeyCutsAtEdgeID), and
+# from several goroutines at once (TestTableConcurrentPartitions). On every graph grouped by
 # destination the born partition a serving block gets under a
 # destination-batch plan (PartitionRows: read off the row pointers, no
 # sort, no scan) must equal the reference and Partition too, in the
@@ -81,7 +91,7 @@ run_filtered() {
 # share stamp generations. The composed programs
 # (internal/kernels/testdata/programs.golden) and the plans the search
 # picks (internal/joint/testdata/picks.golden) must hold at one P too.
-run_filtered "parity/determinism" 'Parity|Determin|Reuse|Concurrent|SortedBy|Golden' \
+run_filtered "parity/determinism" 'Parity|Determin|Reuse|Concurrent|SortedBy|SortKey|Golden' \
   ./internal/core/ ./internal/graph/ ./internal/joint/ ./internal/kernels/
 
 # The row kernels against their generic oracles — each assembly kernel the
