@@ -150,12 +150,7 @@ func (s Schedule) Makespan(units int) float64 {
 // UniformSchedule runs every task with the same operation plan in natural
 // order — the baseline execution of paper Figure 19 (left bars).
 func UniformSchedule(spec device.Spec, part *core.Partition, sh kernels.LayerShape, plan kernels.Plan) Schedule {
-	costs := kernels.CostPartition(spec, part, sh, plan)
-	times := make([]float64, len(costs))
-	for i, c := range costs {
-		times[i] = c.Seconds
-	}
-	return Schedule{Times: times}
+	return Schedule{Times: kernels.TaskSeconds(spec, kernels.PartitionStats(part), sh, plan)}
 }
 
 // DifferentiatedSchedule applies §6.2's outlier handling:

@@ -268,7 +268,7 @@ func ReusePlan(res *joint.Result, g *graph.Graph) *core.Partition {
 
 // ReusePlanWith is ReusePlan through a caller-owned Partitioner: pipeline
 // workers hold one each, so steady-state per-batch partitioning reuses
-// the worker's sort columns and stamp arrays instead of competing over
+// the worker's radix buffers and stamp arrays instead of competing over
 // the shared pool. It tracks only what the executor reads, so an
 // unrestricted degree attribute costs the block nothing.
 func ReusePlanWith(pt *core.Partitioner, res *joint.Result, g *graph.Graph) *core.Partition {

@@ -190,7 +190,9 @@ func A100() DeviceSpec { return device.A100() }
 
 // ExecutionPlan is the outcome of joint optimization: the selected graph
 // partition plan, operation partition plan, outlier classification and
-// search trace.
+// search trace. Its Partition holds the statistics the search's cost
+// model reads (see joint.Result.Partition); Partition(g, plan.GraphPlan)
+// gives every row.
 type ExecutionPlan = joint.Result
 
 // Optimize runs the joint search (paper §6) for a model over a graph:
