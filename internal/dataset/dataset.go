@@ -170,11 +170,14 @@ func plantFeatures(v, dim, classes int, label []int32, noise float64, rng *tenso
 	centers := tensor.New(classes, dim)
 	tensor.Uniform(centers, rng, -1, 1)
 	feat := tensor.New(v, dim)
+	// One row of normals at a time: the draws, then the vector Box–Muller.
+	norm, tmp := make([]float64, dim), make([]float64, dim)
 	for i := 0; i < v; i++ {
 		c := centers.Row(int(label[i]))
 		row := feat.Row(i)
+		rng.NormFloat64s(norm, tmp)
 		for j := range row {
-			row[j] = c[j] + float32(noise*rng.NormFloat64())
+			row[j] = c[j] + float32(noise*norm[j])
 		}
 	}
 	return feat

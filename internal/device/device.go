@@ -18,6 +18,8 @@ package device
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 
 	"wisegraph/internal/fault"
@@ -121,6 +123,12 @@ func (s Spec) Time(k Kernel) float64 {
 // (each item goes to the earliest-free unit) and returns the finish time.
 // Order matters: scheduling long items late produces the long-tail effect
 // the paper's differentiated execution removes.
+//
+// Only the multiset of unit loads decides where the next item goes and
+// what it adds, so a run of equal times (every task of an edge-centric
+// plan) is dealt round by round where it can be (fillRun), and the rest
+// goes through a binary heap one item at a time; both give the per-item
+// heap's loads, bit for bit.
 func Makespan(times []float64, units int) float64 {
 	if units < 1 {
 		units = 1
@@ -128,12 +136,21 @@ func Makespan(times []float64, units int) float64 {
 	if len(times) == 0 {
 		return 0
 	}
-	// Earliest-free-unit scheduling with a small binary heap.
-	h := make([]float64, units)
-	for _, t := range times {
-		// pop min (h[0]), add t, push back
-		h[0] += t
-		siftDown(h)
+	h := make([]float64, units) // a min-heap of the unit loads
+	for i := 0; i < len(times); {
+		t := times[i]
+		r := 1
+		for i+r < len(times) && math.Float64bits(times[i+r]) == math.Float64bits(t) {
+			r++
+		}
+		if r < units || !fillRun(h, t, r) {
+			for range r {
+				// pop min (h[0]), add t, push back
+				h[0] += t
+				siftDown(h)
+			}
+		}
+		i += r
 	}
 	var max float64
 	for _, v := range h {
@@ -142,6 +159,40 @@ func Makespan(times []float64, units int) float64 {
 		}
 	}
 	return max
+}
+
+// fillRun adds a run of r items of time t to the loads h as r heap steps
+// would, and reports whether it could; h is left sorted, which is a heap.
+// It can when, once h is sorted, the largest load is at most the smallest
+// plus t. Then the heap deals the run round by round in load order —
+// rounding is monotone, so each round keeps the order and the spread —
+// and only each unit's count of additions is left to find: r/len(h) each,
+// and one more for the r%len(h) least loaded. Units with equal loads add
+// the same sequence, so it is summed once. A NaN time or load fails the
+// check (the heap holds a NaN only at its root, where sorting puts it
+// too), and so does a negative time unless every load is one it leaves
+// unchanged.
+func fillRun(h []float64, t float64, r int) bool {
+	slices.Sort(h)
+	if !(h[len(h)-1] <= h[0]+t) {
+		return false
+	}
+	rounds := r / len(h)
+	var load, sum float64
+	for k, x := range h {
+		if k == 0 || x != load {
+			load, sum = x, x
+			for range rounds {
+				sum += t
+			}
+		}
+		h[k] = sum
+	}
+	for k := range r % len(h) {
+		h[k] += t
+	}
+	slices.Sort(h)
+	return true
 }
 
 func siftDown(h []float64) {

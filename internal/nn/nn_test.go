@@ -180,11 +180,13 @@ func TestTrainingReducesLossAllModels(t *testing.T) {
 	x := tensor.New(120, 8)
 	centers := tensor.New(4, 8)
 	tensor.Uniform(centers, rng, -1, 1)
+	noise, tmp := make([]float64, 8), make([]float64, 8)
 	for i := 0; i < 120; i++ {
 		c := centers.Row(int(res.Block[i]))
 		row := x.Row(i)
+		rng.NormFloat64s(noise, tmp)
 		for j := range row {
-			row[j] = c[j] + 0.6*float32(rng.NormFloat64())
+			row[j] = c[j] + 0.6*float32(noise[j])
 		}
 	}
 	mask := make([]int32, 120)

@@ -57,22 +57,36 @@ func Analyze(p *core.Partition, attrs []core.Attr) PlanPattern {
 	}
 	us := make([]int, n)
 	for _, a := range attrs {
-		dup := 0
 		for ti := range us {
 			us[ti] = int(p.TaskUniq(ti, a))
-			if us[ti] < lens[ti] {
-				dup++
-			}
 		}
 		pp.MedianUniq[a] = median(us)
-		pp.DupFraction[a] = float64(dup) / float64(n)
+		pp.DupFraction[a] = dupFraction(p, a)
 	}
 	return pp
 }
 
-// Duplicated reports the plan-level duplicated-data pattern for attr:
-// true when a majority of tasks have duplicates.
-func (pp PlanPattern) Duplicated(a core.Attr) bool { return pp.DupFraction[a] >= 0.5 }
+// dupFraction is the fraction of p's tasks in which attribute a has fewer
+// unique values than the task has edges.
+func dupFraction(p *core.Partition, a core.Attr) float64 {
+	n := p.NumTasks()
+	if n == 0 {
+		return 0
+	}
+	dup := 0
+	for ti := 0; ti < n; ti++ {
+		if int(p.TaskUniq(ti, a)) < p.TaskLen(ti) {
+			dup++
+		}
+	}
+	return float64(dup) / float64(n)
+}
+
+// Duplicated reports the plan-level duplicated-data pattern for a tracked
+// attribute: true when a majority of p's tasks have duplicates, Analyze's
+// DupFraction[a] ≥ 0.5 without the medians Analyze sorts for. The joint
+// search reads it to decide whether it prices a plan's dedup program too.
+func Duplicated(p *core.Partition, a core.Attr) bool { return dupFraction(p, a) >= 0.5 }
 
 // RegularStats returns the statistics of the archetypal regular gTask —
 // median edges and median unique counts — the task the bench harness

@@ -37,13 +37,17 @@ func TestAnalyzePlanPattern(t *testing.T) {
 	// vertex-centric: one dst shared by every edge of a task — dst IS
 	// duplicated wherever the degree exceeds one (the shared-output
 	// pattern), and a single-edge task has no duplication at all.
-	if !pp.Duplicated(core.AttrDstID) {
+	if !Duplicated(p, core.AttrDstID) {
 		t.Fatal("dst is duplicated across a vertex-centric task's edges")
 	}
-	ec := core.PartitionGraph(g, core.EdgeCentric(), attrs)
-	ppEC := Analyze(ec, attrs)
 	for _, a := range attrs {
-		if ppEC.Duplicated(a) {
+		if Duplicated(p, a) != (pp.DupFraction[a] >= 0.5) {
+			t.Fatalf("Duplicated(%v) disagrees with DupFraction %v", a, pp.DupFraction[a])
+		}
+	}
+	ec := core.PartitionGraph(g, core.EdgeCentric(), attrs)
+	for _, a := range attrs {
+		if Duplicated(ec, a) {
 			t.Fatalf("edge-centric tasks hold one edge; %v cannot be duplicated", a)
 		}
 	}

@@ -98,8 +98,9 @@ func TestRNGNormal(t *testing.T) {
 	rng := NewRNG(5)
 	var sum, sumSq float64
 	const n = 5000
-	for i := 0; i < n; i++ {
-		v := rng.NormFloat64()
+	vs := make([]float64, n)
+	rng.NormFloat64s(vs, make([]float64, n))
+	for _, v := range vs {
 		sum += v
 		sumSq += v * v
 	}

@@ -36,3 +36,8 @@ func reluAVX2(dst, x []float32)
 
 //go:noescape
 func reluGradAVX2(dst, grad, a []float32)
+
+// Implemented in boxmuller_amd64.s.
+
+//go:noescape
+func boxMullerAVX512(dst, u, v []float64)

@@ -24,3 +24,5 @@ func dispatchTo(t *testing.T, k rowKernel) {
 	useAVX512 = k.name == "avx512"
 	t.Cleanup(func() { useAVX512 = saved })
 }
+
+var normKernels = []normKernel{{"avx512", useAVX512, boxMullerAVX512}}

@@ -31,3 +31,5 @@ func accumRunAVX512(dst, x []float32, rs int, idx []int32, w []float32) {
 func reluAVX2(dst, x []float32) { panic("tensor: no assembly kernel") }
 
 func reluGradAVX2(dst, grad, a []float32) { panic("tensor: no assembly kernel") }
+
+func boxMullerAVX512(dst, u, v []float64) { panic("tensor: no assembly kernel") }

@@ -4,10 +4,11 @@ package tensor
 
 import "testing"
 
-// No assembly row or run kernel on this architecture.
+// No assembly row, run or Box–Muller kernel on this architecture.
 var (
-	rowKernels []rowKernel
-	runKernels []runKernel
+	rowKernels  []rowKernel
+	runKernels  []runKernel
+	normKernels []normKernel
 )
 
 func dispatchTo(*testing.T, rowKernel) {}

@@ -1,6 +1,9 @@
 package tensor
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // RNG is a small deterministic xorshift64* generator. All randomness in the
 // repository flows through explicit RNG values so every experiment is
@@ -54,14 +57,44 @@ func (r *RNG) Float64() float64 {
 // Float32 returns a pseudo-random float32 in [0, 1).
 func (r *RNG) Float32() float32 { return float32(r.Float64()) }
 
-// NormFloat64 returns a standard normal variate (Box–Muller).
-func (r *RNG) NormFloat64() float64 {
-	for {
+// NormFloat64s fills dst with standard normal variates (Box–Muller): for
+// each element it draws u, drawing it again while u ≤ 1e-12, then v, and
+// takes Sqrt(-2·Log(u))·Cos(2π·v). All of dst's draws come first, in that
+// stream order; boxMuller then computes the row. v is scratch, at least as
+// long as dst.
+func (r *RNG) NormFloat64s(dst, v []float64) {
+	v = v[:len(dst)]
+	for i := range dst {
 		u := r.Float64()
-		if u > 1e-12 {
-			v := r.Float64()
-			return math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
+		for u <= 1e-12 {
+			u = r.Float64()
 		}
+		dst[i], v[i] = u, r.Float64()
+	}
+	boxMuller(dst, dst, v)
+}
+
+// boxMuller sets dst[i] = Sqrt(-2·Log(u[i]))·Cos(2π·v[i]) for every
+// i < len(dst), for 0 < u[i] < 1 and 0 ≤ v[i] < 1; dst may be u or v. On
+// amd64 with AVX-512 it runs boxmuller_amd64.s, which performs math.Log's
+// and math.Cos's IEEE operations in their order, eight lanes at a time, so
+// its bits are boxMullerGeneric's (DESIGN "The one vector kernel").
+func boxMuller(dst, u, v []float64) {
+	if len(u) < len(dst) || len(v) < len(dst) {
+		panic(fmt.Sprintf("tensor: boxMuller dst[%d] from u[%d] v[%d]", len(dst), len(u), len(v)))
+	}
+	if useAVX512 {
+		boxMullerAVX512(dst, u, v)
+		return
+	}
+	boxMullerGeneric(dst, u, v)
+}
+
+// boxMullerGeneric is boxMuller one element at a time through package
+// math: the path on a CPU without AVX-512 and the test oracle.
+func boxMullerGeneric(dst, u, v []float64) {
+	for i := range dst {
+		dst[i] = math.Sqrt(-2*math.Log(u[i])) * math.Cos(2*math.Pi*v[i])
 	}
 }
 

@@ -29,8 +29,9 @@ GOOS=linux GOARCH=arm64 go build -gcflags=-S ./internal/tensor 2>&1 |
 if grep -E 'FN?MADD|FN?MSUB' "$UNIFORM_ASM"; then
   echo "FAIL: arm64 fuses a multiply-add in tensor.Uniform"; exit 1
 fi
-# The row kernels are a VMULPS then a VADDPS, never a fused multiply-add:
-# one rounding instead of two would break their bitwise parity with the
+# The row kernels are a VMULPS then a VADDPS, never a fused multiply-add,
+# and the Box–Muller kernel rounds where math.Log and math.Cos do: one
+# rounding instead of two would break their bitwise parity with the
 # generic loops (DESIGN "The one vector kernel").
 if grep -nE 'VFN?M(ADD|SUB)' internal/tensor/*.s; then
   echo "FAIL: fused multiply-add in the tensor assembly"; exit 1
@@ -48,12 +49,15 @@ go test -race -timeout 30m $(go list ./... | grep -v '/benchmark$')
 echo "== go test ./benchmark"
 go test -count=1 ./benchmark
 
-# The search and partitioner benchmarks (BenchmarkJointSearch, whose
-# train-fullgraph case is the end-to-end benchmark's set-up tune, and
-# BenchmarkPartitionGraph against the reference) run once each, so they
-# keep compiling and running; their timings are read by hand, never here.
-echo "== search and partitioner benchmarks, once"
-go test -count=1 -run '^$' -bench 'JointSearch|PartitionGraph' -benchtime 1x ./internal/joint/ ./internal/core/ >/dev/null
+# The set-up benchmarks (BenchmarkJointSearch, whose train-fullgraph case
+# is the end-to-end benchmark's set-up tune, BenchmarkPartitionGraph
+# against the reference, BenchmarkLoad, the benchmark's dataset load, and
+# BenchmarkMakespan, an edge-centric schedule and a random one) run once
+# each, so they keep compiling and running; their timings are read by
+# hand, never here.
+echo "== set-up benchmarks, once"
+go test -count=1 -run '^$' -bench 'JointSearch|PartitionGraph|Load|Makespan' -benchtime 1x \
+  ./internal/joint/ ./internal/core/ ./internal/dataset/ ./internal/device/ >/dev/null
 
 # The race pass above ran every suite at the box's own width; the steps
 # below re-run the scheduling-sensitive ones at the other extreme, one P.
@@ -90,9 +94,10 @@ run_filtered() {
 # reuse test interleaved with Partition on one Partitioner so the two
 # share stamp generations. The composed programs
 # (internal/kernels/testdata/programs.golden) and the plans the search
-# picks (internal/joint/testdata/picks.golden) must hold at one P too.
+# picks (internal/joint/testdata/picks.golden) must hold at one P too, and
+# so must the benchmark's dataset, hashed array by array (TestLoadGolden).
 run_filtered "parity/determinism" 'Parity|Determin|Reuse|Concurrent|SortedBy|SortKey|Golden' \
-  ./internal/core/ ./internal/graph/ ./internal/joint/ ./internal/kernels/
+  ./internal/core/ ./internal/graph/ ./internal/joint/ ./internal/kernels/ ./internal/dataset/
 
 # The row kernels against their generic oracles — each assembly kernel the
 # CPU has, as a subtest: .../avx512 (where CPUID reports AVX-512) and
@@ -104,7 +109,10 @@ run_filtered "parity/determinism" 'Parity|Determin|Reuse|Concurrent|SortedBy|Sor
 # mulAddRow picks, on every platform); the aggregation run kernel in
 # TestAccumRunBitwise (.../avx512, .../avx2 and .../dispatch against the
 # per-edge walk, widths 1–130, runs of 0–17 sources, ±0/±Inf/NaN) and
-# TestAccumRunPanicsOnBadArgs; EdgeSpMM in TestEdgeSpMMBitwise (forward,
+# TestAccumRunPanicsOnBadArgs; the float64 Box–Muller kernel in
+# TestBoxMullerBitwise (.../avx512 and .../dispatch against math.Log and
+# math.Cos: 10⁷ stream draws, u and v at their edges, rows of 1–130) and
+# TestBoxMullerPanicsOnShortInput; EdgeSpMM in TestEdgeSpMMBitwise (forward,
 # transpose and a destination-row subset at 1, 2 and 4 workers against
 # the per-edge walk) and the bias gradient's row adds in
 # TestAccumBiasGradBitwise; every layer's backward without the input
